@@ -5,6 +5,11 @@ type t = {
   delta : States.Set.t Symbol.Map.t array;
   eps : States.Set.t array;
   labels : string option array;
+  alphabet : Symbol.Set.t;
+  closed : States.Set.t Symbol.Map.t option array;
+      (* ε-closed successors per state, filled on first use by [step]; an
+         ε-free automaton needs no closure, so it steps on [delta] directly *)
+  eps_free : bool;
 }
 
 let check_state n q = if q < 0 || q >= n then invalid_arg "Nfa: state out of range"
@@ -44,6 +49,12 @@ let create ?(labels = []) ~num_states ~start ~accept ~transitions ?(epsilons = [
     delta;
     eps;
     labels = labels_arr;
+    alphabet =
+      Array.fold_left
+        (fun acc by_sym -> Symbol.Map.fold (fun sym _ acc -> Symbol.Set.add sym acc) by_sym acc)
+        Symbol.Set.empty delta;
+    closed = (if epsilons = [] then [||] else Array.make num_states None);
+    eps_free = (epsilons = []);
   }
 
 let empty_language = create ~num_states:1 ~start:[ 0 ] ~accept:[] ~transitions:[] ()
@@ -75,10 +86,7 @@ let epsilons nfa =
     nfa.eps;
   List.rev !acc
 
-let alphabet nfa =
-  Array.fold_left
-    (fun acc by_sym -> Symbol.Map.fold (fun sym _ acc -> Symbol.Set.add sym acc) by_sym acc)
-    Symbol.Set.empty nfa.delta
+let alphabet nfa = nfa.alphabet
 
 let successors nfa q sym =
   match Symbol.Map.find_opt sym nfa.delta.(q) with
@@ -98,12 +106,25 @@ let eps_closure nfa set =
   in
   go set set
 
+(* The closure of a union is the union of the closures, so stepping a
+   configuration is a union of per-state rows, each closed once. *)
+let closed_row nfa q =
+  if nfa.eps_free then nfa.delta.(q)
+  else
+    match nfa.closed.(q) with
+    | Some row -> row
+    | None ->
+      let row = Symbol.Map.map (eps_closure nfa) nfa.delta.(q) in
+      nfa.closed.(q) <- Some row;
+      row
+
 let step nfa config sym =
-  let direct =
-    States.Set.fold (fun q acc -> States.Set.union acc (successors nfa q sym)) config
-      States.Set.empty
-  in
-  eps_closure nfa direct
+  States.Set.fold
+    (fun q acc ->
+      match Symbol.Map.find_opt sym (closed_row nfa q) with
+      | Some targets -> States.Set.union acc targets
+      | None -> acc)
+    config States.Set.empty
 
 let initial_config nfa = eps_closure nfa nfa.start
 let accepting_config nfa config = not (States.Set.disjoint config nfa.accept)

@@ -44,7 +44,7 @@ val transitions : t -> (int * Symbol.t * int) list
 val epsilons : t -> (int * int) list
 
 val alphabet : t -> Symbol.Set.t
-(** Symbols occurring on transitions. *)
+(** Symbols occurring on transitions; computed once by {!create}. *)
 
 val successors : t -> States.t -> Symbol.t -> States.Set.t
 (** Direct (non-ε-closed) successors. *)
@@ -54,7 +54,11 @@ val successors : t -> States.t -> Symbol.t -> States.Set.t
 val eps_closure : t -> States.Set.t -> States.Set.t
 
 val step : t -> States.Set.t -> Symbol.t -> States.Set.t
-(** ε-closed step: closure of successors of an (assumed closed) set. *)
+(** ε-closed step: [eps_closure (⋃ successors q sym)] over the states [q]
+    of the configuration, which need not itself be ε-closed. A table
+    lookup: each state's ε-closed successor row is built on first use and
+    kept in the automaton, so a configuration steps as the union of its
+    states' rows. *)
 
 val initial_config : t -> States.Set.t
 (** ε-closure of the start states. *)

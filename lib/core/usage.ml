@@ -140,11 +140,15 @@ let diagnose_failure sub_model projected =
   in
   walk (Nfa.initial_config nfa) projected
 
-let check_subsystem ?limits ~env (model : Model.t) ~field ~subsystem_class =
+let check_subsystem ?limits ?impl ~env (model : Model.t) ~field ~subsystem_class =
   match env subsystem_class with
   | None -> None
   | Some sub_model -> (
-    let impl = expanded_nfa ?limits model in
+    let impl =
+      match impl with
+      | Some impl -> impl
+      | None -> expanded_nfa ?limits model
+    in
     let spec =
       match subsystem_spec_nfa ~env ~field ~subsystem_class with
       | Some s -> s

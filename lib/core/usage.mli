@@ -28,12 +28,15 @@ val subsystem_spec_nfa : env:env -> field:string -> subsystem_class:string -> Nf
 
 val check_subsystem :
   ?limits:Limits.t ->
+  ?impl:Nfa.t ->
   env:env ->
   Model.t ->
   field:string ->
   subsystem_class:string ->
   Report.t option
-(** [None] when the subsystem is used correctly. *)
+(** [None] when the subsystem is used correctly. [impl] is the model's
+    {!expanded_nfa}, when the caller already built it (once for all the
+    fields it checks); otherwise it is built here under [limits]. *)
 
 val check : ?limits:Limits.t -> env:env -> Model.t -> Report.t list
 (** All declared subsystems of a composite, in declaration order. Also

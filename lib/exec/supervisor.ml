@@ -49,8 +49,9 @@ let config ?(jobs = 1) ?(batch_size = 8) ?deadline ?(max_tasks_per_worker = 128)
    (hang/crash): armed only by an explicit in-process opt-in, so a stale
    environment variable can never sabotage a real run. The supervisor adds
    the process-plumbing faults: [garbage:SUBSTR] (corrupt result frame),
-   [wedge:SUBSTR] (worker stops reading, ignoring heartbeats), [forkfail:N]
-   (the next N forks fail). *)
+   [glued-garbage:SUBSTR] (the same, written in one write together with
+   the previous task's result), [wedge:SUBSTR] (worker stops reading,
+   ignoring heartbeats), [forkfail:N] (the next N forks fail). *)
 let fault_injection = ref false
 
 let contains ~sub s =
@@ -128,19 +129,23 @@ let frame_bytes payload =
   Bytes.blit payload 0 b frame_header_len len;
   b
 
+let frame_of v = frame_bytes (Marshal.to_bytes v [])
+
 let send_frame fd v =
-  let b = frame_bytes (Marshal.to_bytes v []) in
+  let b = frame_of v in
   write_all fd b 0 (Bytes.length b)
 
-(* Parse every complete frame out of [buf]; [`Garbage] the moment the
-   stream stops looking like frames. The decoded values are returned along
-   with the number of consumed bytes so the caller can keep the tail. *)
-let parse_frames (buf : Buffer.t) : [ `Frames of 'a list * int | `Garbage ] =
+(* Parse every complete frame out of [buf], up to the point where the
+   stream stops looking like frames. The decoded prefix is returned with
+   either the number of consumed bytes, so the caller can keep the tail, or
+   [`Garbage]: the frames before the corruption are still valid and must be
+   settled before the worker is condemned. *)
+let parse_frames (buf : Buffer.t) : 'a list * [ `Consumed of int | `Garbage ] =
   let s = Buffer.contents buf in
   let total = String.length s in
   let rec go acc off =
-    if total - off < frame_header_len then `Frames (List.rev acc, off)
-    else if String.sub s off 3 <> frame_magic then `Garbage
+    if total - off < frame_header_len then (List.rev acc, `Consumed off)
+    else if String.sub s off 3 <> frame_magic then (List.rev acc, `Garbage)
     else begin
       let len =
         (Char.code s.[off + 3] lsl 24)
@@ -148,12 +153,12 @@ let parse_frames (buf : Buffer.t) : [ `Frames of 'a list * int | `Garbage ] =
         lor (Char.code s.[off + 5] lsl 8)
         lor Char.code s.[off + 6]
       in
-      if len < 0 || len > max_frame_len then `Garbage
-      else if total - off - frame_header_len < len then `Frames (List.rev acc, off)
+      if len < 0 || len > max_frame_len then (List.rev acc, `Garbage)
+      else if total - off - frame_header_len < len then (List.rev acc, `Consumed off)
       else
         match (Marshal.from_string s (off + frame_header_len) : 'a) with
         | v -> go (v :: acc) (off + frame_header_len + len)
-        | exception _ -> `Garbage
+        | exception _ -> (List.rev acc, `Garbage)
     end
   in
   go [] 0
@@ -196,14 +201,12 @@ let read_frame fd : 'a option =
     end
   end
 
-let send_result res_wr idx (res : ('r, string) result) =
+let result_frame idx (res : ('r, string) result) =
   match Marshal.to_bytes (Result (idx, res) : 'r from_worker) [] with
-  | payload ->
-    let b = frame_bytes payload in
-    write_all res_wr b 0 (Bytes.length b)
+  | payload -> frame_bytes payload
   | exception exn ->
     let reason = "unmarshalable worker result: " ^ Printexc.to_string exn in
-    send_frame res_wr (Result (idx, (Error reason : ('r, string) result)))
+    frame_of (Result (idx, (Error reason : ('r, string) result)))
 
 let worker_main ~job_rd ~res_wr run label =
   (* Session leader: a deadline kill of the process group takes out any
@@ -223,21 +226,49 @@ let worker_main ~job_rd ~res_wr run label =
       loop ()
     | Some (Job tasks) ->
       let wedge = ref false in
-      List.iter
-        (fun (idx, task) ->
-          send_frame res_wr (Started idx : _ from_worker);
-          if armed && fault_matches "garbage" (label task) then
-            write_all res_wr (Bytes.of_string "!!corrupt-frame!!") 0 17
-          else begin
-            let result =
-              match run task with
-              | r -> (Ok r : (_, string) result)
-              | exception exn -> Error (Printexc.to_string exn)
-            in
-            send_result res_wr idx result
-          end;
-          if armed && fault_matches "wedge" (label task) then wedge := true)
-        tasks;
+      let fault kind task = armed && fault_matches kind (label task) in
+      let emit frames =
+        let b = Bytes.concat Bytes.empty frames in
+        write_all res_wr b 0 (Bytes.length b)
+      in
+      let corrupt = Bytes.of_string "!!corrupt-frame!!" in
+      (* [held] is the previous task's result frame, kept back only when
+         this task is a glued-garbage one. *)
+      let rec go held = function
+        | [] -> ()
+        | (idx, task) :: rest ->
+          let started = frame_of (Started idx : _ from_worker) in
+          let held =
+            if fault "glued-garbage" task then begin
+              (* The previous result, this ack and the corrupt bytes reach
+                 the parent in one write, hence in one read. *)
+              emit (held @ [ started; corrupt ]);
+              []
+            end
+            else begin
+              emit [ started ];
+              if fault "garbage" task then begin
+                emit [ corrupt ];
+                []
+              end
+              else
+                let result =
+                  match run task with
+                  | r -> (Ok r : (_, string) result)
+                  | exception exn -> Error (Printexc.to_string exn)
+                in
+                let frame = result_frame idx result in
+                match rest with
+                | (_, next) :: _ when fault "glued-garbage" next -> [ frame ]
+                | _ ->
+                  emit [ frame ];
+                  []
+            end
+          in
+          if fault "wedge" task then wedge := true;
+          go held rest
+      in
+      go [] tasks;
       if !wedge then
         (* Simulate a worker that stops servicing its job pipe: alive, but
            deaf to dispatches and heartbeats alike. *)
@@ -730,24 +761,30 @@ let run ?retry ?deadline pool tasks =
       | 0 -> handle_death slot p
       | k -> (
         Buffer.add_subbytes p.rbuf read_chunk 0 k;
-        match parse_frames p.rbuf with
-        | `Garbage ->
+        let frames, tail = parse_frames p.rbuf in
+        (match tail with
+        | `Consumed consumed ->
+          let rest = Buffer.sub p.rbuf consumed (Buffer.length p.rbuf - consumed) in
+          Buffer.clear p.rbuf;
+          Buffer.add_string p.rbuf rest
+        | `Garbage -> ());
+        (* The worker may have been condemned by an earlier frame in this
+           very batch of frames. *)
+        let alive () =
+          match slot.proc with
+          | Some q -> q == p
+          | None -> false
+        in
+        List.iter (fun frame -> if alive () then handle_frame slot p frame) frames;
+        (* Garbage after valid frames belongs to whichever task is the head
+           once those frames are settled, never to one they completed. *)
+        match tail with
+        | `Garbage when alive () ->
           kill_worker slot p ~charge:(`Crash "garbage frame on result pipe");
           backoff pool slot;
           pool.st.m_restarts <- pool.st.m_restarts + 1;
           bump "pool.restarts" 1
-        | `Frames (frames, consumed) ->
-          let rest = Buffer.sub p.rbuf consumed (Buffer.length p.rbuf - consumed) in
-          Buffer.clear p.rbuf;
-          Buffer.add_string p.rbuf rest;
-          List.iter
-            (fun frame ->
-              (* The worker may have been condemned by an earlier frame in
-                 this very batch of frames. *)
-              match slot.proc with
-              | Some q when q == p -> handle_frame slot p frame
-              | _ -> ())
-            frames)
+        | `Garbage | `Consumed _ -> ())
     in
     (* Write a Job frame; a write failure means the worker just died — let
        the death path classify it (nothing was started, so nothing can be

@@ -206,7 +206,10 @@ val fault_injection : bool ref
 (** The shared fault-injection master switch ({!Checker.fault_injection} is
     this very ref). When armed, [SHELLEY_FAULT] entries extend to
     supervisor-level faults: [garbage:SUBSTR] (the worker writes a corrupt
-    frame instead of the matching task's result), [wedge:SUBSTR] (the
+    frame instead of the matching task's result), [glued-garbage:SUBSTR]
+    (the same, but the previous task's result frame, the matching task's
+    start acknowledgement and the corrupt bytes go out in one write, so the
+    parent reads a valid prefix followed by garbage), [wedge:SUBSTR] (the
     worker stops reading its job pipe after completing the batch containing
     the matching task, ignoring heartbeats), [forkfail:N] (the pool's next
     N fork attempts fail). Inert by default. *)

@@ -34,10 +34,29 @@ type ctx = {
   cls : Mpy_ast.class_def;
   model : Model.t;
   mutable claim_memo : claim_analysis option;
+  call_nfa : unit -> Nfa.t;
 }
 
+(* [once build] runs [build] on the first call only. An exception it raised
+   is kept and raised again on every later call, so each rule that needs
+   the value still fails on its own (a blown budget: one SY090 per rule). *)
+let once build =
+  let memo = lazy (try Ok (build ()) with e -> Error e) in
+  fun () ->
+    match Lazy.force memo with
+    | Ok v -> v
+    | Error e -> raise e
+
 let make_ctx ~limits ~thresholds ~env ~cls ~model =
-  { limits; thresholds; env; cls; model; claim_memo = None }
+  {
+    limits;
+    thresholds;
+    env;
+    cls;
+    model;
+    claim_memo = None;
+    call_nfa = once (fun () -> Claims.subsystem_call_nfa ~limits model);
+  }
 
 (* --- SY101 dead operation --------------------------------------------------
 
@@ -101,7 +120,7 @@ let vacuous_claim ctx =
   let model = ctx.model in
   if model.Model.claims = [] then []
   else begin
-    let impl = Claims.subsystem_call_nfa ~limits:ctx.limits model in
+    let impl = ctx.call_nfa () in
     let alphabet = claim_alphabet ctx impl in
     let no_calls = Symbol.Set.is_empty (Nfa.alphabet impl) in
     List.filter_map
@@ -132,7 +151,7 @@ let unsatisfiable_claim ctx =
   let model = ctx.model in
   if model.Model.claims = [] then []
   else begin
-    let impl = Claims.subsystem_call_nfa ~limits:ctx.limits model in
+    let impl = ctx.call_nfa () in
     let alphabet = claim_alphabet ctx impl in
     if Symbol.Set.is_empty alphabet then []
     else
@@ -185,12 +204,16 @@ let unsatisfiable_claim ctx =
 
 let quoted_texts texts = String.concat ", " (List.map (Printf.sprintf "'%s'") texts)
 
-let analyze_claims ?fuel ~limits (model : Model.t) =
+let analyze_claims ?fuel ?impl ~limits (model : Model.t) =
   let claims = Array.of_list model.Model.claims in
   let n = Array.length claims in
   let text i = fst claims.(i) in
   let formula i = snd claims.(i) in
-  let impl = Claims.subsystem_call_nfa ~limits model in
+  let impl =
+    match impl with
+    | Some impl -> impl
+    | None -> Claims.subsystem_call_nfa ~limits model
+  in
   let alphabet = claim_alphabet_of model impl in
   let no_calls = Symbol.Set.is_empty (Nfa.alphabet impl) in
   let undecided = ref 0 in
@@ -288,7 +311,8 @@ let claim_analysis ctx =
   | Some a -> a
   | None ->
     let a =
-      analyze_claims ~fuel:ctx.thresholds.entail_fuel ~limits:ctx.limits ctx.model
+      analyze_claims ~fuel:ctx.thresholds.entail_fuel ~impl:(ctx.call_nfa ())
+        ~limits:ctx.limits ctx.model
     in
     ctx.claim_memo <- Some a;
     a
@@ -526,20 +550,27 @@ let interleaved_protocol_race ctx =
         ~max_regex_size:ctx.limits.Limits.max_regex_size
         ?deadline:ctx.limits.Limits.deadline ()
     in
+    (* Both expansions are shared by every field: built on first need, once. *)
     let seq_model = lazy (sequentialize_model model) in
+    let interleaved = once (fun () -> Usage.expanded_nfa ~limits:race_limits model) in
+    let sequential =
+      once (fun () -> Usage.expanded_nfa ~limits:race_limits (Lazy.force seq_model))
+    in
     List.filter_map
       (fun field ->
         match Model.subsystem_class model field with
         | None -> None
+        | Some subsystem_class when ctx.env subsystem_class = None ->
+          None (* nothing to check, so nothing to expand *)
         | Some subsystem_class -> (
           match
-            Usage.check_subsystem ~limits:race_limits ~env:ctx.env model ~field
-              ~subsystem_class
+            Usage.check_subsystem ~limits:race_limits ~impl:(interleaved ()) ~env:ctx.env
+              model ~field ~subsystem_class
           with
           | Some (Report.Invalid_subsystem_usage { counterexample; failure; _ }) -> (
             match
-              Usage.check_subsystem ~limits:race_limits ~env:ctx.env (Lazy.force seq_model)
-                ~field ~subsystem_class
+              Usage.check_subsystem ~limits:race_limits ~impl:(sequential ())
+                ~env:ctx.env (Lazy.force seq_model) ~field ~subsystem_class
             with
             | Some _ -> None (* fails even without preemption: the checker's business *)
             | None ->

@@ -69,13 +69,16 @@ type claim_analysis = {
   undecided : int;  (** entailment queries that ran out of budget *)
 }
 
-val analyze_claims : ?fuel:int -> limits:Limits.t -> Model.t -> claim_analysis
+val analyze_claims :
+  ?fuel:int -> ?impl:Nfa.t -> limits:Limits.t -> Model.t -> claim_analysis
 (** One greedy reverse-declaration-order sweep over the model's claims: a
     claim is checked against the still-kept others, so the first-declared
     claim of a mutually equivalent group survives (lowest line wins) and
     later duplicates are flagged exactly once. [fuel] bounds each
     entailment query's product exploration (default
-    [limits.max_configs]).
+    [limits.max_configs]). [impl] is the model's
+    {!Claims.subsystem_call_nfa} when the caller already built it;
+    otherwise it is built here under [limits].
     @raise Limits.Budget_exceeded only from the usage-automaton
     construction, never from entailment queries (those degrade to
     {!Undecided}). *)
@@ -91,6 +94,11 @@ type ctx = {
   model : Model.t;
   mutable claim_memo : claim_analysis option;
       (** the claim rules share one {!analyze_claims} pass per class *)
+  call_nfa : unit -> Nfa.t;
+      (** the class's {!Claims.subsystem_call_nfa} under [limits], built on
+          the first call and shared by SY102, SY103 and the claim analysis;
+          a {!Limits.Budget_exceeded} from the build is raised again on
+          every call, so each of those rules reports its own SY090 *)
 }
 
 val make_ctx :

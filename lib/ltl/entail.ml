@@ -29,6 +29,15 @@ end
 
 module Kset = Set.Make (Key)
 
+(* One progression step, keyed on (obligation, event). The deep hash keeps
+   obligations that differ only below the top few constructors apart. *)
+module Step = Hashtbl.Make (struct
+  type t = Ltlf.t * Symbol.t
+
+  let equal (o1, e1) (o2, e2) = Symbol.equal e1 e2 && Ltlf.equal o1 o2
+  let hash (o, e) = Hashtbl.hash_param 32 128 (o, Symbol.hash e)
+end)
+
 let full_alphabet alphabet impl formulas =
   List.fold_left
     (fun acc f -> Symbol.Set.union acc (Ltlf.atoms f))
@@ -75,6 +84,17 @@ let joint_witness ?(limits = Limits.default) ?fuel ?(alphabet = Symbol.Set.empty
   let dead (config, obligations) =
     States.Set.is_empty config || List.exists (fun o -> o = Ltlf.ff) obligations
   in
+  (* Many product states share an obligation, so each (obligation, event)
+     progression is normalized once per query. *)
+  let steps = Step.create 64 in
+  let progress o e =
+    match Step.find_opt steps (o, e) with
+    | Some o' -> o'
+    | None ->
+      let o' = Progression.normalize (Progression.progress o e) in
+      Step.add steps (o, e) o';
+      o'
+  in
   let seen = ref Kset.empty in
   let states = ref 0 in
   let memo_hits = ref 0 in
@@ -99,11 +119,7 @@ let joint_witness ?(limits = Limits.default) ?fuel ?(alphabet = Symbol.Set.empty
           (fun e ->
             let config' = Nfa.step impl config e in
             if not (States.Set.is_empty config') then begin
-              let obligations' =
-                List.map
-                  (fun o -> Progression.normalize (Progression.progress o e))
-                  obligations
-              in
+              let obligations' = List.map (fun o -> progress o e) obligations in
               visit (config', obligations') (e :: rev_trace)
             end)
           events

@@ -83,12 +83,20 @@ let accepting obligations = Fset.for_all (fun f -> Ltlf.holds f []) obligations
 (* NFA states are obligation sets; the alpha/beta expansion lives inside the
    transition function: consuming [event] from [obligations] first
    decomposes them into elementary sets, keeps the ones whose literals agree
-   with [event], and carries each one's next-obligations as a successor. *)
-let successors obligations event =
-  expand (Fset.elements obligations)
-  |> List.filter (fun elem -> literals_allow elem event)
-  |> List.map (fun elem -> Fset.of_list (next_obligations elem))
-  |> List.sort_uniq Fset.compare
+   with [event], and carries each one's next-obligations as a successor.
+   The decomposition does not depend on the event, so it runs once per
+   state and each event only filters it. *)
+let successors obligations =
+  let branches =
+    List.map
+      (fun elem -> (elem, Fset.of_list (next_obligations elem)))
+      (expand (Fset.elements obligations))
+  in
+  fun event ->
+    List.filter_map
+      (fun (elem, succ) -> if literals_allow elem event then Some succ else None)
+      branches
+    |> List.sort_uniq Fset.compare
 
 let to_nfa ?(limits = Limits.default) ~alphabet f =
   Obs.with_span "tableau" @@ fun () ->
@@ -120,11 +128,12 @@ let to_nfa ?(limits = Limits.default) ~alphabet f =
     | None -> ()
     | Some obligations ->
       let src = Hashtbl.find index (Fset.elements obligations) in
+      let on = successors obligations in
       List.iter
         (fun event ->
           List.iter
             (fun succ -> transitions := (src, event, intern succ) :: !transitions)
-            (successors obligations event))
+            (on event))
         alphabet;
       explore ()
   in

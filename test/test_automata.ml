@@ -253,6 +253,133 @@ let prop_dfa_nfa_agree =
       let dfa = Determinize.determinize nfa in
       Trace.Set.equal (Nfa.words_upto ~max_len:4 nfa) (Dfa.words_upto ~max_len:4 dfa))
 
+(* --- Step tables vs their definitions ------------------------------------------
+
+   [Nfa.step] answers from per-state rows of ε-closed successors, built on
+   first use and kept in the automaton; [Tableau.to_nfa] decomposes each
+   state once and filters the result per event. Each is checked against the
+   direct definition, written out here. *)
+
+let step_alphabet = List.map sym [ "a"; "b"; "c" ]
+
+(* A random ε-NFA and a sequence of (configuration, symbol) queries on it.
+   The configurations are arbitrary state sets, mostly not ε-closed; asking
+   them in sequence makes later queries hit rows that earlier ones built. *)
+let eps_nfa_queries_gen =
+  let open QCheck2.Gen in
+  int_range 1 6 >>= fun n ->
+  let state = int_range 0 (n - 1) in
+  list_size (int_range 0 12) (triple state (oneofl step_alphabet) state) >>= fun transitions ->
+  list_size (int_range 0 6) (pair state state) >>= fun epsilons ->
+  list_size (int_range 1 2) state >>= fun start ->
+  list_size (int_range 0 2) state >>= fun accept ->
+  list_size (int_range 1 12) (pair (list_size (int_range 0 n) state) (oneofl step_alphabet))
+  >>= fun queries -> return ((n, transitions, epsilons, start, accept), queries)
+
+let print_eps_nfa_queries ((n, transitions, epsilons, start, accept), queries) =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Printf.sprintf "%d states, start={%s}, accept={%s}, delta=[%s], eps=[%s], queries=[%s]" n
+    (ints start) (ints accept)
+    (String.concat "; "
+       (List.map (fun (p, x, q) -> Printf.sprintf "%d-%s->%d" p (Symbol.name x) q) transitions))
+    (String.concat "; " (List.map (fun (p, q) -> Printf.sprintf "%d->%d" p q) epsilons))
+    (String.concat "; "
+       (List.map (fun (c, x) -> Printf.sprintf "{%s}/%s" (ints c) (Symbol.name x)) queries))
+
+let prop_step_is_closure_of_successors =
+  qtest "step = closure of the union of successors" ~count:300 eps_nfa_queries_gen
+    ~print:print_eps_nfa_queries
+    (fun ((num_states, transitions, epsilons, start, accept), queries) ->
+      let nfa = Nfa.create ~num_states ~start ~accept ~transitions ~epsilons () in
+      List.for_all
+        (fun (states, x) ->
+          let config = States.of_list states in
+          let direct =
+            States.Set.fold
+              (fun q acc -> States.Set.union acc (Nfa.successors nfa q x))
+              config States.Set.empty
+          in
+          States.Set.equal (Nfa.step nfa config x) (Nfa.eps_closure nfa direct))
+        queries)
+
+module Fset = Set.Make (Ltlf)
+
+(* The tableau's successors of an obligation set on one event, expanded for
+   that event alone: a literal the event falsifies kills its branch on the
+   spot, and every surviving branch yields the set of its carried
+   next-obligations (with the same end-of-trace guards as the tableau). *)
+let reference_successors obligations event =
+  let rec go pending nexts =
+    match pending with
+    | [] -> [ Fset.of_list nexts ]
+    | f :: rest -> (
+      match (f : Ltlf.t) with
+      | True -> go rest nexts
+      | False -> []
+      | Atom x -> if Symbol.equal x event then go rest nexts else []
+      | Not (Atom x) -> if Symbol.equal x event then [] else go rest nexts
+      | Next g -> go rest (Ltlf.conj (Ltlf.finally Ltlf.tt) g :: nexts)
+      | Wnext g -> go rest (Ltlf.disj (Ltlf.globally Ltlf.ff) g :: nexts)
+      | And (x, y) -> go (x :: y :: rest) nexts
+      | Or (x, y) -> go (x :: rest) nexts @ go (y :: rest) nexts
+      | Globally x -> go (x :: Ltlf.Wnext f :: rest) nexts
+      | Finally x -> go (x :: rest) nexts @ go (Ltlf.Next f :: rest) nexts
+      | Until (x, y) -> go (y :: rest) nexts @ go (x :: Ltlf.Next f :: rest) nexts
+      | Wuntil (x, y) -> go (y :: rest) nexts @ go (x :: Ltlf.Wnext f :: rest) nexts
+      | Not _ -> invalid_arg "reference_successors: not in negation normal form")
+  in
+  (* A set of carried obligations is a state only once: dedupe here, since
+     the per-event pruning above makes no duplicate-free promise. *)
+  go (Fset.elements obligations) [] |> List.sort_uniq Fset.compare
+
+(* Breadth-first interning in the tableau's order: states in discovery
+   order, events in symbol order, successors in set order. *)
+let reference_tableau ~alphabet f =
+  let alphabet = List.sort_uniq Symbol.compare alphabet in
+  let index = Hashtbl.create 16 in
+  let order = ref [] in
+  let queue = Queue.create () in
+  let intern s =
+    let key = Fset.elements s in
+    match Hashtbl.find_opt index key with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length index in
+      Hashtbl.add index key i;
+      order := s :: !order;
+      Queue.add s queue;
+      i
+  in
+  let start = intern (Fset.singleton (Nnf.nnf f)) in
+  let transitions = ref [] in
+  while not (Queue.is_empty queue) do
+    let s = Queue.take queue in
+    let src = Hashtbl.find index (Fset.elements s) in
+    List.iter
+      (fun event ->
+        List.iter
+          (fun succ -> transitions := (src, event, intern succ) :: !transitions)
+          (reference_successors s event))
+      alphabet
+  done;
+  let states = Array.of_list (List.rev !order) in
+  let accept =
+    List.filter
+      (fun i -> Fset.for_all (fun o -> Ltlf.holds o []) states.(i))
+      (List.init (Array.length states) Fun.id)
+  in
+  Nfa.create ~num_states:(Array.length states) ~start:[ start ] ~accept
+    ~transitions:!transitions ()
+
+let prop_tableau_matches_per_event_expansion =
+  qtest "tableau = per-event expansion" ~count:300 (ltl_gen_over step_alphabet) ~print:Ltlf.to_string (fun f ->
+      let got = Tableau.to_nfa ~alphabet:step_alphabet f in
+      let want = reference_tableau ~alphabet:step_alphabet f in
+      Nfa.num_states got = Nfa.num_states want
+      && States.Set.equal (Nfa.start got) (Nfa.start want)
+      && States.Set.equal (Nfa.accept got) (Nfa.accept want)
+      && Nfa.transitions got = Nfa.transitions want)
+
 let () =
   Alcotest.run "automata"
     [
@@ -308,4 +435,6 @@ let () =
           Alcotest.test_case "intersect" `Quick test_language_intersect;
           prop_language_counterexample_valid;
         ] );
+      ( "step tables",
+        [ prop_step_is_closure_of_successors; prop_tableau_matches_per_event_expansion ] );
     ]

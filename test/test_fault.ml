@@ -425,11 +425,23 @@ let with_sup_pool ?jobs ?max_restarts f body =
   in
   Fun.protect ~finally:(fun () -> Supervisor.shutdown pool) (fun () -> body pool)
 
-let test_garbage_frame_condemns_one_task () =
-  (* The worker computes task 2's result but writes a corrupt frame in its
-     place: that task alone is charged, the worker is condemned and the rest
-     of the run completes on a fresh one. *)
-  with_fault "garbage:2" @@ fun () ->
+let show_outcomes outcomes =
+  List.map
+    (function
+      | Supervisor.Done n -> Printf.sprintf "Done %d" n
+      | Supervisor.Timed_out { seconds; attempts } ->
+        Printf.sprintf "Timed_out (%gs, attempt %d)" seconds attempts
+      | Supervisor.Crashed { reason; attempts } ->
+        Printf.sprintf "Crashed (%S, attempt %d)" reason attempts)
+    outcomes
+  |> String.concat "; "
+  |> Printf.sprintf "[%s]"
+
+(* The worker computes task 2's result but writes a corrupt frame in its
+   place: that task alone is charged, the worker is condemned and the rest of
+   the run completes on a fresh one. *)
+let garbage_condemns_one_task spec =
+  with_fault spec @@ fun () ->
   with_sup_pool (fun n -> n * 10) @@ fun pool ->
   match Supervisor.map pool [ 1; 2; 3; 4 ] with
   | [ Supervisor.Done 10; Crashed { reason; attempts = 1 }; Done 30; Done 40 ] ->
@@ -437,7 +449,15 @@ let test_garbage_frame_condemns_one_task () =
       "garbage frame on result pipe" reason;
     Alcotest.(check bool) "condemned worker restarted" true
       ((Supervisor.stats pool).Supervisor.restarts >= 1)
-  | outcomes -> Alcotest.failf "unexpected outcomes (%d)" (List.length outcomes)
+  | outcomes -> Alcotest.failf "unexpected outcomes %s" (show_outcomes outcomes)
+
+let test_garbage_frame_condemns_one_task () = garbage_condemns_one_task "garbage:2"
+
+(* Task 1's valid result and task 2's corrupt frame arrive in one read: the
+   valid prefix is settled first, so the garbage is charged to task 2, never
+   to the batch-mate whose result preceded it. *)
+let test_glued_garbage_spares_the_valid_prefix () =
+  garbage_condemns_one_task "glued-garbage:2"
 
 let test_wedged_worker_detected_and_replaced () =
   (* After finishing the batch that contains task 2 the worker stops reading
@@ -465,7 +485,7 @@ let test_fork_failure_degrades_to_inline () =
     Alcotest.(check bool) "fork failures counted" true (st.Supervisor.fork_failures >= 1);
     Alcotest.(check int) "tasks ran in-process" 3 st.Supervisor.inline_tasks;
     Alcotest.(check int) "no workers live" 0 st.Supervisor.live_workers
-  | outcomes -> Alcotest.failf "unexpected outcomes (%d)" (List.length outcomes)
+  | outcomes -> Alcotest.failf "unexpected outcomes %s" (show_outcomes outcomes)
 
 (* The acceptance scenario at the checker level: SIGKILL-ing a worker mid-run
    yields exactly one [Worker_crashed] unit; every other unit's block and
@@ -547,6 +567,8 @@ let () =
         [
           Alcotest.test_case "garbage frame condemns one task" `Quick
             test_garbage_frame_condemns_one_task;
+          Alcotest.test_case "glued garbage spares the valid prefix" `Quick
+            test_glued_garbage_spares_the_valid_prefix;
           Alcotest.test_case "wedged worker detected and replaced" `Quick
             test_wedged_worker_detected_and_replaced;
           Alcotest.test_case "fork failure degrades to inline" `Quick

@@ -284,6 +284,98 @@ let test_sy112_fuel () =
   Alcotest.(check bool) "no SY112 under starvation" true (not (List.mem "SY112" (codes r)));
   Alcotest.(check int) "budget exit code" 3 (Lint.file_exit_code r)
 
+(* --- Per-class reuse of the expanded automata ---------------------------------
+
+   A composite over [n] Log fields: a spawned task races [l1] (an SY112
+   finding, so the race rule also expands the sequentialized model), a
+   gather forks the others, and two claims feed SY102–SY104. *)
+let hub_source n =
+  let fields = List.init n (fun i -> Printf.sprintf "l%d" (i + 1)) in
+  let rest = List.tl fields in
+  let self_call meth f = Printf.sprintf "self.%s.%s()" f meth in
+  let lines l = String.concat "" (List.map (Printf.sprintf "        %s\n") l) in
+  Printf.sprintf
+    {|import asyncio
+
+@sys
+class Log:
+    def __init__(self):
+        self.pin = Pin(1, OUT)
+
+    @op_initial
+    def begin(self):
+        self.pin.on()
+        return ["begin", "end"]
+
+    @op_final
+    def end(self):
+        self.pin.off()
+        return ["begin"]
+
+
+@claim("F l2.begin")
+@claim("(!l2.end) W l2.begin")
+@sys([%s])
+class Hub:
+    def __init__(self):
+%s
+    @op_initial_final
+    async def run(self):
+        asyncio.create_task(self.l1.begin())
+        self.l1.begin()
+        self.l1.end()
+        await asyncio.gather(%s)
+%s        return []
+|}
+    (String.concat ", " (List.map (Printf.sprintf "%S") fields))
+    (lines (List.map (Printf.sprintf "self.%s = Log()") fields))
+    (String.concat ", " (List.map (self_call "begin") rest))
+    (lines (List.map (self_call "end") rest))
+
+(* [usage.expand] spans opened while linting the source. *)
+let expansions source =
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let r, profile = Obs.in_unit ~name:"hub.py" (fun () -> Lint.lint_source ~file:"hub.py" source) in
+  let events = match profile with Some p -> p.Obs.events | None -> [] in
+  (r, List.length (List.filter (fun e -> e.Obs.ev_begin && e.Obs.ev_name = "usage.expand") events))
+
+let test_one_expansion_per_class () =
+  (* One expansion for the claim rules, one interleaved and one
+     sequentialized for the race rule — never one per field. *)
+  List.iter
+    (fun n ->
+      let r, expanded = expansions (hub_source n) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d fields: SY112 on l1" n)
+        true (List.mem "SY112" (codes r));
+      Alcotest.(check bool)
+        (Printf.sprintf "%d fields: at most 3 expansions (got %d)" n expanded)
+        true (expanded <= 3))
+    [ 3; 4; 6 ]
+
+let test_shared_expansion_budget_per_rule () =
+  (* The shared claim automaton cannot be built under this budget: each rule
+     that needs it still reports its own SY090, worded as before. *)
+  let limits = Limits.make ~max_configs:2 () in
+  let r = Lint.lint_source ~limits ~file:"hub.py" (hub_source 4) in
+  let budget_lines =
+    List.filter_map
+      (fun (d : Lint.diagnostic) -> if d.Lint.rule = "SY090" then Some d.Lint.message else None)
+      r.Lint.findings
+  in
+  List.iter
+    (fun (code, name) ->
+      let want =
+        Printf.sprintf
+          "lint rule %s (%s) exceeded its budget: shuffle-product configurations (limit 2)"
+          code name
+      in
+      Alcotest.(check bool) (code ^ ": " ^ String.concat " | " budget_lines) true
+        (List.mem want budget_lines))
+    [ ("SY102", "vacuous-claim"); ("SY103", "unsatisfiable-claim"); ("SY104", "redundant-claim") ];
+  Alcotest.(check int) "budget exit code" 3 (Lint.file_exit_code r)
+
 (* --- Exit codes ------------------------------------------------------------ *)
 
 let test_exit_codes () =
@@ -541,6 +633,12 @@ let () =
             test_sy112_sequential_failure_owned_by_checker;
           Alcotest.test_case "suppression honored" `Quick test_sy112_suppression;
           Alcotest.test_case "fuel starvation degrades to exit 3" `Quick test_sy112_fuel;
+        ] );
+      ( "expansion-reuse",
+        [
+          Alcotest.test_case "one expansion per class" `Quick test_one_expansion_per_class;
+          Alcotest.test_case "budget reported per rule" `Quick
+            test_shared_expansion_budget_per_rule;
         ] );
       ("exit-codes", [ Alcotest.test_case "contract" `Quick test_exit_codes ]);
       ( "determinism",

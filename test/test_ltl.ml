@@ -239,30 +239,7 @@ let test_violation_pp () =
 
 (* --- Properties ------------------------------------------------------------------------ *)
 
-let ltl_gen : Ltlf.t QCheck2.Gen.t =
-  let open QCheck2.Gen in
-  let atom = map Ltlf.atom (oneofl alphabet) in
-  let leaf = oneof [ atom; return Ltlf.tt; return Ltlf.ff ] in
-  let rec tree n =
-    if n <= 1 then leaf
-    else
-      oneof
-        [
-          leaf;
-          map Ltlf.neg (tree (n - 1));
-          map Ltlf.next (tree (n - 1));
-          map Ltlf.wnext (tree (n - 1));
-          map Ltlf.globally (tree (n - 1));
-          map Ltlf.finally (tree (n - 1));
-          map2 Ltlf.conj (tree (n / 2)) (tree (n / 2));
-          map2 Ltlf.disj (tree (n / 2)) (tree (n / 2));
-          map2 Ltlf.until (tree (n / 2)) (tree (n / 2));
-          map2 Ltlf.wuntil (tree (n / 2)) (tree (n / 2));
-        ]
-  in
-  (* Automaton constructions over these formulas can be doubly exponential
-     in formula size; keep the random formulas small. *)
-  int_range 1 5 >>= tree
+let ltl_gen = ltl_gen_over alphabet
 
 let word_gen : Trace.t QCheck2.Gen.t =
   QCheck2.Gen.(list_size (int_range 0 5) (oneofl alphabet))

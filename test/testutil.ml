@@ -136,6 +136,33 @@ let default_prog_par_gen = prog_par_gen_over Prog_gen.default_alphabet
 let prog_print p = Prog.to_string p
 let prog_shrink p = List.to_seq (Prog_gen.shrink p)
 
+(* --- QCheck generator for LTLf formulas ----------------------------------- *)
+
+let ltl_gen_over alphabet : Ltlf.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let atom = map Ltlf.atom (oneofl alphabet) in
+  let leaf = oneof [ atom; return Ltlf.tt; return Ltlf.ff ] in
+  let rec tree n =
+    if n <= 1 then leaf
+    else
+      oneof
+        [
+          leaf;
+          map Ltlf.neg (tree (n - 1));
+          map Ltlf.next (tree (n - 1));
+          map Ltlf.wnext (tree (n - 1));
+          map Ltlf.globally (tree (n - 1));
+          map Ltlf.finally (tree (n - 1));
+          map2 Ltlf.conj (tree (n / 2)) (tree (n / 2));
+          map2 Ltlf.disj (tree (n / 2)) (tree (n / 2));
+          map2 Ltlf.until (tree (n / 2)) (tree (n / 2));
+          map2 Ltlf.wuntil (tree (n / 2)) (tree (n / 2));
+        ]
+  in
+  (* Automaton constructions over these formulas can be doubly exponential
+     in formula size; keep the random formulas small. *)
+  int_range 1 5 >>= tree
+
 (* --- Shrinking arbitraries -------------------------------------------------- *)
 
 (* The one bridge between the QCheck2 generators above and QCheck1
