@@ -1,5 +1,3 @@
-module Config_map = Map.Make (States.Set)
-
 let determinize ?(limits = Limits.default) ?alphabet nfa =
   Obs.with_span "determinize" @@ fun () ->
   let alphabet =
@@ -7,55 +5,17 @@ let determinize ?(limits = Limits.default) ?alphabet nfa =
     | Some syms -> List.sort_uniq Symbol.compare syms
     | None -> Symbol.Set.elements (Nfa.alphabet nfa)
   in
-  (* Discover all reachable ε-closed configurations, numbering them densely. *)
-  let budget =
+  (* Every reachable ε-closed configuration, numbered densely; the empty one
+     is the sink. *)
+  let fuel =
     Limits.fuel ~within:limits ~resource:"determinization states" limits.Limits.max_states
   in
-  let index = ref Config_map.empty in
-  let configs = ref [] in
-  let count = ref 0 in
-  let queue = Queue.create () in
-  let intern config =
-    match Config_map.find_opt config !index with
-    | Some i -> i
-    | None ->
-      Limits.spend budget;
-      let i = !count in
-      incr count;
-      index := Config_map.add config i !index;
-      configs := config :: !configs;
-      Queue.add config queue;
-      i
+  let graph =
+    Explore.graph States.key ~fuel ~start:(Nfa.initial_config nfa)
+      ~step:(fun config emit ->
+        List.iter (fun sym -> emit sym (Nfa.step nfa config sym)) alphabet)
+      ()
   in
-  let start_id = intern (Nfa.initial_config nfa) in
-  let edges = Hashtbl.create 64 in
-  let rec explore () =
-    match Queue.take_opt queue with
-    | None -> ()
-    | Some config ->
-      let src = Config_map.find config !index in
-      List.iter
-        (fun sym ->
-          let dst = intern (Nfa.step nfa config sym) in
-          Hashtbl.replace edges (src, sym) dst)
-        alphabet;
-      explore ()
-  in
-  explore ();
   Obs.count "determinize.calls" 1;
-  Obs.count "determinize.states" !count;
-  let configs = Array.of_list (List.rev !configs) in
-  let accept =
-    Array.to_list configs
-    |> List.mapi (fun i config -> if Nfa.accepting_config nfa config then Some i else None)
-    |> List.filter_map Fun.id
-  in
-  Dfa.create ~alphabet ~num_states:!count ~start:start_id ~accept ~next:(fun q sym ->
-      match Hashtbl.find_opt edges (q, sym) with
-      | Some q' -> q'
-      | None ->
-        invalid_arg
-          (Printf.sprintf
-             "Determinize.determinize: no transition from state %d on symbol '%s' \
-              (symbol outside the DFA alphabet?)"
-             q (Symbol.name sym)))
+  Obs.count "determinize.states" (Array.length graph.keys);
+  Dfa.of_graph ~alphabet ~accepting:(Nfa.accepting_config nfa) graph

@@ -19,6 +19,16 @@ val create :
 (** Tabulates [next] over all states and alphabet symbols.
     Raises [Invalid_argument] if [next] leaves the state range. *)
 
+val of_graph :
+  alphabet:Symbol.t list -> accepting:('k -> bool) -> ('k, Symbol.t) Explore.graph -> t
+(** The DFA of an explored graph: state [i] is [g.keys.(i)], the start is
+    state [0], and [i] accepts iff [accepting g.keys.(i)]. [alphabet] must
+    be sorted without duplicates, and every state must have exactly one
+    edge per symbol, in alphabet order — what a step that emits one
+    successor per symbol in order produces.
+    @raise Invalid_argument when a state's edges do not follow the
+    alphabet. *)
+
 (** {1 Accessors} *)
 
 val alphabet : t -> Symbol.t list

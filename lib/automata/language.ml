@@ -1,16 +1,8 @@
-module Pair = struct
-  type t = States.Set.t * States.Set.t
+let pair_key = Explore.pair States.key States.key
 
-  let compare (a1, a2) (b1, b2) =
-    let c = States.Set.compare a1 b1 in
-    if c <> 0 then c else States.Set.compare a2 b2
-end
-
-module Pair_set = Set.Make (Pair)
-
-(* BFS over pairs of ε-closed configurations of two NFAs run in lockstep;
-   [bad] spots a distinguishing pair, and breadth-first order makes the
-   witness shortest. *)
+(* Breadth-first over pairs of ε-closed configurations of two NFAs run in
+   lockstep; [bad] spots a distinguishing pair when it is dequeued, and
+   breadth-first order makes the witness shortest. *)
 let find_witness ?(limits = Limits.default) ?alphabet ~bad n1 n2 =
   Obs.with_span "language.product" @@ fun () ->
   let alphabet =
@@ -19,35 +11,20 @@ let find_witness ?(limits = Limits.default) ?alphabet ~bad n1 n2 =
     | None -> Symbol.Set.union (Nfa.alphabet n1) (Nfa.alphabet n2)
   in
   let syms = Symbol.Set.elements alphabet in
-  let budget =
+  let fuel =
     Limits.fuel ~within:limits ~resource:"language-product configurations"
       limits.Limits.max_configs
   in
-  let seen = ref Pair_set.empty in
-  let queue = Queue.create () in
-  let push pair rev_path =
-    if not (Pair_set.mem pair !seen) then begin
-      Limits.spend budget;
-      seen := Pair_set.add pair !seen;
-      Queue.add (pair, rev_path) queue
-    end
+  let counts = Explore.counts () in
+  let witness =
+    Explore.witness pair_key ~fuel ~counts
+      ~goal:(fun (c1, c2) -> bad (Nfa.accepting_config n1 c1) (Nfa.accepting_config n2 c2))
+      ~start:(Nfa.initial_config n1, Nfa.initial_config n2)
+      ~step:(fun (c1, c2) emit ->
+        List.iter (fun sym -> emit sym (Nfa.step n1 c1 sym, Nfa.step n2 c2 sym)) syms)
+      ()
   in
-  push (Nfa.initial_config n1, Nfa.initial_config n2) [];
-  let rec loop () =
-    match Queue.take_opt queue with
-    | None -> None
-    | Some ((c1, c2), rev_path) ->
-      if bad (Nfa.accepting_config n1 c1) (Nfa.accepting_config n2 c2) then
-        Some (List.rev rev_path)
-      else begin
-        List.iter
-          (fun sym -> push (Nfa.step n1 c1 sym, Nfa.step n2 c2 sym) (sym :: rev_path))
-          syms;
-        loop ()
-      end
-  in
-  let witness = loop () in
-  Obs.count "language.configs" (Pair_set.cardinal !seen);
+  Obs.count "language.configs" counts.states;
   witness
 
 let inclusion_counterexample ?limits ?alphabet ~impl ~spec () =
@@ -61,57 +38,23 @@ let equivalence_counterexample ?limits n1 n2 =
 
 let equivalent ?limits n1 n2 = Option.is_none (equivalence_counterexample ?limits n1 n2)
 
+(* Reachable pairs of non-empty configurations, each one product state; the
+   result is ε-free by construction. *)
 let intersect ?(limits = Limits.default) n1 n2 =
   Obs.with_span "language.intersect" @@ fun () ->
-  (* Explore reachable configuration pairs, interning each as a product
-     state; the result is ε-free by construction. *)
-  let alphabet = Symbol.Set.inter (Nfa.alphabet n1) (Nfa.alphabet n2) in
-  let syms = Symbol.Set.elements alphabet in
-  let budget =
+  let syms = Symbol.Set.elements (Symbol.Set.inter (Nfa.alphabet n1) (Nfa.alphabet n2)) in
+  let fuel =
     Limits.fuel ~within:limits ~resource:"intersection-product configurations"
       limits.Limits.max_configs
   in
-  let index = Hashtbl.create 64 in
-  let order = ref [] in
-  let count = ref 0 in
-  let queue = Queue.create () in
-  let intern pair =
-    match Hashtbl.find_opt index pair with
-    | Some i -> i
-    | None ->
-      Limits.spend budget;
-      let i = !count in
-      incr count;
-      Hashtbl.add index pair i;
-      order := pair :: !order;
-      Queue.add pair queue;
-      i
-  in
-  let start = intern (Nfa.initial_config n1, Nfa.initial_config n2) in
-  let transitions = ref [] in
-  let rec explore () =
-    match Queue.take_opt queue with
-    | None -> ()
-    | Some ((c1, c2) as pair) ->
-      let src = Hashtbl.find index pair in
+  Explore.graph pair_key ~fuel ~start:(Nfa.initial_config n1, Nfa.initial_config n2)
+    ~step:(fun (c1, c2) emit ->
       List.iter
         (fun sym ->
           let d1 = Nfa.step n1 c1 sym in
           let d2 = Nfa.step n2 c2 sym in
-          if not (States.Set.is_empty d1 || States.Set.is_empty d2) then begin
-            let dst = intern (d1, d2) in
-            transitions := (src, sym, dst) :: !transitions
-          end)
-        syms;
-      explore ()
-  in
-  explore ();
-  let pairs = Array.of_list (List.rev !order) in
-  let accept =
-    List.filter
-      (fun i ->
-        let c1, c2 = pairs.(i) in
-        Nfa.accepting_config n1 c1 && Nfa.accepting_config n2 c2)
-      (List.init !count Fun.id)
-  in
-  Nfa.create ~num_states:!count ~start:[ start ] ~accept ~transitions:!transitions ()
+          if not (States.Set.is_empty d1 || States.Set.is_empty d2) then emit sym (d1, d2))
+        syms)
+    ()
+  |> Nfa.of_graph ~accepting:(fun (c1, c2) ->
+         Nfa.accepting_config n1 c1 && Nfa.accepting_config n2 c2)

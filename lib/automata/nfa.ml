@@ -57,6 +57,16 @@ let create ?(labels = []) ~num_states ~start ~accept ~transitions ?(epsilons = [
     eps_free = (epsilons = []);
   }
 
+let of_graph ~accepting (g : (_, Symbol.t) Explore.graph) =
+  let ids = List.init (Array.length g.keys) Fun.id in
+  create ~num_states:(Array.length g.keys) ~start:[ 0 ]
+    ~accept:(List.filter (fun q -> accepting g.keys.(q)) ids)
+    ~transitions:
+      (List.concat_map
+         (fun src -> List.map (fun (sym, dst) -> (src, sym, dst)) g.succs.(src))
+         ids)
+    ()
+
 let empty_language = create ~num_states:1 ~start:[ 0 ] ~accept:[] ~transitions:[] ()
 let eps_language = create ~num_states:1 ~start:[ 0 ] ~accept:[ 0 ] ~transitions:[] ()
 
@@ -287,46 +297,18 @@ let trim nfa =
 
 (* --- Queries -------------------------------------------------------------- *)
 
-module Config_set = Set.Make (States.Set)
-
-(* BFS over ε-closed configurations; visits each configuration once, so the
-   first accepting configuration found is reached by a shortest trace. *)
-let bfs_configs nfa ~visit =
-  let syms = Symbol.Set.elements (alphabet nfa) in
-  let seen = ref Config_set.empty in
-  let queue = Queue.create () in
-  let push config rev_path =
-    if not (Config_set.mem config !seen) then begin
-      seen := Config_set.add config !seen;
-      Queue.add (config, rev_path) queue
-    end
-  in
-  push (initial_config nfa) [];
-  let rec loop () =
-    match Queue.take_opt queue with
-    | None -> ()
-    | Some (config, rev_path) -> (
-      match visit config rev_path with
-      | `Stop -> ()
-      | `Continue ->
-        List.iter
-          (fun sym ->
-            let next = step nfa config sym in
-            if not (States.Set.is_empty next) then push next (sym :: rev_path))
-          syms;
-        loop ())
-  in
-  loop ()
-
+(* The first accepting configuration dequeued is reached by a shortest,
+   shortlex-least trace: symbols are emitted in order. *)
 let shortest_accepted nfa =
-  let found = ref None in
-  bfs_configs nfa ~visit:(fun config rev_path ->
-      if accepting_config nfa config then begin
-        found := Some (List.rev rev_path);
-        `Stop
-      end
-      else `Continue);
-  !found
+  let syms = Symbol.Set.elements (alphabet nfa) in
+  Explore.witness States.key ~goal:(accepting_config nfa) ~start:(initial_config nfa)
+    ~step:(fun config emit ->
+      List.iter
+        (fun sym ->
+          let next = step nfa config sym in
+          if not (States.Set.is_empty next) then emit sym next)
+        syms)
+    ()
 
 let shortest_accepted_with_states nfa =
   match shortest_accepted nfa with

@@ -21,6 +21,10 @@ val create :
   t
 (** Build an NFA. Raises [Invalid_argument] on out-of-range states. *)
 
+val of_graph : accepting:('k -> bool) -> ('k, Symbol.t) Explore.graph -> t
+(** The ε-free NFA of an explored graph: state [i] is [g.keys.(i)], the
+    start is state [0], and [i] accepts iff [accepting g.keys.(i)]. *)
+
 val empty_language : t
 (** Accepts nothing. *)
 

@@ -1,79 +1,34 @@
 (* On-the-fly shuffle product: configurations are tuples of per-branch
    ε-closed state sets, interned as they are reached — the eager
    interleaving expansion (binomially many positions, see
-   [Interleave.expand]) is never built. The exploration mirrors
-   [Language.intersect], except that a symbol steps exactly ONE branch and
-   leaves the others in place, and acceptance requires every branch to
-   accept. Bounded by [Limits] under the "shuffle-product configurations"
-   resource. *)
+   [Interleave.expand]) is never built. Like [Language.intersect], except
+   that a symbol steps exactly ONE branch and leaves the others in place,
+   and acceptance requires every branch to accept. Bounded by [Limits]
+   under the "shuffle-product configurations" resource. *)
 
-module Config = struct
-  type t = States.Set.t list
-
-  let compare = List.compare States.Set.compare
-end
-
-module Config_map = Map.Make (Config)
+let config_key = Explore.list States.key
 
 let product ?(limits = Limits.default) branches =
   Obs.with_span "shuffle.product" @@ fun () ->
-  let branches = Array.of_list branches in
-  let budget =
+  let fuel =
     Limits.fuel ~within:limits ~resource:"shuffle-product configurations"
       limits.Limits.max_configs
   in
-  let index = ref Config_map.empty in
-  let order = ref [] in
-  let count = ref 0 in
-  let queue = Queue.create () in
-  let intern (config : Config.t) =
-    match Config_map.find_opt config !index with
-    | Some i -> i
-    | None ->
-      Limits.spend budget;
-      let i = !count in
-      incr count;
-      index := Config_map.add config i !index;
-      order := config :: !order;
-      Queue.add config queue;
-      i
+  let graph =
+    Explore.graph config_key ~fuel ~start:(List.map Nfa.initial_config branches)
+      ~step:(fun config emit ->
+        List.iteri
+          (fun b (nfa, cell) ->
+            Symbol.Set.iter
+              (fun sym ->
+                let next = Nfa.step nfa cell sym in
+                if not (States.Set.is_empty next) then
+                  emit sym (List.mapi (fun i c -> if i = b then next else c) config))
+              (Nfa.alphabet nfa))
+          (List.combine branches config))
+      ()
   in
-  let start =
-    intern (Array.to_list (Array.map Nfa.initial_config branches))
-  in
-  let transitions = ref [] in
-  let rec explore () =
-    match Queue.take_opt queue with
-    | None -> ()
-    | Some config ->
-      let src = Config_map.find config !index in
-      let cells = Array.of_list config in
-      Array.iteri
-        (fun b cell ->
-          Symbol.Set.iter
-            (fun sym ->
-              let next = Nfa.step branches.(b) cell sym in
-              if not (States.Set.is_empty next) then begin
-                let cells' = Array.copy cells in
-                cells'.(b) <- next;
-                let dst = intern (Array.to_list cells') in
-                transitions := (src, sym, dst) :: !transitions
-              end)
-            (Nfa.alphabet branches.(b)))
-        cells;
-      explore ()
-  in
-  explore ();
-  let configs = Array.of_list (List.rev !order) in
-  let accept =
-    List.filter
-      (fun i ->
-        List.for_all2
-          (fun b cell -> Nfa.accepting_config b cell)
-          (Array.to_list branches) configs.(i))
-      (List.init !count Fun.id)
-  in
-  Obs.count "shuffle.configs" !count;
-  Nfa.create ~num_states:!count ~start:[ start ] ~accept ~transitions:!transitions ()
+  Obs.count "shuffle.configs" (Array.length graph.keys);
+  Nfa.of_graph ~accepting:(List.for_all2 Nfa.accepting_config branches) graph
 
 let on_the_fly ?limits n1 n2 = product ?limits [ n1; n2 ]

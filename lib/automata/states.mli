@@ -12,3 +12,6 @@ val pp_set : Format.formatter -> Set.t -> unit
 (** Prints [{0, 3, 5}]. *)
 
 val of_list : int list -> Set.t
+
+val key : Set.t Explore.key
+(** State sets as {!Explore} keys: [Set.equal], hashed by elements. *)

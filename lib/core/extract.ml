@@ -85,7 +85,7 @@ let extract_operation ~class_name (meth : Mpy_ast.method_def) kind =
       lowered.Mpy_lower.low_exits
   in
   let implicit_exit =
-    if Deriv.is_empty_language ongoing then []
+    if Regex.is_empty_syntactic ongoing then []
     else begin
       diagnostics :=
         Report.structural ~line:meth.meth_line Report.Warning ~class_name

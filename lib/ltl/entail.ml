@@ -18,16 +18,7 @@ let entail_resource = "entailment configurations"
 (* A product state: one ε-closed configuration of the implementation NFA
    plus one progression obligation per tracked formula. Memoization keys
    on the whole vector, so each reachable triple is expanded exactly once. *)
-module Key = struct
-  type t = States.Set.t * Ltlf.t list
-
-  let compare (c1, v1) (c2, v2) =
-    match States.Set.compare c1 c2 with
-    | 0 -> List.compare Ltlf.compare v1 v2
-    | n -> n
-end
-
-module Kset = Set.Make (Key)
+let product_key = Explore.pair States.key (Explore.list Ltlf.key)
 
 (* One progression step, keyed on (obligation, event). The deep hash keeps
    obligations that differ only below the top few constructors apart. *)
@@ -43,8 +34,6 @@ let full_alphabet alphabet impl formulas =
     (fun acc f -> Symbol.Set.union acc (Ltlf.atoms f))
     (Symbol.Set.union alphabet (Nfa.alphabet impl))
     formulas
-
-exception Found of Trace.t
 
 (* Shortest trace in L(impl) ∩ L(f₁) ∩ … ∩ L(fₖ), by BFS over the memoized
    on-the-fly product. Only states reachable under model-feasible traces are
@@ -95,44 +84,31 @@ let joint_witness ?(limits = Limits.default) ?fuel ?(alphabet = Symbol.Set.empty
       Step.add steps (o, e) o';
       o'
   in
-  let seen = ref Kset.empty in
-  let states = ref 0 in
-  let memo_hits = ref 0 in
-  let queue = Queue.create () in
-  let visit key rev_trace =
-    if Kset.mem key !seen then incr memo_hits
-    else begin
-      Limits.spend budget;
-      check_size (snd key);
-      seen := Kset.add key !seen;
-      incr states;
-      if accepting key then raise (Found (List.rev rev_trace));
-      if not (dead key) then Queue.add (key, rev_trace) queue
-    end
-  in
+  let counts = Explore.counts () in
   let result =
-    try
-      visit (Nfa.initial_config impl, List.map Progression.normalize formulas) [];
-      while not (Queue.is_empty queue) do
-        let (config, obligations), rev_trace = Queue.take queue in
-        List.iter
-          (fun e ->
-            let config' = Nfa.step impl config e in
-            if not (States.Set.is_empty config') then begin
-              let obligations' = List.map (fun o -> progress o e) obligations in
-              visit (config', obligations') (e :: rev_trace)
-            end)
-          events
-      done;
-      Ok None
+    match
+      Explore.witness product_key ~fuel:budget ~counts ~test:On_discovery
+        ~goal:(fun key ->
+          check_size (snd key);
+          accepting key)
+        ~start:(Nfa.initial_config impl, List.map Progression.normalize formulas)
+        ~step:(fun ((config, obligations) as key) emit ->
+          if not (dead key) then
+            List.iter
+              (fun e ->
+                let config' = Nfa.step impl config e in
+                if not (States.Set.is_empty config') then
+                  emit e (config', List.map (fun o -> progress o e) obligations))
+              events)
+        ()
     with
-    | Found tr -> Ok (Some tr)
-    | Limits.Budget_exceeded { resource; limit } ->
+    | witness -> Ok witness
+    | exception Limits.Budget_exceeded { resource; limit } ->
       Obs.count "entail.budget_exhausted" 1;
       Error { resource; limit }
   in
-  Obs.count "entail.states" !states;
-  Obs.count "entail.memo_hits" !memo_hits;
+  Obs.count "entail.states" counts.states;
+  Obs.count "entail.memo_hits" counts.memo_hits;
   result
 
 let implies ?limits ?fuel ?alphabet ~impl ~hyps goal =

@@ -107,6 +107,17 @@ let rec size = function
 let compare = Stdlib.compare
 let equal a b = compare a b = 0
 
+let key : t Explore.key =
+  (module struct
+    type nonrec t = t
+
+    let equal = equal
+
+    (* Deep enough that obligations differing only below the top few
+       constructors land in different buckets. *)
+    let hash f = Hashtbl.hash_param 32 128 f
+  end)
+
 (* Precedence: binary temporal (1) < or (2) < and (3) < unary (4). *)
 let rec pp_prec prec fmt f =
   let prec_of = function

@@ -64,68 +64,22 @@ let rec progress (f : Ltlf.t) e : Ltlf.t =
 
 let accepts_empty f = Ltlf.holds f []
 
-module Fmap = Map.Make (struct
-  type t = Ltlf.t
-
-  let compare = Ltlf.compare
-end)
-
 let explore ?(limits = Limits.default) ~alphabet f =
   Obs.with_span "progression" @@ fun () ->
-  let start = normalize f in
-  let budget =
+  let fuel =
     Limits.fuel ~within:limits ~resource:"progression obligations" limits.Limits.max_states
   in
-  let index = ref Fmap.empty in
-  let order = ref [] in
-  let count = ref 0 in
-  let queue = Queue.create () in
-  let intern g =
-    match Fmap.find_opt g !index with
-    | Some i -> i
-    | None ->
-      Limits.spend budget;
-      let i = !count in
-      incr count;
-      index := Fmap.add g i !index;
-      order := g :: !order;
-      Queue.add g queue;
-      i
+  let graph =
+    Explore.graph Ltlf.key ~fuel ~start:(normalize f)
+      ~step:(fun g emit -> List.iter (fun e -> emit e (normalize (progress g e))) alphabet)
+      ()
   in
-  let start_id = intern start in
-  let edges = Hashtbl.create 64 in
-  let rec loop () =
-    match Queue.take_opt queue with
-    | None -> ()
-    | Some g ->
-      let src = Fmap.find g !index in
-      List.iter
-        (fun e ->
-          let dst = intern (normalize (progress g e)) in
-          Hashtbl.replace edges (src, e) dst)
-        alphabet;
-      loop ()
-  in
-  loop ();
-  Obs.count "progression.obligations" !count;
-  (start_id, Array.of_list (List.rev !order), edges, !count)
+  Obs.count "progression.obligations" (Array.length graph.keys);
+  graph
 
 let to_dfa ?limits ~alphabet f =
   let alphabet = List.sort_uniq Symbol.compare alphabet in
-  let start_id, states, edges, count = explore ?limits ~alphabet f in
-  Dfa.create ~alphabet ~num_states:count ~start:start_id
-    ~accept:
-      (List.filter (fun i -> accepts_empty states.(i)) (List.init count Fun.id))
-    ~next:(fun q sym ->
-      match Hashtbl.find_opt edges (q, sym) with
-      | Some q' -> q'
-      | None ->
-        invalid_arg
-          (Printf.sprintf
-             "Progression.to_dfa: no transition from state %d on symbol '%s' (symbol \
-              outside the DFA alphabet?)"
-             q (Symbol.name sym)))
+  Dfa.of_graph ~alphabet ~accepting:accepts_empty (explore ?limits ~alphabet f)
 
 let num_reachable_obligations ~alphabet f =
-  let _, _, _, count = explore ~alphabet:(List.sort_uniq Symbol.compare alphabet) f in
-  count
+  Array.length (explore ~alphabet:(List.sort_uniq Symbol.compare alphabet) f).keys

@@ -78,72 +78,39 @@ let next_obligations elem =
    empty remainder. Evaluated on the *un-expanded* obligations: expanding
    first would lose end-of-trace disjuncts (e.g. G a must accept the empty
    trace even though its elementary form demands an 'a' event). *)
-let accepting obligations = Fset.for_all (fun f -> Ltlf.holds f []) obligations
+let accepting obligations = List.for_all (fun f -> Ltlf.holds f []) obligations
 
-(* NFA states are obligation sets; the alpha/beta expansion lives inside the
-   transition function: consuming [event] from [obligations] first
-   decomposes them into elementary sets, keeps the ones whose literals agree
-   with [event], and carries each one's next-obligations as a successor.
-   The decomposition does not depend on the event, so it runs once per
-   state and each event only filters it. *)
+(* NFA states are obligation sets, kept as sorted duplicate-free lists; the
+   alpha/beta expansion lives inside the transition function: consuming
+   [event] from [obligations] first decomposes them into elementary sets,
+   keeps the ones whose literals agree with [event], and carries each one's
+   next-obligations as a successor. The decomposition does not depend on
+   the event, so it runs once per state and each event only filters it. *)
 let successors obligations =
   let branches =
     List.map
-      (fun elem -> (elem, Fset.of_list (next_obligations elem)))
-      (expand (Fset.elements obligations))
+      (fun elem -> (elem, List.sort_uniq Ltlf.compare (next_obligations elem)))
+      (expand obligations)
   in
   fun event ->
     List.filter_map
       (fun (elem, succ) -> if literals_allow elem event then Some succ else None)
       branches
-    |> List.sort_uniq Fset.compare
+    |> List.sort_uniq (List.compare Ltlf.compare)
 
 let to_nfa ?(limits = Limits.default) ~alphabet f =
   Obs.with_span "tableau" @@ fun () ->
-  let budget =
-    Limits.fuel ~within:limits ~resource:"tableau states" limits.Limits.max_states
-  in
+  let fuel = Limits.fuel ~within:limits ~resource:"tableau states" limits.Limits.max_states in
   let alphabet = List.sort_uniq Symbol.compare alphabet in
-  let index = Hashtbl.create 64 in
-  let order = ref [] in
-  let count = ref 0 in
-  let queue = Queue.create () in
-  let intern obligations =
-    let key = Fset.elements obligations in
-    match Hashtbl.find_opt index key with
-    | Some i -> i
-    | None ->
-      let i = !count in
-      Limits.spend budget;
-      incr count;
-      Hashtbl.add index key i;
-      order := obligations :: !order;
-      Queue.add obligations queue;
-      i
+  let graph =
+    Explore.graph (Explore.list Ltlf.key) ~fuel ~start:[ Nnf.nnf f ]
+      ~step:(fun obligations emit ->
+        let on = successors obligations in
+        List.iter (fun event -> List.iter (emit event) (on event)) alphabet)
+      ()
   in
-  let start = [ intern (Fset.singleton (Nnf.nnf f)) ] in
-  let transitions = ref [] in
-  let rec explore () =
-    match Queue.take_opt queue with
-    | None -> ()
-    | Some obligations ->
-      let src = Hashtbl.find index (Fset.elements obligations) in
-      let on = successors obligations in
-      List.iter
-        (fun event ->
-          List.iter
-            (fun succ -> transitions := (src, event, intern succ) :: !transitions)
-            (on event))
-        alphabet;
-      explore ()
-  in
-  explore ();
-  Obs.count "tableau.states" !count;
-  let states = Array.of_list (List.rev !order) in
-  let accept =
-    List.filter (fun i -> accepting states.(i)) (List.init !count Fun.id)
-  in
-  Nfa.create ~num_states:(max 1 !count) ~start ~accept ~transitions:!transitions ()
+  Obs.count "tableau.states" (Array.length graph.keys);
+  Nfa.of_graph ~accepting graph
 
 let check ?limits ?(alphabet = Symbol.Set.empty) ~impl formula =
   Obs.with_span "ltl.check" @@ fun () ->

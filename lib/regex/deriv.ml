@@ -16,56 +16,21 @@ let deriv_word l r = List.fold_left (fun r a -> deriv a r) r l
 
 let matches r l = Regex.nullable (deriv_word l r)
 
-module Rset = Set.Make (struct
-  type t = Regex.t
-
-  let compare = Regex.compare
-end)
-
-(* Breadth-first over the derivative automaton; [f] sees each new state with
-   the reversed trace that reaches it and may stop the search early. *)
-let bfs r ~(visit : Regex.t -> Symbol.t list -> [ `Stop | `Continue ]) =
+(* The derivative automaton over [r]'s own alphabet, in symbol order; [∅]
+   derivatives are pruned. *)
+let step r =
   let alphabet = Symbol.Set.elements (Regex.alphabet r) in
-  let seen = ref Rset.empty in
-  let queue = Queue.create () in
-  let push state rev_path =
-    if not (Rset.mem state !seen) then begin
-      seen := Rset.add state !seen;
-      Queue.add (state, rev_path) queue
-    end
-  in
-  push r [];
-  let rec loop () =
-    match Queue.take_opt queue with
-    | None -> ()
-    | Some (state, rev_path) -> (
-      match visit state rev_path with
-      | `Stop -> ()
-      | `Continue ->
-        List.iter
-          (fun a ->
-            let next = deriv a state in
-            if not (Regex.is_empty_syntactic next) then push next (a :: rev_path))
-          alphabet;
-        loop ())
-  in
-  loop ()
+  fun state emit ->
+    List.iter
+      (fun a ->
+        let next = deriv a state in
+        if not (Regex.is_empty_syntactic next) then emit a next)
+      alphabet
 
 let shortest_member r =
-  let found = ref None in
-  bfs r ~visit:(fun state rev_path ->
-      if Regex.nullable state then begin
-        found := Some (List.rev rev_path);
-        `Stop
-      end
-      else `Continue);
-  !found
+  Explore.witness Regex.key ~goal:Regex.nullable ~start:r ~step:(step r) ()
 
 let is_empty_language r = Option.is_none (shortest_member r)
 
 let derivative_closure r =
-  let states = ref [] in
-  bfs r ~visit:(fun state _ ->
-      states := state :: !states;
-      `Continue);
-  List.rev !states
+  Array.to_list (Explore.graph Regex.key ~start:r ~step:(step r) ()).keys

@@ -1,39 +1,14 @@
-module Pair_set = Set.Make (struct
-  type t = Regex.t * Regex.t
-
-  let compare (a1, a2) (b1, b2) =
-    let c = Regex.compare a1 b1 in
-    if c <> 0 then c else Regex.compare a2 b2
-end)
-
 (* Breadth-first bisimulation over pairs of derivatives. [bad] decides when a
-   pair witnesses a difference; the reversed path to the first bad pair is a
-   shortest witness because exploration is breadth-first. *)
+   pair witnesses a difference; the path to the first bad pair dequeued is
+   a shortest witness because exploration is breadth-first. *)
 let find_witness ~bad r1 r2 =
-  let alphabet = Symbol.Set.union (Regex.alphabet r1) (Regex.alphabet r2) in
-  let symbols = Symbol.Set.elements alphabet in
-  let seen = ref Pair_set.empty in
-  let queue = Queue.create () in
-  let push pair rev_path =
-    if not (Pair_set.mem pair !seen) then begin
-      seen := Pair_set.add pair !seen;
-      Queue.add (pair, rev_path) queue
-    end
-  in
-  push (r1, r2) [];
-  let rec loop () =
-    match Queue.take_opt queue with
-    | None -> None
-    | Some ((d1, d2), rev_path) ->
-      if bad d1 d2 then Some (List.rev rev_path)
-      else begin
-        List.iter
-          (fun a -> push (Deriv.deriv a d1, Deriv.deriv a d2) (a :: rev_path))
-          symbols;
-        loop ()
-      end
-  in
-  loop ()
+  let symbols = Symbol.Set.elements (Symbol.Set.union (Regex.alphabet r1) (Regex.alphabet r2)) in
+  Explore.witness (Explore.pair Regex.key Regex.key)
+    ~goal:(fun (d1, d2) -> bad d1 d2)
+    ~start:(r1, r2)
+    ~step:(fun (d1, d2) emit ->
+      List.iter (fun a -> emit a (Deriv.deriv a d1, Deriv.deriv a d2)) symbols)
+    ()
 
 let counterexample r1 r2 =
   find_witness r1 r2 ~bad:(fun d1 d2 -> Regex.nullable d1 <> Regex.nullable d2)

@@ -35,6 +35,14 @@ let rec compare a b =
 
 let equal a b = compare a b = 0
 
+let key : t Explore.key =
+  (module struct
+    type nonrec t = t
+
+    let equal = equal
+    let hash r = Hashtbl.hash_param 32 128 r
+  end)
+
 (* Right-associated concatenation with ∅/ε identities. *)
 let rec seq a b =
   match a, b with

@@ -70,9 +70,13 @@ val nullable : t -> bool
 (** Does the language contain the empty trace? *)
 
 val is_empty_syntactic : t -> bool
-(** [true] iff the value is literally [Empty]. (Because smart constructors
-    normalize, an inferred expression denoting [∅] is usually literally
-    [Empty], but use {!Deriv.is_empty_language} for a semantic check.) *)
+(** [true] iff the value is literally [Empty] — and this is also semantic
+    emptiness: [L(r) = ∅] iff [r = Empty]. Every value is built by the smart
+    constructors, and they propagate [∅]: [seq] and [shuffle] annihilate,
+    [alt] drops it, and [star] of anything is nullable. So a non-[Empty]
+    value always denotes at least one trace. {!Deriv.is_empty_language}
+    decides the same question by exploring derivatives; the test-suite
+    checks the two agree. *)
 
 val alphabet : t -> Symbol.Set.t
 (** All symbols occurring in the expression. *)
@@ -97,6 +101,10 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 (** Structural equality on normal forms. Language equivalence is
     {!Equiv.equivalent}. *)
+
+val key : t Explore.key
+(** Expressions as {!Explore} keys: {!equal}, and a structural hash that
+    looks deep into the term. *)
 
 (** {1 Printing} *)
 

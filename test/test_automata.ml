@@ -380,6 +380,141 @@ let prop_tableau_matches_per_event_expansion =
       && States.Set.equal (Nfa.accept got) (Nfa.accept want)
       && Nfa.transitions got = Nfa.transitions want)
 
+(* --- Intersection product size ------------------------------------------------
+
+   [Language.intersect] makes one state per distinct reachable pair of
+   non-empty configurations. Equal state sets can be built with different
+   tree shapes, so the count here compares them with [States.Set.compare]. *)
+
+let nfa_gen =
+  let open QCheck2.Gen in
+  int_range 1 6 >>= fun n ->
+  let state = int_range 0 (n - 1) in
+  list_size (int_range 0 14) (triple state (oneofl step_alphabet) state) >>= fun transitions ->
+  list_size (int_range 0 4) (pair state state) >>= fun epsilons ->
+  list_size (int_range 1 2) state >>= fun start ->
+  list_size (int_range 0 2) state >>= fun accept ->
+  return (Nfa.create ~num_states:n ~start ~accept ~transitions ~epsilons ())
+
+(* Accepts every trace over [step_alphabet]. *)
+let universal =
+  Nfa.create ~num_states:1 ~start:[ 0 ] ~accept:[ 0 ]
+    ~transitions:(List.map (fun x -> (0, x, 0)) step_alphabet)
+    ()
+
+module Config_pairs = Set.Make (struct
+  type t = States.Set.t * States.Set.t
+
+  let compare (a1, a2) (b1, b2) =
+    match States.Set.compare a1 b1 with
+    | 0 -> States.Set.compare a2 b2
+    | c -> c
+end)
+
+let reachable_pairs n1 n2 =
+  let syms = Symbol.Set.elements (Symbol.Set.inter (Nfa.alphabet n1) (Nfa.alphabet n2)) in
+  let successors (c1, c2) =
+    List.filter_map
+      (fun x ->
+        let d1 = Nfa.step n1 c1 x and d2 = Nfa.step n2 c2 x in
+        if States.Set.is_empty d1 || States.Set.is_empty d2 then None else Some (d1, d2))
+      syms
+  in
+  let rec go seen = function
+    | [] -> Config_pairs.cardinal seen
+    | p :: rest when Config_pairs.mem p seen -> go seen rest
+    | p :: rest -> go (Config_pairs.add p seen) (successors p @ rest)
+  in
+  go Config_pairs.empty [ (Nfa.initial_config n1, Nfa.initial_config n2) ]
+
+let prop_intersect_interns_each_pair_once =
+  qtest "intersect: one state per distinct reachable pair" ~count:500
+    QCheck2.Gen.(pair nfa_gen (oneof [ return universal; nfa_gen ]))
+    ~print:(fun (n1, n2) -> Format.asprintf "%a@.and@.%a" Nfa.pp n1 Nfa.pp n2)
+    (fun (n1, n2) -> Nfa.num_states (Language.intersect n1 n2) = reachable_pairs n1 n2)
+
+(* --- The exploration kernel ------------------------------------------------------ *)
+
+let int_key : int Explore.key =
+  (module struct
+    type t = int
+
+    let equal = Int.equal
+    let hash = Hashtbl.hash
+  end)
+
+(* A chain 0 -> 1 -> ... -> n-1. *)
+let chain n k emit = if k < n - 1 then emit () (k + 1)
+
+let test_explore_fuel_per_key () =
+  let run budget =
+    Explore.graph int_key ~fuel:(Limits.fuel ~resource:"widgets" budget) ~start:0
+      ~step:(chain 10) ()
+  in
+  Alcotest.(check int) "a budget of n keys suffices" 10 (Array.length (run 10).keys);
+  match run 9 with
+  | _ -> Alcotest.fail "expected n-1 to run out"
+  | exception Limits.Budget_exceeded { resource; limit } ->
+    Alcotest.(check string) "the caller's resource" "widgets" resource;
+    Alcotest.(check int) "the caller's limit" 9 limit
+
+let test_explore_discovery_order () =
+  (* Children emitted right first: ids follow emission, not key order. *)
+  let g =
+    Explore.graph int_key ~start:0
+      ~step:(fun k emit ->
+        if (2 * k) + 2 < 7 then begin
+          emit "r" ((2 * k) + 2);
+          emit "l" ((2 * k) + 1)
+        end)
+      ()
+  in
+  Alcotest.(check (array int)) "keys in discovery order" [| 0; 2; 1; 6; 5; 4; 3 |] g.keys;
+  Alcotest.(check (list (pair string int))) "edges of the start, as emitted"
+    [ ("r", 1); ("l", 2) ]
+    g.succs.(0)
+
+let test_explore_shortlex_witness () =
+  (* Two bad traces of length two, [b; a] and [a; b]; symbols emitted in
+     order. *)
+  let edges = function
+    | "s" -> [ ("a", "y"); ("b", "x") ]
+    | "x" -> [ ("a", "bad1") ]
+    | "y" -> [ ("b", "bad2") ]
+    | _ -> []
+  in
+  let search test =
+    Explore.witness
+      (module String : Explore.KEY with type t = string)
+      ~test
+      ~goal:(fun k -> String.length k > 3)
+      ~start:"s"
+      ~step:(fun k emit -> List.iter (fun (l, k') -> emit l k') (edges k))
+      ()
+  in
+  Alcotest.(check (option (list string))) "on dequeue" (Some [ "a"; "b" ])
+    (search Explore.On_dequeue);
+  Alcotest.(check (option (list string))) "on discovery" (Some [ "a"; "b" ])
+    (search Explore.On_discovery)
+
+let test_explore_memo_hits () =
+  (* A diamond: 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3. Key 3 is reached twice. *)
+  let counts = Explore.counts () in
+  let g =
+    Explore.graph int_key ~counts ~fuel:(Limits.fuel ~resource:"diamond" 4) ~start:0
+      ~step:(fun k emit ->
+        match k with
+        | 0 -> emit () 1; emit () 2
+        | 1 | 2 -> emit () 3
+        | _ -> ())
+      ()
+  in
+  Alcotest.(check int) "states" 4 counts.states;
+  Alcotest.(check int) "memo hits" 1 counts.memo_hits;
+  Alcotest.(check int) "graph size" 4 (Array.length g.keys);
+  Alcotest.(check (list int)) "both edges land on one id" [ 3; 3 ]
+    (List.map snd (g.succs.(1) @ g.succs.(2)))
+
 let () =
   Alcotest.run "automata"
     [
@@ -437,4 +572,12 @@ let () =
         ] );
       ( "step tables",
         [ prop_step_is_closure_of_successors; prop_tableau_matches_per_event_expansion ] );
+      ("intersect", [ prop_intersect_interns_each_pair_once ]);
+      ( "explore",
+        [
+          Alcotest.test_case "fuel charged once per key" `Quick test_explore_fuel_per_key;
+          Alcotest.test_case "ids in discovery order" `Quick test_explore_discovery_order;
+          Alcotest.test_case "shortlex-least witness" `Quick test_explore_shortlex_witness;
+          Alcotest.test_case "rediscovery is a memo hit" `Quick test_explore_memo_hits;
+        ] );
     ]

@@ -117,6 +117,13 @@ let test_derivative_closure_finite () =
   Alcotest.(check bool) "finitely many states" true (List.length states < 30);
   Alcotest.(check bool) "contains start" true (List.exists (Regex.equal r) states)
 
+(* The smart constructors propagate ∅ ([seq] and [shuffle] annihilate, [alt]
+   drops it, [star] is nullable), so the syntactic test is semantic; the
+   derivative search stays the reference it is checked against. *)
+let prop_empty_syntactic_is_semantic =
+  qtest_arb "is_empty_syntactic = is_empty_language" ~count:1000 regex_shuffle_arb (fun r ->
+      Regex.is_empty_syntactic r = Deriv.is_empty_language r)
+
 (* --- Enumeration ------------------------------------------------------------ *)
 
 let test_words_upto () =
@@ -302,5 +309,6 @@ let () =
           prop_equivalence_reflexive_under_rewrites;
           prop_star_fixpoint;
           prop_shortest_member_is_shortest;
+          prop_empty_syntactic_is_semantic;
         ] );
     ]
