@@ -1,20 +1,15 @@
 (* Parallel-checking benchmark: wall-clock for [shelley check -j N] levels
-   over a synthetic corpus, comparing the two execution engines the repo
-   has carried:
-
-   - [pool]: the supervised persistent prefork pool ({!Supervisor} via
-     {!Checker.make_pool}) — workers forked once per level, jobs streamed
-     over pipes in batches. This is what [shelley check -j N] and the serve
-     daemon use.
-   - [fork_per_task]: the pre-supervisor {!Runner}, one forked child per
-     file, kept in-tree for exactly this comparison.
+   over a synthetic corpus, run through the supervised persistent prefork
+   pool ({!Supervisor} via {!Checker.make_pool}) — workers forked once per
+   level, jobs streamed over pipes in batches. This is what
+   [shelley check -j N] and the serve daemon use.
 
    Emits machine-readable results to BENCH_parallel.json and a human
    summary to stdout, and asserts three contracts along the way:
 
-   - determinism: the concatenated output of every level and both engines
-     (with and without the observability recorder) must be byte-identical
-     to the sequential run;
+   - determinism: the concatenated output of every level (with and without
+     the observability recorder) must be byte-identical to the sequential
+     run;
    - zero disabled overhead: a disabled [Obs.count] must cost on the
      order of a branch — the run aborts if it exceeds a generous
      per-call budget;
@@ -23,9 +18,8 @@
      SKIPPED loudly (parallelism cannot pay where there is nothing to
      run on) — CI provides the multicore enforcement.
 
-   Besides wall times, each level gets one *instrumented* run per engine
-   whose counters (fork time, queue wait, task wall, batches) go into the
-   JSON — the data behind EXPERIMENTS.md's prefork-vs-fork-per-task entry.
+   Besides wall times, each level gets one *instrumented* run whose
+   counters (fork time, queue wait, task wall, batches) go into the JSON.
 
    Run: dune exec bench/bench_parallel.exe [--smoke] [CORPUS_SIZE] *)
 
@@ -65,17 +59,7 @@ let nproc () =
 let concat_output verdicts =
   String.concat "" (List.map (fun v -> v.Checker.output) verdicts)
 
-(* --- The two engines --------------------------------------------------------- *)
-
 let pool_run ~pool ~jobs files = Checker.check_files ~jobs ~pool files
-
-let forkper_run ~jobs files =
-  Runner.map ~jobs ~f:(fun path -> Checker.check_file path) files
-  |> List.map (function
-       | Runner.Done v -> v
-       | Runner.Timed_out _ | Runner.Crashed _ ->
-         prerr_endline "fork-per-task run lost a task";
-         exit 1)
 
 let time engine files =
   let t0 = Unix.gettimeofday () in
@@ -99,23 +83,22 @@ let disabled_overhead_ns_per_call () =
 
 let obs_budget_ns = 200.0
 
-(* One instrumented run per engine per jobs level: same entry point,
-   recorder on, counters harvested afterwards. [prefix] selects the
-   engine's counter namespace ("pool" / "runner"). *)
+(* One instrumented run per jobs level: same entry point, recorder on,
+   pool counters harvested afterwards. *)
 type instrumented = {
   i_fork_us : int;
   i_queue_wait_us : int;
   i_task_wall_us : int;
   i_spawns : int;
-  i_batches : int;  (* 0 for the fork-per-task engine *)
+  i_batches : int;
   i_unit_total_us : int;  (* summed in-unit span time across verdicts *)
 }
 
-let instrumented_run ~prefix engine files baseline_output =
+let instrumented_run engine files baseline_output =
   Obs.enable ~fake_clock:false ();
   let verdicts = engine files in
   if concat_output verdicts <> baseline_output then begin
-    Printf.eprintf "DETERMINISM VIOLATION with observability enabled (%s)\n" prefix;
+    Printf.eprintf "DETERMINISM VIOLATION with observability enabled\n";
     exit 1
   end;
   let counter key = Option.value ~default:0 (List.assoc_opt key (Obs.counters ())) in
@@ -128,11 +111,11 @@ let instrumented_run ~prefix engine files baseline_output =
   in
   let r =
     {
-      i_fork_us = counter (prefix ^ ".fork_us");
-      i_queue_wait_us = counter (prefix ^ ".queue_wait_us");
-      i_task_wall_us = counter (prefix ^ ".task_wall_us");
-      i_spawns = counter (prefix ^ ".spawns");
-      i_batches = counter (prefix ^ ".batches");
+      i_fork_us = counter "pool.fork_us";
+      i_queue_wait_us = counter "pool.queue_wait_us";
+      i_task_wall_us = counter "pool.task_wall_us";
+      i_spawns = counter "pool.spawns";
+      i_batches = counter "pool.batches";
       i_unit_total_us = unit_total;
     }
   in
@@ -148,31 +131,29 @@ type engine_result = {
 }
 
 (* [instrument] (default [engine]) is what the counter-harvesting pass runs:
-   the pool engine substitutes a fresh pool created *after* [Obs.enable], so
+   a pooled level substitutes a fresh pool created *after* [Obs.enable], so
    the workers inherit the live recorder and the cold spawn cost is on the
    books — the timed runs still measure the warm persistent pool. *)
-let measure ~prefix ?instrument engine files baseline_output =
+let measure ?instrument engine files baseline_output =
   let runs =
     List.init repeats (fun _ ->
         let dt, out, code = time engine files in
         if out <> !baseline_output then begin
           if !baseline_output = "" then baseline_output := out
           else begin
-            Printf.eprintf "DETERMINISM VIOLATION (%s)\n" prefix;
+            Printf.eprintf "DETERMINISM VIOLATION\n";
             exit 1
           end
         end;
         if code <> 1 then begin
           (* bad_sector's claim fails by design: every run must say so *)
-          Printf.eprintf "unexpected exit code %d (%s)\n" code prefix;
+          Printf.eprintf "unexpected exit code %d\n" code;
           exit 1
         end;
         dt)
   in
   let instr =
-    instrumented_run ~prefix
-      (Option.value instrument ~default:engine)
-      files !baseline_output
+    instrumented_run (Option.value instrument ~default:engine) files !baseline_output
   in
   { e_best = List.fold_left Float.min infinity runs; e_runs = runs; e_instr = instr }
 
@@ -194,17 +175,14 @@ let () =
   let cores = nproc () in
   let levels = List.sort_uniq compare [ 1; 2; 4; cores ] in
   Printf.printf
-    "parallel checking: %d files x %d repeats, %d core(s) online, pool vs \
-     fork-per-task%s\n\n"
+    "parallel checking: %d files x %d repeats, %d core(s) online%s\n\n"
     corpus_size repeats cores
     (if smoke then " [smoke]" else "");
   let baseline_output = ref "" in
   (* Sequential inline baseline first: it defines the bytes every other
      configuration must reproduce. *)
   let seq =
-    measure ~prefix:"pool"
-      (fun fs -> Checker.check_files ~jobs:1 fs)
-      files baseline_output
+    measure (fun fs -> Checker.check_files ~jobs:1 fs) files baseline_output
   in
   Printf.printf "  sequential (inline)   best %7.1f ms\n\n" (seq.e_best *. 1000.);
   let results =
@@ -221,11 +199,8 @@ let () =
           Fun.protect
             ~finally:(fun () -> Checker.shutdown_pool pool)
             (fun () ->
-              measure ~prefix:"pool" ~instrument:pooled_cold (pool_run ~pool ~jobs)
-                files baseline_output)
-        in
-        let forkper =
-          measure ~prefix:"runner" (forkper_run ~jobs) files baseline_output
+              measure ~instrument:pooled_cold (pool_run ~pool ~jobs) files
+                baseline_output)
         in
         Printf.printf "  -j %-2d  pool           best %7.1f ms  (all: %s)\n" jobs
           (pooled.e_best *. 1000.)
@@ -236,20 +211,12 @@ let () =
            task-wall %d us\n"
           pooled.e_instr.i_spawns pooled.e_instr.i_batches pooled.e_instr.i_fork_us
           pooled.e_instr.i_queue_wait_us pooled.e_instr.i_task_wall_us;
-        Printf.printf "         fork-per-task  best %7.1f ms  (all: %s)\n"
-          (forkper.e_best *. 1000.)
-          (String.concat ", "
-             (List.map (fun t -> Printf.sprintf "%.1f ms" (t *. 1000.)) forkper.e_runs));
-        Printf.printf "         · %d spawns, fork %d us, queue-wait %d us, task-wall %d us\n"
-          forkper.e_instr.i_spawns forkper.e_instr.i_fork_us
-          forkper.e_instr.i_queue_wait_us forkper.e_instr.i_task_wall_us;
-        Printf.printf "         pool vs fork-per-task: %.2fx\n" (forkper.e_best /. pooled.e_best);
-        (jobs, pooled, forkper))
+        (jobs, pooled))
       levels
   in
   Printf.printf "\n";
   List.iter
-    (fun (jobs, pooled, _) ->
+    (fun (jobs, pooled) ->
       Printf.printf "  pool speedup -j %d vs sequential: %.2fx\n" jobs
         (seq.e_best /. pooled.e_best))
     results;
@@ -258,7 +225,7 @@ let () =
   let floor_required = 1.5 in
   let floor_measured =
     List.find_map
-      (fun (jobs, pooled, _) -> if jobs = 4 then Some (seq.e_best /. pooled.e_best) else None)
+      (fun (jobs, pooled) -> if jobs = 4 then Some (seq.e_best /. pooled.e_best) else None)
       results
   in
   let floor_enforced = (not smoke) && cores >= 2 in
@@ -281,32 +248,25 @@ let () =
       (if smoke then "smoke mode" else Printf.sprintf "%d core online" cores)
       floor_required);
   let json =
-    let engine_json ?(batches = false) (e : engine_result) =
+    let engine_json (e : engine_result) =
       let per_file total = if corpus_size = 0 then 0 else total / corpus_size in
       Printf.sprintf
         "{\"best_seconds\": %.6f, \"all_seconds\": [%s], \
-         \"speedup_vs_sequential\": %.3f, \"spawns\": %d%s, \"fork_us_total\": %d, \
-         \"fork_us_per_file\": %d, \"queue_wait_us_total\": %d, \
+         \"speedup_vs_sequential\": %.3f, \"spawns\": %d, \"batches\": %d, \
+         \"fork_us_total\": %d, \"fork_us_per_file\": %d, \"queue_wait_us_total\": %d, \
          \"queue_wait_us_per_file\": %d, \"task_wall_us_total\": %d, \
          \"unit_total_us\": %d}"
         e.e_best
         (String.concat ", " (List.map (Printf.sprintf "%.6f") e.e_runs))
-        (seq.e_best /. e.e_best) e.e_instr.i_spawns
-        (if batches then Printf.sprintf ", \"batches\": %d" e.e_instr.i_batches else "")
+        (seq.e_best /. e.e_best) e.e_instr.i_spawns e.e_instr.i_batches
         e.e_instr.i_fork_us
         (per_file e.e_instr.i_fork_us)
         e.e_instr.i_queue_wait_us
         (per_file e.e_instr.i_queue_wait_us)
         e.e_instr.i_task_wall_us e.e_instr.i_unit_total_us
     in
-    let run_json (jobs, pooled, forkper) =
-      Printf.sprintf
-        "    {\"jobs\": %d,\n     \"pool\": %s,\n     \"fork_per_task\": %s,\n\
-        \     \"pool_vs_fork_per_task_speedup\": %.3f}"
-        jobs
-        (engine_json ~batches:true pooled)
-        (engine_json forkper)
-        (forkper.e_best /. pooled.e_best)
+    let run_json (jobs, pooled) =
+      Printf.sprintf "    {\"jobs\": %d,\n     \"pool\": %s}" jobs (engine_json pooled)
     in
     Printf.sprintf
       "{\n  \"benchmark\": \"parallel_checking\",\n  \"corpus_files\": %d,\n\

@@ -56,19 +56,6 @@ let or_die = function
     prerr_endline msg;
     exit 2
 
-(* Shared observability arguments: check and lint take the same three
-   sinks, and both keep their primary stdout stream byte-identical whether
-   the recorder is on or off. *)
-let stats_arg =
-  Arg.(
-    value & flag
-    & info [ "stats" ]
-        ~doc:
-          "Print a per-phase timing and counter summary to standard error \
-           after the run. Report output on standard output is unchanged. \
-           Set SHELLEY_OBS_FAKE_CLOCK=1 to replace wall-clock readings \
-           with a deterministic logical clock (for tests).")
-
 let metrics_out_arg =
   Arg.(
     value
@@ -78,25 +65,123 @@ let metrics_out_arg =
           "Write run metrics (per-unit totals, per-phase aggregates, all \
            counters) as JSON (schema shelley.metrics/1) to $(docv).")
 
-let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:
-          "Write a Chrome trace_event file to $(docv): one timeline lane \
-           per worker process, loadable in chrome://tracing or Perfetto.")
-
 let write_file path contents =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
-let flush_observability ~stats ~metrics_out ~trace_out =
-  Option.iter (fun path -> write_file path (Obs.render_metrics_json ())) metrics_out;
-  Option.iter (fun path -> write_file path (Obs.render_chrome_trace ())) trace_out;
-  if stats then Obs.render_stats Format.err_formatter
+(* The observability sinks of check, lint and claims. Requesting any sink
+   turns the recorder on; the term evaluates to the flush the command calls
+   after its run. Observability is strictly additive: stats go to stderr and
+   metrics/trace to files, so the report stream on stdout stays
+   byte-identical whether the recorder is on or off. *)
+let obs_sinks =
+  let stats =
+    Arg.(
+      value & flag
+      & info [ "stats" ]
+          ~doc:
+            "Print a per-phase timing and counter summary to standard error \
+             after the run. Report output on standard output is unchanged. \
+             Set SHELLEY_OBS_FAKE_CLOCK=1 to replace wall-clock readings \
+             with a deterministic logical clock (for tests).")
+  in
+  let trace_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace-out" ] ~docv:"FILE"
+          ~doc:
+            "Write a Chrome trace_event file to $(docv): one timeline lane \
+             per worker process, loadable in chrome://tracing or Perfetto.")
+  in
+  let start stats metrics_out trace_out =
+    if stats || metrics_out <> None || trace_out <> None then Obs.enable ();
+    fun () ->
+      Option.iter (fun path -> write_file path (Obs.render_metrics_json ())) metrics_out;
+      Option.iter (fun path -> write_file path (Obs.render_chrome_trace ())) trace_out;
+      if stats then Obs.render_stats Format.err_formatter
+  in
+  Term.(const start $ stats $ metrics_out_arg $ trace_out)
+
+(* The per-file budgets of check and lint. An absent flag keeps the
+   {!Limits.default} field. *)
+let limits_term =
+  let exceeded =
+    "reports a resource-limit finding for the affected check or rule \
+     (RESOURCE LIMIT EXCEEDED in $(b,check), SY090 in $(b,lint)) and exits \
+     3 while every other check still runs."
+  in
+  let max_states =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "max-states" ] ~docv:"N"
+          ~doc:
+            ("Budget for automaton states (determinization, progression, \
+              tableau). Exceeding it " ^ exceeded))
+  in
+  let fuel =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "fuel" ] ~docv:"N"
+          ~doc:
+            ("Budget for product configurations explored by the language \
+              checks (and the SY101/SY104 lint rules). Exceeding it " ^ exceeded))
+  in
+  let timeout =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "timeout" ] ~docv:"SECONDS"
+          ~doc:
+            "Wall-clock deadline per file. A file whose worker outlives it is \
+             killed, retried once under a reduced fuel budget, and finally \
+             reported as WALL-CLOCK DEADLINE EXCEEDED ($(b,check)) or one \
+             SY090 finding ($(b,lint)), exit 3, while every other file still \
+             completes.")
+  in
+  let make max_states max_configs deadline =
+    Limits.make ?max_states ?max_configs ?deadline ()
+  in
+  Term.(const make $ max_states $ fuel $ timeout)
+
+let jobs_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Width of the worker pool (N worker processes). $(b,check) and \
+           $(b,lint) print results in input order, so the output is \
+           byte-identical to a sequential run; $(b,serve) keeps one pool for \
+           all requests.")
+
+(* Test seam, deliberately opt-in: without this flag the checker ignores
+   the SHELLEY_FAULT variable entirely, so an inherited/stale variable
+   cannot sabotage a real run. *)
+let fault_injection_arg =
+  Arg.(
+    value & flag
+    & info [ "fault-injection" ]
+        ~doc:
+          "Testing only: arm the SHELLEY_FAULT fault-injection seam (worker \
+           hangs, crashes, wedges, garbage frames, fork failures) in this \
+           process and its workers.")
+
+(* lint's and claims' --format. An unknown name is a usage error: the
+   renderer's message on stderr, exit 2. *)
+let format_term ~doc =
+  let parse name =
+    match Lint_render.format_of_string name with
+    | Ok f -> f
+    | Error msg ->
+      prerr_endline msg;
+      exit 2
+  in
+  Term.(
+    const parse $ Arg.(value & opt string "text" & info [ "format" ] ~docv:"FMT" ~doc))
 
 (* Shared --cache argument: check and lint both accept a persistent result
    cache directory. An unusable directory degrades to an uncached run with a
@@ -147,54 +232,6 @@ let check_cmd =
           ~doc:"Pre-verified .shelley model files resolving substrate classes \
                 not defined in the sources (separate verification). Repeatable.")
   in
-  let max_states =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-states" ] ~docv:"N"
-          ~doc:"Budget for automaton states (determinization, progression, \
-                tableau). Exceeding it reports RESOURCE LIMIT EXCEEDED for \
-                the affected check and exits 3.")
-  in
-  let fuel =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fuel" ] ~docv:"N"
-          ~doc:"Budget for product configurations explored by the language \
-                checks. Exceeding it reports RESOURCE LIMIT EXCEEDED for the \
-                affected check and exits 3.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Check files in N worker processes. Each file runs isolated in \
-                its own fork; results are printed in input order, so the \
-                output is byte-identical to a sequential run.")
-  in
-  let timeout =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:"Wall-clock deadline per file. A file whose worker outlives it \
-                is killed, retried once under a reduced fuel budget, and \
-                finally reported as WALL-CLOCK DEADLINE EXCEEDED (exit 3) \
-                while every other file still completes.")
-  in
-  let fault_injection =
-    (* Test seam, deliberately opt-in: without this flag the checker ignores
-       the SHELLEY_FAULT variable entirely, so an inherited/stale variable
-       cannot sabotage a real run. *)
-    Arg.(
-      value & flag
-      & info [ "fault-injection" ]
-          ~doc:
-            "Testing only: arm the SHELLEY_FAULT fault-injection hook \
-             (hang/crash workers by path substring) used by the \
-             fault-isolation test suite.")
-  in
   let lint =
     Arg.(
       value & flag
@@ -206,8 +243,8 @@ let check_cmd =
              Without this flag the output is exactly the classic check \
              output.")
   in
-  let run files warnings explain lint using max_states fuel jobs timeout fault_injection
-      cache_dir stats metrics_out trace_out =
+  let run files warnings explain lint using limits jobs fault_injection cache_dir
+      flush_obs =
     Checker.fault_injection := fault_injection;
     (* Validate --using up front: a broken model file is a usage error (exit
        2, one message), not N per-file failures. The workers rebuild the
@@ -230,18 +267,6 @@ let check_cmd =
           | exception Sys_error _ -> None)
         using
     in
-    let limits =
-      let d = Limits.default in
-      Limits.make
-        ~max_states:(Option.value max_states ~default:d.Limits.max_states)
-        ~max_configs:(Option.value fuel ~default:d.Limits.max_configs)
-        ?deadline:timeout ()
-    in
-    (* Observability is strictly additive: the recorder is enabled only when
-       a sink was requested, stats go to stderr and metrics/trace to files,
-       so the report stream on stdout stays byte-identical either way. *)
-    let observe = stats || metrics_out <> None || trace_out <> None in
-    if observe then Obs.enable ();
     (* One file never aborts the others: each gets its own exit code
        (0 verified, 1 verification failure, 2 unreadable/syntax error,
        3 resource limit / deadline / crashed worker) and the process exits
@@ -252,7 +277,7 @@ let check_cmd =
         ~cache_extra files
     in
     List.iter (fun (v : Checker.verdict) -> print_string v.Checker.output) verdicts;
-    if observe then flush_observability ~stats ~metrics_out ~trace_out;
+    flush_obs ();
     let code = Checker.exit_code verdicts in
     if code = 0 then print_endline "OK: specification verified" else exit code
   in
@@ -269,9 +294,8 @@ let check_cmd =
                 per-file wall-clock deadline, or a worker crash.";
          ])
     Term.(
-      const run $ files $ warnings $ explain $ lint $ using $ max_states $ fuel $ jobs
-      $ timeout $ fault_injection $ cache_arg $ stats_arg $ metrics_out_arg
-      $ trace_out_arg)
+      const run $ files $ warnings $ explain $ lint $ using $ limits_term $ jobs_arg
+      $ fault_injection_arg $ cache_arg $ obs_sinks)
 
 (* --- lint ------------------------------------------------------------------ *)
 
@@ -281,50 +305,12 @@ let lint_cmd =
      parse error that aborts the other files. *)
   let files = Arg.(non_empty & pos_all string [] & info [] ~docv:"FILE") in
   let format =
-    Arg.(
-      value & opt string "text"
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:
-            "Output format: $(b,text) (one 'file:line: severity CODE \
-             [Class]: message' line per finding plus a summary), $(b,json) \
-             (the shelley.lint/1 envelope, findings and suppressions per \
-             file), or $(b,sarif) (SARIF 2.1.0, for code-scanning upload).")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Lint files in N worker processes. Results are emitted in \
-                input order, so the output is byte-identical to a \
-                sequential run.")
-  in
-  let max_states =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-states" ] ~docv:"N"
-          ~doc:"Budget for automaton states built by the semantic rules. A \
-                rule that exceeds it reports SY090 for that class (exit 3) \
-                while every other rule still runs.")
-  in
-  let fuel =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fuel" ] ~docv:"N"
-          ~doc:"Budget for product configurations explored by the \
-                language-level rules (SY101/SY104). Exceeding it reports \
-                SY090 for the affected class (exit 3).")
-  in
-  let timeout =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:"Wall-clock deadline per file; a file whose worker outlives \
-                it is retried once under a reduced budget and finally \
-                reported as one SY090 finding while every other file still \
-                completes.")
+    format_term
+      ~doc:
+        "Output format: $(b,text) (one 'file:line: severity CODE [Class]: \
+         message' line per finding plus a summary), $(b,json) (the \
+         shelley.lint/1 envelope, findings and suppressions per file), or \
+         $(b,sarif) (SARIF 2.1.0, for code-scanning upload)."
   in
   let max_behavior_size =
     Arg.(
@@ -361,31 +347,15 @@ let lint_cmd =
                 interleaving-race re-check on classes with async (spawned) \
                 behavior; clamped by --fuel.")
   in
-  let run files format jobs max_states fuel timeout max_behavior_size max_star_height
-      entail_fuel race_fuel cache_dir stats metrics_out trace_out =
-    let format =
-      match Lint_render.format_of_string format with
-      | Ok f -> f
-      | Error msg ->
-        prerr_endline msg;
-        exit 2
-    in
-    let limits =
-      let d = Limits.default in
-      Limits.make
-        ~max_states:(Option.value max_states ~default:d.Limits.max_states)
-        ~max_configs:(Option.value fuel ~default:d.Limits.max_configs)
-        ?deadline:timeout ()
-    in
+  let run files format jobs limits max_behavior_size max_star_height entail_fuel race_fuel
+      cache_dir flush_obs =
     let thresholds =
       { Lint_semantic.max_behavior_size; max_star_height; entail_fuel; race_fuel }
     in
-    let observe = stats || metrics_out <> None || trace_out <> None in
-    if observe then Obs.enable ();
     let cache = open_cache cache_dir in
     let results = Checker.lint_files ~jobs ~limits ~thresholds ?cache files in
     print_string (Lint_render.render format results);
-    if observe then flush_observability ~stats ~metrics_out ~trace_out;
+    flush_obs ();
     let code = Lint.exit_code results in
     if code <> 0 then exit code
   in
@@ -412,11 +382,14 @@ let lint_cmd =
                 file's worker outlived the wall-clock deadline.";
          ])
     Term.(
-      const run $ files $ format $ jobs $ max_states $ fuel $ timeout
-      $ max_behavior_size $ max_star_height $ entail_fuel $ race_fuel $ cache_arg
-      $ stats_arg $ metrics_out_arg $ trace_out_arg)
+      const run $ files $ format $ jobs_arg $ limits_term $ max_behavior_size
+      $ max_star_height $ entail_fuel $ race_fuel $ cache_arg $ obs_sinks)
 
 (* --- model ----------------------------------------------------------------- *)
+
+(* The one source file the inspection subcommands (claims, model, viz, …)
+   load strictly. *)
+let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
 
 let class_arg =
   Arg.(
@@ -432,7 +405,6 @@ let class_arg =
    is a narrated table; json/sarif reuse the lint renderers on the
    claim-related findings, so CI consumes the same envelopes as lint. *)
 let claims_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let minimize =
     Arg.(
       value & flag
@@ -449,13 +421,11 @@ let claims_cmd =
                 count entailment queries that ran out of budget.")
   in
   let format =
-    Arg.(
-      value & opt string "text"
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Output format: $(b,text), $(b,json) or $(b,sarif). The \
-                non-text formats render the claim-related lint findings \
-                (SY102–SY104, SY109–SY111) in the same envelopes as \
-                'shelley lint'.")
+    format_term
+      ~doc:
+        "Output format: $(b,text), $(b,json) or $(b,sarif). The non-text \
+         formats render the claim-related lint findings (SY102–SY104, \
+         SY109–SY111) in the same envelopes as 'shelley lint'."
   in
   let entail_fuel =
     Arg.(
@@ -466,16 +436,7 @@ let claims_cmd =
                 exhausted query degrades to 'undecided'.")
   in
   let claim_codes = [ "SY102"; "SY103"; "SY104"; "SY109"; "SY110"; "SY111" ] in
-  let run file cls minimize explain format entail_fuel stats metrics_out trace_out =
-    let format =
-      match Lint_render.format_of_string format with
-      | Ok f -> f
-      | Error msg ->
-        prerr_endline msg;
-        exit 2
-    in
-    let observe = stats || metrics_out <> None || trace_out <> None in
-    if observe then Obs.enable ();
+  let run file cls minimize explain format entail_fuel flush_obs =
     let code =
       match format with
       | Lint_render.Json | Lint_render.Sarif ->
@@ -568,7 +529,7 @@ let claims_cmd =
           models;
         if !contradicted then 1 else 0
     in
-    if observe then flush_observability ~stats ~metrics_out ~trace_out;
+    flush_obs ();
     if code <> 0 then exit code
   in
   Cmd.v
@@ -587,11 +548,10 @@ let claims_cmd =
            Cmd.Exit.info 2 ~doc:"the file could not be read or parsed.";
          ])
     Term.(
-      const run $ file $ class_arg $ minimize $ explain $ format $ entail_fuel
-      $ stats_arg $ metrics_out_arg $ trace_out_arg)
+      const run $ file_arg $ class_arg $ minimize $ explain $ format $ entail_fuel
+      $ obs_sinks)
 
 let model_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let stats =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print model metrics instead of the model.")
   in
@@ -606,12 +566,11 @@ let model_cmd =
   in
   Cmd.v
     (Cmd.info "model" ~doc:"Print the extracted Shelley model(s).")
-    Term.(const run $ file $ class_arg $ stats)
+    Term.(const run $ file_arg $ class_arg $ stats)
 
 (* --- viz ------------------------------------------------------------------- *)
 
 let viz_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let deps =
     Arg.(
       value & flag
@@ -655,12 +614,11 @@ let viz_cmd =
   in
   Cmd.v
     (Cmd.info "viz" ~doc:"Emit Graphviz (DOT) diagrams of models.")
-    Term.(const run $ file $ class_arg $ deps $ expanded $ behavior)
+    Term.(const run $ file_arg $ class_arg $ deps $ expanded $ behavior)
 
 (* --- nusmv ----------------------------------------------------------------- *)
 
 let nusmv_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let run file cls =
     let result = or_die (load file) in
     let models = or_die (select_models result cls) in
@@ -671,12 +629,11 @@ let nusmv_cmd =
        ~doc:
          "Translate models to NuSMV (the paper's §5 back end; emission only — \
           see 'smv' for running the external checker).")
-    Term.(const run $ file $ class_arg)
+    Term.(const run $ file_arg $ class_arg)
 
 (* --- smv ------------------------------------------------------------------- *)
 
 let smv_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let do_run =
     Arg.(
       value & flag
@@ -775,12 +732,11 @@ let smv_cmd =
            Cmd.Exit.info 2 ~doc:"the input could not be loaded, or NuSMV rejected the emitted model.";
            Cmd.Exit.info 3 ~doc:"the NuSMV binary is missing, timed out, or crashed.";
          ])
-    Term.(const run $ file $ class_arg $ do_run $ cross $ binary $ timeout)
+    Term.(const run $ file_arg $ class_arg $ do_run $ cross $ binary $ timeout)
 
 (* --- trace ----------------------------------------------------------------- *)
 
 let trace_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let cls =
     Arg.(
       required
@@ -814,7 +770,7 @@ let trace_cmd =
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Check an operation trace against a class usage language.")
-    Term.(const run $ file $ cls $ trace_arg)
+    Term.(const run $ file_arg $ cls $ trace_arg)
 
 (* --- infer ----------------------------------------------------------------- *)
 
@@ -848,7 +804,6 @@ let infer_cmd =
 (* --- sample ---------------------------------------------------------------- *)
 
 let sample_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let cls =
     Arg.(
       required
@@ -888,12 +843,11 @@ let sample_cmd =
   in
   Cmd.v
     (Cmd.info "sample" ~doc:"Generate random valid usage traces of a class.")
-    Term.(const run $ file $ cls $ count $ length $ seed)
+    Term.(const run $ file_arg $ cls $ count $ length $ seed)
 
 (* --- monitor --------------------------------------------------------------- *)
 
 let monitor_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let cls =
     Arg.(
       required
@@ -936,7 +890,7 @@ let monitor_cmd =
   in
   Cmd.v
     (Cmd.info "monitor" ~doc:"Replay a trace through the runtime monitor, step by step.")
-    Term.(const run $ file $ cls $ trace_arg)
+    Term.(const run $ file_arg $ cls $ trace_arg)
 
 (* --- watch ----------------------------------------------------------------- *)
 
@@ -1017,7 +971,6 @@ let lang_cmd =
 (* --- export ---------------------------------------------------------------- *)
 
 let export_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let out_dir =
     Arg.(
       value & opt string "."
@@ -1038,7 +991,7 @@ let export_cmd =
        ~doc:
          "Extract models and write them as .shelley files (for separate \
           verification with 'check --using').")
-    Term.(const run $ file $ class_arg $ out_dir)
+    Term.(const run $ file_arg $ class_arg $ out_dir)
 
 (* --- cache ----------------------------------------------------------------- *)
 
@@ -1138,12 +1091,6 @@ let socket_arg =
         ~doc:"Unix-domain socket path of the verification daemon.")
 
 let serve_cmd =
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Width of the persistent worker pool shared by all requests.")
-  in
   let timeout =
     Arg.(
       value
@@ -1214,15 +1161,6 @@ let serve_cmd =
             "Cap each worker's address space (setrlimit RLIMIT_AS) so a \
              ballooning check fails as a classified resource-limit verdict \
              instead of a crash. 0 = uncapped.")
-  in
-  let fault_injection =
-    Arg.(
-      value & flag
-      & info [ "fault-injection" ]
-          ~doc:
-            "Testing only: arm the SHELLEY_FAULT fault-injection seam \
-             (worker crashes, wedges, garbage frames, fork failures) in \
-             this daemon and its workers.")
   in
   let metrics_interval =
     Arg.(
@@ -1297,10 +1235,10 @@ let serve_cmd =
                 owns it.";
          ])
     Term.(
-      const run $ socket_arg $ jobs $ timeout $ idle_reap $ cache_arg
+      const run $ socket_arg $ jobs_arg $ timeout $ idle_reap $ cache_arg
       $ metrics_out_arg $ metrics_interval $ access_log $ health_window
       $ max_queue $ max_conns $ max_frame_bytes $ read_deadline
-      $ queue_deadline $ max_worker_mem $ fault_injection)
+      $ queue_deadline $ max_worker_mem $ fault_injection_arg)
 
 let client_cmd =
   let meth =
@@ -1465,6 +1403,34 @@ let client_cmd =
     ( String.concat " " (gauges @ (queue :: List.map delta counters)),
       counters )
   in
+  (* Send the request; return the response's result object, or report the
+     failure on stderr and exit: unreachable or unparseable → 2, still
+     overloaded after the retries → 4, an error response → its code. *)
+  let call socket retries request =
+    match Serve.client_request ~socket ~retries (Jsonl.to_string request) with
+    | Error (`Unreachable (attempts, msg)) ->
+      prerr_endline (Printf.sprintf "shelley client: %s (%d attempts)" msg attempts);
+      exit 2
+    | Error (`Overloaded (attempts, _)) ->
+      prerr_endline
+        (Printf.sprintf "shelley client: daemon still overloaded after %d attempts"
+           attempts);
+      exit 4
+    | Ok line -> (
+      match Jsonl.parse line with
+      | Error msg ->
+        prerr_endline ("shelley client: unparseable response: " ^ msg);
+        exit 2
+      | Ok resp -> (
+        match Jsonl.mem_str "error" resp with
+        | Some msg ->
+          prerr_endline msg;
+          exit
+            (match Jsonl.mem_num "code" resp with
+            | Some f -> int_of_float f
+            | None -> 2)
+        | None -> Jsonl.member "result" resp))
+  in
   let run socket meth files warnings explain lint using timeout format retries
       priority deadline_ms watch polls =
     let params =
@@ -1519,92 +1485,39 @@ let client_cmd =
          transport or protocol failure ends the watch with the usual exit
          codes. *)
       let rec poll i prev =
-        match Serve.client_request ~socket ~retries (Jsonl.to_string request) with
-        | Error (`Unreachable (attempts, msg)) ->
-          prerr_endline
-            (Printf.sprintf "shelley client: %s (%d attempts)" msg attempts);
-          exit 2
-        | Error (`Overloaded (attempts, _)) ->
-          prerr_endline
-            (Printf.sprintf
-               "shelley client: daemon still overloaded after %d attempts"
-               attempts);
-          exit 4
-        | Ok line -> (
-          match Jsonl.parse line with
-          | Error msg ->
-            prerr_endline ("shelley client: unparseable response: " ^ msg);
-            exit 2
-          | Ok resp -> (
-            match Jsonl.mem_str "error" resp with
-            | Some msg ->
-              prerr_endline msg;
-              exit
-                (match Jsonl.mem_num "code" resp with
-                | Some f -> int_of_float f
-                | None -> 2)
-            | None ->
-              let result =
-                Option.value (Jsonl.member "result" resp) ~default:(Jsonl.Obj [])
-              in
-              let rendered, counters = watch_render meth result prev in
-              print_endline rendered;
-              flush stdout;
-              if polls > 0 && i + 1 >= polls then ()
-              else begin
-                Unix.sleepf (Float.max 0.0 interval);
-                poll (i + 1) counters
-              end))
+        let result = Option.value (call socket retries request) ~default:(Jsonl.Obj []) in
+        let rendered, counters = watch_render meth result prev in
+        print_endline rendered;
+        flush stdout;
+        if polls > 0 && i + 1 >= polls then ()
+        else begin
+          Unix.sleepf (Float.max 0.0 interval);
+          poll (i + 1) counters
+        end
       in
       poll 0 [];
       exit 0
     | None -> ());
-    match Serve.client_request ~socket ~retries (Jsonl.to_string request) with
-    | Error (`Unreachable (attempts, msg)) ->
-      prerr_endline
-        (Printf.sprintf "shelley client: %s (%d attempts)" msg attempts);
+    match call socket retries request with
+    | None ->
+      prerr_endline "shelley client: malformed response";
       exit 2
-    | Error (`Overloaded (attempts, _last)) ->
-      prerr_endline
-        (Printf.sprintf
-           "shelley client: daemon still overloaded after %d attempts" attempts);
-      exit 4
-    | Ok line -> (
-      match Jsonl.parse line with
-      | Error msg ->
-        prerr_endline ("shelley client: unparseable response: " ^ msg);
-        exit 2
-      | Ok resp -> (
-        match Jsonl.mem_str "error" resp with
-        | Some msg ->
-          prerr_endline msg;
-          let code =
-            match Jsonl.mem_num "code" resp with
-            | Some f -> int_of_float f
-            | None -> 2
-          in
-          exit code
-        | None -> (
-          match Jsonl.member "result" resp with
-          | None ->
-            prerr_endline "shelley client: malformed response";
-            exit 2
-          | Some result -> (
-            match Jsonl.mem_str "output" result with
-            | Some output ->
-              (* check / lint: replay the one-shot stdout byte-for-byte and
-                 exit with the one-shot code. *)
-              print_string output;
-              let code =
-                match Jsonl.mem_num "code" result with
-                | Some f -> int_of_float f
-                | None -> 0
-              in
-              if code <> 0 then exit code
-            | None ->
-              (* status / metrics / health / shutdown: print the result
-                 object as one line. *)
-              print_endline (Jsonl.to_string result)))))
+    | Some result -> (
+      match Jsonl.mem_str "output" result with
+      | Some output ->
+        (* check / lint: replay the one-shot stdout byte-for-byte and exit
+           with the one-shot code. *)
+        print_string output;
+        let code =
+          match Jsonl.mem_num "code" result with
+          | Some f -> int_of_float f
+          | None -> 0
+        in
+        if code <> 0 then exit code
+      | None ->
+        (* status / metrics / health / shutdown: print the result object
+           as one line. *)
+        print_endline (Jsonl.to_string result))
   in
   Cmd.v
     (Cmd.info "client"

@@ -247,7 +247,7 @@ let merge_outcomes ~of_outcome annotated outcomes =
     | (path, None, _) :: rest -> (
       match outcomes with
       | [] ->
-        (* Runner returns exactly one outcome per submitted task. *)
+        (* The pool returns exactly one outcome per submitted task. *)
         invalid_arg "Checker.merge_outcomes: outcome list too short"
       | (outcome, lane) :: more -> of_outcome path outcome lane :: go rest more)
   in

@@ -142,18 +142,14 @@ let read_timeout_response ~read_deadline =
 (* --- request parameters ----------------------------------------------------- *)
 
 let limits_of_params st params =
-  let d = Limits.default in
-  let int_param key default =
-    Option.value (Jsonl.mem_int key params) ~default
-  in
   let deadline =
     match Jsonl.mem_num "timeout" params with
-    | Some f -> Some f
     | None -> st.default_timeout
+    | timeout -> timeout
   in
   Limits.make
-    ~max_states:(int_param "max_states" d.Limits.max_states)
-    ~max_configs:(int_param "fuel" d.Limits.max_configs)
+    ?max_states:(Jsonl.mem_int "max_states" params)
+    ?max_configs:(Jsonl.mem_int "fuel" params)
     ?deadline ()
 
 let digests paths =

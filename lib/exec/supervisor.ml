@@ -9,7 +9,20 @@ type 'r outcome =
       attempts : int;
     }
 
-let signal_name = Runner.signal_name
+let signal_name n =
+  if n = Sys.sigkill then "SIGKILL"
+  else if n = Sys.sigsegv then "SIGSEGV"
+  else if n = Sys.sigabrt then "SIGABRT"
+  else if n = Sys.sigbus then "SIGBUS"
+  else if n = Sys.sigill then "SIGILL"
+  else if n = Sys.sigfpe then "SIGFPE"
+  else if n = Sys.sigterm then "SIGTERM"
+  else if n = Sys.sigint then "SIGINT"
+  else if n = Sys.sigpipe then "SIGPIPE"
+  else if n = Sys.sigalrm then "SIGALRM"
+  else if n = Sys.sighup then "SIGHUP"
+  else if n = Sys.sigquit then "SIGQUIT"
+  else Printf.sprintf "signal %d" n
 
 type config = {
   jobs : int;
@@ -283,7 +296,7 @@ let worker_main ~job_rd ~res_wr run label =
 
    Parent-side state: one slot per lane; a slot may hold a live worker
    process or be empty (backing off after a crash, or not yet demanded).
-   All scheduling state is per-[map_ex] call; slots and their workers
+   All scheduling state is per-[run] call; slots and their workers
    persist across calls — that is the whole point. *)
 
 type 't item = {
@@ -585,7 +598,7 @@ let backoff pool slot =
   bump "pool.backoff_waits" 1;
   bump "pool.backoff_us" (int_of_float (capped *. jitter *. 1e6))
 
-(* --- map_ex ----------------------------------------------------------------- *)
+(* --- run -------------------------------------------------------------------- *)
 
 type 'r settled = {
   outcome : 'r outcome;
@@ -667,7 +680,7 @@ let run ?retry ?deadline pool tasks =
       Queue.clear p.assigned
     in
     (* Worker died (EOF / read error on its result pipe): reap, classify
-       from the exit status with the same reasons Runner reports, charge
+       from the exit status ("killed by SIGKILL", "exited with code 42"), charge
        the started head, re-queue the rest. *)
     let handle_death slot (p : _ proc) =
       (try Unix.close p.job_wr with _ -> ());
@@ -977,9 +990,6 @@ let run ?retry ?deadline pool tasks =
              attempts = 0;
            })
   end
-
-let map_ex ?retry ?deadline pool tasks =
-  List.map (fun s -> (s.outcome, s.lane)) (run ?retry ?deadline pool tasks)
 
 let map ?retry ?deadline pool tasks =
   List.map (fun s -> s.outcome) (run ?retry ?deadline pool tasks)

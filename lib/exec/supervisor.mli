@@ -1,6 +1,6 @@
 (** A supervised, persistent prefork worker pool.
 
-    Where {!Runner} forks one short-lived process per task (and pays ~ms of
+    Rather than forking one short-lived process per task (and paying ~ms of
     fork + pipe setup for ~µs of work), a [Supervisor] pool forks its
     workers {e once} and then streams tasks to them over pipes as
     length-prefixed [Marshal] frames, batching several tasks per dispatch to
@@ -9,12 +9,11 @@
     everything fails eventually:
 
     - {b deadlines}: a task that outlives [config.deadline] is killed
-      externally (process-group SIGKILL, exactly like {!Runner}) and
-      reported [Timed_out]; the killed worker's remaining batch is re-queued
-      untouched.
+      externally (process-group SIGKILL) and reported [Timed_out]; the
+      killed worker's remaining batch is re-queued untouched.
     - {b crashes}: a worker that dies mid-task charges only the task it was
-      running ([Crashed], with the same ["killed by SIGNAL"] reasons as
-      {!Runner.signal_name}); the rest of its batch is re-queued at the same
+      running ([Crashed], with a ["killed by SIGNAL"] reason named by
+      {!signal_name}); the rest of its batch is re-queued at the same
       attempt number. The slot restarts under capped exponential backoff
       with jitter.
     - {b poisoned tasks}: a task whose retry also fails is final after 2
@@ -110,7 +109,7 @@ type ('t, 'r) t
 (** A pool mapping marshal-safe tasks ['t] to marshal-safe results ['r].
     The worker function is fixed at {!create} (it crosses into the workers
     by fork inheritance, never by marshaling), so one pool serves any
-    number of {!map_ex} calls — the daemon keeps one pool across
+    number of {!run} calls — the daemon keeps one pool across
     requests. *)
 
 val create :
@@ -149,22 +148,17 @@ val run :
     applies per-request deadlines over one long-lived pool. Never raises;
     never loses or duplicates a task. *)
 
-val map_ex :
-  ?retry:('t -> 't) -> ?deadline:float -> ('t, 'r) t -> 't list -> ('r outcome * int) list
-(** {!run} projected to (outcome, lane) — the shape {!Runner.map_ex}
-    returns, for drop-in callers. *)
-
 val map : ?retry:('t -> 't) -> ?deadline:float -> ('t, 'r) t -> 't list -> 'r outcome list
 (** {!run} projected to outcomes alone. *)
 
 val quiesce : ('t, 'r) t -> unit
 (** Retire every live worker (Quit, grace, SIGKILL, reap) but keep the pool
-    usable: the next {!map_ex} respawns on demand. The daemon calls this
+    usable: the next {!run} respawns on demand. The daemon calls this
     after an idle period so a dormant service holds no processes. *)
 
 val shutdown : ('t, 'r) t -> unit
 (** {!quiesce} and mark the pool closed. Idempotent. A closed pool runs
-    subsequent {!map_ex} calls inline (degraded), so even a use-after-close
+    subsequent {!run} calls inline (degraded), so even a use-after-close
     bug cannot lose results. *)
 
 type stats = {
@@ -215,4 +209,6 @@ val fault_injection : bool ref
     N fork attempts fail). Inert by default. *)
 
 val signal_name : int -> string
-(** Re-export of {!Runner.signal_name}: ["SIGKILL"], ["SIGSEGV"], …. *)
+(** Human-readable name for an OCaml [Sys] signal number (["SIGKILL"],
+    ["SIGSEGV"], …); ["signal <n>"] for unknown ones. Names the signal in
+    a [Crashed] reason here and in {!Nusmv_driver}'s tool verdicts. *)

@@ -10,7 +10,7 @@
 
     The one exception is {!field-deadline}: a wall-clock bound per
     verification *unit* (a whole file or class), enforced not by the checks
-    themselves but by the fork-based worker pool ({!Runner}), which kills
+    themselves but by the worker pool ([Supervisor]), which kills
     the unit's worker process when the deadline passes. Fuel bounds a
     construction from the inside; the deadline bounds a unit from the
     outside, catching whatever fuel cannot see (pathological GC churn,
@@ -40,9 +40,9 @@ type t = {
           constructions (guards Glushkov blowup in {!Usage.expanded_nfa}). *)
   deadline : float option;
       (** Wall-clock seconds granted to one verification unit before its
-          worker process is killed ({!Runner}); [None] = no deadline. Unlike
-          the fuel fields this is inherently nondeterministic — it exists to
-          isolate hangs the fuel counters cannot reach. *)
+          worker process is killed ([Supervisor]); [None] = no deadline.
+          Unlike the fuel fields this is inherently nondeterministic — it
+          exists to isolate hangs the fuel counters cannot reach. *)
   ledger : ledger;
       (** Tallies fuel drawn by every counter created [~within] this budget,
           keyed by resource name. Mutable and shared by design: {!snapshot}

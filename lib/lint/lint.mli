@@ -27,7 +27,7 @@ type diagnostic = {
   message : string;
 }
 (** Marshal-safe by construction (strings, ints, a plain variant): worker
-    processes send diagnostics back over the {!Runner} result pipe. *)
+    processes send diagnostics back over the worker pool's result pipe. *)
 
 type file_result = {
   lint_file : string;

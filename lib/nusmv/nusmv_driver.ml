@@ -100,7 +100,8 @@ let classify_output ~status ~stdout ~stderr =
       Tool_failed
         { reason = Printf.sprintf "exited with code %d" code; detail = tail_detail stderr }
   | Unix.WSIGNALED n | Unix.WSTOPPED n ->
-    Tool_failed { reason = "killed by " ^ Runner.signal_name n; detail = tail_detail stderr }
+    Tool_failed
+      { reason = "killed by " ^ Supervisor.signal_name n; detail = tail_detail stderr }
 
 (* Read both output pipes to EOF under an absolute deadline; kill on
    expiry. Reading concurrently (select) avoids the classic deadlock where

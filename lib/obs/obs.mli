@@ -17,7 +17,7 @@
     - {b Never on stdout.} Sinks render to [stderr] or to files the caller
       names; the verification report stream stays byte-identical whether
       observability is enabled or not (property-tested in the suite).
-    - {b Process-crossing profiles.} A forked worker ({!Runner}) records
+    - {b Process-crossing profiles.} A forked worker ([Supervisor]) records
       into its own (inherited) recorder; {!in_unit} delimits one
       verification unit and yields a marshal-safe {!profile} — plain
       strings and ints, no interned symbols — that the parent merges with
@@ -116,7 +116,7 @@ val profile_total_us : profile -> int
 
 val counters : unit -> (string * int) list
 (** Recorder-level (parent/orchestrator) counters, sorted by name —
-    e.g. the worker-pool stats {!Runner} records. Does not include unit
+    e.g. the worker-pool stats [Supervisor] records. Does not include unit
     counters ({!unit_counters}) or stable counters ({!stable_counters}). *)
 
 val stable_counters : unit -> (string * int) list

@@ -277,6 +277,94 @@ let test_status_reports_pool () =
         let spawns = int_of_float (Option.get (Jsonl.mem_num "spawns" pool)) in
         Alcotest.(check bool) "workers spawned for the check" true (spawns >= 1))
 
+(* --- Budget parameters ---------------------------------------------------------- *)
+
+(* The stdout and exit code a cram golden pins for [command]: the indented
+   lines after "  $ command", up to the next command or prose line, with
+   a trailing "  [N]" read as the exit code. *)
+let cram_output ~golden command =
+  let ic = open_in_bin golden in
+  let lines =
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+    |> String.split_on_char '\n'
+  in
+  let rec after = function
+    | [] -> Alcotest.failf "%s: no command '%s'" golden command
+    | l :: rest when String.equal l ("  $ " ^ command) -> rest
+    | _ :: rest -> after rest
+  in
+  let buf = Buffer.create 256 in
+  let rec collect = function
+    | l :: rest
+      when String.starts_with ~prefix:"  " l && not (String.starts_with ~prefix:"  $ " l)
+      -> (
+      let text = String.sub l 2 (String.length l - 2) in
+      match Scanf.sscanf_opt text "[%d]%!" Fun.id with
+      | Some code -> code
+      | None ->
+        Buffer.add_string buf text;
+        Buffer.add_char buf '\n';
+        collect rest)
+    | _ -> 0
+  in
+  let code = collect (after lines) in
+  (Buffer.contents buf, code)
+
+let budget_request meth files params =
+  Jsonl.to_string
+    (Jsonl.Obj
+       [
+         ("id", Jsonl.Num 1.);
+         ("method", Jsonl.Str meth);
+         ( "params",
+           Jsonl.Obj
+             (("files", Jsonl.Arr (List.map (fun f -> Jsonl.Str f) files))
+             :: List.map (fun (k, v) -> (k, Jsonl.Num (float_of_int v))) params) );
+       ])
+
+(* serve's budget parameters reach the engine exactly as the one-shot
+   flags do: each response is byte-identical to the one-shot run the cram
+   goldens pin. Requests run from the fixture directory so file names
+   render as they do there; the pool's workers fork inside it. *)
+let test_budget_params () =
+  let check = ("../samples", "cli.t/run.t", "check") in
+  let lint = ("lint.t", "lint.t/run.t", "lint") in
+  let cases =
+    [
+      (check, [ "bad_sector.py" ], [ ("fuel", 5) ], "shelley check --fuel 5 bad_sector.py");
+      ( check,
+        [ "bad_sector.py" ],
+        [ ("max_states", 2) ],
+        "shelley check --max-states 2 bad_sector.py" );
+      ( lint,
+        [ "redundant.py"; "contradict.py" ],
+        [ ("entail_fuel", 1) ],
+        "shelley lint --entail-fuel 1 redundant.py contradict.py" );
+      ( lint,
+        [ "clean.py"; "dead_op.py" ],
+        [ ("max_states", 2) ],
+        "shelley lint --max-states 2 clean.py dead_op.py" );
+    ]
+  in
+  List.iter
+    (fun ((dir, golden, meth), files, params, command) ->
+      let exp_output, exp_code = cram_output ~golden command in
+      let cwd = Sys.getcwd () in
+      Sys.chdir dir;
+      let resp =
+        Fun.protect
+          ~finally:(fun () -> Sys.chdir cwd)
+          (fun () ->
+            with_state @@ fun st ->
+            fst (Serve.handle_line st (budget_request meth files params)))
+      in
+      let output, code = result_of resp in
+      Alcotest.(check string) (command ^ ": output") exp_output output;
+      Alcotest.(check int) (command ^ ": code") exp_code code)
+    cases
+
 (* --- SIGTERM drain, end to end -------------------------------------------------- *)
 
 let wait_for ?(timeout = 10.) pred =
@@ -1035,6 +1123,7 @@ let () =
         [
           Alcotest.test_case "handle_line robustness" `Quick test_handle_line_robustness;
           Alcotest.test_case "status reports the pool" `Quick test_status_reports_pool;
+          Alcotest.test_case "budget params = one-shot flags" `Quick test_budget_params;
         ] );
       ( "admission",
         [
