@@ -113,9 +113,25 @@ let key : t Explore.key =
 
     let equal = equal
 
-    (* Deep enough that obligations differing only below the top few
-       constructors land in different buckets. *)
-    let hash f = Hashtbl.hash_param 32 128 f
+    (* The whole term, not a bounded prefix: progression obligations grow
+       into long junct chains that differ only deep inside, and a bounded
+       hash ([Hashtbl.hash] sees at most 256 nodes) files them all in one
+       bucket, turning every lookup into a scan of structural compares. *)
+    let rec hash f =
+      let mix h x = (h * 31) + x in
+      match f with
+      | True -> 1
+      | False -> 2
+      | Atom s -> mix 3 (Symbol.hash s)
+      | Not g -> mix 4 (hash g)
+      | Next g -> mix 5 (hash g)
+      | Wnext g -> mix 6 (hash g)
+      | Globally g -> mix 7 (hash g)
+      | Finally g -> mix 8 (hash g)
+      | And (a, b) -> mix (mix 9 (hash a)) (hash b)
+      | Or (a, b) -> mix (mix 10 (hash a)) (hash b)
+      | Until (a, b) -> mix (mix 11 (hash a)) (hash b)
+      | Wuntil (a, b) -> mix (mix 12 (hash a)) (hash b)
   end)
 
 (* Precedence: binary temporal (1) < or (2) < and (3) < unary (4). *)

@@ -55,8 +55,8 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val key : t Explore.key
-(** Formulas as {!Explore} keys: {!equal}, and a structural hash that looks
-    deep into the term. *)
+(** Formulas as {!Explore} keys: {!equal}, and a structural hash over the
+    whole term. *)
 
 val pp : Format.formatter -> t -> unit
 (** Paper-style: [(!a.open) W b.open]. *)

@@ -69,9 +69,22 @@ let explore ?(limits = Limits.default) ~alphabet f =
   let fuel =
     Limits.fuel ~within:limits ~resource:"progression obligations" limits.Limits.max_states
   in
+  let start = normalize f in
+  (* ACI normalization does not absorb, so an obligation such as
+     [F (F b U F c)] progresses into ever longer disjunctions: one new state
+     per step, each larger than the last, and memory runs out long before
+     the state budget trips. Cap each obligation relative to the start, as
+     {!Entail} caps its obligation vectors. Not recorded in the ledger: the
+     cap is a guard, not a construction's fuel. *)
+  let size_cap = min limits.Limits.max_regex_size (64 * (Ltlf.size start + 1)) in
+  let successor g e =
+    let g' = normalize (progress g e) in
+    Limits.check ~resource:"progression obligation size" ~limit:size_cap (Ltlf.size g');
+    g'
+  in
   let graph =
-    Explore.graph Ltlf.key ~fuel ~start:(normalize f)
-      ~step:(fun g emit -> List.iter (fun e -> emit e (normalize (progress g e))) alphabet)
+    Explore.graph Ltlf.key ~fuel ~start
+      ~step:(fun g emit -> List.iter (fun e -> emit e (successor g e)) alphabet)
       ()
   in
   Obs.count "progression.obligations" (Array.length graph.keys);

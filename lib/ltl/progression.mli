@@ -30,11 +30,14 @@ val to_dfa : ?limits:Limits.t -> alphabet:Symbol.t list -> Ltlf.t -> Dfa.t
     every event the checked system can emit (atoms outside it can never
     hold, which is almost never what a claim means).
 
-    The obligation closure is finite but can be doubly exponential in the
-    formula size; the construction discovers at most [limits.max_states]
-    obligations (default {!Limits.default}), turning a pathological claim
-    into a clean typed error instead of an apparent hang.
-    @raise Limits.Budget_exceeded beyond [limits.max_states] states. *)
+    The obligation closure can be doubly exponential in the formula size,
+    and single obligations can keep growing from step to step; the
+    construction discovers at most [limits.max_states] obligations (default
+    {!Limits.default}), each at most 64 times the size of the normalized
+    input (and at most [limits.max_regex_size]), turning a pathological
+    claim into a clean typed error instead of an apparent hang.
+    @raise Limits.Budget_exceeded beyond [limits.max_states] states or when
+    an obligation outgrows that size cap. *)
 
 val num_reachable_obligations : alphabet:Symbol.t list -> Ltlf.t -> int
 (** Size of the progression state space (before DFA minimization) —
