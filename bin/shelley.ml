@@ -119,8 +119,8 @@ let limits_term =
       & opt (some int) None
       & info [ "max-states" ] ~docv:"N"
           ~doc:
-            ("Budget for automaton states (determinization, progression, \
-              tableau). Exceeding it " ^ exceeded))
+            ("Budget for automaton states (determinization). Exceeding it "
+            ^ exceeded))
   in
   let fuel =
     Arg.(
@@ -129,7 +129,8 @@ let limits_term =
       & info [ "fuel" ] ~docv:"N"
           ~doc:
             ("Budget for product configurations explored by the language \
-              checks (and the SY101/SY104 lint rules). Exceeding it " ^ exceeded))
+              checks and the claim checks ($(b,check)'s claims, SY102/SY103 \
+              in $(b,lint)). Exceeding it " ^ exceeded))
   in
   let timeout =
     Arg.(

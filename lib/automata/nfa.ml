@@ -70,6 +70,11 @@ let of_graph ~accepting (g : (_, Symbol.t) Explore.graph) =
 let empty_language = create ~num_states:1 ~start:[ 0 ] ~accept:[] ~transitions:[] ()
 let eps_language = create ~num_states:1 ~start:[ 0 ] ~accept:[ 0 ] ~transitions:[] ()
 
+let universal alphabet =
+  create ~num_states:1 ~start:[ 0 ] ~accept:[ 0 ]
+    ~transitions:(List.map (fun sym -> (0, sym, 0)) (Symbol.Set.elements alphabet))
+    ()
+
 let symbol sym =
   create ~num_states:2 ~start:[ 0 ] ~accept:[ 1 ] ~transitions:[ (0, sym, 1) ] ()
 

@@ -31,6 +31,10 @@ val empty_language : t
 val eps_language : t
 (** Accepts exactly the empty trace. *)
 
+val universal : Symbol.Set.t -> t
+(** [universal σ] accepts every trace over [σ], the empty trace included:
+    one accepting state with a self-loop per symbol. *)
+
 val symbol : Symbol.t -> t
 (** Accepts exactly the one-event trace. *)
 

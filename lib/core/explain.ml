@@ -63,11 +63,6 @@ type claim_context = {
   implied_by : string list;
 }
 
-let universal_nfa alphabet =
-  Nfa.create ~num_states:1 ~start:[ 0 ] ~accept:[ 0 ]
-    ~transitions:(List.map (fun sym -> (0, sym, 0)) (Symbol.Set.elements alphabet))
-    ()
-
 let of_requirement ?(limits = Limits.default) ~(model : Model.t) ~formula ~counterexample
     () =
   let failed =
@@ -93,7 +88,7 @@ let of_requirement ?(limits = Limits.default) ~(model : Model.t) ~formula ~count
           (Symbol.Set.of_list counterexample)
           model.Model.claims
       in
-      let universal = universal_nfa alphabet in
+      let universal = Nfa.universal alphabet in
       List.filter_map
         (fun (text, f) ->
           match Entail.implies ~limits ~alphabet ~impl:universal ~hyps:[ f ] goal with

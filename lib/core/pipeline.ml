@@ -9,7 +9,9 @@ type result = {
    can never replay as current verdicts. *)
 (* 7: the concurrency extension — shuffled behaviors from async/create_task,
    interleaving-aware usage automata, SY112. *)
-let semantics_version = "7"
+(* 8: claims are decided by the entailment product, so they spend --fuel
+   (entailment configurations) instead of --max-states. *)
+let semantics_version = "8"
 
 let env_of result name =
   List.find_opt (fun (m : Model.t) -> String.equal m.Model.name name) result.models

@@ -44,7 +44,7 @@ type t =
   | Resource_limit of {
       class_name : string;
       check : string;  (** which pipeline check was cut short, e.g. ["usage"] *)
-      resource : string;  (** which budget ran out, e.g. ["progression obligations"] *)
+      resource : string;  (** which budget ran out, e.g. ["entailment configurations"] *)
       limit : int;
     }
       (** A check exceeded its {!Limits.t} budget and was skipped; every

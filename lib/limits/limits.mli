@@ -34,7 +34,8 @@ type t = {
           obligations in {!Progression.to_dfa}. *)
   max_configs : int;
       (** Cap on explored product configurations in language comparisons
-          ({!Language.inclusion_counterexample}, {!Language.intersect}). *)
+          ({!Language.inclusion_counterexample}, {!Language.intersect}) and
+          in claim checks ({!Entail.implies}). *)
   max_regex_size : int;
       (** Cap on the AST size of behavior regexes fed to automaton
           constructions (guards Glushkov blowup in {!Usage.expanded_nfa}). *)

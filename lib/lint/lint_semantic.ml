@@ -111,10 +111,10 @@ let claim_alphabet_of (model : Model.t) impl =
 
 let claim_alphabet ctx impl = claim_alphabet_of ctx.model impl
 
-let universal_nfa alphabet =
-  Nfa.create ~num_states:1 ~start:[ 0 ] ~accept:[ 0 ]
-    ~transitions:(List.map (fun sym -> (0, sym, 0)) (Symbol.Set.elements alphabet))
-    ()
+(* Does [formula] hold on every trace over [alphabet], the empty one
+   included? SY102 asks it of a claim, SY103 of the claim's negation. *)
+let holds_on_every_trace ctx alphabet formula =
+  Result.is_ok (Ltl_check.check ~limits:ctx.limits ~impl:(Nfa.universal alphabet) formula)
 
 let vacuous_claim ctx =
   let model = ctx.model in
@@ -133,9 +133,7 @@ let vacuous_claim ctx =
                  is checked only against the empty trace"
                 text model.Model.name )
         else if
-          (not (Symbol.Set.is_empty alphabet))
-          && Result.is_ok
-               (Ltl_check.check ~limits:ctx.limits ~impl:(universal_nfa alphabet) formula)
+          (not (Symbol.Set.is_empty alphabet)) && holds_on_every_trace ctx alphabet formula
         then
           Some
             ( Some model.Model.line,
@@ -157,14 +155,7 @@ let unsatisfiable_claim ctx =
     else
       List.filter_map
         (fun (text, formula) ->
-          let nfa =
-            Tableau.to_nfa ~limits:ctx.limits
-              ~alphabet:(Symbol.Set.elements alphabet)
-              formula
-          in
-          (* The empty trace also satisfies a claim; a claim is contradictory
-             only when no trace — empty or not — models it. *)
-          if Nfa.is_empty nfa && not (Ltlf.holds formula []) then
+          if holds_on_every_trace ctx alphabet (Ltlf.neg formula) then
             Some
               ( Some model.Model.line,
                 Printf.sprintf
@@ -245,7 +236,7 @@ let analyze_claims ?fuel ?impl ~limits (model : Model.t) =
   let verdicts = Array.make n Kept in
   let kept = ref (List.init n Fun.id) in
   if not no_calls then begin
-    let universal = universal_nfa alphabet in
+    let universal = Nfa.universal alphabet in
     for i = n - 1 downto 0 do
       let others = List.filter (fun j -> j <> i) !kept in
       let hyps = List.map formula others in

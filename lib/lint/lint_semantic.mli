@@ -1,9 +1,10 @@
 (** The semantic lint rules (SY101–SY112).
 
     Where {!Validate} checks the *shape* of a model, these rules reuse the
-    verification machinery itself — usage automata, language inclusion,
-    LTLf tableau/progression and the on-the-fly entailment engine
-    ({!Entail}) — to catch specification bugs that only show up at the
+    verification machinery itself — usage automata, language inclusion and
+    the on-the-fly entailment engine ({!Entail}, which decides every claim
+    question: SY102/SY103 through {!Ltl_check.check} over the universal
+    automaton) — to catch specification bugs that only show up at the
     language level: operations no accepted usage exercises, claims that
     constrain nothing (or can never hold, or are entailed by the rest of
     the specification, or contradict each other over the model), subsystems
@@ -14,7 +15,8 @@
     Every rule runs under the caller's {!Limits.t} fuel budget; a blown
     budget surfaces as {!Limits.Budget_exceeded}, which the engine
     ({!Lint}) converts into an SY090 diagnostic for that class while the
-    other rules still run. Entailment queries are additionally budgeted by
+    other rules still run; SY102/SY103 spend [limits.max_configs] this way.
+    The claim-set queries (SY104/SY109–SY111) are instead budgeted by
     [thresholds.entail_fuel] and degrade *silently* on exhaustion: an
     undecided implication produces no finding (it is only counted, as
     [entail.budget_exhausted]). *)

@@ -20,14 +20,11 @@ let entail_resource = "entailment configurations"
    on the whole vector, so each reachable triple is expanded exactly once. *)
 let product_key = Explore.pair States.key (Explore.list Ltlf.key)
 
-(* One progression step, keyed on (obligation, event). The deep hash keeps
-   obligations that differ only below the top few constructors apart. *)
-module Step = Hashtbl.Make (struct
-  type t = Ltlf.t * Symbol.t
-
-  let equal (o1, e1) (o2, e2) = Symbol.equal e1 e2 && Ltlf.equal o1 o2
-  let hash (o, e) = Hashtbl.hash_param 32 128 (o, Symbol.hash e)
-end)
+(* One progression step, keyed on (obligation, event), hashed by the whole
+   obligation as every other obligation table is. *)
+module Step = Hashtbl.Make
+  ((val Explore.pair Ltlf.key (module Symbol) : Explore.KEY
+     with type t = Ltlf.t * Symbol.t))
 
 let full_alphabet alphabet impl formulas =
   List.fold_left
@@ -55,7 +52,8 @@ let joint_witness ?(limits = Limits.default) ?fuel ?(alphabet = Symbol.Set.empty
      fuel — enough to exhaust memory long before the state budget trips.
      Cap the vector size relative to its initial size: well-behaved formulas
      progress into subformula combinations and never approach the cap, while
-     runaway growth degrades to [Unknown] in a few steps. *)
+     runaway growth degrades to [Unknown] in a few steps. Not recorded in
+     the ledger: the cap is a guard, not a construction's fuel. *)
   let vector_size = List.fold_left (fun acc o -> acc + Ltlf.size o) 0 in
   let size_cap =
     let initial =
@@ -64,7 +62,7 @@ let joint_witness ?(limits = Limits.default) ?fuel ?(alphabet = Symbol.Set.empty
     min limits.Limits.max_regex_size (64 * initial)
   in
   let check_size obligations =
-    Limits.check ~within:limits ~resource:"entailment obligation size" ~limit:size_cap
+    Limits.check ~resource:"entailment obligation size" ~limit:size_cap
       (vector_size obligations)
   in
   let accepting (config, obligations) =

@@ -7,18 +7,11 @@ let pp_violation fmt v =
   Format.fprintf fmt "@[<v>Formula: %a@,Counter example: %a@]" Ltlf.pp v.formula Trace.pp
     v.counterexample
 
-let check ?limits ?(alphabet = Symbol.Set.empty) ~impl formula =
-  Obs.with_span "ltl.check" @@ fun () ->
-  let full_alphabet =
-    Symbol.Set.union alphabet (Symbol.Set.union (Nfa.alphabet impl) (Ltlf.atoms formula))
-  in
-  let dfa =
-    Progression.to_dfa ?limits ~alphabet:(Symbol.Set.elements full_alphabet) formula
-  in
-  let spec = Dfa.to_nfa dfa in
-  match Language.inclusion_counterexample ?limits ~alphabet:full_alphabet ~impl ~spec () with
-  | None -> Ok ()
-  | Some counterexample -> Error { formula; counterexample }
+let check ?limits ?alphabet ~impl formula =
+  match Entail.implies ?limits ?alphabet ~impl ~hyps:[] formula with
+  | Entail.Entailed -> Ok ()
+  | Entail.Not_entailed counterexample -> Error { formula; counterexample }
+  | Entail.Unknown { resource; limit } -> raise (Limits.Budget_exceeded { resource; limit })
 
 let check_claim ?limits ?alphabet ~impl claim =
   check ?limits ?alphabet ~impl (Ltl_parser.parse claim)

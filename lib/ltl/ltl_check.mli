@@ -1,11 +1,12 @@
 (** Claim checking: does every trace of an implementation automaton satisfy
     an LTLf formula?
 
-    This is the engine behind Shelley's
-    ["Error in specification: FAIL TO MEET REQUIREMENT"] report: the
-    implementation language is compared against the progression DFA of the
-    claim, and a violation comes with a length-minimal counterexample
-    trace. *)
+    This is the check behind Shelley's
+    ["Error in specification: FAIL TO MEET REQUIREMENT"] report. It is
+    {!Entail.implies} with no hypotheses: the on-the-fly product of the
+    implementation with the claim's progression obligations, which builds no
+    automaton for the claim. A violation comes with the shortlex-least of
+    the shortest counterexample traces. *)
 
 type violation = {
   formula : Ltlf.t;
@@ -27,8 +28,9 @@ val check :
   (unit, violation) result
 (** [check ~impl φ] verifies [L(impl) ⊆ L(φ)] over the union of the
     implementation alphabet, the formula's atoms, and [?alphabet].
-    @raise Limits.Budget_exceeded if the claim automaton or the language
-    product exceeds the budget (default {!Limits.default}). *)
+    @raise Limits.Budget_exceeded when {!Entail.implies} answers
+    [Unknown]: the product outgrew [limits.max_configs] (resource
+    ["entailment configurations"]) or an obligation outgrew its size cap. *)
 
 val check_claim :
   ?limits:Limits.t ->
@@ -41,4 +43,4 @@ val check_claim :
 
 val holds_on_all_words : max_len:int -> Ltlf.t -> Nfa.t -> bool
 (** Test-oracle variant: evaluate {!Ltlf.holds} directly on every accepted
-    word up to [max_len] — used to validate the automaton construction. *)
+    word up to [max_len] — used to validate {!check}. *)

@@ -111,13 +111,3 @@ let to_nfa ?(limits = Limits.default) ~alphabet f =
   in
   Obs.count "tableau.states" (Array.length graph.keys);
   Nfa.of_graph ~accepting graph
-
-let check ?limits ?(alphabet = Symbol.Set.empty) ~impl formula =
-  Obs.with_span "ltl.check" @@ fun () ->
-  let full_alphabet =
-    Symbol.Set.union alphabet (Symbol.Set.union (Nfa.alphabet impl) (Ltlf.atoms formula))
-  in
-  let spec = to_nfa ?limits ~alphabet:(Symbol.Set.elements full_alphabet) formula in
-  match Language.inclusion_counterexample ?limits ~alphabet:full_alphabet ~impl ~spec () with
-  | None -> Ok ()
-  | Some counterexample -> Error { Ltl_check.formula; counterexample }

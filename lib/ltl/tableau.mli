@@ -1,10 +1,12 @@
 (** Tableau-style LTLf → NFA construction.
 
-    The alternative back end the paper's §5 asks about: checking claims
-    "directly in regular languages". Where {!Progression} rewrites one
-    obligation *formula* per step (yielding a deterministic automaton whose
-    states are formulas), the tableau works on obligation *sets*: a formula
-    in negation normal form is decomposed by the classical α/β rules
+    A strict construction kept as a test oracle: {!Entail.oracle_implies},
+    the tests and the benches build it, while every claim on the [check] and
+    [lint] paths is decided by the on-the-fly {!Entail} product. Where
+    {!Progression} rewrites one obligation *formula* per step (yielding a
+    deterministic automaton whose states are formulas), the tableau works on
+    obligation *sets*: a formula in negation normal form is decomposed by
+    the classical α/β rules
 
     {v
     φ∧ψ ⇒ {φ, ψ}            φ∨ψ ⇒ {φ} | {ψ}
@@ -32,12 +34,3 @@ val to_nfa : ?limits:Limits.t -> alphabet:Symbol.t list -> Ltlf.t -> Nfa.t
 val elementary_sets : Ltlf.t -> Ltlf.t list list
 (** The initial elementary sets of (the NNF of) a formula, sorted — exposed
     for tests. *)
-
-val check :
-  ?limits:Limits.t ->
-  ?alphabet:Symbol.Set.t ->
-  impl:Nfa.t ->
-  Ltlf.t ->
-  (unit, Ltl_check.violation) result
-(** Claim checking through the tableau back end — same contract as
-    {!Ltl_check.check}. *)

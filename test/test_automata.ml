@@ -397,10 +397,7 @@ let nfa_gen =
   return (Nfa.create ~num_states:n ~start ~accept ~transitions ~epsilons ())
 
 (* Accepts every trace over [step_alphabet]. *)
-let universal =
-  Nfa.create ~num_states:1 ~start:[ 0 ] ~accept:[ 0 ]
-    ~transitions:(List.map (fun x -> (0, x, 0)) step_alphabet)
-    ()
+let universal = Nfa.universal (Symbol.Set.of_list step_alphabet)
 
 module Config_pairs = Set.Make (struct
   type t = States.Set.t * States.Set.t

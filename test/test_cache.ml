@@ -333,7 +333,7 @@ let check_fingerprint_limits ~cache ~limits files =
 let test_budget_invalidation_end_to_end () =
   with_corpus [ Bad ] (fun dir files ->
       let cache = fresh_cache dir "budget" in
-      let tight = Limits.make ~max_states:2 () in
+      let tight = Limits.make ~max_configs:2 () in
       let full = check_fingerprint_limits ~cache ~limits:Limits.default files in
       let small = check_fingerprint_limits ~cache ~limits:tight files in
       Alcotest.(check bool) "tight budget not served the full-budget verdict" true

@@ -5,7 +5,7 @@ open Testutil
    whenever the oracle finishes within budget, and every [Not_entailed]
    counterexample must be a genuine model trace satisfying the hypotheses
    and violating the goal — confirmed both by direct [Ltlf.holds]
-   evaluation and by replaying the trace through [Ltl_check]. *)
+   evaluation and by replaying the trace through the strict oracle. *)
 
 let alphabet = List.map Symbol.intern [ "a.open"; "a.close"; "b.open" ]
 let alphabet_set = Symbol.Set.of_list alphabet
@@ -69,7 +69,7 @@ let case_print (impl, hyps, goal) =
     (Ltlf.to_string goal)
 
 (* A linear NFA accepting exactly [tr], for replaying counterexamples
-   through Ltl_check. *)
+   through the strict oracle. *)
 let nfa_of_trace tr =
   let n = Trace.length tr in
   Nfa.create ~num_states:(n + 1) ~start:[ 0 ] ~accept:[ n ]
@@ -96,6 +96,24 @@ let prop_matches_oracle =
         | _, _ -> false
       end)
 
+(* Both engines are breadth-first over sorted symbols, so a refutation is
+   the same shortlex-least trace whichever engine found it. *)
+let counterexample_identity ~name ~hyps_of =
+  qtest name ~count:300 case_gen ~print:case_print (fun (impl, hyps, goal) ->
+      let hyps = hyps_of hyps in
+      match
+        ( Entail.oracle_implies ~limits ~alphabet:alphabet_set ~impl ~hyps goal,
+          Entail.implies ~limits ~alphabet:alphabet_set ~impl ~hyps goal )
+      with
+      | Entail.Not_entailed t1, Entail.Not_entailed t2 -> Trace.equal t1 t2
+      | _ -> true)
+
+let prop_same_counterexample_no_hyps =
+  counterexample_identity ~name:"one counterexample, no hyps" ~hyps_of:(fun _ -> [])
+
+let prop_same_counterexample =
+  counterexample_identity ~name:"one counterexample, with hyps" ~hyps_of:Fun.id
+
 (* --- Counterexample soundness ---------------------------------------------- *)
 
 let prop_counterexample_sound =
@@ -113,28 +131,30 @@ let prop_counterexample_sound =
            && not (Ltlf.holds goal tr))
 
 let prop_counterexample_replays =
-  qtest "Not_entailed trace replays through Ltl_check" ~count:200 case_gen
+  qtest "Not_entailed trace replays through the strict oracle" ~count:200 case_gen
     ~print:case_print (fun (impl, hyps, goal) ->
       match Entail.implies ~limits ~alphabet:alphabet_set ~impl ~hyps goal with
       | Entail.Entailed | Entail.Unknown _ -> true
-      | Entail.Not_entailed tr when Trace.length tr <= 50 -> (
-        try
+      | Entail.Not_entailed tr when Trace.length tr <= 50 ->
         let single = nfa_of_trace tr in
+        let oracle f =
+          Entail.oracle_implies ~limits ~alphabet:alphabet_set ~impl:single ~hyps:[] f
+        in
         let violates_goal =
-          match Ltl_check.check ~limits ~alphabet:alphabet_set ~impl:single goal with
-          | Error _ -> true
-          | Ok () -> false
+          match oracle goal with
+          | Entail.Not_entailed t -> Trace.equal t tr
+          | Entail.Unknown _ -> true
+          | Entail.Entailed -> false
         in
         let satisfies_hyps =
           List.for_all
             (fun h ->
-              match Ltl_check.check ~limits ~alphabet:alphabet_set ~impl:single h with
-              | Ok () -> true
-              | Error _ -> false)
+              match oracle h with
+              | Entail.Entailed | Entail.Unknown _ -> true
+              | Entail.Not_entailed _ -> false)
             hyps
         in
         violates_goal && satisfies_hyps
-        with Limits.Budget_exceeded _ -> true)
       | Entail.Not_entailed _ -> true)
 
 (* --- Entailed verdicts checked against bounded enumeration ----------------- *)
@@ -209,7 +229,7 @@ let () =
   Alcotest.run "entail"
     [
       ( "differential",
-        [ prop_matches_oracle ] );
+        [ prop_matches_oracle; prop_same_counterexample_no_hyps; prop_same_counterexample ] );
       ( "soundness",
         [
           prop_counterexample_sound;

@@ -344,16 +344,58 @@ let prop_tableau_equals_semantics =
           let nfa = Tableau.to_nfa ~limits ~alphabet f in
           Nfa.accepts nfa w = Ltlf.holds f w))
 
-let test_tableau_check_agrees () =
-  let impl =
-    impl_of
-      (Regex.seq (Regex.star (Regex.sym_of_name "a.test")) (Regex.sym_of_name "a.open"))
+(* The claim check runs on the on-the-fly product; the progression DFA that
+   the monitor and the NuSMV export still build must give the same verdicts
+   and the same shortest counterexamples. *)
+let eager_check ?limits ~impl f =
+  let full = Symbol.Set.union (Nfa.alphabet impl) (Ltlf.atoms f) in
+  let spec =
+    Dfa.to_nfa (Progression.to_dfa ?limits ~alphabet:(Symbol.Set.elements full) f)
   in
-  match Tableau.check ~impl paper_claim, Ltl_check.check ~impl paper_claim with
-  | Error v1, Error v2 ->
-    Alcotest.check trace "same shortest counterexample" v2.Ltl_check.counterexample
-      v1.Ltl_check.counterexample
-  | _ -> Alcotest.fail "both back ends must report a violation"
+  Language.inclusion_counterexample ?limits ~alphabet:full ~impl ~spec ()
+
+let claim_check ?limits ~impl f =
+  match Ltl_check.check ?limits ~impl f with
+  | Ok () -> None
+  | Error v -> Some v.Ltl_check.counterexample
+
+let test_tableau_check_agrees () =
+  let impls =
+    [
+      impl_of
+        (Regex.seq (Regex.star (Regex.sym_of_name "a.test")) (Regex.sym_of_name "a.open"));
+      impl_of (Regex.word (List.map Symbol.intern [ "b.open"; "a.open" ]));
+      impl_of (Regex.star (Regex.alt (Regex.sym_of_name "a.open") (Regex.sym_of_name "b.open")));
+      Nfa.empty_language;
+    ]
+  in
+  let formulas =
+    [
+      paper_claim;
+      Ltlf.globally (Ltlf.implies a_open (Ltlf.finally b_open));
+      Ltlf.finally (Ltlf.conj a_open (Ltlf.next b_open));
+      Ltlf.neg paper_claim;
+      Ltlf.next (Ltlf.next a_open);
+    ]
+  in
+  List.iter
+    (fun impl ->
+      List.iter
+        (fun f ->
+          Alcotest.(check (option trace))
+            (Ltlf.to_string f) (eager_check ~impl f) (claim_check ~impl f))
+        formulas)
+    impls
+
+let prop_check_equals_eager =
+  qtest "claim check = progression DFA inclusion" ~count:80
+    QCheck2.Gen.(pair ltl_gen (regex_gen_over alphabet))
+    ~print:(fun (f, r) -> Printf.sprintf "%s on %s" (Ltlf.to_string f) (Regex.to_string r))
+    (fun (f, r) ->
+      let limits = Limits.make ~max_states:budget ~max_configs:budget () in
+      let impl = impl_of r in
+      with_budget (fun () ->
+          Option.equal Trace.equal (claim_check ~limits ~impl f) (eager_check ~limits ~impl f)))
 
 let test_tableau_unsatisfiable () =
   let f = Ltlf.conj (Ltlf.finally a_open) (Ltlf.globally (Ltlf.neg a_open)) in
@@ -452,6 +494,7 @@ let () =
           Alcotest.test_case "paper claim branches" `Quick test_tableau_elementary_paper_claim;
           Alcotest.test_case "agrees on corpus" `Quick test_tableau_agrees_on_corpus;
           Alcotest.test_case "check agrees" `Quick test_tableau_check_agrees;
+          prop_check_equals_eager;
           Alcotest.test_case "unsatisfiable" `Quick test_tableau_unsatisfiable;
           prop_tableau_equals_progression;
           prop_tableau_equals_semantics;
