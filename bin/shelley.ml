@@ -119,8 +119,11 @@ let limits_term =
       & opt (some int) None
       & info [ "max-states" ] ~docv:"N"
           ~doc:
-            ("Budget for automaton states (determinization). Exceeding it "
-            ^ exceeded))
+            "Budget for automaton states built by subset construction, which \
+             only the lint rule SY101 (dead-operation) performs: it applies \
+             to $(b,lint) and to $(b,check --lint); plain $(b,check) builds \
+             no such automaton and ignores it. Exceeding it reports SY090 \
+             for that rule and exits 3 while every other check still runs.")
   in
   let fuel =
     Arg.(

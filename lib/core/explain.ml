@@ -93,7 +93,10 @@ let of_requirement ?(limits = Limits.default) ~(model : Model.t) ~formula ~count
         (fun (text, f) ->
           match Entail.implies ~limits ~alphabet ~impl:universal ~hyps:[ f ] goal with
           | Entail.Entailed -> Some text
-          | Entail.Not_entailed _ | Entail.Unknown _ -> None)
+          | Entail.Not_entailed _ -> None
+          | Entail.Unknown _ ->
+            Obs.count "entail.budget_exhausted" 1;
+            None)
         others
   in
   { failed_claim = formula; also_violated; implied_by }

@@ -80,15 +80,17 @@ type cache_payload =
     }
   | Cached_lint of Lint.file_result
 
-let limits_key_parts (l : Limits.t) =
+let limits_key_parts ~states (l : Limits.t) =
   (* The wall-clock deadline is deliberately absent: it can prevent a
      verdict (and timed-out units are never stored), but it cannot change
-     one, so results computed with and without --timeout share entries. *)
-  [
-    Printf.sprintf "max_states=%d" l.Limits.max_states;
-    Printf.sprintf "max_configs=%d" l.Limits.max_configs;
-    Printf.sprintf "max_regex_size=%d" l.Limits.max_regex_size;
-  ]
+     one, so results computed with and without --timeout share entries.
+     [max_states] is read only by the lint pass (SY101's determinization),
+     so a plain check does not key on it. *)
+  (if states then [ Printf.sprintf "max_states=%d" l.Limits.max_states ] else [])
+  @ [
+      Printf.sprintf "max_configs=%d" l.Limits.max_configs;
+      Printf.sprintf "max_regex_size=%d" l.Limits.max_regex_size;
+    ]
 
 (* The path is key material, not just the content: rendered blocks and lint
    findings embed it ("== path ==", "path:line:"), so two files with equal
@@ -105,7 +107,7 @@ let check_cache_key ?(limits = Limits.default) ?(warnings = false) ?(explain = f
        "path=" ^ path;
        "src=" ^ Digest.to_hex (Digest.string source);
      ]
-    @ limits_key_parts limits
+    @ limits_key_parts ~states:lint limits
     @ [
         Printf.sprintf "warnings=%b" warnings;
         Printf.sprintf "explain=%b" explain;
@@ -125,7 +127,7 @@ let lint_cache_key ?(limits = Limits.default)
        "path=" ^ path;
        "src=" ^ Digest.to_hex (Digest.string source);
      ]
-    @ limits_key_parts limits
+    @ limits_key_parts ~states:true limits
     @ [
         Printf.sprintf "max_behavior_size=%d" thresholds.Lint_semantic.max_behavior_size;
         Printf.sprintf "max_star_height=%d" thresholds.Lint_semantic.max_star_height;

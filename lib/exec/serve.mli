@@ -9,7 +9,8 @@
 
     - [check] — params [files] (required), [warnings] / [explain] / [lint]
       (bools), [using] (array of model files), [timeout] (seconds),
-      [max_states] / [fuel] (ints). The result's [output] is byte-identical
+      [max_states] / [fuel] (ints; [max_states] reaches only the [lint]
+      pass, as for the CLI). The result's [output] is byte-identical
       to what one-shot [shelley check] prints on stdout for the same
       arguments (including the trailing ["OK: specification verified"] line
       on success) and [code] is the one-shot exit code.

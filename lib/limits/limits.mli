@@ -30,8 +30,9 @@ type ledger
 type t = {
   max_states : int;
       (** Cap on discovered automaton states: subset-construction
-          configurations in {!Determinize.determinize} and progression
-          obligations in {!Progression.to_dfa}. *)
+          configurations in {!Determinize.determinize} (on the CLI paths:
+          lint rule SY101) and progression obligations in
+          {!Progression.to_dfa}. *)
   max_configs : int;
       (** Cap on explored product configurations in language comparisons
           ({!Language.inclusion_counterexample}, {!Language.intersect}) and

@@ -208,19 +208,23 @@ let analyze_claims ?fuel ?impl ~limits (model : Model.t) =
   let alphabet = claim_alphabet_of model impl in
   let no_calls = Symbol.Set.is_empty (Nfa.alphabet impl) in
   let undecided = ref 0 in
+  let give_up () =
+    incr undecided;
+    Obs.count "entail.budget_exhausted" 1
+  in
   let implies_over base hyps goal =
     match Entail.implies ~limits ?fuel ~alphabet ~impl:base ~hyps goal with
     | Entail.Entailed -> Some true
     | Entail.Not_entailed _ -> Some false
     | Entail.Unknown _ ->
-      incr undecided;
+      give_up ();
       None
   in
   let witness_over base formulas =
     match Entail.joint_witness ~limits ?fuel ~alphabet ~impl:base formulas with
     | Ok w -> Some w
     | Error _ ->
-      incr undecided;
+      give_up ();
       None
   in
   (* Greedy minimization of an already-sufficient hypothesis set: drop each

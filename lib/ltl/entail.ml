@@ -101,9 +101,7 @@ let joint_witness ?(limits = Limits.default) ?fuel ?(alphabet = Symbol.Set.empty
         ()
     with
     | witness -> Ok witness
-    | exception Limits.Budget_exceeded { resource; limit } ->
-      Obs.count "entail.budget_exhausted" 1;
-      Error { resource; limit }
+    | exception Limits.Budget_exceeded { resource; limit } -> Error { resource; limit }
   in
   Obs.count "entail.states" counts.states;
   Obs.count "entail.memo_hits" counts.memo_hits;

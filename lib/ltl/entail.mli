@@ -20,8 +20,10 @@
     [limits.max_configs]) are materialized, after which the verdict degrades
     to {!Unknown} instead of raising — callers downgrade gracefully rather
     than reporting findings they could not prove. Obs counters
-    [entail.states], [entail.memo_hits] and [entail.budget_exhausted] feed
-    [--stats]/[--metrics-out]. *)
+    [entail.states] and [entail.memo_hits] feed [--stats]/[--metrics-out];
+    the callers that drop an {!Unknown} silently (the claim-set lint rules,
+    [shelley claims], [check --explain]) count it as
+    [entail.budget_exhausted]. *)
 
 type budget = {
   resource : string;

@@ -274,10 +274,16 @@ let test_key_sensitivity () =
   let differs label k = Alcotest.(check bool) (label ^ " changes the key") true (k <> base) in
   differs "source" (Checker.check_cache_key ~path:"unit.py" (src ^ "\n"));
   differs "path" (Checker.check_cache_key ~path:"other.py" src);
-  differs "max_states"
-    (Checker.check_cache_key
-       ~limits:(Limits.make ~max_states:7 ())
-       ~path:"unit.py" src);
+  (* Only the lint pass determinizes: --max-states is key material for
+     check --lint, not for a plain check. *)
+  let states7 = Limits.make ~max_states:7 () in
+  Alcotest.(check string)
+    "max_states not key material without --lint" base
+    (Checker.check_cache_key ~limits:states7 ~path:"unit.py" src);
+  Alcotest.(check bool)
+    "max_states changes the --lint key" true
+    (Checker.check_cache_key ~lint:true ~limits:states7 ~path:"unit.py" src
+    <> Checker.check_cache_key ~lint:true ~path:"unit.py" src);
   differs "fuel"
     (Checker.check_cache_key
        ~limits:(Limits.make ~max_configs:7 ())

@@ -320,8 +320,7 @@ let budget_request meth files params =
          ("method", Jsonl.Str meth);
          ( "params",
            Jsonl.Obj
-             (("files", Jsonl.Arr (List.map (fun f -> Jsonl.Str f) files))
-             :: List.map (fun (k, v) -> (k, Jsonl.Num (float_of_int v))) params) );
+             (("files", Jsonl.Arr (List.map (fun f -> Jsonl.Str f) files)) :: params) );
        ])
 
 (* serve's budget parameters reach the engine exactly as the one-shot
@@ -331,20 +330,22 @@ let budget_request meth files params =
 let test_budget_params () =
   let check = ("../samples", "cli.t/run.t", "check") in
   let lint = ("lint.t", "lint.t/run.t", "lint") in
+  let n v = Jsonl.Num (float_of_int v) in
   let cases =
     [
-      (check, [ "bad_sector.py" ], [ ("fuel", 5) ], "shelley check --fuel 5 bad_sector.py");
+      (check, [ "bad_sector.py" ], [ ("fuel", n 5) ], "shelley check --fuel 5 bad_sector.py");
+      (check, [ "bad_sector.py" ], [ ("fuel", n 2) ], "shelley check --fuel 2 bad_sector.py");
       ( check,
         [ "bad_sector.py" ],
-        [ ("max_states", 2) ],
-        "shelley check --max-states 2 bad_sector.py" );
+        [ ("lint", Jsonl.Bool true); ("max_states", n 2) ],
+        "shelley check --lint --max-states 2 bad_sector.py" );
       ( lint,
         [ "redundant.py"; "contradict.py" ],
-        [ ("entail_fuel", 1) ],
+        [ ("entail_fuel", n 1) ],
         "shelley lint --entail-fuel 1 redundant.py contradict.py" );
       ( lint,
         [ "clean.py"; "dead_op.py" ],
-        [ ("max_states", 2) ],
+        [ ("max_states", n 2) ],
         "shelley lint --max-states 2 clean.py dead_op.py" );
     ]
   in
