@@ -18,6 +18,15 @@
    family (every symbol self-loops) makes permutations of the same
    eventuality set converge, to exercise and record the memo-hit ratio.
 
+   Two obligation-space families run at default budgets over flower
+   models. The growing family nests the tautology
+   [(F c) -> F ((F b) U (F c))] to depth d: under a normal form that
+   neither absorbs nor distributes its obligations grow on every step.
+   The conjunctive family [∧ᵢ<k (X aᵢ ∨ X bᵢ)] has 2^k clauses in
+   disjunctive normal form. Every instance of both must end in a
+   definitive verdict, in smoke and full mode alike: the floor is a
+   count, so it holds on any host.
+
    Run: dune exec bench/bench_entail.exe [--smoke] *)
 
 let smoke = Array.exists (String.equal "--smoke") Sys.argv
@@ -111,6 +120,62 @@ let run_instance ~label ~m ~expected ~impl ~hyps goal =
     oracle_ms = oracle_ms *. 1000.;
   }
 
+(* --- Obligation-space families ----------------------------------------------- *)
+
+type space_row = { family : string; size : int; verdict : string; ms : float; states : int }
+
+let flower_over syms =
+  Nfa.create ~num_states:1 ~start:[ 0 ] ~accept:[ 0 ]
+    ~transitions:(List.map (fun s -> (0, s, 0)) syms)
+    ()
+
+(* g_0 = F c, g_(d+1) = F ((F b) U g_d); F c implies every g_d. *)
+let growing d =
+  let eventually name = Ltlf.finally (Ltlf.atom_name name) in
+  let rec g d =
+    if d = 0 then eventually "c" else Ltlf.finally (Ltlf.until (eventually "b") (g (d - 1)))
+  in
+  Ltlf.implies (eventually "c") (g d)
+
+let conjunct_names i = (Printf.sprintf "x%d.a" i, Printf.sprintf "x%d.b" i)
+
+(* The second event is one symbol, so it cannot be in {a_i, b_i} for two
+   distinct i: the conjunction is unsatisfiable from k = 2 on. *)
+let conjunctive k =
+  let x name = Ltlf.next (Ltlf.atom_name name) in
+  List.init k (fun i ->
+      let a, b = conjunct_names i in
+      Ltlf.disj (x a) (x b))
+  |> List.fold_left Ltlf.conj Ltlf.tt
+
+let obligation_space_rows () =
+  let measure ~family ~size ~expected f =
+    let verdict, ms, states, _ = timed f in
+    if verdict <> expected && verdict <> "unknown" then
+      die "%s %d: returned %s, expected %s" family size verdict expected;
+    { family; size; verdict; ms = ms *. 1000.; states }
+  in
+  let abc = flower_over (List.map Symbol.intern [ "a"; "b"; "c" ]) in
+  let depths = if smoke then [ 1; 3 ] else [ 1; 2; 3; 4; 5; 6 ] in
+  let widths = if smoke then [ 2; 16 ] else [ 1; 2; 4; 8; 12; 16 ] in
+  List.map
+    (fun d ->
+      measure ~family:"growing" ~size:d ~expected:"entailed" (fun () ->
+          verdict_tag (Entail.implies ~impl:abc ~hyps:[] (growing d))))
+    depths
+  @ List.map
+      (fun k ->
+        let syms = List.concat (List.init k (fun i -> let a, b = conjunct_names i in [ a; b ])) in
+        let impl = flower_over (List.map Symbol.intern syms) in
+        measure ~family:"conjunctive" ~size:k
+          ~expected:(if k = 1 then "satisfiable" else "unsatisfiable")
+          (fun () ->
+            match Entail.joint_witness ~impl [ conjunctive k ] with
+            | Ok (Some _) -> "satisfiable"
+            | Ok None -> "unsatisfiable"
+            | Error _ -> "unknown"))
+      widths
+
 let () =
   let sizes = if smoke then [ 4; 10 ] else [ 2; 4; 6; 8; 10; 12; 14; 16 ] in
   Printf.printf "entailment: ring family m in {%s}%s\n\n"
@@ -142,11 +207,7 @@ let () =
      all m eventualities — permutations of the discharge order converge
      onto the same obligation vectors, so the memo table does real work. *)
   let memo_m = 6 in
-  let flower =
-    Nfa.create ~num_states:1 ~start:[ 0 ] ~accept:[ 0 ]
-      ~transitions:(List.init memo_m (fun i -> (0, sym i, 0)))
-      ()
-  in
+  let flower = flower_over (List.init memo_m sym) in
   let witness, memo_ms, memo_states, memo_hits =
     timed (fun () ->
         Entail.joint_witness ~limits ~impl:flower
@@ -155,6 +216,7 @@ let () =
   (match witness with
   | Ok (Some tr) when Trace.length tr = memo_m -> ()
   | _ -> die "flower m=%d: expected a witness of length %d" memo_m memo_m);
+  let memo_ms = memo_ms *. 1000. in
   let memo_ratio =
     float_of_int memo_hits /. float_of_int (memo_states + memo_hits)
   in
@@ -169,6 +231,18 @@ let () =
   Printf.printf "  %-16s %4d  witness len %d in %.2f ms, %d states, %d memo hits \
                  (ratio %.2f)\n"
     "flower/memo" memo_m memo_m memo_ms memo_states memo_hits memo_ratio;
+  let space_rows = obligation_space_rows () in
+  Printf.printf "\n  %-16s %4s  %-14s %9s %8s\n" "family" "size" "verdict" "ms" "states";
+  List.iter
+    (fun r ->
+      Printf.printf "  %-16s %4d  %-14s %9.2f %8d\n" r.family r.size r.verdict r.ms
+        r.states)
+    space_rows;
+  let definitive = List.filter (fun r -> r.verdict <> "unknown") space_rows in
+  if List.length definitive < List.length space_rows then
+    die "FAIL: %d of %d obligation-space instances ended in unknown"
+      (List.length space_rows - List.length definitive)
+      (List.length space_rows);
   let exhausted =
     List.filter (fun r -> verdict_tag r.oracle = "unknown") rows
   in
@@ -188,6 +262,11 @@ let () =
     die "FAIL: no instance exhausted the oracle; the family is not adversarial";
   if (not smoke) && ratio < definitive_floor then
     die "FAIL: definitive ratio %.2f is below the %.2f floor" ratio definitive_floor;
+  let space_json r =
+    Printf.sprintf
+      "    {\"family\": %S, \"size\": %d, \"verdict\": %S, \"ms\": %.3f, \"states\": %d}"
+      r.family r.size r.verdict r.ms r.states
+  in
   let row_json r =
     Printf.sprintf
       "    {\"family\": %S, \"m\": %d, \"fly_verdict\": %S, \"fly_ms\": %.3f, \
@@ -204,12 +283,15 @@ let () =
        \"memo_hits\": %d, \"memo_hit_ratio\": %.3f},\n\
       \  \"oracle_exhausted\": %d,\n  \"fly_definitive_of_exhausted\": %d,\n\
       \  \"definitive_ratio\": %.3f,\n  \"definitive_floor\": %.2f,\n\
-      \  \"floor_enforced\": %b\n}\n"
+      \  \"floor_enforced\": %b,\n  \"obligation_space\": [\n%s\n  ],\n\
+      \  \"obligation_space_definitive\": %d,\n  \"obligation_space_floor\": %d\n}\n"
       limits.Limits.max_states limits.Limits.max_configs
       (String.concat ",\n" (List.map row_json rows))
       memo_m memo_ms memo_states memo_hits memo_ratio
       (List.length exhausted) (List.length answered) ratio definitive_floor
       (not smoke)
+      (String.concat ",\n" (List.map space_json space_rows))
+      (List.length definitive) (List.length space_rows)
   in
   let oc = open_out_bin "BENCH_entail.json" in
   output_string oc json;

@@ -11,7 +11,8 @@ type result = {
    interleaving-aware usage automata, SY112. *)
 (* 8: claims are decided by the entailment product, so they spend --fuel
    (entailment configurations) instead of --max-states. *)
-let semantics_version = "8"
+(* 9: obligations lost their size caps; cached exit-3 verdicts from them must not replay. *)
+let semantics_version = "9"
 
 let env_of result name =
   List.find_opt (fun (m : Model.t) -> String.equal m.Model.name name) result.models

@@ -39,7 +39,8 @@ type t = {
           in claim checks ({!Entail.implies}). *)
   max_regex_size : int;
       (** Cap on the AST size of behavior regexes fed to automaton
-          constructions (guards Glushkov blowup in {!Usage.expanded_nfa}). *)
+          constructions (guards Glushkov blowup in {!Usage.expanded_nfa}),
+          and on the nodes of one {!Progression.space}. *)
   deadline : float option;
       (** Wall-clock seconds granted to one verification unit before its
           worker process is killed ([Supervisor]); [None] = no deadline.

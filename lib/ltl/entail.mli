@@ -8,10 +8,10 @@
     The decision procedure never builds a full automaton for any formula.
     It explores — breadth-first, so counterexamples come out shortest-first —
     the product of the implementation NFA's configurations with one
-    progression obligation per formula ([Progression.progress] followed by
-    [Progression.normalize] is a deterministic, on-the-fly tableau step).
+    obligation node per formula, all in one {!Progression.space}, where
+    {!Progression.step} is a deterministic, on-the-fly tableau step.
     Product states are memoized on the (configuration, obligation vector)
-    triple, so only states reachable under model-feasible traces are ever
+    pair, so only states reachable under model-feasible traces are ever
     materialized: where the strict construction (full tableau → subset
     construction → language inclusion) pays for the whole obligation
     closure, this pays only for the slice the model can reach.
@@ -28,8 +28,7 @@
 type budget = {
   resource : string;
       (** which budget ran out: ["entailment configurations"] (product
-          states) or ["entailment obligation size"] (a progression
-          obligation vector outgrew its cap) *)
+          states) or ["obligation nodes"] (the obligation space) *)
   limit : int;  (** its limit at the time *)
 }
 

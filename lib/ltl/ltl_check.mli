@@ -30,7 +30,8 @@ val check :
     implementation alphabet, the formula's atoms, and [?alphabet].
     @raise Limits.Budget_exceeded when {!Entail.implies} answers
     [Unknown]: the product outgrew [limits.max_configs] (resource
-    ["entailment configurations"]) or an obligation outgrew its size cap. *)
+    ["entailment configurations"]) or its obligation space outgrew
+    [limits.max_regex_size] nodes (resource ["obligation nodes"]). *)
 
 val check_claim :
   ?limits:Limits.t ->

@@ -113,10 +113,10 @@ let key : t Explore.key =
 
     let equal = equal
 
-    (* The whole term, not a bounded prefix: progression obligations grow
-       into long junct chains that differ only deep inside, and a bounded
-       hash ([Hashtbl.hash] sees at most 256 nodes) files them all in one
-       bucket, turning every lookup into a scan of structural compares. *)
+    (* The whole term, not a bounded prefix: literals and tableau states
+       can differ only deep inside, and a bounded hash ([Hashtbl.hash]
+       sees at most 256 nodes) files them all in one bucket, turning every
+       lookup into a scan of structural compares. *)
     let rec hash f =
       let mix h x = (h * 31) + x in
       match f with

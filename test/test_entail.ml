@@ -89,10 +89,8 @@ let prop_matches_oracle =
         with
         | Entail.Entailed, Entail.Entailed -> true
         | Entail.Not_entailed _, Entail.Not_entailed _ -> true
-        (* The on-the-fly product may still give up first (its obligation
-           size cap has no oracle counterpart); Unknown is never wrong,
-           only unhelpful. Disagreeing *verdicts* are the bug. *)
-        | _, Entail.Unknown _ -> true
+        (* Running out of fuel first is never wrong, only unhelpful. *)
+        | _, Entail.Unknown { resource = "entailment configurations"; _ } -> true
         | _, _ -> false
       end)
 
@@ -213,17 +211,22 @@ let test_budget_degrades_to_unknown () =
     Nfa.create ~num_states:1 ~start:[ 0 ] ~accept:[ 0 ]
       ~transitions:[ (0, a_open, 0) ] ()
   in
-  match
-    Entail.implies ~limits ~fuel:1 ~impl
-      ~hyps:[ Ltlf.finally (Ltlf.atom_name "a.open") ]
-      (Ltlf.finally (Ltlf.atom_name "a.close"))
-  with
-  | Entail.Unknown b ->
-    Alcotest.(check int) "reported fuel" 1 b.Entail.limit;
-    Alcotest.(check string) "resource name" "entailment configurations"
-      b.Entail.resource
-  | Entail.Entailed | Entail.Not_entailed _ ->
-    Alcotest.fail "expected Unknown under fuel 1"
+  let expect_unknown ~limits ?fuel ~resource ~limit () =
+    match
+      Entail.implies ~limits ?fuel ~impl
+        ~hyps:[ Ltlf.finally (Ltlf.atom_name "a.open") ]
+        (Ltlf.finally (Ltlf.atom_name "a.close"))
+    with
+    | Entail.Unknown b ->
+      Alcotest.(check int) "reported limit" limit b.Entail.limit;
+      Alcotest.(check string) "resource name" resource b.Entail.resource
+    | Entail.Entailed | Entail.Not_entailed _ ->
+      Alcotest.failf "expected Unknown (%s %d)" resource limit
+  in
+  expect_unknown ~limits ~fuel:1 ~resource:"entailment configurations" ~limit:1 ();
+  (* Two nodes are the constants, so the first literal exceeds the guard. *)
+  expect_unknown ~limits:(Limits.make ~max_regex_size:2 ()) ~resource:"obligation nodes"
+    ~limit:2 ()
 
 let () =
   Alcotest.run "entail"

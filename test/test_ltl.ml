@@ -193,6 +193,15 @@ let test_state_space_reasonable () =
   let n = Progression.num_reachable_obligations ~alphabet paper_claim in
   Alcotest.(check bool) "small automaton" true (n <= 8)
 
+(* Progressed syntactically, this claim grows a larger formula on every
+   step; as Boolean functions of its literals its obligations close after
+   four. *)
+let test_growing_claim_closes () =
+  let f name = Ltlf.finally (Ltlf.atom_name name) in
+  let claim = Ltlf.finally (Ltlf.until (f "b") (f "c")) in
+  Alcotest.(check int) "obligations" 4
+    (Progression.num_reachable_obligations ~alphabet:(List.map sym [ "a"; "b"; "c" ]) claim)
+
 (* --- Checking ----------------------------------------------------------------------- *)
 
 let impl_of regex = Thompson.of_regex regex
@@ -261,11 +270,26 @@ let prop_dfa_semantics =
           let dfa = Progression.to_dfa ~limits ~alphabet f in
           Dfa.accepts dfa w = Ltlf.holds f w))
 
-let prop_normalize_preserves =
-  qtest "normalize preserves satisfaction" ~count:200
+let prop_obligation_steps =
+  qtest "stepped obligation = semantics" ~count:200
     QCheck2.Gen.(pair ltl_gen word_gen)
     ~print:(fun (f, w) -> Printf.sprintf "%s on %s" (Ltlf.to_string f) (Trace.to_string w))
-    (fun (f, w) -> Ltlf.holds f w = Ltlf.holds (Progression.normalize f) w)
+    (fun (f, w) ->
+      let sp = Progression.space () in
+      let n = List.fold_left (Progression.step sp) (Progression.obligation sp f) w in
+      Progression.accepts_empty sp n = Ltlf.holds f w)
+
+(* Equal Boolean functions of the same literals are the same node. *)
+let prop_obligation_canonical =
+  qtest "obligations are canonical" ~count:200
+    QCheck2.Gen.(pair ltl_gen ltl_gen)
+    ~print:(fun (f, g) -> Printf.sprintf "%s / %s" (Ltlf.to_string f) (Ltlf.to_string g))
+    (fun (f, g) ->
+      let sp = Progression.space () in
+      let node = Progression.obligation sp in
+      node (Ltlf.Or (f, Ltlf.And (f, g))) = node f
+      && node (Ltlf.And (f, g)) = node (Ltlf.And (g, f))
+      && node (Ltlf.Not (Ltlf.Not f)) = node f)
 
 let prop_negation_flips =
   qtest "negation flips the automaton" ~count:60
@@ -524,6 +548,7 @@ let () =
           Alcotest.test_case "invariant on corpus" `Quick test_progression_invariant;
           Alcotest.test_case "DFA = semantics on corpus" `Quick test_dfa_agrees_with_semantics;
           Alcotest.test_case "state space" `Quick test_state_space_reasonable;
+          Alcotest.test_case "growing claim closes" `Quick test_growing_claim_closes;
         ] );
       ( "check",
         [
@@ -534,5 +559,11 @@ let () =
           Alcotest.test_case "violation pp" `Quick test_violation_pp;
         ] );
       ( "properties",
-        [ prop_progression; prop_dfa_semantics; prop_normalize_preserves; prop_negation_flips ] );
+        [
+          prop_progression;
+          prop_dfa_semantics;
+          prop_obligation_steps;
+          prop_obligation_canonical;
+          prop_negation_flips;
+        ] );
     ]
