@@ -5,7 +5,7 @@
    [shelley check -j N] and the serve daemon use.
 
    Emits machine-readable results to BENCH_parallel.json and a human
-   summary to stdout, and asserts three contracts along the way:
+   summary to stdout, and asserts four contracts along the way:
 
    - determinism: the concatenated output of every level (with and without
      the observability recorder) must be byte-identical to the sequential
@@ -16,10 +16,16 @@
    - the speedup floor: in full mode on a multicore machine, pool -j 4
      must beat -j 1 by >= 1.5x. On a single-core machine the floor is
      SKIPPED loudly (parallelism cannot pay where there is nothing to
-     run on) — CI provides the multicore enforcement.
+     run on) — CI provides the multicore enforcement;
+   - demand spawning: a one-file run through a fresh -j 4 pool forks
+     exactly one worker. A count, so it holds on any host, in smoke and
+     full mode alike.
 
-   Besides wall times, each level gets one *instrumented* run whose
-   counters (fork time, queue wait, task wall, batches) go into the JSON.
+   Each level is timed twice over: warm (the persistent pool, reused
+   across repeats) and cold (one fresh pool: make, check, shutdown — what
+   a one-shot [shelley check -j N] pays). Besides wall times, each level
+   gets one *instrumented* cold run whose counters (fork time, queue wait,
+   task wall, batches, spawns, reaps, teardown time) go into the JSON.
 
    Run: dune exec bench/bench_parallel.exe [--smoke] [CORPUS_SIZE] *)
 
@@ -91,6 +97,8 @@ type instrumented = {
   i_task_wall_us : int;
   i_spawns : int;
   i_batches : int;
+  i_reaps : int;
+  i_reap_us : int;
   i_unit_total_us : int;  (* summed in-unit span time across verdicts *)
 }
 
@@ -116,6 +124,8 @@ let instrumented_run engine files baseline_output =
       i_task_wall_us = counter "pool.task_wall_us";
       i_spawns = counter "pool.spawns";
       i_batches = counter "pool.batches";
+      i_reaps = counter "pool.reaps";
+      i_reap_us = counter "pool.reap_us";
       i_unit_total_us = unit_total;
     }
   in
@@ -127,35 +137,51 @@ let instrumented_run engine files baseline_output =
 type engine_result = {
   e_best : float;
   e_runs : float list;
+  e_cold : float;  (* one fresh-pool run: make, check, shutdown *)
   e_instr : instrumented;
 }
 
 (* [instrument] (default [engine]) is what the counter-harvesting pass runs:
    a pooled level substitutes a fresh pool created *after* [Obs.enable], so
    the workers inherit the live recorder and the cold spawn cost is on the
-   books — the timed runs still measure the warm persistent pool. *)
+   books — the timed runs still measure the warm persistent pool, and the
+   one cold timed run goes through [instrument] with the recorder off. *)
 let measure ?instrument engine files baseline_output =
-  let runs =
-    List.init repeats (fun _ ->
-        let dt, out, code = time engine files in
-        if out <> !baseline_output then begin
-          if !baseline_output = "" then baseline_output := out
-          else begin
-            Printf.eprintf "DETERMINISM VIOLATION\n";
-            exit 1
-          end
-        end;
-        if code <> 1 then begin
-          (* bad_sector's claim fails by design: every run must say so *)
-          Printf.eprintf "unexpected exit code %d\n" code;
-          exit 1
-        end;
-        dt)
+  let timed engine =
+    let dt, out, code = time engine files in
+    if out <> !baseline_output then begin
+      if !baseline_output = "" then baseline_output := out
+      else begin
+        Printf.eprintf "DETERMINISM VIOLATION\n";
+        exit 1
+      end
+    end;
+    if code <> 1 then begin
+      (* bad_sector's claim fails by design: every run must say so *)
+      Printf.eprintf "unexpected exit code %d\n" code;
+      exit 1
+    end;
+    dt
   in
-  let instr =
-    instrumented_run (Option.value instrument ~default:engine) files !baseline_output
-  in
-  { e_best = List.fold_left Float.min infinity runs; e_runs = runs; e_instr = instr }
+  let runs = List.init repeats (fun _ -> timed engine) in
+  let instrument = Option.value instrument ~default:engine in
+  let cold = timed instrument in
+  let instr = instrumented_run instrument files !baseline_output in
+  {
+    e_best = List.fold_left Float.min infinity runs;
+    e_runs = runs;
+    e_cold = cold;
+    e_instr = instr;
+  }
+
+(* The demand-spawning floor: one file through a fresh -j 4 pool. *)
+let one_file_cold_spawns file =
+  let pool = Checker.make_pool ~jobs:4 () in
+  Fun.protect
+    ~finally:(fun () -> Checker.shutdown_pool pool)
+    (fun () ->
+      ignore (Checker.check_files ~jobs:4 ~pool [ file ]);
+      (Checker.pool_stats pool).Supervisor.spawns)
 
 let () =
   let overhead_ns = disabled_overhead_ns_per_call () in
@@ -206,11 +232,14 @@ let () =
           (pooled.e_best *. 1000.)
           (String.concat ", "
              (List.map (fun t -> Printf.sprintf "%.1f ms" (t *. 1000.)) pooled.e_runs));
+        Printf.printf "  -j %-2d  fresh pool     cold %7.1f ms  (make, check, shutdown)\n" jobs
+          (pooled.e_cold *. 1000.);
         Printf.printf
           "         · %d spawns, %d batches, fork %d us, queue-wait %d us, \
-           task-wall %d us\n"
+           task-wall %d us, %d reaps in %d us\n"
           pooled.e_instr.i_spawns pooled.e_instr.i_batches pooled.e_instr.i_fork_us
-          pooled.e_instr.i_queue_wait_us pooled.e_instr.i_task_wall_us;
+          pooled.e_instr.i_queue_wait_us pooled.e_instr.i_task_wall_us
+          pooled.e_instr.i_reaps pooled.e_instr.i_reap_us;
         (jobs, pooled))
       levels
   in
@@ -220,6 +249,17 @@ let () =
       Printf.printf "  pool speedup -j %d vs sequential: %.2fx\n" jobs
         (seq.e_best /. pooled.e_best))
     results;
+  let spawn_floor = 1 in
+  let one_file_spawns = one_file_cold_spawns (List.hd files) in
+  if one_file_spawns <> spawn_floor then begin
+    Printf.eprintf
+      "FAIL: a one-file cold run at -j 4 forked %d workers; demand spawning \
+       forks exactly %d\n"
+      one_file_spawns spawn_floor;
+    exit 1
+  end;
+  Printf.printf "\nfloor: one-file cold run at -j 4 forked %d worker — OK\n"
+    one_file_spawns;
   (* The -j 4 >= 1.5x floor: enforced in full mode where the hardware can
      express parallelism at all; skipped loudly on a single core. *)
   let floor_required = 1.5 in
@@ -237,13 +277,13 @@ let () =
       speedup floor_required cores;
     exit 1
   | true, Some speedup ->
-    Printf.printf "\nfloor: pool -j 4 speedup %.2fx >= %.1fx — OK\n" speedup floor_required
+    Printf.printf "floor: pool -j 4 speedup %.2fx >= %.1fx — OK\n" speedup floor_required
   | true, None ->
     Printf.eprintf "FAIL: no -j 4 level was measured, cannot enforce the floor\n";
     exit 1
   | false, _ ->
     Printf.printf
-      "\nfloor: SKIPPED (%s) — the %.1fx -j 4 floor is only meaningful in full \
+      "floor: SKIPPED (%s) — the %.1fx -j 4 floor is only meaningful in full \
        mode on >= 2 cores; CI's multicore runners enforce it\n"
       (if smoke then "smoke mode" else Printf.sprintf "%d core online" cores)
       floor_required);
@@ -252,18 +292,20 @@ let () =
       let per_file total = if corpus_size = 0 then 0 else total / corpus_size in
       Printf.sprintf
         "{\"best_seconds\": %.6f, \"all_seconds\": [%s], \
-         \"speedup_vs_sequential\": %.3f, \"spawns\": %d, \"batches\": %d, \
+         \"speedup_vs_sequential\": %.3f, \"cold_seconds\": %.6f, \
+         \"spawns\": %d, \"batches\": %d, \
          \"fork_us_total\": %d, \"fork_us_per_file\": %d, \"queue_wait_us_total\": %d, \
          \"queue_wait_us_per_file\": %d, \"task_wall_us_total\": %d, \
-         \"unit_total_us\": %d}"
+         \"reaps\": %d, \"reap_us_total\": %d, \"unit_total_us\": %d}"
         e.e_best
         (String.concat ", " (List.map (Printf.sprintf "%.6f") e.e_runs))
-        (seq.e_best /. e.e_best) e.e_instr.i_spawns e.e_instr.i_batches
+        (seq.e_best /. e.e_best) e.e_cold e.e_instr.i_spawns e.e_instr.i_batches
         e.e_instr.i_fork_us
         (per_file e.e_instr.i_fork_us)
         e.e_instr.i_queue_wait_us
         (per_file e.e_instr.i_queue_wait_us)
-        e.e_instr.i_task_wall_us e.e_instr.i_unit_total_us
+        e.e_instr.i_task_wall_us e.e_instr.i_reaps e.e_instr.i_reap_us
+        e.e_instr.i_unit_total_us
     in
     let run_json (jobs, pooled) =
       Printf.sprintf "    {\"jobs\": %d,\n     \"pool\": %s}" jobs (engine_json pooled)
@@ -276,11 +318,14 @@ let () =
       \  \"sequential_best_seconds\": %.6f,\n\
       \  \"speedup_floor\": {\"required\": %.1f, \"jobs\": 4, \"enforced\": %b, \
        \"measured\": %s},\n\
+      \  \"spawn_floor\": {\"files\": 1, \"jobs\": 4, \"required_spawns\": %d, \
+       \"enforced\": true, \"measured_spawns\": %d},\n\
       \  \"results\": [\n%s\n  ]\n}\n"
       corpus_size repeats cores overhead_ns seq.e_best floor_required floor_enforced
       (match floor_measured with
       | Some s -> Printf.sprintf "%.3f" s
       | None -> "null")
+      spawn_floor one_file_spawns
       (String.concat ",\n" (List.map run_json results))
   in
   let oc = open_out_bin "BENCH_parallel.json" in

@@ -59,8 +59,10 @@ type pool
 
 val make_pool :
   ?after_fork:(unit -> unit) -> ?max_as_mb:int -> ?jobs:int -> unit -> pool
-(** Build a pool of [jobs] (default 1) persistent workers. Workers are
-    forked lazily on first use; [after_fork] runs in each child right after
+(** Build a pool of [jobs] (default 1) persistent workers. No worker is
+    forked until a call needs one, and a call forks at most as many workers
+    as it has tasks beyond the idle ones: a one-file check forks one worker
+    at any [jobs]. [after_fork] runs in each child right after
     the fork (the daemon closes its listening socket there). With
     [max_as_mb > 0] each worker's address space is capped via
     setrlimit(RLIMIT_AS): a check or lint unit that balloons past the cap

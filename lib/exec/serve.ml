@@ -668,14 +668,25 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
     prerr_endline ("shelley serve: " ^ socket ^ " exists and is not a socket");
     exit 2
   | exception Unix.Unix_error _ -> ());
+  (* Bind and listen under a private name, then link the socket into place:
+     [socket] must never exist while connects to it are refused, or a
+     second [serve] probing it in that window takes it for a dead daemon's
+     and steals it. [link] fails if [socket] appeared meanwhile. *)
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (match Unix.bind listen_fd (Unix.ADDR_UNIX socket) with
+  let staging = Printf.sprintf "%s.%d" socket (Unix.getpid ()) in
+  (match
+     Unix.bind listen_fd (Unix.ADDR_UNIX staging);
+     Fun.protect
+       ~finally:(fun () -> try Unix.unlink staging with Unix.Unix_error _ -> ())
+       (fun () ->
+         Unix.listen listen_fd 16;
+         Unix.link staging socket)
+   with
   | () -> ()
   | exception Unix.Unix_error (e, _, _) ->
     prerr_endline
       (Printf.sprintf "shelley serve: cannot bind %s: %s" socket (Unix.error_message e));
     exit 2);
-  Unix.listen listen_fd 16;
   (* Nonblocking, so one select round can drain the whole accept backlog:
      otherwise a burst of connects is admitted one per round, and a client
      whose connect is still queued behind its siblings' can miss the round

@@ -545,43 +545,98 @@ let spawn pool slot =
           last_heard = now;
         }
 
-(* Tear a worker down: close pipes (EOF doubles as Quit), give it [grace]
-   to exit, then SIGKILL its whole group and reap. Never blocks forever —
-   a wedged worker hits the SIGKILL arm. *)
-let terminate pool slot (p : 't proc) =
+(* Retire a worker: Quit, then close its job pipe (EOF doubles as Quit).
+   Its result pipe stays open: the worker's exit closes the far end, and
+   that EOF is what [reap] waits on. *)
+let retire (p : 't proc) =
   (try send_frame p.job_wr (Quit : _ to_worker) with _ -> ());
-  (try Unix.close p.job_wr with _ -> ());
-  (try Unix.close p.res_rd with _ -> ());
+  try Unix.close p.job_wr with _ -> ()
+
+(* Reap retired workers under one shared [grace] deadline. Each wait is a
+   [select] on their result pipes of at most 5 ms, never past the deadline.
+   A worker's exit closes the far end, so the wait wakes at once on its EOF
+   and the waitpid that follows returns. A pipe held open by a
+   task-spawned subprocess never reaches EOF; the WNOHANG poll after each
+   wait catches that worker's exit instead. Frames still in flight are
+   read and dropped, so a busy worker never blocks on a full pipe. A worker
+   still alive at the deadline gets a process-group SIGKILL. Never blocks
+   forever. *)
+let reap pool (procs : 't proc list) =
   let deadline = Unix.gettimeofday () +. pool.cfg.grace in
-  let rec reap () =
-    match Unix.waitpid [ Unix.WNOHANG ] p.pid with
-    | 0, _ ->
-      if Unix.gettimeofday () >= deadline then begin
-        (try Unix.kill (-p.pid) Sys.sigkill with Unix.Unix_error _ -> ());
-        (try Unix.kill p.pid Sys.sigkill with Unix.Unix_error _ -> ());
-        ignore (waitpid_no_eintr p.pid)
-      end
-      else begin
-        Unix.sleepf 0.005;
-        reap ()
-      end
-    | _, _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
-    | exception Unix.Unix_error _ -> ()
+  let scratch = Bytes.create 4096 in
+  let at_eof (p : _ proc) =
+    match Unix.read p.res_rd scratch 0 (Bytes.length scratch) with
+    | 0 -> true
+    | _ -> false
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+    | exception Unix.Unix_error _ -> true
   in
-  reap ();
-  slot.proc <- None
+  let exited (p : _ proc) =
+    match Unix.waitpid [ Unix.WNOHANG ] p.pid with
+    | 0, _ -> false
+    | _, _ -> true
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+    | exception Unix.Unix_error _ -> true
+  in
+  let rec go = function
+    | [] -> ()
+    | waiting ->
+      let now = Unix.gettimeofday () in
+      let gone =
+        if now >= deadline then fun (p : _ proc) ->
+          (try Unix.kill (-p.pid) Sys.sigkill with Unix.Unix_error _ -> ());
+          (try Unix.kill p.pid Sys.sigkill with Unix.Unix_error _ -> ());
+          ignore (waitpid_no_eintr p.pid);
+          true
+        else begin
+          let readable, _, _ =
+            try
+              Unix.select
+                (List.map (fun (p : _ proc) -> p.res_rd) waiting)
+                [] [] (Float.min 0.005 (deadline -. now))
+            with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+          in
+          fun p ->
+            if List.mem p.res_rd readable && at_eof p then begin
+              ignore (waitpid_no_eintr p.pid);
+              true
+            end
+            else exited p
+        end
+      in
+      go
+        (List.filter
+           (fun (p : _ proc) ->
+             if gone p then begin
+               (try Unix.close p.res_rd with _ -> ());
+               false
+             end
+             else true)
+           waiting)
+  in
+  go procs
+
+(* Tear down the workers of [slots]: retire them all first, then reap them
+   together, so N busy workers cost one [grace], not N. *)
+let teardown pool slots =
+  match List.filter_map (fun slot -> slot.proc) slots with
+  | [] -> ()
+  | procs ->
+    let t0 = stamp () in
+    List.iter retire procs;
+    reap pool procs;
+    List.iter (fun slot -> slot.proc <- None) slots;
+    bump "pool.reaps" (List.length procs);
+    tally "pool.reap_us" t0
 
 let quiesce pool =
-  Array.iter
+  let live = List.filter (fun slot -> slot.proc <> None) (Array.to_list pool.slots) in
+  teardown pool live;
+  List.iter
     (fun slot ->
-      match slot.proc with
-      | None -> ()
-      | Some p ->
-        terminate pool slot p;
-        slot.ready_at <- 0.0;
-        slot.consec_failures <- 0)
-    pool.slots
+      slot.ready_at <- 0.0;
+      slot.consec_failures <- 0)
+    live
 
 let shutdown pool =
   quiesce pool;
@@ -840,18 +895,31 @@ let run ?retry ?deadline pool tasks =
     if pool.closed then drain_inline ()
     else begin
       while !unsettled > 0 do
-        (* 1. Spawn / respawn where there is demand and the backoff gate is
-           open. A spawn failure is a counted fork failure; persistent
-           failure everywhere degrades the whole run to inline. *)
+        (* 1. Spawn / respawn while the pending tasks outnumber the idle
+           live workers and the backoff gate is open: a one-file run forks
+           one worker, whatever the width. A spawn failure is a counted
+           fork failure; persistent failure everywhere degrades the whole
+           run to inline. *)
+        let idle =
+          ref
+            (Array.fold_left
+               (fun acc slot ->
+                 match slot.proc with
+                 | Some p when Queue.is_empty p.assigned -> acc + 1
+                 | _ -> acc)
+               0 pool.slots)
+        in
         Array.iter
           (fun slot ->
             if
               slot.proc = None
-              && (not (Queue.is_empty pending))
+              && Queue.length pending > !idle
               && slot.consec_failures <= pool.cfg.max_restarts
               && now () >= slot.ready_at
             then
-              try spawn pool slot
+              try
+                spawn pool slot;
+                incr idle
               with Fork_failed reason ->
                 ignore reason;
                 pool.st.m_fork_failures <- pool.st.m_fork_failures + 1;
@@ -969,7 +1037,7 @@ let run ?retry ?deadline pool tasks =
                          && p.tasks_done >= pool.cfg.max_tasks_per_worker)
                         || (pool.cfg.max_rss_kb > 0 && rss_kb p.pid > pool.cfg.max_rss_kb)
                         ) ->
-                terminate pool slot p;
+                teardown pool [ slot ];
                 slot.ready_at <- 0.0;
                 pool.st.m_recycles <- pool.st.m_recycles + 1;
                 bump "pool.recycles" 1

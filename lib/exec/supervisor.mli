@@ -40,8 +40,10 @@
     [--stats] table): [pool.spawns], [pool.restarts], [pool.recycles],
     [pool.backoff_waits], [pool.heartbeat_misses], [pool.kills],
     [pool.poisoned], [pool.fork_failures], [pool.batches],
-    [pool.inline_tasks] and the timing tallies [pool.fork_us],
-    [pool.queue_wait_us], [pool.task_wall_us]. *)
+    [pool.inline_tasks], [pool.reaps] (workers torn down by {!quiesce},
+    {!shutdown} or recycling) and the timing tallies [pool.fork_us],
+    [pool.queue_wait_us], [pool.task_wall_us], [pool.reap_us] (teardown
+    wall time), so fork, task and reap time add up against wall time. *)
 
 type 'r outcome =
   | Done of 'r
@@ -83,7 +85,11 @@ type config = {
   heartbeat_interval : float;
       (** idle-ping period; also the dispatch-acknowledge deadline after
           which an unresponsive worker is declared wedged *)
-  grace : float;  (** seconds to wait for a worker to exit on Quit *)
+  grace : float;
+      (** seconds the workers retired by one teardown get, together, to
+          exit after Quit. Teardown wakes on each exit, so the full grace
+          is paid only for a worker that does not exit; that worker is
+          then SIGKILLed with its process group *)
 }
 
 val config :
@@ -118,13 +124,16 @@ val create :
   config ->
   ('t -> 'r) ->
   ('t, 'r) t
-(** [create config f] builds a pool whose workers each apply [f]. Workers
-    are spawned lazily (on first demand), become their own session leaders
-    (so a deadline kill takes out any task-spawned subprocesses too),
-    ignore SIGTERM/SIGINT (shutdown is by pipe EOF / [Quit], so a signal
-    to the parent's group cannot kill them mid-write), and exit when the
-    job pipe reaches EOF — so even an abruptly dead parent leaves no
-    orphans behind. [after_fork] runs in each child right after the fork
+(** [create config f] builds a pool whose workers each apply [f]. No
+    worker is forked until a {!run} needs it, and a run forks a worker only
+    while its pending tasks outnumber the idle live workers: a one-task run
+    forks one worker at any width, and a later run reuses the workers left
+    idle before forking more. Workers persist across runs, become their
+    own session leaders (so a deadline kill takes out any task-spawned
+    subprocesses too), ignore SIGTERM/SIGINT (shutdown is by pipe EOF /
+    [Quit], so a signal to the parent's group cannot kill them mid-write),
+    and exit when the job pipe reaches EOF — so even an abruptly dead
+    parent leaves no orphans behind. [after_fork] runs in each child right after the fork
     (the daemon uses it to close its listening socket). [label] names
     tasks for the fault-injection seam and error text (default
     [fun _ -> ""]). *)
@@ -152,14 +161,19 @@ val map : ?retry:('t -> 't) -> ?deadline:float -> ('t, 'r) t -> 't list -> 'r ou
 (** {!run} projected to outcomes alone. *)
 
 val quiesce : ('t, 'r) t -> unit
-(** Retire every live worker (Quit, grace, SIGKILL, reap) but keep the pool
-    usable: the next {!run} respawns on demand. The daemon calls this
-    after an idle period so a dormant service holds no processes. *)
+(** Retire every live worker (Quit and job-pipe EOF to all of them first),
+    then reap them together under one [grace] deadline: each reap wakes as
+    soon as its worker exits, and a worker still alive at the deadline is
+    SIGKILLed with its process group. The pool stays usable: the next
+    {!run} respawns on demand. The daemon calls this after an idle period
+    so a dormant service holds no processes. *)
 
 val shutdown : ('t, 'r) t -> unit
 (** {!quiesce} and mark the pool closed. Idempotent. A closed pool runs
     subsequent {!run} calls inline (degraded), so even a use-after-close
-    bug cannot lose results. *)
+    bug cannot lose results. Returns as soon as every worker has exited,
+    typically well under a millisecond per worker, and never later than
+    [grace] plus the SIGKILL reap. *)
 
 type stats = {
   spawns : int;  (** workers forked, ever *)

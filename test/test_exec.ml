@@ -290,6 +290,54 @@ let test_supervisor_shutdown_leaves_no_orphans () =
       | exception _ -> ())
     pids
 
+let test_supervisor_spawns_on_demand () =
+  (* A run forks only the workers its tasks can use: one task on a 4-wide
+     pool forks one worker; three more reuse the idle one and fork two. *)
+  with_pool (test_config ~jobs:4 ()) (fun n -> n) @@ fun pool ->
+  let spawns () = (Supervisor.stats pool).Supervisor.spawns in
+  ignore (Supervisor.map pool [ 1 ]);
+  Alcotest.(check int) "one task, one spawn" 1 (spawns ());
+  ignore (Supervisor.map pool [ 1; 2; 3 ]);
+  Alcotest.(check int) "idle lane reused, two more forked" 3 (spawns ())
+
+let test_supervisor_shutdown_despite_held_pipe () =
+  (* The task forks a grandchild that inherits the worker's result pipe and
+     outlives the worker, so that pipe never reaches EOF. Shutdown must
+     still notice the worker's exit well inside [grace] and reap it. *)
+  let grace = 0.5 in
+  let f _ =
+    match Unix.fork () with
+    | 0 ->
+      Unix.sleepf 3.0;
+      Unix._exit 0
+    | pid -> pid
+  in
+  let pool = Supervisor.create (Supervisor.config ~jobs:1 ~grace ()) f in
+  let grandchild =
+    match Supervisor.map pool [ 0 ] with
+    | [ Supervisor.Done pid ] -> pid
+    | _ ->
+      Supervisor.shutdown pool;
+      Alcotest.fail "task failed"
+  in
+  let workers = Supervisor.worker_pids pool in
+  let t0 = Unix.gettimeofday () in
+  Supervisor.shutdown pool;
+  let took = Unix.gettimeofday () -. t0 in
+  (try Unix.kill grandchild Sys.sigkill with Unix.Unix_error _ -> ());
+  Alcotest.(check bool)
+    (Printf.sprintf "shutdown took %.3f s, under grace %.1f s" took grace)
+    true (took < grace);
+  Alcotest.(check int) "one worker was live" 1 (List.length workers);
+  List.iter
+    (fun pid ->
+      match Unix.kill pid 0 with
+      | () -> Alcotest.failf "worker %d survived shutdown" pid
+      | exception Unix.Unix_error (Unix.ESRCH, _, _) -> ()
+      | exception Unix.Unix_error (e, _, _) ->
+        Alcotest.failf "kill %d 0: %s, expected ESRCH" pid (Unix.error_message e))
+    workers
+
 (* --- Task outcomes (the "runner" group) ------------------------------------ *)
 
 (* How a single task settles through Supervisor.map, whichever path runs
@@ -618,6 +666,10 @@ let () =
             test_supervisor_closed_pool_degrades_inline;
           Alcotest.test_case "shutdown leaves no orphans" `Quick
             test_supervisor_shutdown_leaves_no_orphans;
+          Alcotest.test_case "spawns only what a run can use" `Quick
+            test_supervisor_spawns_on_demand;
+          Alcotest.test_case "shutdown despite a held result pipe" `Quick
+            test_supervisor_shutdown_despite_held_pipe;
         ] );
       ( "checker",
         [
