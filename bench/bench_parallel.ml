@@ -22,7 +22,7 @@
      full mode alike.
 
    Each level is timed twice over: warm (the persistent pool, reused
-   across repeats) and cold (one fresh pool: make, check, shutdown — what
+   across repeats after one untimed pass that forks its workers) and cold (one fresh pool: make, check, shutdown — what
    a one-shot [shelley check -j N] pays). Besides wall times, each level
    gets one *instrumented* cold run whose counters (fork time, queue wait,
    task wall, batches, spawns, reaps, teardown time) go into the JSON.
@@ -163,6 +163,10 @@ let measure ?instrument engine files baseline_output =
     end;
     dt
   in
+  (* One untimed pass first: the pool forks its workers on demand, so the
+     first pass through a persistent pool pays for the forks and the warm
+     row must not. *)
+  ignore (timed engine);
   let runs = List.init repeats (fun _ -> timed engine) in
   let instrument = Option.value instrument ~default:engine in
   let cold = timed instrument in

@@ -21,6 +21,21 @@
    differentially checked: both automata must accept exactly the same
    words up to length 2k.
 
+   A second family, distinct subsystems, times [Usage.check] on the
+   composite
+
+     k sequential [vI.open()] calls, then k spawned [vI.close()] tasks,
+
+   over k distinct [Valve] fields. Its behavior is
+   [v1.open · … · vk.open · (v1.close ∥ … ∥ vk.close)]. The unprojected
+   search (one full expansion, then each field's spec lifted over every
+   other symbol) walks the whole k-way shuffle once per field. The
+   projected check ([Usage.check]) erases the other fields first, so each
+   field sees a single task and no shuffle product at all. Both must give
+   the same verdict. In both modes the run fails unless the projected
+   configurations (language plus shuffle product) grow at most linearly
+   in k: counts, not times, so the floor holds on any host.
+
    Run: dune exec bench/bench_shuffle.exe [--smoke] *)
 
 let smoke = Array.exists (String.equal "--smoke") Sys.argv
@@ -95,6 +110,99 @@ let run_instance k =
   in
   { k; fly; expansion; checked }
 
+(* --- Distinct subsystems ---------------------------------------------------- *)
+
+let valve_source =
+  {|@sys
+class Valve:
+    def __init__(self):
+        self.pin = Pin(1, OUT)
+
+    @op_initial
+    def open(self):
+        self.pin.on()
+        return ["close"]
+
+    @op_final
+    def close(self):
+        self.pin.off()
+        return ["open"]
+|}
+
+let bank_source k =
+  let fields = List.init k (fun i -> Printf.sprintf "v%d" (i + 1)) in
+  let lines f = String.concat "" (List.map (fun v -> "        " ^ f v ^ "\n") fields) in
+  Printf.sprintf
+    "import asyncio\n\n%s\n@sys([%s])\nclass Bank:\n    def __init__(self):\n%s\n\
+    \    @op_initial_final\n    async def cycle(self):\n%s%s        return [\"cycle\"]\n"
+    valve_source
+    (String.concat ", " (List.map (Printf.sprintf "%S") fields))
+    (lines (Printf.sprintf "self.%s = Valve()"))
+    (lines (Printf.sprintf "self.%s.open()"))
+    (lines (Printf.sprintf "asyncio.create_task(self.%s.close())"))
+
+(* The check without projection: one full expansion, then per field the
+   inclusion against the spec lifted over every non-field symbol. The
+   number of fields that fail. *)
+let unprojected ~env (model : Model.t) =
+  let impl = Usage.expanded_nfa ~limits model in
+  List.length
+    (List.filter
+       (fun field ->
+         let subsystem_class = Option.get (Model.subsystem_class model field) in
+         let spec = Option.get (Usage.subsystem_spec_nfa ~env ~field ~subsystem_class) in
+         let alphabet = Symbol.Set.union (Nfa.alphabet impl) (Nfa.alphabet spec) in
+         let other =
+           Symbol.Set.filter
+             (fun s ->
+               match Symbol.split_scope s with
+               | Some (scope, _) -> scope <> field
+               | None -> true)
+             alphabet
+         in
+         Language.inclusion_counterexample ~limits ~alphabet ~impl
+           ~spec:(Nfa.add_self_loops other spec) ()
+         <> None)
+       model.Model.declared_subsystems)
+
+let projected ~env model = List.length (Usage.check ~limits ~env model)
+
+type search = { language : int; shuffle : int; search_ms : float; failing : int }
+
+(* The configurations one run interns, then the best of five untimed-Obs
+   runs for the wall time. *)
+let measure f =
+  let counter key = Option.value ~default:0 (List.assoc_opt key (Obs.counters ())) in
+  Obs.enable ~fake_clock:false ();
+  let failing = f () in
+  let language = counter "language.configs" and shuffle = counter "shuffle.configs" in
+  Obs.disable ();
+  let search_ms =
+    List.fold_left min infinity (List.init 5 (fun _ -> snd (timed f)))
+  in
+  { language; shuffle; search_ms; failing }
+
+type bank_row = { bank_k : int; proj : search; full : search }
+
+let run_bank k =
+  let result = Pipeline.verify_source_exn (bank_source k) in
+  let env = Pipeline.env_of result in
+  let model = Option.get (Pipeline.find_model result "Bank") in
+  let proj = measure (fun () -> projected ~env model) in
+  let full = measure (fun () -> unprojected ~env model) in
+  if proj.failing <> full.failing then
+    die "bank k=%d: projected check fails %d fields, unprojected %d" k proj.failing
+      full.failing;
+  { bank_k = k; proj; full }
+
+(* Linear growth: configs(k) / k never exceeds its value at the smallest k. *)
+let linear_floor rows =
+  match rows with
+  | [] -> true
+  | first :: _ ->
+    let per_field r = float_of_int (r.proj.language + r.proj.shuffle) /. float_of_int r.bank_k in
+    List.for_all (fun r -> per_field r <= per_field first) rows
+
 let () =
   let sizes = if smoke then [ 2; 4 ] else [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
   Printf.printf "shuffle: k-task family, k in {%s}%s\n\n"
@@ -128,6 +236,20 @@ let () =
     die "FAIL: no instance exhausted the expansion; the family is not adversarial";
   if (not smoke) && ratio < definitive_floor then
     die "FAIL: definitive ratio %.2f is below the %.2f floor" ratio definitive_floor;
+  let bank_sizes = if smoke then [ 4; 6 ] else [ 4; 5; 6; 7; 8 ] in
+  Printf.printf "\ndistinct subsystems: k valves, k in {%s}\n\n"
+    (String.concat "," (List.map string_of_int bank_sizes));
+  let banks = List.map run_bank bank_sizes in
+  Printf.printf "  %3s  %-36s %-36s\n" "k" "projected (Usage.check)" "unprojected search";
+  let show_search s =
+    Printf.sprintf "%d lang + %d shuffle, %.3f ms" s.language s.shuffle s.search_ms
+  in
+  List.iter
+    (fun b -> Printf.printf "  %3d  %-36s %-36s\n" b.bank_k (show_search b.proj) (show_search b.full))
+    banks;
+  let linear = linear_floor banks in
+  Printf.printf "\n  projected configurations linear in k: %b\n" linear;
+  if not linear then die "FAIL: projected configurations grow faster than linearly in k";
   let leg_json = function
     | Built b -> Printf.sprintf "{\"states\": %d, \"ms\": %.3f}" b.states b.ms
     | Budget b -> Printf.sprintf "{\"over_budget\": true, \"needed\": %d}" b.needed
@@ -136,17 +258,29 @@ let () =
     Printf.sprintf "    {\"k\": %d, \"schedules\": %d, \"fly\": %s, \"expansion\": %s, \"checked\": %b}"
       r.k (schedules r.k) (leg_json r.fly) (leg_json r.expansion) r.checked
   in
+  let search_json s =
+    Printf.sprintf
+      "{\"language_configs\": %d, \"shuffle_configs\": %d, \"ms\": %.3f, \"failing_fields\": %d}"
+      s.language s.shuffle s.search_ms s.failing
+  in
+  let bank_json b =
+    Printf.sprintf "    {\"k\": %d, \"projected\": %s, \"unprojected\": %s}" b.bank_k
+      (search_json b.proj) (search_json b.full)
+  in
   let json =
     Printf.sprintf
       "{\n  \"benchmark\": \"shuffle\",\n  \"max_configs\": %d,\n\
       \  \"expand_budget\": %d,\n  \"instances\": [\n%s\n  ],\n\
       \  \"expansion_exhausted\": %d,\n  \"fly_definitive_of_exhausted\": %d,\n\
       \  \"definitive_ratio\": %.3f,\n  \"definitive_floor\": %.2f,\n\
-      \  \"floor_enforced\": %b\n}\n"
+      \  \"floor_enforced\": %b,\n  \"distinct_subsystems\": [\n%s\n  ],\n\
+      \  \"projected_configs_linear\": %b\n}\n"
       limits.Limits.max_configs expand_budget
       (String.concat ",\n" (List.map row_json rows))
       (List.length exhausted) (List.length answered) ratio definitive_floor
       (not smoke)
+      (String.concat ",\n" (List.map bank_json banks))
+      linear
   in
   let oc = open_out_bin "BENCH_shuffle.json" in
   output_string oc json;

@@ -1,12 +1,15 @@
-let subsystem_call_nfa ?limits (model : Model.t) =
-  let expanded = Usage.expanded_nfa ?limits model in
+let subsystem_call_nfa ?limits ?impl (model : Model.t) =
+  let expanded =
+    match impl with
+    | Some impl -> Lazy.force impl
+    | None -> Usage.expanded_nfa ?limits model
+  in
   Nfa.map_symbols
     (fun sym -> if Symbol.split_scope sym <> None then Some sym else None)
     expanded
 
-let check_claim ?limits (model : Model.t) (text, formula) =
-  let impl = subsystem_call_nfa ?limits model in
-  match Ltl_check.check ?limits ~impl formula with
+let check_claim ?limits ~calls (model : Model.t) (text, formula) =
+  match Ltl_check.check ?limits ~impl:calls formula with
   | Ok () -> None
   | Error violation ->
     Some
@@ -17,5 +20,9 @@ let check_claim ?limits (model : Model.t) (text, formula) =
            counterexample = violation.Ltl_check.counterexample;
          })
 
-let check ?limits (model : Model.t) =
-  List.filter_map (check_claim ?limits model) model.Model.claims
+let check ?limits ?impl (model : Model.t) =
+  match model.Model.claims with
+  | [] -> []
+  | claims ->
+    let calls = subsystem_call_nfa ?limits ?impl model in
+    List.filter_map (check_claim ?limits ~calls model) claims

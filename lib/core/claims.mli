@@ -5,11 +5,12 @@
     can produce — the expanded automaton's language with operation-entry
     events erased. *)
 
-val subsystem_call_nfa : ?limits:Limits.t -> Model.t -> Nfa.t
-(** {!Usage.expanded_nfa} projected onto subsystem-call events. *)
+val subsystem_call_nfa : ?limits:Limits.t -> ?impl:Nfa.t Lazy.t -> Model.t -> Nfa.t
+(** {!Usage.expanded_nfa} projected onto subsystem-call events. [impl] is
+    that expansion when the caller already has it; otherwise it is built
+    here under [limits]. *)
 
-val check_claim : ?limits:Limits.t -> Model.t -> string * Ltlf.t -> Report.t option
-(** [None] when the claim holds on all traces. *)
-
-val check : ?limits:Limits.t -> Model.t -> Report.t list
-(** All claims of the class, in declaration order. *)
+val check : ?limits:Limits.t -> ?impl:Nfa.t Lazy.t -> Model.t -> Report.t list
+(** All claims of the class, in declaration order, decided on one
+    {!subsystem_call_nfa} (from [impl] when given). A class without claims
+    builds nothing. *)

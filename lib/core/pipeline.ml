@@ -12,7 +12,10 @@ type result = {
 (* 8: claims are decided by the entailment product, so they spend --fuel
    (entailment configurations) instead of --max-states. *)
 (* 9: obligations lost their size caps; cached exit-3 verdicts from them must not replay. *)
-let semantics_version = "9"
+(* 10: usage is decided on each field's projection, so a check that ran out
+   of fuel on the full expansion can now answer; cached exit-3 verdicts
+   must not replay. *)
+let semantics_version = "10"
 
 let env_of result name =
   List.find_opt (fun (m : Model.t) -> String.equal m.Model.name name) result.models
@@ -90,10 +93,13 @@ let verify_program ?(extra_env = fun _ -> None) ?(limits = Limits.default)
           let model = extraction.Extract.model in
           let class_name = model.Model.name in
           let run check f = spanned ~limits ~class_name ~check f in
+          (* Built at most once, by the first check that needs it: a failing
+             field's witness search or the claims. *)
+          let impl = lazy (Usage.expanded_nfa ~limits model) in
           extraction.Extract.diagnostics
           @ run "validate" (fun () -> Validate.check model)
-          @ run "usage" (fun () -> Usage.check ~limits ~env model)
-          @ run "claims" (fun () -> Claims.check ~limits model)
+          @ run "usage" (fun () -> Usage.check ~limits ~impl ~env model)
+          @ run "claims" (fun () -> Claims.check ~limits ~impl model)
           @ run "invocation" (fun () -> Invocation.check ~env ~model cls)
           @ run "refine" (fun () -> Refine.check_inheritance ~limits ~env cls model))
       extractions

@@ -27,8 +27,14 @@ let marked_behavior_regex (op : Model.operation) =
   in
   Regex.alt_list (explicit_res @ implicit_res)
 
-let expanded_nfa ?(limits = Limits.default) (model : Model.t) =
-  Obs.with_span "usage.expand" @@ fun () ->
+let marked_behaviors (model : Model.t) =
+  List.map (fun op -> (op, marked_behavior_regex op)) model.Model.operations
+
+(* [behaviors] pairs each operation of [model], in order, with its marked
+   behavior regex. [span] tells full expansions ("usage.expand") from
+   projected ones ("usage.project") in traces. *)
+let expand ~span ~limits (model : Model.t) behaviors =
+  Obs.with_span span @@ fun () ->
   (* Boundary states: 0 = start; one per (operation, exit). *)
   let boundary = Hashtbl.create 16 in
   let next_state = ref 1 in
@@ -48,8 +54,7 @@ let expanded_nfa ?(limits = Limits.default) (model : Model.t) =
   let entry_points = Hashtbl.create 16 in
   (* op name -> list of embedded start states *)
   List.iter
-    (fun (op : Model.operation) ->
-      let behavior = marked_behavior_regex op in
+    (fun ((op : Model.operation), behavior) ->
       let size = Regex.size behavior in
       Limits.check ~within:limits ~resource:"behavior regex size"
         ~limit:limits.Limits.max_regex_size size;
@@ -71,7 +76,7 @@ let expanded_nfa ?(limits = Limits.default) (model : Model.t) =
       List.iter
         (fun (a, b) -> epsilons := (a + offset, b + offset) :: !epsilons)
         (Nfa.epsilons body_nfa))
-    model.operations;
+    behaviors;
   (* Invocation edges: from a boundary state where [op] is allowed, consume
      the operation-entry event and jump into its body. *)
   let allow src (op : Model.operation) =
@@ -106,6 +111,9 @@ let expanded_nfa ?(limits = Limits.default) (model : Model.t) =
   Nfa.create ~labels:!labels ~num_states:!next_state ~start:[ 0 ] ~accept
     ~transitions:!transitions ~epsilons:!epsilons ()
 
+let expanded_nfa ?(limits = Limits.default) model =
+  expand ~span:"usage.expand" ~limits model (marked_behaviors model)
+
 let project_subsystem ~field trace =
   List.filter_map
     (fun sym ->
@@ -114,15 +122,14 @@ let project_subsystem ~field trace =
       | Some _ | None -> None)
     trace
 
+(* The subsystem's usage automaton over the composite's view of its calls. *)
+let spec_of ~field sub_model =
+  Nfa.map_symbols
+    (fun sym -> Some (Symbol.scoped ~scope:field (Symbol.name sym)))
+    (Depgraph.usage_nfa sub_model)
+
 let subsystem_spec_nfa ~env ~field ~subsystem_class =
-  match env subsystem_class with
-  | None -> None
-  | Some sub_model ->
-    let nfa = Depgraph.usage_nfa sub_model in
-    Some
-      (Nfa.map_symbols
-         (fun sym -> Some (Symbol.scoped ~scope:field (Symbol.name sym)))
-         nfa)
+  Option.map (spec_of ~field) (env subsystem_class)
 
 (* Decide how the projected call sequence fails the subsystem model: either
    some call is not allowed at its position, or the whole sequence is a
@@ -140,50 +147,96 @@ let diagnose_failure sub_model projected =
   in
   walk (Nfa.initial_config nfa) projected
 
-let check_subsystem ?limits ?impl ~env (model : Model.t) ~field ~subsystem_class =
+let field_call ~field sym =
+  match Symbol.split_scope sym with
+  | Some (scope, _) -> String.equal scope field
+  | None -> false
+
+(* Shortest trace of [impl] whose calls on [field] are not a usage of
+   [spec]: [spec] is lifted with self-loops on every other symbol, which
+   makes its language h⁻¹(L(spec)) for the homomorphism h that erases
+   every symbol but the field's calls. *)
+let lifted_counterexample ~limits ~field ~spec impl =
+  let alphabet = Symbol.Set.union (Nfa.alphabet impl) (Nfa.alphabet spec) in
+  let non_field_symbols = Symbol.Set.filter (fun sym -> not (field_call ~field sym)) alphabet in
+  let lifted_spec = Nfa.add_self_loops non_field_symbols spec in
+  Language.inclusion_counterexample ~limits ~alphabet ~impl ~spec:lifted_spec ()
+
+(* [L(impl) ⊆ h⁻¹(L(spec))] iff [h(L(impl)) ⊆ L(spec)]. h distributes over
+   every regex operator, so it is applied to each operation's behavior
+   before Glushkov: a spawned task that never touches the field becomes ε
+   and no shuffle product is built for it. Operation entries and exit
+   markers carry no scope and survive the regex projection, because the
+   expansion is assembled from them; the entries are erased from the
+   assembled automaton, so the search steps only on the field's calls. *)
+let projected_holds ~limits ~behaviors ~field ~spec model =
+  let keep sym = field_call ~field sym || Symbol.split_scope sym = None in
+  let projected =
+    expand ~span:"usage.project" ~limits model
+      (List.map (fun (op, r) -> (op, Regex.project ~keep r)) behaviors)
+  in
+  let impl =
+    Nfa.map_symbols (fun sym -> if field_call ~field sym then Some sym else None) projected
+  in
+  Language.included ~limits ~impl ~spec ()
+
+let holds ?(limits = Limits.default) ~env (model : Model.t) ~field ~subsystem_class =
+  match env subsystem_class with
+  | None -> true
+  | Some sub_model ->
+    projected_holds ~limits ~behaviors:(marked_behaviors model) ~field
+      ~spec:(spec_of ~field sub_model) model
+
+(* The verdict comes from the projection; only a failing field pays for
+   the unprojected search, whose shortest witness is the one reported.
+   Erasing can make the projection less deterministic than the full
+   expansion, so a projected search that runs out of fuel leaves the
+   verdict to the unprojected one: a class never answers less than the
+   full search would. *)
+let check_field ~limits ~behaviors ~impl ~env (model : Model.t) ~field ~subsystem_class =
   match env subsystem_class with
   | None -> None
   | Some sub_model -> (
-    let impl =
-      match impl with
-      | Some impl -> impl
-      | None -> expanded_nfa ?limits model
+    let spec = spec_of ~field sub_model in
+    let decided =
+      match projected_holds ~limits ~behaviors ~field ~spec model with
+      | verdict -> verdict
+      | exception Limits.Budget_exceeded _ -> false
     in
-    let spec =
-      match subsystem_spec_nfa ~env ~field ~subsystem_class with
-      | Some s -> s
-      | None -> assert false
-    in
-    let alphabet = Symbol.Set.union (Nfa.alphabet impl) (Nfa.alphabet spec) in
-    let non_field_symbols =
-      Symbol.Set.filter
-        (fun sym ->
-          match Symbol.split_scope sym with
-          | Some (scope, _) -> not (String.equal scope field)
-          | None -> true)
-        alphabet
-    in
-    let lifted_spec = Nfa.add_self_loops non_field_symbols spec in
-    match Language.inclusion_counterexample ?limits ~alphabet ~impl ~spec:lifted_spec () with
-    | None -> None
-    | Some counterexample ->
-      let projected = project_subsystem ~field counterexample in
-      let failure = diagnose_failure sub_model projected in
-      Some
-        (Report.Invalid_subsystem_usage
-           {
-             class_name = model.Model.name;
-             field;
-             subsystem_class;
-             counterexample;
-             projected;
-             failure;
-           }))
+    if decided then None
+    else
+      match lifted_counterexample ~limits ~field ~spec (Lazy.force impl) with
+      | None -> None
+      | Some counterexample ->
+        let projected = project_subsystem ~field counterexample in
+        let failure = diagnose_failure sub_model projected in
+        Some
+          (Report.Invalid_subsystem_usage
+             {
+               class_name = model.Model.name;
+               field;
+               subsystem_class;
+               counterexample;
+               projected;
+               failure;
+             }))
 
-let check ?limits ~env (model : Model.t) =
+(* The caller's full expansion, or one built here on first need. *)
+let full_expansion ~limits ~behaviors model = function
+  | Some impl -> impl
+  | None -> lazy (expand ~span:"usage.expand" ~limits model behaviors)
+
+let check_subsystem ?(limits = Limits.default) ?impl ~env model ~field ~subsystem_class =
+  let behaviors = marked_behaviors model in
+  let impl = full_expansion ~limits ~behaviors model impl in
+  check_field ~limits ~behaviors ~impl ~env model ~field ~subsystem_class
+
+let check ?(limits = Limits.default) ?impl ~env (model : Model.t) =
   match model.Model.kind with
   | `Base -> []
   | `Composite ->
+    let behaviors = marked_behaviors model in
+    let impl = full_expansion ~limits ~behaviors model impl in
     List.filter_map
       (fun field ->
         match Model.subsystem_class model field with
@@ -200,5 +253,6 @@ let check ?limits ~env (model : Model.t) =
               (Report.structural ~line:model.Model.line Report.Error
                  ~class_name:model.Model.name
                  (Printf.sprintf "subsystem '%s' has unknown class %s" field subsystem_class))
-          | Some _ -> check_subsystem ?limits ~env model ~field ~subsystem_class))
+          | Some _ ->
+            check_field ~limits ~behaviors ~impl ~env model ~field ~subsystem_class))
       model.Model.declared_subsystems

@@ -5,7 +5,16 @@
     inferred behaviors). Each declared subsystem's induced call sequence must
     be a valid usage of that subsystem's own model. A violation yields the
     paper's INVALID SUBSYSTEM USAGE report with a shortest mixed
-    counterexample such as [open_a, a.test, a.open]. *)
+    counterexample such as [open_a, a.test, a.open].
+
+    The verdict for a field is decided by projection. With h the
+    homomorphism that erases every symbol but the field's calls, the check
+    [L(expansion) ⊆ h⁻¹(L(spec))] is the same question as
+    [h(L(expansion)) ⊆ L(spec)]. Calls on other fields are erased from each
+    operation's behavior regex before any automaton is built
+    ({!Regex.project}), and operation entries once the expansion is
+    assembled. Only a field that fails pays for the unprojected search over
+    the full expansion, and its shortest witness is the one reported. *)
 
 type env = string -> Model.t option
 (** Resolve a class name to its extracted model. *)
@@ -26,19 +35,33 @@ val subsystem_spec_nfa : env:env -> field:string -> subsystem_class:string -> Nf
 (** The subsystem's usage automaton, relabeled to the composite's view
     ([test] → [a.test]). [None] when the class is not in the environment. *)
 
+val holds :
+  ?limits:Limits.t -> env:env -> Model.t -> field:string -> subsystem_class:string -> bool
+(** The projected verdict alone: does every call sequence the composite
+    induces on [field] follow the subsystem's protocol? [true] when the
+    class is not in [env]. Exact, and builds no automaton for work that
+    never touches [field].
+    @raise Limits.Budget_exceeded when the projected search runs out. *)
+
 val check_subsystem :
   ?limits:Limits.t ->
-  ?impl:Nfa.t ->
+  ?impl:Nfa.t Lazy.t ->
   env:env ->
   Model.t ->
   field:string ->
   subsystem_class:string ->
   Report.t option
-(** [None] when the subsystem is used correctly. [impl] is the model's
-    {!expanded_nfa}, when the caller already built it (once for all the
-    fields it checks); otherwise it is built here under [limits]. *)
+(** [None] when the subsystem is used correctly, decided by {!holds}. On a
+    violation, the report's counterexample is the shortest trace of the
+    unprojected search over [impl], the model's {!expanded_nfa} (built here
+    under [limits] when not given; forced only for a failing field). When
+    the projected search runs out of fuel, the unprojected search decides
+    instead. *)
 
-val check : ?limits:Limits.t -> env:env -> Model.t -> Report.t list
+val check :
+  ?limits:Limits.t -> ?impl:Nfa.t Lazy.t -> env:env -> Model.t -> Report.t list
 (** All declared subsystems of a composite, in declaration order. Also
     reports declared subsystems that are missing from [__init__] or whose
-    class is unknown. For base classes, returns []. *)
+    class is unknown. For base classes, returns []. [impl] is the model's
+    {!expanded_nfa}, shared by every failing field (and by the caller's
+    other checks); it is forced only when some field fails. *)

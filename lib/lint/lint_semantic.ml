@@ -492,9 +492,11 @@ let behavior_blowup ctx =
    re-run the subsystem inclusion check on the sequentialized model (every
    [Par] forced to run its left branch to completion first) and flag SY112
    exactly when the interleaved model fails where the sequentialized one
-   passes — reporting a shortest offending schedule as the witness. The
-   shuffle-product exploration of both checks is capped by
-   [thresholds.race_fuel] on top of the caller's limits. *)
+   passes — reporting a shortest offending schedule as the witness. Both
+   verdicts come from the field's projection ({!Usage.holds}); only a race
+   pays for the unprojected interleaved search that finds its witness.
+   Every search is capped by [thresholds.race_fuel] on top of the caller's
+   limits, and a projected search that runs out reports SY090. *)
 
 let rec sequentialize_prog (p : Prog.t) : Prog.t =
   match p with
@@ -545,30 +547,28 @@ let interleaved_protocol_race ctx =
         ~max_regex_size:ctx.limits.Limits.max_regex_size
         ?deadline:ctx.limits.Limits.deadline ()
     in
-    (* Both expansions are shared by every field: built on first need, once. *)
     let seq_model = lazy (sequentialize_model model) in
-    let interleaved = once (fun () -> Usage.expanded_nfa ~limits:race_limits model) in
-    let sequential =
-      once (fun () -> Usage.expanded_nfa ~limits:race_limits (Lazy.force seq_model))
-    in
+    (* The full interleaved expansion is built only for a race's witness,
+       once, and shared by every racing field. *)
+    let interleaved = lazy (Usage.expanded_nfa ~limits:race_limits model) in
     List.filter_map
       (fun field ->
         match Model.subsystem_class model field with
         | None -> None
-        | Some subsystem_class when ctx.env subsystem_class = None ->
-          None (* nothing to check, so nothing to expand *)
-        | Some subsystem_class -> (
-          match
-            Usage.check_subsystem ~limits:race_limits ~impl:(interleaved ()) ~env:ctx.env
-              model ~field ~subsystem_class
-          with
-          | Some (Report.Invalid_subsystem_usage { counterexample; failure; _ }) -> (
+        | Some subsystem_class ->
+          if
+            Usage.holds ~limits:race_limits ~env:ctx.env model ~field ~subsystem_class
+            (* fails even without preemption: the checker's business *)
+            || not
+                 (Usage.holds ~limits:race_limits ~env:ctx.env (Lazy.force seq_model) ~field
+                    ~subsystem_class)
+          then None
+          else (
             match
-              Usage.check_subsystem ~limits:race_limits ~impl:(sequential ())
-                ~env:ctx.env (Lazy.force seq_model) ~field ~subsystem_class
+              Usage.check_subsystem ~limits:race_limits ~impl:interleaved ~env:ctx.env model
+                ~field ~subsystem_class
             with
-            | Some _ -> None (* fails even without preemption: the checker's business *)
-            | None ->
+            | Some (Report.Invalid_subsystem_usage { counterexample; failure; _ }) ->
               let how =
                 match failure with
                 | Report.Not_allowed op ->
@@ -585,8 +585,8 @@ let interleaved_protocol_race ctx =
                      completion without preemption is safe"
                     field
                     (Trace.to_string counterexample)
-                    subsystem_class how ))
-          | Some _ | None -> None))
+                    subsystem_class how )
+            | Some _ | None -> None))
       model.Model.declared_subsystems
   end
 

@@ -136,6 +136,19 @@ let rec sequentialize = function
   | Star r -> star (sequentialize r)
   | Shuffle (a, b) -> seq (sequentialize a) (sequentialize b)
 
+(* The erasing homomorphism onto the symbols [keep] accepts: every other
+   symbol becomes [ε]. The smart constructors collapse what is left, so a
+   subterm with no kept symbol ends up [ε] (or [∅]) and a shuffle branch
+   that ends up [ε] drops out. A homomorphism distributes over every
+   operator, [∥] included: L(project r) = h(L(r)). *)
+let rec project ~keep = function
+  | (Empty | Eps) as r -> r
+  | Sym s as r -> if keep s then r else Eps
+  | Seq (a, b) -> seq (project ~keep a) (project ~keep b)
+  | Alt (a, b) -> alt (project ~keep a) (project ~keep b)
+  | Star r -> star (project ~keep r)
+  | Shuffle (a, b) -> shuffle (project ~keep a) (project ~keep b)
+
 (* Precedence: Alt (1) < Shuffle (2) < Seq (3) < Star (4); parenthesize a
    subterm whose precedence is lower than the context's. *)
 let pp_with ~empty_s ~eps_s ~seq_s ~par_s fmt r =

@@ -95,6 +95,12 @@ val sequentialize : t -> t
     branch to completion before its right. [L(sequentialize r) ⊆ L(r)],
     with equality iff [shuffle_free r]. *)
 
+val project : keep:(Symbol.t -> bool) -> t -> t
+(** The erasing homomorphism h onto the symbols [keep] accepts: every other
+    [Sym] becomes [ε], and the smart constructors collapse the rest (a
+    shuffle branch with no kept symbol drops out). h distributes over [·],
+    [+], [*] and [∥], so [L(project ~keep r) = h(L(r))]. *)
+
 val compare : t -> t -> int
 (** Structural order (used by the normal form and by sets of regexes). *)
 

@@ -261,6 +261,254 @@ let test_usage_limits_threaded () =
       Alcotest.(check string) "named resource" "shuffle-product configurations" resource)
   | models -> Alcotest.failf "expected one model, got %d" (List.length models)
 
+(* --- Projected usage checking -------------------------------------------------
+
+   [Usage] decides each field on the behavior projected onto that field
+   ({!Regex.project}). The projection must be exact: over random
+   composites with 2–4 fields and spawned or gathered calls, its verdict
+   equals the unprojected inclusion on the full expansion (the search the
+   checker ran before projection, kept here as the reference) and a
+   bounded brute-force oracle built on {!Interleave.words_upto}. A failing
+   field's report must be byte-identical to the reference's. *)
+
+let test_project_units () =
+  let keep_a s = Symbol.name s = "a" in
+  Alcotest.check regex "h(a ∥ b) = a, b foreign" a (Regex.project ~keep:keep_a (a |& b));
+  Alcotest.check regex "h((b + c)*) = ε" Regex.eps
+    (Regex.project ~keep:keep_a (Regex.star (b +& c)));
+  Alcotest.check regex "∅ stays ∅" Regex.empty (Regex.project ~keep:keep_a Regex.empty);
+  let marker = Mpy_lower.exit_marker ~method_name:"run" 0 in
+  let keep s = Symbol.split_scope s = None || Symbol.name s = "v.open" in
+  let body =
+    Regex.seq
+      (Regex.sym_of_name "v.open" |& Regex.sym_of_name "w.open")
+      (Regex.sym marker)
+  in
+  Alcotest.check regex "exit markers survive"
+    (Regex.seq (Regex.sym_of_name "v.open") (Regex.sym marker))
+    (Regex.project ~keep body)
+
+let prop_project_is_homomorphism =
+  (* Erasing on the regex before Glushkov = erasing on the automaton after
+     it (an erased transition becomes an ε-move): L(project r) = h(L(r)). *)
+  qtest_arb "L(project r) = h(L(r))" ~count:200 regex_shuffle_arb (fun r ->
+      let keep s = Symbol.name s <> "b" && Symbol.name s <> "d" in
+      Language.equivalent
+        (Glushkov.of_regex (Regex.project ~keep r))
+        (Nfa.map_symbols (fun s -> if keep s then Some s else None) (Glushkov.of_regex r)))
+
+let protocols =
+  [
+    ( "Log",
+      [ ("begin", true, false, [ "begin"; "end" ]); ("end", false, true, [ "begin" ]) ] );
+    ("Gate", [ ("open", true, false, [ "close" ]); ("close", false, true, [ "open" ]) ]);
+  ]
+
+let base_class_source (name, ops) =
+  let op (meth, initial, final, next) =
+    Printf.sprintf "    @%s\n    def %s(self):\n        self.pin.on()\n        return [%s]\n"
+      (match (initial, final) with
+      | true, true -> "op_initial_final"
+      | true, false -> "op_initial"
+      | false, true -> "op_final"
+      | false, false -> "op")
+      meth
+      (String.concat ", " (List.map (Printf.sprintf "%S") next))
+  in
+  Printf.sprintf "@sys\nclass %s:\n    def __init__(self):\n        self.pin = Pin(1, OUT)\n\n%s\n"
+    name
+    (String.concat "\n" (List.map op ops))
+
+(* A composite over [fields] (name, class) whose async operations call,
+   spawn ([create_task]) and gather subsystem calls, under nondeterministic
+   branches with early returns. Loop-free, so every behavior is finite. *)
+let composite_gen =
+  let open QCheck2.Gen in
+  let* nfields = int_range 2 4 in
+  let* classes = list_repeat nfields (oneofl [ "Log"; "Gate" ]) in
+  let fields = List.mapi (fun i c -> (Printf.sprintf "f%d" (i + 1), c)) classes in
+  let* nops = int_range 1 3 in
+  let ops = List.init nops (Printf.sprintf "op%d") in
+  let call =
+    let* field, cls = oneofl fields in
+    let+ meth, _, _, _ = oneofl (List.assoc cls protocols) in
+    Printf.sprintf "self.%s.%s()" field meth
+  in
+  let returns = map (fun l -> Printf.sprintf "return [%s]" (String.concat ", " (List.map (Printf.sprintf "%S") l))) (list_size (int_range 0 2) (oneofl ops)) in
+  let simple =
+    oneof
+      [
+        call;
+        map (Printf.sprintf "asyncio.create_task(%s)") call;
+        map2 (Printf.sprintf "await asyncio.gather(%s, %s)") call call;
+      ]
+  in
+  let indent = List.map (( ^ ) "    ") in
+  let stmt =
+    frequency
+      [
+        (4, map (fun s -> [ s ]) simple);
+        ( 1,
+          let* then_ = list_size (int_range 1 2) simple in
+          let* early = opt returns in
+          let+ else_ = list_size (int_range 1 2) simple in
+          ("if x:" :: indent (then_ @ Option.to_list early)) @ ("else:" :: indent else_) );
+      ]
+  in
+  let op_source i name =
+    let* body = list_size (int_range 1 3) stmt in
+    let* final = bool in
+    let+ ret = returns in
+    let kind = if i = 0 then "op_initial_final" else if final then "op_final" else "op" in
+    Printf.sprintf "    @%s\n    async def %s(self):\n%s" kind name
+      (String.concat "" (List.map (Printf.sprintf "        %s\n") (List.concat body @ [ ret ])))
+  in
+  let+ bodies = flatten_l (List.mapi op_source ops) in
+  String.concat "\n" (List.map base_class_source protocols)
+  ^ Printf.sprintf "\n@sys([%s])\nclass Hub:\n    def __init__(self):\n%s\n%s"
+      (String.concat ", " (List.map (fun (f, _) -> Printf.sprintf "%S" f) fields))
+      (String.concat "" (List.map (fun (f, c) -> Printf.sprintf "        self.%s = %s()\n" f c) fields))
+      (String.concat "\n" bodies)
+
+(* The unprojected check exactly as it ran before projection: the full
+   expansion against the spec lifted over every non-field symbol, and the
+   diagnosis of the shortest witness. *)
+let reference_report ~env (model : Model.t) ~field ~subsystem_class =
+  let sub_model = Option.get (env subsystem_class) in
+  let impl = Usage.expanded_nfa model in
+  let spec = Option.get (Usage.subsystem_spec_nfa ~env ~field ~subsystem_class) in
+  let alphabet = Symbol.Set.union (Nfa.alphabet impl) (Nfa.alphabet spec) in
+  let non_field =
+    Symbol.Set.filter
+      (fun s ->
+        match Symbol.split_scope s with
+        | Some (scope, _) -> scope <> field
+        | None -> true)
+      alphabet
+  in
+  let lifted = Nfa.add_self_loops non_field spec in
+  Language.inclusion_counterexample ~alphabet ~impl ~spec:lifted ()
+  |> Option.map (fun counterexample ->
+         let projected = Usage.project_subsystem ~field counterexample in
+         let usage = Depgraph.usage_nfa sub_model in
+         let rec walk config = function
+           | [] -> Report.Not_final (match List.rev projected with l :: _ -> l | [] -> "?")
+           | op :: rest ->
+             let next = Nfa.step usage config (Symbol.intern op) in
+             if States.Set.is_empty next then Report.Not_allowed op else walk next rest
+         in
+         Report.Invalid_subsystem_usage
+           {
+             class_name = model.Model.name;
+             field;
+             subsystem_class;
+             counterexample;
+             projected;
+             failure = walk (Nfa.initial_config usage) projected;
+           })
+
+(* Brute force: every composite run of at most [max_ops] operations, each
+   exit contributing every word of its behavior ({!Interleave.words_upto}),
+   projected on the field; a run that ends after a final operation must
+   give a complete usage of the subsystem. *)
+let oracle_violates ~max_ops ~env (model : Model.t) ~field ~subsystem_class =
+  let usage = Depgraph.usage_nfa (Option.get (env subsystem_class)) in
+  let valid calls = Nfa.accepts usage (List.map Symbol.intern calls) in
+  let words (e : Model.exit_point) =
+    Interleave.words_upto ~max_len:(Regex.size e.Model.behavior) e.Model.behavior
+    |> Trace.Set.elements
+    |> List.map (Usage.project_subsystem ~field)
+  in
+  let rec go depth allowed prefixes =
+    depth < max_ops
+    && List.exists
+         (fun (op : Model.operation) ->
+           List.exists
+             (fun (e : Model.exit_point) ->
+               let extended =
+                 List.sort_uniq compare
+                   (List.concat_map (fun p -> List.map (fun w -> p @ w) (words e)) prefixes)
+               in
+               (List.memq op (Model.final_ops model) && not (List.for_all valid extended))
+               || go (depth + 1)
+                    (List.filter_map (Model.find_op model) e.Model.next_ops)
+                    extended)
+             op.Model.exits)
+         allowed
+  in
+  (not (valid [])) || go 0 (Model.initial_ops model) [ [] ]
+
+let prop_projected_usage_differential =
+  let max_ops = 3 in
+  qtest "projected usage = unprojected = interleave oracle" ~count:150 composite_gen
+    ~print:Fun.id (fun source ->
+      let result = Pipeline.verify_source_exn source in
+      let env = Pipeline.env_of result in
+      let model = Option.get (Pipeline.find_model result "Hub") in
+      List.for_all
+        (fun field ->
+          let subsystem_class = Option.get (Model.subsystem_class model field) in
+          let holds = Usage.holds ~env model ~field ~subsystem_class in
+          let reference = reference_report ~env model ~field ~subsystem_class in
+          let got = Usage.check_subsystem ~env model ~field ~subsystem_class in
+          let oracle = oracle_violates ~max_ops ~env model ~field ~subsystem_class in
+          let entries =
+            match reference with
+            | Some (Report.Invalid_subsystem_usage { counterexample; _ }) ->
+              List.length (List.filter (fun s -> Symbol.split_scope s = None) counterexample)
+            | _ -> 0
+          in
+          let fail fmt = QCheck2.Test.fail_reportf ("field %s: " ^^ fmt) field in
+          if holds <> (reference = None) then
+            fail "projected says %b, unprojected %b" holds (reference = None)
+          else if Option.map Report.to_string got <> Option.map Report.to_string reference
+          then fail "report differs from the unprojected one"
+          else if oracle && holds then fail "the oracle found a violation"
+          else if (not holds) && entries <= max_ops && not oracle then
+            fail "the oracle found no violation within %d operations" max_ops
+          else true)
+        model.Model.declared_subsystems)
+
+(* Erasing can cost determinism: [f]'s calls here spell (a+b)*·a·(a+b)^6,
+   whose subsets blow up once the operation entries that tell the stages
+   apart are erased, while the full expansion stays deterministic. Under a
+   budget the projection cannot meet, the unprojected search still
+   decides. *)
+let shift_source =
+  let stage i =
+    let next = if i = 6 then "[]" else Printf.sprintf "[\"s%da\", \"s%db\"]" (i + 1) (i + 1) in
+    let kind = if i = 6 then "op_final" else "op" in
+    String.concat ""
+      (List.map
+         (fun m ->
+           Printf.sprintf "    @%s\n    def s%d%s(self):\n        self.f.%s()\n        return %s\n\n"
+             kind i m m next)
+         [ "a"; "b" ])
+  in
+  let loop = "[\"la\", \"lb\", \"m\"]" in
+  Printf.sprintf
+    "@sys\nclass Any:\n    def __init__(self):\n        self.pin = Pin(1, OUT)\n\n\
+    \    @op_initial_final\n    def a(self):\n        self.pin.on()\n        return [\"a\", \"b\"]\n\n\
+    \    @op_initial_final\n    def b(self):\n        self.pin.off()\n        return [\"a\", \"b\"]\n\n\
+     @sys([\"f\"])\nclass Shift:\n    def __init__(self):\n        self.f = Any()\n\n\
+    \    @op_initial_final\n    def start(self):\n        return %s\n\n\
+    \    @op\n    def la(self):\n        self.f.a()\n        return %s\n\n\
+    \    @op\n    def lb(self):\n        self.f.b()\n        return %s\n\n\
+    \    @op\n    def m(self):\n        self.f.a()\n        return [\"s1a\", \"s1b\"]\n\n%s"
+    loop loop loop
+    (String.concat "" (List.init 6 (fun i -> stage (i + 1))))
+
+let test_projection_budget_fallback () =
+  let result = Pipeline.verify_source_exn shift_source in
+  let env = Pipeline.env_of result in
+  let model = Option.get (Pipeline.find_model result "Shift") in
+  let limits = Limits.make ~max_configs:100 () in
+  (match Usage.holds ~limits ~env model ~field:"f" ~subsystem_class:"Any" with
+  | _ -> Alcotest.fail "expected the projected search to run out"
+  | exception Limits.Budget_exceeded _ -> ());
+  Alcotest.(check int) "the unprojected search verifies" 0
+    (List.length (Usage.check ~limits ~env model))
+
 (* --- The IR extension: Prog.Par --------------------------------------------- *)
 
 let ir_max_len = 4
@@ -399,6 +647,13 @@ let () =
           Alcotest.test_case "k-ary schedules" `Quick test_product_kary;
           Alcotest.test_case "budget enforced" `Quick test_product_budget;
           Alcotest.test_case "usage threads limits" `Quick test_usage_limits_threaded;
+        ] );
+      ( "projection",
+        [
+          Alcotest.test_case "project units" `Quick test_project_units;
+          prop_project_is_homomorphism;
+          prop_projected_usage_differential;
+          Alcotest.test_case "budget falls back" `Quick test_projection_budget_fallback;
         ] );
       ( "ir",
         [ prop_par_theorems; prop_par_derivation; prop_par_infer_is_shuffle ] );
