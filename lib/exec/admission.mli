@@ -3,7 +3,7 @@
     loop so it is unit-testable pure bookkeeping.
 
     All time is an explicit [now] supplied by the caller (the daemon passes
-    {!Sysconf.monotonic_time}); the module never reads a clock and performs
+    {!Clock.now}); the module never reads a clock and performs
     no I/O. Operations are O(queue length), and the queue is bounded. *)
 
 type 'a t

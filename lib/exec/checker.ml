@@ -17,48 +17,30 @@ type verdict = {
 let fault_injection = Supervisor.fault_injection
 
 let fault_hook path =
-  if not !fault_injection then ()
-  else
-    match Sys.getenv_opt "SHELLEY_FAULT" with
-    | None | Some "" -> ()
-    | Some spec ->
-    String.split_on_char ',' spec
-    |> List.iter (fun entry ->
-           match String.index_opt entry ':' with
-           | None -> ()
-           | Some i ->
-             let kind = String.sub entry 0 i in
-             let substr = String.sub entry (i + 1) (String.length entry - i - 1) in
-             let matches =
-               substr <> ""
-               && String.length path >= String.length substr
-               && List.exists
-                    (fun off -> String.sub path off (String.length substr) = substr)
-                    (List.init (String.length path - String.length substr + 1) Fun.id)
-             in
-             if matches then
-               match kind with
-               | "hang" ->
-                 while true do
-                   Unix.sleepf 0.05
-                 done
-               | "crash" -> Unix.kill (Unix.getpid ()) Sys.sigkill
-               | "slow" -> Unix.sleepf 1.0
-               | "balloon" ->
-                 (* Allocate until the worker's RLIMIT_AS cap turns into a
-                    catchable Out_of_memory. Bounded at ~4 GiB so arming
-                    this in an uncapped process is a no-op rather than a
-                    host-wide memory grab. *)
-                 let hoard = ref [] in
-                 (try
-                    for _ = 1 to 256 do
-                      hoard := Bytes.create (16 * 1024 * 1024) :: !hoard
-                    done
-                  with Out_of_memory ->
-                    hoard := [];
-                    raise Out_of_memory);
-                 hoard := []
-               | _ -> ())
+  List.iter
+    (function
+      | "hang" ->
+        while true do
+          Unix.sleepf 0.05
+        done
+      | "crash" -> Unix.kill (Unix.getpid ()) Sys.sigkill
+      | "slow" -> Unix.sleepf 1.0
+      | "balloon" ->
+        (* Allocate until the worker's RLIMIT_AS cap turns into a
+           catchable Out_of_memory. Bounded at ~4 GiB so arming this in an
+           uncapped process is a no-op rather than a host-wide memory
+           grab. *)
+        let hoard = ref [] in
+        (try
+           for _ = 1 to 256 do
+             hoard := Bytes.create (16 * 1024 * 1024) :: !hoard
+           done
+         with Out_of_memory ->
+           hoard := [];
+           raise Out_of_memory);
+        hoard := []
+      | _ -> ())
+    (Supervisor.faults_for path)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -212,48 +194,8 @@ let check_file_raw ?(limits = Limits.default) ?(warnings = false) ?(explain = fa
     in
     (Buffer.contents buf, code)
 
-(* The whole file runs inside one [Obs] unit, so its span tree and counters
-   come back as one marshal-safe profile (strings and ints only) — identical
-   in shape whether this executes in-process or inside a forked worker.
-   [after] runs inside the unit too: the cache store performed there (and
-   its cache.bytes_written counter) lands in the unit's profile, so it
-   crosses the worker pipe with everything else. *)
-let check_file_with ?limits ?warnings ?explain ?lint ?extra_env ~after path =
-  let (output, code), profile =
-    Obs.in_unit ~name:path (fun () ->
-        let output, code =
-          check_file_raw ?limits ?warnings ?explain ?lint ?extra_env path
-        in
-        after output code;
-        (output, code))
-  in
-  { path; output; code; profile }
-
-let check_file ?limits ?warnings ?explain ?lint ?extra_env path =
-  check_file_with ?limits ?warnings ?explain ?lint ?extra_env
-    ~after:(fun _ _ -> ())
-    path
-
 let fault_block path report =
   Format.asprintf "== %s ==@.%a@.@." path Report.pp report
-
-(* Replay the pool's outcomes over the annotated input list: hits keep their
-   cached verdict, misses consume the next outcome — strictly in input
-   order, so the aggregate output is byte-identical whatever mix of hits,
-   misses and jobs levels produced it. *)
-let merge_outcomes ~of_outcome annotated outcomes =
-  let rec go annotated outcomes =
-    match annotated with
-    | [] -> []
-    | (_, Some hit, _) :: rest -> hit :: go rest outcomes
-    | (path, None, _) :: rest -> (
-      match outcomes with
-      | [] ->
-        (* The pool returns exactly one outcome per submitted task. *)
-        invalid_arg "Checker.merge_outcomes: outcome list too short"
-      | (outcome, lane) :: more -> of_outcome path outcome lane :: go rest more)
-  in
-  go annotated outcomes
 
 (* Annotate each path with its cache fate before any forking: [Some verdict]
    for a hit, otherwise the key the worker should store its result under
@@ -312,10 +254,10 @@ type job_spec = {
   job_using : string list;
 }
 
+(* A worker answers with exactly what the cache stores for the file, so the
+   orchestrator stores it as it comes. *)
 type job_result = {
-  jr_output : string;  (* rendered block (check mode), "" for lint *)
-  jr_code : int;
-  jr_lint : Lint.file_result option;
+  jr_payload : cache_payload;
   jr_profile : Obs.profile option;
 }
 
@@ -391,37 +333,41 @@ let oom_report () =
 
 (* The worker function fixed into every pool at fork time. Each job runs
    inside its own [Obs] unit with a fresh ledger, so a worker's 1000th task
-   profiles exactly like its first. An allocation that blows through the
-   worker's RLIMIT_AS cap surfaces here as [Out_of_memory] and is rendered
-   as a resource-limit verdict (exit 3), not a crash: running out of budget
-   is a classified outcome, same as running out of fuel. *)
+   profiles exactly like its first, and its span tree and counters come
+   back as one marshal-safe profile (strings and ints only), identical in
+   shape whether the job ran in-process or in a forked worker. An
+   allocation that blows through the worker's RLIMIT_AS cap surfaces here
+   as [Out_of_memory] and is rendered as a resource-limit verdict (exit 3),
+   not a crash: running out of budget is a classified outcome, same as
+   running out of fuel. *)
 let run_job (j : job_spec) : job_result =
   let limits = job_limits j in
-  match j.job_mode with
-  | Job_check { warnings; explain; lint } ->
-    let extra_env = env_of_using j.job_using in
-    let (output, code), profile =
+  let payload, profile =
+    match j.job_mode with
+    | Job_check { warnings; explain; lint } ->
+      let extra_env = env_of_using j.job_using in
       Obs.in_unit ~name:j.job_path (fun () ->
-          try check_file_raw ~limits ~warnings ~explain ~lint ~extra_env j.job_path
-          with Out_of_memory -> (fault_block j.job_path (oom_report ()), 3))
-    in
-    { jr_output = output; jr_code = code; jr_lint = None; jr_profile = profile }
-  | Job_lint { max_behavior_size; max_star_height; entail_fuel; race_fuel } ->
-    let thresholds =
-      { Lint_semantic.max_behavior_size; max_star_height; entail_fuel; race_fuel }
-    in
-    let result, profile =
+          let output, code =
+            try check_file_raw ~limits ~warnings ~explain ~lint ~extra_env j.job_path
+            with Out_of_memory -> (fault_block j.job_path (oom_report ()), 3)
+          in
+          Cached_check { output; code })
+    | Job_lint { max_behavior_size; max_star_height; entail_fuel; race_fuel } ->
+      let thresholds =
+        { Lint_semantic.max_behavior_size; max_star_height; entail_fuel; race_fuel }
+      in
       Obs.in_unit ~name:j.job_path (fun () ->
-          try
-            fault_hook j.job_path;
-            Lint.lint_path ~limits ~thresholds j.job_path
-          with Out_of_memory ->
-            engine_result j.job_path Rules.rule_resource_limit
-              (Printf.sprintf
-                 "linting exceeded the worker's %d MiB address-space cap"
-                 !worker_mem_cap))
-    in
-    { jr_output = ""; jr_code = 0; jr_lint = Some result; jr_profile = profile }
+          Cached_lint
+            (try
+               fault_hook j.job_path;
+               Lint.lint_path ~limits ~thresholds j.job_path
+             with Out_of_memory ->
+               engine_result j.job_path Rules.rule_resource_limit
+                 (Printf.sprintf
+                    "linting exceeded the worker's %d MiB address-space cap"
+                    !worker_mem_cap)))
+  in
+  { jr_payload = payload; jr_profile = profile }
 
 type pool = (job_spec, job_result) Supervisor.t
 
@@ -476,50 +422,26 @@ let run_specs ?pool ~jobs ~(limits : Limits.t) specs =
           Supervisor.run ~retry:retry_spec ?deadline:limits.Limits.deadline p specs)
     end
 
-(* Stores happen in the orchestrator, after the pool settles: a result is
-   stored only when its {e first} attempt succeeded — the reduced-budget
-   retry answers a smaller-fuel question than the key was composed for.
-   (Workers cannot store: a persistent worker's cwd-relative cache handle
-   could go stale, and crashed/timed-out units must never be stored.) *)
-let store_settled ~cache ~payload_of misses settled =
-  match cache with
-  | None -> ()
-  | Some c ->
-    List.iter2
-      (fun (_path, key) (s : job_result Supervisor.settled) ->
-        match (key, s.Supervisor.outcome, s.Supervisor.attempts) with
-        | Some k, Supervisor.Done jr, 1 -> (
-          match payload_of jr with
-          | Some payload -> Cache.store c k payload
-          | None -> ())
-        | _ -> ())
-      misses settled
-
-let misses_of annotated =
-  List.filter_map
-    (fun (path, hit, key) ->
-      match hit with
-      | Some _ -> None
-      | None -> Some (path, key))
-    annotated
-
-let check_files ?(jobs = 1) ?(limits = Limits.default) ?(warnings = false)
-    ?(explain = false) ?(lint = false) ?(using = []) ?pool ?cache ?(cache_extra = [])
-    paths =
+(* The one file-run engine behind {!check_files} and {!lint_files}:
+   annotate each path with its cache fate, run the misses through the pool,
+   store, then replay hits and outcomes strictly in input order, so the
+   aggregate is byte-identical whatever mix of hits, misses and jobs levels
+   produced it. [verdict path profile payload] reads a payload of the
+   caller's mode ([None] for the other mode's); [failed path reason] renders
+   a unit that timed out or crashed on every attempt. *)
+let run_files ?pool ~jobs ~limits ~cache ~key_of ~job_mode ~using ~verdict ~failed paths =
   let annotated =
-    annotate ~cache
-      ~key_of:(check_cache_key ~limits ~warnings ~explain ~lint ~extra:cache_extra)
-      ~hit_of:(fun path payload ->
-        match payload with
-        | Cached_check { output; code } -> Some { path; output; code; profile = None }
-        | Cached_lint _ -> None)
-      paths
+    annotate ~cache ~key_of ~hit_of:(fun path -> verdict path None) paths
   in
-  let misses = misses_of annotated in
+  let misses =
+    List.filter_map
+      (fun (path, hit, key) -> if Option.is_none hit then Some (path, key) else None)
+      annotated
+  in
   let spec (path, _key) =
     {
       job_path = path;
-      job_mode = Job_check { warnings; explain; lint };
+      job_mode;
       job_max_states = limits.Limits.max_states;
       job_max_configs = limits.Limits.max_configs;
       job_max_regex_size = limits.Limits.max_regex_size;
@@ -528,102 +450,96 @@ let check_files ?(jobs = 1) ?(limits = Limits.default) ?(warnings = false)
     }
   in
   let settled = run_specs ?pool ~jobs ~limits (List.map spec misses) in
-  store_settled ~cache
-    ~payload_of:(fun jr -> Some (Cached_check { output = jr.jr_output; code = jr.jr_code }))
-    misses settled;
-  let of_outcome path outcome lane =
-    match outcome with
+  (* Stores happen in the orchestrator, after the pool settles: a result is
+     stored only when its {e first} attempt succeeded — the reduced-budget
+     retry answers a smaller-fuel question than the key was composed for.
+     (Workers cannot store: a persistent worker's cwd-relative cache handle
+     could go stale, and crashed/timed-out units must never be stored.) *)
+  Option.iter
+    (fun c ->
+      List.iter2
+        (fun (_path, key) (s : job_result Supervisor.settled) ->
+          match (key, s.Supervisor.outcome, s.Supervisor.attempts) with
+          | Some k, Supervisor.Done jr, 1 -> Cache.store c k jr.jr_payload
+          | _ -> ())
+        misses settled)
+    cache;
+  let of_settled path (s : job_result Supervisor.settled) =
+    match s.Supervisor.outcome with
     | Supervisor.Done jr ->
       (* Merge the worker's profile into the parent recorder under its pool
          lane; the sinks then see one timeline row per worker. *)
-      Option.iter (Obs.add_unit ~lane) jr.jr_profile;
-      { path; output = jr.jr_output; code = jr.jr_code; profile = jr.jr_profile }
+      Option.iter (Obs.add_unit ~lane:s.Supervisor.lane) jr.jr_profile;
+      (* [run_job] answers in its job's mode, so [verdict] accepts it. *)
+      Option.get (verdict path jr.jr_profile jr.jr_payload)
     | Supervisor.Timed_out { seconds; attempts } ->
       Obs.count "checker.timeout_units" 1;
-      {
-        path;
-        output = fault_block path (Report.Timeout { unit_name = path; seconds; attempts });
-        code = 3;
-        profile = None;
-      }
+      failed path (`Timed_out (seconds, attempts))
     | Supervisor.Crashed { reason; attempts } ->
       Obs.count "checker.crashed_units" 1;
-      {
-        path;
-        output =
-          fault_block path (Report.Worker_crashed { unit_name = path; reason; attempts });
-        code = 3;
-        profile = None;
-      }
+      failed path (`Crashed (reason, attempts))
   in
-  merge_outcomes ~of_outcome annotated
-    (List.map (fun (s : _ Supervisor.settled) -> (s.Supervisor.outcome, s.Supervisor.lane)) settled)
+  let rec replay annotated settled =
+    match (annotated, settled) with
+    | [], _ -> []
+    | (_, Some hit, _) :: rest, _ -> hit :: replay rest settled
+    | (path, None, _) :: rest, s :: more -> of_settled path s :: replay rest more
+    | (_, None, _) :: _, [] ->
+      (* The pool returns exactly one outcome per submitted task. *)
+      invalid_arg "Checker.run_files: outcome list too short"
+  in
+  replay annotated settled
+
+let check_files ?(jobs = 1) ?(limits = Limits.default) ?(warnings = false)
+    ?(explain = false) ?(lint = false) ?(using = []) ?pool ?cache ?(cache_extra = [])
+    paths =
+  run_files ?pool ~jobs ~limits ~cache
+    ~key_of:(check_cache_key ~limits ~warnings ~explain ~lint ~extra:cache_extra)
+    ~job_mode:(Job_check { warnings; explain; lint })
+    ~using
+    ~verdict:(fun path profile -> function
+      | Cached_check { output; code } -> Some { path; output; code; profile }
+      | Cached_lint _ -> None)
+    ~failed:(fun path failure ->
+      let report =
+        match failure with
+        | `Timed_out (seconds, attempts) ->
+          Report.Timeout { unit_name = path; seconds; attempts }
+        | `Crashed (reason, attempts) ->
+          Report.Worker_crashed { unit_name = path; reason; attempts }
+      in
+      { path; output = fault_block path report; code = 3; profile = None })
+    paths
 
 let exit_code verdicts = List.fold_left (fun acc v -> max acc v.code) 0 verdicts
 
-(* --- Parallel linting -------------------------------------------------------
-
-   Same pooled engine as [check_files]: the job carries the lint thresholds,
-   the result carries a [Lint.file_result] — plain strings, ints and a small
-   variant, so it marshals across the worker pipe — plus the unit's [Obs]
-   profile. Results are replayed in input order, so lint output is
-   byte-identical for any [-j] level. *)
-
+(* Linting runs the same engine: the job carries the lint thresholds, the
+   result a [Lint.file_result] — plain strings, ints and a small variant, so
+   it marshals across the worker pipe. *)
 let lint_files ?(jobs = 1) ?(limits = Limits.default)
     ?(thresholds = Lint_semantic.default_thresholds) ?pool ?cache ?(cache_extra = [])
     paths =
-  let annotated =
-    annotate ~cache
-      ~key_of:(lint_cache_key ~limits ~thresholds ~extra:cache_extra)
-      ~hit_of:(fun _path payload ->
-        match payload with
-        | Cached_lint result -> Some result
-        | Cached_check _ -> None)
-      paths
-  in
-  let misses = misses_of annotated in
-  let spec (path, _key) =
-    {
-      job_path = path;
-      job_mode =
-        Job_lint
-          {
-            max_behavior_size = thresholds.Lint_semantic.max_behavior_size;
-            max_star_height = thresholds.Lint_semantic.max_star_height;
-            entail_fuel = thresholds.Lint_semantic.entail_fuel;
-            race_fuel = thresholds.Lint_semantic.race_fuel;
-          };
-      job_max_states = limits.Limits.max_states;
-      job_max_configs = limits.Limits.max_configs;
-      job_max_regex_size = limits.Limits.max_regex_size;
-      job_reduced = false;
-      job_using = [];
-    }
-  in
-  let settled = run_specs ?pool ~jobs ~limits (List.map spec misses) in
-  store_settled ~cache
-    ~payload_of:(fun jr -> Option.map (fun r -> Cached_lint r) jr.jr_lint)
-    misses settled;
-  let of_outcome path outcome lane =
-    match outcome with
-    | Supervisor.Done jr -> (
-      Option.iter (Obs.add_unit ~lane) jr.jr_profile;
-      match jr.jr_lint with
-      | Some result -> result
-      | None ->
-        (* A check-mode result under a lint job is impossible by
-           construction of [run_job]. *)
-        engine_result path Rules.rule_internal_error "lint worker returned no result")
-    | Supervisor.Timed_out { seconds; attempts } ->
-      Obs.count "checker.timeout_units" 1;
-      engine_result path Rules.rule_resource_limit
-        (Printf.sprintf "linting exceeded the %gs wall-clock deadline (%d attempts)"
-           seconds attempts)
-    | Supervisor.Crashed { reason; attempts } ->
-      Obs.count "checker.crashed_units" 1;
-      engine_result path Rules.rule_internal_error
-        (Printf.sprintf "lint worker died without a result: %s (%d attempts)" reason
-           attempts)
-  in
-  merge_outcomes ~of_outcome annotated
-    (List.map (fun (s : _ Supervisor.settled) -> (s.Supervisor.outcome, s.Supervisor.lane)) settled)
+  run_files ?pool ~jobs ~limits ~cache
+    ~key_of:(lint_cache_key ~limits ~thresholds ~extra:cache_extra)
+    ~job_mode:
+      (Job_lint
+         {
+           max_behavior_size = thresholds.Lint_semantic.max_behavior_size;
+           max_star_height = thresholds.Lint_semantic.max_star_height;
+           entail_fuel = thresholds.Lint_semantic.entail_fuel;
+           race_fuel = thresholds.Lint_semantic.race_fuel;
+         })
+    ~using:[]
+    ~verdict:(fun _path _profile -> function
+      | Cached_lint result -> Some result
+      | Cached_check _ -> None)
+    ~failed:(fun path -> function
+      | `Timed_out (seconds, attempts) ->
+        engine_result path Rules.rule_resource_limit
+          (Printf.sprintf "linting exceeded the %gs wall-clock deadline (%d attempts)"
+             seconds attempts)
+      | `Crashed (reason, attempts) ->
+        engine_result path Rules.rule_internal_error
+          (Printf.sprintf "lint worker died without a result: %s (%d attempts)" reason
+             attempts))
+    paths

@@ -32,26 +32,6 @@ type verdict = {
           {!check_files}. *)
 }
 
-val check_file :
-  ?limits:Limits.t ->
-  ?warnings:bool ->
-  ?explain:bool ->
-  ?lint:bool ->
-  ?extra_env:Usage.env ->
-  string ->
-  verdict
-(** Check one file in the current process (no fork, no deadline): read,
-    verify tolerantly, render. Never raises on unreadable or broken input —
-    that is a rendered error block with code 2.
-
-    With [~lint:true], the lint pass ({!Lint.lint_source}) also runs and
-    its {e semantic} findings (SY012, SY090/SY091, SY101–SY108 — the codes
-    plain [check] has no counterpart for) are appended to the file's block
-    as [file:line: severity CODE \[Class\]: message] lines; an
-    error-severity lint finding raises the per-file code to at least 1.
-    With linting off the output is byte-identical to what [check] has
-    always printed. *)
-
 type pool
 (** A persistent {!Supervisor} worker pool able to serve both {!check_files}
     and {!lint_files} jobs. One pool can outlive any number of calls — the
@@ -104,7 +84,18 @@ val check_files :
     identical settle/retry semantics and no forks at all. With [?pool] the
     caller's pool is used (and kept open), [jobs] is ignored in favor of
     the pool's width, and [limits.deadline] applies per call — this is how
-    the daemon multiplexes requests over one pool.
+    the daemon multiplexes requests over one pool. The deadline is measured
+    on the monotonic {!Clock}, so a wall-clock step cannot time a unit out.
+
+    Each file is read, verified tolerantly and rendered. Unreadable or
+    broken input never raises: it is a rendered error block with code 2.
+    With [~lint:true], the lint pass ({!Lint.lint_source}) also runs and
+    its {e semantic} findings (SY012, SY090/SY091, SY101–SY108 — the codes
+    plain [check] has no counterpart for) are appended to the file's block
+    as [file:line: severity CODE \[Class\]: message] lines; an
+    error-severity lint finding raises the per-file code to at least 1.
+    With linting off the output is byte-identical to what [check] has
+    always printed.
 
     [?using] names model files whose exported environment
     ({!Model_io.env_of_files}) augments verification; workers rebuild and
@@ -194,7 +185,9 @@ val lint_files :
     profiles merge into the parent recorder exactly as for checking.
     [?cache] / [?cache_extra] behave exactly as in {!check_files}, with
     {!lint_cache_key} as the key and the whole [Lint.file_result] as the
-    stored payload. *)
+    stored payload. Both functions are one engine: annotate each file with
+    its cache fate, run the misses through the pool, store first-attempt
+    successes, replay in input order. *)
 
 val fault_injection : bool ref
 (** Arms {!fault_hook} and the supervisor-level faults — this is the very
@@ -217,4 +210,5 @@ val fault_hook : string -> unit
     a no-op in an uncapped process). The supervisor-level kinds
     ([garbage], [wedge], [forkfail]) are documented at
     {!Supervisor.fault_injection}. Inert in normal operation; ignored
-    entries are harmless. *)
+    entries are harmless. [SHELLEY_FAULT] is parsed in one place,
+    {!Supervisor.faults_for}. *)

@@ -1,8 +1,10 @@
 (* The shelley verification daemon. One process owns a persistent
    Supervisor pool (via Checker) and a Unix-domain listening socket;
-   requests are newline-delimited JSON-RPC. The protocol handler is pure
-   string -> string (handle_line), so unit tests drive it without any
-   socket.
+   requests are newline-delimited JSON-RPC. Every request line is
+   classified ([classify]) and work runs through [run_work], whichever
+   way the line arrived: the socket loop queues work through admission
+   control first, while [handle_line] — the socketless entry point unit
+   tests drive — runs it at once.
 
    Overload safety is layered in front of the pool:
 
@@ -24,20 +26,22 @@
      {!Supervisor.config} [max_as_mb]), so a ballooning check fails as a
      classified resource limit instead of summoning the OOM killer.
 
-   All daemon-side timers run on the monotonic clock ({!Sysconf}): a
-   wall-clock jump can neither reap a warm pool nor expire a fresh
-   request. *)
+   Every daemon-side time — connection timers, queue deadlines, the idle
+   reap, the telemetry clock and each request's [timeout], which the pool
+   enforces — is read from the one monotonic {!Clock}: a wall-clock jump
+   can neither reap a warm pool, expire a fresh request, nor time out a
+   running one.
+
+   Every load event (shed, expiry, oversized frame, reaped or rejected
+   connection) and every request and error is counted by one call into the
+   state's {!Obs.Ledger}, which [status], [metrics] and [health] read back
+   and which feeds the stable [serve.*] Obs counters of the same names. *)
 
 type load = {
   mutable queue_depth : int;
   queue_cap : int;
   mutable conns : int;
   conns_cap : int;
-  mutable shed : int;
-  mutable expired : int;
-  mutable frames_oversized : int;
-  mutable conns_reaped : int;
-  mutable conns_rejected : int;
 }
 
 type state = {
@@ -45,6 +49,7 @@ type state = {
   cache : Cache.t option;
   default_timeout : float option;
   load : load;
+  ledger : Obs.Ledger.t;  (* serve.* event counts *)
   telem : Telemetry.t;
   health_window_ms : int;
   mutable access_log : out_channel option;
@@ -52,8 +57,6 @@ type state = {
       (* ms the oldest queued request has waited; the socket loop installs
          a closure over its admission queue, [handle_line]-only states
          report no backlog (theirs never queues) *)
-  mutable requests : int;
-  mutable errors : int;
 }
 
 let make_state ?after_fork ?cache ?default_timeout ?(max_queue = 64)
@@ -64,27 +67,16 @@ let make_state ?after_fork ?cache ?default_timeout ?(max_queue = 64)
     pool = Checker.make_pool ?after_fork ~max_as_mb:max_worker_mem ~jobs ();
     cache;
     default_timeout;
-    load =
-      {
-        queue_depth = 0;
-        queue_cap = max_queue;
-        conns = 0;
-        conns_cap = max_conns;
-        shed = 0;
-        expired = 0;
-        frames_oversized = 0;
-        conns_reaped = 0;
-        conns_rejected = 0;
-      };
+    load = { queue_depth = 0; queue_cap = max_queue; conns = 0; conns_cap = max_conns };
+    ledger = Obs.Ledger.create ~stable:true ();
     telem = Telemetry.create ~enabled:telemetry ?fake_clock ();
     health_window_ms = int_of_float (Float.max 0.0 health_window *. 1000.);
     access_log;
     oldest_probe = (fun () -> None);
-    requests = 0;
-    errors = 0;
   }
 
-let state_pool st = st.pool
+let note st event = Obs.Ledger.add st.ledger ("serve." ^ event) 1
+let total st event = Obs.Ledger.get st.ledger ("serve." ^ event)
 
 let shutdown_state st =
   Option.iter (fun c -> ignore (Cache.flush c)) st.cache;
@@ -240,12 +232,10 @@ let load_fields st =
     ("oldest_queued_ms", oldest_queued_ms st);
     ("conns", num_i st.load.conns);
     ("max_conns", num_i st.load.conns_cap);
-    ("shed", num_i st.load.shed);
-    ("expired", num_i st.load.expired);
-    ("frames_oversized", num_i st.load.frames_oversized);
-    ("conns_reaped", num_i st.load.conns_reaped);
-    ("conns_rejected", num_i st.load.conns_rejected);
   ]
+  @ List.map
+      (fun event -> (event, num_i (total st event)))
+      [ "shed"; "expired"; "frames_oversized"; "conns_reaped"; "conns_rejected" ]
 
 let pool_fields st =
   let s = Checker.pool_stats st.pool in
@@ -268,8 +258,8 @@ let do_status st id =
   ok_response id
     [
       ("pid", num_i (Unix.getpid ()));
-      ("requests", num_i st.requests);
-      ("errors", num_i st.errors);
+      ("requests", num_i (total st "requests"));
+      ("errors", num_i (total st "errors"));
       ("load", Jsonl.Obj (load_fields st));
       ("pool", Jsonl.Obj (pool_fields st));
       ( "workers",
@@ -319,8 +309,8 @@ let do_metrics st id =
     [
       ("schema", Jsonl.Str "shelley.serve-metrics/1");
       ("clock", Jsonl.Str (Telemetry.clock_label st.telem));
-      ("requests", num_i st.requests);
-      ("errors", num_i st.errors);
+      ("requests", num_i (total st "requests"));
+      ("errors", num_i (total st "errors"));
       ("load", Jsonl.Obj (load_fields st));
       ( "methods",
         Jsonl.Obj
@@ -356,8 +346,8 @@ let do_health st id =
       ("queue_depth", num_i st.load.queue_depth);
       ("max_queue", num_i st.load.queue_cap);
       ("oldest_queued_ms", oldest_queued_ms st);
-      ("shed", num_i st.load.shed);
-      ("expired", num_i st.load.expired);
+      ("shed", num_i (total st "shed"));
+      ("expired", num_i (total st "expired"));
     ]
 
 (* --- classification ----------------------------------------------------------
@@ -393,8 +383,7 @@ let classify st line =
     | None -> Reply (error_response id "missing method", `Continue)
     | Some m -> (
       let params = Option.value (Jsonl.member "params" req) ~default:(Jsonl.Obj []) in
-      st.requests <- st.requests + 1;
-      Obs.count "serve.requests" 1;
+      note st "requests";
       let work kind =
         Admit
           {
@@ -432,9 +421,7 @@ let execute st (w : work) =
    between the in-process handler and the socket loop. *)
 let track st resp =
   (match resp with
-  | Jsonl.Obj fields when List.mem_assoc "error" fields ->
-    st.errors <- st.errors + 1;
-    Obs.count "serve.errors" 1
+  | Jsonl.Obj fields when List.mem_assoc "error" fields -> note st "errors"
   | _ -> ());
   resp
 
@@ -481,12 +468,6 @@ let handle_line st line =
       `Continue )
 
 (* --- socket plumbing -------------------------------------------------------- *)
-
-let rec write_all fd bytes pos len =
-  if pos < len then
-    match Unix.write fd bytes pos (len - pos) with
-    | k -> write_all fd bytes (pos + k) len
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd bytes pos len
 
 type conn = {
   fd : Unix.file_descr;  (* nonblocking *)
@@ -577,10 +558,10 @@ let probe_live_daemon socket =
           (try Unix.clear_nonblock fd with Unix.Unix_error _ -> ());
           let pid =
             let line = "{\"id\":0,\"method\":\"status\"}\n" in
-            match write_all fd (Bytes.of_string line) 0 (String.length line) with
+            match Supervisor.write_all fd (Bytes.of_string line) with
             | exception Unix.Unix_error _ -> None
             | () ->
-              let deadline = Sysconf.monotonic_time () +. 2.0 in
+              let deadline = Clock.now () +. 2.0 in
               let buf = Buffer.create 256 in
               let chunk = Bytes.create 4096 in
               let rec go () =
@@ -592,7 +573,7 @@ let probe_live_daemon socket =
                     (fun resp ->
                       Option.bind (Jsonl.member "result" resp) (Jsonl.mem_int "pid"))
                 else begin
-                  let left = deadline -. Sysconf.monotonic_time () in
+                  let left = deadline -. Clock.now () in
                   if left <= 0.0 then None
                   else
                     match Unix.select [ fd ] [] [] left with
@@ -719,7 +700,7 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
   st.oldest_probe <-
     (fun () ->
       Option.map
-        (fun arrival -> (Sysconf.monotonic_time () -. arrival) *. 1000.)
+        (fun arrival -> (Clock.now () -. arrival) *. 1000.)
         (Admission.oldest_arrival queue));
   let sync_depth () = st.load.queue_depth <- Admission.length queue in
   let sync_conns () = st.load.conns <- Hashtbl.length conns in
@@ -754,7 +735,7 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
       | k ->
         conn.wbytes <- conn.wbytes - k;
         conn.wpos <- conn.wpos + k;
-        conn.write_since <- Sysconf.monotonic_time ();
+        conn.write_since <- Clock.now ();
         if conn.wpos >= len then begin
           ignore (Queue.pop conn.wq);
           conn.wpos <- 0
@@ -768,11 +749,10 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
     let line = Jsonl.to_string (track st resp) ^ "\n" in
     Queue.push line conn.wq;
     conn.wbytes <- conn.wbytes + String.length line;
-    if conn.write_since = 0.0 then conn.write_since <- Sysconf.monotonic_time ();
+    if conn.write_since = 0.0 then conn.write_since <- Clock.now ();
     if pending conn > max_write_buffer then begin
       (* The client has stopped reading: nothing we queue can reach it. *)
-      st.load.conns_reaped <- st.load.conns_reaped + 1;
-      Obs.count_stable "serve.conns_reaped" 1;
+      note st "conns_reaped";
       drop conn
     end
     else flush_conn conn
@@ -790,15 +770,20 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
     | Some conn -> respond conn resp
     | None -> ignore (track st resp)
   in
+  (* A request answered [expired], never run. *)
+  let expire cid (w : work) =
+    note st "expired";
+    finish_work st w ~outcome:`Expired ();
+    respond_cid cid (expired_response w.w_id)
+  in
   let oversize conn =
-    st.load.frames_oversized <- st.load.frames_oversized + 1;
-    Obs.count_stable "serve.frames_oversized" 1;
+    note st "frames_oversized";
     respond conn (frame_too_large_response ~max_frame_bytes);
     if Hashtbl.mem conns conn.fd then close_after_flush conn
   in
   let admit conn (w : work) =
     Telemetry.set_client w.w_telem conn.cid;
-    let now = Sysconf.monotonic_time () in
+    let now = Clock.now () in
     let deadline =
       (* The effective queue-wait budget: the tighter of the request's own
          deadline_ms and the server-wide --queue-deadline, if either. *)
@@ -814,15 +799,10 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
      with
     | Admission.Admitted -> ()
     | Admission.Shed retry_after_ms ->
-      st.load.shed <- st.load.shed + 1;
-      Obs.count_stable "serve.shed" 1;
+      note st "shed";
       finish_work st w ~outcome:`Shed ~retry_after_ms ();
       respond conn (overloaded_response ~retry_after_ms w.w_id)
-    | Admission.Expired ->
-      st.load.expired <- st.load.expired + 1;
-      Obs.count_stable "serve.expired" 1;
-      finish_work st w ~outcome:`Expired ();
-      respond conn (expired_response w.w_id));
+    | Admission.Expired -> expire conn.cid w);
     sync_depth ()
   in
   (* Serve every complete line this connection has buffered: immediate
@@ -855,7 +835,7 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
         oversize conn
       else if Buffer.length conn.rbuf = 0 then conn.partial_since <- 0.0
       else if conn.partial_since = 0.0 then
-        conn.partial_since <- Sysconf.monotonic_time ()
+        conn.partial_since <- Clock.now ()
   in
   let chunk = Bytes.create 65536 in
   (* Does the newly read chunk contain a newline? Scanning only the chunk
@@ -877,13 +857,13 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
            shed it now rather than buffering an attacker's stream. *)
       else if Buffer.length conn.rbuf > max_frame_bytes then oversize conn
       else if conn.partial_since = 0.0 then
-        conn.partial_since <- Sysconf.monotonic_time ()
+        conn.partial_since <- Clock.now ()
     | exception
         Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       ()
     | exception Unix.Unix_error _ -> drop conn
   in
-  let last_activity = ref (Sysconf.monotonic_time ()) in
+  let last_activity = ref (Clock.now ()) in
   let reaped = ref false in
   (* Worker restarts feed the health probe: the pool counts them, the
      loop diffs the counter and timestamps the change. *)
@@ -897,11 +877,11 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
   in
   (* --metrics-interval: periodic atomic snapshot, so a SIGKILLed daemon
      still leaves recent metrics behind. *)
-  let last_snapshot = ref (Sysconf.monotonic_time ()) in
+  let last_snapshot = ref (Clock.now ()) in
   let maybe_snapshot () =
     match (metrics_out, metrics_interval) with
     | Some path, Some interval when interval > 0.0 ->
-      let now = Sysconf.monotonic_time () in
+      let now = Clock.now () in
       if now -. !last_snapshot >= interval then begin
         last_snapshot := now;
         write_metrics_atomic path
@@ -931,9 +911,23 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
           | _ -> Some conn)
         conns None
       |> Option.iter (fun conn ->
-             st.load.conns_reaped <- st.load.conns_reaped + 1;
-             Obs.count_stable "serve.conns_reaped" 1;
+             note st "conns_reaped";
              drop conn)
+  in
+  (* Answer every queued request whose deadline has passed, then dispatch
+     at most one admitted request; [true] when one ran. The serve loop
+     takes one step per iteration, so arrivals, expiries and reaps are
+     re-examined between dispatches; the drain steps until the queue is
+     empty. *)
+  let step now =
+    List.iter (fun (cid, w) -> expire cid w) (Admission.expired queue ~now);
+    let next = Admission.next queue ~now in
+    sync_depth ();
+    match next with
+    | Some (cid, w) ->
+      respond_cid cid (run_work st w);
+      true
+    | None -> false
   in
   while not !draining do
     let rfds =
@@ -965,8 +959,7 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
                   (* At the connection cap (kept below FD_SETSIZE so select
                      keeps working): refuse with a structured, retryable
                      error rather than crash later or hang the client. *)
-                  st.load.conns_rejected <- st.load.conns_rejected + 1;
-                  Obs.count_stable "serve.conns_rejected" 1;
+                  note st "conns_rejected";
                   let line =
                     Jsonl.to_string
                       (track st (connection_limit_response ~max_conns))
@@ -994,7 +987,7 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
                   Hashtbl.replace conns client conn;
                   Hashtbl.replace conns_by_cid conn.cid conn;
                   sync_conns ();
-                  last_activity := Sysconf.monotonic_time ();
+                  last_activity := Clock.now ();
                   reaped := false
                 end
               | exception Unix.Unix_error _ -> accepting := false
@@ -1003,7 +996,7 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
           else
             match Hashtbl.find_opt conns fd with
             | Some conn ->
-              last_activity := Sysconf.monotonic_time ();
+              last_activity := Clock.now ();
               reaped := false;
               read_conn conn
             | None -> ())
@@ -1014,25 +1007,12 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
           | Some conn -> flush_conn conn
           | None -> ())
         writable);
-    let now = Sysconf.monotonic_time () in
-    (* Queued requests whose deadline passed are answered, never run. *)
-    List.iter
-      (fun (cid, (w : work)) ->
-        st.load.expired <- st.load.expired + 1;
-        Obs.count_stable "serve.expired" 1;
-        finish_work st w ~outcome:`Expired ();
-        respond_cid cid (expired_response w.w_id))
-      (Admission.expired queue ~now);
-    (* Dispatch exactly one admitted request per iteration, so arrivals,
-       expiries and reaps are re-examined between dispatches. *)
-    (match Admission.next queue ~now with
-    | Some (cid, w) ->
-      sync_depth ();
-      respond_cid cid (run_work st w);
+    let now = Clock.now () in
+    if step now then begin
       note_restarts ();
-      last_activity := Sysconf.monotonic_time ();
+      last_activity := Clock.now ();
       reaped := false
-    | None -> sync_depth ());
+    end;
     maybe_snapshot ();
     (* Reap slow-loris connections: a partial frame has [read_deadline]
        seconds to complete, counted from its first byte. *)
@@ -1049,8 +1029,7 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
     in
     List.iter
       (fun conn ->
-        st.load.conns_reaped <- st.load.conns_reaped + 1;
-        Obs.count_stable "serve.conns_reaped" 1;
+        note st "conns_reaped";
         respond conn (read_timeout_response ~read_deadline);
         if Hashtbl.mem conns conn.fd then close_after_flush conn)
       stalled;
@@ -1068,8 +1047,7 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
     in
     List.iter
       (fun conn ->
-        st.load.conns_reaped <- st.load.conns_reaped + 1;
-        Obs.count_stable "serve.conns_reaped" 1;
+        note st "conns_reaped";
         drop conn)
       write_stalled;
     (* A dormant daemon holds no worker processes and no unflushed cache
@@ -1077,7 +1055,7 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
     if
       (not !reaped)
       && Hashtbl.length conns = 0
-      && Sysconf.monotonic_time () -. !last_activity > idle_reap
+      && Clock.now () -. !last_activity > idle_reap
     then begin
       Checker.quiesce_pool st.pool;
       Option.iter (fun c -> ignore (Cache.flush c)) st.cache;
@@ -1097,33 +1075,19 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
      already be on disk. A second (atomic) write below refreshes the file
      with whatever the drain itself added. *)
   Option.iter write_metrics_atomic metrics_out;
-  let drain_now = Sysconf.monotonic_time () in
-  List.iter
-    (fun (cid, (w : work)) ->
-      st.load.expired <- st.load.expired + 1;
-      Obs.count_stable "serve.expired" 1;
-      finish_work st w ~outcome:`Expired ();
-      respond_cid cid (expired_response w.w_id))
-    (Admission.expired queue ~now:drain_now);
-  let rec drain_queue () =
-    match Admission.next queue ~now:(Sysconf.monotonic_time ()) with
-    | Some (cid, w) ->
-      sync_depth ();
-      respond_cid cid (run_work st w);
-      drain_queue ()
-    | None -> sync_depth ()
-  in
-  drain_queue ();
+  while step (Clock.now ()) do
+    ()
+  done;
   (* Responses are buffered per connection: give slow readers a bounded
      window to take delivery before the daemon dismantles itself. *)
-  let flush_deadline = Sysconf.monotonic_time () +. 5.0 in
+  let flush_deadline = Clock.now () +. 5.0 in
   let rec final_flush () =
     let wfds =
       Hashtbl.fold
         (fun fd conn acc -> if pending conn > 0 then fd :: acc else acc)
         conns []
     in
-    let left = flush_deadline -. Sysconf.monotonic_time () in
+    let left = flush_deadline -. Clock.now () in
     if wfds <> [] && left > 0.0 then
       match Unix.select [] wfds [] left with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> final_flush ()
@@ -1163,7 +1127,7 @@ let client_call ~socket line =
             (Printf.sprintf "cannot connect to %s: %s" socket (Unix.error_message e))
         | () -> (
           let payload = Bytes.of_string (line ^ "\n") in
-          match write_all fd payload 0 (Bytes.length payload) with
+          match Supervisor.write_all fd payload with
           | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
           | () ->
             let buf = Buffer.create 1024 in

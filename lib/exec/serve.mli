@@ -115,7 +115,7 @@ val make_state :
     per-worker RLIMIT_AS cap. [telemetry] (default [true]) switches the
     request-lifecycle recorder behind [metrics]/[health]; responses are
     byte-identical either way (property-tested). [fake_clock] overrides
-    the {!Obs.fake_clock_env} detection for the telemetry clock.
+    the {!Clock.fake_requested} detection for the telemetry clock.
     [access_log] receives one JSONL line per finished or refused work
     request. [health_window] (seconds, default 10) is the recency window
     for the [health] verdict's shed/expiry/restart signals. Exposed
@@ -131,9 +131,6 @@ val handle_line : state -> string -> string * [ `Continue | `Shutdown ]
 
 val shutdown_state : state -> unit
 (** Flush the deferred cache and shut the pool down. Idempotent. *)
-
-val state_pool : state -> Checker.pool
-(** The daemon's pool — tests assert on its stats and worker pids. *)
 
 val serve :
   socket:string ->

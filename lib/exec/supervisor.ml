@@ -27,7 +27,6 @@ let signal_name n =
 type config = {
   jobs : int;
   batch_size : int;
-  deadline : float option;
   max_tasks_per_worker : int;
   max_rss_kb : int;
   max_as_mb : int;  (* setrlimit(RLIMIT_AS) in each worker; 0 = uncapped *)
@@ -38,14 +37,13 @@ type config = {
   grace : float;
 }
 
-let config ?(jobs = 1) ?(batch_size = 8) ?deadline ?(max_tasks_per_worker = 128)
+let config ?(jobs = 1) ?(batch_size = 8) ?(max_tasks_per_worker = 128)
     ?(max_rss_kb = 512 * 1024) ?(max_as_mb = 0) ?(max_restarts = 3)
     ?(backoff_base = 0.05) ?(backoff_cap = 1.0) ?(heartbeat_interval = 2.0)
     ?(grace = 0.5) () =
   {
     jobs = max 1 jobs;
     batch_size = max 1 batch_size;
-    deadline;
     max_tasks_per_worker;
     max_rss_kb;
     max_as_mb = max 0 max_as_mb;
@@ -74,6 +72,8 @@ let contains ~sub s =
        (fun off -> String.sub s off (String.length sub) = sub)
        (List.init (String.length s - String.length sub + 1) Fun.id)
 
+(* The one SHELLEY_FAULT parser: [KIND:ARG] entries, comma-separated, in
+   spec order; empty unless armed. *)
 let fault_entries () =
   if not !fault_injection then []
   else
@@ -89,9 +89,9 @@ let fault_entries () =
                  ( String.sub entry 0 i,
                    String.sub entry (i + 1) (String.length entry - i - 1) ))
 
-let fault_matches kind label =
-  List.exists
-    (fun (k, sub) -> String.equal k kind && contains ~sub label)
+let faults_for label =
+  List.filter_map
+    (fun (kind, sub) -> if contains ~sub label then Some kind else None)
     (fault_entries ())
 
 let fault_forkfail_budget () =
@@ -125,11 +125,14 @@ type 'r from_worker =
   | Result of int * ('r, string) result
   | Pong of int
 
-let rec write_all fd bytes pos len =
-  if pos < len then
-    match Unix.write fd bytes pos (len - pos) with
-    | k -> write_all fd bytes (pos + k) len
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd bytes pos len
+let write_all fd b =
+  let rec go pos =
+    if pos < Bytes.length b then
+      match Unix.write fd b pos (Bytes.length b - pos) with
+      | k -> go (pos + k)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
+  in
+  go 0
 
 let frame_bytes payload =
   let len = Bytes.length payload in
@@ -144,9 +147,20 @@ let frame_bytes payload =
 
 let frame_of v = frame_bytes (Marshal.to_bytes v [])
 
-let send_frame fd v =
-  let b = frame_of v in
-  write_all fd b 0 (Bytes.length b)
+let send_frame fd v = write_all fd (frame_of v)
+
+(* The payload length announced by the frame header at [off] of [s], or
+   [None] if those bytes are no sane header (bad magic, insane length). *)
+let header_len s off =
+  if String.sub s off 3 <> frame_magic then None
+  else
+    let len =
+      (Char.code s.[off + 3] lsl 24)
+      lor (Char.code s.[off + 4] lsl 16)
+      lor (Char.code s.[off + 5] lsl 8)
+      lor Char.code s.[off + 6]
+    in
+    if len < 0 || len > max_frame_len then None else Some len
 
 (* Parse every complete frame out of [buf], up to the point where the
    stream stops looking like frames. The decoded prefix is returned with
@@ -158,21 +172,14 @@ let parse_frames (buf : Buffer.t) : 'a list * [ `Consumed of int | `Garbage ] =
   let total = String.length s in
   let rec go acc off =
     if total - off < frame_header_len then (List.rev acc, `Consumed off)
-    else if String.sub s off 3 <> frame_magic then (List.rev acc, `Garbage)
-    else begin
-      let len =
-        (Char.code s.[off + 3] lsl 24)
-        lor (Char.code s.[off + 4] lsl 16)
-        lor (Char.code s.[off + 5] lsl 8)
-        lor Char.code s.[off + 6]
-      in
-      if len < 0 || len > max_frame_len then (List.rev acc, `Garbage)
-      else if total - off - frame_header_len < len then (List.rev acc, `Consumed off)
-      else
+    else
+      match header_len s off with
+      | None -> (List.rev acc, `Garbage)
+      | Some len when total - off - frame_header_len < len -> (List.rev acc, `Consumed off)
+      | Some len -> (
         match (Marshal.from_string s (off + frame_header_len) : 'a) with
         | v -> go (v :: acc) (off + frame_header_len + len)
-        | exception _ -> (List.rev acc, `Garbage)
-    end
+        | exception _ -> (List.rev acc, `Garbage))
   in
   go [] 0
 
@@ -195,24 +202,16 @@ let rec read_exact fd b pos len =
 let read_frame fd : 'a option =
   let header = Bytes.create frame_header_len in
   if not (read_exact fd header 0 frame_header_len) then None
-  else if Bytes.sub_string header 0 3 <> frame_magic then None
-  else begin
-    let len =
-      (Char.code (Bytes.get header 3) lsl 24)
-      lor (Char.code (Bytes.get header 4) lsl 16)
-      lor (Char.code (Bytes.get header 5) lsl 8)
-      lor Char.code (Bytes.get header 6)
-    in
-    if len < 0 || len > max_frame_len then None
-    else begin
+  else
+    match header_len (Bytes.to_string header) 0 with
+    | None -> None
+    | Some len -> (
       let payload = Bytes.create len in
       if not (read_exact fd payload 0 len) then None
       else
         match (Marshal.from_bytes payload 0 : 'a) with
         | v -> Some v
-        | exception _ -> None
-    end
-  end
+        | exception _ -> None)
 
 let result_frame idx (res : ('r, string) result) =
   match Marshal.to_bytes (Result (idx, res) : 'r from_worker) [] with
@@ -239,11 +238,8 @@ let worker_main ~job_rd ~res_wr run label =
       loop ()
     | Some (Job tasks) ->
       let wedge = ref false in
-      let fault kind task = armed && fault_matches kind (label task) in
-      let emit frames =
-        let b = Bytes.concat Bytes.empty frames in
-        write_all res_wr b 0 (Bytes.length b)
-      in
+      let fault kind task = armed && List.mem kind (faults_for (label task)) in
+      let emit frames = write_all res_wr (Bytes.concat Bytes.empty frames) in
       let corrupt = Bytes.of_string "!!corrupt-frame!!" in
       (* [held] is the previous task's result frame, kept back only when
          this task is a glued-garbage one. *)
@@ -341,36 +337,22 @@ type stats = {
   live_workers : int;
 }
 
-type stats_mut = {
-  mutable m_spawns : int;
-  mutable m_restarts : int;
-  mutable m_recycles : int;
-  mutable m_backoff_waits : int;
-  mutable m_heartbeat_misses : int;
-  mutable m_kills : int;
-  mutable m_poisoned : int;
-  mutable m_fork_failures : int;
-  mutable m_batches : int;
-  mutable m_tasks : int;
-  mutable m_inline_tasks : int;
-}
-
 type ('t, 'r) t = {
   cfg : config;
   run : 't -> 'r;
   label : 't -> string;
   after_fork : unit -> unit;
   slots : 't slot array;
-  st : stats_mut;
+  ledger : Obs.Ledger.t;  (* every pool.* event count; [stats] reads it *)
   mutable ping_seq : int;
   mutable forkfail_budget : int;  (* armed fault: fail this many forks *)
   mutable closed : bool;
 }
 
-let stamp () = if Obs.enabled () then Unix.gettimeofday () else 0.0
-let us since = int_of_float ((Unix.gettimeofday () -. since) *. 1e6)
+let stamp () = if Obs.enabled () then Clock.now () else 0.0
+let us since = int_of_float ((Clock.now () -. since) *. 1e6)
 let tally key since = if Obs.enabled () then Obs.count key (us since)
-let bump key n = if Obs.enabled () then Obs.count key n
+let bump pool key n = Obs.Ledger.add pool.ledger key n
 
 (* Jitter from a private RNG: the pool must not perturb any caller that
    seeds the global [Random] state for reproducibility. *)
@@ -389,20 +371,7 @@ let create ?(after_fork = fun () -> ()) ?(label = fun _ -> "") cfg run =
     slots =
       Array.init cfg.jobs (fun lane ->
           { lane; proc = None; ready_at = 0.0; consec_failures = 0 });
-    st =
-      {
-        m_spawns = 0;
-        m_restarts = 0;
-        m_recycles = 0;
-        m_backoff_waits = 0;
-        m_heartbeat_misses = 0;
-        m_kills = 0;
-        m_poisoned = 0;
-        m_fork_failures = 0;
-        m_batches = 0;
-        m_tasks = 0;
-        m_inline_tasks = 0;
-      };
+    ledger = Obs.Ledger.create ();
     ping_seq = 0;
     forkfail_budget = (if !fault_injection then fault_forkfail_budget () else 0);
     closed = false;
@@ -414,18 +383,19 @@ let live_workers pool =
     0 pool.slots
 
 let stats pool =
+  let get = Obs.Ledger.get pool.ledger in
   {
-    spawns = pool.st.m_spawns;
-    restarts = pool.st.m_restarts;
-    recycles = pool.st.m_recycles;
-    backoff_waits = pool.st.m_backoff_waits;
-    heartbeat_misses = pool.st.m_heartbeat_misses;
-    kills = pool.st.m_kills;
-    poisoned = pool.st.m_poisoned;
-    fork_failures = pool.st.m_fork_failures;
-    batches = pool.st.m_batches;
-    tasks = pool.st.m_tasks;
-    inline_tasks = pool.st.m_inline_tasks;
+    spawns = get "pool.spawns";
+    restarts = get "pool.restarts";
+    recycles = get "pool.recycles";
+    backoff_waits = get "pool.backoff_waits";
+    heartbeat_misses = get "pool.heartbeat_misses";
+    kills = get "pool.kills";
+    poisoned = get "pool.poisoned";
+    fork_failures = get "pool.fork_failures";
+    batches = get "pool.batches";
+    tasks = get "pool.tasks";
+    inline_tasks = get "pool.inline_tasks";
     live_workers = live_workers pool;
   }
 
@@ -526,10 +496,9 @@ let spawn pool slot =
   | pid ->
     (try Unix.close job_rd with _ -> ());
     (try Unix.close res_wr with _ -> ());
-    pool.st.m_spawns <- pool.st.m_spawns + 1;
-    bump "pool.spawns" 1;
+    bump pool "pool.spawns" 1;
     tally "pool.fork_us" fork_start;
-    let now = Unix.gettimeofday () in
+    let now = Clock.now () in
     slot.proc <-
       Some
         {
@@ -562,7 +531,7 @@ let retire (p : 't proc) =
    still alive at the deadline gets a process-group SIGKILL. Never blocks
    forever. *)
 let reap pool (procs : 't proc list) =
-  let deadline = Unix.gettimeofday () +. pool.cfg.grace in
+  let deadline = Clock.now () +. pool.cfg.grace in
   let scratch = Bytes.create 4096 in
   let at_eof (p : _ proc) =
     match Unix.read p.res_rd scratch 0 (Bytes.length scratch) with
@@ -581,7 +550,7 @@ let reap pool (procs : 't proc list) =
   let rec go = function
     | [] -> ()
     | waiting ->
-      let now = Unix.gettimeofday () in
+      let now = Clock.now () in
       let gone =
         if now >= deadline then fun (p : _ proc) ->
           (try Unix.kill (-p.pid) Sys.sigkill with Unix.Unix_error _ -> ());
@@ -626,7 +595,7 @@ let teardown pool slots =
     List.iter retire procs;
     reap pool procs;
     List.iter (fun slot -> slot.proc <- None) slots;
-    bump "pool.reaps" (List.length procs);
+    bump pool "pool.reaps" (List.length procs);
     tally "pool.reap_us" t0
 
 let quiesce pool =
@@ -648,10 +617,9 @@ let backoff pool slot =
   let base = pool.cfg.backoff_base *. (2.0 ** float_of_int (n - 1)) in
   let capped = Float.min pool.cfg.backoff_cap base in
   let jitter = 1.0 +. (0.25 *. Random.State.float (Lazy.force rng) 1.0) in
-  slot.ready_at <- Unix.gettimeofday () +. (capped *. jitter);
-  pool.st.m_backoff_waits <- pool.st.m_backoff_waits + 1;
-  bump "pool.backoff_waits" 1;
-  bump "pool.backoff_us" (int_of_float (capped *. jitter *. 1e6))
+  slot.ready_at <- Clock.now () +. (capped *. jitter);
+  bump pool "pool.backoff_waits" 1;
+  bump pool "pool.backoff_us" (int_of_float (capped *. jitter *. 1e6))
 
 (* --- run -------------------------------------------------------------------- *)
 
@@ -662,11 +630,6 @@ type 'r settled = {
 }
 
 let run ?retry ?deadline pool tasks =
-  let deadline =
-    match deadline with
-    | Some _ as d -> d
-    | None -> pool.cfg.deadline
-  in
   let n = List.length tasks in
   if n = 0 then []
   else begin
@@ -687,7 +650,7 @@ let run ?retry ?deadline pool tasks =
         decr unsettled
       | Timed_out _ | Crashed _ ->
         if item.attempt = 1 && retry <> None then begin
-          bump "pool.retries" 1;
+          bump pool "pool.retries" 1;
           Queue.add
             {
               idx = item.idx;
@@ -698,10 +661,7 @@ let run ?retry ?deadline pool tasks =
             pending
         end
         else begin
-          if item.attempt >= 2 then begin
-            pool.st.m_poisoned <- pool.st.m_poisoned + 1;
-            bump "pool.poisoned" 1
-          end;
+          if item.attempt >= 2 then bump pool "pool.poisoned" 1;
           results.(item.idx) <- Some { outcome; lane; attempts = item.attempt };
           decr unsettled
         end
@@ -710,8 +670,7 @@ let run ?retry ?deadline pool tasks =
        whole point of running inline is that there is no worker to kill).
        Used when the pool is closed or forking has been written off. *)
     let run_one_inline (item : _ item) =
-      pool.st.m_inline_tasks <- pool.st.m_inline_tasks + 1;
-      bump "pool.inline_tasks" 1;
+      bump pool "pool.inline_tasks" 1;
       let t0 = stamp () in
       let outcome =
         match pool.run item.task with
@@ -756,8 +715,7 @@ let run ?retry ?deadline pool tasks =
       | None -> ());
       requeue_assigned p;
       backoff pool slot;
-      bump "pool.restarts" 1;
-      pool.st.m_restarts <- pool.st.m_restarts + 1
+      bump pool "pool.restarts" 1
     in
     (* Deliberate kill of a live-but-condemned worker (deadline expiry,
        wedge, garbage frame): process-group SIGKILL so task-spawned
@@ -773,8 +731,7 @@ let run ?retry ?deadline pool tasks =
       | Some head -> (
         match charge with
         | `Timeout ->
-          pool.st.m_kills <- pool.st.m_kills + 1;
-          bump "pool.kills" 1;
+          bump pool "pool.kills" 1;
           tally "pool.task_wall_us" p.head_started_at;
           settle head slot.lane
             (Timed_out { seconds = Option.get deadline; attempts = head.attempt })
@@ -788,15 +745,22 @@ let run ?retry ?deadline pool tasks =
       | None -> ());
       requeue_assigned p
     in
+    (* A wedged or corrupt worker: killed, and its slot restarts under
+       backoff like a crashed one. *)
+    let condemn slot p ~charge =
+      kill_worker slot p ~charge;
+      backoff pool slot;
+      bump pool "pool.restarts" 1
+    in
     (* One decoded frame from a live worker. *)
     let handle_frame slot (p : _ proc) (frame : _ from_worker) =
-      p.last_heard <- Unix.gettimeofday ();
+      p.last_heard <- Clock.now ();
       match frame with
       | Pong _ -> p.ping_at <- 0.0
       | Started idx ->
         (match Queue.peek_opt p.assigned with
         | Some head when head.idx = idx ->
-          p.head_started_at <- Unix.gettimeofday ();
+          p.head_started_at <- Clock.now ();
           tally "pool.queue_wait_us" head.enqueued_at
         | _ -> () (* stale ack from a previous incarnation: ignore *))
       | Result (idx, res) -> (
@@ -806,8 +770,7 @@ let run ?retry ?deadline pool tasks =
           tally "pool.task_wall_us" p.head_started_at;
           p.head_started_at <- 0.0;
           p.tasks_done <- p.tasks_done + 1;
-          pool.st.m_tasks <- pool.st.m_tasks + 1;
-          bump "pool.tasks" 1;
+          bump pool "pool.tasks" 1;
           slot.consec_failures <- 0;
           (match res with
           | Ok r -> settle head slot.lane (Done r)
@@ -816,10 +779,7 @@ let run ?retry ?deadline pool tasks =
         | _ ->
           (* A result for a task this worker does not own: protocol
              corruption — condemn the worker, charge nothing blindly. *)
-          kill_worker slot p ~charge:(`Crash "out-of-order frame on result pipe");
-          backoff pool slot;
-          pool.st.m_restarts <- pool.st.m_restarts + 1;
-          bump "pool.restarts" 1)
+          condemn slot p ~charge:(`Crash "out-of-order frame on result pipe"))
     in
     let read_chunk = Bytes.create 65536 in
     let handle_readable slot (p : _ proc) =
@@ -848,10 +808,7 @@ let run ?retry ?deadline pool tasks =
            once those frames are settled, never to one they completed. *)
         match tail with
         | `Garbage when alive () ->
-          kill_worker slot p ~charge:(`Crash "garbage frame on result pipe");
-          backoff pool slot;
-          pool.st.m_restarts <- pool.st.m_restarts + 1;
-          bump "pool.restarts" 1
+          condemn slot p ~charge:(`Crash "garbage frame on result pipe")
         | `Garbage | `Consumed _ -> ())
     in
     (* Write a Job frame; a write failure means the worker just died — let
@@ -859,11 +816,10 @@ let run ?retry ?deadline pool tasks =
        charged to a task). *)
     let dispatch slot (p : _ proc) items =
       List.iter (fun item -> Queue.add item p.assigned) items;
-      p.dispatched_at <- Unix.gettimeofday ();
+      p.dispatched_at <- Clock.now ();
       p.head_started_at <- 0.0;
-      pool.st.m_batches <- pool.st.m_batches + 1;
-      bump "pool.batches" 1;
-      bump "pool.batch_tasks" (List.length items);
+      bump pool "pool.batches" 1;
+      bump pool "pool.batch_tasks" (List.length items);
       match send_frame p.job_wr (Job (List.map (fun i -> (i.idx, i.task)) items)) with
       | () -> ()
       | exception _ -> handle_death slot p
@@ -891,7 +847,7 @@ let run ?retry ?deadline pool tasks =
            (fun slot -> slot.consec_failures > pool.cfg.max_restarts)
            pool.slots
     in
-    let now () = Unix.gettimeofday () in
+    let now () = Clock.now () in
     if pool.closed then drain_inline ()
     else begin
       while !unsettled > 0 do
@@ -922,8 +878,7 @@ let run ?retry ?deadline pool tasks =
                 incr idle
               with Fork_failed reason ->
                 ignore reason;
-                pool.st.m_fork_failures <- pool.st.m_fork_failures + 1;
-                bump "pool.fork_failures" 1;
+                bump pool "pool.fork_failures" 1;
                 backoff pool slot)
           pool.slots;
         if degraded () && not (Queue.is_empty pending) then drain_inline ()
@@ -1001,22 +956,14 @@ let run ?retry ?deadline pool tasks =
                   else if n1 -. p.dispatched_at > pool.cfg.heartbeat_interval then begin
                     (* Accepted a batch but never acknowledged starting it:
                        wedged. Nothing ran, so nothing is charged. *)
-                    pool.st.m_heartbeat_misses <- pool.st.m_heartbeat_misses + 1;
-                    bump "pool.heartbeat_misses" 1;
-                    kill_worker slot p ~charge:`No_charge;
-                    backoff pool slot;
-                    pool.st.m_restarts <- pool.st.m_restarts + 1;
-                    bump "pool.restarts" 1
+                    bump pool "pool.heartbeat_misses" 1;
+                    condemn slot p ~charge:`No_charge
                   end
                 end
                 else if p.ping_at > 0.0 then begin
                   if n1 -. p.ping_at > pool.cfg.heartbeat_interval then begin
-                    pool.st.m_heartbeat_misses <- pool.st.m_heartbeat_misses + 1;
-                    bump "pool.heartbeat_misses" 1;
-                    kill_worker slot p ~charge:`No_charge;
-                    backoff pool slot;
-                    pool.st.m_restarts <- pool.st.m_restarts + 1;
-                    bump "pool.restarts" 1
+                    bump pool "pool.heartbeat_misses" 1;
+                    condemn slot p ~charge:`No_charge
                   end
                 end
                 else if n1 -. p.last_heard > pool.cfg.heartbeat_interval then begin
@@ -1039,8 +986,7 @@ let run ?retry ?deadline pool tasks =
                         ) ->
                 teardown pool [ slot ];
                 slot.ready_at <- 0.0;
-                pool.st.m_recycles <- pool.st.m_recycles + 1;
-                bump "pool.recycles" 1
+                bump pool "pool.recycles" 1
               | _ -> ())
             pool.slots
         end

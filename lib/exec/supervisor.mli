@@ -8,9 +8,9 @@
     a long-running daemon ({!Serve}), so the supervision loop assumes
     everything fails eventually:
 
-    - {b deadlines}: a task that outlives [config.deadline] is killed
-      externally (process-group SIGKILL) and reported [Timed_out]; the
-      killed worker's remaining batch is re-queued untouched.
+    - {b deadlines}: a task that outlives its {!run}'s [deadline] is
+      killed externally (process-group SIGKILL) and reported [Timed_out];
+      the killed worker's remaining batch is re-queued untouched.
     - {b crashes}: a worker that dies mid-task charges only the task it was
       running ([Crashed], with a ["killed by SIGNAL"] reason named by
       {!signal_name}); the rest of its batch is re-queued at the same
@@ -36,14 +36,24 @@
     width. Lanes (pool slot indices) are reported per result so the {!Obs}
     trace sink can draw one timeline row per worker.
 
-    Lifecycle counters (plain {!Obs.count}, never in the byte-stable
-    [--stats] table): [pool.spawns], [pool.restarts], [pool.recycles],
-    [pool.backoff_waits], [pool.heartbeat_misses], [pool.kills],
-    [pool.poisoned], [pool.fork_failures], [pool.batches],
-    [pool.inline_tasks], [pool.reaps] (workers torn down by {!quiesce},
-    {!shutdown} or recycling) and the timing tallies [pool.fork_us],
-    [pool.queue_wait_us], [pool.task_wall_us], [pool.reap_us] (teardown
-    wall time), so fork, task and reap time add up against wall time. *)
+    Every time the pool keeps — deadlines, heartbeats, backoff gates, the
+    reap grace and the timing tallies — is read from {!Clock.now}, which
+    is monotonic: a wall-clock step can neither charge a task a timeout
+    it did not earn nor stretch a backoff.
+
+    Lifecycle counters live in one {!Obs.Ledger} per pool: each event is
+    counted once, into the totals {!stats} reads and, when the recorder is
+    enabled, into the plain {!Obs.count} of the same name (never the
+    byte-stable [--stats] table). They are [pool.spawns],
+    [pool.restarts], [pool.recycles], [pool.backoff_waits],
+    [pool.heartbeat_misses], [pool.kills], [pool.poisoned],
+    [pool.fork_failures], [pool.batches], [pool.tasks],
+    [pool.inline_tasks] (one per {!stats} field), plus [pool.retries],
+    [pool.batch_tasks], [pool.backoff_us] and [pool.reaps] (workers torn
+    down by {!quiesce}, {!shutdown} or recycling). The timing tallies
+    [pool.fork_us], [pool.queue_wait_us], [pool.task_wall_us] and
+    [pool.reap_us] (teardown time) are recorded only while the recorder is
+    enabled, so fork, task and reap time add up against elapsed time. *)
 
 type 'r outcome =
   | Done of 'r
@@ -62,7 +72,6 @@ type config = {
       (** max tasks per dispatch frame; the effective chunk also never
           exceeds ⌈pending / jobs⌉, so small runs still spread across
           lanes *)
-  deadline : float option;  (** per-task wall-clock bound, [None] = none *)
   max_tasks_per_worker : int;
       (** recycle a worker after this many tasks (0 = never) *)
   max_rss_kb : int;
@@ -95,7 +104,6 @@ type config = {
 val config :
   ?jobs:int ->
   ?batch_size:int ->
-  ?deadline:float ->
   ?max_tasks_per_worker:int ->
   ?max_rss_kb:int ->
   ?max_as_mb:int ->
@@ -106,7 +114,7 @@ val config :
   ?grace:float ->
   unit ->
   config
-(** Defaults: [jobs = 1], [batch_size = 8], no deadline,
+(** Defaults: [jobs = 1], [batch_size = 8],
     [max_tasks_per_worker = 128], [max_rss_kb = 524288] (512 MB),
     [max_as_mb = 0] (uncapped), [max_restarts = 3], [backoff_base = 0.05],
     [backoff_cap = 1.0], [heartbeat_interval = 2.0], [grace = 0.5]. *)
@@ -153,9 +161,10 @@ val run :
     [?retry], a failed first attempt is re-queued once as [retry task] (the
     checker shrinks fuel budgets with it); the second failure is final with
     [attempts = 2]. Without [?retry] a failure is final immediately.
-    [?deadline] overrides [config.deadline] for this call only — the daemon
-    applies per-request deadlines over one long-lived pool. Never raises;
-    never loses or duplicates a task. *)
+    [?deadline] bounds each task attempt of this call, in seconds on the
+    monotonic clock from the worker's start acknowledgement (default: no
+    bound) — the daemon applies per-request deadlines over one long-lived
+    pool. Never raises; never loses or duplicates a task. *)
 
 val map : ?retry:('t -> 't) -> ?deadline:float -> ('t, 'r) t -> 't list -> 'r outcome list
 (** {!run} projected to outcomes alone. *)
@@ -221,6 +230,15 @@ val fault_injection : bool ref
     worker stops reading its job pipe after completing the batch containing
     the matching task, ignoring heartbeats), [forkfail:N] (the pool's next
     N fork attempts fail). Inert by default. *)
+
+val faults_for : string -> string list
+(** The kinds of the armed [SHELLEY_FAULT] entries whose argument occurs in
+    [label], in spec order; [[]] unless {!fault_injection} is set. The one
+    parser of that variable: {!Checker.fault_hook} acts on the kinds it
+    owns, the pool on the rest. *)
+
+val write_all : Unix.file_descr -> bytes -> unit
+(** Write all of the bytes, retrying on EINTR (blocking descriptors). *)
 
 val signal_name : int -> string
 (** Human-readable name for an OCaml [Sys] signal number (["SIGKILL"],

@@ -1,38 +1,17 @@
-/* Small OS-facing primitives the overload-safe daemon needs and the OCaml
-   stdlib does not expose:
+/* A small OS-facing primitive the overload-safe daemon needs and the OCaml
+   stdlib does not expose: setrlimit(RLIMIT_AS), so a worker whose check
+   balloons fails its own allocation (Out_of_memory, classified as a
+   resource limit) instead of inviting the OOM killer (an unclassifiable
+   SIGKILL).
 
-   - a monotonic clock, so idle-reap / read-deadline / queue-expiry timers
-     survive wall-clock jumps (NTP step, manual date change);
-   - setrlimit(RLIMIT_AS), so a worker whose check balloons fails its own
-     allocation (Out_of_memory, classified as a resource limit) instead of
-     inviting the OOM killer (an unclassifiable SIGKILL).
-
-   Everything degrades gracefully where the OS lacks the facility: the
-   monotonic clock falls back to the real-time clock, the rlimit call
-   reports failure and the caller simply runs uncapped. */
+   It degrades gracefully where the OS lacks the facility: the call reports
+   failure and the caller simply runs uncapped. (The monotonic clock lives
+   with the other clock readers, in lib/obs/clock_stubs.c.) */
 
 #include <caml/mlvalues.h>
-#include <caml/alloc.h>
 #include <caml/memory.h>
 
-#include <time.h>
-#include <sys/time.h>
 #include <sys/resource.h>
-
-CAMLprim value shelley_monotonic_time(value unit)
-{
-  CAMLparam1(unit);
-#if defined(CLOCK_MONOTONIC)
-  struct timespec ts;
-  if (clock_gettime(CLOCK_MONOTONIC, &ts) == 0)
-    CAMLreturn(caml_copy_double((double)ts.tv_sec + (double)ts.tv_nsec * 1e-9));
-#endif
-  {
-    struct timeval tv;
-    gettimeofday(&tv, NULL);
-    CAMLreturn(caml_copy_double((double)tv.tv_sec + (double)tv.tv_usec * 1e-6));
-  }
-}
 
 CAMLprim value shelley_set_rlimit_as(value mb)
 {

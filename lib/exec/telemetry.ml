@@ -1,10 +1,10 @@
 (* Request-lifecycle telemetry: the daemon-side recorder behind the
    [metrics]/[health] RPCs and the access log.
 
-   The clock is the subtle part. Real mode reads the monotonic clock
-   ({!Sysconf}), immune to wall-clock jumps like every other daemon
-   timer. Fake mode (the [SHELLEY_OBS_FAKE_CLOCK] seam shared with
-   {!Obs}) is a tick counter advanced one tick per *lifecycle* read —
+   The clock is the subtle part. Real mode reads {!Clock.now}, the one
+   monotonic clock every daemon timer and {!Obs} span reads too. Fake mode
+   (the [SHELLEY_OBS_FAKE_CLOCK] seam, read by {!Clock.fake_requested}) is
+   this recorder's own tick counter, advanced one tick per *lifecycle* read —
    start, dispatch, finish — and by nothing else: wall time, snapshot
    rendering and health probes do not tick it. A serial request sequence
    therefore times out identically on every run and every machine
@@ -58,17 +58,15 @@ type t = {
   mutable last_restart_ms : int;
 }
 
-let env_fake () =
-  match Sys.getenv_opt Obs.fake_clock_env with
-  | None | Some "" -> false
-  | Some _ -> true
+(* Finished entries kept for the [recent] ring. *)
+let ring_capacity = 32
 
-let create ?(enabled = true) ?fake_clock ?(ring_capacity = 32) () =
-  let fake = match fake_clock with Some b -> b | None -> env_fake () in
+let create ?(enabled = true) ?fake_clock () =
+  let fake = match fake_clock with Some b -> b | None -> Clock.fake_requested () in
   {
     on = enabled;
     fake;
-    epoch = Sysconf.monotonic_time ();
+    epoch = Clock.now ();
     ticks = 0;
     seq = 0;
     check_queue = Histogram.create ();
@@ -79,7 +77,7 @@ let create ?(enabled = true) ?fake_clock ?(ring_capacity = 32) () =
     error_total = Histogram.create ();
     shed_total = Histogram.create ();
     expired_total = Histogram.create ();
-    ring = Array.make (max 1 ring_capacity) None;
+    ring = Array.make ring_capacity None;
     ring_next = 0;
     last_shed_ms = -1;
     last_expired_ms = -1;
@@ -91,7 +89,7 @@ let enabled t = t.on
 let clock_label t =
   if not t.on then "off" else if t.fake then "fake" else "real"
 
-let real_ms t = int_of_float ((Sysconf.monotonic_time () -. t.epoch) *. 1000.)
+let real_ms t = int_of_float ((Clock.now () -. t.epoch) *. 1000.)
 
 let now_ms t =
   if not t.on then 0

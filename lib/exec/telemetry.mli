@@ -12,10 +12,12 @@
       stores and histogram increments; the ring buffer overwrites. The
       recorder can run for the daemon's whole lifetime at full request
       rate.
-    - {b Deterministic under the fake clock.} When
-      [SHELLEY_OBS_FAKE_CLOCK] is set (the {!Obs} seam), the clock is a
-      tick counter advanced {e only} by request-lifecycle reads — one
-      tick per read, never by wall time — so a serial request sequence
+    - {b One clock, deterministic when faked.} Real durations are
+      {!Clock.now} differences, on the same monotonic clock as every
+      daemon timer. When [SHELLEY_OBS_FAKE_CLOCK] is set
+      ({!Clock.fake_requested}), the clock is a tick counter advanced
+      {e only} by request-lifecycle reads — one tick per read, never by
+      wall time — so a serial request sequence
       produces byte-identical [metrics] snapshots and access-log lines,
       and the cram suite pins them.
     - {b Optional, invisible when off.} A disabled recorder does nothing
@@ -53,11 +55,11 @@ type pending
 (** A started request: created at classify time, updated at dispatch,
     closed by {!finish}. *)
 
-val create : ?enabled:bool -> ?fake_clock:bool -> ?ring_capacity:int -> unit -> t
+val create : ?enabled:bool -> ?fake_clock:bool -> unit -> t
 (** [enabled] defaults to [true]; a disabled recorder makes every
     operation a no-op and every snapshot empty. [fake_clock] defaults to
-    whether {!Obs.fake_clock_env} is set to a non-empty value.
-    [ring_capacity] (default 32) bounds the recent-requests buffer. *)
+    {!Clock.fake_requested}. The recent-requests ring keeps the last 32
+    entries. *)
 
 val enabled : t -> bool
 
@@ -116,7 +118,7 @@ val outcome_hists : t -> (string * Histogram.t) list
     the number of requests with that outcome. *)
 
 val recent : t -> entry list
-(** The ring buffer's contents, oldest first, at most [ring_capacity]. *)
+(** The ring buffer's contents, oldest first, at most 32. *)
 
 val entry_fields : entry -> (string * Jsonl.t) list
 (** The entry as JSON object fields — the access-log line format and the

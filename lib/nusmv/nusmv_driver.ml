@@ -111,13 +111,13 @@ let classify_output ~status ~stdout ~stderr =
    tool forked may still hold the pipe's write end, and waiting for its
    EOF would turn one hung helper into a hung driver. *)
 let drain_process ~timeout pid out_fd err_fd =
-  let deadline = Unix.gettimeofday () +. timeout in
+  let deadline = Clock.now () +. timeout in
   let out_buf = Buffer.create 1024 and err_buf = Buffer.create 1024 in
   let chunk = Bytes.create 65536 in
   let open_fds = ref [ (out_fd, out_buf); (err_fd, err_buf) ] in
   let timed_out = ref false in
   while !open_fds <> [] && not !timed_out do
-    let left = deadline -. Unix.gettimeofday () in
+    let left = deadline -. Clock.now () in
     if left <= 0.0 then begin
       timed_out := true;
       (try Unix.kill (-pid) Sys.sigkill with Unix.Unix_error _ -> ());

@@ -11,8 +11,6 @@ type profile = {
   counters : (string * int) list;
 }
 
-let fake_clock_env = "SHELLEY_OBS_FAKE_CLOCK"
-
 type state = {
   mutable events : event list;  (* reversed *)
   mutable ctrs : (string, int) Hashtbl.t;
@@ -23,7 +21,7 @@ type state = {
   mutable unit_profiles : (int * profile) list;  (* reversed *)
   mutable ticks : int;  (* fake-clock position, meaningful iff [fake] *)
   fake : bool;
-  mutable epoch : float;  (* real-clock origin, Unix.gettimeofday *)
+  mutable epoch : float;  (* real-clock origin, on Clock.now *)
 }
 
 (* The whole enabled/disabled story is this one ref: [None] means every
@@ -36,13 +34,8 @@ let using_fake_clock () =
   | Some st -> st.fake
   | None -> false
 
-let env_fake () =
-  match Sys.getenv_opt fake_clock_env with
-  | None | Some "" -> false
-  | Some _ -> true
-
 let enable ?fake_clock () =
-  let fake = match fake_clock with Some b -> b | None -> env_fake () in
+  let fake = match fake_clock with Some b -> b | None -> Clock.fake_requested () in
   state :=
     Some
       {
@@ -52,7 +45,7 @@ let enable ?fake_clock () =
         unit_profiles = [];
         ticks = 0;
         fake;
-        epoch = Unix.gettimeofday ();
+        epoch = Clock.now ();
       }
 
 let disable () = state := None
@@ -66,7 +59,7 @@ let reset () =
     st.stable_ctrs <- Hashtbl.create 8;
     st.unit_profiles <- [];
     st.ticks <- 0;
-    st.epoch <- Unix.gettimeofday ()
+    st.epoch <- Clock.now ()
 
 (* Fake mode: every read advances one tick = 1 ms, so durations count clock
    reads — deterministic for a deterministic span structure. *)
@@ -76,7 +69,7 @@ let now_us st =
     st.ticks <- st.ticks + 1;
     t
   end
-  else int_of_float ((Unix.gettimeofday () -. st.epoch) *. 1e6)
+  else int_of_float ((Clock.now () -. st.epoch) *. 1e6)
 
 let count key n =
   match !state with
@@ -122,6 +115,22 @@ end
 
 module Counter = struct
   let add = count
+end
+
+module Ledger = struct
+  type t = {
+    totals : (string, int) Hashtbl.t;
+    record : string -> int -> unit;  (* [count] or [count_stable] *)
+  }
+
+  let create ?(stable = false) () =
+    { totals = Hashtbl.create 16; record = (if stable then count_stable else count) }
+
+  let get t key = Option.value ~default:0 (Hashtbl.find_opt t.totals key)
+
+  let add t key n =
+    Hashtbl.replace t.totals key (get t key + n);
+    t.record key n
 end
 
 let sorted_counters tbl =

@@ -23,11 +23,14 @@
       strings and ints, no interned symbols — that the parent merges with
       {!add_unit} under the worker's lane, so one trace shows every
       worker's timeline.
-    - {b Determinism seam.} When the [SHELLEY_OBS_FAKE_CLOCK] environment
-      variable is set (or [enable ~fake_clock:true]), timestamps come from
-      a deterministic tick counter that {!in_unit} resets per unit, so
-      [--stats] output is byte-stable across runs and across [-j] levels —
-      the cram tests pin it. *)
+    - {b One clock.} Real timestamps are {!Clock.now} readings: monotonic,
+      so a wall-clock step can neither stretch nor invert a span.
+    - {b Determinism seam.} When {!Clock.fake_requested} (the
+      [SHELLEY_OBS_FAKE_CLOCK] environment variable is set) or
+      [enable ~fake_clock:true], timestamps come from a deterministic tick
+      counter that advances once per read and that {!in_unit} resets per
+      unit, so [--stats] output is byte-stable across runs and across [-j]
+      levels — the cram tests pin it. *)
 
 type event = {
   ev_name : string;
@@ -44,14 +47,11 @@ type profile = {
 (** Everything one verification unit recorded. Marshal-safe: workers send
     profiles back over the result pipe. *)
 
-val fake_clock_env : string
-(** ["SHELLEY_OBS_FAKE_CLOCK"]. *)
-
 val enabled : unit -> bool
 
 val enable : ?fake_clock:bool -> unit -> unit
-(** Install a fresh recorder. [fake_clock] defaults to whether
-    {!fake_clock_env} is set to a non-empty value. *)
+(** Install a fresh recorder. [fake_clock] defaults to
+    {!Clock.fake_requested}. *)
 
 val disable : unit -> unit
 (** Drop the recorder; instrumentation reverts to the one-branch no-op. *)
@@ -91,6 +91,24 @@ end
 
 module Counter : sig
   val add : string -> int -> unit
+end
+
+(** A component's one counter ledger: each event is counted by one
+    {!Ledger.add}, which feeds the ledger's always-on totals and, when the
+    recorder is enabled, the {!Obs} counter of the same name. A component
+    that reports its counts (the worker pool's [stats], the daemon's
+    [status]) reads them back with {!Ledger.get}, so the report and the
+    metrics cannot disagree. *)
+module Ledger : sig
+  type t
+
+  val create : ?stable:bool -> unit -> t
+  (** [stable] (default [false]) records into {!count_stable} instead of
+      {!count}: only for deterministic values. *)
+
+  val add : t -> string -> int -> unit
+  val get : t -> string -> int
+  (** The total added under the key since {!create}; 0 if none. *)
 end
 
 (** {1 Units and worker-profile merging} *)

@@ -143,8 +143,8 @@ let suicide _ = Unix.kill (Unix.getpid ()) Sys.sigkill
 
 (* A small, fast pool configuration for tests: tight heartbeats and grace
    so wedge/restart paths resolve in tenths of a second, not seconds. *)
-let test_config ?jobs ?batch_size ?deadline ?max_tasks_per_worker ?max_restarts () =
-  Supervisor.config ?jobs ?batch_size ?deadline ?max_tasks_per_worker ?max_restarts
+let test_config ?jobs ?batch_size ?max_tasks_per_worker ?max_restarts () =
+  Supervisor.config ?jobs ?batch_size ?max_tasks_per_worker ?max_restarts
     ~backoff_base:0.005 ~backoff_cap:0.05 ~heartbeat_interval:0.4 ~grace:0.1 ()
 
 let with_pool ?label cfg f body =
@@ -205,8 +205,8 @@ let test_supervisor_deadline_mid_batch () =
     | 2 -> Unix.sleep 30; 0
     | n -> n * 10
   in
-  with_pool (test_config ~jobs:1 ~batch_size:8 ~deadline:0.3 ()) f @@ fun pool ->
-  match Supervisor.map pool [ 1; 2; 3 ] with
+  with_pool (test_config ~jobs:1 ~batch_size:8 ()) f @@ fun pool ->
+  match Supervisor.map ~deadline:0.3 pool [ 1; 2; 3 ] with
   | [ Done 10; Timed_out { seconds; attempts = 1 }; Done 30 ] ->
     Alcotest.(check (float 0.001)) "configured deadline" 0.3 seconds;
     Alcotest.(check bool) "deadline kill counted" true
@@ -338,6 +338,58 @@ let test_supervisor_shutdown_despite_held_pipe () =
         Alcotest.failf "kill %d 0: %s, expected ESRCH" pid (Unix.error_message e))
     workers
 
+let test_supervisor_stats_match_obs () =
+  (* One recorded run: task 1 crashes and its retry succeeds, task 2 is
+     killed at its deadline on both attempts (so it is poisoned), and
+     workers recycle every two tasks. Each stats field and its pool.*
+     counter are fed by the same ledger call, so they must agree. *)
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let f n =
+    if n = 1 then (suicide n; 0) else if n = 2 then (Unix.sleep 30; 0) else abs n
+  in
+  with_pool (test_config ~jobs:1 ~batch_size:1 ~max_tasks_per_worker:2 ()) f
+  @@ fun pool ->
+  let retry n = if n = 1 then -1 else n in
+  (match Supervisor.map ~retry ~deadline:0.3 pool [ 1; 2; 3; 4; 5; 6 ] with
+  | [ Done 1; Timed_out { attempts = 2; _ }; Done 3; Done 4; Done 5; Done 6 ] -> ()
+  | outcomes -> Alcotest.failf "unexpected outcomes (%d)" (List.length outcomes));
+  let st = Supervisor.stats pool in
+  let counter key =
+    Option.value ~default:0 (List.assoc_opt ("pool." ^ key) (Obs.counters ()))
+  in
+  List.iter
+    (fun (key, v) ->
+      Alcotest.(check int)
+        (Printf.sprintf "stats.%s = %d, pool.%s = %d" key v key (counter key))
+        v (counter key))
+    Supervisor.
+      [
+        ("spawns", st.spawns);
+        ("restarts", st.restarts);
+        ("recycles", st.recycles);
+        ("backoff_waits", st.backoff_waits);
+        ("heartbeat_misses", st.heartbeat_misses);
+        ("kills", st.kills);
+        ("poisoned", st.poisoned);
+        ("fork_failures", st.fork_failures);
+        ("batches", st.batches);
+        ("tasks", st.tasks);
+        ("inline_tasks", st.inline_tasks);
+      ];
+  (* The run really exercised every event the comment names. *)
+  List.iter
+    (fun (what, n) ->
+      Alcotest.(check bool) (Printf.sprintf "%s happened (got %d)" what n) true (n > 0))
+    Supervisor.
+      [
+        ("restart", st.restarts);
+        ("deadline kill", st.kills);
+        ("poisoning", st.poisoned);
+        ("recycle", st.recycles);
+      ];
+  Alcotest.(check int) "retry counted" 2 (counter "retries")
+
 (* --- Task outcomes (the "runner" group) ------------------------------------ *)
 
 (* How a single task settles through Supervisor.map, whichever path runs
@@ -354,23 +406,23 @@ let test_runner_inline_matches_forked () =
   Supervisor.shutdown closed;
   let inline = List.map unwrap (Supervisor.map closed tasks) in
   let forked =
-    with_pool (test_config ~jobs:4 ~deadline:30.0 ()) f @@ fun pool ->
-    List.map unwrap (Supervisor.map pool tasks)
+    with_pool (test_config ~jobs:4 ()) f @@ fun pool ->
+    List.map unwrap (Supervisor.map ~deadline:30.0 pool tasks)
   in
   Alcotest.(check (list int)) "forked order = input order" inline forked;
   Alcotest.(check (list int)) "values" [ 1; 4; 9; 16; 25; 36; 49 ] inline
 
 let test_runner_timeout () =
-  with_pool (test_config ~jobs:2 ~deadline:0.3 ()) (fun _ -> Unix.sleep 30) @@ fun pool ->
-  match Supervisor.map pool [ () ] with
+  with_pool (test_config ~jobs:2 ()) (fun _ -> Unix.sleep 30) @@ fun pool ->
+  match Supervisor.map ~deadline:0.3 pool [ () ] with
   | [ Timed_out { seconds; attempts } ] ->
     Alcotest.(check (float 0.001)) "configured deadline" 0.3 seconds;
     Alcotest.(check int) "single attempt without retry" 1 attempts
   | _ -> Alcotest.fail "expected Timed_out"
 
 let test_runner_timeout_retry_attempts () =
-  with_pool (test_config ~jobs:2 ~deadline:0.2 ()) (fun _ -> Unix.sleep 30) @@ fun pool ->
-  match Supervisor.map ~retry:Fun.id pool [ () ] with
+  with_pool (test_config ~jobs:2 ()) (fun _ -> Unix.sleep 30) @@ fun pool ->
+  match Supervisor.map ~retry:Fun.id ~deadline:0.2 pool [ () ] with
   | [ Timed_out { attempts; _ } ] -> Alcotest.(check int) "both attempts burned" 2 attempts
   | _ -> Alcotest.fail "expected Timed_out"
 
@@ -399,8 +451,8 @@ let test_runner_exception_contained () =
 let test_runner_retry_recovers () =
   (* Task 41 kills its worker; the retried task 42 completes. *)
   let f n = if n = 41 then (suicide n; 0) else n in
-  with_pool (test_config ~jobs:2 ~deadline:10.0 ()) f @@ fun pool ->
-  match Supervisor.map ~retry:(fun n -> n + 1) pool [ 41 ] with
+  with_pool (test_config ~jobs:2 ()) f @@ fun pool ->
+  match Supervisor.map ~retry:(fun n -> n + 1) ~deadline:10.0 pool [ 41 ] with
   | [ Done 42 ] -> ()
   | _ -> Alcotest.fail "expected the retry's Done 42"
 
@@ -426,8 +478,8 @@ let test_runner_isolation () =
     | 3 -> suicide 3; 0
     | n -> n * 10
   in
-  with_pool (test_config ~jobs:4 ~deadline:0.5 ()) f @@ fun pool ->
-  match Supervisor.map pool [ 1; 2; 3; 4 ] with
+  with_pool (test_config ~jobs:4 ()) f @@ fun pool ->
+  match Supervisor.map ~deadline:0.5 pool [ 1; 2; 3; 4 ] with
   | [ Done 10; Timed_out _; Crashed _; Done 40 ] -> ()
   | outcomes -> Alcotest.failf "unexpected outcomes (%d)" (List.length outcomes)
 
@@ -486,7 +538,7 @@ let test_checker_codes () =
   Alcotest.(check int) "aggregate = max" 2 (Checker.exit_code verdicts)
 
 let test_checker_unreadable () =
-  let v = Checker.check_file "definitely/not/a/file.py" in
+  let v = List.hd (Checker.check_files ~jobs:1 [ "definitely/not/a/file.py" ]) in
   Alcotest.(check int) "code 2" 2 v.Checker.code;
   Alcotest.(check bool) "rendered" true
     (Testutil.contains v.Checker.output "cannot read file")
@@ -670,6 +722,8 @@ let () =
             test_supervisor_spawns_on_demand;
           Alcotest.test_case "shutdown despite a held result pipe" `Quick
             test_supervisor_shutdown_despite_held_pipe;
+          Alcotest.test_case "stats = pool.* Obs counters" `Quick
+            test_supervisor_stats_match_obs;
         ] );
       ( "checker",
         [

@@ -337,10 +337,10 @@ let test_inline_lane_zero () =
 
 let test_lanes_bounded () =
   let pool =
-    Supervisor.create (Supervisor.config ~jobs:2 ~deadline:30.0 ()) (fun n -> n * n)
+    Supervisor.create (Supervisor.config ~jobs:2 ()) (fun n -> n * n)
   in
   Fun.protect ~finally:(fun () -> Supervisor.shutdown pool) @@ fun () ->
-  let got = Supervisor.run pool [ 1; 2; 3; 4; 5 ] in
+  let got = Supervisor.run ~deadline:30.0 pool [ 1; 2; 3; 4; 5 ] in
   Alcotest.(check int) "all settled" 5 (List.length got);
   List.iter
     (fun (s : _ Supervisor.settled) ->
@@ -351,7 +351,7 @@ let test_lanes_bounded () =
         (s.Supervisor.lane >= 0 && s.Supervisor.lane < 2))
     got;
   (* map is run minus the lanes and attempts. *)
-  let plain = Supervisor.map pool [ 1; 2; 3; 4; 5 ] in
+  let plain = Supervisor.map ~deadline:30.0 pool [ 1; 2; 3; 4; 5 ] in
   Alcotest.(check bool) "map = outcomes of run" true
     (plain = List.map (fun (s : _ Supervisor.settled) -> s.Supervisor.outcome) got)
 

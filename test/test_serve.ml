@@ -865,6 +865,64 @@ let test_queued_deadline_expiry () =
   Alcotest.(check int) "expiry counted" 1 (status_field ~socket "expired");
   List.iter Unix.close [ a; b; c ]
 
+let test_load_matches_obs () =
+  (* One shed and one expiry, each counted by one ledger call: [status]'s
+     load object and the daemon's stable Obs counters must agree. The
+     daemon writes its counters out when it returns. *)
+  with_corpus [ Valve ] @@ fun dir files ->
+  let socket = Filename.concat dir "d.sock" in
+  let counters_out = Filename.concat dir "counters" in
+  let slow_file = List.hd files in
+  let serve () =
+    Obs.enable ();
+    let code = Serve.serve ~socket ~jobs:1 ~max_queue:1 () in
+    let oc = open_out counters_out in
+    List.iter (fun (k, v) -> Printf.fprintf oc "%s %d\n" k v) (Obs.stable_counters ());
+    close_out oc;
+    code
+  in
+  let status = ref (0, 0) in
+  (with_fault "slow:unit_0.py" @@ fun () ->
+   with_daemon ~socket serve @@ fun () ->
+    let a = raw_connect socket
+    and b = raw_connect socket
+    and c = raw_connect socket in
+    (* The queue-full shed handshake: all three registered, then A holds
+       the worker while B and C contend for the one queue slot. *)
+    send_raw c "{\"id\":0,\"method\":\"status\"}\n";
+    ignore (recv_line c);
+    send_raw a (check_request [ slow_file ] ^ "\n");
+    Unix.sleepf 0.4;
+    send_raw b (check_request [ slow_file ] ^ "\n");
+    send_raw c (check_request [ slow_file ] ^ "\n");
+    List.iter (fun fd -> ignore (recv_line fd)) [ a; b; c ];
+    (* A deadline already past at admission is answered expired at once. *)
+    send_raw a (request ~deadline_ms:0. [ slow_file ] ^ "\n");
+    (match recv_line a with
+    | Some resp ->
+      Alcotest.(check bool) "expired at admission" true
+        (contains resp "\"error_code\":\"expired\"")
+    | None -> Alcotest.fail "the expired request was never answered");
+    status := (status_field ~socket "shed", status_field ~socket "expired");
+    List.iter Unix.close [ a; b; c ]);
+  let counters =
+    In_channel.with_open_text counters_out In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ k; v ] -> Some (k, int_of_string v)
+           | _ -> None)
+  in
+  List.iter
+    (fun (event, in_status) ->
+      let key = "serve." ^ event in
+      let in_obs = Option.value ~default:0 (List.assoc_opt key counters) in
+      Alcotest.(check int)
+        (Printf.sprintf "status.load.%s = %d, %s = %d" event in_status key in_obs)
+        in_status in_obs;
+      Alcotest.(check int) (Printf.sprintf "one %s" event) 1 in_status)
+    [ ("shed", fst !status); ("expired", snd !status) ]
+
 let test_worker_mem_cap () =
   (* A ballooning verification under --max-worker-mem dies on a catchable
      Out_of_memory inside the worker and is rendered as a resource-limit
@@ -1144,6 +1202,8 @@ let () =
           Alcotest.test_case "queue-full shed" `Quick test_queue_full_shed;
           Alcotest.test_case "queued-deadline expiry" `Quick test_queued_deadline_expiry;
           Alcotest.test_case "worker memory cap" `Quick test_worker_mem_cap;
+          Alcotest.test_case "status load = serve.* Obs counters" `Quick
+            test_load_matches_obs;
           Alcotest.test_case "client retry backoff" `Quick test_client_request_backoff;
         ] );
       ( "telemetry",
