@@ -109,7 +109,9 @@ let () =
           Tableau.to_nfa ~limits ~alphabet:claim_alphabet claim);
       row "entail product" (Printf.sprintf "chain_composite %d, entailed claim" chain_ops)
         ~resource:"entailment configurations" (fun limits ->
-          match Entail.implies ~limits ~impl:chain ~hyps:entail_hyps entail_goal with
+          match
+            Entail.implies (Entail.session ~limits ~impl:chain ()) ~hyps:entail_hyps entail_goal
+          with
           | Entail.Entailed -> ()
           | v -> die "entail product: expected entailed, got %a" Entail.pp_verdict v);
       (let closure () = Deriv.derivative_closure deriv_input in

@@ -27,6 +27,12 @@
    definitive verdict, in smoke and full mode alike: the floor is a
    count, so it holds on any host.
 
+   The claim-set family runs [Lint_semantic.analyze_claims] (SY104,
+   SY109–SY111) over generated composites with k = 4…12 claims, twice per
+   class: in the class's two sessions, and with a fresh session per query.
+   Both must give the same analysis and the same [entail.states], in smoke
+   and full mode alike; the rows record the two times.
+
    Run: dune exec bench/bench_entail.exe [--smoke] *)
 
 let smoke = Array.exists (String.equal "--smoke") Sys.argv
@@ -94,7 +100,7 @@ let verdict_tag = function
 
 let run_instance ~label ~m ~expected ~impl ~hyps goal =
   let fly, fly_ms, fly_states, fly_memo =
-    timed (fun () -> Entail.implies ~limits ~impl ~hyps goal)
+    timed (fun () -> Entail.implies (Entail.session ~limits ~impl ()) ~hyps goal)
   in
   let oracle, oracle_ms, _, _ =
     timed (fun () -> Entail.oracle_implies ~limits ~impl ~hyps goal)
@@ -161,7 +167,7 @@ let obligation_space_rows () =
   List.map
     (fun d ->
       measure ~family:"growing" ~size:d ~expected:"entailed" (fun () ->
-          verdict_tag (Entail.implies ~impl:abc ~hyps:[] (growing d))))
+          verdict_tag (Entail.implies (Entail.session ~impl:abc ()) ~hyps:[] (growing d))))
     depths
   @ List.map
       (fun k ->
@@ -170,11 +176,134 @@ let obligation_space_rows () =
         measure ~family:"conjunctive" ~size:k
           ~expected:(if k = 1 then "satisfiable" else "unsatisfiable")
           (fun () ->
-            match Entail.joint_witness ~impl [ conjunctive k ] with
+            match Entail.joint_witness (Entail.session ~impl ()) [ conjunctive k ] with
             | Ok (Some _) -> "satisfiable"
             | Ok None -> "unsatisfiable"
             | Error _ -> "unknown"))
       widths
+
+(* --- Claim-set family ------------------------------------------------------------ *)
+
+type claim_set_row = {
+  claims : int;
+  shared_ms : float;
+  fresh_ms : float;
+  set_states : int;
+  set_memo_hits : int;
+}
+
+let valves = 4
+
+(* A composite over [valves] valves whose operations may run in any order,
+   and [k] claims drawn in turn from templates that hold, fail, duplicate
+   each other and contradict each other, so every claim-set verdict
+   occurs. *)
+let claim_set_source k =
+  let templates =
+    [|
+      (fun i -> Printf.sprintf "(!v%d.open) W v%d.test" i i);
+      (fun i -> Printf.sprintf "G (v%d.open -> F v%d.close)" i i);
+      (fun i -> Printf.sprintf "F v%d.open" i);
+      (fun i -> Printf.sprintf "(!v%d.close) W v%d.open" i i);
+      (fun i -> Printf.sprintf "G (v%d.test -> F v%d.open)" i i);
+      (fun i -> Printf.sprintf "G !v%d.open" i);
+    |]
+  in
+  let claim j = templates.(j mod Array.length templates) (j / Array.length templates mod valves) in
+  let ops = List.init valves (fun i -> Printf.sprintf "step%d" i) in
+  let next = String.concat ", " (List.map (Printf.sprintf "\"%s\"") ops) in
+  String.concat "\n"
+    ([
+       "@sys";
+       "class Valve:";
+       "    def __init__(self):";
+       "        self.control = Pin(27, OUT)";
+       "    @op_initial";
+       "    def test(self):";
+       "        return [\"open\", \"clean\"]";
+       "    @op";
+       "    def open(self):";
+       "        return [\"close\"]";
+       "    @op_final";
+       "    def close(self):";
+       "        return [\"test\"]";
+       "    @op_final";
+       "    def clean(self):";
+       "        return [\"test\"]";
+       "";
+     ]
+    @ List.init k (fun j -> Printf.sprintf "@claim(\"%s\")" (claim j))
+    @ [
+        Printf.sprintf "@sys([%s])"
+          (String.concat ", " (List.init valves (Printf.sprintf "\"v%d\"")));
+        "class Plant:";
+        "    def __init__(self):";
+      ]
+    @ List.init valves (Printf.sprintf "        self.v%d = Valve()")
+    @ List.concat
+        (List.init valves (fun i ->
+             [
+               "    @op_initial_final";
+               Printf.sprintf "    def step%d(self):" i;
+               Printf.sprintf "        if self.v%d.test():" i;
+               Printf.sprintf "            self.v%d.open()" i;
+               Printf.sprintf "            self.v%d.close()" i;
+               "        else:";
+               Printf.sprintf "            self.v%d.clean()" i;
+               Printf.sprintf "        return [%s]" next;
+             ])))
+  ^ "\n"
+
+let claim_set_model k =
+  let program, _ = Mpy_parser.parse_program_tolerant (claim_set_source k) in
+  List.find_map
+    (fun cls ->
+      let model = (Extract.extract_class cls).Extract.model in
+      if String.equal model.Model.name "Plant" then Some model else None)
+    program.Mpy_ast.prog_classes
+  |> Option.get
+
+(* Median wall time of [runs] calls, with the [entail.*] counters of one. *)
+let timed_analysis ~runs f =
+  let times =
+    List.init runs (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        ignore (f ());
+        Unix.gettimeofday () -. t0)
+    |> List.sort compare
+  in
+  let analysis, _, states, memo = timed f in
+  (analysis, List.nth times (runs / 2) *. 1000., states, memo)
+
+let claim_set_rows () =
+  let limits = Limits.default in
+  let fuel = Lint_semantic.default_thresholds.Lint_semantic.entail_fuel in
+  let runs = if smoke then 3 else 9 in
+  let sizes = if smoke then [ 4; 8; 12 ] else [ 4; 5; 6; 7; 8; 9; 10; 11; 12 ] in
+  List.map
+    (fun k ->
+      let model = claim_set_model k in
+      let automata = Lint_semantic.sessions ~limits model in
+      let calls = Entail.impl (automata.Lint_semantic.calls ()) in
+      let universal = Entail.impl (automata.Lint_semantic.universal ()) in
+      let shared () =
+        Lint_semantic.analyze_claims ~fuel ~sessions:(Lint_semantic.sessions ~limits model)
+          ~limits model
+      in
+      let fresh () =
+        let open_on impl () = Entail.session ~limits ~impl () in
+        Lint_semantic.analyze_claims ~fuel
+          ~sessions:{ Lint_semantic.calls = open_on calls; universal = open_on universal }
+          ~limits model
+      in
+      let a_shared, shared_ms, states, memo = timed_analysis ~runs shared in
+      let a_fresh, fresh_ms, fresh_states, fresh_memo = timed_analysis ~runs fresh in
+      if a_shared <> a_fresh then die "claim set k=%d: one session and fresh sessions disagree" k;
+      if states <> fresh_states || memo <> fresh_memo then
+        die "claim set k=%d: entail.states %d/%d, memo hits %d/%d (one session/fresh)" k
+          states fresh_states memo fresh_memo;
+      { claims = k; shared_ms; fresh_ms; set_states = states; set_memo_hits = memo })
+    sizes
 
 let () =
   let sizes = if smoke then [ 4; 10 ] else [ 2; 4; 6; 8; 10; 12; 14; 16 ] in
@@ -210,7 +339,7 @@ let () =
   let flower = flower_over (List.init memo_m sym) in
   let witness, memo_ms, memo_states, memo_hits =
     timed (fun () ->
-        Entail.joint_witness ~limits ~impl:flower
+        Entail.joint_witness (Entail.session ~limits ~impl:flower ())
           (List.init memo_m (fun i -> Ltlf.finally (Ltlf.atom (sym i)))))
   in
   (match witness with
@@ -238,6 +367,14 @@ let () =
       Printf.printf "  %-16s %4d  %-14s %9.2f %8d\n" r.family r.size r.verdict r.ms
         r.states)
     space_rows;
+  let set_rows = claim_set_rows () in
+  Printf.printf "\n  %-16s %4s  %10s %10s %8s %8s\n" "family" "k" "session ms" "fresh ms"
+    "states" "memo";
+  List.iter
+    (fun r ->
+      Printf.printf "  %-16s %4d  %10.2f %10.2f %8d %8d\n" "claim set" r.claims r.shared_ms
+        r.fresh_ms r.set_states r.set_memo_hits)
+    set_rows;
   let definitive = List.filter (fun r -> r.verdict <> "unknown") space_rows in
   if List.length definitive < List.length space_rows then
     die "FAIL: %d of %d obligation-space instances ended in unknown"
@@ -267,6 +404,12 @@ let () =
       "    {\"family\": %S, \"size\": %d, \"verdict\": %S, \"ms\": %.3f, \"states\": %d}"
       r.family r.size r.verdict r.ms r.states
   in
+  let set_json r =
+    Printf.sprintf
+      "    {\"claims\": %d, \"session_ms\": %.3f, \"fresh_session_per_query_ms\": %.3f, \
+       \"states\": %d, \"memo_hits\": %d}"
+      r.claims r.shared_ms r.fresh_ms r.set_states r.set_memo_hits
+  in
   let row_json r =
     Printf.sprintf
       "    {\"family\": %S, \"m\": %d, \"fly_verdict\": %S, \"fly_ms\": %.3f, \
@@ -284,7 +427,8 @@ let () =
       \  \"oracle_exhausted\": %d,\n  \"fly_definitive_of_exhausted\": %d,\n\
       \  \"definitive_ratio\": %.3f,\n  \"definitive_floor\": %.2f,\n\
       \  \"floor_enforced\": %b,\n  \"obligation_space\": [\n%s\n  ],\n\
-      \  \"obligation_space_definitive\": %d,\n  \"obligation_space_floor\": %d\n}\n"
+      \  \"obligation_space_definitive\": %d,\n  \"obligation_space_floor\": %d,\n\
+      \  \"claim_sets\": [\n%s\n  ]\n}\n"
       limits.Limits.max_states limits.Limits.max_configs
       (String.concat ",\n" (List.map row_json rows))
       memo_m memo_ms memo_states memo_hits memo_ratio
@@ -292,6 +436,7 @@ let () =
       (not smoke)
       (String.concat ",\n" (List.map space_json space_rows))
       (List.length definitive) (List.length space_rows)
+      (String.concat ",\n" (List.map set_json set_rows))
   in
   let oc = open_out_bin "BENCH_entail.json" in
   output_string oc json;

@@ -75,6 +75,11 @@ val counterexample_inclusion : t -> t -> Trace.t option
 
 val reachable_states : t -> States.Set.t
 
+val live_symbols : t -> Symbol.Set.t
+(** The symbols that occur in some accepted word: each labels an edge from
+    a state reachable from the start to a state that can reach acceptance.
+    Empty when the language is. *)
+
 val words_upto : max_len:int -> t -> Trace.Set.t
 
 (** {1 Conversions} *)

@@ -8,8 +8,8 @@ let subsystem_call_nfa ?limits ?impl (model : Model.t) =
     (fun sym -> if Symbol.split_scope sym <> None then Some sym else None)
     expanded
 
-let check_claim ?limits ~calls (model : Model.t) (text, formula) =
-  match Ltl_check.check ?limits ~impl:calls formula with
+let check_claim ~session (model : Model.t) (text, formula) =
+  match Ltl_check.check session formula with
   | Ok () -> None
   | Error violation ->
     Some
@@ -24,5 +24,5 @@ let check ?limits ?impl (model : Model.t) =
   match model.Model.claims with
   | [] -> []
   | claims ->
-    let calls = subsystem_call_nfa ?limits ?impl model in
-    List.filter_map (check_claim ?limits ~calls model) claims
+    let session = Entail.session ?limits ~impl:(subsystem_call_nfa ?limits ?impl model) () in
+    List.filter_map (check_claim ~session model) claims

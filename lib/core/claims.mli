@@ -11,6 +11,6 @@ val subsystem_call_nfa : ?limits:Limits.t -> ?impl:Nfa.t Lazy.t -> Model.t -> Nf
     here under [limits]. *)
 
 val check : ?limits:Limits.t -> ?impl:Nfa.t Lazy.t -> Model.t -> Report.t list
-(** All claims of the class, in declaration order, decided on one
-    {!subsystem_call_nfa} (from [impl] when given). A class without claims
-    builds nothing. *)
+(** All claims of the class, in declaration order, decided in one
+    {!Entail.session} over {!subsystem_call_nfa} (from [impl] when given).
+    A class without claims builds nothing. *)

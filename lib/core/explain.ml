@@ -88,10 +88,10 @@ let of_requirement ?(limits = Limits.default) ~(model : Model.t) ~formula ~count
           (Symbol.Set.of_list counterexample)
           model.Model.claims
       in
-      let universal = Nfa.universal alphabet in
+      let universal = Entail.session ~limits ~impl:(Nfa.universal alphabet) () in
       List.filter_map
         (fun (text, f) ->
-          match Entail.implies ~limits ~alphabet ~impl:universal ~hyps:[ f ] goal with
+          match Entail.implies universal ~hyps:[ f ] goal with
           | Entail.Entailed -> Some text
           | Entail.Not_entailed _ -> None
           | Entail.Unknown _ ->

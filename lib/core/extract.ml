@@ -47,6 +47,20 @@ let exit_behaviors_of_marked ~method_name marked =
   in
   (exits, d.Infer.ongoing)
 
+(* Each exit's behavior followed by its marker; the implicit exit, if any,
+   needs its marker appended to the ongoing component. *)
+let marked_of_exits ~method_name (explicit, ongoing) (exits : Model.exit_point list) =
+  let marker k = Regex.sym (Mpy_lower.exit_marker ~method_name k) in
+  let implicit =
+    match List.find_opt (fun (e : Model.exit_point) -> e.implicit) exits with
+    | Some e -> [ Regex.seq ongoing (marker e.exit_id) ]
+    | None -> []
+  in
+  Regex.alt_list (List.map (fun (k, r) -> Regex.seq r (marker k)) explicit @ implicit)
+
+let marked_behavior ~method_name marked exits =
+  marked_of_exits ~method_name (exit_behaviors_of_marked ~method_name marked) exits
+
 let extract_operation ~class_name (meth : Mpy_ast.method_def) kind =
   let lowered = Mpy_lower.lower_method meth in
   let marked = lowered.Mpy_lower.low_prog in
@@ -113,13 +127,16 @@ let extract_operation ~class_name (meth : Mpy_ast.method_def) kind =
           (Printf.sprintf "operation '%s': %s" meth.meth_name w)
         :: !diagnostics)
     lowered.Mpy_lower.low_warnings;
+  let exits = explicit_exits @ implicit_exit in
   let op =
     {
       Model.op_name = meth.meth_name;
       op_kind = kind;
       op_line = meth.meth_line;
-      exits = explicit_exits @ implicit_exit;
+      exits;
       marked_body = marked;
+      marked_behavior =
+        marked_of_exits ~method_name:meth.meth_name (behaviors, ongoing) exits;
       plain_body = plain;
       lowering_warnings = lowered.Mpy_lower.low_warnings;
     }

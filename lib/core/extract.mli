@@ -19,3 +19,9 @@ val exit_behaviors_of_marked : method_name:string -> Prog.t -> (int * Regex.t) l
 (** Split the inferred denotation of a marked body into per-exit behaviors
     (keyed by exit index, markers stripped) and the ongoing (fall-through)
     behavior. Exposed for tests. *)
+
+val marked_behavior : method_name:string -> Prog.t -> Model.exit_point list -> Regex.t
+(** [marked_behavior ~method_name body exits] is {!Model.operation}'s
+    [marked_behavior] for a marked body and its exits: for a model built
+    some other way than by {!extract_class}, which computes it as it
+    extracts. *)

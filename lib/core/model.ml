@@ -13,6 +13,7 @@ type operation = {
   op_line : int;
   exits : exit_point list;
   marked_body : Prog.t;
+  marked_behavior : Regex.t;
   plain_body : Prog.t;
   lowering_warnings : string list;
 }

@@ -23,6 +23,10 @@ type operation = {
   op_line : int;
   exits : exit_point list;
   marked_body : Prog.t;  (** IR with exit markers (see {!Mpy_lower}) *)
+  marked_behavior : Regex.t;
+      (** what the usage expansion embeds: each exit's behavior followed by
+          its exit marker, the implicit exit's included; inferred once from
+          [marked_body] (see {!Extract.marked_behavior}) *)
   plain_body : Prog.t;  (** paper-faithful IR, markers stripped *)
   lowering_warnings : string list;
 }

@@ -129,6 +129,7 @@ let op_of_sexp sexp =
       op_line;
       exits;
       marked_body;
+      marked_behavior = Extract.marked_behavior ~method_name:op_name marked_body exits;
       plain_body = Mpy_lower.strip_markers marked_body;
       lowering_warnings;
     }

@@ -5,30 +5,8 @@ type env = string -> Model.t option
    *marked* denotation, with marker transitions redirected to boundary
    states. *)
 
-let marked_behavior_regex (op : Model.operation) =
-  (* Every alternative ends in an exit marker; the implicit exit (if any)
-     needs its marker appended to the ongoing component. *)
-  let explicit, ongoing =
-    Extract.exit_behaviors_of_marked ~method_name:op.op_name op.marked_body
-  in
-  let explicit_res =
-    List.map
-      (fun (k, r) -> Regex.seq r (Regex.sym (Mpy_lower.exit_marker ~method_name:op.op_name k)))
-      explicit
-  in
-  let implicit_res =
-    match List.find_opt (fun (e : Model.exit_point) -> e.implicit) op.exits with
-    | Some e ->
-      [
-        Regex.seq ongoing
-          (Regex.sym (Mpy_lower.exit_marker ~method_name:op.op_name e.exit_id));
-      ]
-    | None -> []
-  in
-  Regex.alt_list (explicit_res @ implicit_res)
-
 let marked_behaviors (model : Model.t) =
-  List.map (fun op -> (op, marked_behavior_regex op)) model.Model.operations
+  List.map (fun (op : Model.operation) -> (op, op.marked_behavior)) model.Model.operations
 
 (* [behaviors] pairs each operation of [model], in order, with its marked
    behavior regex. [span] tells full expansions ("usage.expand") from

@@ -27,6 +27,11 @@ type claim_analysis = {
   undecided : int;
 }
 
+type sessions = {
+  calls : unit -> Entail.session;
+  universal : unit -> Entail.session;
+}
+
 type ctx = {
   limits : Limits.t;
   thresholds : thresholds;
@@ -34,7 +39,7 @@ type ctx = {
   cls : Mpy_ast.class_def;
   model : Model.t;
   mutable claim_memo : claim_analysis option;
-  call_nfa : unit -> Nfa.t;
+  sessions : sessions;
 }
 
 (* [once build] runs [build] on the first call only. An exception it raised
@@ -47,25 +52,37 @@ let once build =
     | Ok v -> v
     | Error e -> raise e
 
+(* The alphabet all claim automata are built over: the class's subsystem-call
+   events plus every atom any claim mentions. *)
+let claim_alphabet (model : Model.t) impl =
+  List.fold_left
+    (fun acc (_, formula) -> Symbol.Set.union acc (Ltlf.atoms formula))
+    (Nfa.alphabet impl) model.Model.claims
+
+let sessions ~limits model =
+  let calls =
+    once (fun () -> Entail.session ~limits ~impl:(Claims.subsystem_call_nfa ~limits model) ())
+  in
+  let universal =
+    once (fun () ->
+        let alphabet = claim_alphabet model (Entail.impl (calls ())) in
+        Entail.session ~limits ~impl:(Nfa.universal alphabet) ())
+  in
+  { calls; universal }
+
+let no_calls sessions = Symbol.Set.is_empty (Nfa.alphabet (Entail.impl (sessions.calls ())))
+
 let make_ctx ~limits ~thresholds ~env ~cls ~model =
-  {
-    limits;
-    thresholds;
-    env;
-    cls;
-    model;
-    claim_memo = None;
-    call_nfa = once (fun () -> Claims.subsystem_call_nfa ~limits model);
-  }
+  { limits; thresholds; env; cls; model; claim_memo = None; sessions = sessions ~limits model }
 
 (* --- SY101 dead operation --------------------------------------------------
 
    An operation is dead when no *accepted* usage word contains it: callers
    can never legally exercise it to completion. This unifies (and subsumes,
    at the language level) the two graph-reachability warnings SY006/SY007:
-   the witness language  L(usage) ∩ Σ*·op·Σ*  is empty iff the operation is
-   unreachable from every initial operation or no final operation is
-   reachable beyond it. *)
+   the witness language  L(usage) ∩ Σ*·op·Σ*  is nonempty iff some state
+   reachable from the start steps on the operation to a state that can
+   reach acceptance, so one trim of the usage DFA decides every operation. *)
 
 let dead_operation ctx =
   let model = ctx.model in
@@ -73,56 +90,34 @@ let dead_operation ctx =
      || Model.final_ops model = []
   then [] (* SY002/SY003 already explain why nothing is usable *)
   else begin
-    let dfa = Determinize.determinize ~limits:ctx.limits (Depgraph.usage_nfa model) in
-    let alphabet = Dfa.alphabet dfa in
+    let live =
+      Dfa.live_symbols (Determinize.determinize ~limits:ctx.limits (Depgraph.usage_nfa model))
+    in
     List.filter_map
       (fun (op : Model.operation) ->
-        let sym = Model.entry_symbol op in
-        let dead =
-          if not (Dfa.mem_alphabet dfa sym) then true
-          else begin
-            (* Σ*·op·Σ* over the usage alphabet, as a two-state DFA. *)
-            let contains =
-              Dfa.create ~alphabet ~num_states:2 ~start:0 ~accept:[ 1 ]
-                ~next:(fun s x -> if s = 1 || Symbol.equal x sym then 1 else s)
-            in
-            Dfa.is_empty (Dfa.intersect dfa contains)
-          end
-        in
-        if dead then
+        if Symbol.Set.mem (Model.entry_symbol op) live then None
+        else
           Some
             ( Some op.op_line,
               Printf.sprintf
                 "operation '%s' occurs in no accepted usage of %s: no caller can \
                  legally exercise it"
-                op.op_name model.Model.name )
-        else None)
+                op.op_name model.Model.name ))
       model.Model.operations
   end
 
 (* --- Claim rules (SY102/SY103/SY104) --------------------------------------- *)
 
-(* The alphabet all claim automata are built over: the class's subsystem-call
-   events plus every atom any claim mentions. *)
-let claim_alphabet_of (model : Model.t) impl =
-  List.fold_left
-    (fun acc (_, formula) -> Symbol.Set.union acc (Ltlf.atoms formula))
-    (Nfa.alphabet impl) model.Model.claims
-
-let claim_alphabet ctx impl = claim_alphabet_of ctx.model impl
-
-(* Does [formula] hold on every trace over [alphabet], the empty one
-   included? SY102 asks it of a claim, SY103 of the claim's negation. *)
-let holds_on_every_trace ctx alphabet formula =
-  Result.is_ok (Ltl_check.check ~limits:ctx.limits ~impl:(Nfa.universal alphabet) formula)
+(* Does [formula] hold on every trace over the claim alphabet, the empty
+   one included? SY102 asks it of a claim, SY103 of the claim's negation. *)
+let holds_on_every_trace ctx formula =
+  Result.is_ok (Ltl_check.check (ctx.sessions.universal ()) formula)
 
 let vacuous_claim ctx =
   let model = ctx.model in
   if model.Model.claims = [] then []
   else begin
-    let impl = ctx.call_nfa () in
-    let alphabet = claim_alphabet ctx impl in
-    let no_calls = Symbol.Set.is_empty (Nfa.alphabet impl) in
+    let no_calls = no_calls ctx.sessions in
     List.filter_map
       (fun (text, formula) ->
         if no_calls then
@@ -132,9 +127,7 @@ let vacuous_claim ctx =
                 "claim '%s' is vacuous: %s performs no subsystem calls, so the claim \
                  is checked only against the empty trace"
                 text model.Model.name )
-        else if
-          (not (Symbol.Set.is_empty alphabet)) && holds_on_every_trace ctx alphabet formula
-        then
+        else if holds_on_every_trace ctx formula then
           Some
             ( Some model.Model.line,
               Printf.sprintf
@@ -147,24 +140,22 @@ let vacuous_claim ctx =
 
 let unsatisfiable_claim ctx =
   let model = ctx.model in
-  if model.Model.claims = [] then []
-  else begin
-    let impl = ctx.call_nfa () in
-    let alphabet = claim_alphabet ctx impl in
-    if Symbol.Set.is_empty alphabet then []
-    else
-      List.filter_map
-        (fun (text, formula) ->
-          if holds_on_every_trace ctx alphabet (Ltlf.neg formula) then
-            Some
-              ( Some model.Model.line,
-                Printf.sprintf
-                  "claim '%s' is unsatisfiable: no trace at all can satisfy it, so \
-                   verification can only fail"
-                  text )
-          else None)
-        model.Model.claims
-  end
+  if
+    model.Model.claims = []
+    || Symbol.Set.is_empty (Nfa.alphabet (Entail.impl (ctx.sessions.universal ())))
+  then []
+  else
+    List.filter_map
+      (fun (text, formula) ->
+        if holds_on_every_trace ctx (Ltlf.neg formula) then
+          Some
+            ( Some model.Model.line,
+              Printf.sprintf
+                "claim '%s' is unsatisfiable: no trace at all can satisfy it, so \
+                 verification can only fail"
+                text )
+        else None)
+      model.Model.claims
 
 (* --- Claim entailment analysis (SY104/SY109/SY110/SY111) -------------------
 
@@ -195,33 +186,28 @@ let unsatisfiable_claim ctx =
 
 let quoted_texts texts = String.concat ", " (List.map (Printf.sprintf "'%s'") texts)
 
-let analyze_claims ?fuel ?impl ~limits (model : Model.t) =
+let analyze_claims ?fuel ?sessions:given ~limits (model : Model.t) =
   let claims = Array.of_list model.Model.claims in
   let n = Array.length claims in
   let text i = fst claims.(i) in
   let formula i = snd claims.(i) in
-  let impl =
-    match impl with
-    | Some impl -> impl
-    | None -> Claims.subsystem_call_nfa ~limits model
-  in
-  let alphabet = claim_alphabet_of model impl in
-  let no_calls = Symbol.Set.is_empty (Nfa.alphabet impl) in
+  let ({ calls; universal } as sessions) = Option.value given ~default:(sessions ~limits model) in
+  let no_calls = no_calls sessions in
   let undecided = ref 0 in
   let give_up () =
     incr undecided;
     Obs.count "entail.budget_exhausted" 1
   in
   let implies_over base hyps goal =
-    match Entail.implies ~limits ?fuel ~alphabet ~impl:base ~hyps goal with
+    match Entail.implies (base ()) ?fuel ~hyps goal with
     | Entail.Entailed -> Some true
     | Entail.Not_entailed _ -> Some false
     | Entail.Unknown _ ->
       give_up ();
       None
   in
-  let witness_over base formulas =
-    match Entail.joint_witness ~limits ?fuel ~alphabet ~impl:base formulas with
+  let witness_over formulas =
+    match Entail.joint_witness (calls ()) ?fuel formulas with
     | Ok w -> Some w
     | Error _ ->
       give_up ();
@@ -240,7 +226,6 @@ let analyze_claims ?fuel ?impl ~limits (model : Model.t) =
   let verdicts = Array.make n Kept in
   let kept = ref (List.init n Fun.id) in
   if not no_calls then begin
-    let universal = Nfa.universal alphabet in
     for i = n - 1 downto 0 do
       let others = List.filter (fun j -> j <> i) !kept in
       let hyps = List.map formula others in
@@ -257,8 +242,8 @@ let analyze_claims ?fuel ?impl ~limits (model : Model.t) =
         match subsuming with
         | Some v -> Some v
         | None ->
-          if n >= 2 && implies_over impl hyps (formula i) = Some true then
-            Some (Redundant (List.map text (minimize impl others (formula i))))
+          if n >= 2 && implies_over calls hyps (formula i) = Some true then
+            Some (Redundant (List.map text (minimize calls others (formula i))))
           else None
       in
       match verdict with
@@ -273,12 +258,12 @@ let analyze_claims ?fuel ?impl ~limits (model : Model.t) =
   end;
   let contradictions = ref [] in
   if (not no_calls) && n >= 2 then begin
-    let sat = Array.init n (fun i -> witness_over impl [ formula i ]) in
+    let sat = Array.init n (fun i -> witness_over [ formula i ]) in
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
         match (sat.(i), sat.(j)) with
         | Some (Some wi), Some (Some wj) -> begin
-          match witness_over impl [ formula i; formula j ] with
+          match witness_over [ formula i; formula j ] with
           | Some None ->
             (* No model trace satisfies both; each individual witness thus
                violates the other claim. Report the shorter one. *)
@@ -306,7 +291,7 @@ let claim_analysis ctx =
   | Some a -> a
   | None ->
     let a =
-      analyze_claims ~fuel:ctx.thresholds.entail_fuel ~impl:(ctx.call_nfa ())
+      analyze_claims ~fuel:ctx.thresholds.entail_fuel ~sessions:ctx.sessions
         ~limits:ctx.limits ctx.model
     in
     ctx.claim_memo <- Some a;
@@ -518,15 +503,19 @@ let sequentialize_model (model : Model.t) =
     Model.operations =
       List.map
         (fun (op : Model.operation) ->
+          let marked_body = sequentialize_prog op.marked_body in
+          let exits =
+            List.map
+              (fun (e : Model.exit_point) ->
+                { e with Model.behavior = Regex.sequentialize e.behavior })
+              op.exits
+          in
           {
             op with
-            Model.marked_body = sequentialize_prog op.marked_body;
+            Model.marked_body;
+            marked_behavior = Extract.marked_behavior ~method_name:op.op_name marked_body exits;
             plain_body = sequentialize_prog op.plain_body;
-            exits =
-              List.map
-                (fun (e : Model.exit_point) ->
-                  { e with Model.behavior = Regex.sequentialize e.behavior })
-                op.exits;
+            exits;
           })
         model.Model.operations;
   }

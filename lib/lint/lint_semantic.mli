@@ -3,14 +3,19 @@
     Where {!Validate} checks the *shape* of a model, these rules reuse the
     verification machinery itself — usage automata, language inclusion and
     the on-the-fly entailment engine ({!Entail}, which decides every claim
-    question: SY102/SY103 through {!Ltl_check.check} over the universal
-    automaton) — to catch specification bugs that only show up at the
+    question) — to catch specification bugs that only show up at the
     language level: operations no accepted usage exercises, claims that
     constrain nothing (or can never hold, or are entailed by the rest of
     the specification, or contradict each other over the model), subsystems
     that are declared but never driven, calls that silently escape
     verification, code the lowered bodies can never reach, and behavior
     regexes big enough to make the downstream automata expensive.
+
+    Every claim question of a class goes to one of two {!Entail.session}s,
+    opened on first use and dropped with the class: one over the class's
+    subsystem-call automaton (SY104 and SY110), one over the universal
+    automaton of the claim alphabet (SY102, SY103 and SY109). SY101 decides
+    every operation's liveness from one trim of the usage DFA.
 
     Every rule runs under the caller's {!Limits.t} fuel budget; a blown
     budget surfaces as {!Limits.Budget_exceeded}, which the engine
@@ -48,6 +53,22 @@ val default_thresholds : thresholds
 
     The shared substrate of the claim rules, exposed for [shelley claims]. *)
 
+type sessions = {
+  calls : unit -> Entail.session;
+      (** over the class's {!Claims.subsystem_call_nfa} *)
+  universal : unit -> Entail.session;
+      (** over [Nfa.universal] of the claim alphabet: the subsystem-call
+          events plus every atom any claim mentions *)
+}
+(** Where a class's claim questions go. Each query asks its function for
+    the session it runs in. *)
+
+val sessions : limits:Limits.t -> Model.t -> sessions
+(** The class's two sessions under [limits], each opened on its first
+    call and returned again after; the call automaton is built on the first
+    call of either. An exception from that build is raised again on every
+    later call, so each rule that needs it reports its own SY090. *)
+
 type claim_verdict =
   | Kept  (** in the greedy minimal core *)
   | Redundant of string list
@@ -72,15 +93,15 @@ type claim_analysis = {
 }
 
 val analyze_claims :
-  ?fuel:int -> ?impl:Nfa.t -> limits:Limits.t -> Model.t -> claim_analysis
+  ?fuel:int -> ?sessions:sessions -> limits:Limits.t -> Model.t -> claim_analysis
 (** One greedy reverse-declaration-order sweep over the model's claims: a
     claim is checked against the still-kept others, so the first-declared
     claim of a mutually equivalent group survives (lowest line wins) and
     later duplicates are flagged exactly once. [fuel] bounds each
     entailment query's product exploration (default
-    [limits.max_configs]). [impl] is the model's
-    {!Claims.subsystem_call_nfa} when the caller already built it;
-    otherwise it is built here under [limits].
+    the session's [limits.max_configs]). [sessions] are the class's
+    sessions when the caller already opened them; otherwise
+    [sessions ~limits model] are opened here.
     @raise Limits.Budget_exceeded only from the usage-automaton
     construction, never from entailment queries (those degrade to
     {!Undecided}). *)
@@ -96,11 +117,9 @@ type ctx = {
   model : Model.t;
   mutable claim_memo : claim_analysis option;
       (** the claim rules share one {!analyze_claims} pass per class *)
-  call_nfa : unit -> Nfa.t;
-      (** the class's {!Claims.subsystem_call_nfa} under [limits], built on
-          the first call and shared by SY102, SY103 and the claim analysis;
-          a {!Limits.Budget_exceeded} from the build is raised again on
-          every call, so each of those rules reports its own SY090 *)
+  sessions : sessions;
+      (** [sessions ~limits model], shared by SY102, SY103 and the claim
+          analysis *)
 }
 
 val make_ctx :

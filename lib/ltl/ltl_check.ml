@@ -7,14 +7,13 @@ let pp_violation fmt v =
   Format.fprintf fmt "@[<v>Formula: %a@,Counter example: %a@]" Ltlf.pp v.formula Trace.pp
     v.counterexample
 
-let check ?limits ?alphabet ~impl formula =
-  match Entail.implies ?limits ?alphabet ~impl ~hyps:[] formula with
+let check session formula =
+  match Entail.implies session ~hyps:[] formula with
   | Entail.Entailed -> Ok ()
   | Entail.Not_entailed counterexample -> Error { formula; counterexample }
   | Entail.Unknown { resource; limit } -> raise (Limits.Budget_exceeded { resource; limit })
 
-let check_claim ?limits ?alphabet ~impl claim =
-  check ?limits ?alphabet ~impl (Ltl_parser.parse claim)
+let check_claim session claim = check session (Ltl_parser.parse claim)
 
 let holds_on_all_words ~max_len formula impl =
   Trace.Set.for_all (fun w -> Ltlf.holds formula w) (Nfa.words_upto ~max_len impl)

@@ -20,25 +20,15 @@ val pp_violation : Format.formatter -> violation -> unit
     Counter example: a.test, a.open, ...
     v} *)
 
-val check :
-  ?limits:Limits.t ->
-  ?alphabet:Symbol.Set.t ->
-  impl:Nfa.t ->
-  Ltlf.t ->
-  (unit, violation) result
-(** [check ~impl φ] verifies [L(impl) ⊆ L(φ)] over the union of the
-    implementation alphabet, the formula's atoms, and [?alphabet].
+val check : Entail.session -> Ltlf.t -> (unit, violation) result
+(** [check s φ] verifies [L(impl) ⊆ L(φ)] for the session's [impl], with
+    the session's limits.
     @raise Limits.Budget_exceeded when {!Entail.implies} answers
     [Unknown]: the product outgrew [limits.max_configs] (resource
-    ["entailment configurations"]) or its obligation space outgrew
+    ["entailment configurations"]) or the session's obligation space outgrew
     [limits.max_regex_size] nodes (resource ["obligation nodes"]). *)
 
-val check_claim :
-  ?limits:Limits.t ->
-  ?alphabet:Symbol.Set.t ->
-  impl:Nfa.t ->
-  string ->
-  (unit, violation) result
+val check_claim : Entail.session -> string -> (unit, violation) result
 (** Parse then {!check}.
     @raise Ltl_parser.Parse_error on a malformed claim string. *)
 

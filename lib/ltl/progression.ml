@@ -17,51 +17,88 @@ let rec progress (f : Ltlf.t) e : Ltlf.t =
 
 module Literals = Hashtbl.Make ((val Ltlf.key))
 
-type var = { id : int; literal : Ltlf.t }
-type op = Node of int * int * int | Conj of int * int | Neg of int | Step of int * Symbol.t
+(* Memo keys are ints, hashed as ints: no polymorphic hash walks a variant. *)
+module Pairs = Hashtbl.Make (struct
+  type t = int * int
 
-(* Node [n >= 2] is [(v, lo, hi)]: "if [v] then [hi] else [lo]", where [v.id]
-   is smaller than the id of every variable in [lo] and [hi]. [memo] also
-   hash-conses the nodes, so equal functions are one node. *)
+  let equal (a1, b1) (a2, b2) = Int.equal a1 a2 && Int.equal b1 b2
+  let hash (a, b) = (a * 65599) + b
+end)
+
+module Triples = Hashtbl.Make (struct
+  type t = int * int * int
+
+  let equal (a1, b1, c1) (a2, b2, c2) = Int.equal a1 a2 && Int.equal b1 b2 && Int.equal c1 c2
+  let hash (a, b, c) = (((a * 65599) + b) * 65599) + c
+end)
+
+module Ints = Hashtbl.Make (Int)
+
+(* [empty]: the literal's value on the empty trace. *)
+type var = { id : int; literal : Ltlf.t; empty : bool }
+
+(* Node [n >= 2] is [nodes.(n - 2) = (v, lo, hi)]: "if [v] then [hi] else
+   [lo]", where [v.id] is smaller than the id of every variable in [lo] and
+   [hi]. [unique] hash-conses the nodes, so equal functions are one node;
+   [conjs] and [negs] memoize the operations on them. Each event the space
+   has stepped on gets a dense slot, and [steps.(n - 2).(slot)] is node
+   [n]'s step on it ([-1] until computed). *)
 type space = {
   max_nodes : int;
   vars : var Literals.t;
-  nodes : (int, var * int * int) Hashtbl.t;
-  memo : (op, int) Hashtbl.t;
+  mutable nodes : (var * int * int) array;
+  mutable num_nodes : int;
+  unique : int Triples.t;
+  conjs : int Pairs.t;
+  negs : int Ints.t;
+  slots : int Ints.t;
+  mutable steps : int array array;
 }
 
 let space ?(limits = Limits.default) () =
   {
     max_nodes = limits.Limits.max_regex_size;
     vars = Literals.create 16;
-    nodes = Hashtbl.create 64;
-    memo = Hashtbl.create 256;
+    nodes = [||];
+    num_nodes = 0;
+    unique = Triples.create 64;
+    conjs = Pairs.create 64;
+    negs = Ints.create 64;
+    slots = Ints.create 16;
+    steps = [||];
   }
 
-let memo sp op compute =
-  match Hashtbl.find_opt sp.memo op with
+let memo find add table key compute =
+  match find table key with
   | Some n -> n
   | None ->
     let n = compute () in
-    Hashtbl.add sp.memo op n;
+    add table key n;
     n
+
+let node sp n = sp.nodes.(n - 2)
 
 let mk sp v lo hi =
   if lo = hi then lo
   else
-    memo sp (Node (v.id, lo, hi)) (fun () ->
-        let n = Hashtbl.length sp.nodes + 2 in
-        Limits.check ~resource:"obligation nodes" ~limit:sp.max_nodes (n + 1);
-        Hashtbl.add sp.nodes n (v, lo, hi);
-        n)
+    memo Triples.find_opt Triples.add sp.unique (v.id, lo, hi) (fun () ->
+        let i = sp.num_nodes in
+        Limits.check ~resource:"obligation nodes" ~limit:sp.max_nodes (i + 3);
+        if i = Array.length sp.nodes then begin
+          sp.nodes <- Array.append sp.nodes (Array.make (max 64 i) (v, lo, hi));
+          sp.steps <- Array.append sp.steps (Array.make (max 64 i) [||])
+        end;
+        sp.nodes.(i) <- (v, lo, hi);
+        sp.num_nodes <- i + 1;
+        i + 2)
 
 let rec conj sp a b =
   if a = 0 || b = 0 then 0
   else if a = 1 || a = b then b
   else if b = 1 then a
   else
-    memo sp (Conj (min a b, max a b)) (fun () ->
-        let va, la, ha = Hashtbl.find sp.nodes a and vb, lb, hb = Hashtbl.find sp.nodes b in
+    memo Pairs.find_opt Pairs.add sp.conjs (min a b, max a b) (fun () ->
+        let va, la, ha = node sp a and vb, lb, hb = node sp b in
         let v = if va.id < vb.id then va else vb in
         let la, ha = if va.id = v.id then (la, ha) else (a, a) in
         let lb, hb = if vb.id = v.id then (lb, hb) else (b, b) in
@@ -70,15 +107,16 @@ let rec conj sp a b =
 let rec neg sp n =
   if n <= 1 then 1 - n
   else
-    memo sp (Neg n) (fun () ->
-        let v, lo, hi = Hashtbl.find sp.nodes n in
+    memo Ints.find_opt Ints.add sp.negs n (fun () ->
+        let v, lo, hi = node sp n in
         mk sp v (neg sp lo) (neg sp hi))
 
 let disj sp a b = neg sp (conj sp (neg sp a) (neg sp b))
 
 let literal sp f =
   if not (Literals.mem sp.vars f) then
-    Literals.add sp.vars f { id = Literals.length sp.vars; literal = f };
+    Literals.add sp.vars f
+      { id = Literals.length sp.vars; literal = f; empty = Ltlf.holds f [] };
   mk sp (Literals.find sp.vars f) 0 1
 
 let rec obligation sp (f : Ltlf.t) =
@@ -90,24 +128,52 @@ let rec obligation sp (f : Ltlf.t) =
   | Or (a, b) -> disj sp (obligation sp a) (obligation sp b)
   | Atom _ | Next _ | Wnext _ | Until _ | Wuntil _ | Globally _ | Finally _ -> literal sp f
 
+let slot sp e =
+  let id = Symbol.to_int e in
+  match Ints.find_opt sp.slots id with
+  | Some k -> k
+  | None ->
+    let k = Ints.length sp.slots in
+    Ints.add sp.slots id k;
+    k
+
 (* Progression commutes with the Boolean connectives, so a node steps to
    the Shannon expansion of its literal's progression over its stepped
-   children. *)
-let rec step sp n e =
+   children. [k] is [e]'s slot. *)
+let rec step_at sp n e k =
   if n <= 1 then n
   else
-    memo sp (Step (n, e)) (fun () ->
-        let v, lo, hi = Hashtbl.find sp.nodes n in
+    let row = sp.steps.(n - 2) in
+    if k < Array.length row && row.(k) >= 0 then row.(k)
+    else begin
+      let v, lo, hi = node sp n in
+      let n' =
         if lo = 0 && hi = 1 then obligation sp (progress v.literal e)
         else
-          let p = step sp (mk sp v 0 1) e in
-          disj sp (conj sp p (step sp hi e)) (conj sp (neg sp p) (step sp lo e)))
+          let p = step_at sp (mk sp v 0 1) e k in
+          disj sp (conj sp p (step_at sp hi e k)) (conj sp (neg sp p) (step_at sp lo e k))
+      in
+      let row = sp.steps.(n - 2) in
+      let row =
+        if k < Array.length row then row
+        else Array.append row (Array.make (max 4 (k + 1 - Array.length row)) (-1))
+      in
+      row.(k) <- n';
+      sp.steps.(n - 2) <- row;
+      n'
+    end
+
+let step sp n e = step_at sp n e (slot sp e)
+
+let step_all sp ns e =
+  let k = slot sp e in
+  Array.map (fun n -> step_at sp n e k) ns
 
 let rec accepts_empty sp n =
   if n <= 1 then n = 1
   else
-    let v, lo, hi = Hashtbl.find sp.nodes n in
-    accepts_empty sp (if Ltlf.holds v.literal [] then hi else lo)
+    let v, lo, hi = node sp n in
+    accepts_empty sp (if v.empty then hi else lo)
 
 let to_dfa ?(limits = Limits.default) ~alphabet f =
   Obs.with_span "progression" @@ fun () ->

@@ -20,9 +20,13 @@
 val progress : Ltlf.t -> Symbol.t -> Ltlf.t
 
 type space
-(** One query's obligations, every operation on them memoized. Past
-    [limits.max_regex_size] nodes the operations below raise
-    {!Limits.Budget_exceeded} (["obligation nodes"]), never run out of memory. *)
+(** A set of obligations, every operation on them memoized: those of one
+    {!Entail.session}, which outlives each query, or of one {!to_dfa}.
+    Within one space equal nodes are equal Boolean functions, whatever was
+    built in it before. Past [limits.max_regex_size] nodes in the whole
+    space the operations below raise {!Limits.Budget_exceeded}
+    (["obligation nodes"]), never run out of memory; no CLI flag or serve
+    parameter sets that cap. *)
 
 val space : ?limits:Limits.t -> unit -> space
 
@@ -32,7 +36,10 @@ val obligation : space -> Ltlf.t -> int
 
 val step : space -> int -> Symbol.t -> int
 (** Node [(v, lo, hi)] steps by [e] to [ite (progress v e, step hi e,
-    step lo e)], memoized on [(n, e)]. *)
+    step lo e)], memoized per node and event. *)
+
+val step_all : space -> int array -> Symbol.t -> int array
+(** [Array.map (fun n -> step sp n e)], finding [e]'s memo slot once. *)
 
 val accepts_empty : space -> int -> bool
 (** The node evaluated with each literal's value on the empty trace. *)

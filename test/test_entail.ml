@@ -14,6 +14,13 @@ let alphabet_set = Symbol.Set.of_list alphabet
    which every property treats as inconclusive. *)
 let limits = Limits.make ~max_states:500 ~max_configs:1500 ()
 
+(* One query in a fresh session. *)
+let implies ~limits ?fuel ~impl ~hyps goal =
+  Entail.implies (Entail.session ~limits ~impl ()) ?fuel ~hyps goal
+
+let joint_witness ~limits ~impl formulas =
+  Entail.joint_witness (Entail.session ~limits ~impl ()) formulas
+
 (* --- Generators ------------------------------------------------------------ *)
 
 let ltl_gen : Ltlf.t QCheck2.Gen.t =
@@ -85,7 +92,7 @@ let prop_matches_oracle =
       | Entail.Unknown _ -> true (* oracle out of budget: nothing to compare *)
       | oracle -> begin
         match
-          (oracle, Entail.implies ~limits ~alphabet:alphabet_set ~impl ~hyps goal)
+          (oracle, implies ~limits ~impl ~hyps goal)
         with
         | Entail.Entailed, Entail.Entailed -> true
         | Entail.Not_entailed _, Entail.Not_entailed _ -> true
@@ -101,7 +108,7 @@ let counterexample_identity ~name ~hyps_of =
       let hyps = hyps_of hyps in
       match
         ( Entail.oracle_implies ~limits ~alphabet:alphabet_set ~impl ~hyps goal,
-          Entail.implies ~limits ~alphabet:alphabet_set ~impl ~hyps goal )
+          implies ~limits ~impl ~hyps goal )
       with
       | Entail.Not_entailed t1, Entail.Not_entailed t2 -> Trace.equal t1 t2
       | _ -> true)
@@ -117,7 +124,7 @@ let prop_same_counterexample =
 let prop_counterexample_sound =
   qtest "Not_entailed trace: in L(impl), satisfies hyps, violates goal" ~count:300
     case_gen ~print:case_print (fun (impl, hyps, goal) ->
-      match Entail.implies ~limits ~alphabet:alphabet_set ~impl ~hyps goal with
+      match implies ~limits ~impl ~hyps goal with
       | Entail.Entailed | Entail.Unknown _ -> true
       | Entail.Not_entailed tr ->
         (* Direct [holds] evaluation is superlinear in trace length for
@@ -131,7 +138,7 @@ let prop_counterexample_sound =
 let prop_counterexample_replays =
   qtest "Not_entailed trace replays through the strict oracle" ~count:200 case_gen
     ~print:case_print (fun (impl, hyps, goal) ->
-      match Entail.implies ~limits ~alphabet:alphabet_set ~impl ~hyps goal with
+      match implies ~limits ~impl ~hyps goal with
       | Entail.Entailed | Entail.Unknown _ -> true
       | Entail.Not_entailed tr when Trace.length tr <= 50 ->
         let single = nfa_of_trace tr in
@@ -160,7 +167,7 @@ let prop_counterexample_replays =
 let prop_entailed_bounded =
   qtest "Entailed: no short model trace satisfies hyps but not goal" ~count:200
     case_gen ~print:case_print (fun (impl, hyps, goal) ->
-      match Entail.implies ~limits ~alphabet:alphabet_set ~impl ~hyps goal with
+      match implies ~limits ~impl ~hyps goal with
       | Entail.Not_entailed _ | Entail.Unknown _ -> true
       | Entail.Entailed ->
         Trace.Set.for_all
@@ -177,7 +184,7 @@ let prop_joint_witness_sound =
       Printf.sprintf "impl(%d states), formulas=[%s]" (Nfa.num_states impl)
         (String.concat "; " (List.map Ltlf.to_string fs)))
     (fun (impl, formulas) ->
-      match Entail.joint_witness ~limits ~alphabet:alphabet_set ~impl formulas with
+      match joint_witness ~limits ~impl formulas with
       | Error _ -> true
       | Ok (Some tr) ->
         Nfa.accepts impl tr && List.for_all (fun f -> Ltlf.holds f tr) formulas
@@ -185,6 +192,102 @@ let prop_joint_witness_sound =
         Trace.Set.for_all
           (fun w -> not (List.for_all (fun f -> Ltlf.holds f w) formulas))
           (Nfa.words_upto ~max_len:4 impl))
+
+(* --- Sessions: shared tables, history-free answers ---------------------------- *)
+
+type query =
+  | Implies of Ltlf.t list * Ltlf.t
+  | Joint of Ltlf.t list
+
+(* Queries draw their formulas from a small pool, negations included, so
+   that queries of one case share obligations, vectors and configurations. *)
+let queries_gen =
+  let open QCheck2.Gen in
+  list_size (int_range 2 3) ltl_gen >>= fun pool ->
+  let pool = Array.of_list (pool @ List.map Ltlf.neg pool) in
+  let formula = map (Array.get pool) (int_range 0 (Array.length pool - 1)) in
+  list_size (int_range 1 6)
+    (oneof
+       [
+         map2 (fun hyps goal -> Implies (hyps, goal)) (list_size (int_range 0 2) formula) formula;
+         map (fun fs -> Joint fs) (list_size (int_range 1 3) formula);
+       ])
+
+let query_print = function
+  | Implies (hyps, goal) ->
+    Printf.sprintf "implies [%s] %s" (String.concat "; " (List.map Ltlf.to_string hyps))
+      (Ltlf.to_string goal)
+  | Joint fs -> Printf.sprintf "joint [%s]" (String.concat "; " (List.map Ltlf.to_string fs))
+
+(* Everything a query shows: its verdict with any trace, and the product
+   states it materialized. *)
+let answer session query =
+  Obs.enable ~fake_clock:true ();
+  let verdict =
+    match query with
+    | Implies (hyps, goal) -> Format.asprintf "%a" Entail.pp_verdict (Entail.implies session ~hyps goal)
+    | Joint fs -> (
+      match Entail.joint_witness session fs with
+      | Ok None -> "no joint trace"
+      | Ok (Some tr) -> "witness " ^ Trace.to_string tr
+      | Error b -> Printf.sprintf "unknown (%s %d)" b.Entail.resource b.Entail.limit)
+  in
+  let states = Option.value ~default:0 (List.assoc_opt "entail.states" (Obs.counters ())) in
+  Obs.disable ();
+  (verdict, states)
+
+let permute seed l =
+  let st = Random.State.make [| seed |] in
+  List.map snd (List.sort compare (List.map (fun x -> (Random.State.bits st, x)) l))
+
+let prop_session_history_free =
+  qtest "a session answers each query as a fresh one, in any order" ~count:200
+    QCheck2.Gen.(triple nfa_gen queries_gen int)
+    ~print:(fun (impl, queries, seed) ->
+      Printf.sprintf "impl(%s), order seed %d, queries:\n  %s" (nfa_print impl) seed
+        (String.concat "\n  " (List.map query_print queries)))
+    (fun (impl, queries, seed) ->
+      let fresh = List.map (fun q -> answer (Entail.session ~limits ~impl ()) q) queries in
+      let shared = Entail.session ~limits ~impl () in
+      List.for_all
+        (fun (i, q) -> answer shared q = List.nth fresh i)
+        (permute seed (List.mapi (fun i q -> (i, q)) queries)))
+
+(* The node cap bounds a session's whole obligation space: two queries over
+   disjoint literals that each fit on their own cross it together. *)
+let test_session_node_cap () =
+  let impl =
+    Nfa.create ~num_states:1 ~start:[ 0 ] ~accept:[ 0 ]
+      ~transitions:(List.map (fun sym -> (0, sym, 0)) alphabet)
+      ()
+  in
+  let first = Ltlf.until (Ltlf.atom_name "a.open") (Ltlf.atom_name "a.close") in
+  let second = Ltlf.globally (Ltlf.finally (Ltlf.atom_name "b.open")) in
+  let decided session goal =
+    match Entail.implies session ~hyps:[] goal with
+    | Entail.Unknown _ -> false
+    | Entail.Entailed | Entail.Not_entailed _ -> true
+  in
+  (* The smallest cap under which a goal is decided in a fresh session. *)
+  let cap_of goal =
+    let rec go cap =
+      if cap > 200 then Alcotest.failf "%s needs more than 200 nodes" (Ltlf.to_string goal)
+      else if decided (Entail.session ~limits:(Limits.make ~max_regex_size:cap ()) ~impl ()) goal
+      then cap
+      else go (cap + 1)
+    in
+    go 2
+  in
+  let cap = max (cap_of first) (cap_of second) in
+  let limits = Limits.make ~max_regex_size:cap () in
+  let session = Entail.session ~limits ~impl () in
+  Alcotest.(check bool) "first query fits" true (decided session first);
+  match Entail.implies session ~hyps:[] second with
+  | Entail.Unknown b ->
+    Alcotest.(check string) "resource" "obligation nodes" b.Entail.resource;
+    Alcotest.(check int) "limit" cap b.Entail.limit
+  | Entail.Entailed | Entail.Not_entailed _ ->
+    Alcotest.failf "the second query fit in a %d-node session after the first" cap
 
 (* --- Shortest counterexample ------------------------------------------------ *)
 
@@ -197,7 +300,7 @@ let test_shortest_counterexample () =
       ~transitions:[ (0, a_open, 0) ] ()
   in
   match
-    Entail.implies ~limits ~impl
+    implies ~limits ~impl
       ~hyps:[ Ltlf.finally (Ltlf.atom_name "a.open") ]
       (Ltlf.finally (Ltlf.atom_name "a.close"))
   with
@@ -213,7 +316,7 @@ let test_budget_degrades_to_unknown () =
   in
   let expect_unknown ~limits ?fuel ~resource ~limit () =
     match
-      Entail.implies ~limits ?fuel ~impl
+      implies ~limits ?fuel ~impl
         ~hyps:[ Ltlf.finally (Ltlf.atom_name "a.open") ]
         (Ltlf.finally (Ltlf.atom_name "a.close"))
     with
@@ -239,6 +342,11 @@ let () =
           prop_counterexample_replays;
           prop_entailed_bounded;
           prop_joint_witness_sound;
+        ] );
+      ( "session",
+        [
+          prop_session_history_free;
+          Alcotest.test_case "node cap spans the session" `Quick test_session_node_cap;
         ] );
       ( "unit",
         [

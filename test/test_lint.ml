@@ -453,6 +453,53 @@ let test_lint_source_deterministic =
       String.equal (Lint_render.json [ a ]) (Lint_render.json [ b ])
       && String.equal (Lint_render.sarif [ a ]) (Lint_render.sarif [ b ]))
 
+(* --- SY101 against the per-operation product ------------------------------- *)
+
+(* The construction SY101 ran before one trim decided every operation: the
+   usage DFA intersected with Σ*·op·Σ*, once per operation. *)
+let dead_by_product (model : Model.t) =
+  let dfa = Determinize.determinize (Depgraph.usage_nfa model) in
+  let alphabet = Dfa.alphabet dfa in
+  List.filter_map
+    (fun (op : Model.operation) ->
+      let sym = Model.entry_symbol op in
+      let dead =
+        (not (Dfa.mem_alphabet dfa sym))
+        ||
+        let contains =
+          Dfa.create ~alphabet ~num_states:2 ~start:0 ~accept:[ 1 ]
+            ~next:(fun s x -> if s = 1 || Symbol.equal x sym then 1 else s)
+        in
+        Dfa.is_empty (Dfa.intersect dfa contains)
+      in
+      if dead then Some op.Model.op_line else None)
+    model.Model.operations
+
+let sy101 =
+  List.assq Rules.dead_operation Lint_semantic.rules
+
+let test_sy101_matches_product =
+  QCheck2.Test.make ~count:200 ~name:"SY101 agrees with the per-operation product"
+    ~print:Fun.id gen_source (fun src ->
+      let program, _ = Mpy_parser.parse_program_tolerant src in
+      List.for_all
+        (fun cls ->
+          match Extract.extract_class cls with
+          | exception _ -> true
+          | e ->
+            let model = e.Extract.model in
+            let ctx =
+              Lint_semantic.make_ctx ~limits:Limits.default
+                ~thresholds:Lint_semantic.default_thresholds ~env:(fun _ -> None) ~cls ~model
+            in
+            let usable =
+              model.Model.operations <> [] && Model.initial_ops model <> []
+              && Model.final_ops model <> []
+            in
+            List.map fst (sy101 ctx)
+            = List.map Option.some (if usable then dead_by_product model else []))
+        program.Mpy_ast.prog_classes)
+
 let shuffle seed l =
   let st = Random.State.make [| seed |] in
   let tagged = List.map (fun x -> (Random.State.bits st, x)) l in
@@ -641,6 +688,7 @@ let () =
             test_shared_expansion_budget_per_rule;
         ] );
       ("exit-codes", [ Alcotest.test_case "contract" `Quick test_exit_codes ]);
+      ("sy101-dead-operation", [ QCheck_alcotest.to_alcotest test_sy101_matches_product ]);
       ( "determinism",
         [
           QCheck_alcotest.to_alcotest test_lint_source_deterministic;

@@ -209,7 +209,7 @@ let impl_of regex = Thompson.of_regex regex
 let test_check_pass () =
   (* b.open then a.open satisfies the paper claim. *)
   let impl = impl_of (Regex.word (List.map Symbol.intern [ "b.open"; "a.open" ])) in
-  match Ltl_check.check ~impl paper_claim with
+  match Ltl_check.check (Entail.session ~impl ()) paper_claim with
   | Ok () -> ()
   | Error v -> Alcotest.failf "unexpected violation: %s" (Trace.to_string v.Ltl_check.counterexample)
 
@@ -221,19 +221,19 @@ let test_check_fail_shortest () =
          (Regex.star (Regex.sym_of_name "a.test"))
          (Regex.sym_of_name "a.open"))
   in
-  match Ltl_check.check ~impl paper_claim with
+  match Ltl_check.check (Entail.session ~impl ()) paper_claim with
   | Ok () -> Alcotest.fail "expected a violation"
   | Error v ->
     Alcotest.check trace "shortest counterexample" (tr [ "a.open" ]) v.Ltl_check.counterexample
 
 let test_check_empty_language () =
-  match Ltl_check.check ~impl:Nfa.empty_language paper_claim with
+  match Ltl_check.check (Entail.session ~impl:Nfa.empty_language ()) paper_claim with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "empty language satisfies every claim"
 
 let test_check_claim_string () =
   let impl = impl_of (Regex.sym_of_name "a.open") in
-  match Ltl_check.check_claim ~impl "(!a.open) W b.open" with
+  match Ltl_check.check_claim (Entail.session ~impl ()) "(!a.open) W b.open" with
   | Ok () -> Alcotest.fail "expected a violation"
   | Error v -> Alcotest.(check string) "formula preserved" "!a.open W b.open"
                  (Ltlf.to_string v.Ltl_check.formula)
@@ -379,7 +379,7 @@ let eager_check ?limits ~impl f =
   Language.inclusion_counterexample ?limits ~alphabet:full ~impl ~spec ()
 
 let claim_check ?limits ~impl f =
-  match Ltl_check.check ?limits ~impl f with
+  match Ltl_check.check (Entail.session ?limits ~impl ()) f with
   | Ok () -> None
   | Error v -> Some v.Ltl_check.counterexample
 

@@ -357,7 +357,7 @@ let test_pattern_never_adjacent () =
 let test_pattern_checkable () =
   (* The paper claim as a pattern, checked against an automaton. *)
   let impl = Thompson.of_regex (Regex_parser.parse "a.test a.open") in
-  match Ltl_check.check ~impl (Patterns.precedence ~first:b ~before:a) with
+  match Ltl_check.check (Entail.session ~impl ()) (Patterns.precedence ~first:b ~before:a) with
   | Ok () -> Alcotest.fail "expected a violation"
   | Error v -> Alcotest.check trace "witness" (tr [ "a.test"; "a.open" ]) v.Ltl_check.counterexample
 
