@@ -31,7 +31,10 @@
    SY109–SY111) over generated composites with k = 4…12 claims, twice per
    class: in the class's two sessions, and with a fresh session per query.
    Both must give the same analysis and the same [entail.states], in smoke
-   and full mode alike; the rows record the two times.
+   and full mode alike. The analysis settles a claim the usage language
+   alone entails with one query; the search-only sweep it replaced
+   ([Lint_oracle.analyze_claims], every question searched) must give the
+   same analysis too. The rows record the three times.
 
    Run: dune exec bench/bench_entail.exe [--smoke] *)
 
@@ -188,7 +191,9 @@ type claim_set_row = {
   claims : int;
   shared_ms : float;
   fresh_ms : float;
+  oracle_ms : float;  (** the search-only sweep *)
   set_states : int;
+  oracle_states : int;
   set_memo_hits : int;
 }
 
@@ -296,13 +301,27 @@ let claim_set_rows () =
           ~sessions:{ Lint_semantic.calls = open_on calls; universal = open_on universal }
           ~limits model
       in
+      let oracle () =
+        Lint_oracle.analyze_claims ~fuel ~sessions:(Lint_semantic.sessions ~limits model) model
+      in
       let a_shared, shared_ms, states, memo = timed_analysis ~runs shared in
       let a_fresh, fresh_ms, fresh_states, fresh_memo = timed_analysis ~runs fresh in
+      let a_oracle, oracle_ms, oracle_states, _ = timed_analysis ~runs oracle in
       if a_shared <> a_fresh then die "claim set k=%d: one session and fresh sessions disagree" k;
+      if a_shared <> a_oracle then
+        die "claim set k=%d: the analysis and the search-only sweep disagree" k;
       if states <> fresh_states || memo <> fresh_memo then
         die "claim set k=%d: entail.states %d/%d, memo hits %d/%d (one session/fresh)" k
           states fresh_states memo fresh_memo;
-      { claims = k; shared_ms; fresh_ms; set_states = states; set_memo_hits = memo })
+      {
+        claims = k;
+        shared_ms;
+        fresh_ms;
+        oracle_ms;
+        set_states = states;
+        oracle_states;
+        set_memo_hits = memo;
+      })
     sizes
 
 let () =
@@ -368,12 +387,12 @@ let () =
         r.states)
     space_rows;
   let set_rows = claim_set_rows () in
-  Printf.printf "\n  %-16s %4s  %10s %10s %8s %8s\n" "family" "k" "session ms" "fresh ms"
-    "states" "memo";
+  Printf.printf "\n  %-16s %4s  %10s %10s %8s %8s  %10s %8s\n" "family" "k" "session ms"
+    "fresh ms" "states" "memo" "search ms" "states";
   List.iter
     (fun r ->
-      Printf.printf "  %-16s %4d  %10.2f %10.2f %8d %8d\n" "claim set" r.claims r.shared_ms
-        r.fresh_ms r.set_states r.set_memo_hits)
+      Printf.printf "  %-16s %4d  %10.2f %10.2f %8d %8d  %10.2f %8d\n" "claim set" r.claims
+        r.shared_ms r.fresh_ms r.set_states r.set_memo_hits r.oracle_ms r.oracle_states)
     set_rows;
   let definitive = List.filter (fun r -> r.verdict <> "unknown") space_rows in
   if List.length definitive < List.length space_rows then
@@ -407,8 +426,9 @@ let () =
   let set_json r =
     Printf.sprintf
       "    {\"claims\": %d, \"session_ms\": %.3f, \"fresh_session_per_query_ms\": %.3f, \
-       \"states\": %d, \"memo_hits\": %d}"
-      r.claims r.shared_ms r.fresh_ms r.set_states r.set_memo_hits
+       \"states\": %d, \"memo_hits\": %d, \"search_only_ms\": %.3f, \
+       \"search_only_states\": %d}"
+      r.claims r.shared_ms r.fresh_ms r.set_states r.set_memo_hits r.oracle_ms r.oracle_states
   in
   let row_json r =
     Printf.sprintf

@@ -140,18 +140,32 @@ let lifted_counterexample ~limits ~field ~spec impl =
   let lifted_spec = Nfa.add_self_loops non_field_symbols spec in
   Language.inclusion_counterexample ~limits ~alphabet ~impl ~spec:lifted_spec ()
 
-(* [L(impl) ⊆ h⁻¹(L(spec))] iff [h(L(impl)) ⊆ L(spec)]. h distributes over
-   every regex operator, so it is applied to each operation's behavior
-   before Glushkov: a spawned task that never touches the field becomes ε
-   and no shuffle product is built for it. Operation entries and exit
-   markers carry no scope and survive the regex projection, because the
-   expansion is assembled from them; the entries are erased from the
-   assembled automaton, so the search steps only on the field's calls. *)
-let projected_holds ~limits ~behaviors ~field ~spec model =
+(* The erasing homomorphism h of a field: its calls survive, and so do the
+   operation entries and exit markers (they carry no scope), because the
+   expansion is assembled from them. h distributes over every regex
+   operator, so it is applied to each operation's behavior before
+   Glushkov: a spawned task that never touches the field becomes ε and no
+   shuffle product is built for it. *)
+let project_behaviors ~field behaviors =
   let keep sym = field_call ~field sym || Symbol.split_scope sym = None in
+  List.map (fun (op, r) -> (op, Regex.project ~keep r)) behaviors
+
+(* h(r₁ ∥ r₂) = h(r₁) ∥ h(r₂), and the smart constructor drops a branch
+   that h erased to ε (and [∅] annihilates). A projection left without a
+   shuffle therefore had, at every fork, one branch the field never sees:
+   running the branches one after the other instead gives it the same
+   language. *)
+let interleaves model ~field =
+  List.exists
+    (fun (_, r) -> not (Regex.shuffle_free r))
+    (project_behaviors ~field (marked_behaviors model))
+
+(* [L(impl) ⊆ h⁻¹(L(spec))] iff [h(L(impl)) ⊆ L(spec)]. The entries are
+   erased from the assembled automaton, so the search steps only on the
+   field's calls. *)
+let projected_holds ~limits ~behaviors ~field ~spec model =
   let projected =
-    expand ~span:"usage.project" ~limits model
-      (List.map (fun (op, r) -> (op, Regex.project ~keep r)) behaviors)
+    expand ~span:"usage.project" ~limits model (project_behaviors ~field behaviors)
   in
   let impl =
     Nfa.map_symbols (fun sym -> if field_call ~field sym then Some sym else None) projected
@@ -165,6 +179,33 @@ let holds ?(limits = Limits.default) ~env (model : Model.t) ~field ~subsystem_cl
     projected_holds ~limits ~behaviors:(marked_behaviors model) ~field
       ~spec:(spec_of ~field sub_model) model
 
+(* The report of a field whose projected verdict already failed: the
+   shortest witness of the unprojected search over [impl], and how its
+   projection fails the subsystem. *)
+let report ~limits ~impl (model : Model.t) ~field ~subsystem_class ~spec sub_model =
+  match lifted_counterexample ~limits ~field ~spec (Lazy.force impl) with
+  | None -> None
+  | Some counterexample ->
+    let projected = project_subsystem ~field counterexample in
+    let failure = diagnose_failure sub_model projected in
+    Some
+      (Report.Invalid_subsystem_usage
+         {
+           class_name = model.Model.name;
+           field;
+           subsystem_class;
+           counterexample;
+           projected;
+           failure;
+         })
+
+let violation ?(limits = Limits.default) ~impl ~env model ~field ~subsystem_class =
+  match env subsystem_class with
+  | None -> None
+  | Some sub_model ->
+    report ~limits ~impl model ~field ~subsystem_class ~spec:(spec_of ~field sub_model)
+      sub_model
+
 (* The verdict comes from the projection; only a failing field pays for
    the unprojected search, whose shortest witness is the one reported.
    Erasing can make the projection less deterministic than the full
@@ -174,7 +215,7 @@ let holds ?(limits = Limits.default) ~env (model : Model.t) ~field ~subsystem_cl
 let check_field ~limits ~behaviors ~impl ~env (model : Model.t) ~field ~subsystem_class =
   match env subsystem_class with
   | None -> None
-  | Some sub_model -> (
+  | Some sub_model ->
     let spec = spec_of ~field sub_model in
     let decided =
       match projected_holds ~limits ~behaviors ~field ~spec model with
@@ -182,22 +223,7 @@ let check_field ~limits ~behaviors ~impl ~env (model : Model.t) ~field ~subsyste
       | exception Limits.Budget_exceeded _ -> false
     in
     if decided then None
-    else
-      match lifted_counterexample ~limits ~field ~spec (Lazy.force impl) with
-      | None -> None
-      | Some counterexample ->
-        let projected = project_subsystem ~field counterexample in
-        let failure = diagnose_failure sub_model projected in
-        Some
-          (Report.Invalid_subsystem_usage
-             {
-               class_name = model.Model.name;
-               field;
-               subsystem_class;
-               counterexample;
-               projected;
-               failure;
-             }))
+    else report ~limits ~impl model ~field ~subsystem_class ~spec sub_model
 
 (* The caller's full expansion, or one built here on first need. *)
 let full_expansion ~limits ~behaviors model = function

@@ -43,6 +43,30 @@ val holds :
     never touches [field].
     @raise Limits.Budget_exceeded when the projected search runs out. *)
 
+val interleaves : Model.t -> field:string -> bool
+(** Does some operation's behavior, projected onto [field] as {!holds}
+    projects it, still contain a shuffle? Projection distributes over
+    shuffle and erases a branch that never touches [field] to ε, so when
+    it does not, every fork of the model runs at most one branch the field
+    can see: the model and its sequentialized variant (each fork's
+    branches run one after the other) induce the same call sequences on
+    [field], and {!holds} gives them the same verdict. Builds no
+    automaton. *)
+
+val violation :
+  ?limits:Limits.t ->
+  impl:Nfa.t Lazy.t ->
+  env:env ->
+  Model.t ->
+  field:string ->
+  subsystem_class:string ->
+  Report.t option
+(** The report of a field whose {!holds} verdict is already known to be
+    [false]: the shortest counterexample of the unprojected search over
+    [impl] (the model's {!expanded_nfa}), diagnosed against the
+    subsystem's protocol, without deciding the projection again. [None]
+    when the class is not in [env] or the search finds no witness. *)
+
 val check_subsystem :
   ?limits:Limits.t ->
   ?impl:Nfa.t Lazy.t ->

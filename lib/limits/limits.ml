@@ -5,6 +5,7 @@
 type entry = {
   e_limit : int;
   mutable e_spent : int;
+  mutable e_peak : int;  (* the most any one counter has drawn *)
 }
 
 type ledger = (string, entry) Hashtbl.t
@@ -55,7 +56,7 @@ let entry_of t ~resource ~limit =
   match Hashtbl.find_opt t.ledger resource with
   | Some e -> e
   | None ->
-    let e = { e_limit = limit; e_spent = 0 } in
+    let e = { e_limit = limit; e_spent = 0; e_peak = 0 } in
     Hashtbl.add t.ledger resource e;
     e
 
@@ -85,11 +86,19 @@ let spend f =
   f.remaining <- f.remaining - 1;
   match f.entry with
   | None -> ()
-  | Some e -> e.e_spent <- e.e_spent + 1
+  | Some e ->
+    e.e_spent <- e.e_spent + 1;
+    let drawn = f.limit - f.remaining in
+    if drawn > e.e_peak then e.e_peak <- drawn
 
 let snapshot t =
   Hashtbl.fold (fun resource e acc -> (resource, e.e_limit - e.e_spent) :: acc) t.ledger []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let peak t ~resource =
+  match Hashtbl.find_opt t.ledger resource with
+  | Some e -> e.e_peak
+  | None -> 0
 
 let consumed t ~before =
   List.filter_map

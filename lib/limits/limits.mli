@@ -122,6 +122,15 @@ val consumed : t -> before:(string * int) list -> (string * int) list
     first touched after [before] count from their full limit). Entries with
     zero consumption are omitted. *)
 
+val peak : t -> resource:string -> int
+(** The most fuel any single counter created [~within] [t] has drawn under
+    [resource] (0 when none has). Constructions whose counters all
+    finished would, replayed under a limit [l], run out iff [peak > l]; a
+    counter that ran out at limit [m] drew [m], so its construction runs
+    out under any [l < m] too. A budget can therefore be charged for a
+    construction built under another one (the lint rules share one class
+    expansion this way). *)
+
 val describe : exn -> string option
 (** Human-readable rendering of {!Budget_exceeded}; [None] for other
     exceptions. *)

@@ -39,6 +39,7 @@ type ctx = {
   cls : Mpy_ast.class_def;
   model : Model.t;
   mutable claim_memo : claim_analysis option;
+  expansion : Limits.t -> Nfa.t;
   sessions : sessions;
 }
 
@@ -52,6 +53,46 @@ let once build =
     | Ok v -> v
     | Error e -> raise e
 
+(* --- The class's full expansion ---------------------------------------------
+
+   The claim rules read it (through the subsystem-call automaton) under the
+   caller's limits, SY112 a racing field's witness under the race budget.
+   It is built once, by the first rule that asks, under that rule's budget,
+   with a ledger of its own. A later rule is charged what the build drew:
+   the costliest shuffle product ({!Limits.peak}). A budget below that runs
+   out exactly as its own build would have, and the diagnostic names its
+   own limit. Only a budget looser than a build that ran out of
+   configurations builds again. The budgets differ only in [max_configs]. *)
+
+let shuffle_configs = "shuffle-product configurations"
+
+let expansion model =
+  let built = ref None in
+  let build (within : Limits.t) =
+    let ledger =
+      Limits.make ~max_states:within.Limits.max_states ~max_configs:within.Limits.max_configs
+        ~max_regex_size:within.Limits.max_regex_size ?deadline:within.Limits.deadline ()
+    in
+    let b = (ledger, try Ok (Usage.expanded_nfa ~limits:ledger model) with e -> Error e) in
+    built := Some b;
+    b
+  in
+  fun (within : Limits.t) ->
+    let ledger, result =
+      match !built with
+      | Some (ledger, Error (Limits.Budget_exceeded { resource; _ }))
+        when String.equal resource shuffle_configs
+             && ledger.Limits.max_configs < within.Limits.max_configs ->
+        build within
+      | Some b -> b
+      | None -> build within
+    in
+    if Limits.peak ledger ~resource:shuffle_configs > within.Limits.max_configs then
+      Limits.exceeded ~resource:shuffle_configs ~limit:within.Limits.max_configs;
+    match result with
+    | Ok nfa -> nfa
+    | Error e -> raise e
+
 (* The alphabet all claim automata are built over: the class's subsystem-call
    events plus every atom any claim mentions. *)
 let claim_alphabet (model : Model.t) impl =
@@ -59,9 +100,12 @@ let claim_alphabet (model : Model.t) impl =
     (fun acc (_, formula) -> Symbol.Set.union acc (Ltlf.atoms formula))
     (Nfa.alphabet impl) model.Model.claims
 
-let sessions ~limits model =
+let sessions ?expansion:given ~limits model =
+  let expanded = match given with Some e -> e | None -> expansion model in
   let calls =
-    once (fun () -> Entail.session ~limits ~impl:(Claims.subsystem_call_nfa ~limits model) ())
+    once (fun () ->
+        let impl = lazy (expanded limits) in
+        Entail.session ~limits ~impl:(Claims.subsystem_call_nfa ~impl model) ())
   in
   let universal =
     once (fun () ->
@@ -72,8 +116,16 @@ let sessions ~limits model =
 
 let no_calls sessions = Symbol.Set.is_empty (Nfa.alphabet (Entail.impl (sessions.calls ())))
 
+(* Every claim rule opens both sessions, so a class with claims opens them
+   here, under a span of its own: each rule's span then holds only its own
+   queries. A failed build is kept and raised again in each rule. *)
 let make_ctx ~limits ~thresholds ~env ~cls ~model =
-  { limits; thresholds; env; cls; model; claim_memo = None; sessions = sessions ~limits model }
+  let expansion = expansion model in
+  let sessions = sessions ~expansion ~limits model in
+  if model.Model.claims <> [] then
+    Obs.with_span ~args:[ ("class", model.Model.name) ] "lint.claim-sessions" (fun () ->
+        try ignore (sessions.universal ()) with _ -> ());
+  { limits; thresholds; env; cls; model; claim_memo = None; expansion; sessions }
 
 (* --- SY101 dead operation --------------------------------------------------
 
@@ -171,6 +223,16 @@ let unsatisfiable_claim ctx =
      entails it — verification cannot fail on it while the others hold;
    - [Kept] or [Undecided] (entailment budget exhausted: no finding).
 
+   Entailment is monotone in its hypotheses: if the usage language alone
+   entails a claim, so does the language with any set of kept claims, and
+   the greedy minimization of that set would drop every one of them. So
+   before the query with every kept claim as a hypothesis, one query with
+   none settles the common case, [Redundant []], with no minimization. A
+   probe that does not come back [Entailed] settles nothing (and a probe
+   that runs out of budget is not counted as undecided): the full query
+   then runs as it would have, unless there are no kept claims, when the
+   probe was that query.
+
    Sweeping in reverse order makes the *first-declared* claim of a mutually
    equivalent group the one that survives (lowest line wins) and the later
    duplicates the ones reported, deterministically and exactly once. Each
@@ -182,7 +244,9 @@ let unsatisfiable_claim ctx =
    set: a pair is contradictory when no model trace satisfies both although
    each is individually model-satisfiable; the witness (the shorter of the
    two individual satisfiability witnesses) then necessarily violates the
-   other claim of the pair. *)
+   other claim of the pair. A claim the usage language alone entails holds
+   on every model trace, so it is compatible with every satisfiable claim:
+   its pairs need no joint search. *)
 
 let quoted_texts texts = String.concat ", " (List.map (Printf.sprintf "'%s'") texts)
 
@@ -223,16 +287,29 @@ let analyze_claims ?fuel ?sessions:given ~limits (model : Model.t) =
         if implies_over base (List.map formula rest) goal = Some true then rest else keep)
       idxs idxs
   in
+  let redundant i others =
+    match Entail.implies (calls ()) ?fuel ~hyps:[] (formula i) with
+    | Entail.Entailed ->
+      Obs.count "lint.claims.redundant_alone" 1;
+      Some (Redundant [])
+    | Entail.Not_entailed _ | Entail.Unknown _ when others <> [] ->
+      if implies_over calls (List.map formula others) (formula i) = Some true then
+        Some (Redundant (List.map text (minimize calls others (formula i))))
+      else None
+    | Entail.Not_entailed _ -> None
+    | Entail.Unknown _ ->
+      give_up ();
+      None
+  in
   let verdicts = Array.make n Kept in
   let kept = ref (List.init n Fun.id) in
   if not no_calls then begin
     for i = n - 1 downto 0 do
       let others = List.filter (fun j -> j <> i) !kept in
-      let hyps = List.map formula others in
       let undecided_before = !undecided in
       let subsuming =
         if others = [] then None
-        else if implies_over universal hyps (formula i) = Some true then
+        else if implies_over universal (List.map formula others) (formula i) = Some true then
           match minimize universal others (formula i) with
           | [] -> None (* a tautology: SY102's business, not subsumption *)
           | subset -> Some (Subsumed (List.map text subset))
@@ -241,10 +318,7 @@ let analyze_claims ?fuel ?sessions:given ~limits (model : Model.t) =
       let verdict =
         match subsuming with
         | Some v -> Some v
-        | None ->
-          if n >= 2 && implies_over calls hyps (formula i) = Some true then
-            Some (Redundant (List.map text (minimize calls others (formula i))))
-          else None
+        | None -> if n >= 2 then redundant i others else None
       in
       match verdict with
       | Some v ->
@@ -259,9 +333,12 @@ let analyze_claims ?fuel ?sessions:given ~limits (model : Model.t) =
   let contradictions = ref [] in
   if (not no_calls) && n >= 2 then begin
     let sat = Array.init n (fun i -> witness_over [ formula i ]) in
+    let alone i = verdicts.(i) = Redundant [] in
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
         match (sat.(i), sat.(j)) with
+        | Some (Some _), Some (Some _) when alone i || alone j ->
+          Obs.count "lint.claims.pairs_settled" 1
         | Some (Some wi), Some (Some wj) -> begin
           match witness_over [ formula i; formula j ] with
           | Some None ->
@@ -477,11 +554,18 @@ let behavior_blowup ctx =
    re-run the subsystem inclusion check on the sequentialized model (every
    [Par] forced to run its left branch to completion first) and flag SY112
    exactly when the interleaved model fails where the sequentialized one
-   passes — reporting a shortest offending schedule as the witness. Both
-   verdicts come from the field's projection ({!Usage.holds}); only a race
-   pays for the unprojected interleaved search that finds its witness.
-   Every search is capped by [thresholds.race_fuel] on top of the caller's
-   limits, and a projected search that runs out reports SY090. *)
+   passes — reporting a shortest offending schedule as the witness.
+
+   Both verdicts are about the field's projection ({!Usage.holds}), and
+   projection distributes over shuffle: a fork whose branches the field
+   does not both see projects to one branch, in either model. So a field
+   no operation's projection keeps a shuffle for gets the same verdict on
+   both models ({!Usage.interleaves}), and cannot race: it is settled with
+   no search. A field that keeps a shuffle runs both projected searches,
+   and a race then goes straight to the unprojected witness search over
+   the class's shared expansion ({!Usage.violation}). Every search is
+   capped by [thresholds.race_fuel] on top of the caller's limits, and a
+   search that runs out reports SY090. *)
 
 let rec sequentialize_prog (p : Prog.t) : Prog.t =
   match p with
@@ -537,15 +621,17 @@ let interleaved_protocol_race ctx =
         ?deadline:ctx.limits.Limits.deadline ()
     in
     let seq_model = lazy (sequentialize_model model) in
-    (* The full interleaved expansion is built only for a race's witness,
-       once, and shared by every racing field. *)
-    let interleaved = lazy (Usage.expanded_nfa ~limits:race_limits model) in
+    let interleaved = lazy (ctx.expansion race_limits) in
     List.filter_map
       (fun field ->
         match Model.subsystem_class model field with
         | None -> None
         | Some subsystem_class ->
-          if
+          if not (Usage.interleaves model ~field) then begin
+            Obs.count "lint.race.shuffle_free_fields" 1;
+            None
+          end
+          else if
             Usage.holds ~limits:race_limits ~env:ctx.env model ~field ~subsystem_class
             (* fails even without preemption: the checker's business *)
             || not
@@ -554,8 +640,8 @@ let interleaved_protocol_race ctx =
           then None
           else (
             match
-              Usage.check_subsystem ~limits:race_limits ~impl:interleaved ~env:ctx.env model
-                ~field ~subsystem_class
+              Usage.violation ~limits:race_limits ~impl:interleaved ~env:ctx.env model ~field
+                ~subsystem_class
             with
             | Some (Report.Invalid_subsystem_usage { counterexample; failure; _ }) ->
               let how =

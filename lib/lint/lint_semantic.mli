@@ -12,10 +12,19 @@
     regexes big enough to make the downstream automata expensive.
 
     Every claim question of a class goes to one of two {!Entail.session}s,
-    opened on first use and dropped with the class: one over the class's
-    subsystem-call automaton (SY104 and SY110), one over the universal
-    automaton of the claim alphabet (SY102, SY103 and SY109). SY101 decides
-    every operation's liveness from one trim of the usage DFA.
+    opened with a class that has claims and dropped with it: one over the
+    class's subsystem-call automaton (SY104 and SY110), one over the
+    universal automaton of the claim alphabet (SY102, SY103 and SY109).
+    SY101 decides
+    every operation's liveness from one trim of the usage DFA. The class's
+    full expansion is built at most once, for the claim sessions and
+    SY112's race witnesses alike ({!expansion}).
+
+    Questions whose answer follows from one already held are settled
+    without a search: a claim the usage language alone entails is
+    redundant whatever else is kept (SY104), and a field whose projected
+    behaviors keep no shuffle cannot race (SY112). [--stats] counts them as
+    [lint.claims.redundant_alone] and [lint.race.shuffle_free_fields].
 
     Every rule runs under the caller's {!Limits.t} fuel budget; a blown
     budget surfaces as {!Limits.Budget_exceeded}, which the engine
@@ -63,11 +72,22 @@ type sessions = {
 (** Where a class's claim questions go. Each query asks its function for
     the session it runs in. *)
 
-val sessions : limits:Limits.t -> Model.t -> sessions
+val expansion : Model.t -> Limits.t -> Nfa.t
+(** [expansion model] is the class's {!Usage.expanded_nfa}, shared by rules
+    with different budgets: [expansion model within] builds it on its first
+    call, under [within] with a fresh ledger, and answers every later call
+    from that build. A later budget is charged what the build drew (the
+    costliest shuffle product, {!Limits.peak}): one below it raises
+    {!Limits.Budget_exceeded} naming its own limit, as its own build would
+    have; one above a build that ran out of configurations builds again.
+    Budgets may differ only in [max_configs]. *)
+
+val sessions : ?expansion:(Limits.t -> Nfa.t) -> limits:Limits.t -> Model.t -> sessions
 (** The class's two sessions under [limits], each opened on its first
-    call and returned again after; the call automaton is built on the first
-    call of either. An exception from that build is raised again on every
-    later call, so each rule that needs it reports its own SY090. *)
+    call and returned again after; the call automaton is built from
+    [expansion] (default [expansion model]) on the first call of either. An
+    exception from that build is raised again on every later call, so each
+    rule that needs it reports its own SY090. *)
 
 type claim_verdict =
   | Kept  (** in the greedy minimal core *)
@@ -97,7 +117,11 @@ val analyze_claims :
 (** One greedy reverse-declaration-order sweep over the model's claims: a
     claim is checked against the still-kept others, so the first-declared
     claim of a mutually equivalent group survives (lowest line wins) and
-    later duplicates are flagged exactly once. [fuel] bounds each
+    later duplicates are flagged exactly once. Entailment is monotone in
+    its hypotheses, so a claim the usage language alone entails is
+    [Redundant []] after one query with no hypotheses (counted as
+    [lint.claims.redundant_alone]); only the others run the query with the
+    kept claims and its minimization. [fuel] bounds each
     entailment query's product exploration (default
     the session's [limits.max_configs]). [sessions] are the class's
     sessions when the caller already opened them; otherwise
@@ -117,9 +141,12 @@ type ctx = {
   model : Model.t;
   mutable claim_memo : claim_analysis option;
       (** the claim rules share one {!analyze_claims} pass per class *)
+  expansion : Limits.t -> Nfa.t;
+      (** [expansion model]: the claim sessions' call automaton and SY112's
+          race witnesses read the one expansion *)
   sessions : sessions;
-      (** [sessions ~limits model], shared by SY102, SY103 and the claim
-          analysis *)
+      (** [sessions ~expansion ~limits model], shared by SY102, SY103 and
+          the claim analysis *)
 }
 
 val make_ctx :
@@ -129,6 +156,13 @@ val make_ctx :
   cls:Mpy_ast.class_def ->
   model:Model.t ->
   ctx
+(** A class with claims has its two sessions opened here, under a span of
+    their own (["lint.claim-sessions"]), so each claim rule's span holds
+    only its own queries. A failed build is raised again by each rule. *)
+
+val sequentialize_model : Model.t -> Model.t
+(** The model SY112 compares against: every [Par] of every operation runs
+    its left branch to completion, then its right one. *)
 
 val rules : (Rules.t * (ctx -> (int option * string) list)) list
 (** Every semantic rule with its registry entry, in code order. A rule

@@ -332,27 +332,86 @@ class Hub:
     (String.concat ", " (List.map (self_call "begin") rest))
     (lines (List.map (self_call "end") rest))
 
-(* [usage.expand] spans opened while linting the source. *)
-let expansions source =
+(* [usage.expand] spans opened while linting the source, each with the
+   name of the span it opened in. *)
+let expansion_parents source =
   Obs.enable ();
   Fun.protect ~finally:Obs.disable @@ fun () ->
   let r, profile = Obs.in_unit ~name:"hub.py" (fun () -> Lint.lint_source ~file:"hub.py" source) in
   let events = match profile with Some p -> p.Obs.events | None -> [] in
-  (r, List.length (List.filter (fun e -> e.Obs.ev_begin && e.Obs.ev_name = "usage.expand") events))
+  let _, parents =
+    List.fold_left
+      (fun (stack, parents) (e : Obs.event) ->
+        if not e.Obs.ev_begin then (List.tl stack, parents)
+        else
+          let parents =
+            if e.Obs.ev_name = "usage.expand" then
+              (match stack with p :: _ -> p | [] -> "") :: parents
+            else parents
+          in
+          (e.Obs.ev_name :: stack, parents))
+      ([], []) events
+  in
+  (r, parents)
 
 let test_one_expansion_per_class () =
-  (* One expansion for the claim rules, one interleaved and one
-     sequentialized for the race rule — never one per field. *)
+  (* One expansion for the claim rules and the race rule's witness alike,
+     built in the class's own span — never one per field or per rule. *)
   List.iter
     (fun n ->
-      let r, expanded = expansions (hub_source n) in
+      let r, parents = expansion_parents (hub_source n) in
       Alcotest.(check bool)
         (Printf.sprintf "%d fields: SY112 on l1" n)
         true (List.mem "SY112" (codes r));
-      Alcotest.(check bool)
-        (Printf.sprintf "%d fields: at most 3 expansions (got %d)" n expanded)
-        true (expanded <= 3))
+      Alcotest.(check (list string))
+        (Printf.sprintf "%d fields: one expansion, opened by the claim sessions" n)
+        [ "lint.claim-sessions" ] parents)
     [ 3; 4; 6 ]
+
+let test_race_witness_without_claims () =
+  (* Without claims the race rule builds the expansion itself, once. *)
+  let without_claims =
+    String.concat "\n"
+      (List.filter
+         (fun l -> not (String.starts_with ~prefix:"@claim" l))
+         (String.split_on_char '\n' (hub_source 4)))
+  in
+  let r, parents = expansion_parents without_claims in
+  Alcotest.(check bool) "SY112 on l1" true (List.mem "SY112" (codes r));
+  Alcotest.(check (list string)) "one expansion, in the race rule"
+    [ "lint.interleaved-protocol-race" ] parents
+
+let test_expansion_charges_each_budget () =
+  (* One build answers every budget: a budget below the costliest shuffle
+     product it drew runs out, naming its own limit, exactly as its own
+     build would; a looser one after a build that ran out builds again. *)
+  let model =
+    Option.get (Pipeline.find_model (Pipeline.verify_source_exn (hub_source 3)) "Hub")
+  in
+  let runs_out ~limit expansion =
+    match expansion (Limits.make ~max_configs:limit ()) with
+    | _ -> None
+    | exception Limits.Budget_exceeded { resource; limit } -> Some (resource, limit)
+  in
+  let own_build ~limit = runs_out ~limit (fun limits -> Usage.expanded_nfa ~limits model) in
+  let ledger = Limits.make () in
+  let reference = Usage.expanded_nfa ~limits:ledger model in
+  let peak = Limits.peak ledger ~resource:"shuffle-product configurations" in
+  Alcotest.(check bool) "the hub forks" true (peak > 1);
+  let shared = Lint_semantic.expansion model in
+  Alcotest.(check bool) "built under the default budget" true
+    (Language.equivalent reference (shared Limits.default));
+  List.iter
+    (fun limit ->
+      Alcotest.(check (option (pair string int)))
+        (Printf.sprintf "charged under max_configs %d" limit)
+        (own_build ~limit) (runs_out ~limit shared))
+    [ 1; peak - 1; peak; peak + 1 ];
+  let starved = Lint_semantic.expansion model in
+  Alcotest.(check (option (pair string int)))
+    "first built under 1" (own_build ~limit:1) (runs_out ~limit:1 starved);
+  Alcotest.(check bool) "rebuilt under a looser budget" true
+    (Language.equivalent reference (starved Limits.default))
 
 let test_shared_expansion_budget_per_rule () =
   (* The shared claim automaton cannot be built under this budget: each rule
@@ -375,6 +434,275 @@ let test_shared_expansion_budget_per_rule () =
         (List.mem want budget_lines))
     [ ("SY102", "vacuous-claim"); ("SY103", "unsatisfiable-claim"); ("SY104", "redundant-claim") ];
   Alcotest.(check int) "budget exit code" 3 (Lint.file_exit_code r)
+
+(* --- Shortcuts against the search-only oracles ----------------------------------
+
+   The claim sweep settles a claim the usage language alone entails with one
+   query, and SY112 skips a field whose projections keep no shuffle.
+   {!Lint_oracle} keeps both analyses as they ran before, every question
+   searched. Over random async composites (operation bodies from
+   {!Prog_gen} with [Par] nodes over the fields' calls) and random claim
+   sets, the two must agree wherever the oracle's queries stay in budget. *)
+
+let protocol_source =
+  {|@sys
+class Log:
+    def __init__(self):
+        self.pin = Pin(1, OUT)
+
+    @op_initial
+    def begin(self):
+        self.pin.on()
+        return ["begin", "end"]
+
+    @op_final
+    def end(self):
+        self.pin.off()
+        return ["begin"]
+
+
+@sys
+class Gate:
+    def __init__(self):
+        self.pin = Pin(1, OUT)
+
+    @op_initial
+    def open(self):
+        self.pin.on()
+        return ["close"]
+
+    @op_final
+    def close(self):
+        self.pin.off()
+        return ["open"]
+|}
+
+let protocol_env = lazy (Pipeline.env_of (Pipeline.verify_source_exn protocol_source))
+let protocol_calls = [ ("Log", [ "begin"; "end" ]); ("Gate", [ "open"; "close" ]) ]
+
+(* The k-th [return] of [body], in source order, gets the k-th exit marker,
+   as lowering gives it (hence each left subterm is marked first). *)
+let mark_returns ~method_name body =
+  let k = ref 0 in
+  let rec mark (p : Prog.t) =
+    match p with
+    | Prog.Return ->
+      let m = Mpy_lower.exit_marker ~method_name !k in
+      incr k;
+      Prog.seq (Prog.call m) Prog.return
+    | Prog.Call _ | Prog.Skip -> p
+    | Prog.Seq (a, b) ->
+      let a = mark a in
+      Prog.seq a (mark b)
+    | Prog.If (a, b) ->
+      let a = mark a in
+      Prog.if_ a (mark b)
+    | Prog.Par (a, b) ->
+      let a = mark a in
+      Prog.par a (mark b)
+    | Prog.Loop a -> Prog.loop (mark a)
+  in
+  let marked = mark body in
+  (marked, !k)
+
+(* Lowering forks a spawned task or a gathered call as the left branch of
+   a [Par] and the rest of the method as the right one, so a left branch
+   never returns. *)
+let rec as_lowered ~task (p : Prog.t) =
+  match p with
+  | Prog.Return when task -> Prog.skip
+  | Prog.Call _ | Prog.Skip | Prog.Return -> p
+  | Prog.Seq (a, b) -> Prog.seq (as_lowered ~task a) (as_lowered ~task b)
+  | Prog.If (a, b) -> Prog.if_ (as_lowered ~task a) (as_lowered ~task b)
+  | Prog.Loop a -> Prog.loop (as_lowered ~task a)
+  | Prog.Par (a, b) -> Prog.par (as_lowered ~task:true a) (as_lowered ~task b)
+
+(* An operation as extraction builds it from a plain body: explicit exits
+   with the given next-operation lists, and an implicit terminal exit when
+   control can fall off the end. *)
+let operation ~name ~kind ~nexts body =
+  let marked, returns = mark_returns ~method_name:name body in
+  let behaviors, ongoing = Extract.exit_behaviors_of_marked ~method_name:name marked in
+  let exit k next_ops implicit behavior =
+    { Model.exit_id = k; exit_line = 0; next_ops; has_user_value = false; implicit; behavior }
+  in
+  let explicit =
+    List.init returns (fun k ->
+        exit k (nexts k) false
+          (Option.value (List.assoc_opt k behaviors) ~default:Regex.empty))
+  in
+  let exits =
+    explicit
+    @ if Regex.is_empty_syntactic ongoing then [] else [ exit returns [] true ongoing ]
+  in
+  {
+    Model.op_name = name;
+    op_kind = kind;
+    op_line = 0;
+    exits;
+    marked_body = marked;
+    marked_behavior = Extract.marked_behavior ~method_name:name marked exits;
+    plain_body = Mpy_lower.strip_markers marked;
+    lowering_warnings = [];
+  }
+
+(* Claims over the fields' calls and one event no operation performs: the
+   usual claim shapes, so that some are entailed by the usage language
+   alone, some subsume others and some contradict, and small random
+   formulas. *)
+let claim_gen atoms =
+  let open QCheck2.Gen in
+  let atom = map Ltlf.atom (oneofl atoms) in
+  frequency
+    [
+      (2, map (fun a -> Ltlf.globally (Ltlf.neg a)) atom);
+      (2, map Ltlf.finally atom);
+      (2, map2 (fun a b -> Ltlf.globally (Ltlf.disj (Ltlf.neg a) (Ltlf.finally b))) atom atom);
+      (2, map2 (fun a b -> Ltlf.wuntil (Ltlf.neg a) b) atom atom);
+      (3, Testutil.ltl_gen_over atoms);
+    ]
+
+(* A field's events for the generator: each call alone, and a whole
+   session ([begin·end], [open·close]), the unit a well-behaved body
+   repeats. A session stands for its two calls until [expand_sessions]. *)
+let session_symbol field = Symbol.intern ("%session:" ^ field)
+
+let field_events (field, cls) =
+  session_symbol field
+  :: session_symbol field
+  :: List.map (fun m -> Symbol.intern (field ^ "." ^ m)) (List.assoc cls protocol_calls)
+
+let rec expand_sessions fields (p : Prog.t) =
+  match p with
+  | Prog.Call s -> (
+    match List.find_opt (fun (f, _) -> Symbol.equal s (session_symbol f)) fields with
+    | Some (f, cls) ->
+      Prog.seq_list
+        (List.map (fun m -> Prog.call (Symbol.intern (f ^ "." ^ m))) (List.assoc cls protocol_calls))
+    | None -> p)
+  | Prog.Skip | Prog.Return -> p
+  | Prog.Seq (a, b) -> Prog.seq (expand_sessions fields a) (expand_sessions fields b)
+  | Prog.If (a, b) -> Prog.if_ (expand_sessions fields a) (expand_sessions fields b)
+  | Prog.Loop a -> Prog.loop (expand_sessions fields a)
+  | Prog.Par (a, b) -> Prog.par (expand_sessions fields a) (expand_sessions fields b)
+
+(* A composite over 2–3 Log/Gate fields with 1–3 async operations, and 0–5
+   claims. Bodies are {!Prog_gen} programs with [Par] nodes over sessions
+   and single calls, and two operations in three first spawn a task on one
+   field, as [create_task] does, and then favor that field: sessions keep
+   many sequential schedules valid, so such a fork is often a race. *)
+let async_composite_gen =
+  let open QCheck2.Gen in
+  let* classes = list_size (int_range 2 3) (oneofl [ "Log"; "Gate" ]) in
+  let fields = List.mapi (fun i c -> (Printf.sprintf "f%d" (i + 1), c)) classes in
+  let calls =
+    List.concat_map
+      (fun (f, c) -> List.map (fun m -> Symbol.intern (f ^ "." ^ m)) (List.assoc c protocol_calls))
+      fields
+  in
+  let* nops = int_range 1 3 in
+  let names = List.init nops (Printf.sprintf "op%d") in
+  let* seed = int in
+  let* sizes = list_repeat nops (int_range 2 10) in
+  let* claims = list_size (int_range 0 5) (claim_gen (Symbol.intern "f9.never" :: calls)) in
+  let state = Random.State.make [| seed |] in
+  let pick_next () = List.filter (fun _ -> Random.State.bool state) names in
+  let random alphabet size =
+    expand_sessions fields (Prog_gen.random ~state ~with_par:true ~size ~alphabet ())
+  in
+  let operations =
+    List.mapi
+      (fun i size ->
+        let events = List.concat_map field_events fields in
+        let body =
+          if Random.State.int state 3 > 0 then
+            let field = List.nth fields (Random.State.int state (List.length fields)) in
+            Prog.par (random (field_events field) 3) (random (field_events field @ events) size)
+          else random events size
+        in
+        let kind =
+          if i = 0 then Annotations.Initial_final
+          else if Random.State.bool state then Annotations.Final
+          else Annotations.Middle
+        in
+        let nexts = Array.init 4 (fun _ -> pick_next ()) in
+        operation ~name:(List.nth names i) ~kind
+          ~nexts:(fun k -> nexts.(k mod 4))
+          (as_lowered ~task:false body))
+      sizes
+  in
+  return
+    {
+      Model.name = "Hub";
+      line = 1;
+      kind = `Composite;
+      declared_subsystems = List.map fst fields;
+      subsystem_fields = fields;
+      claims = List.mapi (fun i f -> (Printf.sprintf "c%d %s" i (Ltlf.to_string f), f)) claims;
+      operations;
+    }
+
+let print_model m = Format.asprintf "%a" Model.pp m
+let hub_class = lazy (Mpy_parser.parse_class "class Hub:\n    def m(self):\n        return []\n")
+
+let ctx_of model =
+  Lint_semantic.make_ctx ~limits:Limits.default ~thresholds:Lint_semantic.default_thresholds
+    ~env:(Lazy.force protocol_env) ~cls:(Lazy.force hub_class) ~model
+
+let show_analysis (a : Lint_semantic.claim_analysis) =
+  let verdict = function
+    | Lint_semantic.Kept -> "kept"
+    | Redundant by -> "redundant [" ^ String.concat "; " by ^ "]"
+    | Subsumed by -> "subsumed [" ^ String.concat "; " by ^ "]"
+    | Undecided -> "undecided"
+  in
+  Printf.sprintf "{%s} contradictions {%s} core {%s} undecided %d"
+    (String.concat "; " (List.map (fun (c, v) -> c ^ ": " ^ verdict v) a.verdicts))
+    (String.concat "; "
+       (List.map
+          (fun (c : Lint_semantic.contradiction) ->
+            Printf.sprintf "%s / %s on [%s]" c.claim_a c.claim_b (Trace.to_string c.witness))
+          a.contradictions))
+    (String.concat "; " a.core) a.undecided
+
+let test_claims_match_oracle =
+  Testutil.qtest ~count:300 "claim sweep = search-only oracle" async_composite_gen
+    ~print:print_model (fun model ->
+      let fuel = Lint_semantic.default_thresholds.Lint_semantic.entail_fuel in
+      let limits = Limits.default in
+      let oracle =
+        Lint_oracle.analyze_claims ~fuel ~sessions:(Lint_semantic.sessions ~limits model) model
+      in
+      QCheck2.assume (oracle.Lint_semantic.undecided = 0);
+      let got = Lint_semantic.analyze_claims ~fuel ~limits model in
+      if got <> oracle then
+        QCheck2.Test.fail_reportf "got %s\noracle %s" (show_analysis got) (show_analysis oracle);
+      true)
+
+let test_race_matches_oracle =
+  Testutil.qtest ~count:400 "SY112 = search-only oracle" async_composite_gen ~print:print_model
+    (fun model ->
+      match Lint_oracle.race (ctx_of model) with
+      | exception Limits.Budget_exceeded _ -> QCheck2.assume_fail ()
+      | oracle ->
+        let got = Lint_semantic.(List.assoc Rules.interleaved_protocol_race rules) (ctx_of model) in
+        if got <> oracle then
+          QCheck2.Test.fail_reportf "got [%s], oracle [%s]"
+            (String.concat "; " (List.map snd got))
+            (String.concat "; " (List.map snd oracle));
+        true)
+
+let test_shuffle_free_lemma =
+  Testutil.qtest ~count:400 "no shuffle in a projection: same verdict sequentialized"
+    async_composite_gen ~print:print_model (fun model ->
+      let env = Lazy.force protocol_env in
+      let sequential = Lint_semantic.sequentialize_model model in
+      List.for_all
+        (fun (field, subsystem_class) ->
+          Usage.interleaves model ~field
+          || Usage.holds ~env model ~field ~subsystem_class
+             = Usage.holds ~env sequential ~field ~subsystem_class)
+        model.Model.subsystem_fields)
 
 (* --- Exit codes ------------------------------------------------------------ *)
 
@@ -684,8 +1012,18 @@ let () =
       ( "expansion-reuse",
         [
           Alcotest.test_case "one expansion per class" `Quick test_one_expansion_per_class;
+          Alcotest.test_case "race witness without claims" `Quick
+            test_race_witness_without_claims;
+          Alcotest.test_case "one build, each budget charged" `Quick
+            test_expansion_charges_each_budget;
           Alcotest.test_case "budget reported per rule" `Quick
             test_shared_expansion_budget_per_rule;
+        ] );
+      ( "shortcuts-vs-oracle",
+        [
+          test_claims_match_oracle;
+          test_race_matches_oracle;
+          test_shuffle_free_lemma;
         ] );
       ("exit-codes", [ Alcotest.test_case "contract" `Quick test_exit_codes ]);
       ("sy101-dead-operation", [ QCheck_alcotest.to_alcotest test_sy101_matches_product ]);

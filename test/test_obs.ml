@@ -283,7 +283,16 @@ let test_snapshot_multiple_constructions () =
     Limits.spend f2
   done;
   Alcotest.(check (list (pair string int)))
-    "cumulative across counters" [ ("s", 5 - 8) ] (Limits.snapshot t)
+    "cumulative across counters" [ ("s", 5 - 8) ] (Limits.snapshot t);
+  (* The peak is the most one counter drew; one that runs out drew its
+     whole limit. *)
+  Alcotest.(check int) "peak of one counter" 4 (Limits.peak t ~resource:"s");
+  Limits.spend f1;
+  (match Limits.spend f1 with
+  | () -> Alcotest.fail "expected the counter to run out"
+  | exception Limits.Budget_exceeded _ -> ());
+  Alcotest.(check int) "a counter that ran out drew its limit" 5 (Limits.peak t ~resource:"s");
+  Alcotest.(check int) "untouched resource" 0 (Limits.peak t ~resource:"none")
 
 let test_consumed_deltas () =
   let t = Limits.make () in
