@@ -5,7 +5,7 @@
    [shelley check -j N] and the serve daemon use.
 
    Emits machine-readable results to BENCH_parallel.json and a human
-   summary to stdout, and asserts four contracts along the way:
+   summary to stdout, and asserts five contracts along the way:
 
    - determinism: the concatenated output of every level (with and without
      the observability recorder) must be byte-identical to the sequential
@@ -19,7 +19,11 @@
      run on) — CI provides the multicore enforcement;
    - demand spawning: a one-file run through a fresh -j 4 pool forks
      exactly one worker. A count, so it holds on any host, in smoke and
-     full mode alike.
+     full mode alike;
+   - no recycling inside a run: a cold 320-file run at -j 2 (more tasks
+     per lane than the pool's 128-task count ceiling) forks exactly 2
+     workers, because that ceiling is checked between runs. Also a count,
+     enforced in both modes.
 
    Each level is timed twice over: warm (the persistent pool, reused
    across repeats after one untimed pass that forks its workers) and cold (one fresh pool: make, check, shutdown — what
@@ -47,9 +51,9 @@ let repeats = if smoke then 1 else 3
    check and the LTL checker — a realistic per-file workload. *)
 let file_source = Sources.valve ^ "\n" ^ Sources.bad_sector
 
-let write_corpus dir =
-  List.init corpus_size (fun i ->
-      let path = Filename.concat dir (Printf.sprintf "unit_%02d.py" i) in
+let write_files dir prefix n =
+  List.init n (fun i ->
+      let path = Filename.concat dir (Printf.sprintf "%s_%03d.py" prefix i) in
       let oc = open_out_bin path in
       output_string oc file_source;
       close_out oc;
@@ -178,14 +182,19 @@ let measure ?instrument engine files baseline_output =
     e_instr = instr;
   }
 
-(* The demand-spawning floor: one file through a fresh -j 4 pool. *)
-let one_file_cold_spawns file =
-  let pool = Checker.make_pool ~jobs:4 () in
+(* The pool counters of one cold run: make, check, shutdown. *)
+let cold_run_stats ~jobs files =
+  let pool = Checker.make_pool ~jobs () in
   Fun.protect
     ~finally:(fun () -> Checker.shutdown_pool pool)
     (fun () ->
-      ignore (Checker.check_files ~jobs:4 ~pool [ file ]);
-      (Checker.pool_stats pool).Supervisor.spawns)
+      ignore (Checker.check_files ~jobs ~pool files);
+      Checker.pool_stats pool)
+
+(* The count gate's run: more tasks per lane than the default 128-task
+   count ceiling, which a run must not act on. *)
+let gate_files = 320
+let gate_jobs = 2
 
 let () =
   let overhead_ns = disabled_overhead_ns_per_call () in
@@ -201,7 +210,7 @@ let () =
   let dir = Filename.temp_file "shelley_bench" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
-  let files = write_corpus dir in
+  let files = write_files dir "unit" corpus_size in
   let cores = nproc () in
   let levels = List.sort_uniq compare [ 1; 2; 4; cores ] in
   Printf.printf
@@ -254,7 +263,7 @@ let () =
         (seq.e_best /. pooled.e_best))
     results;
   let spawn_floor = 1 in
-  let one_file_spawns = one_file_cold_spawns (List.hd files) in
+  let one_file_spawns = (cold_run_stats ~jobs:4 [ List.hd files ]).Supervisor.spawns in
   if one_file_spawns <> spawn_floor then begin
     Printf.eprintf
       "FAIL: a one-file cold run at -j 4 forked %d workers; demand spawning \
@@ -264,6 +273,18 @@ let () =
   end;
   Printf.printf "\nfloor: one-file cold run at -j 4 forked %d worker — OK\n"
     one_file_spawns;
+  let gate_paths = write_files dir "gate" gate_files in
+  let gate = cold_run_stats ~jobs:gate_jobs gate_paths in
+  List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) gate_paths;
+  if gate.Supervisor.spawns <> gate_jobs then begin
+    Printf.eprintf
+      "FAIL: a cold %d-file run at -j %d forked %d workers (%d recycles); a \
+       run forks exactly its %d lanes and recycles none by count\n"
+      gate_files gate_jobs gate.Supervisor.spawns gate.Supervisor.recycles gate_jobs;
+    exit 1
+  end;
+  Printf.printf "gate: cold %d-file run at -j %d forked %d workers, %d recycles — OK\n"
+    gate_files gate_jobs gate.Supervisor.spawns gate.Supervisor.recycles;
   (* The -j 4 >= 1.5x floor: enforced in full mode where the hardware can
      express parallelism at all; skipped loudly on a single core. *)
   let floor_required = 1.5 in
@@ -273,24 +294,6 @@ let () =
       results
   in
   let floor_enforced = (not smoke) && cores >= 2 in
-  (match (floor_enforced, floor_measured) with
-  | true, Some speedup when speedup < floor_required ->
-    Printf.eprintf
-      "FAIL: pool -j 4 speedup %.2fx is under the %.1fx floor on a %d-core \
-       machine\n"
-      speedup floor_required cores;
-    exit 1
-  | true, Some speedup ->
-    Printf.printf "floor: pool -j 4 speedup %.2fx >= %.1fx — OK\n" speedup floor_required
-  | true, None ->
-    Printf.eprintf "FAIL: no -j 4 level was measured, cannot enforce the floor\n";
-    exit 1
-  | false, _ ->
-    Printf.printf
-      "floor: SKIPPED (%s) — the %.1fx -j 4 floor is only meaningful in full \
-       mode on >= 2 cores; CI's multicore runners enforce it\n"
-      (if smoke then "smoke mode" else Printf.sprintf "%d core online" cores)
-      floor_required);
   let json =
     let engine_json (e : engine_result) =
       let per_file total = if corpus_size = 0 then 0 else total / corpus_size in
@@ -321,15 +324,21 @@ let () =
       \  \"output_byte_identical_across_levels\": true,\n\
       \  \"sequential_best_seconds\": %.6f,\n\
       \  \"speedup_floor\": {\"required\": %.1f, \"jobs\": 4, \"enforced\": %b, \
-       \"measured\": %s},\n\
+       \"measured\": %s, \"met\": %s},\n\
       \  \"spawn_floor\": {\"files\": 1, \"jobs\": 4, \"required_spawns\": %d, \
        \"enforced\": true, \"measured_spawns\": %d},\n\
+      \  \"count_gate\": {\"files\": %d, \"jobs\": %d, \"required_spawns\": %d, \
+       \"enforced\": true, \"measured_spawns\": %d, \"recycles\": %d},\n\
       \  \"results\": [\n%s\n  ]\n}\n"
       corpus_size repeats cores overhead_ns seq.e_best floor_required floor_enforced
       (match floor_measured with
       | Some s -> Printf.sprintf "%.3f" s
       | None -> "null")
-      spawn_floor one_file_spawns
+      (match floor_measured with
+      | Some s -> string_of_bool (s >= floor_required)
+      | None -> "null")
+      spawn_floor one_file_spawns gate_files gate_jobs gate_jobs gate.Supervisor.spawns
+      gate.Supervisor.recycles
       (String.concat ",\n" (List.map run_json results))
   in
   let oc = open_out_bin "BENCH_parallel.json" in
@@ -337,4 +346,24 @@ let () =
   close_out oc;
   Printf.printf "\nwrote BENCH_parallel.json; output byte-identical across all levels\n";
   List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) files;
-  try Unix.rmdir dir with Unix.Unix_error _ -> ()
+  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
+  (* The speedup floor is enforced after the JSON is written, so a host
+     where it fails still records what it measured (and "met": false). *)
+  (match (floor_enforced, floor_measured) with
+  | true, Some speedup when speedup < floor_required ->
+    Printf.eprintf
+      "FAIL: pool -j 4 speedup %.2fx is under the %.1fx floor on a %d-core \
+       machine\n"
+      speedup floor_required cores;
+    exit 1
+  | true, Some speedup ->
+    Printf.printf "floor: pool -j 4 speedup %.2fx >= %.1fx — OK\n" speedup floor_required
+  | true, None ->
+    Printf.eprintf "FAIL: no -j 4 level was measured, cannot enforce the floor\n";
+    exit 1
+  | false, _ ->
+    Printf.printf
+      "floor: SKIPPED (%s) — the %.1fx -j 4 floor is only meaningful in full \
+       mode on >= 2 cores; CI's multicore runners enforce it\n"
+      (if smoke then "smoke mode" else Printf.sprintf "%d core online" cores)
+      floor_required)

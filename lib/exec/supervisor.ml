@@ -239,43 +239,35 @@ let worker_main ~job_rd ~res_wr run label =
     | Some (Job tasks) ->
       let wedge = ref false in
       let fault kind task = armed && List.mem kind (faults_for (label task)) in
-      let emit frames = write_all res_wr (Bytes.concat Bytes.empty frames) in
+      let emit frames =
+        if frames <> [] then write_all res_wr (Bytes.concat Bytes.empty frames)
+      in
       let corrupt = Bytes.of_string "!!corrupt-frame!!" in
-      (* [held] is the previous task's result frame, kept back only when
-         this task is a glued-garbage one. *)
+      (* [held] is the previous task's result frame: it goes out in one
+         write with this task's start acknowledgement, so the parent wakes
+         once per task. The last result of the job goes out alone. *)
       let rec go held = function
-        | [] -> ()
+        | [] -> emit held
         | (idx, task) :: rest ->
           let started = frame_of (Started idx : _ from_worker) in
-          let held =
-            if fault "glued-garbage" task then begin
-              (* The previous result, this ack and the corrupt bytes reach
-                 the parent in one write, hence in one read. *)
-              emit (held @ [ started; corrupt ]);
-              []
-            end
-            else begin
-              emit [ started ];
-              if fault "garbage" task then begin
-                emit [ corrupt ];
-                []
-              end
-              else
-                let result =
-                  match run task with
-                  | r -> (Ok r : (_, string) result)
-                  | exception exn -> Error (Printexc.to_string exn)
-                in
-                let frame = result_frame idx result in
-                match rest with
-                | (_, next) :: _ when fault "glued-garbage" next -> [ frame ]
-                | _ ->
-                  emit [ frame ];
-                  []
-            end
-          in
-          if fault "wedge" task then wedge := true;
-          go held rest
+          if fault "glued-garbage" task then
+            (* The previous result, this ack and the corrupt bytes reach
+               the parent in one write, hence in one read. *)
+            emit (held @ [ started; corrupt ])
+          else if fault "garbage" task then begin
+            emit (held @ [ started ]);
+            emit [ corrupt ]
+          end
+          else begin
+            emit (held @ [ started ]);
+            let result =
+              match run task with
+              | r -> (Ok r : (_, string) result)
+              | exception exn -> Error (Printexc.to_string exn)
+            in
+            if fault "wedge" task then wedge := true;
+            go [ result_frame idx result ] rest
+          end
       in
       go [] tasks;
       if !wedge then
@@ -313,6 +305,8 @@ type 't proc = {
   mutable tasks_done : int;
   mutable ping_at : float;  (* 0.0 = no ping outstanding *)
   mutable last_heard : float;
+  mutable fed : bool;  (* has been sent a Job: its RSS is worth reading *)
+  mutable draining : bool;  (* over the RSS ceiling: finish, then recycle *)
 }
 
 type 't slot = {
@@ -429,22 +423,36 @@ let rec waitpid_no_eintr pid =
   | _, status -> status
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_no_eintr pid
 
-(* Resident set size in KB, from /proc (field 2 of statm is resident
-   pages). 0 — never triggering the recycle ceiling — where /proc is not
-   a thing or the process is already gone. *)
+(* Resident set size in kB: the [VmRSS:] line of /proc/PID/status, which
+   the kernel states in kB whatever its page size. 0 — never triggering the
+   recycle ceiling — where /proc is not a thing or the process is gone. *)
 let rss_kb pid =
-  match open_in (Printf.sprintf "/proc/%d/statm" pid) with
+  match open_in (Printf.sprintf "/proc/%d/status" pid) with
   | exception Sys_error _ -> 0
   | ic ->
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        match String.split_on_char ' ' (input_line ic) with
-        | _ :: resident :: _ -> (
-          match int_of_string_opt resident with
-          | Some pages -> pages * 4096 / 1024
-          | None -> 0)
-        | _ | (exception End_of_file) -> 0)
+        let rec find () =
+          match input_line ic with
+          | exception End_of_file -> 0
+          | line when String.starts_with ~prefix:"VmRSS:" line -> (
+            match Scanf.sscanf_opt line "VmRSS: %d" Fun.id with
+            | Some kb -> kb
+            | None -> 0)
+          | _ -> find ()
+        in
+        find ())
+
+(* When an unstarted head's [Started] is owed from: the worker's last frame
+   or the dispatch, whichever is later. Measuring from the dispatch alone
+   would condemn a healthy worker whose chunk outlasts one heartbeat. *)
+let owed_since (p : _ proc) = Float.max p.dispatched_at p.last_heard
+
+(* The smallest capacity a pipe has on Linux (one page: pipes shrink to it
+   when their user passes pipe-user-pages-soft). A frame this small written
+   to an empty pipe never blocks. *)
+let pipe_floor = 4096
 
 exception Fork_failed of string
 
@@ -512,6 +520,8 @@ let spawn pool slot =
           tasks_done = 0;
           ping_at = 0.0;
           last_heard = now;
+          fed = false;
+          draining = false;
         }
 
 (* Retire a worker: Quit, then close its job pipe (EOF doubles as Quit).
@@ -811,19 +821,6 @@ let run ?retry ?deadline pool tasks =
           condemn slot p ~charge:(`Crash "garbage frame on result pipe")
         | `Garbage | `Consumed _ -> ())
     in
-    (* Write a Job frame; a write failure means the worker just died — let
-       the death path classify it (nothing was started, so nothing can be
-       charged to a task). *)
-    let dispatch slot (p : _ proc) items =
-      List.iter (fun item -> Queue.add item p.assigned) items;
-      p.dispatched_at <- Clock.now ();
-      p.head_started_at <- 0.0;
-      bump pool "pool.batches" 1;
-      bump pool "pool.batch_tasks" (List.length items);
-      match send_frame p.job_wr (Job (List.map (fun i -> (i.idx, i.task)) items)) with
-      | () -> ()
-      | exception _ -> handle_death slot p
-    in
     (* Spread small runs across lanes (chunk ≤ ⌈pending / width⌉) while
        batching large ones (chunk ≤ batch_size): two files at -j 4 land on
        lanes 0 and 1, a thousand files go out 8 at a time. *)
@@ -831,15 +828,38 @@ let run ?retry ?deadline pool tasks =
       let p = Queue.length pending in
       max 1 (min pool.cfg.batch_size ((p + pool.cfg.jobs - 1) / pool.cfg.jobs))
     in
-    let take_chunk () =
-      let rec go k acc =
-        if k = 0 then List.rev acc
-        else
-          match Queue.take_opt pending with
-          | None -> List.rev acc
-          | Some item -> go (k - 1) (item :: acc)
-      in
-      go (chunk_size ()) []
+    (* Send [p] its next chunk. A worker past its first chunk may have grown
+       since: one RSS read per chunk, and a worker over [max_rss_kb] is sent
+       nothing more — it drains what it holds and is recycled. A pipelined
+       chunk goes to a worker whose last task is running, so the write must
+       not block on a full pipe (a hung task would stall the whole loop):
+       the worker has read every earlier frame, so the job pipe is empty and
+       a frame that fits [pipe_floor] goes through at once; a larger one
+       waits until the worker is idle. A write failure means the worker just
+       died — the death path classifies it. Never resets the head's start
+       time: a running head keeps its deadline clock. *)
+    let feed slot (p : _ proc) ~pipelined =
+      if p.fed && pool.cfg.max_rss_kb > 0 && rss_kb p.pid > pool.cfg.max_rss_kb then
+        p.draining <- true
+      else
+        let items = List.of_seq (Seq.take (chunk_size ()) (Queue.to_seq pending)) in
+        let frame =
+          frame_of (Job (List.map (fun i -> (i.idx, i.task)) items) : _ to_worker)
+        in
+        if not (pipelined && Bytes.length frame > pipe_floor) then begin
+          List.iter
+            (fun item ->
+              ignore (Queue.take pending);
+              Queue.add item p.assigned)
+            items;
+          p.fed <- true;
+          p.dispatched_at <- Clock.now ();
+          bump pool "pool.batches" 1;
+          bump pool "pool.batch_tasks" (List.length items);
+          match write_all p.job_wr frame with
+          | () -> ()
+          | exception _ -> handle_death slot p
+        end
     in
     let degraded () =
       live_workers pool = 0
@@ -847,10 +867,34 @@ let run ?retry ?deadline pool tasks =
            (fun slot -> slot.consec_failures > pool.cfg.max_restarts)
            pool.slots
     in
+    let recycle = function
+      | [] -> ()
+      | slots ->
+        teardown pool slots;
+        List.iter (fun slot -> slot.ready_at <- 0.0) slots;
+        bump pool "pool.recycles" (List.length slots)
+    in
+    let live_where pred =
+      List.filter
+        (fun slot ->
+          match slot.proc with
+          | Some p -> pred p
+          | None -> false)
+        (Array.to_list pool.slots)
+    in
     let now () = Clock.now () in
     if pool.closed then drain_inline ()
     else begin
+      (* The task-count ceiling is checked between runs: a run never pays
+         for a fresh worker's warm-up just to reset a counter. *)
+      recycle
+        (live_where (fun p ->
+             p.draining
+             || (pool.cfg.max_tasks_per_worker > 0
+                && p.tasks_done >= pool.cfg.max_tasks_per_worker)));
       while !unsettled > 0 do
+        (* 0. Recycle the workers that drained under the RSS ceiling. *)
+        recycle (live_where (fun p -> p.draining && Queue.is_empty p.assigned));
         (* 1. Spawn / respawn while the pending tasks outnumber the idle
            live workers and the backoff gate is open: a one-file run forks
            one worker, whatever the width. A spawn failure is a counted
@@ -885,15 +929,22 @@ let run ?retry ?deadline pool tasks =
         else begin
           (* 2. Dispatch to idle workers, lane order (determinism of the
              trace lanes, not of the output — output order is pinned by
-             idx). *)
-          Array.iter
-            (fun slot ->
-              match slot.proc with
-              | Some p when Queue.is_empty p.assigned && not (Queue.is_empty pending)
-                ->
-                dispatch slot p (take_chunk ())
-              | _ -> ())
-            pool.slots;
+             idx). Only then, one chunk of lookahead to each worker whose
+             last assigned task has started, so it never waits on the
+             parent between chunks. *)
+          let feed_where pred ~pipelined =
+            Array.iter
+              (fun slot ->
+                match slot.proc with
+                | Some p when pred p && (not p.draining) && not (Queue.is_empty pending) ->
+                  feed slot p ~pipelined
+                | _ -> ())
+              pool.slots
+          in
+          feed_where (fun p -> Queue.is_empty p.assigned) ~pipelined:false;
+          feed_where
+            (fun p -> Queue.length p.assigned = 1 && p.head_started_at > 0.0)
+            ~pipelined:true;
           (* 3. Wait for frames, deadlines, backoff gates or heartbeats —
              whichever is nearest. *)
           let timeout =
@@ -906,15 +957,15 @@ let run ?retry ?deadline pool tasks =
                 | None -> if slot.ready_at > n0 then consider (slot.ready_at -. n0)
                 | Some p ->
                   if Queue.is_empty p.assigned then begin
-                    if p.ping_at > 0.0 then
+                    if p.draining then consider 0.0
+                    else if p.ping_at > 0.0 then
                       consider (p.ping_at +. pool.cfg.heartbeat_interval -. n0)
                   end
                   else if p.head_started_at > 0.0 then
                     Option.iter
                       (fun d -> consider (p.head_started_at +. d -. n0))
                       deadline
-                  else
-                    consider (p.dispatched_at +. pool.cfg.heartbeat_interval -. n0))
+                  else consider (owed_since p +. pool.cfg.heartbeat_interval -. n0))
               pool.slots;
             !t
           in
@@ -953,8 +1004,9 @@ let run ?retry ?deadline pool tasks =
                     | Some d when n1 -. p.head_started_at > d ->
                       kill_worker slot p ~charge:`Timeout
                     | _ -> ())
-                  else if n1 -. p.dispatched_at > pool.cfg.heartbeat_interval then begin
-                    (* Accepted a batch but never acknowledged starting it:
+                  else if n1 -. owed_since p > pool.cfg.heartbeat_interval then begin
+                    (* Holds a task it never acknowledged starting, though
+                       its last frame or dispatch is a heartbeat old:
                        wedged. Nothing ran, so nothing is charged. *)
                     bump pool "pool.heartbeat_misses" 1;
                     condemn slot p ~charge:`No_charge
@@ -972,22 +1024,6 @@ let run ?retry ?deadline pool tasks =
                   | () -> p.ping_at <- n1
                   | exception _ -> handle_death slot p
                 end)
-            pool.slots;
-          (* 5. Recycle idle workers that hit their task or RSS ceiling —
-             leak containment for pools that live for days. *)
-          Array.iter
-            (fun slot ->
-              match slot.proc with
-              | Some p
-                when Queue.is_empty p.assigned
-                     && ((pool.cfg.max_tasks_per_worker > 0
-                         && p.tasks_done >= pool.cfg.max_tasks_per_worker)
-                        || (pool.cfg.max_rss_kb > 0 && rss_kb p.pid > pool.cfg.max_rss_kb)
-                        ) ->
-                teardown pool [ slot ];
-                slot.ready_at <- 0.0;
-                bump pool "pool.recycles" 1
-              | _ -> ())
             pool.slots
         end
       done

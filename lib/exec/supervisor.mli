@@ -18,18 +18,35 @@
       with jitter.
     - {b poisoned tasks}: a task whose retry also fails is final after 2
       attempts — the pool never retries the same input forever.
-    - {b heartbeats}: idle workers are pinged; a worker that accepts a batch
-      but never acknowledges starting it (or an idle worker that stops
-      answering pings) is declared wedged, its batch re-queued, the slot
-      restarted.
+    - {b heartbeats}: idle workers are pinged; a worker that holds a task
+      it has not acknowledged starting for [heartbeat_interval] past its
+      last frame or dispatch, whichever is later (or an idle worker that
+      stops answering pings), is declared wedged, its tasks re-queued, the
+      slot restarted. A healthy worker whose chunk outlasts a heartbeat is
+      never wedged: each task's acknowledgement is due from the frame
+      before it.
     - {b protocol corruption}: a garbage frame on a result pipe (bad magic,
       insane length, undecodable payload) condemns that worker alone; the
       in-flight task is charged, everything else re-queued.
-    - {b recycling}: a worker is retired and respawned after
-      [max_tasks_per_worker] tasks or when its RSS exceeds [max_rss_kb]
-      (leak containment for day-long daemons).
+    - {b recycling} (leak containment for day-long daemons): the
+      [max_tasks_per_worker] ceiling is checked when a {!run} starts, so a
+      run never pays a fresh worker's warm-up mid-run; the [max_rss_kb]
+      ceiling is checked per chunk, before every chunk but a worker's
+      first, so it still acts inside one run: a worker over it is sent
+      nothing more, drains what it holds, and is replaced.
     - {b fork failure}: if forking itself fails persistently, the pool
       degrades to in-process sequential execution — a run always completes.
+
+    Scheduling keeps every lane fed: idle lanes get work first, then each
+    worker whose last assigned task has started is sent one more chunk
+    (one chunk of lookahead), so it never waits on the parent between
+    chunks. Inside a chunk a worker writes a task's result and the next
+    task's start acknowledgement in one write, so the parent wakes once
+    per task. A running head's deadline clock is never restarted by a
+    chunk sent behind it, and a crash charges only that head: its
+    pipelined chunk is re-queued uncharged. A lookahead chunk whose frame
+    exceeds a page waits until its worker is idle, so a write never
+    blocks behind a running task.
 
     Scheduling never affects output: results are reassembled in submission
     order, so a caller that renders them is byte-identical at any pool
@@ -73,10 +90,12 @@ type config = {
           exceeds ⌈pending / jobs⌉, so small runs still spread across
           lanes *)
   max_tasks_per_worker : int;
-      (** recycle a worker after this many tasks (0 = never) *)
+      (** recycle a worker that has completed this many tasks when the next
+          {!run} starts (0 = never); a run never recycles by count *)
   max_rss_kb : int;
-      (** recycle an idle worker whose RSS exceeds this (0 = never;
-          measured from /proc, a no-op where that is absent) *)
+      (** recycle a worker whose RSS exceeds this, read ({!rss_kb}) before
+          each chunk but its first: it is sent nothing more, drains, and is
+          replaced (0 = never; a no-op where /proc is absent) *)
   max_as_mb : int;
       (** cap each worker's address space via setrlimit(RLIMIT_AS) right
           after the fork (0 = uncapped). Unlike [max_rss_kb] — containment
@@ -92,8 +111,9 @@ type config = {
   backoff_base : float;  (** first restart delay, seconds *)
   backoff_cap : float;  (** max restart delay, seconds *)
   heartbeat_interval : float;
-      (** idle-ping period; also the dispatch-acknowledge deadline after
-          which an unresponsive worker is declared wedged *)
+      (** idle-ping period; also how long past its last frame (or its
+          dispatch, if later) a worker may hold an unacknowledged task
+          before it is declared wedged *)
   grace : float;
       (** seconds the workers retired by one teardown get, together, to
           exit after Quit. Teardown wakes on each exit, so the full grace
@@ -236,6 +256,11 @@ val faults_for : string -> string list
     [label], in spec order; [[]] unless {!fault_injection} is set. The one
     parser of that variable: {!Checker.fault_hook} acts on the kinds it
     owns, the pool on the rest. *)
+
+val rss_kb : int -> int
+(** [rss_kb pid]: the process's resident set size in kB, from the [VmRSS:]
+    line of [/proc/PID/status] (stated in kB whatever the page size); [0]
+    where /proc is absent or the process is gone. *)
 
 val write_all : Unix.file_descr -> bytes -> unit
 (** Write all of the bytes, retrying on EINTR (blocking descriptors). *)

@@ -143,9 +143,10 @@ let suicide _ = Unix.kill (Unix.getpid ()) Sys.sigkill
 
 (* A small, fast pool configuration for tests: tight heartbeats and grace
    so wedge/restart paths resolve in tenths of a second, not seconds. *)
-let test_config ?jobs ?batch_size ?max_tasks_per_worker ?max_restarts () =
-  Supervisor.config ?jobs ?batch_size ?max_tasks_per_worker ?max_restarts
-    ~backoff_base:0.005 ~backoff_cap:0.05 ~heartbeat_interval:0.4 ~grace:0.1 ()
+let test_config ?jobs ?batch_size ?max_tasks_per_worker ?max_rss_kb ?max_restarts
+    ?(heartbeat_interval = 0.4) () =
+  Supervisor.config ?jobs ?batch_size ?max_tasks_per_worker ?max_rss_kb ?max_restarts
+    ~backoff_base:0.005 ~backoff_cap:0.05 ~heartbeat_interval ~grace:0.1 ()
 
 let with_pool ?label cfg f body =
   let pool = Supervisor.create ?label cfg f in
@@ -244,16 +245,19 @@ let test_supervisor_poisoned_after_two_attempts () =
       (Supervisor.stats pool).Supervisor.poisoned
   | _ -> Alcotest.fail "expected exactly the poisoned task to fail"
 
+(* The task-count ceiling applies between runs: ten tasks as five runs of
+   two, so each run after the first finds its worker at the ceiling. *)
 let test_supervisor_recycles_workers () =
   with_pool
     (test_config ~jobs:1 ~batch_size:1 ~max_tasks_per_worker:2 ())
     (fun n -> n)
   @@ fun pool ->
-  let tasks = List.init 10 (fun i -> i) in
   let ok =
-    List.for_all2
-      (fun n o -> o = Supervisor.Done n)
-      tasks (Supervisor.map pool tasks)
+    List.for_all
+      (fun run ->
+        let tasks = [ 2 * run; (2 * run) + 1 ] in
+        List.for_all2 (fun n o -> o = Supervisor.Done n) tasks (Supervisor.map pool tasks))
+      [ 0; 1; 2; 3; 4 ]
   in
   Alcotest.(check bool) "all completed across recycles" true ok;
   let st = Supervisor.stats pool in
@@ -262,6 +266,147 @@ let test_supervisor_recycles_workers () =
     true
     (st.Supervisor.recycles >= 4);
   Alcotest.(check bool) "recycles respawn fresh workers" true (st.Supervisor.spawns >= 5)
+
+(* ...and never inside one: a 320-task run at -j 2 under the default
+   128-task ceiling keeps the two workers it forked. *)
+let test_supervisor_no_count_recycling_mid_run () =
+  with_pool (Supervisor.config ~jobs:2 ()) (fun n -> n) @@ fun pool ->
+  let tasks = List.init 320 Fun.id in
+  Alcotest.(check bool) "all completed" true
+    (List.for_all2 (fun n o -> o = Supervisor.Done n) tasks (Supervisor.map pool tasks));
+  let st = Supervisor.stats pool in
+  Alcotest.(check int) "forked exactly jobs workers" 2 st.Supervisor.spawns;
+  Alcotest.(check int) "recycled none" 0 st.Supervisor.recycles
+
+(* The RSS ceiling still recycles inside one run: a 1 kB ceiling holds no
+   worker, so each is sent its first chunk, drains it and is replaced. *)
+let test_supervisor_rss_ceiling_mid_run () =
+  with_pool (test_config ~jobs:1 ~batch_size:1 ~max_rss_kb:1 ()) (fun n -> n * 3)
+  @@ fun pool ->
+  let tasks = List.init 6 Fun.id in
+  Alcotest.(check bool) "all completed across recycles" true
+    (List.for_all2
+       (fun n o -> o = Supervisor.Done (n * 3))
+       tasks (Supervisor.map pool tasks));
+  let st = Supervisor.stats pool in
+  Alcotest.(check bool)
+    (Printf.sprintf "recycled within the run (got %d)" st.Supervisor.recycles)
+    true
+    (st.Supervisor.recycles >= 4);
+  Alcotest.(check int) "no restarts" 0 st.Supervisor.restarts
+
+(* A pipelined chunk reaches a worker whose head is running. With chunks of
+   one, task 2 is sent while task 1 runs; that send must not restart (or
+   clear) task 1's deadline clock, and the kill at the deadline re-queues
+   task 2 untouched: four chunks for three tasks. *)
+let test_supervisor_pipelined_keeps_deadline () =
+  let f = function
+    | 1 -> Unix.sleep 30; 0
+    | n -> n * 10
+  in
+  with_pool (test_config ~jobs:1 ~batch_size:1 ()) f @@ fun pool ->
+  let t0 = Unix.gettimeofday () in
+  (match Supervisor.run ~deadline:0.3 pool [ 1; 2; 3 ] with
+  | [
+   { Supervisor.outcome = Timed_out { seconds; attempts = 1 }; _ };
+   { Supervisor.outcome = Done 20; attempts = 1; _ };
+   { Supervisor.outcome = Done 30; attempts = 1; _ };
+  ] ->
+    Alcotest.(check (float 0.001)) "configured deadline" 0.3 seconds
+  | _ -> Alcotest.fail "expected task 1 alone to time out");
+  let took = Unix.gettimeofday () -. t0 in
+  let st = Supervisor.stats pool in
+  Alcotest.(check bool)
+    (Printf.sprintf "killed at the deadline (run took %.2f s)" took)
+    true (took < 0.3 +. 0.4);
+  Alcotest.(check int) "one deadline kill" 1 st.Supervisor.kills;
+  Alcotest.(check int) "no heartbeat misses" 0 st.Supervisor.heartbeat_misses;
+  Alcotest.(check int) "the pipelined chunk was sent, then re-sent" 4 st.Supervisor.batches
+
+(* A crash charges the started head alone: the chunk pipelined behind it is
+   re-queued at its own attempt number and the retry is spent on task 1
+   only. Three tasks and one retry make four chunks; the pipelined chunk,
+   sent again, is the fifth. *)
+let test_supervisor_pipelined_crash_charges_head () =
+  let f n =
+    if n = 1 then begin
+      Unix.sleepf 0.1;
+      suicide n;
+      0
+    end
+    else abs n * 10
+  in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  with_pool (test_config ~jobs:1 ~batch_size:1 ()) f @@ fun pool ->
+  (match Supervisor.run ~retry:(fun n -> -n) pool [ 1; 2; 3 ] with
+  | [
+   { Supervisor.outcome = Done 10; attempts = 2; _ };
+   { Supervisor.outcome = Done 20; attempts = 1; _ };
+   { Supervisor.outcome = Done 30; attempts = 1; _ };
+  ] -> ()
+  | _ -> Alcotest.fail "expected only task 1 to be charged");
+  let retries = Option.value ~default:0 (List.assoc_opt "pool.retries" (Obs.counters ())) in
+  Alcotest.(check int) "one retry, for the crashed head" 1 retries;
+  Alcotest.(check int) "the pipelined chunk was sent, then re-sent" 5
+    (Supervisor.stats pool).Supervisor.batches
+
+(* A healthy worker whose chunk outlasts one heartbeat is not wedged: the
+   Started it owes is due a heartbeat after its last frame, not after the
+   chunk's dispatch. Eight 30 ms tasks per chunk against a 0.1 s
+   heartbeat, forty runs; then chunks of one behind 0.25 s tasks, so each
+   pipelined chunk waits more than a heartbeat for its worker. *)
+let test_supervisor_long_chunk_not_wedged () =
+  let check_runs ~batch_size ~sleep ~runs ~per_run =
+    with_pool (test_config ~jobs:1 ~batch_size ~heartbeat_interval:0.1 ())
+      (fun n -> Unix.sleepf sleep; n)
+    @@ fun pool ->
+    for _ = 1 to runs do
+      let tasks = List.init per_run Fun.id in
+      if Supervisor.map pool tasks <> List.map (fun n -> Supervisor.Done n) tasks then
+        Alcotest.fail "a run lost a result"
+    done;
+    let st = Supervisor.stats pool in
+    Alcotest.(check int) "no heartbeat misses" 0 st.Supervisor.heartbeat_misses;
+    Alcotest.(check int) "no restarts" 0 st.Supervisor.restarts
+  in
+  check_runs ~batch_size:8 ~sleep:0.03 ~runs:40 ~per_run:8;
+  check_runs ~batch_size:1 ~sleep:0.25 ~runs:1 ~per_run:3
+
+(* [rss_kb] reads VmRSS in kB. Checked against statm's resident pages times
+   the real page size, and by growth: touching 32 MiB must show. *)
+let test_supervisor_rss_kb () =
+  if Sys.file_exists "/proc/self/statm" then begin
+    let page_kb =
+      let ic = Unix.open_process_in "getconf PAGESIZE" in
+      let n = try int_of_string (String.trim (input_line ic)) with _ -> 4096 in
+      ignore (Unix.close_process_in ic);
+      n / 1024
+    in
+    let statm_kb () =
+      let ic = open_in "/proc/self/statm" in
+      let line = input_line ic in
+      close_in ic;
+      Scanf.sscanf line "%d %d" (fun _ resident -> resident * page_kb)
+    in
+    let pid = Unix.getpid () in
+    let within what a b =
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: rss_kb %d kB vs statm %d kB" what a b)
+        true
+        (abs (a - b) <= max 1024 (b / 10))
+    in
+    let a = Supervisor.rss_kb pid in
+    within "at rest" a (statm_kb ());
+    let ballast = Bytes.make (32 * 1024 * 1024) 'x' in
+    let b = Supervisor.rss_kb pid in
+    within "with 32 MiB touched" b (statm_kb ());
+    Alcotest.(check bool)
+      (Printf.sprintf "32 MiB shows (%d -> %d kB)" a b)
+      true
+      (b - a >= 24 * 1024);
+    ignore (Sys.opaque_identity ballast)
+  end
 
 let test_supervisor_closed_pool_degrades_inline () =
   let pool = Supervisor.create (test_config ~jobs:2 ()) (fun n -> n * 2) in
@@ -339,9 +484,10 @@ let test_supervisor_shutdown_despite_held_pipe () =
     workers
 
 let test_supervisor_stats_match_obs () =
-  (* One recorded run: task 1 crashes and its retry succeeds, task 2 is
-     killed at its deadline on both attempts (so it is poisoned), and
-     workers recycle every two tasks. Each stats field and its pool.*
+  (* Three recorded runs: task 1 crashes and its retry succeeds, task 2 is
+     killed at its deadline on both attempts (so it is poisoned), and the
+     worker that finishes the second run is at its two-task ceiling when
+     the third starts, so it is recycled. Each stats field and its pool.*
      counter are fed by the same ledger call, so they must agree. *)
   Obs.enable ();
   Fun.protect ~finally:Obs.disable @@ fun () ->
@@ -351,9 +497,10 @@ let test_supervisor_stats_match_obs () =
   with_pool (test_config ~jobs:1 ~batch_size:1 ~max_tasks_per_worker:2 ()) f
   @@ fun pool ->
   let retry n = if n = 1 then -1 else n in
-  (match Supervisor.map ~retry ~deadline:0.3 pool [ 1; 2; 3; 4; 5; 6 ] with
-  | [ Done 1; Timed_out { attempts = 2; _ }; Done 3; Done 4; Done 5; Done 6 ] -> ()
-  | outcomes -> Alcotest.failf "unexpected outcomes (%d)" (List.length outcomes));
+  let run tasks = Supervisor.map ~retry ~deadline:0.3 pool tasks in
+  (match (run [ 1; 2 ], run [ 3; 4 ], run [ 5; 6 ]) with
+  | [ Done 1; Timed_out { attempts = 2; _ } ], [ Done 3; Done 4 ], [ Done 5; Done 6 ] -> ()
+  | a, b, c -> Alcotest.failf "unexpected outcomes (%d)" (List.length (a @ b @ c)));
   let st = Supervisor.stats pool in
   let counter key =
     Option.value ~default:0 (List.assoc_opt ("pool." ^ key) (Obs.counters ()))
@@ -714,6 +861,17 @@ let () =
             test_supervisor_poisoned_after_two_attempts;
           Alcotest.test_case "recycling by task count" `Quick
             test_supervisor_recycles_workers;
+          Alcotest.test_case "no count recycling inside a run" `Quick
+            test_supervisor_no_count_recycling_mid_run;
+          Alcotest.test_case "RSS ceiling recycles inside a run" `Quick
+            test_supervisor_rss_ceiling_mid_run;
+          Alcotest.test_case "pipelined chunk keeps the head's deadline" `Quick
+            test_supervisor_pipelined_keeps_deadline;
+          Alcotest.test_case "pipelined chunk re-queued uncharged" `Quick
+            test_supervisor_pipelined_crash_charges_head;
+          Alcotest.test_case "long chunk is not a wedge" `Quick
+            test_supervisor_long_chunk_not_wedged;
+          Alcotest.test_case "rss_kb reads VmRSS in kB" `Quick test_supervisor_rss_kb;
           Alcotest.test_case "closed pool degrades inline" `Quick
             test_supervisor_closed_pool_degrades_inline;
           Alcotest.test_case "shutdown leaves no orphans" `Quick
