@@ -31,9 +31,9 @@ let die fmt = Format.kasprintf (fun s -> prerr_endline s; exit 1) fmt
 let median_ms f =
   let samples =
     List.init reps (fun _ ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Clock.now () in
         ignore (Sys.opaque_identity (f ()));
-        (Unix.gettimeofday () -. t0) *. 1000.)
+        (Clock.now () -. t0) *. 1000.)
     |> List.sort Float.compare
   in
   List.nth samples (reps / 2)
@@ -127,16 +127,11 @@ let () =
   List.iter
     (fun r -> Printf.printf "  %-20s %-36s %10d %10.3f\n" r.name r.input r.count r.ms)
     rows;
-  let row_json r =
-    Printf.sprintf "    {\"construction\": %S, \"input\": %S, \"states\": %d, \"ms\": %.3f}"
-      r.name r.input r.count r.ms
+  let row r =
+    Jsonl.(Obj [ ("construction", Str r.name); ("input", Str r.input); ("states", int r.count);
+                 ("ms", Bench_json.fixed 3 r.ms) ])
   in
-  let json =
-    Printf.sprintf
-      "{\n  \"benchmark\": \"automata\",\n  \"reps\": %d,\n  \"rows\": [\n%s\n  ]\n}\n" reps
-      (String.concat ",\n" (List.map row_json rows))
-  in
-  let oc = open_out_bin "BENCH_automata.json" in
-  output_string oc json;
-  close_out oc;
+  Bench_json.write "BENCH_automata.json"
+    Jsonl.(Obj [ ("benchmark", Str "automata"); ("reps", int reps);
+                 ("rows", Arr (List.map row rows)) ]);
   Printf.printf "\nwrote BENCH_automata.json\n"

@@ -48,9 +48,9 @@ let concat_output verdicts =
   String.concat "" (List.map (fun v -> v.Checker.output) verdicts)
 
 let time_run ?cache ~jobs files =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let verdicts = Checker.check_files ?cache ~jobs files in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Clock.now () -. t0 in
   (dt, concat_output verdicts, Checker.exit_code verdicts)
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
@@ -145,24 +145,19 @@ let () =
     bytes_read;
   if (not smoke) && speedup < speedup_floor then
     die "FAIL: warm speedup %.2fx is below the %.0fx floor" speedup speedup_floor;
-  let json =
-    Printf.sprintf
-      "{\n  \"benchmark\": \"result_cache\",\n  \"corpus_files\": %d,\n\
-      \  \"repeats\": %d,\n  \"cold_best_seconds\": %.6f,\n\
-      \  \"cold_all_seconds\": [%s],\n  \"warm_best_seconds\": %.6f,\n\
-      \  \"warm_all_seconds\": [%s],\n  \"warm_speedup\": %.2f,\n\
-      \  \"speedup_floor\": %.1f,\n  \"floor_enforced\": %b,\n\
-      \  \"warm_hits\": %d,\n  \"warm_misses\": %d,\n  \"warm_bytes_read\": %d,\n\
-      \  \"output_byte_identical\": true\n}\n"
-      corpus_size repeats cold_best
-      (String.concat ", " (List.map (Printf.sprintf "%.6f") cold_times))
-      warm_best
-      (String.concat ", " (List.map (Printf.sprintf "%.6f") warm_times))
-      speedup speedup_floor (not smoke) hits misses bytes_read
-  in
-  let oc = open_out_bin "BENCH_cache.json" in
-  output_string oc json;
-  close_out oc;
+  let seconds = Bench_json.fixed 6 in
+  Bench_json.write "BENCH_cache.json"
+    Jsonl.(
+      Obj
+        [ ("benchmark", Str "result_cache"); ("corpus_files", int corpus_size);
+          ("repeats", int repeats); ("cold_best_seconds", seconds cold_best);
+          ("cold_all_seconds", Arr (List.map seconds cold_times));
+          ("warm_best_seconds", seconds warm_best);
+          ("warm_all_seconds", Arr (List.map seconds warm_times));
+          ("warm_speedup", Bench_json.fixed 2 speedup); ("speedup_floor", Num speedup_floor);
+          ("floor_enforced", Bool (not smoke)); ("warm_hits", int hits);
+          ("warm_misses", int misses); ("warm_bytes_read", int bytes_read);
+          ("output_byte_identical", Bool true) ]);
   Printf.printf "\nwrote BENCH_cache.json; output byte-identical across cached runs\n";
   let rec rm path =
     if Sys.is_directory path then begin

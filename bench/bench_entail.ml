@@ -77,9 +77,9 @@ let counter key = Option.value ~default:0 (List.assoc_opt key (Obs.counters ()))
 (* One timed verdict with the engine's own counters harvested. *)
 let timed f =
   Obs.enable ~fake_clock:false ();
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let verdict = f () in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Clock.now () -. t0 in
   let states = counter "entail.states" in
   let memo = counter "entail.memo_hits" in
   Obs.disable ();
@@ -272,9 +272,9 @@ let claim_set_model k =
 let timed_analysis ~runs f =
   let times =
     List.init runs (fun _ ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Clock.now () in
         ignore (f ());
-        Unix.gettimeofday () -. t0)
+        Clock.now () -. t0)
     |> List.sort compare
   in
   let analysis, _, states, memo = timed f in
@@ -418,47 +418,44 @@ let () =
     die "FAIL: no instance exhausted the oracle; the family is not adversarial";
   if (not smoke) && ratio < definitive_floor then
     die "FAIL: definitive ratio %.2f is below the %.2f floor" ratio definitive_floor;
+  let ms = Bench_json.fixed 3 in
+  let row_json r =
+    Jsonl.(
+      Obj
+        [ ("family", Str r.label); ("m", int r.m); ("fly_verdict", Str (verdict_tag r.fly));
+          ("fly_ms", ms r.fly_ms); ("fly_states", int r.fly_states);
+          ("fly_memo_hits", int r.fly_memo); ("oracle_verdict", Str (verdict_tag r.oracle));
+          ("oracle_ms", ms r.oracle_ms) ])
+  in
   let space_json r =
-    Printf.sprintf
-      "    {\"family\": %S, \"size\": %d, \"verdict\": %S, \"ms\": %.3f, \"states\": %d}"
-      r.family r.size r.verdict r.ms r.states
+    Jsonl.(Obj [ ("family", Str r.family); ("size", int r.size); ("verdict", Str r.verdict);
+                 ("ms", ms r.ms); ("states", int r.states) ])
   in
   let set_json r =
-    Printf.sprintf
-      "    {\"claims\": %d, \"session_ms\": %.3f, \"fresh_session_per_query_ms\": %.3f, \
-       \"states\": %d, \"memo_hits\": %d, \"search_only_ms\": %.3f, \
-       \"search_only_states\": %d}"
-      r.claims r.shared_ms r.fresh_ms r.set_states r.set_memo_hits r.oracle_ms r.oracle_states
+    Jsonl.(
+      Obj
+        [ ("claims", int r.claims); ("session_ms", ms r.shared_ms);
+          ("fresh_session_per_query_ms", ms r.fresh_ms); ("states", int r.set_states);
+          ("memo_hits", int r.set_memo_hits); ("search_only_ms", ms r.oracle_ms);
+          ("search_only_states", int r.oracle_states) ])
   in
-  let row_json r =
-    Printf.sprintf
-      "    {\"family\": %S, \"m\": %d, \"fly_verdict\": %S, \"fly_ms\": %.3f, \
-       \"fly_states\": %d, \"fly_memo_hits\": %d, \"oracle_verdict\": %S, \
-       \"oracle_ms\": %.3f}"
-      r.label r.m (verdict_tag r.fly) r.fly_ms r.fly_states r.fly_memo
-      (verdict_tag r.oracle) r.oracle_ms
-  in
-  let json =
-    Printf.sprintf
-      "{\n  \"benchmark\": \"entailment\",\n  \"max_states\": %d,\n\
-      \  \"max_configs\": %d,\n  \"instances\": [\n%s\n  ],\n\
-      \  \"memo_family\": {\"m\": %d, \"ms\": %.3f, \"states\": %d, \
-       \"memo_hits\": %d, \"memo_hit_ratio\": %.3f},\n\
-      \  \"oracle_exhausted\": %d,\n  \"fly_definitive_of_exhausted\": %d,\n\
-      \  \"definitive_ratio\": %.3f,\n  \"definitive_floor\": %.2f,\n\
-      \  \"floor_enforced\": %b,\n  \"obligation_space\": [\n%s\n  ],\n\
-      \  \"obligation_space_definitive\": %d,\n  \"obligation_space_floor\": %d,\n\
-      \  \"claim_sets\": [\n%s\n  ]\n}\n"
-      limits.Limits.max_states limits.Limits.max_configs
-      (String.concat ",\n" (List.map row_json rows))
-      memo_m memo_ms memo_states memo_hits memo_ratio
-      (List.length exhausted) (List.length answered) ratio definitive_floor
-      (not smoke)
-      (String.concat ",\n" (List.map space_json space_rows))
-      (List.length definitive) (List.length space_rows)
-      (String.concat ",\n" (List.map set_json set_rows))
-  in
-  let oc = open_out_bin "BENCH_entail.json" in
-  output_string oc json;
-  close_out oc;
+  Bench_json.write "BENCH_entail.json"
+    Jsonl.(
+      Obj
+        [ ("benchmark", Str "entailment"); ("max_states", int limits.Limits.max_states);
+          ("max_configs", int limits.Limits.max_configs);
+          ("instances", Arr (List.map row_json rows));
+          ( "memo_family",
+            Obj [ ("m", int memo_m); ("ms", ms memo_ms); ("states", int memo_states);
+                  ("memo_hits", int memo_hits);
+                  ("memo_hit_ratio", Bench_json.fixed 3 memo_ratio) ] );
+          ("oracle_exhausted", int (List.length exhausted));
+          ("fly_definitive_of_exhausted", int (List.length answered));
+          ("definitive_ratio", Bench_json.fixed 3 ratio);
+          ("definitive_floor", Num definitive_floor);
+          ("floor_enforced", Bool (not smoke));
+          ("obligation_space", Arr (List.map space_json space_rows));
+          ("obligation_space_definitive", int (List.length definitive));
+          ("obligation_space_floor", int (List.length space_rows));
+          ("claim_sets", Arr (List.map set_json set_rows)) ]);
   Printf.printf "\nwrote BENCH_entail.json\n"

@@ -72,9 +72,9 @@ let concat_output verdicts =
 let pool_run ~pool ~jobs files = Checker.check_files ~jobs ~pool files
 
 let time engine files =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let verdicts = engine files in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Clock.now () -. t0 in
   (dt, concat_output verdicts, Checker.exit_code verdicts)
 
 (* The no-op guard for the zero-overhead claim: with the recorder disabled,
@@ -84,11 +84,11 @@ let time engine files =
 let disabled_overhead_ns_per_call () =
   assert (not (Obs.enabled ()));
   let calls = 10_000_000 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   for _ = 1 to calls do
     Obs.count "bench.noop" 1
   done;
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Clock.now () -. t0 in
   dt *. 1e9 /. float_of_int calls
 
 let obs_budget_ns = 200.0
@@ -294,56 +294,49 @@ let () =
       results
   in
   let floor_enforced = (not smoke) && cores >= 2 in
-  let json =
-    let engine_json (e : engine_result) =
-      let per_file total = if corpus_size = 0 then 0 else total / corpus_size in
-      Printf.sprintf
-        "{\"best_seconds\": %.6f, \"all_seconds\": [%s], \
-         \"speedup_vs_sequential\": %.3f, \"cold_seconds\": %.6f, \
-         \"spawns\": %d, \"batches\": %d, \
-         \"fork_us_total\": %d, \"fork_us_per_file\": %d, \"queue_wait_us_total\": %d, \
-         \"queue_wait_us_per_file\": %d, \"task_wall_us_total\": %d, \
-         \"reaps\": %d, \"reap_us_total\": %d, \"unit_total_us\": %d}"
-        e.e_best
-        (String.concat ", " (List.map (Printf.sprintf "%.6f") e.e_runs))
-        (seq.e_best /. e.e_best) e.e_cold e.e_instr.i_spawns e.e_instr.i_batches
-        e.e_instr.i_fork_us
-        (per_file e.e_instr.i_fork_us)
-        e.e_instr.i_queue_wait_us
-        (per_file e.e_instr.i_queue_wait_us)
-        e.e_instr.i_task_wall_us e.e_instr.i_reaps e.e_instr.i_reap_us
-        e.e_instr.i_unit_total_us
-    in
-    let run_json (jobs, pooled) =
-      Printf.sprintf "    {\"jobs\": %d,\n     \"pool\": %s}" jobs (engine_json pooled)
-    in
-    Printf.sprintf
-      "{\n  \"benchmark\": \"parallel_checking\",\n  \"corpus_files\": %d,\n\
-      \  \"repeats\": %d,\n  \"cores_online\": %d,\n\
-      \  \"disabled_obs_ns_per_call\": %.1f,\n\
-      \  \"output_byte_identical_across_levels\": true,\n\
-      \  \"sequential_best_seconds\": %.6f,\n\
-      \  \"speedup_floor\": {\"required\": %.1f, \"jobs\": 4, \"enforced\": %b, \
-       \"measured\": %s, \"met\": %s},\n\
-      \  \"spawn_floor\": {\"files\": 1, \"jobs\": 4, \"required_spawns\": %d, \
-       \"enforced\": true, \"measured_spawns\": %d},\n\
-      \  \"count_gate\": {\"files\": %d, \"jobs\": %d, \"required_spawns\": %d, \
-       \"enforced\": true, \"measured_spawns\": %d, \"recycles\": %d},\n\
-      \  \"results\": [\n%s\n  ]\n}\n"
-      corpus_size repeats cores overhead_ns seq.e_best floor_required floor_enforced
-      (match floor_measured with
-      | Some s -> Printf.sprintf "%.3f" s
-      | None -> "null")
-      (match floor_measured with
-      | Some s -> string_of_bool (s >= floor_required)
-      | None -> "null")
-      spawn_floor one_file_spawns gate_files gate_jobs gate_jobs gate.Supervisor.spawns
-      gate.Supervisor.recycles
-      (String.concat ",\n" (List.map run_json results))
+  let seconds = Bench_json.fixed 6 in
+  let engine_json (e : engine_result) =
+    let per_file total = if corpus_size = 0 then 0 else total / corpus_size in
+    let i = e.e_instr in
+    Jsonl.(
+      Obj
+        [ ("best_seconds", seconds e.e_best); ("all_seconds", Arr (List.map seconds e.e_runs));
+          ("speedup_vs_sequential", Bench_json.fixed 3 (seq.e_best /. e.e_best));
+          ("cold_seconds", seconds e.e_cold); ("spawns", int i.i_spawns);
+          ("batches", int i.i_batches); ("fork_us_total", int i.i_fork_us);
+          ("fork_us_per_file", int (per_file i.i_fork_us));
+          ("queue_wait_us_total", int i.i_queue_wait_us);
+          ("queue_wait_us_per_file", int (per_file i.i_queue_wait_us));
+          ("task_wall_us_total", int i.i_task_wall_us); ("reaps", int i.i_reaps);
+          ("reap_us_total", int i.i_reap_us); ("unit_total_us", int i.i_unit_total_us) ])
   in
-  let oc = open_out_bin "BENCH_parallel.json" in
-  output_string oc json;
-  close_out oc;
+  let optional f = Option.fold ~none:Jsonl.Null ~some:f floor_measured in
+  Bench_json.write "BENCH_parallel.json"
+    Jsonl.(
+      Obj
+        [ ("benchmark", Str "parallel_checking"); ("corpus_files", int corpus_size);
+          ("repeats", int repeats); ("cores_online", int cores);
+          ("disabled_obs_ns_per_call", Bench_json.fixed 1 overhead_ns);
+          ("output_byte_identical_across_levels", Bool true);
+          ("sequential_best_seconds", seconds seq.e_best);
+          ( "speedup_floor",
+            Obj [ ("required", Num floor_required); ("jobs", int 4);
+                  ("enforced", Bool floor_enforced);
+                  ("measured", optional (Bench_json.fixed 3));
+                  ("met", optional (fun s -> Bool (s >= floor_required))) ] );
+          ( "spawn_floor",
+            Obj [ ("files", int 1); ("jobs", int 4); ("required_spawns", int spawn_floor);
+                  ("enforced", Bool true); ("measured_spawns", int one_file_spawns) ] );
+          ( "count_gate",
+            Obj [ ("files", int gate_files); ("jobs", int gate_jobs);
+                  ("required_spawns", int gate_jobs);
+                  ("enforced", Bool true); ("measured_spawns", int gate.Supervisor.spawns);
+                  ("recycles", int gate.Supervisor.recycles) ] );
+          ( "results",
+            Arr
+              (List.map
+                 (fun (jobs, pooled) -> Obj [ ("jobs", int jobs); ("pool", engine_json pooled) ])
+                 results) ) ]);
   Printf.printf "\nwrote BENCH_parallel.json; output byte-identical across all levels\n";
   List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) files;
   (try Unix.rmdir dir with Unix.Unix_error _ -> ());

@@ -43,10 +43,10 @@ let rec waitpid_eintr pid =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_eintr pid
 
 let wait_for ?(timeout = 10.) pred =
-  let deadline = Unix.gettimeofday () +. timeout in
+  let deadline = Clock.now () +. timeout in
   let rec go () =
     if pred () then true
-    else if Unix.gettimeofday () > deadline then false
+    else if Clock.now () > deadline then false
     else begin
       Unix.sleepf 0.02;
       go ()
@@ -69,13 +69,13 @@ let send_raw fd s =
 let recv_line ?(timeout = 60.) fd =
   let buf = Buffer.create 256 in
   let chunk = Bytes.create 4096 in
-  let deadline = Unix.gettimeofday () +. timeout in
+  let deadline = Clock.now () +. timeout in
   let rec go () =
     let s = Buffer.contents buf in
     match String.index_opt s '\n' with
     | Some i -> Some (String.sub s 0 i)
     | None ->
-      let left = deadline -. Unix.gettimeofday () in
+      let left = deadline -. Clock.now () in
       if left <= 0.0 then None
       else (
         match Unix.select [ fd ] [] [] left with
@@ -103,8 +103,11 @@ let spawn_daemon ~socket serve =
       fail "daemon socket %s never appeared" socket;
     pid
 
+(* A parameterless RPC line: [status], [health], [metrics], [shutdown]. *)
+let request id meth = Jsonl.(to_string (Obj [ ("id", int id); ("method", Str meth) ]))
+
 let graceful_stop ~socket pid =
-  (match Serve.client_call ~socket "{\"id\":99,\"method\":\"shutdown\"}" with
+  (match Serve.client_call ~socket (request 99 "shutdown") with
   | Ok _ -> ()
   | Error msg -> fail "shutdown request failed: %s" msg);
   match waitpid_eintr pid with
@@ -148,7 +151,7 @@ let oneshot files =
   (Buffer.contents buf, code)
 
 let health_verdict ~socket =
-  match Serve.client_call ~socket "{\"id\":9,\"method\":\"health\"}" with
+  match Serve.client_call ~socket (request 9 "health") with
   | Error msg -> fail "health failed: %s" msg
   | Ok resp -> (
     match Jsonl.parse resp with
@@ -161,7 +164,7 @@ let health_verdict ~socket =
 (* (count, p50, p90, p99, max) of methods.check.<which> from the metrics
    RPC — the daemon-side latency distribution, not a client-side clock. *)
 let metrics_quantiles ~socket which =
-  match Serve.client_call ~socket "{\"id\":10,\"method\":\"metrics\"}" with
+  match Serve.client_call ~socket (request 10 "metrics") with
   | Error msg -> fail "metrics failed: %s" msg
   | Ok resp -> (
     match Jsonl.parse resp with
@@ -183,7 +186,7 @@ let metrics_quantiles ~socket which =
         (f "count", f "p50", f "p90", f "p99", f "max")))
 
 let load_counter ~socket field =
-  match Serve.client_call ~socket "{\"id\":7,\"method\":\"status\"}" with
+  match Serve.client_call ~socket (request 7 "status") with
   | Error msg -> fail "status failed: %s" msg
   | Ok resp -> (
     match Jsonl.parse resp with
@@ -215,7 +218,7 @@ let () =
   (* --- Phase 1: parallel-client flood, status probed throughout ------------- *)
   let socket1 = Filename.concat dir "flood.sock" in
   let d1 = spawn_daemon ~socket:socket1 (fun () -> Serve.serve ~socket:socket1 ~jobs:2 ~max_queue:16 ()) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   flush stdout;
   let clients =
     List.init flood_clients (fun _ ->
@@ -253,17 +256,17 @@ let () =
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> true)
         !live;
     if !live <> [] then begin
-      let p0 = Unix.gettimeofday () in
-      (match Serve.client_call ~socket:socket1 "{\"id\":8,\"method\":\"status\"}" with
-      | Ok _ -> latencies := (Unix.gettimeofday () -. p0) *. 1000. :: !latencies
+      let p0 = Clock.now () in
+      (match Serve.client_call ~socket:socket1 (request 8 "status") with
+      | Ok _ -> latencies := (Clock.now () -. p0) *. 1000. :: !latencies
       | Error msg -> fail "status probe failed mid-flood: %s" msg);
-      let h0 = Unix.gettimeofday () in
+      let h0 = Clock.now () in
       ignore (health_verdict ~socket:socket1);
-      health_latencies := (Unix.gettimeofday () -. h0) *. 1000. :: !health_latencies;
+      health_latencies := (Clock.now () -. h0) *. 1000. :: !health_latencies;
       Unix.sleepf 0.05
     end
   done;
-  let flood_wall = Unix.gettimeofday () -. t0 in
+  let flood_wall = Clock.now () -. t0 in
   let flood_sheds = load_counter ~socket:socket1 "shed" in
   let total_requests = flood_clients * requests_per_client in
   (* The daemon-side latency distribution, via the metrics RPC: the whole
@@ -333,7 +336,7 @@ let () =
         let pin_fd = raw_connect socket2 in
         let conns = List.init burst_size (fun _ -> raw_connect socket2) in
         let last = List.nth conns (burst_size - 1) in
-        send_raw last "{\"id\":0,\"method\":\"status\"}\n";
+        send_raw last (request 0 "status" ^ "\n");
         (match recv_line last with
         | Some _ -> ()
         | None -> fail "burst handshake failed (round %d)" round);
@@ -343,9 +346,9 @@ let () =
         (* Full backlog: the queue is loaded behind a pinned worker and the
            overflow just shed. health must still answer within the status
            budget, and must say overloaded. *)
-        let h0 = Unix.gettimeofday () in
+        let h0 = Clock.now () in
         let verdict = health_verdict ~socket:socket2 in
-        let h_ms = (Unix.gettimeofday () -. h0) *. 1000. in
+        let h_ms = (Clock.now () -. h0) *. 1000. in
         if h_ms > status_latency_budget_ms then
           fail "health at full backlog took %.1f ms (budget %.0f, round %d)" h_ms
             status_latency_budget_ms round;
@@ -410,35 +413,41 @@ let () =
   Printf.printf
     "  recovery: post-overload response byte-identical, health overloaded -> ok — OK\n";
 
-  let json =
-    Printf.sprintf
-      "{\n  \"benchmark\": \"serve_overload\",\n  \"smoke\": %b,\n\
-      \  \"flood\": {\"clients\": %d, \"requests_per_client\": %d,\n\
-      \    \"wall_seconds\": %.6f, \"throughput_rps\": %.1f,\n\
-      \    \"sheds_absorbed_by_retry\": %d, \"clients_failed\": 0,\n\
-      \    \"status_probes\": %d, \"status_latency_max_ms\": %.2f,\n\
-      \    \"status_latency_mean_ms\": %.2f, \"status_latency_budget_ms\": %.0f},\n\
-      \  \"latency_ms\": {\"source\": \"metrics_rpc\",\n\
-      \    \"check_queue\": {\"count\": %d, \"p50\": %d, \"p90\": %d, \"p99\": %d, \"max\": %d},\n\
-      \    \"check_exec\": {\"count\": %d, \"p50\": %d, \"p90\": %d, \"p99\": %d, \"max\": %d}},\n\
-      \  \"health\": {\"probes_under_flood\": %d, \"latency_max_ms\": %.2f,\n\
-      \    \"overloaded_at_full_backlog\": true, \"recovered_ok\": true},\n\
-      \  \"burst\": {\"rounds\": %d, \"burst_size\": %d, \"max_queue\": %d,\n\
-      \    \"sheds_per_round_expected\": %d, \"sheds_per_round\": [%s],\n\
-      \    \"deterministic\": true},\n\
-      \  \"byte_identity_under_load\": true,\n  \"recovery_byte_identical\": true\n}\n"
-      smoke flood_clients requests_per_client flood_wall
-      (float_of_int total_requests /. flood_wall)
-      flood_sheds (List.length !latencies) latency_max latency_mean
-      status_latency_budget_ms q_count q_p50 q_p90 q_p99 q_max e_count e_p50 e_p90
-      e_p99 e_max
-      (List.length !health_latencies)
-      health_latency_max burst_rounds burst_size burst_queue expected_sheds
-      (String.concat ", " (List.map string_of_int sheds_per_round))
+  let ms = Bench_json.fixed 2 in
+  let quantiles count p50 p90 p99 top =
+    Jsonl.(Obj [ ("count", int count); ("p50", int p50); ("p90", int p90); ("p99", int p99);
+                 ("max", int top) ])
   in
-  let oc = open_out_bin "BENCH_serve.json" in
-  output_string oc json;
-  close_out oc;
+  Bench_json.write "BENCH_serve.json"
+    Jsonl.(
+      Obj
+        [ ("benchmark", Str "serve_overload"); ("smoke", Bool smoke);
+          ( "flood",
+            Obj
+              [ ("clients", int flood_clients); ("requests_per_client", int requests_per_client);
+                ("wall_seconds", Bench_json.fixed 6 flood_wall);
+                ("throughput_rps", Bench_json.fixed 1 (float_of_int total_requests /. flood_wall));
+                ("sheds_absorbed_by_retry", int flood_sheds); ("clients_failed", int 0);
+                ("status_probes", int (List.length !latencies));
+                ("status_latency_max_ms", ms latency_max);
+                ("status_latency_mean_ms", ms latency_mean);
+                ("status_latency_budget_ms", Num status_latency_budget_ms) ] );
+          ( "latency_ms",
+            Obj [ ("source", Str "metrics_rpc");
+                  ("check_queue", quantiles q_count q_p50 q_p90 q_p99 q_max);
+                  ("check_exec", quantiles e_count e_p50 e_p90 e_p99 e_max) ] );
+          ( "health",
+            Obj [ ("probes_under_flood", int (List.length !health_latencies));
+                  ("latency_max_ms", ms health_latency_max);
+                  ("overloaded_at_full_backlog", Bool true);
+                  ("recovered_ok", Bool true) ] );
+          ( "burst",
+            Obj [ ("rounds", int burst_rounds); ("burst_size", int burst_size);
+                  ("max_queue", int burst_queue);
+                  ("sheds_per_round_expected", int expected_sheds);
+                  ("sheds_per_round", Arr (List.map int sheds_per_round));
+                  ("deterministic", Bool true) ] );
+          ("byte_identity_under_load", Bool true); ("recovery_byte_identical", Bool true) ]);
   Printf.printf "\nwrote BENCH_serve.json; all overload invariants held\n";
   let rec rm path =
     if Sys.is_directory path then begin

@@ -64,9 +64,9 @@ let schedules k =
   fact (2 * k) / (1 lsl k)
 
 let timed f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let x = f () in
-  (x, (Unix.gettimeofday () -. t0) *. 1000.)
+  (x, (Clock.now () -. t0) *. 1000.)
 
 type leg = Built of { states : int; ms : float } | Budget of { needed : int }
 
@@ -250,39 +250,32 @@ let () =
   let linear = linear_floor banks in
   Printf.printf "\n  projected configurations linear in k: %b\n" linear;
   if not linear then die "FAIL: projected configurations grow faster than linearly in k";
+  let ms = Bench_json.fixed 3 in
   let leg_json = function
-    | Built b -> Printf.sprintf "{\"states\": %d, \"ms\": %.3f}" b.states b.ms
-    | Budget b -> Printf.sprintf "{\"over_budget\": true, \"needed\": %d}" b.needed
+    | Built b -> Jsonl.(Obj [ ("states", int b.states); ("ms", ms b.ms) ])
+    | Budget b -> Jsonl.(Obj [ ("over_budget", Bool true); ("needed", int b.needed) ])
   in
   let row_json r =
-    Printf.sprintf "    {\"k\": %d, \"schedules\": %d, \"fly\": %s, \"expansion\": %s, \"checked\": %b}"
-      r.k (schedules r.k) (leg_json r.fly) (leg_json r.expansion) r.checked
+    Jsonl.(Obj [ ("k", int r.k); ("schedules", int (schedules r.k)); ("fly", leg_json r.fly);
+                 ("expansion", leg_json r.expansion); ("checked", Bool r.checked) ])
   in
   let search_json s =
-    Printf.sprintf
-      "{\"language_configs\": %d, \"shuffle_configs\": %d, \"ms\": %.3f, \"failing_fields\": %d}"
-      s.language s.shuffle s.search_ms s.failing
+    Jsonl.(Obj [ ("language_configs", int s.language); ("shuffle_configs", int s.shuffle);
+                 ("ms", ms s.search_ms); ("failing_fields", int s.failing) ])
   in
   let bank_json b =
-    Printf.sprintf "    {\"k\": %d, \"projected\": %s, \"unprojected\": %s}" b.bank_k
-      (search_json b.proj) (search_json b.full)
+    Jsonl.(Obj [ ("k", int b.bank_k); ("projected", search_json b.proj);
+                 ("unprojected", search_json b.full) ])
   in
-  let json =
-    Printf.sprintf
-      "{\n  \"benchmark\": \"shuffle\",\n  \"max_configs\": %d,\n\
-      \  \"expand_budget\": %d,\n  \"instances\": [\n%s\n  ],\n\
-      \  \"expansion_exhausted\": %d,\n  \"fly_definitive_of_exhausted\": %d,\n\
-      \  \"definitive_ratio\": %.3f,\n  \"definitive_floor\": %.2f,\n\
-      \  \"floor_enforced\": %b,\n  \"distinct_subsystems\": [\n%s\n  ],\n\
-      \  \"projected_configs_linear\": %b\n}\n"
-      limits.Limits.max_configs expand_budget
-      (String.concat ",\n" (List.map row_json rows))
-      (List.length exhausted) (List.length answered) ratio definitive_floor
-      (not smoke)
-      (String.concat ",\n" (List.map bank_json banks))
-      linear
-  in
-  let oc = open_out_bin "BENCH_shuffle.json" in
-  output_string oc json;
-  close_out oc;
+  Bench_json.write "BENCH_shuffle.json"
+    Jsonl.(
+      Obj
+        [ ("benchmark", Str "shuffle"); ("max_configs", int limits.Limits.max_configs);
+          ("expand_budget", int expand_budget); ("instances", Arr (List.map row_json rows));
+          ("expansion_exhausted", int (List.length exhausted));
+          ("fly_definitive_of_exhausted", int (List.length answered));
+          ("definitive_ratio", Bench_json.fixed 3 ratio);
+          ("definitive_floor", Num definitive_floor); ("floor_enforced", Bool (not smoke));
+          ("distinct_subsystems", Arr (List.map bank_json banks));
+          ("projected_configs_linear", Bool linear) ]);
   Printf.printf "\nwrote BENCH_shuffle.json\n"

@@ -1457,7 +1457,7 @@ let client_cmd =
       base
       @ (match timeout with Some t -> [ ("timeout", Num t) ] | None -> [])
       @ (match priority with
-        | Some p -> [ ("priority", Num (float_of_int p)) ]
+        | Some p -> [ ("priority", int p) ]
         | None -> [])
       @
       match deadline_ms with Some ms -> [ ("deadline_ms", Num ms) ] | None -> []

@@ -108,7 +108,7 @@ let read_entry path =
    collapses to Corrupt and, on the find path, to a miss. *)
 
 let find t key =
-  Obs.Span.run "cache.lookup" @@ fun () ->
+  Obs.with_span "cache.lookup" @@ fun () ->
   let pending_hit =
     match t.deferred with
     | None -> None
@@ -192,7 +192,7 @@ let write_entry t key payload =
   | exception _ -> Obs.count "cache.store_failures" 1
 
 let store t key value =
-  Obs.Span.run "cache.store" @@ fun () ->
+  Obs.with_span "cache.store" @@ fun () ->
   let payload = Marshal.to_string value [] in
   match t.deferred with
   | Some pending ->
@@ -294,18 +294,17 @@ let stats t =
   !s
 
 let stats_json s =
-  Printf.sprintf
-    "{\n\
-    \  \"schema\": \"shelley.cache-stats/1\",\n\
-    \  \"format_version\": %d,\n\
-    \  \"live_entries\": %d,\n\
-    \  \"live_bytes\": %d,\n\
-    \  \"stale_entries\": %d,\n\
-    \  \"corrupt_entries\": %d,\n\
-    \  \"tmp_files\": %d\n\
-     }\n"
-    format_version s.live_entries s.live_bytes s.stale_entries s.corrupt_entries
-    s.tmp_files
+  Jsonl.(
+    to_string_pretty
+      (Obj
+         [ ("schema", Str "shelley.cache-stats/1");
+           ("format_version", int format_version);
+           ("live_entries", int s.live_entries);
+           ("live_bytes", int s.live_bytes);
+           ("stale_entries", int s.stale_entries);
+           ("corrupt_entries", int s.corrupt_entries);
+           ("tmp_files", int s.tmp_files);
+         ]))
 
 let gc t =
   let r =

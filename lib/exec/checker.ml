@@ -391,29 +391,14 @@ let shutdown_pool = Supervisor.shutdown
    the worker function is fixed at fork time. *)
 let retry_spec j = { j with job_reduced = true }
 
-(* In-process fast path for [jobs <= 1] with no deadline and no pool: same
-   settle/retry semantics as the pool, no forks at all. *)
-let settle_inline spec =
-  let attempt s n : job_result Supervisor.settled =
-    match run_job s with
-    | r -> { Supervisor.outcome = Supervisor.Done r; lane = 0; attempts = n }
-    | exception exn ->
-      {
-        Supervisor.outcome =
-          Supervisor.Crashed { reason = Printexc.to_string exn; attempts = n };
-        lane = 0;
-        attempts = n;
-      }
-  in
-  match attempt spec 1 with
-  | { Supervisor.outcome = Supervisor.Done _; _ } as s -> s
-  | _ -> attempt (retry_spec spec) 2
-
 let run_specs ?pool ~jobs ~(limits : Limits.t) specs =
   match pool with
   | Some p -> Supervisor.run ~retry:retry_spec ?deadline:limits.Limits.deadline p specs
   | None ->
-    if jobs <= 1 && limits.Limits.deadline = None then List.map settle_inline specs
+    (* In-process fast path for [jobs <= 1] with no deadline and no pool:
+       the pool's settle/retry semantics, no forks at all. *)
+    if jobs <= 1 && limits.Limits.deadline = None then
+      List.map (Supervisor.settle_inline ~retry:retry_spec run_job) specs
     else begin
       let p = make_pool ~jobs () in
       Fun.protect

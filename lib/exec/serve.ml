@@ -84,7 +84,6 @@ let shutdown_state st =
 
 (* --- responses -------------------------------------------------------------- *)
 
-let num_i n = Jsonl.Num (float_of_int n)
 let ok_response id fields = Jsonl.Obj [ ("id", id); ("result", Jsonl.Obj fields) ]
 
 (* Degradation-path errors are structured: a stable [error_code] machine
@@ -93,13 +92,13 @@ let ok_response id fields = Jsonl.Obj [ ("id", id); ("result", Jsonl.Obj fields)
    request mistakes (bad JSON, unknown method, bad params). *)
 let error_response ?(code = 2) ?error_code ?retry_after_ms id msg =
   Jsonl.Obj
-    ([ ("id", id); ("error", Jsonl.Str msg); ("code", num_i code) ]
+    ([ ("id", id); ("error", Jsonl.Str msg); ("code", Jsonl.int code) ]
     @ (match error_code with
       | Some ec -> [ ("error_code", Jsonl.Str ec) ]
       | None -> [])
     @
     match retry_after_ms with
-    | Some ms -> [ ("retry_after_ms", num_i ms) ]
+    | Some ms -> [ ("retry_after_ms", Jsonl.int ms) ]
     | None -> [])
 
 let overloaded_response ~retry_after_ms id =
@@ -182,7 +181,7 @@ let do_check st id params =
         verdicts;
       (* Byte-identity with one-shot stdout includes the success line. *)
       if code = 0 then Buffer.add_string buf "OK: specification verified\n";
-      ok_response id [ ("output", Jsonl.Str (Buffer.contents buf)); ("code", num_i code) ])
+      ok_response id [ ("output", Jsonl.Str (Buffer.contents buf)); ("code", Jsonl.int code) ])
 
 let do_lint st id params =
   match files_of_params params with
@@ -213,7 +212,7 @@ let do_lint st id params =
       ok_response id
         [
           ("output", Jsonl.Str (Lint_render.render format results));
-          ("code", num_i (Lint.exit_code results));
+          ("code", Jsonl.int (Lint.exit_code results));
         ])
 
 (* ms the oldest queued request has waited, Null when the queue is empty
@@ -222,48 +221,48 @@ let do_lint st id params =
    events). *)
 let oldest_queued_ms st =
   match st.oldest_probe () with
-  | Some ms -> num_i (int_of_float ms)
+  | Some ms -> Jsonl.int (int_of_float ms)
   | None -> Jsonl.Null
 
 let load_fields st =
   [
-    ("queue_depth", num_i st.load.queue_depth);
-    ("max_queue", num_i st.load.queue_cap);
+    ("queue_depth", Jsonl.int st.load.queue_depth);
+    ("max_queue", Jsonl.int st.load.queue_cap);
     ("oldest_queued_ms", oldest_queued_ms st);
-    ("conns", num_i st.load.conns);
-    ("max_conns", num_i st.load.conns_cap);
+    ("conns", Jsonl.int st.load.conns);
+    ("max_conns", Jsonl.int st.load.conns_cap);
   ]
   @ List.map
-      (fun event -> (event, num_i (total st event)))
+      (fun event -> (event, Jsonl.int (total st event)))
       [ "shed"; "expired"; "frames_oversized"; "conns_reaped"; "conns_rejected" ]
 
 let pool_fields st =
   let s = Checker.pool_stats st.pool in
   [
-    ("spawns", num_i s.Supervisor.spawns);
-    ("restarts", num_i s.Supervisor.restarts);
-    ("recycles", num_i s.Supervisor.recycles);
-    ("backoff_waits", num_i s.Supervisor.backoff_waits);
-    ("heartbeat_misses", num_i s.Supervisor.heartbeat_misses);
-    ("kills", num_i s.Supervisor.kills);
-    ("poisoned", num_i s.Supervisor.poisoned);
-    ("fork_failures", num_i s.Supervisor.fork_failures);
-    ("batches", num_i s.Supervisor.batches);
-    ("tasks", num_i s.Supervisor.tasks);
-    ("inline_tasks", num_i s.Supervisor.inline_tasks);
-    ("live_workers", num_i s.Supervisor.live_workers);
+    ("spawns", Jsonl.int s.Supervisor.spawns);
+    ("restarts", Jsonl.int s.Supervisor.restarts);
+    ("recycles", Jsonl.int s.Supervisor.recycles);
+    ("backoff_waits", Jsonl.int s.Supervisor.backoff_waits);
+    ("heartbeat_misses", Jsonl.int s.Supervisor.heartbeat_misses);
+    ("kills", Jsonl.int s.Supervisor.kills);
+    ("poisoned", Jsonl.int s.Supervisor.poisoned);
+    ("fork_failures", Jsonl.int s.Supervisor.fork_failures);
+    ("batches", Jsonl.int s.Supervisor.batches);
+    ("tasks", Jsonl.int s.Supervisor.tasks);
+    ("inline_tasks", Jsonl.int s.Supervisor.inline_tasks);
+    ("live_workers", Jsonl.int s.Supervisor.live_workers);
   ]
 
 let do_status st id =
   ok_response id
     [
-      ("pid", num_i (Unix.getpid ()));
-      ("requests", num_i (total st "requests"));
-      ("errors", num_i (total st "errors"));
+      ("pid", Jsonl.int (Unix.getpid ()));
+      ("requests", Jsonl.int (total st "requests"));
+      ("errors", Jsonl.int (total st "errors"));
       ("load", Jsonl.Obj (load_fields st));
       ("pool", Jsonl.Obj (pool_fields st));
       ( "workers",
-        Jsonl.Arr (List.map num_i (Checker.pool_worker_pids st.pool)) );
+        Jsonl.Arr (List.map Jsonl.int (Checker.pool_worker_pids st.pool)) );
     ]
 
 (* --- metrics and health -------------------------------------------------------
@@ -273,19 +272,19 @@ let do_status st id =
 let hist_json h =
   let q p =
     match Histogram.quantile h p with
-    | Some v -> num_i v
+    | Some v -> Jsonl.int v
     | None -> Jsonl.Null
   in
   Jsonl.Obj
     [
-      ("count", num_i (Histogram.count h));
-      ("sum", num_i (Histogram.sum h));
+      ("count", Jsonl.int (Histogram.count h));
+      ("sum", Jsonl.int (Histogram.sum h));
       ("p50", q 0.5);
       ("p90", q 0.9);
       ("p99", q 0.99);
       ( "max",
         match Histogram.max_recorded h with
-        | Some v -> num_i v
+        | Some v -> Jsonl.int v
         | None -> Jsonl.Null );
     ]
 
@@ -295,13 +294,13 @@ let do_metrics st id =
       (fun (w : Supervisor.worker_info) ->
         Jsonl.Obj
           [
-            ("lane", num_i w.Supervisor.wi_lane);
+            ("lane", Jsonl.int w.Supervisor.wi_lane);
             ( "pid",
               match w.Supervisor.wi_pid with
-              | Some pid -> num_i pid
+              | Some pid -> Jsonl.int pid
               | None -> Jsonl.Null );
             ("busy", Jsonl.Bool w.Supervisor.wi_busy);
-            ("tasks_done", num_i w.Supervisor.wi_tasks_done);
+            ("tasks_done", Jsonl.int w.Supervisor.wi_tasks_done);
           ])
       (Checker.pool_workers st.pool)
   in
@@ -309,8 +308,8 @@ let do_metrics st id =
     [
       ("schema", Jsonl.Str "shelley.serve-metrics/1");
       ("clock", Jsonl.Str (Telemetry.clock_label st.telem));
-      ("requests", num_i (total st "requests"));
-      ("errors", num_i (total st "errors"));
+      ("requests", Jsonl.int (total st "requests"));
+      ("errors", Jsonl.int (total st "errors"));
       ("load", Jsonl.Obj (load_fields st));
       ( "methods",
         Jsonl.Obj
@@ -343,11 +342,11 @@ let do_health st id =
     [
       ("health", Jsonl.Str (Telemetry.health_label level));
       ("reasons", Jsonl.Arr (List.map (fun r -> Jsonl.Str r) reasons));
-      ("queue_depth", num_i st.load.queue_depth);
-      ("max_queue", num_i st.load.queue_cap);
+      ("queue_depth", Jsonl.int st.load.queue_depth);
+      ("max_queue", Jsonl.int st.load.queue_cap);
       ("oldest_queued_ms", oldest_queued_ms st);
-      ("shed", num_i (total st "shed"));
-      ("expired", num_i (total st "expired"));
+      ("shed", Jsonl.int (total st "shed"));
+      ("expired", Jsonl.int (total st "expired"));
     ]
 
 (* --- classification ----------------------------------------------------------
@@ -557,7 +556,7 @@ let probe_live_daemon socket =
         | `Connected ->
           (try Unix.clear_nonblock fd with Unix.Unix_error _ -> ());
           let pid =
-            let line = "{\"id\":0,\"method\":\"status\"}\n" in
+            let line = Jsonl.(to_string (Obj [ ("id", int 0); ("method", Str "status") ])) ^ "\n" in
             match Supervisor.write_all fd (Bytes.of_string line) with
             | exception Unix.Unix_error _ -> None
             | () ->

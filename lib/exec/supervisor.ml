@@ -639,6 +639,28 @@ type 'r settled = {
   attempts : int;
 }
 
+(* The one in-process settle path: an attempt runs [f] here, and a failed
+   first attempt runs its retry at once, so one call settles the task. There
+   is no deadline: running inline means there is no worker to kill. *)
+let settle_inline ?retry ?(attempt = 1) ?(count = fun (_ : string) (_ : int) -> ()) f task =
+  let rec go attempt task =
+    count "pool.inline_tasks" 1;
+    let outcome =
+      match f task with
+      | r -> Done r
+      | exception exn -> Crashed { reason = Printexc.to_string exn; attempts = attempt }
+    in
+    match (outcome, retry) with
+    | Done _, _ -> { outcome; lane = 0; attempts = attempt }
+    | _, Some retry when attempt = 1 ->
+      count "pool.retries" 1;
+      go 2 (retry task)
+    | _ ->
+      if attempt >= 2 then count "pool.poisoned" 1;
+      { outcome; lane = 0; attempts = attempt }
+  in
+  go attempt task
+
 let run ?retry ?deadline pool tasks =
   let n = List.length tasks in
   if n = 0 then []
@@ -676,28 +698,23 @@ let run ?retry ?deadline pool tasks =
           decr unsettled
         end
     in
-    (* In-process fallback: same attempt/retry semantics, no deadline (the
-       whole point of running inline is that there is no worker to kill).
-       Used when the pool is closed or forking has been written off. *)
-    let run_one_inline (item : _ item) =
-      bump pool "pool.inline_tasks" 1;
-      let t0 = stamp () in
-      let outcome =
-        match pool.run item.task with
-        | r -> Done r
-        | exception exn ->
-          Crashed { reason = Printexc.to_string exn; attempts = item.attempt }
-      in
-      tally "pool.task_wall_us" t0;
-      settle item 0 outcome
-    in
     let drain_inline () =
       (* Index order, for the avoidance of any doubt: inline execution must
          produce the same (input-ordered) result list as any pool width. *)
       let items = List.of_seq (Queue.to_seq pending) in
       Queue.clear pending;
+      let timed task =
+        let t0 = stamp () in
+        Fun.protect ~finally:(fun () -> tally "pool.task_wall_us" t0) (fun () -> pool.run task)
+      in
       List.sort (fun a b -> compare (a.idx, a.attempt) (b.idx, b.attempt)) items
-      |> List.iter (fun item -> if results.(item.idx) = None then run_one_inline item)
+      |> List.iter (fun item ->
+             if results.(item.idx) = None then begin
+               let count = bump pool in
+               results.(item.idx) <-
+                 Some (settle_inline ?retry ~attempt:item.attempt ~count timed item.task);
+               decr unsettled
+             end)
     in
     let requeue_assigned (p : _ proc) =
       Queue.iter (fun item -> Queue.add item pending) p.assigned;

@@ -186,6 +186,22 @@ val run :
     bound) — the daemon applies per-request deadlines over one long-lived
     pool. Never raises; never loses or duplicates a task. *)
 
+val settle_inline :
+  ?retry:('t -> 't) ->
+  ?attempt:int ->
+  ?count:(string -> int -> unit) ->
+  ('t -> 'r) ->
+  't ->
+  'r settled
+(** The one in-process settle path, with {!run}'s attempt and retry
+    semantics and no deadline: [settle_inline f task] runs [f task] here
+    (lane [0]); a failed first attempt runs [retry task] at once, and a
+    failed second attempt is final with [attempts = 2]. [attempt] (default
+    1) is the attempt [task] starts at. [count] (default: none) receives
+    the [pool.inline_tasks], [pool.retries] and [pool.poisoned] events: a
+    pool run that falls back to inline counts them, and a caller that runs
+    without a pool counts nothing. Never raises. *)
+
 val map : ?retry:('t -> 't) -> ?deadline:float -> ('t, 'r) t -> 't list -> 'r outcome list
 (** {!run} projected to outcomes alone. *)
 

@@ -199,23 +199,22 @@ let outcome_name = function
   | `Expired -> "expired"
 
 let entry_fields e =
-  let num_i n = Jsonl.Num (float_of_int n) in
   [
-    ("seq", num_i e.e_seq);
+    ("seq", Jsonl.int e.e_seq);
     ( "id",
       match Jsonl.parse e.e_id with
       | Ok v -> v
       | Error _ -> Jsonl.Str e.e_id );
-    ("client", num_i e.e_client);
+    ("client", Jsonl.int e.e_client);
     ("method", Jsonl.Str (meth_name e.e_meth));
     ("outcome", Jsonl.Str (outcome_name e.e_outcome));
-    ("ts_ms", num_i e.e_start_ms);
-    ("queue_ms", num_i e.e_queue_ms);
-    ("exec_ms", num_i e.e_exec_ms);
+    ("ts_ms", Jsonl.int e.e_start_ms);
+    ("queue_ms", Jsonl.int e.e_queue_ms);
+    ("exec_ms", Jsonl.int e.e_exec_ms);
   ]
   @
   match e.e_retry_after_ms with
-  | Some ms -> [ ("retry_after_ms", num_i ms) ]
+  | Some ms -> [ ("retry_after_ms", Jsonl.int ms) ]
   | None -> []
 
 (* --- health -------------------------------------------------------------------- *)

@@ -6,6 +6,8 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+let int n = Num (float_of_int n)
+
 (* --- printing --------------------------------------------------------------- *)
 
 let escape_into buf s =
@@ -26,36 +28,65 @@ let escape_into buf s =
     s;
   Buffer.add_char buf '"'
 
-let rec print_into buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Num f ->
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Buffer.add_string buf (Printf.sprintf "%.0f" f)
-    else Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  | Str s -> escape_into buf s
-  | Arr items ->
-    Buffer.add_char buf '[';
+(* The number rule: an integral number prints as an integer, any other
+   finite number as the shortest of %.15g/%.16g/%.17g that reads back equal
+   (so 0.1 prints as 0.1, not 0.10000000000000001), and a non-finite number,
+   which JSON cannot spell, as null. *)
+let number f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else if not (Float.is_finite f) then "null"
+  else
+    let shortest = Printf.sprintf "%.15g" f in
+    if float_of_string shortest = f then shortest
+    else
+      let s16 = Printf.sprintf "%.16g" f in
+      if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
+
+(* One printer, two layouts: [indent = None] is the compact one-line layout,
+   [Some depth] the two-space pretty layout at that nesting depth. *)
+let newline buf = function
+  | None -> ()
+  | Some depth ->
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf (String.make (2 * depth) ' ')
+
+let container buf indent opening closing print_item items =
+  Buffer.add_char buf opening;
+  if items <> [] then begin
+    let inner = Option.map succ indent in
     List.iteri
       (fun i item ->
         if i > 0 then Buffer.add_char buf ',';
-        print_into buf item)
+        newline buf inner;
+        print_item inner item)
       items;
-    Buffer.add_char buf ']'
+    newline buf indent
+  end;
+  Buffer.add_char buf closing
+
+let rec print_into buf indent = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Num f -> Buffer.add_string buf (number f)
+  | Str s -> escape_into buf s
+  | Arr items -> container buf indent '[' ']' (print_into buf) items
   | Obj fields ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
+    container buf indent '{' '}'
+      (fun inner (k, v) ->
         escape_into buf k;
-        Buffer.add_char buf ':';
-        print_into buf v)
-      fields;
-    Buffer.add_char buf '}'
+        Buffer.add_string buf (if inner = None then ":" else ": ");
+        print_into buf inner v)
+      fields
 
 let to_string v =
   let buf = Buffer.create 256 in
-  print_into buf v;
+  print_into buf None v;
+  Buffer.contents buf
+
+let to_string_pretty v =
+  let buf = Buffer.create 1024 in
+  print_into buf (Some 0) v;
+  Buffer.add_char buf '\n';
   Buffer.contents buf
 
 (* --- parsing ---------------------------------------------------------------- *)

@@ -1,12 +1,19 @@
-(** Minimal JSON for the [shelley serve] wire protocol.
+(** The one JSON module: every JSON the tool writes, and the parser.
 
-    The daemon speaks newline-delimited JSON-RPC over a Unix socket; this
-    module is the self-contained value type, printer and parser it uses (the
-    project deliberately carries no JSON dependency). The printer emits one
-    line — no raw newlines ever appear inside an encoded value, so a frame
-    boundary is always a ['\n'] — and [parse] accepts anything the printer
-    emits plus ordinary interchange JSON (whitespace, nested containers,
-    [\uXXXX] escapes for the Basic Multilingual Plane). *)
+    One value type, one string escaper and one number rule serve two
+    layouts: a file is pretty, a protocol line is compact. {!to_string}
+    prints one line — the [shelley serve] wire protocol (newline-delimited
+    JSON-RPC), the access log and [client] output — with no raw newline
+    inside, so a frame boundary is always a ['\n']. {!to_string_pretty}
+    prints lint and claims JSON and SARIF, [--metrics-out], [--trace-out],
+    [cache stats --json] and the [BENCH_*.json] files. Strings escape
+    ["\""], ["\\"] and every control character. An integral number prints
+    without a decimal point ([Num 3.] → ["3"]), any other finite number as
+    the first of [%.15g]/[%.16g]/[%.17g] that reads back equal, and a
+    non-finite number as [null]. [parse] gives back what either printer
+    emits (non-finite numbers as [Null]) and accepts ordinary interchange
+    JSON (whitespace, [\uXXXX] escapes). The project carries no JSON
+    dependency. *)
 
 type t =
   | Null
@@ -16,10 +23,15 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+val int : int -> t
+(** [Num (float_of_int n)]. *)
+
 val to_string : t -> string
-(** One-line encoding. Integral floats print without a decimal point
-    ([Num 3.] → ["3"]); strings escape ["\""], ["\\"] and every control
-    character, so the result contains no newline. *)
+(** The compact layout: one line, no trailing newline. *)
+
+val to_string_pretty : t -> string
+(** Two-space indent, ["key": value], [\[\]] and [{}] when empty, and a
+    trailing newline. Fields print in the order given. *)
 
 val parse : string -> (t, string) result
 (** Parse one JSON document (surrounding whitespace allowed; trailing

@@ -59,93 +59,26 @@ let text results =
   in
   String.concat "" (List.map (fun l -> l ^ "\n") lines) ^ summary_line results ^ "\n"
 
-(* --- A small JSON emitter --------------------------------------------------
-
-   No JSON library in the build closure, so: a value type, a string escaper
-   covering the mandatory escapes (quote, backslash, control characters),
-   and a two-space pretty-printer. Objects print their fields in the order
-   given — determinism comes from construction order, not sorting. *)
-
-type json =
-  | S of string
-  | I of int
-  | L of json list
-  | O of (string * json) list
-
-let escape_string s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let emit_json v =
-  let b = Buffer.create 1024 in
-  let pad depth = Buffer.add_string b (String.make (2 * depth) ' ') in
-  let rec go depth = function
-    | S s ->
-      Buffer.add_char b '"';
-      Buffer.add_string b (escape_string s);
-      Buffer.add_char b '"'
-    | I n -> Buffer.add_string b (string_of_int n)
-    | L [] -> Buffer.add_string b "[]"
-    | L items ->
-      Buffer.add_string b "[\n";
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_string b ",\n";
-          pad (depth + 1);
-          go (depth + 1) item)
-        items;
-      Buffer.add_char b '\n';
-      pad depth;
-      Buffer.add_char b ']'
-    | O [] -> Buffer.add_string b "{}"
-    | O fields ->
-      Buffer.add_string b "{\n";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_string b ",\n";
-          pad (depth + 1);
-          Buffer.add_char b '"';
-          Buffer.add_string b (escape_string k);
-          Buffer.add_string b "\": ";
-          go (depth + 1) v)
-        fields;
-      Buffer.add_char b '\n';
-      pad depth;
-      Buffer.add_char b '}'
-  in
-  go 0 v;
-  Buffer.add_char b '\n';
-  Buffer.contents b
-
 (* --- shelley.lint/1 -------------------------------------------------------- *)
 
+open Jsonl
+
 let diagnostic_json (d : Lint.diagnostic) =
-  O
-    ([ ("rule", S d.Lint.rule);
-       ("name", S d.Lint.rule_name);
-       ("severity", S (severity_word d.Lint.severity));
+  Obj
+    ([ ("rule", Str d.Lint.rule);
+       ("name", Str d.Lint.rule_name);
+       ("severity", Str (severity_word d.Lint.severity));
      ]
-    @ (if d.Lint.line > 0 then [ ("line", I d.Lint.line) ] else [])
-    @ (if d.Lint.class_name = "" then [] else [ ("class", S d.Lint.class_name) ])
-    @ [ ("message", S d.Lint.message) ])
+    @ (if d.Lint.line > 0 then [ ("line", int d.Lint.line) ] else [])
+    @ (if d.Lint.class_name = "" then [] else [ ("class", Str d.Lint.class_name) ])
+    @ [ ("message", Str d.Lint.message) ])
 
 let json results =
   let file_json (r : Lint.file_result) =
-    O
-      [ ("file", S r.Lint.lint_file);
-        ("findings", L (List.map diagnostic_json r.Lint.findings));
-        ("suppressed", L (List.map diagnostic_json r.Lint.suppressed));
+    Obj
+      [ ("file", Str r.Lint.lint_file);
+        ("findings", Arr (List.map diagnostic_json r.Lint.findings));
+        ("suppressed", Arr (List.map diagnostic_json r.Lint.suppressed));
       ]
   in
   let suppressed =
@@ -153,23 +86,23 @@ let json results =
       (fun acc (r : Lint.file_result) -> acc + List.length r.Lint.suppressed)
       0 results
   in
-  emit_json
-    (O
-       [ ("format", S "shelley.lint/1");
-         ("files", L (List.map file_json results));
+  to_string_pretty
+    (Obj
+       [ ("format", Str "shelley.lint/1");
+         ("files", Arr (List.map file_json results));
          ( "summary",
-           O
-             [ ("files", I (List.length results));
+           Obj
+             [ ("files", int (List.length results));
                ( "findings",
-                 I
+                 int
                    (List.fold_left
                       (fun acc (r : Lint.file_result) ->
                         acc + List.length r.Lint.findings)
                       0 results) );
-               ("errors", I (Lint.count_severity results Report.Error));
-               ("warnings", I (Lint.count_severity results Report.Warning));
-               ("infos", I (Lint.count_severity results Report.Info));
-               ("suppressed", I suppressed);
+               ("errors", int (Lint.count_severity results Report.Error));
+               ("warnings", int (Lint.count_severity results Report.Warning));
+               ("infos", int (Lint.count_severity results Report.Info));
+               ("suppressed", int suppressed);
              ] );
        ])
 
@@ -187,23 +120,23 @@ let sarif results =
   let rules_json =
     List.map
       (fun (r : Rules.t) ->
-        O
-          [ ("id", S r.Rules.code);
-            ("name", S r.Rules.name);
-            ("shortDescription", O [ ("text", S r.Rules.summary) ]);
-            ("defaultConfiguration", O [ ("level", S (sarif_level r.Rules.severity)) ]);
+        Obj
+          [ ("id", Str r.Rules.code);
+            ("name", Str r.Rules.name);
+            ("shortDescription", Obj [ ("text", Str r.Rules.summary) ]);
+            ("defaultConfiguration", Obj [ ("level", Str (sarif_level r.Rules.severity)) ]);
           ])
       Rules.all
   in
   let result_json ~suppressed (d : Lint.diagnostic) =
     let location =
-      O
+      Obj
         [ ( "physicalLocation",
-            O
-              ([ ("artifactLocation", O [ ("uri", S d.Lint.file) ]) ]
+            Obj
+              ([ ("artifactLocation", Obj [ ("uri", Str d.Lint.file) ]) ]
               @
               if d.Lint.line > 0 then
-                [ ("region", O [ ("startLine", I d.Lint.line) ]) ]
+                [ ("region", Obj [ ("startLine", int d.Lint.line) ]) ]
               else []) )
         ]
     in
@@ -211,17 +144,17 @@ let sarif results =
       if d.Lint.class_name = "" then d.Lint.message
       else Printf.sprintf "[%s] %s" d.Lint.class_name d.Lint.message
     in
-    O
-      ([ ("ruleId", S d.Lint.rule) ]
+    Obj
+      ([ ("ruleId", Str d.Lint.rule) ]
       @ (match List.assoc_opt d.Lint.rule rule_index with
-        | Some i -> [ ("ruleIndex", I i) ]
+        | Some i -> [ ("ruleIndex", int i) ]
         | None -> [])
-      @ [ ("level", S (sarif_level d.Lint.severity));
-          ("message", O [ ("text", S message) ]);
-          ("locations", L [ location ]);
+      @ [ ("level", Str (sarif_level d.Lint.severity));
+          ("message", Obj [ ("text", Str message) ]);
+          ("locations", Arr [ location ]);
         ]
       @
-      if suppressed then [ ("suppressions", L [ O [ ("kind", S "inSource") ] ]) ]
+      if suppressed then [ ("suppressions", Arr [ Obj [ ("kind", Str "inSource") ] ]) ]
       else [])
   in
   let all_results =
@@ -231,24 +164,24 @@ let sarif results =
         @ List.map (result_json ~suppressed:true) r.Lint.suppressed)
       results
   in
-  emit_json
-    (O
-       [ ("$schema", S "https://json.schemastore.org/sarif-2.1.0.json");
-         ("version", S "2.1.0");
+  to_string_pretty
+    (Obj
+       [ ("$schema", Str "https://json.schemastore.org/sarif-2.1.0.json");
+         ("version", Str "2.1.0");
          ( "runs",
-           L
-             [ O
+           Arr
+             [ Obj
                  [ ( "tool",
-                     O
+                     Obj
                        [ ( "driver",
-                           O
-                             [ ("name", S "shelley");
+                           Obj
+                             [ ("name", Str "shelley");
                                ( "informationUri",
-                                 S "https://github.com/shelley-checker/shelley" );
-                               ("rules", L rules_json);
+                                 Str "https://github.com/shelley-checker/shelley" );
+                               ("rules", Arr rules_json);
                              ] )
                        ] );
-                   ("results", L all_results);
+                   ("results", Arr all_results);
                  ]
              ] );
        ])

@@ -109,14 +109,6 @@ let with_span ?(args = []) name f =
     in
     Fun.protect ~finally:close f
 
-module Span = struct
-  let run = with_span
-end
-
-module Counter = struct
-  let add = count
-end
-
 module Ledger = struct
   type t = {
     totals : (string, int) Hashtbl.t;
@@ -194,18 +186,18 @@ let stable_counters () =
   | None -> []
   | Some st -> sorted_counters st.stable_ctrs
 
-let unit_counters () =
+let merge_counter_lists lists =
   let tbl = Hashtbl.create 32 in
   List.iter
-    (fun (_, p) ->
-      List.iter
-        (fun (k, n) ->
-          match Hashtbl.find_opt tbl k with
-          | Some v -> Hashtbl.replace tbl k (v + n)
-          | None -> Hashtbl.add tbl k n)
-        p.counters)
-    (units ());
+    (List.iter (fun (k, v) ->
+         match Hashtbl.find_opt tbl k with
+         | Some v0 -> Hashtbl.replace tbl k (v0 + v)
+         | None -> Hashtbl.add tbl k v))
+    lists;
   sorted_counters tbl
+
+let unit_counters () =
+  merge_counter_lists (List.map (fun (_, (p : profile)) -> p.counters) (units ()))
 
 (* Phase aggregation over merged unit profiles: walk each profile's events
    with an explicit stack (they are well-nested by construction) and total
@@ -245,16 +237,6 @@ let clock_label () =
 
 (* --- sinks ----------------------------------------------------------------- *)
 
-let merge_counter_lists lists =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (List.iter (fun (k, v) ->
-         match Hashtbl.find_opt tbl k with
-         | Some v0 -> Hashtbl.replace tbl k (v0 + v)
-         | None -> Hashtbl.add tbl k v))
-    lists;
-  sorted_counters tbl
-
 let render_stats fmt =
   let phases = phase_totals () in
   let n_units = List.length (units ()) in
@@ -280,118 +262,94 @@ let render_stats fmt =
     List.iter (fun (k, v) -> Format.fprintf fmt "  %-44s %12d@." k v) ctrs
   end
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let render_metrics_json () =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"shelley.metrics/1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"clock\": \"%s\",\n" (clock_label ()));
-  (* units *)
-  Buffer.add_string b "  \"units\": [";
-  let first = ref true in
-  List.iter
-    (fun (lane, (p : profile)) ->
-      if not !first then Buffer.add_string b ",";
-      first := false;
-      Buffer.add_string b
-        (Printf.sprintf "\n    {\"name\": \"%s\", \"lane\": %d, \"total_us\": %d, \"spans\": %d}"
-           (json_escape p.unit_name) lane (profile_total_us p)
-           (List.length (List.filter (fun ev -> ev.ev_begin) p.events))))
-    (units ());
-  Buffer.add_string b (if !first then "],\n" else "\n  ],\n");
-  (* phases *)
-  Buffer.add_string b "  \"phases\": [";
-  let first = ref true in
-  List.iter
-    (fun (name, c, tot) ->
-      if not !first then Buffer.add_string b ",";
-      first := false;
-      Buffer.add_string b
-        (Printf.sprintf
-           "\n    {\"name\": \"%s\", \"count\": %d, \"total_us\": %d, \"mean_us\": %d}"
-           (json_escape name) c tot (tot / max 1 c)))
-    (phase_totals ());
-  Buffer.add_string b (if !first then "],\n" else "\n  ],\n");
+  let open Jsonl in
+  let spans (p : profile) = List.length (List.filter (fun ev -> ev.ev_begin) p.events) in
   (* counters: unit sums, then recorder-level (worker pool etc.) and the
      stable orchestrator counters (cache behavior) merged in *)
   let merged = merge_counter_lists [ unit_counters (); counters (); stable_counters () ] in
-  Buffer.add_string b "  \"counters\": {";
-  let first = ref true in
-  List.iter
-    (fun (k, v) ->
-      if not !first then Buffer.add_string b ",";
-      first := false;
-      Buffer.add_string b (Printf.sprintf "\n    \"%s\": %d" (json_escape k) v))
-    merged;
-  Buffer.add_string b (if !first then "}\n" else "\n  }\n");
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  to_string_pretty
+    (Obj
+       [ ("schema", Str "shelley.metrics/1");
+         ("clock", Str (clock_label ()));
+         ( "units",
+           Arr
+             (List.map
+                (fun (lane, (p : profile)) ->
+                  Obj
+                    [ ("name", Str p.unit_name);
+                      ("lane", int lane);
+                      ("total_us", int (profile_total_us p));
+                      ("spans", int (spans p));
+                    ])
+                (units ())) );
+         ( "phases",
+           Arr
+             (List.map
+                (fun (name, c, tot) ->
+                  Obj
+                    [ ("name", Str name);
+                      ("count", int c);
+                      ("total_us", int tot);
+                      ("mean_us", int (tot / max 1 c));
+                    ])
+                (phase_totals ())) );
+         ("counters", Obj (List.map (fun (k, v) -> (k, int v)) merged));
+       ])
 
 let render_chrome_trace () =
-  let b = Buffer.create 4096 in
-  let emitted_something = ref false in
-  let emit_raw s =
-    if !emitted_something then Buffer.add_string b ",\n";
-    emitted_something := true;
-    Buffer.add_string b ("  " ^ s)
+  let open Jsonl in
+  let meta ~tid ~name ~value =
+    Obj
+      [ ("name", Str name);
+        ("ph", Str "M");
+        ("pid", int 1);
+        ("tid", int tid);
+        ("args", Obj [ ("name", Str value) ]);
+      ]
   in
-  let emit_meta ~tid ~name ~value =
-    emit_raw
-      (Printf.sprintf
-         "{\"name\": \"%s\", \"ph\": \"M\", \"pid\": 1, \"tid\": %d, \"args\": {\"name\": \"%s\"}}"
-         name tid (json_escape value))
-  in
-  let emit_event ~tid ev =
-    if ev.ev_begin then begin
-      let args =
-        String.concat ", "
-          (List.map
-             (fun (k, v) -> Printf.sprintf "\"%s\": \"%s\"" (json_escape k) (json_escape v))
-             ev.ev_args)
-      in
-      emit_raw
-        (Printf.sprintf
-           "{\"name\": \"%s\", \"cat\": \"shelley\", \"ph\": \"B\", \"ts\": %d, \"pid\": 1, \
-            \"tid\": %d, \"args\": {%s}}"
-           (json_escape ev.ev_name) ev.ev_ts_us tid args)
-    end
+  let event ~tid ev =
+    if ev.ev_begin then
+      Obj
+        [ ("name", Str ev.ev_name);
+          ("cat", Str "shelley");
+          ("ph", Str "B");
+          ("ts", int ev.ev_ts_us);
+          ("pid", int 1);
+          ("tid", int tid);
+          ("args", Obj (List.map (fun (k, v) -> (k, Str v)) ev.ev_args));
+        ]
     else
-      emit_raw
-        (Printf.sprintf "{\"name\": \"%s\", \"ph\": \"E\", \"ts\": %d, \"pid\": 1, \"tid\": %d}"
-           (json_escape ev.ev_name) ev.ev_ts_us tid)
+      Obj
+        [ ("name", Str ev.ev_name);
+          ("ph", Str "E");
+          ("ts", int ev.ev_ts_us);
+          ("pid", int 1);
+          ("tid", int tid);
+        ]
   in
-  Buffer.add_string b "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
-  emit_meta ~tid:0 ~name:"process_name" ~value:"shelley";
-  emit_meta ~tid:0 ~name:"thread_name" ~value:"orchestrator";
-  let lanes =
-    List.sort_uniq compare (List.map fst (units ()))
-  in
-  List.iter
-    (fun lane ->
-      emit_meta ~tid:(lane + 1) ~name:"thread_name"
-        ~value:(Printf.sprintf "worker %d" lane))
-    lanes;
+  let lanes = List.sort_uniq compare (List.map fst (units ())) in
   (* Orchestrator events (tid 0): whatever the parent recorded outside units.
      Parent buffers are reversed; unit profiles are already chronological. *)
-  (match !state with
-  | None -> ()
-  | Some st -> List.iter (emit_event ~tid:0) (List.rev st.events));
-  List.iter
-    (fun (lane, (p : profile)) -> List.iter (emit_event ~tid:(lane + 1)) p.events)
-    (units ());
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  let orchestrator =
+    match !state with
+    | None -> []
+    | Some st -> List.rev_map (event ~tid:0) st.events
+  in
+  to_string_pretty
+    (Obj
+       [ ("displayTimeUnit", Str "ms");
+         ( "traceEvents",
+           Arr
+             (meta ~tid:0 ~name:"process_name" ~value:"shelley"
+              :: meta ~tid:0 ~name:"thread_name" ~value:"orchestrator"
+              :: List.map
+                   (fun lane ->
+                     meta ~tid:(lane + 1) ~name:"thread_name"
+                       ~value:(Printf.sprintf "worker %d" lane))
+                   lanes
+             @ orchestrator
+             @ List.concat_map
+                 (fun (lane, (p : profile)) -> List.map (event ~tid:(lane + 1)) p.events)
+                 (units ())) );
+       ])

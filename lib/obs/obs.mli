@@ -83,16 +83,6 @@ val count_stable : string -> int -> unit
     counters deliberately use plain {!count} so nondeterministic values
     never reach the byte-stable stats table. *)
 
-(** Aliases matching the subsystem vocabulary ([Obs.Span.run],
-    [Obs.Counter.add]). *)
-module Span : sig
-  val run : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
-end
-
-module Counter : sig
-  val add : string -> int -> unit
-end
-
 (** A component's one counter ledger: each event is counted by one
     {!Ledger.add}, which feeds the ledger's always-on totals and, when the
     recorder is enabled, the {!Obs} counter of the same name. A component

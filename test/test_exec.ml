@@ -417,6 +417,29 @@ let test_supervisor_closed_pool_degrades_inline () =
   Alcotest.(check int) "ran in-process" 3 (Supervisor.stats pool).Supervisor.inline_tasks;
   Alcotest.(check int) "no workers" 0 (Supervisor.stats pool).Supervisor.live_workers
 
+(* A closed pool settles every task inline, its retries included: a failed
+   first attempt runs its retry at once instead of being queued behind a
+   drain that has already emptied the queue. *)
+let test_supervisor_closed_pool_runs_retries () =
+  let f n = if n = 1 then failwith "first attempt fails" else n in
+  let pool = Supervisor.create (test_config ~jobs:1 ()) f in
+  Supervisor.shutdown pool;
+  let settled = Supervisor.run ~retry:(fun n -> n + 10) pool [ 0; 1; 2 ] in
+  let show (s : int Supervisor.settled) =
+    match s.Supervisor.outcome with
+    | Done r -> Printf.sprintf "Done %d, attempts %d" r s.Supervisor.attempts
+    | Timed_out _ -> Printf.sprintf "Timed_out, attempts %d" s.Supervisor.attempts
+    | Crashed { reason; _ } ->
+      Printf.sprintf "Crashed %S, attempts %d" reason s.Supervisor.attempts
+  in
+  Alcotest.(check (list string))
+    "task 1 settles on its retry"
+    [ "Done 0, attempts 1"; "Done 11, attempts 2"; "Done 2, attempts 1" ]
+    (List.map show settled);
+  let stats = Supervisor.stats pool in
+  Alcotest.(check int) "every attempt ran in-process" 4 stats.Supervisor.inline_tasks;
+  Alcotest.(check int) "none poisoned" 0 stats.Supervisor.poisoned
+
 let test_supervisor_shutdown_leaves_no_orphans () =
   let f n = n in
   let pids =
@@ -874,6 +897,8 @@ let () =
           Alcotest.test_case "rss_kb reads VmRSS in kB" `Quick test_supervisor_rss_kb;
           Alcotest.test_case "closed pool degrades inline" `Quick
             test_supervisor_closed_pool_degrades_inline;
+          Alcotest.test_case "closed pool runs its retries" `Quick
+            test_supervisor_closed_pool_runs_retries;
           Alcotest.test_case "shutdown leaves no orphans" `Quick
             test_supervisor_shutdown_leaves_no_orphans;
           Alcotest.test_case "spawns only what a run can use" `Quick

@@ -939,6 +939,46 @@ let test_json_escaping () =
   Alcotest.(check bool) "sarif carries the class prefix" true
     (Testutil.contains sarif {|[C] quote \"|})
 
+(* The lint JSON and SARIF are real JSON: a message with a quote, a
+   backslash, control characters and a non-ASCII operator parses back to
+   itself. *)
+let test_json_sarif_parse_back () =
+  let message = "quote \" backslash \\ bell \007 backspace \b a \xe2\x88\xa5 b" in
+  let d =
+    {
+      Lint.rule = "SY112";
+      rule_name = "interleaving-race";
+      severity = Report.Warning;
+      file = "f.py";
+      line = 3;
+      class_name = "C";
+      message;
+    }
+  in
+  let r = { Lint.lint_file = "f.py"; findings = [ d ]; suppressed = [ d ] } in
+  let parse text =
+    match Jsonl.parse text with
+    | Ok j -> j
+    | Error msg -> Alcotest.failf "does not parse: %s\n%s" msg text
+  in
+  let rec path j = function
+    | [] -> j
+    | `K k :: rest -> path (Option.get (Jsonl.member k j)) rest
+    | `I i :: rest -> path (List.nth (Option.get (Jsonl.to_list j)) i) rest
+  in
+  let text j steps = Option.get (Jsonl.to_str (path j steps)) in
+  let js = parse (Lint_render.json [ r ]) in
+  Alcotest.(check string) "json finding message" message
+    (text js [ `K "files"; `I 0; `K "findings"; `I 0; `K "message" ]);
+  Alcotest.(check string) "json suppressed message" message
+    (text js [ `K "files"; `I 0; `K "suppressed"; `I 0; `K "message" ]);
+  let sarif = parse (Lint_render.sarif [ r ]) in
+  List.iter
+    (fun i ->
+      Alcotest.(check string) "sarif message" ("[C] " ^ message)
+        (text sarif [ `K "runs"; `I 0; `K "results"; `I i; `K "message"; `K "text" ]))
+    [ 0; 1 ]
+
 let test_sarif_shape () =
   let results =
     [
@@ -1037,6 +1077,7 @@ let () =
         [
           Alcotest.test_case "text line forms" `Quick test_text_line;
           Alcotest.test_case "json escaping" `Quick test_json_escaping;
+          Alcotest.test_case "json and sarif parse back" `Quick test_json_sarif_parse_back;
           Alcotest.test_case "sarif shape" `Quick test_sarif_shape;
           Alcotest.test_case "format parsing" `Quick test_format_of_string;
         ] );
