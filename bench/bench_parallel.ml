@@ -189,7 +189,7 @@ let cold_run_stats ~jobs files =
     ~finally:(fun () -> Checker.shutdown_pool pool)
     (fun () ->
       ignore (Checker.check_files ~jobs ~pool files);
-      Checker.pool_stats pool)
+      Supervisor.stats pool)
 
 (* The count gate's run: more tasks per lane than the default 128-task
    count ceiling, which a run must not act on. *)

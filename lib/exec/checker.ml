@@ -237,12 +237,7 @@ type job_mode =
       explain : bool;
       lint : bool;
     }
-  | Job_lint of {
-      max_behavior_size : int;
-      max_star_height : int;
-      entail_fuel : int;
-      race_fuel : int;
-    }
+  | Job_lint of Lint_semantic.thresholds
 
 type job_spec = {
   job_path : string;
@@ -352,10 +347,7 @@ let run_job (j : job_spec) : job_result =
             with Out_of_memory -> (fault_block j.job_path (oom_report ()), 3)
           in
           Cached_check { output; code })
-    | Job_lint { max_behavior_size; max_star_height; entail_fuel; race_fuel } ->
-      let thresholds =
-        { Lint_semantic.max_behavior_size; max_star_height; entail_fuel; race_fuel }
-      in
+    | Job_lint thresholds ->
       Obs.in_unit ~name:j.job_path (fun () ->
           Cached_lint
             (try
@@ -381,10 +373,7 @@ let make_pool ?(after_fork = fun () -> ()) ?(max_as_mb = 0) ?(jobs = 1) () =
     (Supervisor.config ~jobs ~max_as_mb ())
     run_job
 
-let pool_stats = Supervisor.stats
 let pool_worker_pids = Supervisor.worker_pids
-let pool_workers = Supervisor.workers
-let quiesce_pool = Supervisor.quiesce
 let shutdown_pool = Supervisor.shutdown
 
 (* The reduced-budget second attempt is the same task transformed, because
@@ -506,14 +495,7 @@ let lint_files ?(jobs = 1) ?(limits = Limits.default)
     paths =
   run_files ?pool ~jobs ~limits ~cache
     ~key_of:(lint_cache_key ~limits ~thresholds ~extra:cache_extra)
-    ~job_mode:
-      (Job_lint
-         {
-           max_behavior_size = thresholds.Lint_semantic.max_behavior_size;
-           max_star_height = thresholds.Lint_semantic.max_star_height;
-           entail_fuel = thresholds.Lint_semantic.entail_fuel;
-           race_fuel = thresholds.Lint_semantic.race_fuel;
-         })
+    ~job_mode:(Job_lint thresholds)
     ~using:[]
     ~verdict:(fun _path _profile -> function
       | Cached_lint result -> Some result

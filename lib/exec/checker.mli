@@ -32,10 +32,17 @@ type verdict = {
           {!check_files}. *)
 }
 
-type pool
+type job_spec
+(** One file's job as it crosses the worker pipe: path, mode and budgets. *)
+
+type job_result
+(** What a worker sends back for one job: the cache payload and profile. *)
+
+type pool = (job_spec, job_result) Supervisor.t
 (** A persistent {!Supervisor} worker pool able to serve both {!check_files}
     and {!lint_files} jobs. One pool can outlive any number of calls — the
-    daemon keeps a single pool across requests so workers stay hot. *)
+    daemon keeps a single pool across requests so workers stay hot. Its
+    stats, workers and quiescence are {!Supervisor}'s. *)
 
 val make_pool :
   ?after_fork:(unit -> unit) -> ?max_as_mb:int -> ?jobs:int -> unit -> pool
@@ -50,16 +57,8 @@ val make_pool :
     running out of fuel) instead of a crash — and instead of inviting the
     host OOM killer. *)
 
-val pool_stats : pool -> Supervisor.stats
 val pool_worker_pids : pool -> int list
-
-val pool_workers : pool -> Supervisor.worker_info list
-(** Per-lane worker state ({!Supervisor.workers}) for the daemon's
-    [metrics] RPC. *)
-
-val quiesce_pool : pool -> unit
-(** Retire the pool's live workers but keep it usable — the next call
-    respawns on demand. The daemon calls this after an idle period. *)
+(** {!Supervisor.worker_pids}. *)
 
 val shutdown_pool : pool -> unit
 (** Retire the workers and close the pool. Idempotent; a closed pool still

@@ -20,8 +20,10 @@
      [retry_after_ms] hint; a queued request whose deadline passes is
      answered [expired] and never dispatched; dispatch is per-client
      round-robin within a [priority] level, so no client can starve the
-     others. [status] and [shutdown] bypass the queue entirely, so the
-     daemon stays observable while loaded;
+     others. [status], [metrics], [health] and [shutdown] bypass the
+     queue, so they are answered ahead of any backlog; but a request runs
+     to completion inside the loop, so they still wait for the one that
+     is running (ROADMAP.md item 4);
    - worker memory is capped via setrlimit(RLIMIT_AS) (see
      {!Supervisor.config} [max_as_mb]), so a ballooning check fails as a
      classified resource limit instead of summoning the OOM killer.
@@ -237,7 +239,7 @@ let load_fields st =
       [ "shed"; "expired"; "frames_oversized"; "conns_reaped"; "conns_rejected" ]
 
 let pool_fields st =
-  let s = Checker.pool_stats st.pool in
+  let s = Supervisor.stats st.pool in
   [
     ("spawns", Jsonl.int s.Supervisor.spawns);
     ("restarts", Jsonl.int s.Supervisor.restarts);
@@ -266,8 +268,9 @@ let do_status st id =
     ]
 
 (* --- metrics and health -------------------------------------------------------
-   Both are answered at read time, exactly like [status]: the whole point
-   of a health probe is that it works while the work queue is full. *)
+   Both bypass the admission queue, exactly like [status]: the whole point
+   of a health probe is that it works while the work queue is full. Like
+   [status], they wait for a running request (ROADMAP.md item 4). *)
 
 let hist_json h =
   let q p =
@@ -302,7 +305,7 @@ let do_metrics st id =
             ("busy", Jsonl.Bool w.Supervisor.wi_busy);
             ("tasks_done", Jsonl.int w.Supervisor.wi_tasks_done);
           ])
-      (Checker.pool_workers st.pool)
+      (Supervisor.workers st.pool)
   in
   ok_response id
     [
@@ -351,9 +354,9 @@ let do_health st id =
 
 (* --- classification ----------------------------------------------------------
 
-   One request line either gets an immediate reply (status, shutdown, and
-   every malformed request — all cheap, all answered at read time, so the
-   daemon stays observable however deep the work queue is) or is verifiable
+   One request line either gets an immediate reply (status, metrics,
+   health, shutdown, and every malformed request — all cheap, all answered
+   when the line is read, ahead of any queued work) or is verifiable
    *work* to be run through admission control. [handle_line] executes work
    immediately — the admission queue is the socket loop's business — so its
    pure request->response contract (and every test built on it) is
@@ -504,6 +507,45 @@ let take_lines buf =
     Buffer.add_string buf (String.sub s (last + 1) (String.length s - last - 1));
     String.split_on_char '\n' (String.sub s 0 last)
 
+(* The client side's one line reader: read [fd] until a newline, EOF, an
+   error or the monotonic [deadline] (none by default). [Ok line] is the
+   first line without its newline; [Error text] is what arrived without
+   one. *)
+let read_line ?deadline fd =
+  let buf = Buffer.create 1024 in
+  let chunk = Bytes.create 65536 in
+  let rec go () =
+    let s = Buffer.contents buf in
+    match String.index_opt s '\n' with
+    | Some i -> Ok (String.sub s 0 i)
+    | None -> (
+      let ready =
+        match deadline with
+        | None -> `Ready
+        | Some t -> (
+          let left = t -. Clock.now () in
+          if left <= 0.0 then `Stop
+          else
+            match Unix.select [ fd ] [] [] left with
+            | [], _, _ -> `Stop
+            | _ -> `Ready
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Again
+            | exception Unix.Unix_error _ -> `Stop)
+      in
+      match ready with
+      | `Stop -> Error s
+      | `Again -> go ()
+      | `Ready -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> Error s
+        | n ->
+          Buffer.add_subbytes buf chunk 0 n;
+          go ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+        | exception Unix.Unix_error _ -> Error s))
+  in
+  go ()
+
 (* --- startup safety ----------------------------------------------------------
 
    A pre-existing socket file is only stale if nothing is listening on it.
@@ -555,74 +597,23 @@ let probe_live_daemon socket =
         | `Error e -> `Undetermined (Unix.error_message e)
         | `Connected ->
           (try Unix.clear_nonblock fd with Unix.Unix_error _ -> ());
+          let line = Jsonl.(to_string (Obj [ ("id", int 0); ("method", Str "status") ])) ^ "\n" in
           let pid =
-            let line = Jsonl.(to_string (Obj [ ("id", int 0); ("method", Str "status") ])) ^ "\n" in
             match Supervisor.write_all fd (Bytes.of_string line) with
             | exception Unix.Unix_error _ -> None
-            | () ->
-              let deadline = Clock.now () +. 2.0 in
-              let buf = Buffer.create 256 in
-              let chunk = Bytes.create 4096 in
-              let rec go () =
-                if String.contains (Buffer.contents buf) '\n' then
-                  Option.bind
-                    (Jsonl.parse
-                       (List.hd (String.split_on_char '\n' (Buffer.contents buf)))
-                     |> Result.to_option)
-                    (fun resp ->
-                      Option.bind (Jsonl.member "result" resp) (Jsonl.mem_int "pid"))
-                else begin
-                  let left = deadline -. Clock.now () in
-                  if left <= 0.0 then None
-                  else
-                    match Unix.select [ fd ] [] [] left with
-                    | [], _, _ -> None
-                    | _ -> (
-                      match Unix.read fd chunk 0 (Bytes.length chunk) with
-                      | 0 -> None
-                      | n ->
-                        Buffer.add_subbytes buf chunk 0 n;
-                        go ()
-                      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-                      | exception Unix.Unix_error _ -> None)
-                end
-              in
-              go ()
+            | () -> (
+              match read_line ~deadline:(Clock.now () +. 2.0) fd with
+              | Error _ -> None
+              | Ok line ->
+                Option.bind (Result.to_option (Jsonl.parse line)) (fun resp ->
+                    Option.bind (Jsonl.member "result" resp) (Jsonl.mem_int "pid")))
           in
           `Live pid)
 
-(* --- the daemon loop --------------------------------------------------------- *)
-
-(* Metrics snapshots are written atomically (temp file + rename in the
-   same directory): a reader — or a SIGKILL mid-write — sees either the
-   previous complete snapshot or the new one, never a torn file. Write
-   failures are reported once on stderr, not fatal: metrics are an
-   amenity, the daemon's job is answering requests. *)
-let write_metrics_atomic path =
-  try
-    let tmp = path ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    (match
-       Fun.protect
-         ~finally:(fun () -> close_out_noerr oc)
-         (fun () -> output_string oc (Obs.render_metrics_json ()))
-     with
-    | () -> Unix.rename tmp path
-    | exception Sys_error _ -> ())
-  with Sys_error msg | Unix.Unix_error (_, msg, _) ->
-    prerr_endline ("shelley serve: cannot write metrics snapshot: " ^ msg)
-
-let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
-    ?metrics_out ?metrics_interval ?access_log ?(health_window = 10.)
-    ?(max_queue = 64) ?(max_conns = 512)
-    ?(max_frame_bytes = 8 * 1024 * 1024) ?(read_deadline = 30.) ?queue_deadline
-    ?(max_worker_mem = 0) () =
-  (* select(2) rejects fds >= FD_SETSIZE (1024): keep the connection count
-     comfortably below it so worker pipes and cache fds still fit. *)
-  let max_conns = max 1 (min max_conns 960) in
-  (* Reclaim a stale socket from a dead daemon; refuse both non-sockets and
-     the socket of a daemon that is still alive. *)
-  (match Unix.stat socket with
+(* Reclaim a stale socket from a dead daemon; refuse both non-sockets and
+   the socket of a daemon that is still alive. *)
+let claim_socket socket =
+  match Unix.stat socket with
   | { Unix.st_kind = Unix.S_SOCK; _ } -> (
     match probe_live_daemon socket with
     | `Stale -> ( try Unix.unlink socket with Unix.Unix_error _ -> ())
@@ -647,11 +638,17 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
   | _ ->
     prerr_endline ("shelley serve: " ^ socket ^ " exists and is not a socket");
     exit 2
-  | exception Unix.Unix_error _ -> ());
-  (* Bind and listen under a private name, then link the socket into place:
-     [socket] must never exist while connects to it are refused, or a
-     second [serve] probing it in that window takes it for a dead daemon's
-     and steals it. [link] fails if [socket] appeared meanwhile. *)
+  | exception Unix.Unix_error _ -> ()
+
+(* Bind and listen under a private name, then link the socket into place:
+   [socket] must never exist while connects to it are refused, or a second
+   [serve] probing it in that window takes it for a dead daemon's and
+   steals it. [link] fails if [socket] appeared meanwhile. The listening
+   socket is nonblocking, so one select round can drain the whole accept
+   backlog: otherwise a burst of connects is admitted one per round, and a
+   client whose connect is still queued behind its siblings' can miss the
+   round in which their requests contend for the admission queue. *)
+let listen_on socket =
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let staging = Printf.sprintf "%s.%d" socket (Unix.getpid ()) in
   (match
@@ -667,13 +664,438 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
     prerr_endline
       (Printf.sprintf "shelley serve: cannot bind %s: %s" socket (Unix.error_message e));
     exit 2);
-  (* Nonblocking, so one select round can drain the whole accept backlog:
-     otherwise a burst of connects is admitted one per round, and a client
-     whose connect is still queued behind its siblings' can miss the round
-     in which their requests contend for the admission queue. *)
   Unix.set_nonblock listen_fd;
-  let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 8 in
-  let conns_by_cid : (int, conn) Hashtbl.t = Hashtbl.create 8 in
+  listen_fd
+
+(* --- the daemon loop ---------------------------------------------------------
+
+   One daemon record holds what the socket loop owns, and each turn of the
+   loop ([turn]) is a short sequence of named steps: one [io_round]
+   ([accept] new connections, [read] and [pump] complete lines — replies
+   at once, work through [admit] — and [write] pending output), then
+   [expire] and [dispatch], a metrics [snapshot], [reap_stalled] and
+   [reap_idle]. On SIGTERM, SIGINT or a [shutdown] request the loop stops
+   and [drain] answers what was received. A dispatched request still runs
+   to completion inside the loop: while it runs, no socket is read (making
+   the loop non-blocking is ROADMAP.md item 4). *)
+
+type daemon = {
+  st : state;
+  listen_fd : Unix.file_descr;
+  conns : (Unix.file_descr, conn) Hashtbl.t;
+  by_cid : (int, conn) Hashtbl.t;
+  queue : work Admission.t;
+  max_conns : int;
+  max_frame_bytes : int;
+  read_deadline : float;
+  queue_deadline : float option;
+  idle_reap : float;
+  metrics_out : string option;
+  metrics_interval : float option;
+  chunk : Bytes.t;  (* read buffer for client sockets *)
+  mutable draining : bool;  (* set by a signal or a [shutdown] request *)
+  mutable next_cid : int;
+  mutable last_activity : float;
+  mutable reaped : bool;  (* the idle reap ran since the last activity *)
+  mutable restarts_seen : int;  (* pool restarts already told to telemetry *)
+  mutable last_snapshot : float;
+}
+
+(* Metrics snapshots are written atomically (temp file + rename in the
+   same directory): a reader — or a SIGKILL mid-write — sees either the
+   previous complete snapshot or the new one, never a torn file. Write
+   failures are reported once on stderr, not fatal: metrics are an
+   amenity, the daemon's job is answering requests. *)
+let write_metrics_atomic path =
+  try
+    let tmp = path ^ ".tmp" in
+    let oc = open_out_bin tmp in
+    (match
+       Fun.protect
+         ~finally:(fun () -> close_out_noerr oc)
+         (fun () -> output_string oc (Obs.render_metrics_json ()))
+     with
+    | () -> Unix.rename tmp path
+    | exception Sys_error _ -> ())
+  with Sys_error msg | Unix.Unix_error (_, msg, _) ->
+    prerr_endline ("shelley serve: cannot write metrics snapshot: " ^ msg)
+
+let sync_load d =
+  d.st.load.queue_depth <- Admission.length d.queue;
+  d.st.load.conns <- Hashtbl.length d.conns
+
+let touch d =
+  d.last_activity <- Clock.now ();
+  d.reaped <- false
+
+let drop d conn =
+  Hashtbl.remove d.conns conn.fd;
+  Hashtbl.remove d.by_cid conn.cid;
+  ignore (Admission.drop_client d.queue conn.cid);
+  sync_load d;
+  try Unix.close conn.fd with Unix.Unix_error _ -> ()
+
+(* A connection is done for once it is closing or already dropped:
+   buffered input from it must not be served. *)
+let conn_live d conn = Hashtbl.mem d.conns conn.fd && not conn.closing
+
+(* Write: drain as much of [conn]'s pending output as the socket accepts
+   right now; the select writable set calls back for the rest. Never
+   blocks — a stalled reader costs an O(1) EAGAIN, not a wedged daemon. *)
+let rec write d conn =
+  if pending conn = 0 then begin
+    conn.write_since <- 0.0;
+    if conn.closing && Hashtbl.mem d.conns conn.fd then drop d conn
+  end
+  else
+    let line = Queue.peek conn.wq in
+    let len = String.length line in
+    match Unix.write_substring conn.fd line conn.wpos (len - conn.wpos) with
+    | k ->
+      conn.wbytes <- conn.wbytes - k;
+      conn.wpos <- conn.wpos + k;
+      conn.write_since <- Clock.now ();
+      if conn.wpos >= len then begin
+        ignore (Queue.pop conn.wq);
+        conn.wpos <- 0
+      end;
+      write d conn
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write d conn
+    | exception Unix.Unix_error _ -> drop d conn
+
+let respond d conn resp =
+  let line = Jsonl.to_string (track d.st resp) ^ "\n" in
+  Queue.push line conn.wq;
+  conn.wbytes <- conn.wbytes + String.length line;
+  if conn.write_since = 0.0 then conn.write_since <- Clock.now ();
+  if pending conn > max_write_buffer then begin
+    (* The client has stopped reading: nothing we queue can reach it. *)
+    note d.st "conns_reaped";
+    drop d conn
+  end
+  else write d conn
+
+(* Close once everything queued (typically a final error) is delivered;
+   the write-stall reaper bounds how long that delivery may take. *)
+let close_after_flush d conn =
+  conn.closing <- true;
+  if pending conn = 0 && Hashtbl.mem d.conns conn.fd then drop d conn
+
+(* The client may have disconnected while its request was queued or
+   running; its work is then simply discarded. *)
+let respond_cid d cid resp =
+  match Hashtbl.find_opt d.by_cid cid with
+  | Some conn -> respond d conn resp
+  | None -> ignore (track d.st resp)
+
+let oversize d conn =
+  note d.st "frames_oversized";
+  respond d conn (frame_too_large_response ~max_frame_bytes:d.max_frame_bytes);
+  if Hashtbl.mem d.conns conn.fd then close_after_flush d conn
+
+(* After new input: a buffer past any legal frame can never complete and
+   is shed now; otherwise the partial frame's read clock starts (or, once
+   the buffer is empty, stops). *)
+let track_partial d conn =
+  if Buffer.length conn.rbuf > d.max_frame_bytes then oversize d conn
+  else if Buffer.length conn.rbuf = 0 then conn.partial_since <- 0.0
+  else if conn.partial_since = 0.0 then conn.partial_since <- Clock.now ()
+
+(* A request answered [expired], never run. *)
+let answer_expired d cid (w : work) =
+  note d.st "expired";
+  finish_work d.st w ~outcome:`Expired ();
+  respond_cid d cid (expired_response w.w_id)
+
+let admit d conn (w : work) =
+  Telemetry.set_client w.w_telem conn.cid;
+  let now = Clock.now () in
+  let deadline =
+    (* The effective queue-wait budget: the tighter of the request's own
+       deadline_ms and the server-wide --queue-deadline, if either. *)
+    let of_ms ms = now +. (ms /. 1000.) in
+    match (w.w_deadline_ms, d.queue_deadline) with
+    | Some ms, Some qd -> Some (Float.min (of_ms ms) (now +. qd))
+    | Some ms, None -> Some (of_ms ms)
+    | None, Some qd -> Some (now +. qd)
+    | None, None -> None
+  in
+  (match
+     Admission.submit d.queue ~client:conn.cid ~priority:w.w_priority ~deadline ~now w
+   with
+  | Admission.Admitted -> ()
+  | Admission.Shed retry_after_ms ->
+    note d.st "shed";
+    finish_work d.st w ~outcome:`Shed ~retry_after_ms ();
+    respond d conn (overloaded_response ~retry_after_ms w.w_id)
+  | Admission.Expired -> answer_expired d conn.cid w);
+  sync_load d
+
+(* Pump: serve every complete line this connection has buffered.
+   Immediate replies (status, metrics, health, shutdown, errors) are
+   written at once, ahead of any queued work, and work goes through
+   admission. The shutdown acknowledgment is written here too, so the
+   client that asked always hears the answer. *)
+let pump d conn =
+  List.iter
+    (fun line ->
+      if conn_live d conn && String.trim line <> "" then begin
+        if String.length line > d.max_frame_bytes then oversize d conn
+        else
+          match classify d.st line with
+          | Reply (resp, k) ->
+            respond d conn resp;
+            if k = `Shutdown then d.draining <- true
+          | Admit w -> admit d conn w
+          | exception exn ->
+            respond d conn
+              (error_response Jsonl.Null ("internal error: " ^ Printexc.to_string exn))
+      end)
+    (take_lines conn.rbuf);
+  if conn_live d conn then track_partial d conn
+
+(* Read what [conn] sent. Only a chunk holding a newline is pumped:
+   scanning the chunk (never the accumulated buffer) keeps a hostile
+   near-limit partial frame O(bytes received) instead of O(bytes^2). *)
+let read d conn =
+  match Unix.read conn.fd d.chunk 0 (Bytes.length d.chunk) with
+  | 0 -> drop d conn
+  | n ->
+    Buffer.add_subbytes conn.rbuf d.chunk 0 n;
+    let rec has_newline i = i < n && (Bytes.get d.chunk i = '\n' || has_newline (i + 1)) in
+    if has_newline 0 then pump d conn else track_partial d conn
+  | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  | exception Unix.Unix_error _ -> drop d conn
+
+(* Accept the whole backlog. Past the connection cap (kept below
+   FD_SETSIZE so select keeps working) a client is refused with a
+   structured, retryable error rather than crash later or hang it. Client
+   fds are nonblocking: reads that would block are skipped and writes
+   buffer in [wq], so no single client can stall the loop. (The accepted
+   fd does not inherit the listening socket's nonblocking flag on
+   Linux.) *)
+let rec accept d =
+  match Unix.accept d.listen_fd with
+  | exception Unix.Unix_error _ -> ()
+  | client, _ ->
+    (try Unix.set_nonblock client with Unix.Unix_error _ -> ());
+    if Hashtbl.length d.conns >= d.max_conns then begin
+      note d.st "conns_rejected";
+      let line =
+        Jsonl.to_string (track d.st (connection_limit_response ~max_conns:d.max_conns)) ^ "\n"
+      in
+      (try ignore (Unix.write_substring client line 0 (String.length line))
+       with Unix.Unix_error _ -> ());
+      try Unix.close client with Unix.Unix_error _ -> ()
+    end
+    else begin
+      d.next_cid <- d.next_cid + 1;
+      let conn =
+        {
+          fd = client;
+          cid = d.next_cid;
+          rbuf = Buffer.create 256;
+          partial_since = 0.0;
+          wq = Queue.create ();
+          wpos = 0;
+          wbytes = 0;
+          write_since = 0.0;
+          closing = false;
+        }
+      in
+      Hashtbl.replace d.conns client conn;
+      Hashtbl.replace d.by_cid conn.cid conn;
+      sync_load d;
+      touch d
+    end;
+    accept d
+
+(* One select round within [timeout]: accept and read when [reading], and
+   write every connection with output pending that became writable.
+   [false] when select refused the fd set. *)
+let io_round d ~reading ~timeout =
+  let fds pred = Hashtbl.fold (fun fd conn acc -> if pred conn then fd :: acc else acc) d.conns [] in
+  let rfds = if reading then d.listen_fd :: fds (fun conn -> not conn.closing) else [] in
+  match Unix.select rfds (fds (fun conn -> pending conn > 0)) [] timeout with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+  | exception Unix.Unix_error _ -> false
+  | readable, writable, _ ->
+    let on fd f = Option.iter f (Hashtbl.find_opt d.conns fd) in
+    List.iter
+      (fun fd ->
+        if fd == d.listen_fd then accept d
+        else
+          on fd (fun conn ->
+              touch d;
+              read d conn))
+      readable;
+    List.iter (fun fd -> on fd (write d)) writable;
+    true
+
+(* select refused our fd set (EBADF from a descriptor closed under us,
+   EINVAL past FD_SETSIZE): self-heal by dropping what is verifiably
+   dead, and failing that shed the newest connection — degraded service
+   beats an uncaught exception that skips every cleanup on the way out. *)
+let shed_broken d =
+  let dead =
+    Hashtbl.fold
+      (fun _ conn acc ->
+        match Unix.fstat conn.fd with
+        | _ -> acc
+        | exception Unix.Unix_error _ -> conn :: acc)
+      d.conns []
+  in
+  match dead with
+  | _ :: _ -> List.iter (drop d) dead
+  | [] ->
+    Hashtbl.fold
+      (fun _ (conn : conn) acc ->
+        match acc with
+        | Some (newest : conn) when newest.cid >= conn.cid -> acc
+        | _ -> Some conn)
+      d.conns None
+    |> Option.iter (fun conn ->
+           note d.st "conns_reaped";
+           drop d conn)
+
+(* Answer every queued request whose deadline has passed. *)
+let expire d now =
+  List.iter (fun (cid, w) -> answer_expired d cid w) (Admission.expired d.queue ~now);
+  sync_load d
+
+(* Run at most one admitted request to completion; [true] when one ran.
+   The loop dispatches once per turn, so arrivals, expiries and reaps are
+   re-examined between dispatches; the drain dispatches until the queue is
+   empty. *)
+let dispatch d now =
+  let next = Admission.next d.queue ~now in
+  sync_load d;
+  match next with
+  | Some (cid, w) ->
+    respond_cid d cid (run_work d.st w);
+    true
+  | None -> false
+
+(* Worker restarts feed the health probe: the pool counts them, the loop
+   diffs the counter and timestamps the change. *)
+let note_restarts d =
+  let r = (Supervisor.stats d.st.pool).Supervisor.restarts in
+  if r > d.restarts_seen then begin
+    d.restarts_seen <- r;
+    Telemetry.note_restart d.st.telem
+  end
+
+(* --metrics-interval: periodic atomic snapshot, so a SIGKILLed daemon
+   still leaves recent metrics behind. *)
+let snapshot d =
+  match (d.metrics_out, d.metrics_interval) with
+  | Some path, Some interval when interval > 0.0 ->
+    let now = Clock.now () in
+    if now -. d.last_snapshot >= interval then begin
+      d.last_snapshot <- now;
+      write_metrics_atomic path
+    end
+  | _ -> ()
+
+(* Reap stalled connections, in one pass. Pending output that has made no
+   progress for [read_deadline] seconds will never be delivered, since the
+   peer has stopped reading: the connection is dropped without a farewell,
+   which could not be delivered either. A partial frame has
+   [read_deadline] seconds from its first byte to complete (slow-loris):
+   the client is told why, and the connection closes once that is
+   delivered. *)
+let reap_stalled d now =
+  let stalled since = since > 0.0 && now -. since > d.read_deadline in
+  Hashtbl.fold (fun _ conn acc -> conn :: acc) d.conns []
+  |> List.iter (fun conn ->
+         if stalled conn.write_since then begin
+           note d.st "conns_reaped";
+           drop d conn
+         end
+         else if (not conn.closing) && stalled conn.partial_since then begin
+           note d.st "conns_reaped";
+           respond d conn (read_timeout_response ~read_deadline:d.read_deadline);
+           if Hashtbl.mem d.conns conn.fd then close_after_flush d conn
+         end)
+
+(* A dormant daemon holds no worker processes and no unflushed cache
+   entries: both respawn / refill on the next request. *)
+let reap_idle d =
+  if
+    (not d.reaped)
+    && Hashtbl.length d.conns = 0
+    && Clock.now () -. d.last_activity > d.idle_reap
+  then begin
+    Supervisor.quiesce d.st.pool;
+    Option.iter (fun c -> ignore (Cache.flush c)) d.st.cache;
+    Obs.count "serve.idle_reaps" 1;
+    d.reaped <- true
+  end
+
+(* One turn of the loop. With admitted work waiting the select only polls:
+   dispatch must not starve behind the select timer. *)
+let turn d =
+  let timeout = if Admission.length d.queue > 0 then 0.0 else 0.5 in
+  if not (io_round d ~reading:true ~timeout) then shed_broken d;
+  let now = Clock.now () in
+  expire d now;
+  if dispatch d now then begin
+    note_restarts d;
+    touch d
+  end;
+  snapshot d;
+  reap_stalled d now;
+  reap_idle d
+
+(* Write until nothing is pending or [until] passes. *)
+let rec flush_until d ~until =
+  let left = until -. Clock.now () in
+  if
+    left > 0.0
+    && Hashtbl.fold (fun _ conn acc -> acc || pending conn > 0) d.conns false
+    && io_round d ~reading:false ~timeout:left
+  then flush_until d ~until
+
+(* Graceful drain: answer everything fully received — buffered lines are
+   classified and admitted, then the whole queue is dispatched (expiries
+   still honored) — then flush state and dismantle. The handler runs to
+   completion even when the signal lands mid-verification (the supervisor
+   retries its selects on EINTR). Metrics are flushed *before* the queue
+   runs: that runs real verification work and can take as long as the
+   slowest request, so if the operator escalates to SIGKILL meanwhile, the
+   run's metrics are already on disk; a second (atomic) write refreshes
+   them with whatever the drain added. Responses are buffered per
+   connection: slow readers get a bounded window to take delivery. *)
+let drain d =
+  Hashtbl.iter (fun _ conn -> pump d conn) (Hashtbl.copy d.conns);
+  Option.iter write_metrics_atomic d.metrics_out;
+  let rec run_queue () =
+    let now = Clock.now () in
+    expire d now;
+    if dispatch d now then run_queue ()
+  in
+  run_queue ();
+  flush_until d ~until:(Clock.now () +. 5.0);
+  Option.iter (fun c -> ignore (Cache.flush c)) d.st.cache;
+  Option.iter write_metrics_atomic d.metrics_out;
+  Option.iter close_out_noerr d.st.access_log;
+  d.st.access_log <- None;
+  shutdown_state d.st;
+  Hashtbl.iter (fun _ conn -> try Unix.close conn.fd with Unix.Unix_error _ -> ()) d.conns;
+  try Unix.close d.listen_fd with Unix.Unix_error _ -> ()
+
+let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
+    ?metrics_out ?metrics_interval ?access_log ?(health_window = 10.)
+    ?(max_queue = 64) ?(max_conns = 512)
+    ?(max_frame_bytes = 8 * 1024 * 1024) ?(read_deadline = 30.) ?queue_deadline
+    ?(max_worker_mem = 0) () =
+  (* select(2) rejects fds >= FD_SETSIZE (1024): keep the connection count
+     comfortably below it so worker pipes and cache fds still fit. *)
+  let max_conns = max 1 (min max_conns 960) in
+  claim_socket socket;
+  let listen_fd = listen_on socket in
+  let conns = Hashtbl.create 8 in
   (* Workers fork lazily, possibly while clients are connected: every
      daemon-side descriptor must close in the child or a worker would hold
      the socket open past the daemon's exit. *)
@@ -681,433 +1103,55 @@ let serve ~socket ?(jobs = 1) ?cache ?default_timeout ?(idle_reap = 30.)
     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
     Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ()) conns
   in
-  let access_log_oc =
-    match access_log with
-    | None -> None
-    | Some path -> (
-      match open_out_gen [ Open_append; Open_creat ] 0o644 path with
-      | oc -> Some oc
-      | exception Sys_error msg ->
-        prerr_endline ("shelley serve: cannot open access log: " ^ msg);
-        None)
+  let access_log =
+    Option.bind access_log (fun path ->
+        match open_out_gen [ Open_append; Open_creat ] 0o644 path with
+        | oc -> Some oc
+        | exception Sys_error msg ->
+          prerr_endline ("shelley serve: cannot open access log: " ^ msg);
+          None)
   in
   let st =
-    make_state ~after_fork ?cache ?default_timeout ~max_queue ~max_conns
-      ~max_worker_mem ?access_log:access_log_oc ~health_window ~jobs ()
+    make_state ~after_fork ?cache ?default_timeout ~max_queue ~max_conns ~max_worker_mem
+      ?access_log ~health_window ~jobs ()
   in
-  let queue : work Admission.t = Admission.create ~max_queue in
+  let queue = Admission.create ~max_queue in
   st.oldest_probe <-
     (fun () ->
       Option.map
         (fun arrival -> (Clock.now () -. arrival) *. 1000.)
         (Admission.oldest_arrival queue));
-  let sync_depth () = st.load.queue_depth <- Admission.length queue in
-  let sync_conns () = st.load.conns <- Hashtbl.length conns in
-  let draining = ref false in
-  let handler = Sys.Signal_handle (fun _ -> draining := true) in
+  let now = Clock.now () in
+  let d =
+    {
+      st;
+      listen_fd;
+      conns;
+      by_cid = Hashtbl.create 8;
+      queue;
+      max_conns;
+      max_frame_bytes;
+      read_deadline;
+      queue_deadline;
+      idle_reap;
+      metrics_out;
+      metrics_interval;
+      chunk = Bytes.create 65536;
+      draining = false;
+      next_cid = 0;
+      last_activity = now;
+      reaped = false;
+      restarts_seen = (Supervisor.stats st.pool).Supervisor.restarts;
+      last_snapshot = now;
+    }
+  in
+  let handler = Sys.Signal_handle (fun _ -> d.draining <- true) in
   Sys.set_signal Sys.sigterm handler;
   Sys.set_signal Sys.sigint handler;
-  let next_cid = ref 0 in
-  let drop conn =
-    Hashtbl.remove conns conn.fd;
-    Hashtbl.remove conns_by_cid conn.cid;
-    ignore (Admission.drop_client queue conn.cid);
-    sync_depth ();
-    sync_conns ();
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  in
-  (* A connection is done for once it is closing or already dropped:
-     buffered input from it must not be served. *)
-  let conn_live conn = Hashtbl.mem conns conn.fd && not conn.closing in
-  (* Drain as much of [conn]'s pending output as the socket accepts right
-     now; the select writable set calls back for the rest. Never blocks —
-     a stalled reader costs an O(1) EAGAIN, not a wedged daemon. *)
-  let rec flush_conn conn =
-    if pending conn = 0 then begin
-      conn.write_since <- 0.0;
-      if conn.closing && Hashtbl.mem conns conn.fd then drop conn
-    end
-    else
-      let line = Queue.peek conn.wq in
-      let len = String.length line in
-      match Unix.write_substring conn.fd line conn.wpos (len - conn.wpos) with
-      | k ->
-        conn.wbytes <- conn.wbytes - k;
-        conn.wpos <- conn.wpos + k;
-        conn.write_since <- Clock.now ();
-        if conn.wpos >= len then begin
-          ignore (Queue.pop conn.wq);
-          conn.wpos <- 0
-        end;
-        flush_conn conn
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> flush_conn conn
-      | exception Unix.Unix_error _ -> drop conn
-  in
-  let respond conn resp =
-    let line = Jsonl.to_string (track st resp) ^ "\n" in
-    Queue.push line conn.wq;
-    conn.wbytes <- conn.wbytes + String.length line;
-    if conn.write_since = 0.0 then conn.write_since <- Clock.now ();
-    if pending conn > max_write_buffer then begin
-      (* The client has stopped reading: nothing we queue can reach it. *)
-      note st "conns_reaped";
-      drop conn
-    end
-    else flush_conn conn
-  in
-  (* Close once everything queued (typically a final error) is delivered;
-     the write-stall reaper bounds how long that delivery may take. *)
-  let close_after_flush conn =
-    conn.closing <- true;
-    if pending conn = 0 && Hashtbl.mem conns conn.fd then drop conn
-  in
-  let respond_cid cid resp =
-    (* The client may have disconnected while its request was queued or
-       running; its work is then simply discarded. *)
-    match Hashtbl.find_opt conns_by_cid cid with
-    | Some conn -> respond conn resp
-    | None -> ignore (track st resp)
-  in
-  (* A request answered [expired], never run. *)
-  let expire cid (w : work) =
-    note st "expired";
-    finish_work st w ~outcome:`Expired ();
-    respond_cid cid (expired_response w.w_id)
-  in
-  let oversize conn =
-    note st "frames_oversized";
-    respond conn (frame_too_large_response ~max_frame_bytes);
-    if Hashtbl.mem conns conn.fd then close_after_flush conn
-  in
-  let admit conn (w : work) =
-    Telemetry.set_client w.w_telem conn.cid;
-    let now = Clock.now () in
-    let deadline =
-      (* The effective queue-wait budget: the tighter of the request's own
-         deadline_ms and the server-wide --queue-deadline, if either. *)
-      let of_ms ms = now +. (ms /. 1000.) in
-      match (w.w_deadline_ms, queue_deadline) with
-      | Some ms, Some qd -> Some (Float.min (of_ms ms) (now +. qd))
-      | Some ms, None -> Some (of_ms ms)
-      | None, Some qd -> Some (now +. qd)
-      | None, None -> None
-    in
-    (match
-       Admission.submit queue ~client:conn.cid ~priority:w.w_priority ~deadline ~now w
-     with
-    | Admission.Admitted -> ()
-    | Admission.Shed retry_after_ms ->
-      note st "shed";
-      finish_work st w ~outcome:`Shed ~retry_after_ms ();
-      respond conn (overloaded_response ~retry_after_ms w.w_id)
-    | Admission.Expired -> expire conn.cid w);
-    sync_depth ()
-  in
-  (* Serve every complete line this connection has buffered: immediate
-     replies (status/shutdown/errors) are written at once — that is what
-     keeps [status] answerable under load — and work goes through
-     admission. The shutdown acknowledgment is written here too, so the
-     client that asked always hears the answer. *)
-  let pump conn =
-    List.iter
-      (fun line ->
-        if conn_live conn && String.trim line <> "" then begin
-          if String.length line > max_frame_bytes then oversize conn
-          else
-            match classify st line with
-            | Reply (resp, k) ->
-              respond conn resp;
-              (match k with
-              | `Shutdown -> draining := true
-              | `Continue -> ())
-            | Admit w -> admit conn w
-            | exception exn ->
-              respond conn
-                (error_response Jsonl.Null
-                   ("internal error: " ^ Printexc.to_string exn))
-        end)
-      (take_lines conn.rbuf);
-    if conn_live conn then
-      if Buffer.length conn.rbuf > max_frame_bytes then
-        (* The partial tail alone already exceeds any legal frame. *)
-        oversize conn
-      else if Buffer.length conn.rbuf = 0 then conn.partial_since <- 0.0
-      else if conn.partial_since = 0.0 then
-        conn.partial_since <- Clock.now ()
-  in
-  let chunk = Bytes.create 65536 in
-  (* Does the newly read chunk contain a newline? Scanning only the chunk
-     (never the accumulated buffer) keeps a hostile near-limit partial
-     frame O(bytes received) instead of O(bytes^2). *)
-  let chunk_has_nl n =
-    let rec go i = i < n && (Bytes.get chunk i = '\n' || go (i + 1)) in
-    go 0
-  in
-  let read_conn conn =
-    match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-    | 0 -> drop conn
-    | n ->
-      Buffer.add_subbytes conn.rbuf chunk 0 n;
-      if chunk_has_nl n then pump conn
-        (* No newline arrived, so the buffer still holds one partial
-           frame (pump always consumes through the last newline). A
-           partial frame larger than any legal frame can never complete:
-           shed it now rather than buffering an attacker's stream. *)
-      else if Buffer.length conn.rbuf > max_frame_bytes then oversize conn
-      else if conn.partial_since = 0.0 then
-        conn.partial_since <- Clock.now ()
-    | exception
-        Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      ()
-    | exception Unix.Unix_error _ -> drop conn
-  in
-  let last_activity = ref (Clock.now ()) in
-  let reaped = ref false in
-  (* Worker restarts feed the health probe: the pool counts them, the
-     loop diffs the counter and timestamps the change. *)
-  let restarts_seen = ref (Checker.pool_stats st.pool).Supervisor.restarts in
-  let note_restarts () =
-    let r = (Checker.pool_stats st.pool).Supervisor.restarts in
-    if r > !restarts_seen then begin
-      restarts_seen := r;
-      Telemetry.note_restart st.telem
-    end
-  in
-  (* --metrics-interval: periodic atomic snapshot, so a SIGKILLed daemon
-     still leaves recent metrics behind. *)
-  let last_snapshot = ref (Clock.now ()) in
-  let maybe_snapshot () =
-    match (metrics_out, metrics_interval) with
-    | Some path, Some interval when interval > 0.0 ->
-      let now = Clock.now () in
-      if now -. !last_snapshot >= interval then begin
-        last_snapshot := now;
-        write_metrics_atomic path
-      end
-    | _ -> ()
-  in
-  (* select refused our fd set (EBADF from a descriptor closed under us,
-     EINVAL past FD_SETSIZE): self-heal by dropping what is verifiably
-     dead, and failing that shed the newest connection — degraded service
-     beats an uncaught exception that skips every cleanup on the way out. *)
-  let shed_broken () =
-    let dead =
-      Hashtbl.fold
-        (fun _ conn acc ->
-          match Unix.fstat conn.fd with
-          | _ -> acc
-          | exception Unix.Unix_error _ -> conn :: acc)
-        conns []
-    in
-    match dead with
-    | _ :: _ -> List.iter drop dead
-    | [] ->
-      Hashtbl.fold
-        (fun _ (conn : conn) acc ->
-          match acc with
-          | Some (newest : conn) when newest.cid >= conn.cid -> acc
-          | _ -> Some conn)
-        conns None
-      |> Option.iter (fun conn ->
-             note st "conns_reaped";
-             drop conn)
-  in
-  (* Answer every queued request whose deadline has passed, then dispatch
-     at most one admitted request; [true] when one ran. The serve loop
-     takes one step per iteration, so arrivals, expiries and reaps are
-     re-examined between dispatches; the drain steps until the queue is
-     empty. *)
-  let step now =
-    List.iter (fun (cid, w) -> expire cid w) (Admission.expired queue ~now);
-    let next = Admission.next queue ~now in
-    sync_depth ();
-    match next with
-    | Some (cid, w) ->
-      respond_cid cid (run_work st w);
-      true
-    | None -> false
-  in
-  while not !draining do
-    let rfds =
-      listen_fd
-      :: Hashtbl.fold
-           (fun fd conn acc -> if conn.closing then acc else fd :: acc)
-           conns []
-    in
-    let wfds =
-      Hashtbl.fold
-        (fun fd conn acc -> if pending conn > 0 then fd :: acc else acc)
-        conns []
-    in
-    (* With admitted work waiting, only poll — dispatch must not starve
-       behind the select timer. *)
-    let select_timeout = if Admission.length queue > 0 then 0.0 else 0.5 in
-    (match Unix.select rfds wfds [] select_timeout with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error _ -> shed_broken ()
-    | readable, writable, _ ->
-      List.iter
-        (fun fd ->
-          if fd == listen_fd then begin
-            let accepting = ref true in
-            while !accepting do
-              match Unix.accept listen_fd with
-              | client, _ ->
-                if Hashtbl.length conns >= max_conns then begin
-                  (* At the connection cap (kept below FD_SETSIZE so select
-                     keeps working): refuse with a structured, retryable
-                     error rather than crash later or hang the client. *)
-                  note st "conns_rejected";
-                  let line =
-                    Jsonl.to_string
-                      (track st (connection_limit_response ~max_conns))
-                    ^ "\n"
-                  in
-                  (try Unix.set_nonblock client with Unix.Unix_error _ -> ());
-                  (try
-                     ignore
-                       (Unix.write_substring client line 0 (String.length line))
-                   with Unix.Unix_error _ -> ());
-                  try Unix.close client with Unix.Unix_error _ -> ()
-                end
-                else begin
-                  (* Client fds are nonblocking: reads that would block are
-                     skipped and writes buffer in [wq], so no single client
-                     can stall the loop. (The accepted fd does not inherit
-                     the listening socket's nonblocking flag on Linux.) *)
-                  (try Unix.set_nonblock client with Unix.Unix_error _ -> ());
-                  incr next_cid;
-                  let conn =
-                    { fd = client; cid = !next_cid; rbuf = Buffer.create 256;
-                      partial_since = 0.0; wq = Queue.create (); wpos = 0;
-                      wbytes = 0; write_since = 0.0; closing = false }
-                  in
-                  Hashtbl.replace conns client conn;
-                  Hashtbl.replace conns_by_cid conn.cid conn;
-                  sync_conns ();
-                  last_activity := Clock.now ();
-                  reaped := false
-                end
-              | exception Unix.Unix_error _ -> accepting := false
-            done
-          end
-          else
-            match Hashtbl.find_opt conns fd with
-            | Some conn ->
-              last_activity := Clock.now ();
-              reaped := false;
-              read_conn conn
-            | None -> ())
-        readable;
-      List.iter
-        (fun fd ->
-          match Hashtbl.find_opt conns fd with
-          | Some conn -> flush_conn conn
-          | None -> ())
-        writable);
-    let now = Clock.now () in
-    if step now then begin
-      note_restarts ();
-      last_activity := Clock.now ();
-      reaped := false
-    end;
-    maybe_snapshot ();
-    (* Reap slow-loris connections: a partial frame has [read_deadline]
-       seconds to complete, counted from its first byte. *)
-    let stalled =
-      Hashtbl.fold
-        (fun _ conn acc ->
-          if
-            (not conn.closing)
-            && conn.partial_since > 0.0
-            && now -. conn.partial_since > read_deadline
-          then conn :: acc
-          else acc)
-        conns []
-    in
-    List.iter
-      (fun conn ->
-        note st "conns_reaped";
-        respond conn (read_timeout_response ~read_deadline);
-        if Hashtbl.mem conns conn.fd then close_after_flush conn)
-      stalled;
-    (* Reap write-stalled connections: pending output that has made no
-       progress for [read_deadline] seconds will never be delivered — the
-       peer has stopped reading. No farewell response; it could not be
-       delivered either. *)
-    let write_stalled =
-      Hashtbl.fold
-        (fun _ conn acc ->
-          if conn.write_since > 0.0 && now -. conn.write_since > read_deadline
-          then conn :: acc
-          else acc)
-        conns []
-    in
-    List.iter
-      (fun conn ->
-        note st "conns_reaped";
-        drop conn)
-      write_stalled;
-    (* A dormant daemon holds no worker processes and no unflushed cache
-       entries: both respawn / refill on the next request. *)
-    if
-      (not !reaped)
-      && Hashtbl.length conns = 0
-      && Clock.now () -. !last_activity > idle_reap
-    then begin
-      Checker.quiesce_pool st.pool;
-      Option.iter (fun c -> ignore (Cache.flush c)) st.cache;
-      Obs.count "serve.idle_reaps" 1;
-      reaped := true
-    end
+  while not d.draining do
+    turn d
   done;
-  (* Graceful drain: answer everything fully received — buffered lines are
-     classified and admitted, then the whole queue is dispatched (expiries
-     still honored) — then flush state and dismantle. The handler runs to
-     completion even when the signal lands mid-verification (the
-     supervisor retries its selects on EINTR). *)
-  Hashtbl.iter (fun _ conn -> pump conn) (Hashtbl.copy conns);
-  (* Flush metrics *before* draining the queue: the drain below runs real
-     verification work and can take as long as the slowest request — if
-     the operator escalates to SIGKILL meanwhile, the run's metrics must
-     already be on disk. A second (atomic) write below refreshes the file
-     with whatever the drain itself added. *)
-  Option.iter write_metrics_atomic metrics_out;
-  while step (Clock.now ()) do
-    ()
-  done;
-  (* Responses are buffered per connection: give slow readers a bounded
-     window to take delivery before the daemon dismantles itself. *)
-  let flush_deadline = Clock.now () +. 5.0 in
-  let rec final_flush () =
-    let wfds =
-      Hashtbl.fold
-        (fun fd conn acc -> if pending conn > 0 then fd :: acc else acc)
-        conns []
-    in
-    let left = flush_deadline -. Clock.now () in
-    if wfds <> [] && left > 0.0 then
-      match Unix.select [] wfds [] left with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> final_flush ()
-      | exception Unix.Unix_error _ -> ()
-      | _, writable, _ ->
-        List.iter
-          (fun fd ->
-            match Hashtbl.find_opt conns fd with
-            | Some conn -> flush_conn conn
-            | None -> ())
-          writable;
-        final_flush ()
-  in
-  final_flush ();
-  Option.iter (fun c -> ignore (Cache.flush c)) st.cache;
-  Option.iter write_metrics_atomic metrics_out;
-  Option.iter close_out_noerr access_log_oc;
-  st.access_log <- None;
-  shutdown_state st;
-  Hashtbl.iter (fun _ conn -> try Unix.close conn.fd with Unix.Unix_error _ -> ()) conns;
-  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+  drain d;
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   0
 
@@ -1125,30 +1169,13 @@ let client_call ~socket line =
           Error
             (Printf.sprintf "cannot connect to %s: %s" socket (Unix.error_message e))
         | () -> (
-          let payload = Bytes.of_string (line ^ "\n") in
-          match Supervisor.write_all fd payload with
+          match Supervisor.write_all fd (Bytes.of_string (line ^ "\n")) with
           | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-          | () ->
-            let buf = Buffer.create 1024 in
-            let chunk = Bytes.create 65536 in
-            let rec go () =
-              if String.contains (Buffer.contents buf) '\n' then ()
-              else
-                match Unix.read fd chunk 0 (Bytes.length chunk) with
-                | 0 -> ()
-                | n ->
-                  Buffer.add_subbytes buf chunk 0 n;
-                  go ()
-                | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-            in
-            (match go () with
-            | () -> ()
-            | exception Unix.Unix_error _ -> ());
-            let s = Buffer.contents buf in
-            (match String.index_opt s '\n' with
-            | Some i -> Ok (String.sub s 0 i)
-            | None ->
-              if s = "" then Error "connection closed without a response" else Ok s)))
+          | () -> (
+            match read_line fd with
+            | Ok line -> Ok line
+            | Error "" -> Error "connection closed without a response"
+            | Error partial -> Ok partial)))
 
 (* --- self-healing client ------------------------------------------------------
 

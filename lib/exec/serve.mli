@@ -40,8 +40,11 @@
       within the window.
     - [shutdown] — acknowledge, then drain and exit.
 
-    [status], [metrics] and [health] are answered at read time, bypassing
-    the admission queue, so the daemon stays observable at full backlog.
+    [status], [metrics] and [health] bypass the admission queue: they are
+    answered as soon as their line is read, ahead of any queued work, so
+    a full backlog does not delay them. The daemon still runs one request
+    at a time inside its loop, so they wait for a request that is already
+    running (a non-blocking daemon is ROADMAP.md item 4).
 
     [check] and [lint] may additionally carry [priority] (int, higher is
     dispatched sooner; default 0; clamped to
@@ -58,8 +61,8 @@
     answered [error_code = "expired"], [code = 3], and never dispatched.
     Dispatch is per-client round-robin within a priority level, so one
     flooding connection cannot starve the rest. [status] and [shutdown]
-    bypass the queue and are answered at read time, so the daemon stays
-    observable however deep the backlog is.
+    bypass the queue, so however deep the backlog is they wait only for
+    the request that is running.
 
     Hostile connections are bounded too: the connection count is capped
     ([max_conns], kept below select's FD_SETSIZE) — a connection beyond

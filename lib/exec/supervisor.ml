@@ -444,11 +444,6 @@ let rss_kb pid =
         in
         find ())
 
-(* When an unstarted head's [Started] is owed from: the worker's last frame
-   or the dispatch, whichever is later. Measuring from the dispatch alone
-   would condemn a healthy worker whose chunk outlasts one heartbeat. *)
-let owed_since (p : _ proc) = Float.max p.dispatched_at p.last_heard
-
 (* The smallest capacity a pipe has on Linux (one page: pipes shrink to it
    when their user passes pipe-user-pages-soft). A frame this small written
    to an empty pipe never blocks. *)
@@ -631,13 +626,35 @@ let backoff pool slot =
   bump pool "pool.backoff_waits" 1;
   bump pool "pool.backoff_us" (int_of_float (capped *. jitter *. 1e6))
 
-(* --- run -------------------------------------------------------------------- *)
+(* --- run ---------------------------------------------------------------------
+
+   One [run] call is a loop of named steps over one run record: [recycle]
+   the workers that drained under the RSS ceiling, [spawn_wanted] what the
+   pending tasks need, [dispatch] (idle lanes, then one pipelined chunk),
+   [wait] for the nearest frame or due instant and read what arrived
+   ([on_readable]), then [enforce] whatever fell due. Each decision is
+   written once: every timing rule of a lane is in [due], every lost
+   worker goes through [lose], and every retry through [retry_of]. *)
 
 type 'r settled = {
   outcome : 'r outcome;
   lane : int;
   attempts : int;
 }
+
+(* The one retry policy. A failed first attempt is retried, transformed by
+   [retry], when one is given; a failed second attempt is final and counted
+   poisoned, so no task is retried forever. [Some task] is the task to run
+   as attempt 2; [None] means [outcome] is final. *)
+let retry_of ?retry ~count ~attempt task outcome =
+  match (outcome, retry) with
+  | Done _, _ -> None
+  | _, Some retry when attempt = 1 ->
+    count "pool.retries" 1;
+    Some (retry task)
+  | _ ->
+    if attempt >= 2 then count "pool.poisoned" 1;
+    None
 
 (* The one in-process settle path: an attempt runs [f] here, and a failed
    first attempt runs its retry at once, so one call settles the task. There
@@ -650,402 +667,378 @@ let settle_inline ?retry ?(attempt = 1) ?(count = fun (_ : string) (_ : int) -> 
       | r -> Done r
       | exception exn -> Crashed { reason = Printexc.to_string exn; attempts = attempt }
     in
-    match (outcome, retry) with
-    | Done _, _ -> { outcome; lane = 0; attempts = attempt }
-    | _, Some retry when attempt = 1 ->
-      count "pool.retries" 1;
-      go 2 (retry task)
-    | _ ->
-      if attempt >= 2 then count "pool.poisoned" 1;
-      { outcome; lane = 0; attempts = attempt }
+    match retry_of ?retry ~count ~attempt task outcome with
+    | Some task -> go 2 task
+    | None -> { outcome; lane = 0; attempts = attempt }
   in
   go attempt task
+
+type ('t, 'r) run = {
+  pool : ('t, 'r) t;
+  retry : ('t -> 't) option;
+  deadline : float option;
+  results : 'r settled option array;  (* by task index; [None] until final *)
+  pending : 't item Queue.t;  (* queued, not yet sent to any worker *)
+  mutable unsettled : int;
+  chunk : Bytes.t;  (* read buffer for the result pipes *)
+}
+
+let settle st (item : _ item) lane outcome =
+  match
+    retry_of ?retry:st.retry ~count:(bump st.pool) ~attempt:item.attempt item.task outcome
+  with
+  | Some task -> Queue.add { item with attempt = 2; task; enqueued_at = stamp () } st.pending
+  | None ->
+    st.results.(item.idx) <- Some { outcome; lane; attempts = item.attempt };
+    st.unsettled <- st.unsettled - 1
+
+(* Run every pending task in-process, in index order: inline execution must
+   produce the same (input-ordered) result list as any pool width. *)
+let drain_inline st =
+  let items = List.of_seq (Queue.to_seq st.pending) in
+  Queue.clear st.pending;
+  let timed task =
+    let t0 = stamp () in
+    Fun.protect ~finally:(fun () -> tally "pool.task_wall_us" t0) (fun () -> st.pool.run task)
+  in
+  List.sort (fun a b -> compare (a.idx, a.attempt) (b.idx, b.attempt)) items
+  |> List.iter (fun item ->
+         if st.results.(item.idx) = None then begin
+           st.results.(item.idx) <-
+             Some
+               (settle_inline ?retry:st.retry ~attempt:item.attempt ~count:(bump st.pool)
+                  timed item.task);
+           st.unsettled <- st.unsettled - 1
+         end)
+
+(* The one loss path. A worker is lost when it died (EOF or an error on
+   its pipes) or when the loop condemns it: a deadline kill, a wedge or a
+   corrupt frame. A condemned worker gets a process-group SIGKILL, so
+   task-spawned subprocesses die with it. Either way it is reaped, its
+   head is charged only if it started ([Timed_out] for a deadline kill,
+   else [Crashed] with the reason, "killed by SIGKILL" or "exited with code
+   42" for a death), and the rest is re-queued uncharged. The lane then
+   restarts under backoff, except after a deadline kill: the task was at
+   fault there, not the worker. *)
+let lose st slot (p : _ proc) cause =
+  (try Unix.close p.job_wr with _ -> ());
+  (try Unix.close p.res_rd with _ -> ());
+  if cause <> `Died then begin
+    (try Unix.kill (-p.pid) Sys.sigkill with Unix.Unix_error _ -> ());
+    try Unix.kill p.pid Sys.sigkill with Unix.Unix_error _ -> ()
+  end;
+  let status = waitpid_no_eintr p.pid in
+  slot.proc <- None;
+  (match Queue.take_opt p.assigned with
+  | Some head when p.head_started_at > 0.0 ->
+    tally "pool.task_wall_us" p.head_started_at;
+    let attempts = head.attempt in
+    settle st head slot.lane
+      (match cause with
+      | `Deadline ->
+        bump st.pool "pool.kills" 1;
+        Timed_out { seconds = Option.get st.deadline; attempts }
+      | `Condemned reason -> Crashed { reason; attempts }
+      | `Died ->
+        let reason =
+          match status with
+          | Unix.WEXITED 0 -> "worker exited before returning a result"
+          | Unix.WEXITED code -> Printf.sprintf "exited with code %d" code
+          | Unix.WSIGNALED s | Unix.WSTOPPED s -> "killed by " ^ signal_name s
+        in
+        Crashed { reason; attempts })
+  | Some head -> Queue.add head st.pending
+  | None -> ());
+  Queue.iter (fun item -> Queue.add item st.pending) p.assigned;
+  Queue.clear p.assigned;
+  if cause <> `Deadline then begin
+    backoff st.pool slot;
+    bump st.pool "pool.restarts" 1
+  end
+
+(* One decoded frame from a live worker. *)
+let on_frame st slot (p : _ proc) (frame : _ from_worker) =
+  p.last_heard <- Clock.now ();
+  match frame with
+  | Pong _ -> p.ping_at <- 0.0
+  | Started idx -> (
+    match Queue.peek_opt p.assigned with
+    | Some head when head.idx = idx ->
+      p.head_started_at <- Clock.now ();
+      tally "pool.queue_wait_us" head.enqueued_at
+    | _ -> () (* stale ack from a previous incarnation: ignore *))
+  | Result (idx, res) -> (
+    match Queue.peek_opt p.assigned with
+    | Some head when head.idx = idx -> (
+      ignore (Queue.take p.assigned);
+      tally "pool.task_wall_us" p.head_started_at;
+      p.head_started_at <- 0.0;
+      p.tasks_done <- p.tasks_done + 1;
+      bump st.pool "pool.tasks" 1;
+      slot.consec_failures <- 0;
+      match res with
+      | Ok r -> settle st head slot.lane (Done r)
+      | Error reason -> settle st head slot.lane (Crashed { reason; attempts = head.attempt }))
+    | _ ->
+      (* A result for a task this worker does not own: protocol
+         corruption — condemn the worker, charge nothing blindly. *)
+      lose st slot p (`Condemned "out-of-order frame on result pipe"))
+
+let on_readable st slot (p : _ proc) =
+  match Unix.read p.res_rd st.chunk 0 (Bytes.length st.chunk) with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  | exception Unix.Unix_error _ -> lose st slot p `Died
+  | 0 -> lose st slot p `Died
+  | k -> (
+    Buffer.add_subbytes p.rbuf st.chunk 0 k;
+    let frames, tail = parse_frames p.rbuf in
+    (match tail with
+    | `Consumed consumed ->
+      let rest = Buffer.sub p.rbuf consumed (Buffer.length p.rbuf - consumed) in
+      Buffer.clear p.rbuf;
+      Buffer.add_string p.rbuf rest
+    | `Garbage -> ());
+    (* The worker may have been condemned by an earlier frame in this very
+       batch of frames. *)
+    let alive () =
+      match slot.proc with
+      | Some q -> q == p
+      | None -> false
+    in
+    List.iter (fun frame -> if alive () then on_frame st slot p frame) frames;
+    (* Garbage after valid frames belongs to whichever task is the head once
+       those frames are settled, never to one they completed. *)
+    match tail with
+    | `Garbage when alive () -> lose st slot p (`Condemned "garbage frame on result pipe")
+    | `Garbage | `Consumed _ -> ())
+
+let live_where pool pred =
+  List.filter
+    (fun slot ->
+      match slot.proc with
+      | Some p -> pred p
+      | None -> false)
+    (Array.to_list pool.slots)
+
+let recycle pool = function
+  | [] -> ()
+  | slots ->
+    teardown pool slots;
+    List.iter (fun slot -> slot.ready_at <- 0.0) slots;
+    bump pool "pool.recycles" (List.length slots)
+
+(* Spawn while the pending tasks outnumber the idle live workers and the
+   backoff gate is open: a one-file run forks one worker, whatever the
+   width. A spawn failure is a counted fork failure that backs its lane
+   off; persistent failure everywhere degrades the whole run to inline. *)
+let spawn_wanted st =
+  let pool = st.pool in
+  let idle =
+    ref
+      (List.length (live_where pool (fun p -> Queue.is_empty p.assigned)))
+  in
+  Array.iter
+    (fun slot ->
+      if
+        slot.proc = None
+        && Queue.length st.pending > !idle
+        && slot.consec_failures <= pool.cfg.max_restarts
+        && Clock.now () >= slot.ready_at
+      then
+        try
+          spawn pool slot;
+          incr idle
+        with Fork_failed _ ->
+          bump pool "pool.fork_failures" 1;
+          backoff pool slot)
+    pool.slots
+
+let degraded pool =
+  live_workers pool = 0
+  && Array.for_all (fun slot -> slot.consec_failures > pool.cfg.max_restarts) pool.slots
+
+(* Spread small runs across lanes (chunk ≤ ⌈pending / width⌉) while
+   batching large ones (chunk ≤ batch_size): two files at -j 4 land on
+   lanes 0 and 1, a thousand files go out 8 at a time. *)
+let chunk_size st =
+  let p = Queue.length st.pending in
+  max 1 (min st.pool.cfg.batch_size ((p + st.pool.cfg.jobs - 1) / st.pool.cfg.jobs))
+
+(* Send [p] its next chunk. A worker past its first chunk may have grown
+   since: one RSS read per chunk, and a worker over [max_rss_kb] is sent
+   nothing more — it drains what it holds and is recycled. A pipelined
+   chunk goes to a worker whose last task is running, so the write must
+   not block on a full pipe (a hung task would stall the whole loop): the
+   worker has read every earlier frame, so the job pipe is empty and a
+   frame that fits [pipe_floor] goes through at once; a larger one waits
+   until the worker is idle. A write failure means the worker just died.
+   Never resets the head's start time: a running head keeps its deadline
+   clock. *)
+let feed st slot (p : _ proc) ~pipelined =
+  let cfg = st.pool.cfg in
+  if p.fed && cfg.max_rss_kb > 0 && rss_kb p.pid > cfg.max_rss_kb then p.draining <- true
+  else
+    let items = List.of_seq (Seq.take (chunk_size st) (Queue.to_seq st.pending)) in
+    let frame = frame_of (Job (List.map (fun i -> (i.idx, i.task)) items) : _ to_worker) in
+    if not (pipelined && Bytes.length frame > pipe_floor) then begin
+      List.iter
+        (fun item ->
+          ignore (Queue.take st.pending);
+          Queue.add item p.assigned)
+        items;
+      p.fed <- true;
+      p.dispatched_at <- Clock.now ();
+      bump st.pool "pool.batches" 1;
+      bump st.pool "pool.batch_tasks" (List.length items);
+      match write_all p.job_wr frame with
+      | () -> ()
+      | exception _ -> lose st slot p `Died
+    end
+
+(* Dispatch to idle workers first, in lane order (determinism of the trace
+   lanes, not of the output — output order is pinned by idx). Only then one
+   chunk of lookahead to each worker whose last assigned task has started,
+   so it never waits on the parent between chunks. *)
+let dispatch st =
+  let feed_where pred ~pipelined =
+    Array.iter
+      (fun slot ->
+        match slot.proc with
+        | Some p when pred p && (not p.draining) && not (Queue.is_empty st.pending) ->
+          feed st slot p ~pipelined
+        | _ -> ())
+      st.pool.slots
+  in
+  feed_where (fun p -> Queue.is_empty p.assigned) ~pipelined:false;
+  feed_where (fun p -> Queue.length p.assigned = 1 && p.head_started_at > 0.0) ~pipelined:true
+
+(* What a lane waits for. The first two are acted on by the loop's own
+   steps ([spawn_wanted], [recycle]); [enforce] performs the rest. *)
+type due =
+  | Gate_opens  (* an empty lane's backoff ends *)
+  | Drained  (* an idle worker over the RSS ceiling: recycle it *)
+  | Deadline  (* the running head reaches the run's deadline: kill *)
+  | Wedged  (* the head's [Started] is a heartbeat overdue: condemn *)
+  | Deaf  (* the outstanding ping is a heartbeat old: condemn *)
+  | Silent  (* an idle worker unheard for a heartbeat: ping it *)
+
+(* The one timing rule: a lane's next instant and the action due then.
+   An unstarted head's [Started] is owed from the worker's last frame or
+   the dispatch, whichever is later: measuring from the dispatch alone
+   would condemn a healthy worker whose chunk outlasts one heartbeat. *)
+let due st now slot =
+  let hb = st.pool.cfg.heartbeat_interval in
+  match slot.proc with
+  | None -> if slot.ready_at > now then Some (slot.ready_at, Gate_opens) else None
+  | Some p ->
+    if not (Queue.is_empty p.assigned) then
+      if p.head_started_at > 0.0 then
+        Option.map (fun d -> (p.head_started_at +. d, Deadline)) st.deadline
+      else Some (Float.max p.dispatched_at p.last_heard +. hb, Wedged)
+    else if p.draining then Some (now, Drained)
+    else if p.ping_at > 0.0 then Some (p.ping_at +. hb, Deaf)
+    else Some (p.last_heard +. hb, Silent)
+
+(* Wait for frames until the earliest due instant, at most 0.25 s, and
+   read whatever arrived. *)
+let wait st =
+  let now = Clock.now () in
+  let timeout =
+    Array.fold_left
+      (fun t slot ->
+        match due st now slot with
+        | Some (at, _) -> Float.min t (Float.max 0.0 (at -. now))
+        | None -> t)
+      0.25 st.pool.slots
+  in
+  let fds =
+    Array.to_list st.pool.slots
+    |> List.filter_map (fun slot -> Option.map (fun p -> p.res_rd) slot.proc)
+  in
+  let readable =
+    if fds = [] then begin
+      Unix.sleepf timeout;
+      []
+    end
+    else
+      match Unix.select fds [] [] timeout with
+      | readable, _, _ -> readable
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+  in
+  List.iter
+    (fun fd ->
+      Array.iter
+        (fun slot ->
+          match slot.proc with
+          | Some p when p.res_rd = fd -> on_readable st slot p
+          | _ -> ())
+        st.pool.slots)
+    readable
+
+(* Perform every worker action whose instant has passed. A worker that
+   holds a task it never acknowledged starting, or leaves a ping
+   unanswered, for a heartbeat is wedged: nothing ran, so nothing is
+   charged. *)
+let enforce st =
+  let pool = st.pool in
+  let now = Clock.now () in
+  Array.iter
+    (fun slot ->
+      match (slot.proc, due st now slot) with
+      | Some p, Some (at, action) when now > at -> (
+        match action with
+        | Deadline -> lose st slot p `Deadline
+        | Wedged | Deaf ->
+          bump pool "pool.heartbeat_misses" 1;
+          lose st slot p (`Condemned "missed heartbeat")
+        | Silent -> (
+          pool.ping_seq <- pool.ping_seq + 1;
+          match send_frame p.job_wr (Ping pool.ping_seq : _ to_worker) with
+          | () -> p.ping_at <- now
+          | exception _ -> lose st slot p `Died)
+        | Gate_opens | Drained -> ())
+      | _ -> ())
+    pool.slots
 
 let run ?retry ?deadline pool tasks =
   let n = List.length tasks in
   if n = 0 then []
   else begin
-    let arr = Array.of_list tasks in
-    let results = Array.make n None in
-    let unsettled = ref n in
-    let pending : _ item Queue.t = Queue.create () in
-    Array.iteri
-      (fun idx task -> Queue.add { idx; attempt = 1; task; enqueued_at = stamp () } pending)
-      arr;
-    (* A failed first attempt re-queues once (transformed) when a retry is
-       available; a failed second attempt — or any failure without a retry
-       — is final: the task is poisoned, never retried forever. *)
-    let settle (item : _ item) lane outcome =
-      match outcome with
-      | Done _ ->
-        results.(item.idx) <- Some { outcome; lane; attempts = item.attempt };
-        decr unsettled
-      | Timed_out _ | Crashed _ ->
-        if item.attempt = 1 && retry <> None then begin
-          bump pool "pool.retries" 1;
-          Queue.add
-            {
-              idx = item.idx;
-              attempt = 2;
-              task = (Option.get retry) item.task;
-              enqueued_at = stamp ();
-            }
-            pending
-        end
-        else begin
-          if item.attempt >= 2 then bump pool "pool.poisoned" 1;
-          results.(item.idx) <- Some { outcome; lane; attempts = item.attempt };
-          decr unsettled
-        end
+    let st =
+      {
+        pool;
+        retry;
+        deadline;
+        results = Array.make n None;
+        pending = Queue.create ();
+        unsettled = n;
+        chunk = Bytes.create 65536;
+      }
     in
-    let drain_inline () =
-      (* Index order, for the avoidance of any doubt: inline execution must
-         produce the same (input-ordered) result list as any pool width. *)
-      let items = List.of_seq (Queue.to_seq pending) in
-      Queue.clear pending;
-      let timed task =
-        let t0 = stamp () in
-        Fun.protect ~finally:(fun () -> tally "pool.task_wall_us" t0) (fun () -> pool.run task)
-      in
-      List.sort (fun a b -> compare (a.idx, a.attempt) (b.idx, b.attempt)) items
-      |> List.iter (fun item ->
-             if results.(item.idx) = None then begin
-               let count = bump pool in
-               results.(item.idx) <-
-                 Some (settle_inline ?retry ~attempt:item.attempt ~count timed item.task);
-               decr unsettled
-             end)
-    in
-    let requeue_assigned (p : _ proc) =
-      Queue.iter (fun item -> Queue.add item pending) p.assigned;
-      Queue.clear p.assigned
-    in
-    (* Worker died (EOF / read error on its result pipe): reap, classify
-       from the exit status ("killed by SIGKILL", "exited with code 42"), charge
-       the started head, re-queue the rest. *)
-    let handle_death slot (p : _ proc) =
-      (try Unix.close p.job_wr with _ -> ());
-      (try Unix.close p.res_rd with _ -> ());
-      let status = waitpid_no_eintr p.pid in
-      slot.proc <- None;
-      let reason =
-        match status with
-        | Unix.WEXITED 0 -> "worker exited before returning a result"
-        | Unix.WEXITED code -> Printf.sprintf "exited with code %d" code
-        | Unix.WSIGNALED s | Unix.WSTOPPED s -> "killed by " ^ signal_name s
-      in
-      (match Queue.take_opt p.assigned with
-      | Some head when p.head_started_at > 0.0 ->
-        tally "pool.task_wall_us" p.head_started_at;
-        settle head slot.lane (Crashed { reason; attempts = head.attempt })
-      | Some head -> Queue.add head pending (* never started: not its fault *)
-      | None -> ());
-      requeue_assigned p;
-      backoff pool slot;
-      bump pool "pool.restarts" 1
-    in
-    (* Deliberate kill of a live-but-condemned worker (deadline expiry,
-       wedge, garbage frame): process-group SIGKILL so task-spawned
-       subprocesses die too, then charge/re-queue as appropriate. *)
-    let kill_worker slot (p : _ proc) ~charge =
-      (try Unix.close p.job_wr with _ -> ());
-      (try Unix.close p.res_rd with _ -> ());
-      (try Unix.kill (-p.pid) Sys.sigkill with Unix.Unix_error _ -> ());
-      (try Unix.kill p.pid Sys.sigkill with Unix.Unix_error _ -> ());
-      ignore (waitpid_no_eintr p.pid);
-      slot.proc <- None;
-      (match Queue.take_opt p.assigned with
-      | Some head -> (
-        match charge with
-        | `Timeout ->
-          bump pool "pool.kills" 1;
-          tally "pool.task_wall_us" p.head_started_at;
-          settle head slot.lane
-            (Timed_out { seconds = Option.get deadline; attempts = head.attempt })
-        | `Crash reason ->
-          if p.head_started_at > 0.0 then begin
-            tally "pool.task_wall_us" p.head_started_at;
-            settle head slot.lane (Crashed { reason; attempts = head.attempt })
-          end
-          else Queue.add head pending
-        | `No_charge -> Queue.add head pending)
-      | None -> ());
-      requeue_assigned p
-    in
-    (* A wedged or corrupt worker: killed, and its slot restarts under
-       backoff like a crashed one. *)
-    let condemn slot p ~charge =
-      kill_worker slot p ~charge;
-      backoff pool slot;
-      bump pool "pool.restarts" 1
-    in
-    (* One decoded frame from a live worker. *)
-    let handle_frame slot (p : _ proc) (frame : _ from_worker) =
-      p.last_heard <- Clock.now ();
-      match frame with
-      | Pong _ -> p.ping_at <- 0.0
-      | Started idx ->
-        (match Queue.peek_opt p.assigned with
-        | Some head when head.idx = idx ->
-          p.head_started_at <- Clock.now ();
-          tally "pool.queue_wait_us" head.enqueued_at
-        | _ -> () (* stale ack from a previous incarnation: ignore *))
-      | Result (idx, res) -> (
-        match Queue.peek_opt p.assigned with
-        | Some head when head.idx = idx ->
-          ignore (Queue.take p.assigned);
-          tally "pool.task_wall_us" p.head_started_at;
-          p.head_started_at <- 0.0;
-          p.tasks_done <- p.tasks_done + 1;
-          bump pool "pool.tasks" 1;
-          slot.consec_failures <- 0;
-          (match res with
-          | Ok r -> settle head slot.lane (Done r)
-          | Error reason ->
-            settle head slot.lane (Crashed { reason; attempts = head.attempt }))
-        | _ ->
-          (* A result for a task this worker does not own: protocol
-             corruption — condemn the worker, charge nothing blindly. *)
-          condemn slot p ~charge:(`Crash "out-of-order frame on result pipe"))
-    in
-    let read_chunk = Bytes.create 65536 in
-    let handle_readable slot (p : _ proc) =
-      match Unix.read p.res_rd read_chunk 0 (Bytes.length read_chunk) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error _ -> handle_death slot p
-      | 0 -> handle_death slot p
-      | k -> (
-        Buffer.add_subbytes p.rbuf read_chunk 0 k;
-        let frames, tail = parse_frames p.rbuf in
-        (match tail with
-        | `Consumed consumed ->
-          let rest = Buffer.sub p.rbuf consumed (Buffer.length p.rbuf - consumed) in
-          Buffer.clear p.rbuf;
-          Buffer.add_string p.rbuf rest
-        | `Garbage -> ());
-        (* The worker may have been condemned by an earlier frame in this
-           very batch of frames. *)
-        let alive () =
-          match slot.proc with
-          | Some q -> q == p
-          | None -> false
-        in
-        List.iter (fun frame -> if alive () then handle_frame slot p frame) frames;
-        (* Garbage after valid frames belongs to whichever task is the head
-           once those frames are settled, never to one they completed. *)
-        match tail with
-        | `Garbage when alive () ->
-          condemn slot p ~charge:(`Crash "garbage frame on result pipe")
-        | `Garbage | `Consumed _ -> ())
-    in
-    (* Spread small runs across lanes (chunk ≤ ⌈pending / width⌉) while
-       batching large ones (chunk ≤ batch_size): two files at -j 4 land on
-       lanes 0 and 1, a thousand files go out 8 at a time. *)
-    let chunk_size () =
-      let p = Queue.length pending in
-      max 1 (min pool.cfg.batch_size ((p + pool.cfg.jobs - 1) / pool.cfg.jobs))
-    in
-    (* Send [p] its next chunk. A worker past its first chunk may have grown
-       since: one RSS read per chunk, and a worker over [max_rss_kb] is sent
-       nothing more — it drains what it holds and is recycled. A pipelined
-       chunk goes to a worker whose last task is running, so the write must
-       not block on a full pipe (a hung task would stall the whole loop):
-       the worker has read every earlier frame, so the job pipe is empty and
-       a frame that fits [pipe_floor] goes through at once; a larger one
-       waits until the worker is idle. A write failure means the worker just
-       died — the death path classifies it. Never resets the head's start
-       time: a running head keeps its deadline clock. *)
-    let feed slot (p : _ proc) ~pipelined =
-      if p.fed && pool.cfg.max_rss_kb > 0 && rss_kb p.pid > pool.cfg.max_rss_kb then
-        p.draining <- true
-      else
-        let items = List.of_seq (Seq.take (chunk_size ()) (Queue.to_seq pending)) in
-        let frame =
-          frame_of (Job (List.map (fun i -> (i.idx, i.task)) items) : _ to_worker)
-        in
-        if not (pipelined && Bytes.length frame > pipe_floor) then begin
-          List.iter
-            (fun item ->
-              ignore (Queue.take pending);
-              Queue.add item p.assigned)
-            items;
-          p.fed <- true;
-          p.dispatched_at <- Clock.now ();
-          bump pool "pool.batches" 1;
-          bump pool "pool.batch_tasks" (List.length items);
-          match write_all p.job_wr frame with
-          | () -> ()
-          | exception _ -> handle_death slot p
-        end
-    in
-    let degraded () =
-      live_workers pool = 0
-      && Array.for_all
-           (fun slot -> slot.consec_failures > pool.cfg.max_restarts)
-           pool.slots
-    in
-    let recycle = function
-      | [] -> ()
-      | slots ->
-        teardown pool slots;
-        List.iter (fun slot -> slot.ready_at <- 0.0) slots;
-        bump pool "pool.recycles" (List.length slots)
-    in
-    let live_where pred =
-      List.filter
-        (fun slot ->
-          match slot.proc with
-          | Some p -> pred p
-          | None -> false)
-        (Array.to_list pool.slots)
-    in
-    let now () = Clock.now () in
-    if pool.closed then drain_inline ()
+    List.iteri
+      (fun idx task -> Queue.add { idx; attempt = 1; task; enqueued_at = stamp () } st.pending)
+      tasks;
+    if pool.closed then drain_inline st
     else begin
       (* The task-count ceiling is checked between runs: a run never pays
          for a fresh worker's warm-up just to reset a counter. *)
-      recycle
-        (live_where (fun p ->
+      recycle pool
+        (live_where pool (fun p ->
              p.draining
              || (pool.cfg.max_tasks_per_worker > 0
                 && p.tasks_done >= pool.cfg.max_tasks_per_worker)));
-      while !unsettled > 0 do
-        (* 0. Recycle the workers that drained under the RSS ceiling. *)
-        recycle (live_where (fun p -> p.draining && Queue.is_empty p.assigned));
-        (* 1. Spawn / respawn while the pending tasks outnumber the idle
-           live workers and the backoff gate is open: a one-file run forks
-           one worker, whatever the width. A spawn failure is a counted
-           fork failure; persistent failure everywhere degrades the whole
-           run to inline. *)
-        let idle =
-          ref
-            (Array.fold_left
-               (fun acc slot ->
-                 match slot.proc with
-                 | Some p when Queue.is_empty p.assigned -> acc + 1
-                 | _ -> acc)
-               0 pool.slots)
-        in
-        Array.iter
-          (fun slot ->
-            if
-              slot.proc = None
-              && Queue.length pending > !idle
-              && slot.consec_failures <= pool.cfg.max_restarts
-              && now () >= slot.ready_at
-            then
-              try
-                spawn pool slot;
-                incr idle
-              with Fork_failed reason ->
-                ignore reason;
-                bump pool "pool.fork_failures" 1;
-                backoff pool slot)
-          pool.slots;
-        if degraded () && not (Queue.is_empty pending) then drain_inline ()
+      while st.unsettled > 0 do
+        recycle pool (live_where pool (fun p -> p.draining && Queue.is_empty p.assigned));
+        spawn_wanted st;
+        if degraded pool && not (Queue.is_empty st.pending) then drain_inline st
         else begin
-          (* 2. Dispatch to idle workers, lane order (determinism of the
-             trace lanes, not of the output — output order is pinned by
-             idx). Only then, one chunk of lookahead to each worker whose
-             last assigned task has started, so it never waits on the
-             parent between chunks. *)
-          let feed_where pred ~pipelined =
-            Array.iter
-              (fun slot ->
-                match slot.proc with
-                | Some p when pred p && (not p.draining) && not (Queue.is_empty pending) ->
-                  feed slot p ~pipelined
-                | _ -> ())
-              pool.slots
-          in
-          feed_where (fun p -> Queue.is_empty p.assigned) ~pipelined:false;
-          feed_where
-            (fun p -> Queue.length p.assigned = 1 && p.head_started_at > 0.0)
-            ~pipelined:true;
-          (* 3. Wait for frames, deadlines, backoff gates or heartbeats —
-             whichever is nearest. *)
-          let timeout =
-            let t = ref 0.25 in
-            let consider v = t := Float.min !t (Float.max 0.0 v) in
-            let n0 = now () in
-            Array.iter
-              (fun slot ->
-                match slot.proc with
-                | None -> if slot.ready_at > n0 then consider (slot.ready_at -. n0)
-                | Some p ->
-                  if Queue.is_empty p.assigned then begin
-                    if p.draining then consider 0.0
-                    else if p.ping_at > 0.0 then
-                      consider (p.ping_at +. pool.cfg.heartbeat_interval -. n0)
-                  end
-                  else if p.head_started_at > 0.0 then
-                    Option.iter
-                      (fun d -> consider (p.head_started_at +. d -. n0))
-                      deadline
-                  else consider (owed_since p +. pool.cfg.heartbeat_interval -. n0))
-              pool.slots;
-            !t
-          in
-          let fds =
-            Array.to_list pool.slots
-            |> List.filter_map (fun slot -> Option.map (fun p -> p.res_rd) slot.proc)
-          in
-          let readable, _, _ =
-            if fds = [] then begin
-              Unix.sleepf (Float.min timeout 0.25);
-              ([], [], [])
-            end
-            else
-              try Unix.select fds [] [] timeout
-              with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-          in
-          List.iter
-            (fun fd ->
-              Array.iter
-                (fun slot ->
-                  match slot.proc with
-                  | Some p when p.res_rd = fd -> handle_readable slot p
-                  | _ -> ())
-                pool.slots)
-            readable;
-          (* 4. Enforce deadlines and wedge detection. *)
-          let n1 = now () in
-          Array.iter
-            (fun slot ->
-              match slot.proc with
-              | None -> ()
-              | Some p ->
-                if not (Queue.is_empty p.assigned) then begin
-                  if p.head_started_at > 0.0 then (
-                    match deadline with
-                    | Some d when n1 -. p.head_started_at > d ->
-                      kill_worker slot p ~charge:`Timeout
-                    | _ -> ())
-                  else if n1 -. owed_since p > pool.cfg.heartbeat_interval then begin
-                    (* Holds a task it never acknowledged starting, though
-                       its last frame or dispatch is a heartbeat old:
-                       wedged. Nothing ran, so nothing is charged. *)
-                    bump pool "pool.heartbeat_misses" 1;
-                    condemn slot p ~charge:`No_charge
-                  end
-                end
-                else if p.ping_at > 0.0 then begin
-                  if n1 -. p.ping_at > pool.cfg.heartbeat_interval then begin
-                    bump pool "pool.heartbeat_misses" 1;
-                    condemn slot p ~charge:`No_charge
-                  end
-                end
-                else if n1 -. p.last_heard > pool.cfg.heartbeat_interval then begin
-                  pool.ping_seq <- pool.ping_seq + 1;
-                  match send_frame p.job_wr (Ping pool.ping_seq : _ to_worker) with
-                  | () -> p.ping_at <- n1
-                  | exception _ -> handle_death slot p
-                end)
-            pool.slots
+          dispatch st;
+          wait st;
+          enforce st
         end
       done
     end;
-    Array.to_list results
+    Array.to_list st.results
     |> List.map (function
          | Some settled -> settled
          | None ->

@@ -321,7 +321,11 @@ let test_supervisor_pipelined_keeps_deadline () =
     true (took < 0.3 +. 0.4);
   Alcotest.(check int) "one deadline kill" 1 st.Supervisor.kills;
   Alcotest.(check int) "no heartbeat misses" 0 st.Supervisor.heartbeat_misses;
-  Alcotest.(check int) "the pipelined chunk was sent, then re-sent" 4 st.Supervisor.batches
+  Alcotest.(check int) "the pipelined chunk was sent, then re-sent" 4 st.Supervisor.batches;
+  (* The task was at fault, not the worker: its lane neither counts a
+     restart nor backs off. *)
+  Alcotest.(check int) "a deadline kill is no restart" 0 st.Supervisor.restarts;
+  Alcotest.(check int) "a deadline kill backs nothing off" 0 st.Supervisor.backoff_waits
 
 (* A crash charges the started head alone: the chunk pipelined behind it is
    re-queued at its own attempt number and the retry is spent on task 1

@@ -4,165 +4,30 @@
    lanes, and the contract that matters most: enabling observability never
    changes a single byte of report output. *)
 
-(* --- a minimal JSON reader, enough to validate our own sinks --------------- *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Json_error of string
+(* --- reading our own sinks back, through the one JSON parser ------------- *)
 
 let parse_json text =
-  let n = String.length text in
-  let pos = ref 0 in
-  let fail msg = raise (Json_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word value =
-    if !pos + String.length word <= n && String.sub text !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      value
-    end
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some 'n' -> advance (); Buffer.add_char b '\n'; go ()
-        | Some 't' -> advance (); Buffer.add_char b '\t'; go ()
-        | Some 'r' -> advance (); Buffer.add_char b '\r'; go ()
-        | Some 'u' ->
-          advance ();
-          pos := !pos + 4;
-          Buffer.add_char b '?';
-          go ()
-        | Some c -> advance (); Buffer.add_char b c; go ()
-        | None -> fail "unterminated escape")
-      | Some c ->
-        advance ();
-        Buffer.add_char b c;
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub text start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((key, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Obj (List.rev ((key, v) :: acc))
-          | _ -> fail "expected ',' or '}'"
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let rec items acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            items (v :: acc)
-          | Some ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-          | _ -> fail "expected ',' or ']'"
-        in
-        items []
-      end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+  match Jsonl.parse text with
+  | Ok j -> j
+  | Error msg -> Alcotest.failf "sink JSON does not parse: %s" msg
 
 let member key = function
-  | Obj fields -> (
+  | Jsonl.Obj fields -> (
     match List.assoc_opt key fields with
     | Some v -> v
     | None -> Alcotest.failf "missing key %S" key)
   | _ -> Alcotest.failf "not an object (looking for %S)" key
 
 let as_str = function
-  | Str s -> s
+  | Jsonl.Str s -> s
   | _ -> Alcotest.fail "expected a string"
 
 let as_int = function
-  | Num f -> int_of_float f
+  | Jsonl.Num f -> int_of_float f
   | _ -> Alcotest.fail "expected a number"
 
 let as_arr = function
-  | Arr l -> l
+  | Jsonl.Arr l -> l
   | _ -> Alcotest.fail "expected an array"
 
 (* Every test leaves the global recorder disabled, whatever happens. *)
@@ -467,12 +332,12 @@ let test_metrics_json_schema () =
       Alcotest.(check int) "mean consistent" (total / count) mean)
     phases;
   match member "counters" j with
-  | Obj counters ->
+  | Jsonl.Obj counters ->
     List.iter
       (fun key ->
         Alcotest.(check bool) (key ^ " counted") true
           (match List.assoc_opt key counters with
-          | Some (Num f) -> f > 0.0
+          | Some (Jsonl.Num f) -> f > 0.0
           | _ -> false))
       [ "parse.classes"; "models.extracted"; "usage.nfa_states" ]
   | _ -> Alcotest.fail "counters must be an object"

@@ -740,6 +740,43 @@ let test_slow_loris_reap () =
   | None -> Alcotest.fail "idle connection was wrongly reaped");
   Unix.close idle
 
+(* A client that pipelines requests and never reads: its responses fill
+   the socket, and once its pending output has made no progress for the
+   read deadline the connection is reaped — counted once — while the other
+   clients are still served. *)
+let test_write_stall_reap () =
+  with_corpus [] @@ fun dir _files ->
+  let socket = Filename.concat dir "d.sock" in
+  with_daemon ~socket
+    (fun () -> Serve.serve ~socket ~jobs:1 ~read_deadline:0.3 ())
+  @@ fun () ->
+  let idle = raw_connect socket in
+  let stalled = raw_connect socket in
+  (* Megabytes of responses: far more than a socket buffer holds. *)
+  let requests =
+    String.concat ""
+      (List.init 2000 (fun i -> Printf.sprintf "{\"id\":%d,\"method\":\"metrics\"}\n" i))
+  in
+  let previous = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe previous) (fun () ->
+      try send_raw stalled requests with Unix.Unix_error (Unix.EPIPE, _, _) -> ());
+  Alcotest.(check bool) "write-stalled connection reaped" true
+    (wait_for (fun () -> status_field ~socket "conns_reaped" >= 1));
+  Alcotest.(check bool) "its socket closed" true (recv_eof stalled);
+  Unix.close stalled;
+  (* Past another read deadline, the reap is still counted once, and the
+     connection that stayed idle throughout is served. *)
+  Unix.sleepf 0.5;
+  send_raw idle "{\"id\":1,\"method\":\"status\"}\n";
+  (match recv_line idle with
+  | Some resp ->
+    Alcotest.(check bool)
+      (Printf.sprintf "idle conn served; one reap counted (got %s)" resp)
+      true
+      (contains resp "\"conns_reaped\":1")
+  | None -> Alcotest.fail "idle connection was wrongly reaped");
+  Unix.close idle
+
 let test_connection_cap () =
   with_corpus [] @@ fun dir _files ->
   let socket = Filename.concat dir "d.sock" in
@@ -1198,6 +1235,7 @@ let () =
         [
           Alcotest.test_case "oversized frame" `Quick test_oversized_frame;
           Alcotest.test_case "slow-loris reap" `Quick test_slow_loris_reap;
+          Alcotest.test_case "write-stall reap" `Quick test_write_stall_reap;
           Alcotest.test_case "connection cap" `Quick test_connection_cap;
           Alcotest.test_case "queue-full shed" `Quick test_queue_full_shed;
           Alcotest.test_case "queued-deadline expiry" `Quick test_queued_deadline_expiry;
