@@ -5,6 +5,9 @@
      language product  equivalence check of that NFA against its own DFA
                        (equal languages, so the whole product is explored)
      intersect         product NFA of the same pair
+     lifted inclusion  SY112's search: a shuffle expansion against a
+                       subsystem protocol lifted to its 37 symbols (safe,
+                       so the whole product is explored)
      shuffle product   k two-step tasks interleaved (3^k configurations)
      progression       LTLf progression DFA of a claim conjunction
      tableau           tableau NFA of the same claim conjunction
@@ -13,12 +16,16 @@
      derivative closure  Brzozowski derivatives of a shuffle of stars
 
    Each row records the median wall time over repeated runs and the number
-   of states/configurations the construction interned. The counts come from
-   the fuel each construction charges under its own resource name (one unit
-   per new configuration), read back from the budget's ledger; the
-   derivative closure is unbudgeted and counts its result instead. The
+   of states/configurations the construction interned. Every run gets its
+   automata built afresh, untimed, so it starts from empty configuration
+   tables. The counts come from the fuel each construction charges under
+   its own resource name (one unit per new configuration), read back from
+   the budget's ledger; the derivative closure is unbudgeted and counts
+   its result instead. The
    inputs do not depend on the mode, so the counts are the same in smoke
-   and full runs; --smoke only takes fewer timing samples.
+   and full runs; --smoke takes fewer timing samples, and fails when a
+   row's count differs from the tracked BENCH_automata.json (counts do not
+   depend on the host).
 
    Emits BENCH_automata.json and a human summary.
 
@@ -28,11 +35,15 @@ let smoke = Array.exists (String.equal "--smoke") Sys.argv
 let reps = if smoke then 3 else 31
 let die fmt = Format.kasprintf (fun s -> prerr_endline s; exit 1) fmt
 
-let median_ms f =
+(* Each sample times [f] on inputs [fresh] built outside the timed
+   region: an automaton keeps the configuration table its searches fill,
+   so a sample on a reused automaton would time table reads only. *)
+let median_ms ~fresh f =
   let samples =
     List.init reps (fun _ ->
+        let x = fresh () in
         let t0 = Clock.now () in
-        ignore (Sys.opaque_identity (f ()));
+        ignore (Sys.opaque_identity (f x));
         (Clock.now () -. t0) *. 1000.)
     |> List.sort Float.compare
   in
@@ -47,21 +58,30 @@ let interned resource f =
 
 type row = { name : string; input : string; ms : float; count : int }
 
-let row name input ~resource f =
-  { name; input; ms = median_ms (fun () -> f (Limits.make ())); count = interned resource f }
+let row name input ~resource ~fresh f =
+  {
+    name;
+    input;
+    ms = median_ms ~fresh (fun x -> f (Limits.make ()) x);
+    count = interned resource (fun limits -> f limits (fresh ()));
+  }
 
 (* --- Fixed inputs -------------------------------------------------------------- *)
 
 let chain_ops = 24
 
-let chain =
+let chain_model =
   let result = Pipeline.verify_source_exn (Sources.valve ^ Sources.chain_composite chain_ops) in
-  Usage.expanded_nfa (Option.get (Pipeline.find_model result "Chain"))
+  Option.get (Pipeline.find_model result "Chain")
 
-let chain_dfa = Dfa.to_nfa (Determinize.determinize chain)
+let chain () = Usage.expanded_nfa chain_model
+
+(* The chain and its DFA, each with an empty configuration table. *)
+let chain_pair () = (chain (), Dfa.to_nfa (Determinize.determinize (chain ())))
+
 let tasks = 7
 
-let task_nfas =
+let task_nfas () =
   List.init tasks (fun i ->
       let s fmt = Printf.ksprintf Regex.sym_of_name fmt in
       Glushkov.of_regex (Regex.seq (s "a%d" i) (s "b%d" i)))
@@ -77,6 +97,33 @@ let entail_goal = Ltl_parser.parse "G (v.open -> F v.close)"
 
 let deriv_width = 6
 
+(* step0 … step19, then log.begin, five tasks v_i.test · v_i.open ·
+   v_i.close forked together, and log.end: the tasks never touch the log,
+   so the shuffle is safe, and the search explores every interleaving
+   (4^5 positions) against the log protocol (log.begin · log.end)* lifted
+   with self-loops on the other 35 symbols. *)
+let lifted_tasks = 5
+
+let lifted () =
+  let s name = Regex.sym_of_name name in
+  let task i =
+    Regex.seq_list (List.map (fun op -> s (Printf.sprintf "v%d.%s" i op)) [ "test"; "open"; "close" ])
+  in
+  let impl =
+    Glushkov.of_regex
+      (Regex.seq_list
+         (List.init 20 (fun i -> s (Printf.sprintf "step%d" i))
+         @ [ s "log.begin"; Regex.shuffle_list (List.init lifted_tasks task); s "log.end" ]))
+  in
+  let protocol = Glushkov.of_regex (Regex.star (Regex.seq (s "log.begin") (s "log.end"))) in
+  let alphabet = Symbol.Set.union (Nfa.alphabet impl) (Nfa.alphabet protocol) in
+  let others = Symbol.Set.diff alphabet (Nfa.alphabet protocol) in
+  (impl, Nfa.add_self_loops others protocol, alphabet)
+
+let lifted_symbols =
+  let _, _, alphabet = lifted () in
+  Symbol.Set.cardinal alphabet
+
 (* (c_0 d_0)* ∥ … ∥ (c_5 d_5)*: each component is either between pairs or
    inside one, so 2^6 derivatives. *)
 let deriv_input =
@@ -90,27 +137,35 @@ let () =
   let rows =
     [
       row "determinize" (Printf.sprintf "chain_composite %d" chain_ops)
-        ~resource:"determinization states" (fun limits ->
-          Determinize.determinize ~limits chain);
+        ~resource:"determinization states" ~fresh:chain (fun limits nfa ->
+          Determinize.determinize ~limits nfa);
       row "language product" (Printf.sprintf "chain_composite %d vs its DFA" chain_ops)
-        ~resource:"language-product configurations" (fun limits ->
-          match Language.equivalence_counterexample ~limits chain chain_dfa with
+        ~resource:"language-product configurations" ~fresh:chain_pair (fun limits (nfa, dfa) ->
+          match Language.equivalence_counterexample ~limits nfa dfa with
           | None -> ()
           | Some _ -> die "language product: an NFA and its DFA disagree");
       row "intersect" (Printf.sprintf "chain_composite %d x its DFA" chain_ops)
-        ~resource:"intersection-product configurations" (fun limits ->
-          Language.intersect ~limits chain chain_dfa);
+        ~resource:"intersection-product configurations" ~fresh:chain_pair
+        (fun limits (nfa, dfa) -> Language.intersect ~limits nfa dfa);
+      row "lifted inclusion"
+        (Printf.sprintf "%d-task shuffle vs lifted protocol, %d symbols" lifted_tasks
+           lifted_symbols)
+        ~resource:"language-product configurations" ~fresh:lifted
+        (fun limits (impl, spec, alphabet) ->
+          match Language.inclusion_counterexample ~limits ~alphabet ~impl ~spec () with
+          | None -> ()
+          | Some _ -> die "lifted inclusion: the safe shuffle has a counterexample");
       row "shuffle product" (Printf.sprintf "%d two-step tasks" tasks)
-        ~resource:"shuffle-product configurations" (fun limits ->
-          Shuffle_nfa.product ~limits task_nfas);
+        ~resource:"shuffle-product configurations" ~fresh:task_nfas (fun limits nfas ->
+          Shuffle_nfa.product ~limits nfas);
       row "progression" "4-claim conjunction, 4 events" ~resource:"progression obligations"
-        (fun limits -> Progression.to_dfa ~limits ~alphabet:claim_alphabet claim);
-      row "tableau" "4-claim conjunction, 4 events" ~resource:"tableau states" (fun limits ->
-          Tableau.to_nfa ~limits ~alphabet:claim_alphabet claim);
+        ~fresh:ignore (fun limits () -> Progression.to_dfa ~limits ~alphabet:claim_alphabet claim);
+      row "tableau" "4-claim conjunction, 4 events" ~resource:"tableau states" ~fresh:ignore
+        (fun limits () -> Tableau.to_nfa ~limits ~alphabet:claim_alphabet claim);
       row "entail product" (Printf.sprintf "chain_composite %d, entailed claim" chain_ops)
-        ~resource:"entailment configurations" (fun limits ->
+        ~resource:"entailment configurations" ~fresh:chain (fun limits nfa ->
           match
-            Entail.implies (Entail.session ~limits ~impl:chain ()) ~hyps:entail_hyps entail_goal
+            Entail.implies (Entail.session ~limits ~impl:nfa ()) ~hyps:entail_hyps entail_goal
           with
           | Entail.Entailed -> ()
           | v -> die "entail product: expected entailed, got %a" Entail.pp_verdict v);
@@ -118,7 +173,7 @@ let () =
        {
          name = "derivative closure";
          input = Printf.sprintf "shuffle of %d starred pairs" deriv_width;
-         ms = median_ms closure;
+         ms = median_ms ~fresh:ignore closure;
          count = List.length (closure ());
        });
     ]
@@ -127,6 +182,28 @@ let () =
   List.iter
     (fun r -> Printf.printf "  %-20s %-36s %10d %10.3f\n" r.name r.input r.count r.ms)
     rows;
+  (* The smoke gate: every row's count must equal the tracked file's,
+     read before this run overwrites it. *)
+  if smoke then begin
+    let tracked =
+      match Jsonl.parse (In_channel.with_open_bin "BENCH_automata.json" In_channel.input_all) with
+      | Ok j -> Option.value ~default:[] (Option.bind (Jsonl.member "rows" j) Jsonl.to_list)
+      | Error msg -> die "FAIL: BENCH_automata.json does not parse: %s" msg
+      | exception Sys_error msg -> die "FAIL: no tracked BENCH_automata.json: %s" msg
+    in
+    let tracked_count name =
+      List.find_map
+        (fun r -> if Jsonl.mem_str "construction" r = Some name then Jsonl.mem_int "states" r else None)
+        tracked
+    in
+    List.iter
+      (fun r ->
+        match tracked_count r.name with
+        | Some n when n = r.count -> ()
+        | Some n -> die "FAIL: %s interned %d states, the tracked file says %d" r.name r.count n
+        | None -> die "FAIL: %s has no row in the tracked BENCH_automata.json" r.name)
+      rows
+  end;
   let row r =
     Jsonl.(Obj [ ("construction", Str r.name); ("input", Str r.input); ("states", int r.count);
                  ("ms", Bench_json.fixed 3 r.ms) ])

@@ -5,17 +5,19 @@ let determinize ?(limits = Limits.default) ?alphabet nfa =
     | Some syms -> List.sort_uniq Symbol.compare syms
     | None -> Symbol.Set.elements (Nfa.alphabet nfa)
   in
-  (* Every reachable ε-closed configuration, numbered densely; the empty one
-     is the sink. *)
+  let syms = Array.of_list alphabet in
+  let idx = Array.map (Nfa.symbol_index nfa) syms in
+  (* Every reachable ε-closed configuration, by its id in [nfa]'s table,
+     renumbered densely in discovery order; the empty one is the sink. *)
   let fuel =
     Limits.fuel ~within:limits ~resource:"determinization states" limits.Limits.max_states
   in
   let graph =
-    Explore.graph States.key ~fuel ~start:(Nfa.initial_config nfa)
-      ~step:(fun config emit ->
-        List.iter (fun sym -> emit sym (Nfa.step nfa config sym)) alphabet)
+    Explore.graph Explore.int ~fuel ~start:(Nfa.Config.initial nfa)
+      ~step:(fun c emit ->
+        Array.iteri (fun j sym -> emit sym (Nfa.Config.next nfa c idx.(j))) syms)
       ()
   in
   Obs.count "determinize.calls" 1;
   Obs.count "determinize.states" (Array.length graph.keys);
-  Dfa.of_graph ~alphabet ~accepting:(Nfa.accepting_config nfa) graph
+  Dfa.of_graph ~alphabet ~accepting:(Nfa.Config.accepting nfa) graph

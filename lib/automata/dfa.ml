@@ -62,10 +62,15 @@ let num_states dfa = dfa.num_states
 let start dfa = dfa.start
 let is_accept dfa q = dfa.accept.(q)
 
-let accept_states dfa =
-  let acc = ref States.Set.empty in
-  Array.iteri (fun q b -> if b then acc := States.Set.add q !acc) dfa.accept;
-  !acc
+(* The states [q] with [flags.(q)], ascending. *)
+let states_where flags =
+  let acc = ref [] in
+  for q = Array.length flags - 1 downto 0 do
+    if flags.(q) then acc := q :: !acc
+  done;
+  States.of_list !acc
+
+let accept_states dfa = states_where dfa.accept
 
 let mem_alphabet dfa sym = Symbol.Map.mem sym dfa.sym_index
 
@@ -120,9 +125,7 @@ let reachable_states dfa =
     end
   in
   go dfa.start;
-  let acc = ref States.Set.empty in
-  Array.iteri (fun q b -> if b then acc := States.Set.add q !acc) seen;
-  !acc
+  states_where seen
 
 (* One trim: forward reachability from the start, backward from the
    accepting states; a symbol is live when it labels an edge between the

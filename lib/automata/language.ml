@@ -1,40 +1,68 @@
-let pair_key = Explore.pair States.key States.key
+module Config = Nfa.Config
 
-(* Breadth-first over pairs of ε-closed configurations of two NFAs run in
-   lockstep; [bad] spots a distinguishing pair when it is dequeued, and
-   breadth-first order makes the witness shortest. *)
-let find_witness ?(limits = Limits.default) ?alphabet ~bad n1 n2 =
+(* Each product symbol's index in [nfa]'s own alphabet ([-1] outside it). *)
+let indices nfa syms = Array.map (Nfa.symbol_index nfa) syms
+
+(* Breadth-first over pairs of configuration ids of two NFAs run in
+   lockstep, each pair packed into one int; [bad] spots a distinguishing
+   pair when it is dequeued, and breadth-first order makes the witness
+   shortest. With [prune], a successor whose first side is the empty
+   configuration is not emitted: from there the first automaton accepts
+   nothing, so no pair after it is bad for an inclusion. *)
+let find_witness ?(limits = Limits.default) ?alphabet ~prune ~bad n1 n2 =
   Obs.with_span "language.product" @@ fun () ->
   let alphabet =
     match alphabet with
     | Some set -> set
     | None -> Symbol.Set.union (Nfa.alphabet n1) (Nfa.alphabet n2)
   in
-  let syms = Symbol.Set.elements alphabet in
+  let syms = Array.of_list (Symbol.Set.elements alphabet) in
+  let i1 = indices n1 syms and i2 = indices n2 syms in
+  (* [n1]'s symbols ascend as [syms] do, so walking only [n1]'s live
+     symbols that [alphabet] has emits the unpruned successors in the same
+     order. *)
+  let symbols1 = Nfa.symbols n1 in
+  let i2_of_1 = indices n2 symbols1 in
+  let in_alphabet = Array.map (fun sym -> Symbol.Set.mem sym alphabet) symbols1 in
   let fuel =
     Limits.fuel ~within:limits ~resource:"language-product configurations"
       limits.Limits.max_configs
   in
   let counts = Explore.counts () in
+  let step k emit =
+    let c1 = Explore.high k and c2 = Explore.low k in
+    let row1 = Config.row n1 c1 in
+    if prune then begin
+      let live = Config.live n1 c1 in
+      for j = 0 to Array.length live - 1 do
+        let i = live.(j) in
+        if in_alphabet.(i) then
+          emit symbols1.(i) (Explore.pack row1.(i) (Config.next n2 c2 i2_of_1.(i)))
+      done
+    end
+    else
+      for j = 0 to Array.length syms - 1 do
+        emit syms.(j) (Explore.pack (Config.next n1 c1 i1.(j)) (Config.next n2 c2 i2.(j)))
+      done
+  in
   let witness =
-    Explore.witness pair_key ~fuel ~counts
-      ~goal:(fun (c1, c2) -> bad (Nfa.accepting_config n1 c1) (Nfa.accepting_config n2 c2))
-      ~start:(Nfa.initial_config n1, Nfa.initial_config n2)
-      ~step:(fun (c1, c2) emit ->
-        List.iter (fun sym -> emit sym (Nfa.step n1 c1 sym, Nfa.step n2 c2 sym)) syms)
-      ()
+    Explore.witness Explore.int ~fuel ~counts
+      ~goal:(fun k ->
+        bad (Config.accepting n1 (Explore.high k)) (Config.accepting n2 (Explore.low k)))
+      ~start:(Explore.pack (Config.initial n1) (Config.initial n2))
+      ~step ()
   in
   Obs.count "language.configs" counts.states;
   witness
 
 let inclusion_counterexample ?limits ?alphabet ~impl ~spec () =
-  find_witness ?limits ?alphabet ~bad:(fun a b -> a && not b) impl spec
+  find_witness ?limits ?alphabet ~prune:true ~bad:(fun a b -> a && not b) impl spec
 
 let included ?limits ?alphabet ~impl ~spec () =
   Option.is_none (inclusion_counterexample ?limits ?alphabet ~impl ~spec ())
 
 let equivalence_counterexample ?limits n1 n2 =
-  find_witness ?limits ~bad:(fun a b -> a <> b) n1 n2
+  find_witness ?limits ~prune:false ~bad:(fun a b -> a <> b) n1 n2
 
 let equivalent ?limits n1 n2 = Option.is_none (equivalence_counterexample ?limits n1 n2)
 
@@ -42,19 +70,21 @@ let equivalent ?limits n1 n2 = Option.is_none (equivalence_counterexample ?limit
    result is ε-free by construction. *)
 let intersect ?(limits = Limits.default) n1 n2 =
   Obs.with_span "language.intersect" @@ fun () ->
-  let syms = Symbol.Set.elements (Symbol.Set.inter (Nfa.alphabet n1) (Nfa.alphabet n2)) in
+  let symbols1 = Nfa.symbols n1 in
+  let i2_of_1 = indices n2 symbols1 in
   let fuel =
     Limits.fuel ~within:limits ~resource:"intersection-product configurations"
       limits.Limits.max_configs
   in
-  Explore.graph pair_key ~fuel ~start:(Nfa.initial_config n1, Nfa.initial_config n2)
-    ~step:(fun (c1, c2) emit ->
-      List.iter
-        (fun sym ->
-          let d1 = Nfa.step n1 c1 sym in
-          let d2 = Nfa.step n2 c2 sym in
-          if not (States.Set.is_empty d1 || States.Set.is_empty d2) then emit sym (d1, d2))
-        syms)
+  Explore.graph Explore.int ~fuel ~start:(Explore.pack (Config.initial n1) (Config.initial n2))
+    ~step:(fun k emit ->
+      let c1 = Explore.high k and c2 = Explore.low k in
+      let row1 = Config.row n1 c1 in
+      Array.iter
+        (fun i ->
+          let d2 = Config.next n2 c2 i2_of_1.(i) in
+          if d2 <> Config.empty then emit symbols1.(i) (Explore.pack row1.(i) d2))
+        (Config.live n1 c1))
     ()
-  |> Nfa.of_graph ~accepting:(fun (c1, c2) ->
-         Nfa.accepting_config n1 c1 && Nfa.accepting_config n2 c2)
+  |> Nfa.of_graph ~accepting:(fun k ->
+         Config.accepting n1 (Explore.high k) && Config.accepting n2 (Explore.low k))

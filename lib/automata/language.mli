@@ -4,7 +4,9 @@
     an implementation can produce allowed by a specification, and if not,
     what is the shortest offending trace. Implemented by an on-the-fly
     product of subset constructions — no full determinization when a
-    counterexample is close to the start state.
+    counterexample is close to the start state. Each side steps through
+    its automaton's configuration table ({!Nfa.Config}), and a product
+    state is the pair of ids packed into one int.
 
     Every comparison explores at most [limits.max_configs] product
     configurations (default {!Limits.default}) and raises
@@ -20,7 +22,10 @@ val inclusion_counterexample :
   Trace.t option
 (** Shortest trace accepted by [impl] but not by [spec]. The alphabet
     defaults to the union of both automata's alphabets; pass a larger one if
-    the implementation may emit symbols neither mentions.
+    the implementation may emit symbols neither mentions. A pair whose
+    [impl] side is the empty configuration is never explored (no trace
+    through it is accepted by [impl]), so it is neither counted nor
+    charged.
     @raise Limits.Budget_exceeded when the configuration budget runs out. *)
 
 val included :

@@ -91,8 +91,7 @@ let minimize_hopcroft dfa =
       for s = 0 to num_syms - 1 do
         (* X = states with an s-transition into the splitter. *)
         let x =
-          ISet.fold (fun q acc -> List.fold_left (fun a p -> ISet.add p a) acc preds.(s).(q))
-            splitter ISet.empty
+          ISet.of_list (ISet.fold (fun q acc -> List.rev_append preds.(s).(q) acc) splitter [])
         in
         if not (ISet.is_empty x) then
           partition :=

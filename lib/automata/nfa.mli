@@ -54,6 +54,12 @@ val epsilons : t -> (int * int) list
 val alphabet : t -> Symbol.Set.t
 (** Symbols occurring on transitions; computed once by {!create}. *)
 
+val symbols : t -> Symbol.t array
+(** The alphabet in ascending order: symbol index [i] is [(symbols t).(i)]. *)
+
+val symbol_index : t -> Symbol.t -> int
+(** The symbol's index in {!symbols}, or [-1] outside the alphabet. *)
+
 val successors : t -> States.t -> Symbol.t -> States.Set.t
 (** Direct (non-ε-closed) successors. *)
 
@@ -63,10 +69,10 @@ val eps_closure : t -> States.Set.t -> States.Set.t
 
 val step : t -> States.Set.t -> Symbol.t -> States.Set.t
 (** ε-closed step: [eps_closure (⋃ successors q sym)] over the states [q]
-    of the configuration, which need not itself be ε-closed. A table
-    lookup: each state's ε-closed successor row is built on first use and
-    kept in the automaton, so a configuration steps as the union of its
-    states' rows. *)
+    of the configuration, which need not itself be ε-closed. Each state's
+    ε-closed successor row is built on first use and kept in the automaton,
+    so a configuration steps as one merge of its states' rows. For one-off
+    walks; a search steps through {!Config}. *)
 
 val initial_config : t -> States.Set.t
 (** ε-closure of the start states. *)
@@ -75,6 +81,39 @@ val accepts : t -> Trace.t -> bool
 
 val accepting_config : t -> States.Set.t -> bool
 (** Does the configuration contain an accepting state? *)
+
+(** {1 The configuration table}
+
+    Each automaton numbers the ε-closed configurations it is stepped from:
+    a lazily built DFA that lives in the value, as the per-state rows do,
+    so every search over one automaton shares it. An id's successor row,
+    one entry per symbol index, is filled the first time the id is
+    stepped; after that a step is an array read. Ids are dense but their
+    order depends on what the automaton was asked before, so a search
+    must not let it decide anything. *)
+module Config : sig
+  val empty : int
+  (** The empty configuration, id [0] in every table. *)
+
+  val initial : t -> int
+  (** The id of {!initial_config}. *)
+
+  val accepting : t -> int -> bool
+  (** Does the configuration contain an accepting state? *)
+
+  val next : t -> int -> int -> int
+  (** [next t c i] is the id of [step t s (symbols t).(i)] for the
+      configuration [s] of id [c]; a negative [i] (a symbol outside the
+      alphabet) gives {!empty}. *)
+
+  val row : t -> int -> int array
+  (** [(row t c).(i) = next t c i] for every symbol index. The table's own
+      array: read it, never write it. *)
+
+  val live : t -> int -> int array
+  (** The symbol indices [i], ascending, whose [next t c i] is not
+      {!empty}. The table's own array: read it, never write it. *)
+end
 
 (** {1 Language combinators (Thompson-style)} *)
 

@@ -11,7 +11,7 @@ type result = {
    reading — the spawned work is complete by the time the method exits. *)
 let rec split_trailing_marker (r : Regex.t) : (Regex.t * Symbol.t) option =
   match r with
-  | Sym s -> if Mpy_lower.is_exit_marker s <> None then Some (Regex.eps, s) else None
+  | Sym s -> if Symbol.exit_marker s <> None then Some (Regex.eps, s) else None
   | Seq (a, b) ->
     Option.map (fun (prefix, marker) -> (Regex.seq a prefix, marker)) (split_trailing_marker b)
   | Shuffle (a, b) -> (
@@ -28,7 +28,7 @@ let exit_behaviors_of_marked ~method_name marked =
     (fun r ->
       match split_trailing_marker r with
       | Some (prefix, marker) -> (
-        match Mpy_lower.is_exit_marker marker with
+        match Symbol.exit_marker marker with
         | Some (meth, k) when String.equal meth method_name ->
           let existing =
             match Hashtbl.find_opt by_exit k with
@@ -50,7 +50,7 @@ let exit_behaviors_of_marked ~method_name marked =
 (* Each exit's behavior followed by its marker; the implicit exit, if any,
    needs its marker appended to the ongoing component. *)
 let marked_of_exits ~method_name (explicit, ongoing) (exits : Model.exit_point list) =
-  let marker k = Regex.sym (Mpy_lower.exit_marker ~method_name k) in
+  let marker k = Regex.sym (Symbol.method_exit ~method_name k) in
   let implicit =
     match List.find_opt (fun (e : Model.exit_point) -> e.implicit) exits with
     | Some e -> [ Regex.seq ongoing (marker e.exit_id) ]

@@ -46,7 +46,7 @@ let expand ~span ~limits (model : Model.t) behaviors =
         (List.map (( + ) offset) (States.Set.elements (Nfa.start body_nfa)));
       List.iter
         (fun (src, sym, dst) ->
-          match Mpy_lower.is_exit_marker sym with
+          match Symbol.exit_marker sym with
           | Some (meth, k) when String.equal meth op.op_name ->
             epsilons := (src + offset, Hashtbl.find boundary (op.op_name, k)) :: !epsilons
           | Some _ | None -> transitions := (src + offset, sym, dst + offset) :: !transitions)

@@ -11,6 +11,44 @@ type 'k key = (module KEY with type t = 'k)
    every component. *)
 let combine h x = (h * 65599) + x
 
+(* A bucket is picked by a hash's low bits, which in a product or a sum
+   depend on the operands' low bits only: fold the high half down, then
+   keep a multiplicative hash's middle bits, which depend on all of them. *)
+let mix k =
+  let k = k lxor (k lsr 31) in
+  (k * 0x1E3779B97F4A7C15) lsr 20
+
+module Int_key = struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = mix
+end
+
+module Ints = struct
+  type t = int array
+
+  let equal a b =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let i = ref 0 in
+    while !i < n && a.(!i) = b.(!i) do
+      incr i
+    done;
+    !i = n
+
+  let hash a =
+    let h = ref 0 in
+    for i = 0 to Array.length a - 1 do
+      h := combine !h a.(i)
+    done;
+    mix !h
+end
+
+let int : int key = (module Int_key)
+let ints : int array key = (module Ints)
+
 let pair (type a b) ((module A) : a key) ((module B) : b key) : (a * b) key =
   (module struct
     type t = a * b
@@ -26,6 +64,10 @@ let list (type a) ((module A) : a key) : a list key =
     let equal = List.equal A.equal
     let hash l = List.fold_left (fun h x -> combine h (A.hash x)) 0 l
   end)
+
+let pack a b = (a lsl 31) lor b
+let high k = k lsr 31
+let low k = k land 0x7FFF_FFFF
 
 type counts = {
   mutable states : int;
@@ -45,7 +87,11 @@ type test =
 
 (* [!arr.(i) <- x] on a doubling array whose used length is [i] or more. *)
 let store arr i x =
-  if i = Array.length !arr then arr := Array.append !arr (Array.make (max 16 i) x);
+  if i = Array.length !arr then begin
+    let bigger = Array.make (max 16 (2 * i)) x in
+    Array.blit !arr 0 bigger 0 i;
+    arr := bigger
+  end;
   !arr.(i) <- x
 
 exception Stop of int
@@ -54,17 +100,19 @@ exception Stop of int
    increasing order is breadth-first: the key array is the queue. [admit k
    id] runs once per new key, after its fuel is charged and before it is
    counted; [true] ends the search at that key, once counted, by raising
-   [Stop id] — as does [expand] to end it at a dequeued key. *)
+   [Stop id] — as does the expander to end it at a dequeued key. [expand
+   visit] is the expander: called once, so that the closures it makes are
+   made once per search, not once per key. *)
 let search (type k) ((module K) : k key) ~fuel ~counts ~start ~admit ~expand =
   let module H = Hashtbl.Make (K) in
   let ids = H.create 16 in
   let keys = ref [||] and n = ref 0 in
   let visit k =
-    match H.find_opt ids k with
-    | Some id ->
+    match H.find ids k with
+    | id ->
       counts.memo_hits <- counts.memo_hits + 1;
       id
-    | None ->
+    | exception Not_found ->
       Option.iter Limits.spend fuel;
       let id = !n in
       let stop = admit k id in
@@ -76,9 +124,10 @@ let search (type k) ((module K) : k key) ~fuel ~counts ~start ~admit ~expand =
       id
   in
   ignore (visit start);
+  let expand = expand visit in
   let head = ref 0 in
   while !head < !n do
-    expand !head !keys.(!head) visit;
+    expand !head !keys.(!head);
     incr head
   done;
   Array.sub !keys 0 !n
@@ -88,33 +137,45 @@ let graph key ?fuel ?(counts = counts ()) ~start ~step () =
   let keys =
     search key ~fuel ~counts ~start
       ~admit:(fun _ _ -> false)
-      ~expand:(fun id k visit ->
+      ~expand:(fun visit ->
         let out = ref [] in
-        step k (fun label k' -> out := (label, visit k') :: !out);
-        store succs id (List.rev !out))
+        let emit label k' = out := (label, visit k') :: !out in
+        fun id k ->
+          out := [];
+          step k emit;
+          store succs id (List.rev !out))
   in
   { keys; succs = Array.sub !succs 0 (Array.length keys) }
 
 let witness key ?fuel ?(counts = counts ()) ?(test = On_dequeue) ~goal ~start ~step () =
-  (* Parent pointers: the edge each id was discovered by ([None] for the
-     start), which spells out its path. *)
-  let parents = ref [||] and src = ref (-1) and via = ref None in
-  let rec path id acc =
-    match !parents.(id) with
-    | _, None -> acc
-    | parent, Some label -> path parent (label :: acc)
-  in
+  (* Parent pointers: the id each id was discovered from ([-1] for the
+     start) and the label of that edge, which spell out its path. The label
+     of the edge being followed sits in [via], a ref made at the first
+     emission, so following an edge allocates nothing. *)
+  let parents = ref [||] and labels = ref [||] and src = ref (-1) and via = ref None in
+  let rec path id acc = if id = 0 then acc else path !parents.(id) (!labels.(id) :: acc) in
+  let on_dequeue = test = On_dequeue and on_discovery = test = On_discovery in
   match
     search key ~fuel ~counts ~start
       ~admit:(fun k id ->
-        store parents id (!src, !via);
-        test = On_discovery && goal k)
-      ~expand:(fun id k visit ->
-        if test = On_dequeue && goal k then raise (Stop id);
-        src := id;
-        step k (fun label k' ->
-            via := Some label;
-            ignore (visit k')))
+        store parents id !src;
+        (match !via with
+         | Some label ->
+           if Array.length !labels = 0 then labels := Array.make 16 !label;
+           store labels id !label
+         | None -> ());
+        on_discovery && goal k)
+      ~expand:(fun visit ->
+        let emit label k' =
+          (match !via with
+           | Some r -> r := label
+           | None -> via := Some (ref label));
+          ignore (visit k')
+        in
+        fun id k ->
+          if on_dequeue && goal k then raise (Stop id);
+          src := id;
+          step k emit)
   with
   | _ -> None
   | exception Stop id -> Some (path id [])

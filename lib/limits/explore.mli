@@ -38,12 +38,35 @@ end
 
 type 'k key = (module KEY with type t = 'k)
 
+module Int_key : KEY with type t = int
+(** Ints hashed for buckets picked by low bits: the high half is folded
+    in and mixed, so {!pack}ed pairs that share a low half spread out. *)
+
+module Ints : KEY with type t = int array
+(** Int arrays, compared and hashed elementwise in plain loops. *)
+
+val int : int key
+(** {!Int_key}. *)
+
+val ints : int array key
+(** {!Ints}. *)
+
 val pair : 'a key -> 'b key -> ('a * 'b) key
 (** Componentwise equality; hash combines the components' hashes. *)
 
 val list : 'a key -> 'a list key
 (** Elementwise equality of equal-length lists; hash combines the elements'
     hashes in order. *)
+
+val pack : int -> int -> int
+(** [pack a b] is one int key for a pair of ids in [\[0, 2{^31})]: [a] in
+    the high bits, [b] in the low 31. No tuple is built or hashed. *)
+
+val high : int -> int
+(** [high (pack a b) = a]. *)
+
+val low : int -> int
+(** [low (pack a b) = b]. *)
 
 (** {1 Counters} *)
 

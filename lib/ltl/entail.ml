@@ -15,24 +15,7 @@ let pp_verdict fmt = function
 
 let entail_resource = "entailment configurations"
 
-module Configs = Hashtbl.Make ((val States.key))
-
-(* Ids hash as plain arithmetic, with no call into the runtime's hash. *)
-module Vectors = Hashtbl.Make (struct
-  type t = int array
-
-  let equal a b = Array.length a = Array.length b && Array.for_all2 Int.equal a b
-  let hash = Array.fold_left (fun h x -> (h * 65599) + x) 0
-end)
-
-(* An ε-closed configuration of [impl]; [row] is its nonempty successors in
-   ascending event order, filled on first use: event index [row.(2j)] leads
-   to configuration id [row.(2j + 1)]. *)
-type config = {
-  set : States.Set.t;
-  accepting : bool;
-  mutable row : int array option;
-}
+module Vectors = Hashtbl.Make (Explore.Ints)
 
 (* One obligation node per formula of a query. [dead]: some obligation is
    false, so no extension satisfies them all. [steps.(i)] is the vector
@@ -46,28 +29,30 @@ type vector = {
 
 (* Every claim question a class asks goes to one of a few implementation
    automata, so a session keeps what does not depend on the question: one
-   obligation space, each configuration of [impl] and each obligation
-   vector interned to a dense id, and each vector's step per event.
-   Events are indexed by their position in [impl]'s sorted alphabet. *)
+   obligation space, each obligation vector interned to a dense id, and
+   each vector's step per event. Configurations of [impl] are ids in
+   [impl]'s own table ({!Nfa.Config}). Events are indexed by their position
+   in [impl]'s sorted alphabet, and [events.(i)] is event [i] resolved once
+   in the space. *)
 type session = {
   limits : Limits.t;
   impl : Nfa.t;
-  events : Symbol.t array;
+  symbols : Symbol.t array;
   space : Progression.space;
-  config_ids : int Configs.t;
-  mutable configs : config array;
+  events : Progression.event array;
   vector_ids : int Vectors.t;
   mutable vectors : vector array;
 }
 
 let session ?(limits = Limits.default) ~impl () =
+  let space = Progression.space ~limits () in
+  let symbols = Nfa.symbols impl in
   {
     limits;
     impl;
-    events = Array.of_list (Symbol.Set.elements (Nfa.alphabet impl));
-    space = Progression.space ~limits ();
-    config_ids = Configs.create 64;
-    configs = [||];
+    symbols;
+    space;
+    events = Array.map (Progression.event space) symbols;
     vector_ids = Vectors.create 64;
     vectors = [||];
   }
@@ -80,37 +65,12 @@ let push arr i x =
   arr.(i) <- x;
   arr
 
-let config_id s set =
-  match Configs.find_opt s.config_ids set with
-  | Some id -> id
-  | None ->
-    let id = Configs.length s.config_ids in
-    s.configs <- push s.configs id { set; accepting = Nfa.accepting_config s.impl set; row = None };
-    Configs.add s.config_ids set id;
-    id
-
-(* The one place event order is decided: a symbol outside [impl]'s alphabet
-   only ever leads to the empty configuration, which is never emitted. *)
-let successors s id =
-  let config = s.configs.(id) in
-  match config.row with
-  | Some row -> row
-  | None ->
-    let row =
-      List.init (Array.length s.events) Fun.id
-      |> List.concat_map (fun i ->
-             let set' = Nfa.step s.impl config.set s.events.(i) in
-             if States.Set.is_empty set' then [] else [ i; config_id s set' ])
-      |> Array.of_list
-    in
-    config.row <- Some row;
-    row
-
 let vector_id s nodes =
-  match Vectors.find_opt s.vector_ids nodes with
-  | Some id -> id
-  | None ->
+  match Vectors.find s.vector_ids nodes with
+  | id -> id
+  | exception Not_found ->
     let id = Vectors.length s.vector_ids in
+    Vectors.add s.vector_ids nodes id;
     let vector =
       {
         nodes;
@@ -120,7 +80,6 @@ let vector_id s nodes =
       }
     in
     s.vectors <- push s.vectors id vector;
-    Vectors.add s.vector_ids nodes id;
     id
 
 let step_vector s id i =
@@ -130,39 +89,37 @@ let step_vector s id i =
     vector.steps.(i) <- vector_id s (Progression.step_all s.space vector.nodes s.events.(i));
   vector.steps.(i)
 
-(* A product state: a configuration id and an obligation-vector id.
-   Memoization keys on the pair, so each reachable pair is expanded exactly
-   once. In one space equal nodes are equal Boolean functions, so which
-   states are equal does not depend on what the session was asked before. *)
-let product_key : (int * int) Explore.key =
-  (module struct
-    type t = int * int
-
-    let equal (a1, b1) (a2, b2) = Int.equal a1 a2 && Int.equal b1 b2
-    let hash (a, b) = (a * 65599) + b
-  end)
-
 (* Shortest trace in L(impl) ∩ L(f₁) ∩ … ∩ L(fₖ), by BFS over the memoized
-   on-the-fly product. Only states reachable under model-feasible traces are
-   materialized, and a dead state is not expanded. *)
+   on-the-fly product. A product state is a configuration id and an
+   obligation-vector id packed into one int, so each reachable pair is
+   expanded exactly once. In one space equal nodes are equal Boolean
+   functions, so which states are equal does not depend on what the
+   session was asked before. Only states reachable under model-feasible
+   traces are materialized, and a dead state is not expanded. Events are
+   emitted in ascending order, and one outside [impl]'s alphabet only ever
+   leads to the empty configuration, which is never emitted. *)
 let joint_witness s ?fuel formulas =
   Obs.with_span "entail.product" @@ fun () ->
   let limit = Option.value fuel ~default:s.limits.Limits.max_configs in
   let budget = Limits.fuel ~within:s.limits ~resource:entail_resource limit in
   let counts = Explore.counts () in
+  let impl = s.impl in
   let result =
     match
-      Explore.witness product_key ~fuel:budget ~counts ~test:On_discovery
-        ~goal:(fun (c, v) -> s.configs.(c).accepting && s.vectors.(v).accepts_empty)
+      Explore.witness Explore.int ~fuel:budget ~counts ~test:On_discovery
+        ~goal:(fun k ->
+          Nfa.Config.accepting impl (Explore.high k) && s.vectors.(Explore.low k).accepts_empty)
         ~start:
-          ( config_id s (Nfa.initial_config s.impl),
-            vector_id s (Array.of_list (List.map (Progression.obligation s.space) formulas)) )
-        ~step:(fun (c, v) emit ->
+          (Explore.pack (Nfa.Config.initial impl)
+             (vector_id s (Array.of_list (List.map (Progression.obligation s.space) formulas))))
+        ~step:(fun k emit ->
+          let v = Explore.low k in
           if not s.vectors.(v).dead then begin
-            let row = successors s c in
-            for j = 0 to (Array.length row / 2) - 1 do
-              let i = row.(2 * j) in
-              emit s.events.(i) (row.((2 * j) + 1), step_vector s v i)
+            let c = Explore.high k in
+            let row = Nfa.Config.row impl c and live = Nfa.Config.live impl c in
+            for j = 0 to Array.length live - 1 do
+              let i = live.(j) in
+              emit s.symbols.(i) (Explore.pack row.(i) (step_vector s v i))
             done
           end)
         ()

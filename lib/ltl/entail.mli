@@ -18,10 +18,11 @@
     model can reach.
 
     A {!session} lives as long as one class's checks and holds what its
-    queries share: one {!Progression.space} for every obligation, and each
-    ε-closed configuration of [impl] interned to an int, with its nonempty
-    successors in ascending event order computed once. Each query still
-    runs its own search over (configuration id, obligation vector) keys. In
+    queries share: one {!Progression.space} for every obligation, and the
+    obligation vectors interned to ids. Configurations of [impl] are ids in
+    [impl]'s own table ({!Nfa.Config}), which every other product over
+    [impl] shares too. Each query still runs its own search, keyed on the
+    (configuration id, vector id) pair packed into one int. In
     one space equal nodes are equal Boolean functions, so a query's
     verdict, trace and [entail.states] are those of a fresh session,
     whatever the session was asked before — as long as the space stays
@@ -57,8 +58,8 @@ type verdict =
 val pp_verdict : Format.formatter -> verdict -> unit
 
 type session
-(** One implementation automaton's queries: its configuration table and
-    one obligation space. *)
+(** One implementation automaton's queries: one obligation space and its
+    interned obligation vectors. *)
 
 val session : ?limits:Limits.t -> impl:Nfa.t -> unit -> session
 (** A session over [impl]. [limits] gives each query's default fuel, the

@@ -17,22 +17,16 @@ let rec progress (f : Ltlf.t) e : Ltlf.t =
 
 module Literals = Hashtbl.Make ((val Ltlf.key))
 
-(* Memo keys are ints, hashed as ints: no polymorphic hash walks a variant. *)
-module Pairs = Hashtbl.Make (struct
-  type t = int * int
-
-  let equal (a1, b1) (a2, b2) = Int.equal a1 a2 && Int.equal b1 b2
-  let hash (a, b) = (a * 65599) + b
-end)
+(* Memo keys are ints, hashed as ints: no polymorphic hash walks a variant,
+   and a pair of nodes is {!Explore.pack}ed into one int. *)
+module Ints = Hashtbl.Make (Explore.Int_key)
 
 module Triples = Hashtbl.Make (struct
   type t = int * int * int
 
   let equal (a1, b1, c1) (a2, b2, c2) = Int.equal a1 a2 && Int.equal b1 b2 && Int.equal c1 c2
-  let hash (a, b, c) = (((a * 65599) + b) * 65599) + c
+  let hash (a, b, c) = Explore.Int_key.hash ((((a * 65599) + b) * 65599) + c)
 end)
-
-module Ints = Hashtbl.Make (Int)
 
 (* [empty]: the literal's value on the empty trace. *)
 type var = { id : int; literal : Ltlf.t; empty : bool }
@@ -49,7 +43,7 @@ type space = {
   mutable nodes : (var * int * int) array;
   mutable num_nodes : int;
   unique : int Triples.t;
-  conjs : int Pairs.t;
+  conjs : int Ints.t;
   negs : int Ints.t;
   slots : int Ints.t;
   mutable steps : int array array;
@@ -62,7 +56,7 @@ let space ?(limits = Limits.default) () =
     nodes = [||];
     num_nodes = 0;
     unique = Triples.create 64;
-    conjs = Pairs.create 64;
+    conjs = Ints.create 64;
     negs = Ints.create 64;
     slots = Ints.create 16;
     steps = [||];
@@ -97,7 +91,7 @@ let rec conj sp a b =
   else if a = 1 || a = b then b
   else if b = 1 then a
   else
-    memo Pairs.find_opt Pairs.add sp.conjs (min a b, max a b) (fun () ->
+    memo Ints.find_opt Ints.add sp.conjs (Explore.pack (min a b) (max a b)) (fun () ->
         let va, la, ha = node sp a and vb, lb, hb = node sp b in
         let v = if va.id < vb.id then va else vb in
         let la, ha = if va.id = v.id then (la, ha) else (a, a) in
@@ -114,10 +108,15 @@ let rec neg sp n =
 let disj sp a b = neg sp (conj sp (neg sp a) (neg sp b))
 
 let literal sp f =
-  if not (Literals.mem sp.vars f) then
-    Literals.add sp.vars f
-      { id = Literals.length sp.vars; literal = f; empty = Ltlf.holds f [] };
-  mk sp (Literals.find sp.vars f) 0 1
+  let v =
+    match Literals.find_opt sp.vars f with
+    | Some v -> v
+    | None ->
+      let v = { id = Literals.length sp.vars; literal = f; empty = Ltlf.holds f [] } in
+      Literals.add sp.vars f v;
+      v
+  in
+  mk sp v 0 1
 
 let rec obligation sp (f : Ltlf.t) =
   match f with
@@ -165,9 +164,11 @@ let rec step_at sp n e k =
 
 let step sp n e = step_at sp n e (slot sp e)
 
-let step_all sp ns e =
-  let k = slot sp e in
-  Array.map (fun n -> step_at sp n e k) ns
+type event = { sym : Symbol.t; slot : int }
+
+let event sp e = { sym = e; slot = slot sp e }
+
+let step_all sp ns { sym; slot } = Array.map (fun n -> step_at sp n sym slot) ns
 
 let rec accepts_empty sp n =
   if n <= 1 then n = 1
@@ -183,7 +184,7 @@ let to_dfa ?(limits = Limits.default) ~alphabet f =
   in
   let sp = space ~limits () in
   let graph =
-    Explore.graph (module Int) ~fuel ~start:(obligation sp f)
+    Explore.graph Explore.int ~fuel ~start:(obligation sp f)
       ~step:(fun n emit -> List.iter (fun e -> emit e (step sp n e)) alphabet)
       ()
   in

@@ -38,8 +38,13 @@ val step : space -> int -> Symbol.t -> int
 (** Node [(v, lo, hi)] steps by [e] to [ite (progress v e, step hi e,
     step lo e)], memoized per node and event. *)
 
-val step_all : space -> int array -> Symbol.t -> int array
-(** [Array.map (fun n -> step sp n e)], finding [e]'s memo slot once. *)
+type event
+(** An event resolved to its memo slot in one space. *)
+
+val event : space -> Symbol.t -> event
+
+val step_all : space -> int array -> event -> int array
+(** [Array.map (fun n -> step sp n e)], with no lookup of [e]'s slot. *)
 
 val accepts_empty : space -> int -> bool
 (** The node evaluated with each literal's value on the empty trace. *)

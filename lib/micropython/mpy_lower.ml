@@ -12,20 +12,9 @@ type lowered = {
   low_warnings : string list;
 }
 
-let exit_marker ~method_name k = Symbol.intern (Printf.sprintf "%%exit:%s:%d" method_name k)
-
-let is_exit_marker sym =
-  let s = Symbol.name sym in
-  match String.split_on_char ':' s with
-  | [ "%exit"; meth; k ] -> (
-    match int_of_string_opt k with
-    | Some k -> Some (meth, k)
-    | None -> None)
-  | _ -> None
-
 let rec strip_markers (p : Prog.t) : Prog.t =
   match p with
-  | Call f -> if is_exit_marker f <> None then Prog.skip else p
+  | Call f -> if Symbol.exit_marker f <> None then Prog.skip else p
   | Skip | Return -> p
   | Seq (a, b) -> Prog.seq (strip_markers a) (strip_markers b)
   | If (a, b) -> Prog.if_ (strip_markers a) (strip_markers b)
@@ -167,7 +156,7 @@ let lower_block ~method_name block =
       in
       let k = fresh_exit s.stmt_line value in
       Prog.seq_list
-        [ value_effects; Prog.call (exit_marker ~method_name k); Prog.return ]
+        [ value_effects; Prog.call (Symbol.method_exit ~method_name k); Prog.return ]
     | If (branches, else_block) ->
       (* Conditions are evaluated in order; a branch body runs after its own
          condition and all earlier (failed) ones. The paper erases conditions

@@ -27,14 +27,6 @@ type lowered = {
       (** constructs lowered approximately ([break]/[continue] → [skip]) *)
 }
 
-val exit_marker : method_name:string -> int -> Symbol.t
-(** The marker event for the k-th exit of a method. Marker names contain
-    [%], which cannot occur in MicroPython identifiers, so they never collide
-    with field-call events. *)
-
-val is_exit_marker : Symbol.t -> (string * int) option
-(** [Some (method_name, k)] if the symbol is an exit marker. *)
-
 val strip_markers : Prog.t -> Prog.t
 (** Replace every exit-marker call by [skip] — the paper-faithful program. *)
 

@@ -36,7 +36,17 @@ val scoped : scope:string -> string -> t
 
 val split_scope : t -> (string * string) option
 (** [split_scope sym] is [Some (scope, op)] when [name sym] has the shape
-    ["scope.op"] (splitting at the first dot), and [None] otherwise. *)
+    ["scope.op"] (splitting at the first dot), and [None] otherwise.
+    Decoded once, when the symbol is interned. *)
+
+val method_exit : method_name:string -> int -> t
+(** The marker event for the k-th exit of a method: it interns
+    ["%exit:METHOD:K"]. Marker names contain [%], which cannot occur in
+    MicroPython identifiers, so they never collide with field-call events. *)
+
+val exit_marker : t -> (string * int) option
+(** [Some (method_name, k)] when the symbol is a {!method_exit} marker, and
+    [None] otherwise. Decoded once, when the symbol is interned. *)
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

@@ -430,6 +430,80 @@ let prop_intersect_interns_each_pair_once =
     ~print:(fun (n1, n2) -> Format.asprintf "%a@.and@.%a" Nfa.pp n1 Nfa.pp n2)
     (fun (n1, n2) -> Nfa.num_states (Language.intersect n1 n2) = reachable_pairs n1 n2)
 
+(* --- Id-keyed products vs the set-keyed oracle ------------------------------------
+
+   The products step through each automaton's configuration table and key
+   on packed ints; [Automata_oracle] keeps the set-keyed searches they
+   replaced. Every answer must match, whatever order the tables were
+   filled in (each pair is asked several questions in a row), and the
+   inclusion search, which drops successors whose implementation side is
+   empty, must explore no more configurations than the oracle. *)
+
+let language_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        return Nfa.empty_language;
+        return Nfa.eps_language;
+        return universal;
+        nfa_gen;
+        nfa_gen;
+        nfa_gen;
+      ])
+
+(* [f]'s answer and the configurations it charged to the ledger. *)
+let charged f =
+  let limits = Limits.make () in
+  let before = Limits.snapshot limits in
+  let answer = f limits in
+  ( answer,
+    Option.value ~default:0
+      (List.assoc_opt "language-product configurations" (Limits.consumed limits ~before)) )
+
+let same_dfa d1 d2 =
+  let states = List.init (Dfa.num_states d1) Fun.id in
+  Dfa.num_states d1 = Dfa.num_states d2
+  && Dfa.start d1 = Dfa.start d2
+  && Dfa.alphabet d1 = Dfa.alphabet d2
+  && List.for_all
+       (fun q ->
+         Dfa.is_accept d1 q = Dfa.is_accept d2 q
+         && List.for_all (fun x -> Dfa.next d1 q x = Dfa.next d2 q x) (Dfa.alphabet d1))
+       states
+
+let prop_products_match_oracle =
+  qtest "id-keyed products = set-keyed oracle" ~count:500
+    QCheck2.Gen.(triple language_gen language_gen bool)
+    ~print:(fun (n1, n2, wide) ->
+      Format.asprintf "%a@.and@.%a@.wide alphabet: %b" Nfa.pp n1 Nfa.pp n2 wide)
+    (fun (n1, n2, wide) ->
+      let alphabet =
+        if wide then
+          Some (Symbol.Set.add (sym "d") (Symbol.Set.union (Nfa.alphabet n1) (Nfa.alphabet n2)))
+        else None
+      in
+      let incl, configs =
+        charged (fun limits -> Language.inclusion_counterexample ~limits ?alphabet ~impl:n1 ~spec:n2 ())
+      in
+      let oracle_incl, oracle_configs =
+        Automata_oracle.inclusion_counterexample ?alphabet ~impl:n1 ~spec:n2 ()
+      in
+      let equiv, equiv_configs =
+        charged (fun limits -> Language.equivalence_counterexample ~limits n1 n2)
+      in
+      let oracle_equiv, oracle_equiv_configs = Automata_oracle.equivalence_counterexample n1 n2 in
+      incl = oracle_incl
+      && configs <= oracle_configs
+      && Language.included ?alphabet ~impl:n1 ~spec:n2 () = Option.is_none oracle_incl
+      && equiv = oracle_equiv
+      && equiv_configs = oracle_equiv_configs
+      && Language.equivalent n1 n2 = Option.is_none oracle_equiv
+      && same_dfa (Determinize.determinize n1) (Automata_oracle.determinize n1)
+      && same_dfa
+           (Determinize.determinize ~alphabet:(step_alphabet @ [ sym "d" ]) n2)
+           (Automata_oracle.determinize ~alphabet:(step_alphabet @ [ sym "d" ]) n2)
+      && Nfa.shortest_accepted n2 = Nfa.shortest_accepted (Dfa.to_nfa (Automata_oracle.determinize n2)))
+
 (* --- The exploration kernel ------------------------------------------------------ *)
 
 let int_key : int Explore.key =
@@ -570,6 +644,7 @@ let () =
       ( "step tables",
         [ prop_step_is_closure_of_successors; prop_tableau_matches_per_event_expansion ] );
       ("intersect", [ prop_intersect_interns_each_pair_once ]);
+      ("products", [ prop_products_match_oracle ]);
       ( "explore",
         [
           Alcotest.test_case "fuel charged once per key" `Quick test_explore_fuel_per_key;

@@ -240,13 +240,13 @@ let test_exit_behaviors_of_marked () =
       (Prog.seq_list
          [
            Prog.call_name "a.x";
-           Prog.call (Mpy_lower.exit_marker ~method_name:"m" 0);
+           Prog.call (Symbol.method_exit ~method_name:"m" 0);
            Prog.return;
          ])
       (Prog.seq_list
          [
            Prog.call_name "a.y";
-           Prog.call (Mpy_lower.exit_marker ~method_name:"m" 1);
+           Prog.call (Symbol.method_exit ~method_name:"m" 1);
            Prog.return;
          ])
   in

@@ -487,7 +487,7 @@ let mark_returns ~method_name body =
   let rec mark (p : Prog.t) =
     match p with
     | Prog.Return ->
-      let m = Mpy_lower.exit_marker ~method_name !k in
+      let m = Symbol.method_exit ~method_name !k in
       incr k;
       Prog.seq (Prog.call m) Prog.return
     | Prog.Call _ | Prog.Skip -> p

@@ -347,17 +347,17 @@ let test_lower_exit_markers_distinct () =
   let lowered = lower_method_of valve_source "test" in
   let markers =
     Symbol.Set.filter
-      (fun s -> Mpy_lower.is_exit_marker s <> None)
+      (fun s -> Symbol.exit_marker s <> None)
       (Prog.calls lowered.Mpy_lower.low_prog)
   in
   Alcotest.(check int) "two distinct markers" 2 (Symbol.Set.cardinal markers)
 
 let test_exit_marker_roundtrip () =
-  let m = Mpy_lower.exit_marker ~method_name:"open_a" 3 in
+  let m = Symbol.method_exit ~method_name:"open_a" 3 in
   Alcotest.(check (option (pair string int))) "roundtrip" (Some ("open_a", 3))
-    (Mpy_lower.is_exit_marker m);
+    (Symbol.exit_marker m);
   Alcotest.(check (option (pair string int))) "ordinary symbol" None
-    (Mpy_lower.is_exit_marker (sym "a.test"))
+    (Symbol.exit_marker (sym "a.test"))
 
 let test_field_call_events_order () =
   let e = Mpy_parser.parse_expression "self.a.combine(self.b.get(), self.c.get())" in

@@ -15,12 +15,12 @@ type spec =
   | Broken
   | Gen of Prog.t
 
+(* Fixtures resolve against the test binary's own directory, where dune
+   copies them, so the suite runs from any working directory. *)
+let fixture path = Filename.concat (Filename.dirname Sys.executable_name) path
+
 let read_sample name =
-  let path =
-    List.find Sys.file_exists
-      [ Filename.concat "../samples" name; Filename.concat "samples" name ]
-  in
-  let ic = open_in_bin path in
+  let ic = open_in_bin (fixture (Filename.concat "../samples" name)) in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
@@ -283,7 +283,7 @@ let test_status_reports_pool () =
    lines after "  $ command", up to the next command or prose line, with
    a trailing "  [N]" read as the exit code. *)
 let cram_output ~golden command =
-  let ic = open_in_bin golden in
+  let ic = open_in_bin (fixture golden) in
   let lines =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
@@ -333,7 +333,7 @@ let test_budget_params () =
   let n v = Jsonl.Num (float_of_int v) in
   let cases =
     [
-      (check, [ "bad_sector.py" ], [ ("fuel", n 5) ], "shelley check --fuel 5 bad_sector.py");
+      (check, [ "bad_sector.py" ], [ ("fuel", n 4) ], "shelley check --fuel 4 bad_sector.py");
       (check, [ "bad_sector.py" ], [ ("fuel", n 2) ], "shelley check --fuel 2 bad_sector.py");
       ( check,
         [ "bad_sector.py" ],
@@ -353,7 +353,7 @@ let test_budget_params () =
     (fun ((dir, golden, meth), files, params, command) ->
       let exp_output, exp_code = cram_output ~golden command in
       let cwd = Sys.getcwd () in
-      Sys.chdir dir;
+      Sys.chdir (fixture dir);
       let resp =
         Fun.protect
           ~finally:(fun () -> Sys.chdir cwd)

@@ -277,7 +277,7 @@ let test_project_units () =
   Alcotest.check regex "h((b + c)*) = ε" Regex.eps
     (Regex.project ~keep:keep_a (Regex.star (b +& c)));
   Alcotest.check regex "∅ stays ∅" Regex.empty (Regex.project ~keep:keep_a Regex.empty);
-  let marker = Mpy_lower.exit_marker ~method_name:"run" 0 in
+  let marker = Symbol.method_exit ~method_name:"run" 0 in
   let keep s = Symbol.split_scope s = None || Symbol.name s = "v.open" in
   let body =
     Regex.seq
