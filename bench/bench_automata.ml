@@ -77,7 +77,7 @@ let chain_model =
 let chain () = Usage.expanded_nfa chain_model
 
 (* The chain and its DFA, each with an empty configuration table. *)
-let chain_pair () = (chain (), Dfa.to_nfa (Determinize.determinize (chain ())))
+let chain_pair () = (chain (), Dfa_oracle.to_nfa (Determinize.determinize (chain ())))
 
 let tasks = 7
 

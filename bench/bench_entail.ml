@@ -1,5 +1,5 @@
 (* Entailment benchmark: on-the-fly product ([Entail.implies]) vs the
-   strict construction ([Entail.oracle_implies]) at equal budgets, over a
+   strict construction ([Ltl_oracle.oracle_implies]) at equal budgets, over a
    generated claim family of X-chain eventualities [F (a_0 && X^k b)]
    against a cyclic m-symbol model — the LTLf spelling of the classic
    "k-th letter from the end" NFA, whose determinization has 2^k states
@@ -106,7 +106,7 @@ let run_instance ~label ~m ~expected ~impl ~hyps goal =
     timed (fun () -> Entail.implies (Entail.session ~limits ~impl ()) ~hyps goal)
   in
   let oracle, oracle_ms, _, _ =
-    timed (fun () -> Entail.oracle_implies ~limits ~impl ~hyps goal)
+    timed (fun () -> Ltl_oracle.oracle_implies ~limits ~impl ~hyps goal)
   in
   (* The family's verdicts are known in closed form: a wrong answer is a
      bench bug or an engine bug, either way fatal. *)

@@ -239,7 +239,7 @@ let bench_matching () =
   run_group "matching a 100-event trace: derivatives vs compiled DFA"
     [
       Test.make ~name:"derivative matching" (staged (fun () -> Deriv.matches r long_trace));
-      Test.make ~name:"DFA run" (staged (fun () -> Dfa.accepts dfa long_trace));
+      Test.make ~name:"DFA run" (staged (fun () -> Dfa_oracle.accepts dfa long_trace));
     ]
 
 let bench_ltl () =
@@ -372,7 +372,7 @@ let obligations_table () =
   List.iter
     (fun text ->
       let f = Ltl_parser.parse text in
-      let obligations = Progression.num_reachable_obligations ~alphabet f in
+      let obligations = Ltl_oracle.num_reachable_obligations ~alphabet f in
       let dfa = Progression.to_dfa ~alphabet f in
       let minimal = Minimize.minimize dfa in
       let tableau = Tableau.to_nfa ~alphabet f in

@@ -1,9 +1,10 @@
 (** Complete deterministic finite automata.
 
     A DFA here is always *complete* over its declared alphabet (a sink state
-    is materialized if needed), which keeps complementation a plain flip of
-    the accepting set and makes the product constructions total. States are
-    dense integers; state [start] need not be 0. *)
+    is materialized if needed), so {!next} is total on it. States are dense
+    integers; state [start] need not be 0. The Boolean operations and
+    language queries the tests use are written over these accessors in the
+    test oracles. *)
 
 type t
 
@@ -39,39 +40,7 @@ val accept_states : t -> States.Set.t
 val next : t -> int -> Symbol.t -> int
 (** Raises [Invalid_argument] if the symbol is outside the alphabet. *)
 
-val mem_alphabet : t -> Symbol.t -> bool
-
-(** {1 Running} *)
-
-val run : t -> Trace.t -> int
-(** Final state after consuming the trace (symbols outside the alphabet raise
-    [Invalid_argument]). *)
-
-val accepts : t -> Trace.t -> bool
-
-(** {1 Boolean operations}
-
-    The two operands must have the same alphabet (checked;
-    [Invalid_argument] otherwise): Shelley compares languages only after
-    lifting both sides to a common event alphabet. *)
-
-val complement : t -> t
-val intersect : t -> t -> t
-val union : t -> t -> t
-val difference : t -> t -> t
-
 (** {1 Queries} *)
-
-val is_empty : t -> bool
-val shortest_accepted : t -> Trace.t option
-
-val equivalent : t -> t -> bool
-(** Same language (same-alphabet requirement as above). *)
-
-val included : t -> t -> bool
-
-val counterexample_inclusion : t -> t -> Trace.t option
-(** Shortest trace accepted by the first but not the second. *)
 
 val reachable_states : t -> States.Set.t
 
@@ -79,18 +48,3 @@ val live_symbols : t -> Symbol.Set.t
 (** The symbols that occur in some accepted word: each labels an edge from
     a state reachable from the start to a state that can reach acceptance.
     Empty when the language is. *)
-
-val words_upto : max_len:int -> t -> Trace.Set.t
-
-(** {1 Conversions} *)
-
-val to_nfa : t -> Nfa.t
-(** Forgets determinism (and drops the sink's outgoing structure only by
-    keeping it — [Nfa.trim] will remove a non-productive sink). *)
-
-val restrict_alphabet : alphabet:Symbol.t list -> t -> t
-(** Reinterprets the DFA over a *superset or subset* alphabet: symbols added
-    are sent to a sink (i.e. rejected), symbols removed must not be needed to
-    accept (their transitions are dropped). *)
-
-val pp : Format.formatter -> t -> unit

@@ -445,16 +445,6 @@ let add_self_loops syms nfa =
     ~transitions:(loops @ transitions nfa)
     ~epsilons:(epsilons nfa) ()
 
-let relabel_states f nfa =
-  let labels =
-    List.init nfa.num_states (fun q -> Option.map (fun l -> (q, l)) (f q))
-    |> List.filter_map Fun.id
-  in
-  create ~labels ~num_states:nfa.num_states
-    ~start:(States.Set.elements nfa.start)
-    ~accept:(States.Set.elements nfa.accept)
-    ~transitions:(transitions nfa) ~epsilons:(epsilons nfa) ()
-
 let reverse nfa =
   create ~labels:(all_labels nfa) ~num_states:nfa.num_states
     ~start:(States.Set.elements nfa.accept)

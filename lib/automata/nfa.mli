@@ -132,9 +132,6 @@ val add_self_loops : Symbol.Set.t -> t -> t
     specification automaton to a larger alphabet whose extra symbols it
     ignores. *)
 
-val relabel_states : (int -> string option) -> t -> t
-(** Replace state labels. *)
-
 val trim : t -> t
 (** Remove states that are unreachable from the start or cannot reach an
     accepting state; renumbers states (labels follow). The empty-language

@@ -1,10 +1,11 @@
 (* On-the-fly shuffle product: configurations are arrays of per-branch
    configuration ids, interned as they are reached — the eager
-   interleaving expansion (binomially many positions, see
-   [Interleave.expand]) is never built. Like [Language.intersect], except
-   that a symbol steps exactly ONE branch and leaves the others in place,
-   and acceptance requires every branch to accept. Bounded by [Limits]
-   under the "shuffle-product configurations" resource. *)
+   interleaving expansion (binomially many positions; the tests keep it
+   as their brute-force reference) is never built. Like
+   [Language.intersect], except that a symbol steps exactly ONE branch and
+   leaves the others in place, and acceptance requires every branch to
+   accept. Bounded by [Limits] under the "shuffle-product configurations"
+   resource. *)
 
 let product ?(limits = Limits.default) branches =
   Obs.with_span "shuffle.product" @@ fun () ->

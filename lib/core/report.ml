@@ -87,12 +87,6 @@ let is_resource_limit = function
   | Internal_error _ | Worker_crashed _ ->
     false
 
-let is_execution_fault = function
-  | Timeout _ | Worker_crashed _ -> true
-  | Invalid_subsystem_usage _ | Requirement_failure _ | Structural _ | Syntax_error _
-  | Resource_limit _ | Internal_error _ ->
-    false
-
 let pp_severity fmt = function
   | Error -> Format.pp_print_string fmt "Error"
   | Warning -> Format.pp_print_string fmt "Warning"
@@ -170,14 +164,5 @@ let pp fmt = function
       (if r.attempts = 1 then "" else "s")
 
 let to_string t = Format.asprintf "%a" pp t
-
-let pp_all fmt reports =
-  Format.fprintf fmt "@[<v>";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Format.pp_print_cut fmt ();
-      pp fmt r)
-    reports;
-  Format.fprintf fmt "@]"
 
 let errors reports = List.filter (fun r -> severity r = Error) reports

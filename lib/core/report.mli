@@ -93,10 +93,6 @@ val is_resource_limit : t -> bool
 (** True for [Resource_limit] and [Timeout]: both mean a budget (fuel or
     wall clock) ran out, and both map to exit code 3. *)
 
-val is_execution_fault : t -> bool
-(** True for [Timeout] and [Worker_crashed]: the unit's worker process died
-    rather than returning a verdict. *)
-
 val pp : Format.formatter -> t -> unit
 (** Paper-style rendering, e.g.
     {v
@@ -107,8 +103,6 @@ Subsystems errors:
     v} *)
 
 val to_string : t -> string
-
-val pp_all : Format.formatter -> t list -> unit
 
 val errors : t list -> t list
 (** Only the [Error]-severity reports. *)

@@ -4,8 +4,9 @@
     behavior of [p] and a finite set [s] of regular expressions for its
     *returned* behaviors; [infer p = r + r'₁ + … + r'ₙ] merges them. The
     paper's Theorems 1/2 state [L(infer p) = L(p)]; the test-suite checks
-    this against the independent {!Semantics} oracle, and Corollary 1
-    ([L(p)] is regular) is inherited from the result type. *)
+    this against an independent bounded semantics (the [Semantics] test
+    oracle), and Corollary 1 ([L(p)] is regular) is inherited from the
+    result type. *)
 
 type denotation = {
   ongoing : Regex.t;  (** behavior of runs that have not returned *)

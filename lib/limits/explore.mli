@@ -3,12 +3,13 @@
     Every decision procedure in the pipeline comes down to walking the
     reachable part of one transition structure: subset configurations
     ({!Determinize}, {!Language}), shuffle tuples ({!Shuffle_nfa}),
-    progression obligations ({!Progression}), tableau states ({!Tableau}),
-    the entailment product ({!Entail}) and Brzozowski derivatives
-    ({!Deriv}, {!Equiv}). This module is the one loop they share: intern
-    each configuration the first time it is reached, charge one unit of
-    fuel for it, expand configurations in the order they were discovered,
-    and hand back either the explored graph or a shortest path to a goal.
+    progression obligations ({!Progression}), the entailment product
+    ({!Entail}) and Brzozowski derivatives ({!Deriv}, {!Equiv}), and the
+    tests' reference constructions too. This module is the one loop they
+    share: intern each configuration the first time it is reached, charge
+    one unit of fuel for it, expand configurations in the order they were
+    discovered, and hand back either the explored graph or a shortest path
+    to a goal.
 
     Invariants, relied on by every caller:
     - Ids are dense and assigned in discovery order; the start is id [0].

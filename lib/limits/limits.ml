@@ -32,9 +32,6 @@ let create ~max_states ~max_configs ~max_regex_size ~deadline =
 let default =
   create ~max_states:50_000 ~max_configs:1_000_000 ~max_regex_size:500_000 ~deadline:None
 
-let unlimited =
-  create ~max_states:max_int ~max_configs:max_int ~max_regex_size:max_int ~deadline:None
-
 let make ?(max_states = default.max_states) ?(max_configs = default.max_configs)
     ?(max_regex_size = default.max_regex_size) ?deadline () =
   create ~max_states ~max_configs ~max_regex_size ~deadline

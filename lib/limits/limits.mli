@@ -63,10 +63,6 @@ val default : t
     realistic model needs, low enough to bound runaway constructions within
     seconds. *)
 
-val unlimited : t
-(** Every fuel field [max_int], no deadline; opt out of budgeting
-    entirely. *)
-
 val make :
   ?max_states:int ->
   ?max_configs:int ->

@@ -138,38 +138,3 @@ let implies s ?fuel ~hyps goal =
   | Ok None -> Entailed
   | Ok (Some tr) -> Not_entailed tr
   | Error b -> Unknown b
-
-(* The strict construction: whole tableau NFAs, a full subset-construction
-   DFA for the goal, then language inclusion. Differential oracle for tests
-   and the bench baseline; it pays for entire obligation closures up front,
-   which is exactly what the on-the-fly product avoids. *)
-let oracle_implies ?(limits = Limits.default) ?(alphabet = Symbol.Set.empty) ~impl ~hyps
-    goal =
-  Obs.with_span "entail.oracle" @@ fun () ->
-  let alphabet =
-    List.fold_left
-      (fun acc f -> Symbol.Set.union acc (Ltlf.atoms f))
-      (Symbol.Set.union alphabet (Nfa.alphabet impl))
-      (goal :: hyps)
-  in
-  let alpha_list = Symbol.Set.elements alphabet in
-  try
-    let constrained =
-      List.fold_left
-        (fun acc f ->
-          Language.intersect ~limits acc (Tableau.to_nfa ~limits ~alphabet:alpha_list f))
-        impl hyps
-    in
-    let spec =
-      Dfa.to_nfa
-        (Determinize.determinize ~limits ~alphabet:alpha_list
-           (Tableau.to_nfa ~limits ~alphabet:alpha_list goal))
-    in
-    match
-      Language.inclusion_counterexample ~limits ~alphabet ~impl:constrained ~spec ()
-    with
-    | None -> Entailed
-    | Some tr -> Not_entailed tr
-  with Limits.Budget_exceeded { resource; limit } ->
-    Obs.count "entail.oracle_budget_exhausted" 1;
-    Unknown { resource; limit }

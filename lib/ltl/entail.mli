@@ -82,18 +82,3 @@ val joint_witness : session -> ?fuel:int -> Ltlf.t list -> (Trace.t option, budg
     [Ok None] means no model trace satisfies them all (for a claim pair:
     they are contradictory over the model); [Error b] means the budget ran
     out first. *)
-
-val oracle_implies :
-  ?limits:Limits.t ->
-  ?alphabet:Symbol.Set.t ->
-  impl:Nfa.t ->
-  hyps:Ltlf.t list ->
-  Ltlf.t ->
-  verdict
-(** The strict construction the on-the-fly engine is differentially tested
-    (and benchmarked) against: full tableau NFAs for the hypotheses
-    intersected into [impl], a full tableau → subset-construction DFA for
-    the goal, then language inclusion. Same verdicts, same budget
-    degradation to {!Unknown} — but it materializes whole obligation
-    closures, so on adversarial claim sets it exhausts fuel where
-    {!implies} answers. *)

@@ -14,6 +14,3 @@ let check session formula =
   | Entail.Unknown { resource; limit } -> raise (Limits.Budget_exceeded { resource; limit })
 
 let check_claim session claim = check session (Ltl_parser.parse claim)
-
-let holds_on_all_words ~max_len formula impl =
-  Trace.Set.for_all (fun w -> Ltlf.holds formula w) (Nfa.words_upto ~max_len impl)

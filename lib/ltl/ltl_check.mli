@@ -31,7 +31,3 @@ val check : Entail.session -> Ltlf.t -> (unit, violation) result
 val check_claim : Entail.session -> string -> (unit, violation) result
 (** Parse then {!check}.
     @raise Ltl_parser.Parse_error on a malformed claim string. *)
-
-val holds_on_all_words : max_len:int -> Ltlf.t -> Nfa.t -> bool
-(** Test-oracle variant: evaluate {!Ltlf.holds} directly on every accepted
-    word up to [max_len] — used to validate {!check}. *)

@@ -190,5 +190,3 @@ let to_dfa ?(limits = Limits.default) ~alphabet f =
   in
   Obs.count "progression.obligations" (Array.length graph.keys);
   Dfa.of_graph ~alphabet ~accepting:(accepts_empty sp) graph
-
-let num_reachable_obligations ~alphabet f = Dfa.num_states (to_dfa ~alphabet f)

@@ -57,7 +57,3 @@ val to_dfa : ?limits:Limits.t -> alphabet:Symbol.t list -> Ltlf.t -> Dfa.t
     [limits.max_states] obligations are discovered.
     @raise Limits.Budget_exceeded beyond [limits.max_states] states or
     [limits.max_regex_size] nodes. *)
-
-val num_reachable_obligations : alphabet:Symbol.t list -> Ltlf.t -> int
-(** Size of the progression state space (before DFA minimization) —
-    benchmarked against the formula size. *)

@@ -180,20 +180,3 @@ let rec pp_stmt fmt s =
 
 and pp_block fmt block =
   Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_stmt fmt block
-
-let pp_class fmt cls =
-  List.iter
-    (fun d ->
-      Format.fprintf fmt "@@%s%s@," d.dec_name (if d.dec_args = [] then "" else "(...)"))
-    cls.cls_decorators;
-  Format.fprintf fmt "@[<v 4>class %s:@," cls.cls_name;
-  Format.pp_print_list ~pp_sep:Format.pp_print_cut
-    (fun fmt m ->
-      List.iter (fun d -> Format.fprintf fmt "@@%s@," d.dec_name) m.meth_decorators;
-      Format.fprintf fmt "@[<v 4>%sdef %s(%s):@,%a@]"
-        (if m.meth_async then "async " else "")
-        m.meth_name
-        (String.concat ", " m.meth_params)
-        pp_block m.meth_body)
-    fmt cls.cls_methods;
-  Format.fprintf fmt "@]"

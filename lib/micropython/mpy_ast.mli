@@ -95,4 +95,3 @@ val returns_of_method : method_def -> return_desc list
 
 val pp_expr : Format.formatter -> expr -> unit
 val pp_stmt : Format.formatter -> stmt -> unit
-val pp_class : Format.formatter -> class_def -> unit

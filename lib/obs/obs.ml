@@ -29,10 +29,6 @@ type state = {
 let state : state option ref = ref None
 
 let enabled () = !state <> None
-let using_fake_clock () =
-  match !state with
-  | Some st -> st.fake
-  | None -> false
 
 let enable ?fake_clock () =
   let fake = match fake_clock with Some b -> b | None -> Clock.fake_requested () in

@@ -60,8 +60,6 @@ val reset : unit -> unit
 (** Clear recorded events/counters/units, keeping the recorder enabled
     (and re-zeroing the fake clock). No-op when disabled. *)
 
-val using_fake_clock : unit -> bool
-
 (** {1 Instrumentation} *)
 
 val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a

@@ -160,19 +160,6 @@ let parse input =
   if peek cur <> None then raise (Parse_error "trailing content after S-expression");
   sexp
 
-let parse_many input =
-  let cur = { input; pos = 0 } in
-  let items = ref [] in
-  let rec go () =
-    skip_blanks cur;
-    if peek cur <> None then begin
-      items := parse_one cur :: !items;
-      go ()
-    end
-  in
-  go ();
-  List.rev !items
-
 (* --- Helpers -------------------------------------------------------------------- *)
 
 let field name = function
@@ -183,10 +170,6 @@ let field name = function
         | _ -> None)
       items
   | Atom _ -> None
-
-let as_atom = function
-  | Atom s -> Some s
-  | List _ -> None
 
 let field_atom name sexp =
   match field name sexp with

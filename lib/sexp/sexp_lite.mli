@@ -30,8 +30,6 @@ val parse : string -> t
 (** Exactly one S-expression (surrounding whitespace/comments allowed).
     @raise Parse_error otherwise. *)
 
-val parse_many : string -> t list
-
 (** {1 Structure helpers}
 
     Conventions for records encoded as [(field value…)] lists. *)
@@ -45,5 +43,3 @@ val field_atom : string -> t -> string option
 
 val field_one : string -> t -> t option
 (** The remainder must be exactly one S-expression. *)
-
-val as_atom : t -> string option

@@ -1,6 +1,6 @@
 (** Tableau-style LTLf → NFA construction.
 
-    A strict construction kept as a test oracle: {!Entail.oracle_implies},
+    A strict construction kept as a test oracle: {!Ltl_oracle.oracle_implies},
     the tests and the benches build it, while every claim on the [check] and
     [lint] paths is decided by the on-the-fly {!Entail} product. Where
     {!Progression} rewrites one obligation *formula* per step (yielding a

@@ -123,37 +123,37 @@ let dfa_of r = Determinize.determinize (Thompson.of_regex r)
 
 let test_determinize_preserves () =
   let dfa = dfa_of ab_star in
-  Alcotest.(check bool) "abab" true (Dfa.accepts dfa (tr [ "a"; "b"; "a"; "b" ]));
-  Alcotest.(check bool) "empty" true (Dfa.accepts dfa []);
-  Alcotest.(check bool) "aba" false (Dfa.accepts dfa (tr [ "a"; "b"; "a" ]))
+  Alcotest.(check bool) "abab" true (Dfa_oracle.accepts dfa (tr [ "a"; "b"; "a"; "b" ]));
+  Alcotest.(check bool) "empty" true (Dfa_oracle.accepts dfa []);
+  Alcotest.(check bool) "aba" false (Dfa_oracle.accepts dfa (tr [ "a"; "b"; "a" ]))
 
 let test_determinize_explicit_alphabet () =
   let dfa = Determinize.determinize ~alphabet:[ sym "a"; sym "b"; sym "z" ] (Nfa.symbol (sym "a")) in
-  Alcotest.(check bool) "z rejected not error" false (Dfa.accepts dfa (tr [ "z" ]))
+  Alcotest.(check bool) "z rejected not error" false (Dfa_oracle.accepts dfa (tr [ "z" ]))
 
 let test_dfa_complement () =
-  let dfa = Dfa.complement (dfa_of ab_star) in
-  Alcotest.(check bool) "empty now rejected" false (Dfa.accepts dfa []);
-  Alcotest.(check bool) "aba accepted" true (Dfa.accepts dfa (tr [ "a"; "b"; "a" ]))
+  let dfa = Dfa_oracle.complement (dfa_of ab_star) in
+  Alcotest.(check bool) "empty now rejected" false (Dfa_oracle.accepts dfa []);
+  Alcotest.(check bool) "aba accepted" true (Dfa_oracle.accepts dfa (tr [ "a"; "b"; "a" ]))
 
 let test_dfa_product_ops () =
   let d1 = dfa_of (Regex.star (Regex.alt a b)) in
   let d2 =
     Determinize.determinize ~alphabet:[ sym "a"; sym "b" ] (Thompson.of_regex (Regex.star a))
   in
-  let inter = Dfa.intersect d1 d2 in
-  Alcotest.(check bool) "aa in both" true (Dfa.accepts inter (tr [ "a"; "a" ]));
-  Alcotest.(check bool) "ab only in first" false (Dfa.accepts inter (tr [ "a"; "b" ]));
-  let diff = Dfa.difference d1 d2 in
-  Alcotest.(check bool) "ab in difference" true (Dfa.accepts diff (tr [ "a"; "b" ]));
-  Alcotest.(check bool) "aa not in difference" false (Dfa.accepts diff (tr [ "a"; "a" ]))
+  let inter = Dfa_oracle.intersect d1 d2 in
+  Alcotest.(check bool) "aa in both" true (Dfa_oracle.accepts inter (tr [ "a"; "a" ]));
+  Alcotest.(check bool) "ab only in first" false (Dfa_oracle.accepts inter (tr [ "a"; "b" ]));
+  let diff = Dfa_oracle.difference d1 d2 in
+  Alcotest.(check bool) "ab in difference" true (Dfa_oracle.accepts diff (tr [ "a"; "b" ]));
+  Alcotest.(check bool) "aa not in difference" false (Dfa_oracle.accepts diff (tr [ "a"; "a" ]))
 
 let test_dfa_alphabet_mismatch_rejected () =
   let d1 = dfa_of a in
   let d2 = dfa_of b in
   Alcotest.check_raises "different alphabets"
     (Invalid_argument "Dfa: boolean operation on different alphabets") (fun () ->
-      ignore (Dfa.intersect d1 d2))
+      ignore (Dfa_oracle.intersect d1 d2))
 
 let test_dfa_shortest_counterexample () =
   let impl = dfa_of (Regex.star (Regex.alt a b)) in
@@ -161,13 +161,13 @@ let test_dfa_shortest_counterexample () =
     Determinize.determinize ~alphabet:[ sym "a"; sym "b" ] (Thompson.of_regex (Regex.star a))
   in
   Alcotest.(check (option trace)) "shortest divergence" (Some (tr [ "b" ]))
-    (Dfa.counterexample_inclusion impl spec)
+    (Dfa_oracle.counterexample_inclusion impl spec)
 
 let test_dfa_restrict_alphabet () =
   let dfa = dfa_of a in
-  let wider = Dfa.restrict_alphabet ~alphabet:[ sym "a"; sym "q" ] dfa in
-  Alcotest.(check bool) "a still accepted" true (Dfa.accepts wider (tr [ "a" ]));
-  Alcotest.(check bool) "q rejected" false (Dfa.accepts wider (tr [ "q" ]))
+  let wider = Dfa_oracle.restrict_alphabet ~alphabet:[ sym "a"; sym "q" ] dfa in
+  Alcotest.(check bool) "a still accepted" true (Dfa_oracle.accepts wider (tr [ "a" ]));
+  Alcotest.(check bool) "q rejected" false (Dfa_oracle.accepts wider (tr [ "q" ]))
 
 (* --- Minimization --------------------------------------------------------------- *)
 
@@ -175,7 +175,7 @@ let test_minimize_paper_regex () =
   let dfa = dfa_of paper_regex in
   let min_h = Minimize.minimize_hopcroft dfa in
   let min_m = Minimize.minimize_moore dfa in
-  Alcotest.(check bool) "equivalent to source" true (Dfa.equivalent dfa min_h);
+  Alcotest.(check bool) "equivalent to source" true (Dfa_oracle.equivalent dfa min_h);
   Alcotest.(check bool) "hopcroft = moore (isomorphic)" true (Minimize.isomorphic min_h min_m);
   Alcotest.(check bool) "no bigger than source" true
     (Dfa.num_states min_h <= States.Set.cardinal (Dfa.reachable_states dfa))
@@ -192,7 +192,7 @@ let prop_minimizers_agree =
       let dfa = dfa_of r in
       let h = Minimize.minimize_hopcroft dfa in
       let m = Minimize.minimize_moore dfa in
-      Minimize.isomorphic h m && Dfa.equivalent h dfa)
+      Minimize.isomorphic h m && Dfa_oracle.equivalent h dfa)
 
 let prop_minimize_idempotent =
   qtest "minimize is idempotent" ~count:80 default_regex_gen ~print:regex_print
@@ -251,7 +251,7 @@ let prop_dfa_nfa_agree =
     ~print:regex_print (fun r ->
       let nfa = Thompson.of_regex r in
       let dfa = Determinize.determinize nfa in
-      Trace.Set.equal (Nfa.words_upto ~max_len:4 nfa) (Dfa.words_upto ~max_len:4 dfa))
+      Trace.Set.equal (Nfa.words_upto ~max_len:4 nfa) (Dfa_oracle.words_upto ~max_len:4 dfa))
 
 (* --- Step tables vs their definitions ------------------------------------------
 
@@ -437,7 +437,9 @@ let prop_intersect_interns_each_pair_once =
    replaced. Every answer must match, whatever order the tables were
    filled in (each pair is asked several questions in a row), and the
    inclusion search, which drops successors whose implementation side is
-   empty, must explore no more configurations than the oracle. *)
+   empty, must explore no more configurations than the oracle. The
+   inclusion witness must also be the one [Dfa_oracle]'s difference of the
+   two determinized automata gives. *)
 
 let language_gen =
   QCheck2.Gen.(
@@ -492,7 +494,18 @@ let prop_products_match_oracle =
         charged (fun limits -> Language.equivalence_counterexample ~limits n1 n2)
       in
       let oracle_equiv, oracle_equiv_configs = Automata_oracle.equivalence_counterexample n1 n2 in
+      (* The same inclusion question over the two complete DFAs. *)
+      let common =
+        Symbol.Set.elements
+          (Option.value alphabet ~default:(Symbol.Set.union (Nfa.alphabet n1) (Nfa.alphabet n2)))
+      in
+      let d1 = Determinize.determinize ~alphabet:common n1 in
+      let d2 = Determinize.determinize ~alphabet:common n2 in
       incl = oracle_incl
+      && Dfa_oracle.counterexample_inclusion d1 d2 = incl
+      && Nfa.shortest_accepted (Dfa_oracle.to_nfa (Dfa_oracle.difference d1 d2)) = incl
+      && Dfa_oracle.is_empty (Dfa_oracle.intersect d1 (Dfa_oracle.complement d2))
+         = Option.is_none incl
       && configs <= oracle_configs
       && Language.included ?alphabet ~impl:n1 ~spec:n2 () = Option.is_none oracle_incl
       && equiv = oracle_equiv
@@ -502,7 +515,8 @@ let prop_products_match_oracle =
       && same_dfa
            (Determinize.determinize ~alphabet:(step_alphabet @ [ sym "d" ]) n2)
            (Automata_oracle.determinize ~alphabet:(step_alphabet @ [ sym "d" ]) n2)
-      && Nfa.shortest_accepted n2 = Nfa.shortest_accepted (Dfa.to_nfa (Automata_oracle.determinize n2)))
+      && Nfa.shortest_accepted n2
+         = Nfa.shortest_accepted (Dfa_oracle.to_nfa (Automata_oracle.determinize n2)))
 
 (* --- The exploration kernel ------------------------------------------------------ *)
 

@@ -504,7 +504,7 @@ let test_claim_on_good_sector_language () =
   let impl = Claims.subsystem_call_nfa good in
   let claim = Ltl_parser.parse "(!a.open) W b.open" in
   Alcotest.(check bool) "all bounded words satisfy" true
-    (Ltl_check.holds_on_all_words ~max_len:6 claim impl)
+    (Ltl_oracle.holds_on_all_words ~max_len:6 claim impl)
 
 let test_claim_vacuous_when_no_calls () =
   let source =

@@ -88,7 +88,7 @@ let nfa_of_trace tr =
 let prop_matches_oracle =
   qtest "implies agrees with the strict oracle" ~count:300 case_gen
     ~print:case_print (fun (impl, hyps, goal) ->
-      match Entail.oracle_implies ~limits ~alphabet:alphabet_set ~impl ~hyps goal with
+      match Ltl_oracle.oracle_implies ~limits ~alphabet:alphabet_set ~impl ~hyps goal with
       | Entail.Unknown _ -> true (* oracle out of budget: nothing to compare *)
       | oracle -> begin
         match
@@ -107,7 +107,7 @@ let counterexample_identity ~name ~hyps_of =
   qtest name ~count:300 case_gen ~print:case_print (fun (impl, hyps, goal) ->
       let hyps = hyps_of hyps in
       match
-        ( Entail.oracle_implies ~limits ~alphabet:alphabet_set ~impl ~hyps goal,
+        ( Ltl_oracle.oracle_implies ~limits ~alphabet:alphabet_set ~impl ~hyps goal,
           implies ~limits ~impl ~hyps goal )
       with
       | Entail.Not_entailed t1, Entail.Not_entailed t2 -> Trace.equal t1 t2
@@ -143,7 +143,7 @@ let prop_counterexample_replays =
       | Entail.Not_entailed tr when Trace.length tr <= 50 ->
         let single = nfa_of_trace tr in
         let oracle f =
-          Entail.oracle_implies ~limits ~alphabet:alphabet_set ~impl:single ~hyps:[] f
+          Ltl_oracle.oracle_implies ~limits ~alphabet:alphabet_set ~impl:single ~hyps:[] f
         in
         let violates_goal =
           match oracle goal with

@@ -92,7 +92,7 @@ let full_alphabet = Prog_gen.default_alphabet
 
 let dfa_of r = Determinize.determinize ~alphabet:full_alphabet (Thompson.of_regex r)
 
-let dfa_lang dfa = Dfa.words_upto ~max_len dfa
+let dfa_lang dfa = Dfa_oracle.words_upto ~max_len dfa
 
 let all_words =
   (* Σ^{≤max_len} for checking complements. *)
@@ -102,30 +102,31 @@ let prop_complement =
   qtest_arb "complement flips membership" ~count:100 regex_arb
     (fun r ->
       let d = dfa_of r in
-      let c = Dfa.complement d in
-      Trace.Set.for_all (fun w -> Dfa.accepts d w <> Dfa.accepts c w) all_words)
+      let c = Dfa_oracle.complement d in
+      Trace.Set.for_all (fun w -> Dfa_oracle.accepts d w <> Dfa_oracle.accepts c w) all_words)
 
 let prop_double_complement =
   qtest_arb "double complement is identity" ~count:100 regex_arb
     (fun r ->
       let d = dfa_of r in
-      Dfa.equivalent d (Dfa.complement (Dfa.complement d)))
+      Dfa_oracle.equivalent d (Dfa_oracle.complement (Dfa_oracle.complement d)))
 
 let prop_de_morgan =
   qtest_arb "De Morgan: ¬(A ∪ B) = ¬A ∩ ¬B" ~count:80 pair_arb (fun (a, b) ->
       let da = dfa_of a and db = dfa_of b in
-      Dfa.equivalent
-        (Dfa.complement (Dfa.union da db))
-        (Dfa.intersect (Dfa.complement da) (Dfa.complement db)))
+      Dfa_oracle.equivalent
+        (Dfa_oracle.complement (Dfa_oracle.union da db))
+        (Dfa_oracle.intersect (Dfa_oracle.complement da) (Dfa_oracle.complement db)))
 
 let prop_difference =
   qtest_arb "A \\ B = A ∩ ¬B" ~count:80 pair_arb (fun (a, b) ->
       let da = dfa_of a and db = dfa_of b in
-      Dfa.equivalent (Dfa.difference da db) (Dfa.intersect da (Dfa.complement db)))
+      Dfa_oracle.equivalent (Dfa_oracle.difference da db)
+        (Dfa_oracle.intersect da (Dfa_oracle.complement db)))
 
 let prop_intersection_language =
   qtest_arb "DFA and NFA intersection agree" ~count:80 pair_arb (fun (a, b) ->
-      let via_dfa = dfa_lang (Dfa.intersect (dfa_of a) (dfa_of b)) in
+      let via_dfa = dfa_lang (Dfa_oracle.intersect (dfa_of a) (dfa_of b)) in
       let via_nfa = nfa_lang (Language.intersect (Thompson.of_regex a) (Thompson.of_regex b)) in
       Trace.Set.equal via_dfa via_nfa)
 

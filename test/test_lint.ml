@@ -792,13 +792,13 @@ let dead_by_product (model : Model.t) =
     (fun (op : Model.operation) ->
       let sym = Model.entry_symbol op in
       let dead =
-        (not (Dfa.mem_alphabet dfa sym))
+        (not (Dfa_oracle.mem_alphabet dfa sym))
         ||
         let contains =
           Dfa.create ~alphabet ~num_states:2 ~start:0 ~accept:[ 1 ]
             ~next:(fun s x -> if s = 1 || Symbol.equal x sym then 1 else s)
         in
-        Dfa.is_empty (Dfa.intersect dfa contains)
+        Dfa_oracle.is_empty (Dfa_oracle.intersect dfa contains)
       in
       if dead then Some op.Model.op_line else None)
     model.Model.operations

@@ -182,7 +182,7 @@ let test_dfa_agrees_with_semantics () =
       List.iter
         (fun w ->
           let expected = Ltlf.holds f w in
-          let got = Dfa.accepts dfa w in
+          let got = Dfa_oracle.accepts dfa w in
           if expected <> got then
             Alcotest.failf "automaton disagrees on %s for %s" (Trace.to_string w)
               (Ltlf.to_string f))
@@ -190,7 +190,7 @@ let test_dfa_agrees_with_semantics () =
     formulas
 
 let test_state_space_reasonable () =
-  let n = Progression.num_reachable_obligations ~alphabet paper_claim in
+  let n = Ltl_oracle.num_reachable_obligations ~alphabet paper_claim in
   Alcotest.(check bool) "small automaton" true (n <= 8)
 
 (* Progressed syntactically, this claim grows a larger formula on every
@@ -200,7 +200,7 @@ let test_growing_claim_closes () =
   let f name = Ltlf.finally (Ltlf.atom_name name) in
   let claim = Ltlf.finally (Ltlf.until (f "b") (f "c")) in
   Alcotest.(check int) "obligations" 4
-    (Progression.num_reachable_obligations ~alphabet:(List.map sym [ "a"; "b"; "c" ]) claim)
+    (Ltl_oracle.num_reachable_obligations ~alphabet:(List.map sym [ "a"; "b"; "c" ]) claim)
 
 (* --- Checking ----------------------------------------------------------------------- *)
 
@@ -268,7 +268,7 @@ let prop_dfa_semantics =
     (fun (f, w) ->
       with_budget (fun () ->
           let dfa = Progression.to_dfa ~limits ~alphabet f in
-          Dfa.accepts dfa w = Ltlf.holds f w))
+          Dfa_oracle.accepts dfa w = Ltlf.holds f w))
 
 let prop_obligation_steps =
   qtest "stepped obligation = semantics" ~count:200
@@ -299,7 +299,7 @@ let prop_negation_flips =
       with_budget (fun () ->
           let d1 = Progression.to_dfa ~limits ~alphabet f in
           let d2 = Progression.to_dfa ~limits ~alphabet (Ltlf.neg f) in
-          Dfa.accepts d1 w <> Dfa.accepts d2 w))
+          Dfa_oracle.accepts d1 w <> Dfa_oracle.accepts d2 w))
 
 (* --- NNF ------------------------------------------------------------------------ *)
 
@@ -345,7 +345,7 @@ let test_tableau_agrees_on_corpus () =
     (fun f ->
       let dfa = Progression.to_dfa ~alphabet f in
       let nfa = Tableau.to_nfa ~alphabet f in
-      match Language.equivalence_counterexample (Dfa.to_nfa dfa) nfa with
+      match Language.equivalence_counterexample (Dfa_oracle.to_nfa dfa) nfa with
       | None -> ()
       | Some w ->
         Alcotest.failf "tableau disagrees with progression on %s for %s"
@@ -357,7 +357,7 @@ let prop_tableau_equals_progression =
       with_budget (fun () ->
           let dfa = Progression.to_dfa ~limits ~alphabet f in
           let nfa = Tableau.to_nfa ~limits ~alphabet f in
-          Language.equivalent (Dfa.to_nfa dfa) nfa))
+          Language.equivalent (Dfa_oracle.to_nfa dfa) nfa))
 
 let prop_tableau_equals_semantics =
   qtest "tableau NFA = direct semantics" ~count:80
@@ -374,7 +374,7 @@ let prop_tableau_equals_semantics =
 let eager_check ?limits ~impl f =
   let full = Symbol.Set.union (Nfa.alphabet impl) (Ltlf.atoms f) in
   let spec =
-    Dfa.to_nfa (Progression.to_dfa ?limits ~alphabet:(Symbol.Set.elements full) f)
+    Dfa_oracle.to_nfa (Progression.to_dfa ?limits ~alphabet:(Symbol.Set.elements full) f)
   in
   Language.inclusion_counterexample ?limits ~alphabet:full ~impl ~spec ()
 

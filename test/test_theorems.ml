@@ -118,9 +118,9 @@ let corollary_roundtrip p =
   let sem = bounded_semantics p in
   let nfa = Glushkov.of_regex r in
   let dfa = Minimize.minimize (Determinize.determinize nfa) in
-  let back = State_elim.to_regex (Dfa.to_nfa dfa) in
+  let back = State_elim.to_regex (Dfa_oracle.to_nfa dfa) in
   Trace.Set.equal sem (Nfa.words_upto ~max_len nfa)
-  && Trace.Set.equal sem (Dfa.words_upto ~max_len dfa)
+  && Trace.Set.equal sem (Dfa_oracle.words_upto ~max_len dfa)
   && Trace.Set.equal sem (Enumerate.words_upto_over ~alphabet:(Regex.alphabet r) ~max_len back)
 
 let prop_corollary =
