@@ -36,6 +36,15 @@
    ([Lint_oracle.analyze_claims], every question searched) must give the
    same analysis too. The rows record the three times.
 
+   The claim-set table rows ask the same family's model questions two
+   ways: each as its own query, and all from one [Entail.table] of the
+   class's claims. The questions are every claim with no hypothesis and
+   with all the others as hypotheses, and every single and pairwise
+   witness. Both ways must give the same answers, traces included. The
+   rows record each way's states and time; the state counts do not depend
+   on the mode, so --smoke fails when one differs from the tracked
+   BENCH_entail.json (read before this run rewrites it).
+
    Run: dune exec bench/bench_entail.exe [--smoke] *)
 
 let smoke = Array.exists (String.equal "--smoke") Sys.argv
@@ -324,6 +333,108 @@ let claim_set_rows () =
       })
     sizes
 
+(* --- Claim-set table ---------------------------------------------------------- *)
+
+type table_row = {
+  k : int;
+  questions : int;
+  per_query_states : int;
+  per_query_us : float;
+  table_states : int;
+  table_us : float;
+}
+
+(* The model questions of a k-claim class, as formula indices. *)
+type question =
+  | Implies of int list * int
+  | Witness of int list
+
+let questions k =
+  let all = List.init k Fun.id in
+  List.concat_map
+    (fun i -> [ Implies ([], i); Implies (List.filter (( <> ) i) all, i); Witness [ i ] ])
+    all
+  @ List.concat_map
+      (fun i -> List.filter_map (fun j -> if j > i then Some (Witness [ i; j ]) else None) all)
+      all
+
+let answer_tag = function
+  | `Verdict v -> Format.asprintf "%a" Entail.pp_verdict v
+  | `Witness (Ok None) -> "none"
+  | `Witness (Ok (Some tr)) -> "witness " ^ Trace.to_string tr
+  | `Witness (Error _) -> "unknown"
+
+let table_rows () =
+  let limits = Limits.default in
+  let fuel = Lint_semantic.default_thresholds.Lint_semantic.entail_fuel in
+  let runs = if smoke then 3 else 9 in
+  let sizes = if smoke then [ 4; 8; 12 ] else [ 4; 5; 6; 7; 8; 9; 10; 11; 12 ] in
+  List.map
+    (fun k ->
+      let model = claim_set_model k in
+      let calls = (Lint_semantic.sessions ~limits model).Lint_semantic.calls in
+      let formulas = Array.of_list (List.map snd model.Model.claims) in
+      let qs = questions (Array.length formulas) in
+      let per_query () =
+        let s = calls () in
+        List.map
+          (function
+            | Implies (hyps, goal) ->
+              `Verdict
+                (Entail.implies s ~fuel ~hyps:(List.map (Array.get formulas) hyps) formulas.(goal))
+            | Witness is -> `Witness (Entail.joint_witness s ~fuel (List.map (Array.get formulas) is)))
+          qs
+      in
+      let tabled () =
+        let t = Entail.table (calls ()) ~fuel (Array.to_list formulas) in
+        if not (Entail.tabled t) then die "claim-set table k=%d: the table ran out of fuel" k;
+        List.map
+          (function
+            | Implies (hyps, goal) -> `Verdict (Entail.table_implies t ~hyps goal)
+            | Witness is -> `Witness (Entail.table_witness t is))
+          qs
+      in
+      let a_query, query_ms, query_states, _ = timed_analysis ~runs per_query in
+      let a_table, table_ms, table_states, _ = timed_analysis ~runs tabled in
+      List.iteri
+        (fun n (q, t) ->
+          if answer_tag q <> answer_tag t then
+            die "claim-set table k=%d, question %d: per query %s, table %s" k n (answer_tag q)
+              (answer_tag t))
+        (List.combine a_query a_table);
+      {
+        k;
+        questions = List.length qs;
+        per_query_states = query_states;
+        per_query_us = query_ms *. 1000.;
+        table_states;
+        table_us = table_ms *. 1000.;
+      })
+    sizes
+
+(* The smoke gate: each row's state counts must equal the tracked file's. *)
+let check_tracked_table_rows rows =
+  let tracked =
+    match Jsonl.parse (In_channel.with_open_bin "BENCH_entail.json" In_channel.input_all) with
+    | Ok j -> Option.value ~default:[] (Option.bind (Jsonl.member "claim_set_table" j) Jsonl.to_list)
+    | Error msg -> die "FAIL: BENCH_entail.json does not parse: %s" msg
+    | exception Sys_error msg -> die "FAIL: no tracked BENCH_entail.json: %s" msg
+  in
+  List.iter
+    (fun r ->
+      match List.find_opt (fun t -> Jsonl.mem_int "claims" t = Some r.k) tracked with
+      | None -> die "FAIL: claim-set table k=%d has no row in the tracked BENCH_entail.json" r.k
+      | Some t ->
+        List.iter
+          (fun (key, n) ->
+            match Jsonl.mem_int key t with
+            | Some m when m = n -> ()
+            | m ->
+              die "FAIL: claim-set table k=%d: %s %d, the tracked file says %s" r.k key n
+                (Option.fold ~none:"nothing" ~some:string_of_int m))
+          [ ("per_query_states", r.per_query_states); ("table_states", r.table_states) ])
+    rows
+
 let () =
   let sizes = if smoke then [ 4; 10 ] else [ 2; 4; 6; 8; 10; 12; 14; 16 ] in
   Printf.printf "entailment: ring family m in {%s}%s\n\n"
@@ -394,6 +505,15 @@ let () =
       Printf.printf "  %-16s %4d  %10.2f %10.2f %8d %8d  %10.2f %8d\n" "claim set" r.claims
         r.shared_ms r.fresh_ms r.set_states r.set_memo_hits r.oracle_ms r.oracle_states)
     set_rows;
+  let table_rows = table_rows () in
+  Printf.printf "\n  %-16s %4s %9s  %10s %12s  %10s %12s\n" "family" "k" "questions"
+    "per query" "us" "table" "us";
+  List.iter
+    (fun r ->
+      Printf.printf "  %-16s %4d %9d  %10d %12.1f  %10d %12.1f\n" "claim-set table" r.k
+        r.questions r.per_query_states r.per_query_us r.table_states r.table_us)
+    table_rows;
+  if smoke then check_tracked_table_rows table_rows;
   let definitive = List.filter (fun r -> r.verdict <> "unknown") space_rows in
   if List.length definitive < List.length space_rows then
     die "FAIL: %d of %d obligation-space instances ended in unknown"
@@ -439,6 +559,14 @@ let () =
           ("memo_hits", int r.set_memo_hits); ("search_only_ms", ms r.oracle_ms);
           ("search_only_states", int r.oracle_states) ])
   in
+  let table_json r =
+    Jsonl.(
+      Obj
+        [ ("claims", int r.k); ("questions", int r.questions);
+          ("per_query_states", int r.per_query_states);
+          ("per_query_us", Bench_json.fixed 1 r.per_query_us);
+          ("table_states", int r.table_states); ("table_us", Bench_json.fixed 1 r.table_us) ])
+  in
   Bench_json.write "BENCH_entail.json"
     Jsonl.(
       Obj
@@ -457,5 +585,6 @@ let () =
           ("obligation_space", Arr (List.map space_json space_rows));
           ("obligation_space_definitive", int (List.length definitive));
           ("obligation_space_floor", int (List.length space_rows));
-          ("claim_sets", Arr (List.map set_json set_rows)) ]);
+          ("claim_sets", Arr (List.map set_json set_rows));
+          ("claim_set_table", Arr (List.map table_json table_rows)) ]);
   Printf.printf "\nwrote BENCH_entail.json\n"

@@ -25,6 +25,14 @@
      workers, because that ceiling is checked between runs. Also a count,
      enforced in both modes.
 
+   The cold one-file row is what a one-shot [shelley check -j 2 one.py]
+   pays around its one unit: a fresh pool, one file, shutdown — timed from
+   before the fork to after the reap, in µs (median of [cold_runs]). It
+   also runs the file twice through a fresh -j 1 pool and records the
+   worker's first and second task wall times ([pool.first_task_us] and
+   the rest of [pool.task_wall_us]): the gap is the warm-up a fresh worker
+   still pays on its first task.
+
    Each level is timed twice over: warm (the persistent pool, reused
    across repeats after one untimed pass that forks its workers) and cold (one fresh pool: make, check, shutdown — what
    a one-shot [shelley check -j N] pays). Besides wall times, each level
@@ -191,6 +199,46 @@ let cold_run_stats ~jobs files =
       ignore (Checker.check_files ~jobs ~pool files);
       Supervisor.stats pool)
 
+let cold_runs = if smoke then 5 else 21
+let cold_jobs = 2
+
+let median l = List.nth (List.sort compare l) (List.length l / 2)
+
+type cold_row = {
+  c_us : float;  (* fresh pool, one file, shutdown *)
+  c_first_task_us : int;  (* a fresh worker's first task *)
+  c_second_task_us : int;  (* the same file again, same worker *)
+}
+
+let cold_one_file file =
+  let fresh_pool ~jobs files =
+    let pool = Checker.make_pool ~jobs () in
+    Fun.protect
+      ~finally:(fun () -> Checker.shutdown_pool pool)
+      (fun () -> ignore (Checker.check_files ~jobs ~pool files))
+  in
+  let cold () =
+    let t0 = Clock.now () in
+    fresh_pool ~jobs:cold_jobs [ file ];
+    (Clock.now () -. t0) *. 1e6
+  in
+  let first_and_second () =
+    Obs.enable ~fake_clock:false ();
+    fresh_pool ~jobs:1 [ file; file ];
+    let counter key = Option.value ~default:0 (List.assoc_opt key (Obs.counters ())) in
+    let first = counter "pool.first_task_us" in
+    let r = (first, counter "pool.task_wall_us" - first) in
+    Obs.disable ();
+    r
+  in
+  let times = List.init cold_runs (fun _ -> cold ()) in
+  let pairs = List.init cold_runs (fun _ -> first_and_second ()) in
+  {
+    c_us = median times;
+    c_first_task_us = median (List.map fst pairs);
+    c_second_task_us = median (List.map snd pairs);
+  }
+
 (* The count gate's run: more tasks per lane than the default 128-task
    count ceiling, which a run must not act on. *)
 let gate_files = 320
@@ -273,6 +321,11 @@ let () =
   end;
   Printf.printf "\nfloor: one-file cold run at -j 4 forked %d worker — OK\n"
     one_file_spawns;
+  let cold = cold_one_file (List.hd files) in
+  Printf.printf
+    "cold one-file run at -j %d: %.0f us from fork to reap (median of %d); a fresh \
+     worker's first task %d us, the same file again %d us\n"
+    cold_jobs cold.c_us cold_runs cold.c_first_task_us cold.c_second_task_us;
   let gate_paths = write_files dir "gate" gate_files in
   let gate = cold_run_stats ~jobs:gate_jobs gate_paths in
   List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) gate_paths;
@@ -327,6 +380,11 @@ let () =
           ( "spawn_floor",
             Obj [ ("files", int 1); ("jobs", int 4); ("required_spawns", int spawn_floor);
                   ("enforced", Bool true); ("measured_spawns", int one_file_spawns) ] );
+          ( "cold_one_file",
+            Obj [ ("files", int 1); ("jobs", int cold_jobs); ("runs", int cold_runs);
+                  ("median_us", Bench_json.fixed 0 cold.c_us);
+                  ("first_task_us", int cold.c_first_task_us);
+                  ("second_task_us", int cold.c_second_task_us) ] );
           ( "count_gate",
             Obj [ ("files", int gate_files); ("jobs", int gate_jobs);
                   ("required_spawns", int gate_jobs);

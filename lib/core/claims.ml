@@ -8,21 +8,29 @@ let subsystem_call_nfa ?limits ?impl (model : Model.t) =
     (fun sym -> if Symbol.split_scope sym <> None then Some sym else None)
     expanded
 
-let check_claim ~session (model : Model.t) (text, formula) =
-  match Ltl_check.check session formula with
-  | Ok () -> None
-  | Error violation ->
-    Some
-      (Report.Requirement_failure
-         {
-           class_name = model.Model.name;
-           formula = text;
-           counterexample = violation.Ltl_check.counterexample;
-         })
+let failure (model : Model.t) text counterexample =
+  Report.Requirement_failure { class_name = model.Model.name; formula = text; counterexample }
 
+(* One claim is one query. Several share a table: each claim's verdict is
+   then a lookup, or — when the table runs out of budget — the same query
+   a single claim gets, in declaration order. *)
 let check ?limits ?impl (model : Model.t) =
   match model.Model.claims with
   | [] -> []
   | claims ->
     let session = Entail.session ?limits ~impl:(subsystem_call_nfa ?limits ?impl model) () in
-    List.filter_map (check_claim ~session model) claims
+    let verdict =
+      match claims with
+      | [ (_, formula) ] -> fun _ -> Entail.implies session ~hyps:[] formula
+      | _ ->
+        let table = Entail.table session (List.map snd claims) in
+        fun i -> Entail.table_implies table ~hyps:[] i
+    in
+    List.mapi
+      (fun i (text, _) ->
+        match verdict i with
+        | Entail.Entailed -> None
+        | Entail.Not_entailed counterexample -> Some (failure model text counterexample)
+        | Entail.Unknown { resource; limit } -> raise (Limits.Budget_exceeded { resource; limit }))
+      claims
+    |> List.filter_map Fun.id

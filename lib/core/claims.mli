@@ -12,5 +12,8 @@ val subsystem_call_nfa : ?limits:Limits.t -> ?impl:Nfa.t Lazy.t -> Model.t -> Nf
 
 val check : ?limits:Limits.t -> ?impl:Nfa.t Lazy.t -> Model.t -> Report.t list
 (** All claims of the class, in declaration order, decided in one
-    {!Entail.session} over {!subsystem_call_nfa} (from [impl] when given).
-    A class without claims builds nothing. *)
+    {!Entail.session} over {!subsystem_call_nfa} (from [impl] when given):
+    a lone claim by {!Entail.implies}, several by one {!Entail.table} of
+    them. A class without claims builds nothing.
+    @raise Limits.Budget_exceeded as {!Ltl_check.check} does, for the
+    first claim whose query runs out of budget. *)

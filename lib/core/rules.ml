@@ -147,13 +147,6 @@ let all =
 
 let find_code code = List.find_opt (fun r -> String.equal r.code code) all
 
-let pp fmt r =
-  Format.fprintf fmt "%s %s (%s)" r.code r.name
-    (match r.severity with
-    | Report.Error -> "error"
-    | Report.Warning -> "warning"
-    | Report.Info -> "info")
-
 (* The registry fingerprint content-addresses the rule set itself: adding a
    rule, renaming a slug or changing a default severity changes the digest,
    which the lint result cache folds into its keys — so lint entries written

@@ -86,9 +86,6 @@ val all : t list
 val find_code : string -> t option
 (** Look a rule up by its exact code (["SY104"]). *)
 
-val pp : Format.formatter -> t -> unit
-(** ["SY104 redundant-claim (info)"]. *)
-
 val fingerprint : string
 (** Hex digest over every registered rule's (code, slug, default severity):
     a content address for the rule set. The lint result cache includes it in

@@ -59,19 +59,6 @@ let of_model (model : Model.t) =
   if Obs.enabled () then List.iter (fun (k, n) -> Obs.count k n) (to_counters stats);
   stats
 
-let pp fmt s =
-  Format.fprintf fmt
-    "@[<v>%s:@,\
-    \  operations:            %d (with %d exit points)@,\
-    \  subsystems / claims:   %d / %d@,\
-    \  lowered IR nodes:      %d@,\
-    \  usage automaton:       %d states, %d transitions (min DFA: %d states)@,\
-    \  expanded automaton:    %d states, %d transitions@,\
-    \  complete usages ≤ 6:   %d@]"
-    s.class_name s.operations s.exit_points s.subsystems s.claims s.ir_nodes s.usage_states
-    s.usage_transitions s.usage_min_dfa_states s.expanded_states s.expanded_transitions
-    s.usages_upto_6
-
 let header =
   Printf.sprintf "%-14s %4s %5s %4s %6s %9s %9s %8s" "class" "ops" "exits" "sub" "irsize"
     "usage" "expanded" "minDFA"

@@ -29,9 +29,6 @@ val to_counters : t -> (string * int) list
     order — the bridge between model metrics and the {!Obs} counter
     namespace. *)
 
-val pp : Format.formatter -> t -> unit
-(** One aligned block per model. *)
-
 val pp_row : Format.formatter -> t -> unit
 (** One line, for tables. *)
 

@@ -328,6 +328,7 @@ type stats = {
   batches : int;
   tasks : int;
   inline_tasks : int;
+  first_tasks : int;
   live_workers : int;
 }
 
@@ -390,6 +391,7 @@ let stats pool =
     batches = get "pool.batches";
     tasks = get "pool.tasks";
     inline_tasks = get "pool.inline_tasks";
+    first_tasks = get "pool.first_tasks";
     live_workers = live_workers pool;
   }
 
@@ -476,6 +478,9 @@ let spawn pool slot =
     List.iter (fun fd -> try Unix.close fd with _ -> ()) [ job_rd; job_wr; res_rd; res_wr ];
     raise (Fork_failed (Printexc.to_string exn))
   | 0 ->
+    (* First thing, before this child allocates: its nursery's free pages
+       are still its parent's, and each would be copied on first write. *)
+    Sysconf.drop_free_nursery ();
     (try Unix.close job_wr with _ -> ());
     (try Unix.close res_rd with _ -> ());
     (* Close every sibling's pipe ends: a worker holding a dup of another
@@ -772,6 +777,10 @@ let on_frame st slot (p : _ proc) (frame : _ from_worker) =
     | Some head when head.idx = idx -> (
       ignore (Queue.take p.assigned);
       tally "pool.task_wall_us" p.head_started_at;
+      if p.tasks_done = 0 then begin
+        bump st.pool "pool.first_tasks" 1;
+        tally "pool.first_task_us" p.head_started_at
+      end;
       p.head_started_at <- 0.0;
       p.tasks_done <- p.tasks_done + 1;
       bump st.pool "pool.tasks" 1;

@@ -48,6 +48,19 @@
     exceeds a page waits until its worker is idle, so a write never
     blocks behind a running task.
 
+    A worker starts as a [fork] of the parent. First, before it
+    allocates, it drops the free part of the minor heap it inherited
+    (madvise [MADV_DONTNEED] on the whole pages below the allocation
+    pointer, where the OS has it): allocation walks down through that
+    space, and every first write to a page still shared with the parent
+    would copy 4 KiB the worker then overwrites. The live young objects
+    above the pointer — the tasks and closures of the run that forked it —
+    keep their pages. Then the worker caps its address space
+    ([max_as_mb]), runs the pool's [after_fork] hook, and enters its read
+    loop. What a worker still pays on its first task beyond its later
+    ones (its first reads of the parent's heap, its first-use tables) is
+    counted as [pool.first_task_us].
+
     Scheduling never affects output: results are reassembled in submission
     order, so a caller that renders them is byte-identical at any pool
     width. Lanes (pool slot indices) are reported per result so the {!Obs}
@@ -65,12 +78,15 @@
     [pool.restarts], [pool.recycles], [pool.backoff_waits],
     [pool.heartbeat_misses], [pool.kills], [pool.poisoned],
     [pool.fork_failures], [pool.batches], [pool.tasks],
-    [pool.inline_tasks] (one per {!stats} field), plus [pool.retries],
-    [pool.batch_tasks], [pool.backoff_us] and [pool.reaps] (workers torn
-    down by {!quiesce}, {!shutdown} or recycling). The timing tallies
-    [pool.fork_us], [pool.queue_wait_us], [pool.task_wall_us] and
-    [pool.reap_us] (teardown time) are recorded only while the recorder is
-    enabled, so fork, task and reap time add up against elapsed time. *)
+    [pool.inline_tasks], [pool.first_tasks] (one per {!stats} field), plus
+    [pool.retries], [pool.batch_tasks], [pool.backoff_us] and
+    [pool.reaps] (workers torn down by {!quiesce}, {!shutdown} or
+    recycling). The timing tallies [pool.fork_us], [pool.queue_wait_us],
+    [pool.task_wall_us], [pool.first_task_us] (the part of
+    [pool.task_wall_us] spent on each worker's first task, from its
+    [Started] to its result) and [pool.reap_us] (teardown time) are
+    recorded only while the recorder is enabled, so fork, task and reap
+    time add up against elapsed time. *)
 
 type 'r outcome =
   | Done of 'r
@@ -232,6 +248,7 @@ type stats = {
   batches : int;  (** job frames dispatched *)
   tasks : int;  (** tasks completed by workers *)
   inline_tasks : int;  (** tasks run in-process by graceful degradation *)
+  first_tasks : int;  (** workers that returned a first result *)
   live_workers : int;  (** workers alive right now *)
 }
 

@@ -57,14 +57,6 @@ let pair (type a b) ((module A) : a key) ((module B) : b key) : (a * b) key =
     let hash (a, b) = combine (A.hash a) (B.hash b)
   end)
 
-let list (type a) ((module A) : a key) : a list key =
-  (module struct
-    type t = a list
-
-    let equal = List.equal A.equal
-    let hash l = List.fold_left (fun h x -> combine h (A.hash x)) 0 l
-  end)
-
 let pack a b = (a lsl 31) lor b
 let high k = k lsr 31
 let low k = k land 0x7FFF_FFFF
@@ -147,35 +139,72 @@ let graph key ?fuel ?(counts = counts ()) ~start ~step () =
   in
   { keys; succs = Array.sub !succs 0 (Array.length keys) }
 
+(* Parent pointers: the id each id was discovered from ([-1] for the start)
+   and the label of that edge, which spell out its path. The label of the
+   edge being followed sits in [via], a ref made at the first emission, so
+   following an edge allocates nothing. [src] is the id being expanded. *)
+type 'l parents = {
+  parent : int array ref;
+  label : 'l array ref;
+  mutable src : int;
+  mutable via : 'l ref option;
+}
+
+let parents () = { parent = ref [||]; label = ref [||]; src = -1; via = None }
+
+(* Record how the new key [id] was reached: from [src] along [via]. *)
+let record p id =
+  store p.parent id p.src;
+  match p.via with
+  | Some label ->
+    if Array.length !(p.label) = 0 then p.label := Array.make 16 !label;
+    store p.label id !label
+  | None -> ()
+
+(* The emitter handed to [step]: note the edge's label, then visit its
+   target. *)
+let follow p visit label k' =
+  (match p.via with
+   | Some r -> r := label
+   | None -> p.via <- Some (ref label));
+  ignore (visit k')
+
+let rec path p id acc = if id = 0 then acc else path p !(p.parent).(id) (!(p.label).(id) :: acc)
+
+type ('k, 'l) tree = {
+  nodes : 'k array;
+  path : int -> 'l list;
+}
+
+let tree key ?fuel ?(counts = counts ()) ~start ~step () =
+  let p = parents () in
+  let nodes =
+    search key ~fuel ~counts ~start
+      ~admit:(fun _ id ->
+        record p id;
+        false)
+      ~expand:(fun visit ->
+        let emit = follow p visit in
+        fun id k ->
+          p.src <- id;
+          step k emit)
+  in
+  { nodes; path = (fun id -> path p id []) }
+
 let witness key ?fuel ?(counts = counts ()) ?(test = On_dequeue) ~goal ~start ~step () =
-  (* Parent pointers: the id each id was discovered from ([-1] for the
-     start) and the label of that edge, which spell out its path. The label
-     of the edge being followed sits in [via], a ref made at the first
-     emission, so following an edge allocates nothing. *)
-  let parents = ref [||] and labels = ref [||] and src = ref (-1) and via = ref None in
-  let rec path id acc = if id = 0 then acc else path !parents.(id) (!labels.(id) :: acc) in
+  let p = parents () in
   let on_dequeue = test = On_dequeue and on_discovery = test = On_discovery in
   match
     search key ~fuel ~counts ~start
       ~admit:(fun k id ->
-        store parents id !src;
-        (match !via with
-         | Some label ->
-           if Array.length !labels = 0 then labels := Array.make 16 !label;
-           store labels id !label
-         | None -> ());
+        record p id;
         on_discovery && goal k)
       ~expand:(fun visit ->
-        let emit label k' =
-          (match !via with
-           | Some r -> r := label
-           | None -> via := Some (ref label));
-          ignore (visit k')
-        in
+        let emit = follow p visit in
         fun id k ->
           if on_dequeue && goal k then raise (Stop id);
-          src := id;
+          p.src <- id;
           step k emit)
   with
   | _ -> None
-  | exception Stop id -> Some (path id [])
+  | exception Stop id -> Some (path p id [])

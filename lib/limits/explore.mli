@@ -55,10 +55,6 @@ val ints : int array key
 val pair : 'a key -> 'b key -> ('a * 'b) key
 (** Componentwise equality; hash combines the components' hashes. *)
 
-val list : 'a key -> 'a list key
-(** Elementwise equality of equal-length lists; hash combines the elements'
-    hashes in order. *)
-
 val pack : int -> int -> int
 (** [pack a b] is one int key for a pair of ids in [\[0, 2{^31})]: [a] in
     the high bits, [b] in the low 31. No tuple is built or hashed. *)
@@ -102,6 +98,25 @@ val graph :
 (** The whole reachable graph. [step k emit] calls [emit label k'] once per
     successor of [k], in the order edges should appear; a successor the
     caller wants pruned is simply not emitted.
+    @raise Limits.Budget_exceeded when [fuel] runs out. *)
+
+type ('k, 'l) tree = {
+  nodes : 'k array;  (** configuration of each id; [nodes.(0)] is the start *)
+  path : int -> 'l list;
+      (** the labels along the path the search first reached an id by: the
+          shortlex-least shortest path, when [step] emits in label order *)
+}
+
+val tree :
+  'k key ->
+  ?fuel:Limits.fuel ->
+  ?counts:counts ->
+  start:'k ->
+  step:('k -> ('l -> 'k -> unit) -> unit) ->
+  unit ->
+  ('k, 'l) tree
+(** The whole reachable graph as its breadth-first spanning tree: every
+    configuration, and how the search reached it, but no other edge.
     @raise Limits.Budget_exceeded when [fuel] runs out. *)
 
 (** When a goal is tested. *)

@@ -213,8 +213,11 @@ let unsatisfiable_claim ctx =
 
    One shared pass over the claim set, built on the on-the-fly entailment
    engine ({!Entail}) instead of the old pairwise full-product language
-   tricks. A single reverse-declaration-order greedy sweep decides, for each
-   claim against the still-kept others, whether it is
+   tricks. Every question over the model's traces is a lookup in one
+   {!Entail.table} of the class's claims, built by the first such question
+   (or, when that table runs out of budget, a query of its own, as before).
+   A single reverse-declaration-order greedy sweep decides, for each claim
+   against the still-kept others, whether it is
 
    - [Subsumed]: the conjunction of other claims implies it on *every*
      trace (checked over the universal automaton) — a purely logical
@@ -226,12 +229,12 @@ let unsatisfiable_claim ctx =
    Entailment is monotone in its hypotheses: if the usage language alone
    entails a claim, so does the language with any set of kept claims, and
    the greedy minimization of that set would drop every one of them. So
-   before the query with every kept claim as a hypothesis, one query with
+   before the question with every kept claim as a hypothesis, one with
    none settles the common case, [Redundant []], with no minimization. A
    probe that does not come back [Entailed] settles nothing (and a probe
-   that runs out of budget is not counted as undecided): the full query
-   then runs as it would have, unless there are no kept claims, when the
-   probe was that query.
+   that runs out of budget is not counted as undecided): the full question
+   then is asked as it would have been, unless there are no kept claims,
+   when the probe was that question.
 
    Sweeping in reverse order makes the *first-declared* claim of a mutually
    equivalent group the one that survives (lowest line wins) and the later
@@ -262,16 +265,26 @@ let analyze_claims ?fuel ?sessions:given ~limits (model : Model.t) =
     incr undecided;
     Obs.count "entail.budget_exhausted" 1
   in
+  (* Every question over the model goes to one table of the claims, built
+     by the first; the subsumption questions, over every trace, stay per
+     query. *)
+  let table = lazy (Entail.table (calls ()) ?fuel (Array.to_list (Array.map snd claims))) in
+  let verdict base hyps goal =
+    match base with
+    | `Model -> Entail.table_implies (Lazy.force table) ~hyps goal
+    | `Every_trace ->
+      Entail.implies (universal ()) ?fuel ~hyps:(List.map formula hyps) (formula goal)
+  in
   let implies_over base hyps goal =
-    match Entail.implies (base ()) ?fuel ~hyps goal with
+    match verdict base hyps goal with
     | Entail.Entailed -> Some true
     | Entail.Not_entailed _ -> Some false
     | Entail.Unknown _ ->
       give_up ();
       None
   in
-  let witness_over formulas =
-    match Entail.joint_witness (calls ()) ?fuel formulas with
+  let witness_over idxs =
+    match Entail.table_witness (Lazy.force table) idxs with
     | Ok w -> Some w
     | Error _ ->
       give_up ();
@@ -284,17 +297,17 @@ let analyze_claims ?fuel ?sessions:given ~limits (model : Model.t) =
     List.fold_left
       (fun keep j ->
         let rest = List.filter (fun k -> k <> j) keep in
-        if implies_over base (List.map formula rest) goal = Some true then rest else keep)
+        if implies_over base rest goal = Some true then rest else keep)
       idxs idxs
   in
   let redundant i others =
-    match Entail.implies (calls ()) ?fuel ~hyps:[] (formula i) with
+    match verdict `Model [] i with
     | Entail.Entailed ->
       Obs.count "lint.claims.redundant_alone" 1;
       Some (Redundant [])
     | Entail.Not_entailed _ | Entail.Unknown _ when others <> [] ->
-      if implies_over calls (List.map formula others) (formula i) = Some true then
-        Some (Redundant (List.map text (minimize calls others (formula i))))
+      if implies_over `Model others i = Some true then
+        Some (Redundant (List.map text (minimize `Model others i)))
       else None
     | Entail.Not_entailed _ -> None
     | Entail.Unknown _ ->
@@ -309,8 +322,8 @@ let analyze_claims ?fuel ?sessions:given ~limits (model : Model.t) =
       let undecided_before = !undecided in
       let subsuming =
         if others = [] then None
-        else if implies_over universal (List.map formula others) (formula i) = Some true then
-          match minimize universal others (formula i) with
+        else if implies_over `Every_trace others i = Some true then
+          match minimize `Every_trace others i with
           | [] -> None (* a tautology: SY102's business, not subsumption *)
           | subset -> Some (Subsumed (List.map text subset))
         else None
@@ -332,7 +345,7 @@ let analyze_claims ?fuel ?sessions:given ~limits (model : Model.t) =
   end;
   let contradictions = ref [] in
   if (not no_calls) && n >= 2 then begin
-    let sat = Array.init n (fun i -> witness_over [ formula i ]) in
+    let sat = Array.init n (fun i -> witness_over [ i ]) in
     let alone i = verdicts.(i) = Redundant [] in
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
@@ -340,7 +353,7 @@ let analyze_claims ?fuel ?sessions:given ~limits (model : Model.t) =
         | Some (Some _), Some (Some _) when alone i || alone j ->
           Obs.count "lint.claims.pairs_settled" 1
         | Some (Some wi), Some (Some wj) -> begin
-          match witness_over [ formula i; formula j ] with
+          match witness_over [ i; j ] with
           | Some None ->
             (* No model trace satisfies both; each individual witness thus
                violates the other claim. Report the shorter one. *)

@@ -21,8 +21,9 @@
     queries share: one {!Progression.space} for every obligation, and the
     obligation vectors interned to ids. Configurations of [impl] are ids in
     [impl]'s own table ({!Nfa.Config}), which every other product over
-    [impl] shares too. Each query still runs its own search, keyed on the
-    (configuration id, vector id) pair packed into one int. In
+    [impl] shares too. Each query runs its own search, keyed on the
+    (configuration id, vector id) pair packed into one int; a {!table}
+    answers many questions over one formula list with one search. In
     one space equal nodes are equal Boolean functions, so a query's
     verdict, trace and [entail.states] are those of a fresh session,
     whatever the session was asked before — as long as the space stays
@@ -82,3 +83,49 @@ val joint_witness : session -> ?fuel:int -> Ltlf.t list -> (Trace.t option, budg
     [Ok None] means no model trace satisfies them all (for a claim pair:
     they are contradictory over the model); [Error b] means the budget ran
     out first. *)
+
+(** {1 Claim tables}
+
+    A class asks many questions of one model about the same few claims:
+    is a claim entailed, by the model alone or with other claims as
+    hypotheses, and which claims can hold together. Each is a predicate on
+    the claims' truth values at the end of a model trace, so one search
+    answers them all: the product of the model with the obligations of
+    every claim, each state carrying the claims' truth vector there. *)
+
+type table
+(** The answers to every implication and witness question over one
+    formula list, or — when building them ran out of budget — the means to
+    ask each question per query. *)
+
+val table : session -> ?fuel:int -> Ltlf.t list -> table
+(** [table s fs] explores, breadth-first and in full, the product of [s]'s
+    implementation with the obligations of every formula of [fs], under
+    the [fuel] one query gets (default [limits.max_configs]). No state is
+    pruned: a state where one formula is already false still decides the
+    others. The table keeps each distinct truth vector of an accepting
+    state, in the order the search first reached it, with the path there.
+    It searches in an obligation space of its own and counts its states in
+    [entail.states] under an [entail.table] span.
+
+    If the fuel or the obligation-node cap runs out, every question is
+    asked per query instead, with {!implies} and {!joint_witness} in [s]
+    under the same [fuel], exactly as if there were no table. Each of those
+    queries explores a projection of the table's states, so none runs out
+    of fuel where the table did not: no verdict or trace depends on which
+    way a question is answered. *)
+
+val tabled : table -> bool
+(** Did the table's search stay in budget? [false] means its questions are
+    answered per query. *)
+
+val table_implies : table -> hyps:int list -> int -> verdict
+(** [table_implies t ~hyps goal] = [implies s ~hyps:(fᵢ for i in hyps) f_goal],
+    indices into the table's formula list. In budget, the answer is the
+    first truth vector with every hypothesis true and the goal false: its
+    trace is the shortlex-least counterexample, the one {!implies}
+    returns; none means {!Entailed}. *)
+
+val table_witness : table -> int list -> (Trace.t option, budget) result
+(** [table_witness t is] = [joint_witness s (fᵢ for i in is)]: the first
+    truth vector with every listed formula true. *)

@@ -87,5 +87,3 @@ let describe = function
   | Indent -> "indentation"
   | Dedent -> "dedentation"
   | Eof -> "end of input"
-
-let pp fmt t = Format.fprintf fmt "%s at line %d, col %d" (describe t.kind) t.line t.col

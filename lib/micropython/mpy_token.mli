@@ -57,5 +57,3 @@ type t = {
 
 val describe : kind -> string
 (** For error messages: ["keyword 'def'"], ["identifier \"valve\""], … *)
-
-val pp : Format.formatter -> t -> unit

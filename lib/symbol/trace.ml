@@ -1,7 +1,6 @@
 type t = Symbol.t list
 
 let empty : t = []
-let singleton sym : t = [ sym ]
 let append (l1 : t) (l2 : t) : t = l1 @ l2
 
 let rec compare_lex a b =

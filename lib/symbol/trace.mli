@@ -7,7 +7,6 @@
 type t = Symbol.t list
 
 val empty : t
-val singleton : Symbol.t -> t
 
 val append : t -> t -> t
 (** Sequence concatenation, written [l1 · l2] in the paper. *)

@@ -98,12 +98,24 @@ let successors obligations =
       branches
     |> List.sort_uniq (List.compare Ltlf.compare)
 
+(* Obligation lists as {!Explore} keys: elementwise equality of
+   equal-length lists, and a hash that combines the formulas' hashes in
+   order. *)
+module Formula = (val Ltlf.key)
+
+module Obligations = struct
+  type t = Ltlf.t list
+
+  let equal = List.equal Formula.equal
+  let hash l = List.fold_left (fun h f -> (h * 65599) + Formula.hash f) 0 l
+end
+
 let to_nfa ?(limits = Limits.default) ~alphabet f =
   Obs.with_span "tableau" @@ fun () ->
   let fuel = Limits.fuel ~within:limits ~resource:"tableau states" limits.Limits.max_states in
   let alphabet = List.sort_uniq Symbol.compare alphabet in
   let graph =
-    Explore.graph (Explore.list Ltlf.key) ~fuel ~start:[ Nnf.nnf f ]
+    Explore.graph (module Obligations) ~fuel ~start:[ Nnf.nnf f ]
       ~step:(fun obligations emit ->
         let on = successors obligations in
         List.iter (fun event -> List.iter (emit event) (on event)) alphabet)

@@ -331,6 +331,69 @@ let test_budget_degrades_to_unknown () =
   expect_unknown ~limits:(Limits.make ~max_regex_size:2 ()) ~resource:"obligation nodes"
     ~limit:2 ()
 
+(* --- Claim tables --------------------------------------------------------------- *)
+
+(* ε-NFAs over the shared alphabet, with the empty, ε-only and universal
+   languages drawn on purpose. *)
+let eps_nfa_gen : Nfa.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let random =
+    int_range 1 4 >>= fun n ->
+    let state = int_range 0 (n - 1) in
+    list_size (int_range 0 10) (triple state (oneofl alphabet) state) >>= fun transitions ->
+    list_size (int_range 0 3) (pair state state) >>= fun epsilons ->
+    list_size (int_range 0 n) state >>= fun accept ->
+    return (Nfa.create ~num_states:n ~start:[ 0 ] ~accept ~transitions ~epsilons ())
+  in
+  frequency
+    [
+      (1, return Nfa.empty_language);
+      (1, return Nfa.eps_language);
+      (1, return (Nfa.universal alphabet_set));
+      (7, random);
+    ]
+
+(* A formula list, then implication questions (hypothesis indices, goal
+   index) and witness questions (indices) over it. *)
+let table_case_gen =
+  let open QCheck2.Gen in
+  eps_nfa_gen >>= fun impl ->
+  list_size (int_range 1 4) (ltl_gen_over alphabet) >>= fun formulas ->
+  let index = int_range 0 (List.length formulas - 1) in
+  list_size (int_range 1 4) (pair (list_size (int_range 0 3) index) index) >>= fun questions ->
+  list_size (int_range 1 3) (list_size (int_range 1 3) index) >>= fun witnesses ->
+  return (impl, formulas, questions, witnesses)
+
+let table_case_print (impl, formulas, questions, witnesses) =
+  let indices is = String.concat "," (List.map string_of_int is) in
+  Printf.sprintf "impl(%s, eps=[%s])\n  formulas: %s\n  implies: %s\n  witnesses: %s"
+    (nfa_print impl)
+    (String.concat "; " (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) (Nfa.epsilons impl)))
+    (String.concat " | " (List.mapi (fun i f -> Printf.sprintf "%d: %s" i (Ltlf.to_string f)) formulas))
+    (String.concat "; " (List.map (fun (hyps, goal) -> Printf.sprintf "[%s] => %d" (indices hyps) goal) questions))
+    (String.concat "; " (List.map (fun is -> Printf.sprintf "[%s]" (indices is)) witnesses))
+
+(* Only a table that stayed in budget is tested: one that ran out asks
+   each question per query. *)
+let prop_table_matches_queries =
+  qtest "a table answers each question as its own query" ~count:500 table_case_gen
+    ~print:table_case_print (fun (impl, formulas, questions, witnesses) ->
+      let table = Entail.table (Entail.session ~limits ~impl ()) formulas in
+      QCheck2.assume (Entail.tabled table);
+      let nth = List.nth formulas in
+      List.for_all
+        (fun (hyps, goal) ->
+          match implies ~limits ~impl ~hyps:(List.map nth hyps) (nth goal) with
+          | Entail.Unknown _ -> true
+          | verdict -> Entail.table_implies table ~hyps goal = verdict)
+        questions
+      && List.for_all
+           (fun is ->
+             match joint_witness ~limits ~impl (List.map nth is) with
+             | Error _ -> true
+             | witness -> Entail.table_witness table is = witness)
+           witnesses)
+
 let () =
   Alcotest.run "entail"
     [
@@ -347,6 +410,7 @@ let () =
         [
           prop_session_history_free;
           Alcotest.test_case "node cap spans the session" `Quick test_session_node_cap;
+          prop_table_matches_queries;
         ] );
       ( "unit",
         [

@@ -472,6 +472,39 @@ let test_supervisor_spawns_on_demand () =
   ignore (Supervisor.map pool [ 1; 2; 3 ]);
   Alcotest.(check int) "idle lane reused, two more forked" 3 (spawns ())
 
+let test_supervisor_young_data_survives_fork () =
+  (* A worker drops the free part of the nursery it inherits. Here the
+     data the task function captures, and the pool itself, are allocated
+     just before the run forks, so they are still young at the fork; each
+     task then allocates several MiB, so the worker collects its minor heap
+     many times over. Every result must equal the in-process one, and
+     come from a worker: a pool whose workers die falls back to running
+     the tasks in-process, which would hide a worker that corrupted what
+     it inherited. *)
+  Gc.minor ();
+  let table = List.init 2000 (fun i -> (i, string_of_int (i * 7919))) in
+  let tasks = List.init 6 (fun i -> (i, List.init 50 (fun j -> string_of_int (i + j)))) in
+  let f (i, words) =
+    let churn = ref 0 in
+    for round = 1 to 40 do
+      churn := !churn + List.fold_left ( + ) 0 (List.init 20_000 (fun j -> (j + round) * i))
+    done;
+    let looked =
+      List.fold_left (fun acc (k, s) -> if k mod 6 = i then acc + String.length s else acc) 0 table
+    in
+    (!churn, looked, String.concat "," words)
+  in
+  let pooled, st =
+    with_pool (test_config ~jobs:2 ()) f (fun pool ->
+        let pooled = Supervisor.map pool tasks in
+        (pooled, Supervisor.stats pool))
+  in
+  let expected = List.map (fun task -> Supervisor.Done (f task)) tasks in
+  Alcotest.(check bool) "pooled results = in-process results" true (pooled = expected);
+  Alcotest.(check (pair int int))
+    "tasks run by workers, restarts" (List.length tasks, 0)
+    (st.Supervisor.tasks, st.Supervisor.restarts)
+
 let test_supervisor_shutdown_despite_held_pipe () =
   (* The task forks a grandchild that inherits the worker's result pipe and
      outlives the worker, so that pipe never reaches EOF. Shutdown must
@@ -550,7 +583,21 @@ let test_supervisor_stats_match_obs () =
         ("batches", st.batches);
         ("tasks", st.tasks);
         ("inline_tasks", st.inline_tasks);
+        ("first_tasks", st.first_tasks);
       ];
+  (* Each worker that returned a result counted its first. The second
+     and third runs each start on a fresh worker (forked after the last
+     deadline kill, and after the recycle), so there are at least two; a
+     first task's wall time is part of the tasks' wall time. *)
+  let first_us = counter "first_task_us" and wall_us = counter "task_wall_us" in
+  Alcotest.(check bool)
+    (Printf.sprintf "first tasks counted (got %d)" st.first_tasks)
+    true
+    (st.first_tasks >= 2 && st.first_tasks <= st.spawns);
+  Alcotest.(check bool)
+    (Printf.sprintf "0 < first_task_us %d <= task_wall_us %d" first_us wall_us)
+    true
+    (0 < first_us && first_us <= wall_us);
   (* The run really exercised every event the comment names. *)
   List.iter
     (fun (what, n) ->
@@ -909,6 +956,8 @@ let () =
             test_supervisor_spawns_on_demand;
           Alcotest.test_case "shutdown despite a held result pipe" `Quick
             test_supervisor_shutdown_despite_held_pipe;
+          Alcotest.test_case "young data survives the fork" `Quick
+            test_supervisor_young_data_survives_fork;
           Alcotest.test_case "stats = pool.* Obs counters" `Quick
             test_supervisor_stats_match_obs;
         ] );
