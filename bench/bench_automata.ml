@@ -71,8 +71,8 @@ let row name input ~resource ~fresh f =
 let chain_ops = 24
 
 let chain_model =
-  let result = Pipeline.verify_source_exn (Sources.valve ^ Sources.chain_composite chain_ops) in
-  Option.get (Pipeline.find_model result "Chain")
+  let result = Pipeline.verify_source_exn (Sources.valve ^ Synthetic.chain_composite chain_ops) in
+  Option.get (Pipeline.find_model result.Pipeline.models "Chain")
 
 let chain () = Usage.expanded_nfa chain_model
 

@@ -186,8 +186,8 @@ type bank_row = { bank_k : int; proj : search; full : search }
 
 let run_bank k =
   let result = Pipeline.verify_source_exn (bank_source k) in
-  let env = Pipeline.env_of result in
-  let model = Option.get (Pipeline.find_model result "Bank") in
+  let env = Pipeline.find_model result.Pipeline.models in
+  let model = Option.get (Pipeline.find_model result.Pipeline.models "Bank") in
   let proj = measure (fun () -> projected ~env model) in
   let full = measure (fun () -> unprojected ~env model) in
   if proj.failing <> full.failing then

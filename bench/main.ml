@@ -77,18 +77,18 @@ let models_of source =
 
 let figure1 () =
   section "F1: Figure 1 — Valve diagram";
-  let result = models_of Sources.valve in
-  print_string (Dot.of_model (Option.get (Pipeline.find_model result "Valve")))
+  let models = (models_of Sources.valve).Pipeline.models in
+  print_string (Dot.of_model (Option.get (Pipeline.find_model models "Valve")))
 
 let figure2 () =
   section "F2: Figure 2 — BadSector diagram";
-  let result = models_of (Sources.valve ^ Sources.bad_sector) in
-  print_string (Dot.of_model (Option.get (Pipeline.find_model result "BadSector")))
+  let models = (models_of (Sources.valve ^ Sources.bad_sector)).Pipeline.models in
+  print_string (Dot.of_model (Option.get (Pipeline.find_model models "BadSector")))
 
 let figure3 () =
   section "F3: Figure 3 — Sector (Listing 3.1) dependency graph";
   let result = models_of (Sources.valve ^ Sources.listing31_sector) in
-  let sector = Option.get (Pipeline.find_model result "Sector") in
+  let sector = Option.get (Pipeline.find_model result.Pipeline.models "Sector") in
   print_string (Dot.of_depgraph sector);
   print_newline ();
   print_string (Dot.of_model sector)
@@ -266,8 +266,8 @@ let bench_ltl () =
 
 let bench_pipeline () =
   let paper_source = Sources.valve ^ Sources.bad_sector in
-  let chain8 = Sources.valve ^ Sources.chain_composite 8 in
-  let chain32 = Sources.valve ^ Sources.chain_composite 32 in
+  let chain8 = Sources.valve ^ Synthetic.chain_composite 8 in
+  let chain32 = Sources.valve ^ Synthetic.chain_composite 32 in
   run_group "end-to-end pipeline (parse, extract, verify)"
     [
       Test.make ~name:"paper example (Valve + BadSector)"
@@ -282,10 +282,10 @@ let bench_usage_scaling () =
   let cases =
     List.map
       (fun n ->
-        let result = Pipeline.verify_source_exn (Sources.valve ^ Sources.chain_composite n) in
+        let result = Pipeline.verify_source_exn (Sources.valve ^ Synthetic.chain_composite n) in
         ( n,
-          Option.get (Pipeline.find_model result "Chain"),
-          Option.get (Pipeline.find_model result "Valve") ))
+          Option.get (Pipeline.find_model result.Pipeline.models "Chain"),
+          Option.get (Pipeline.find_model result.Pipeline.models "Valve") ))
       [ 4; 16; 64 ]
   in
   run_group "subsystem-usage check vs composite size"
@@ -306,8 +306,8 @@ let bench_check_vs_baseline () =
      bound) and its cost is exponential in the bound, while the product
      check is exact and polynomial in the automaton sizes. *)
   let result = Pipeline.verify_source_exn (Sources.valve ^ Sources.bad_sector) in
-  let bad = Option.get (Pipeline.find_model result "BadSector") in
-  let valve = Option.get (Pipeline.find_model result "Valve") in
+  let bad = Option.get (Pipeline.find_model result.Pipeline.models "BadSector") in
+  let valve = Option.get (Pipeline.find_model result.Pipeline.models "Valve") in
   let env name = if String.equal name "Valve" then Some valve else None in
   let expanded = Usage.expanded_nfa bad in
   let valve_usage = Depgraph.usage_nfa valve in
@@ -328,7 +328,7 @@ let bench_check_vs_baseline () =
 
 let bench_nusmv_and_viz () =
   let result = Pipeline.verify_source_exn (Sources.valve ^ Sources.bad_sector) in
-  let bad = Option.get (Pipeline.find_model result "BadSector") in
+  let bad = Option.get (Pipeline.find_model result.Pipeline.models "BadSector") in
   run_group "back ends: DOT and NuSMV emission"
     [
       Test.make ~name:"DOT (Figure 2)" (staged (fun () -> Dot.of_model bad));
@@ -341,10 +341,10 @@ let bench_counterexample_depth () =
   let cases =
     List.map
       (fun n ->
-        let result = Pipeline.verify_source_exn (Sources.valve ^ Sources.chain_with_leak n) in
+        let result = Pipeline.verify_source_exn (Sources.valve ^ Synthetic.chain_with_leak n) in
         ( n,
-          Option.get (Pipeline.find_model result "LeakyChain"),
-          Option.get (Pipeline.find_model result "Valve") ))
+          Option.get (Pipeline.find_model result.Pipeline.models "LeakyChain"),
+          Option.get (Pipeline.find_model result.Pipeline.models "Valve") ))
       [ 2; 8; 32 ]
   in
   List.iter

@@ -1,103 +1,5 @@
-(* The paper's listings, shared by the benchmark harness. Identical to the
-   examples' sources; duplicated here only because dune keeps example and
-   bench module trees separate. *)
-
-let valve =
-  {|
-@sys
-class Valve:
-    def __init__(self):
-        self.control = Pin(27, OUT)
-        self.clean = Pin(28, OUT)
-        self.status = Pin(29, IN)
-
-    @op_initial
-    def test(self):
-        if self.status.value():
-            return ["open"]
-        else:
-            return ["clean"]
-
-    @op
-    def open(self):
-        self.control.on()
-        return ["close"]
-
-    @op_final
-    def close(self):
-        self.control.off()
-        return ["test"]
-
-    @op_final
-    def clean(self):
-        self.clean.on()
-        return ["test"]
-|}
-
-let bad_sector =
-  {|
-@claim("(!a.open) W b.open")
-@sys(["a", "b"])
-class BadSector:
-    def __init__(self):
-        self.a = Valve()
-        self.b = Valve()
-
-    @op_initial_final
-    def open_a(self):
-        match self.a.test():
-            case ["open"]:
-                self.a.open()
-                return ["open_b"]
-            case ["clean"]:
-                self.a.clean()
-                print("a failed")
-                return []
-
-    @op_final
-    def open_b(self):
-        match self.b.test():
-            case ["open"]:
-                self.b.open()
-                self.a.close()
-                self.b.close()
-                return []
-            case ["clean"]:
-                self.b.clean()
-                print("b failed")
-                self.a.close()
-                return []
-|}
-
-let listing31_sector =
-  {|
-@sys(["a"])
-class Sector:
-    def __init__(self):
-        self.a = Valve()
-
-    @op_initial
-    def open_a(self):
-        if self.gauge.ok():
-            return ["close_a", "open_b"]
-        else:
-            return ["clean_a"]
-
-    @op
-    def clean_a(self):
-        return ["open_a"]
-
-    @op
-    def close_a(self):
-        return ["open_a"]
-
-    @op_final
-    def open_b(self):
-        if done:
-            return []
-        else:
-            return []
-|}
+(* Synthetic composites for the scaling benchmarks, over the paper's Valve
+   ([Sources.valve], shared with the examples). *)
 
 (* Synthetic composite with [n] middle operations chained in a ring, each
    exercising the valve — used for scaling benchmarks. *)

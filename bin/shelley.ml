@@ -21,40 +21,34 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let die msg =
+  prerr_endline msg;
+  exit 2
 
 (* Strict load, for the single-file inspection subcommands (model, viz, …):
-   an unreadable or syntactically broken file is a hard error. 'check' has
-   its own tolerant loop below. *)
-let load ?extra_env path =
-  match read_file path with
-  | exception Sys_error msg -> Error msg
-  | source -> (
-    let result = Pipeline.verify_source ?extra_env source in
-    match List.filter Report.is_syntax_error result.Pipeline.reports with
-    | [] -> Ok result
-    | d :: _ -> Error (Printf.sprintf "%s: %s" path (Report.to_string d)))
-
-let select_models result = function
-  | None -> Ok result.Pipeline.models
+   an unreadable or syntactically broken file, or a [cls] it does not
+   define, is a hard error. Returns the front and the selected models; they
+   are only extracted, not verified. 'check' has its own tolerant loop
+   below. *)
+let load path cls =
+  let front =
+    match Pipeline.read_file path with
+    | exception Sys_error msg -> die msg
+    | source -> Pipeline.front_end source
+  in
+  (match front.Pipeline.syntax with
+  | d :: _ -> die (Printf.sprintf "%s: %s" path (Report.to_string d))
+  | [] -> ());
+  let models = front.Pipeline.models in
+  match cls with
+  | None -> (front, models)
   | Some name -> (
-    match Pipeline.find_model result name with
-    | Some model -> Ok [ model ]
+    match Pipeline.find_model models name with
+    | Some model -> (front, [ model ])
     | None ->
-      Error
+      die
         (Printf.sprintf "class %s not found (classes: %s)" name
-           (String.concat ", "
-              (List.map (fun (m : Model.t) -> m.Model.name) result.Pipeline.models))))
-
-let or_die = function
-  | Ok v -> v
-  | Error msg ->
-    prerr_endline msg;
-    exit 2
+           (String.concat ", " (List.map (fun (m : Model.t) -> m.Model.name) models))))
 
 let metrics_out_arg =
   Arg.(
@@ -464,8 +458,7 @@ let claims_cmd =
         then 1
         else 0
       | Lint_render.Text ->
-        let result = or_die (load file) in
-        let models = or_die (select_models result cls) in
+        let _, models = load file cls in
         let contradicted = ref false in
         List.iter
           (fun (m : Model.t) ->
@@ -560,8 +553,7 @@ let model_cmd =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print model metrics instead of the model.")
   in
   let run file cls stats =
-    let result = or_die (load file) in
-    let models = or_die (select_models result cls) in
+    let _, models = load file cls in
     if stats then begin
       print_endline Stats.header;
       List.iter (fun m -> Format.printf "%a@." Stats.pp_row (Stats.of_model m)) models
@@ -594,8 +586,7 @@ let viz_cmd =
           ~doc:"Render the control-flow behavior of one operation instead.")
   in
   let run file cls deps expanded behavior =
-    let result = or_die (load file) in
-    let models = or_die (select_models result cls) in
+    let _, models = load file cls in
     List.iter
       (fun (m : Model.t) ->
         let dot =
@@ -624,8 +615,7 @@ let viz_cmd =
 
 let nusmv_cmd =
   let run file cls =
-    let result = or_die (load file) in
-    let models = or_die (select_models result cls) in
+    let _, models = load file cls in
     List.iter (fun m -> print_string (Nusmv.model_of_class m)) models
   in
   Cmd.v
@@ -669,14 +659,14 @@ let smv_cmd =
                 on expiry and the verdict is classified as a timeout (exit 3).")
   in
   let run file cls do_run cross binary timeout =
-    let result = or_die (load file) in
-    let models = or_die (select_models result cls) in
+    let front, models = load file cls in
     if (not do_run) && not cross then
       List.iter (fun m -> print_string (Nusmv.model_of_class m)) models
     else begin
       (* The native claim verdict per class: any FAIL TO MEET REQUIREMENT
          report. This is the dimension §5 delegates to NuSMV, so it is the
          one --cross-check compares. *)
+      let reports = lazy (Pipeline.verify front).Pipeline.reports in
       let native_claims_ok name =
         not
           (List.exists
@@ -684,7 +674,7 @@ let smv_cmd =
                | Report.Requirement_failure { class_name; _ } ->
                  String.equal class_name name
                | _ -> false)
-             result.Pipeline.reports)
+             (Lazy.force reports))
       in
       let code_of_model (m : Model.t) =
         let r = Nusmv_driver.run_text ?binary ~timeout (Nusmv.model_of_class m) in
@@ -754,8 +744,7 @@ let trace_cmd =
       & info [] ~docv:"TRACE" ~doc:"Comma-separated operation names, e.g. 'test,open,close'.")
   in
   let run file cls trace_text =
-    let result = or_die (load file) in
-    let models = or_die (select_models result (Some cls)) in
+    let _, models = load file (Some cls) in
     let model = List.hd models in
     let ops =
       String.split_on_char ',' trace_text
@@ -824,8 +813,7 @@ let sample_cmd =
     Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
   in
   let run file cls count length seed =
-    let result = or_die (load file) in
-    let models = or_die (select_models result (Some cls)) in
+    let _, models = load file (Some cls) in
     let model = List.hd models in
     let state =
       match seed with
@@ -865,8 +853,7 @@ let monitor_cmd =
       & info [] ~docv:"TRACE" ~doc:"Comma-separated operations to feed the monitor.")
   in
   let run file cls trace_text =
-    let result = or_die (load file) in
-    let models = or_die (select_models result (Some cls)) in
+    let _, models = load file (Some cls) in
     let model = List.hd models in
     let ops =
       String.split_on_char ',' trace_text
@@ -981,8 +968,7 @@ let export_cmd =
       & info [ "o"; "out" ] ~docv:"DIR" ~doc:"Directory for the .shelley model files.")
   in
   let run file cls out_dir =
-    let result = or_die (load file) in
-    let models = or_die (select_models result cls) in
+    let _, models = load file cls in
     List.iter
       (fun (m : Model.t) ->
         let path = Filename.concat out_dir (m.Model.name ^ ".shelley") in

@@ -16,8 +16,8 @@ let () =
     (Report.errors result.Pipeline.reports);
 
   (* Explain the subsystem failure against the Valve specification. *)
-  let bad = Option.get (Pipeline.find_model result "BadSector") in
-  let valve = Option.get (Pipeline.find_model result "Valve") in
+  let bad = Option.get (Pipeline.find_model result.Pipeline.models "BadSector") in
+  let valve = Option.get (Pipeline.find_model result.Pipeline.models "Valve") in
   let expanded = Usage.expanded_nfa bad in
   print_endline "--- why: some complete BadSector traces and valve a's view ---";
   let explain names =

@@ -16,7 +16,7 @@ let () =
   let result =
     Pipeline.verify_source_exn Sources.valve
   in
-  let valve = Option.get (Pipeline.find_model result "Valve") in
+  let valve = Option.get (Pipeline.find_model result.Pipeline.models "Valve") in
 
   (* 1. Generated scenarios: every sampled usage passes the monitor. *)
   let rng = Random.State.make [| 2023 |] in

@@ -14,7 +14,7 @@ let () =
     List.iter (fun r -> Format.printf "%a@.@." Report.pp r) errors;
     failwith "GoodSector unexpectedly failed verification");
 
-  let good = Option.get (Pipeline.find_model result "GoodSector") in
+  let good = Option.get (Pipeline.find_model result.Pipeline.models "GoodSector") in
 
   (* Show a few valid end-to-end usages and what each valve observes. *)
   let expanded = Usage.expanded_nfa good in
@@ -36,7 +36,7 @@ let () =
   let listing =
     Pipeline.verify_source_exn (Sources.valve ^ Sources.listing31_sector)
   in
-  let sector = Option.get (Pipeline.find_model listing "Sector") in
+  let sector = Option.get (Pipeline.find_model listing.Pipeline.models "Sector") in
   let graph = Depgraph.of_model sector in
   Format.printf "%a@." Depgraph.pp graph;
   print_endline "--- Figure 3 (DOT) ---";

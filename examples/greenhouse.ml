@@ -162,7 +162,7 @@ let () =
   (* The same claims, built through the pattern library, agree with the
      @claim strings. *)
   print_endline "\n--- claims as patterns ---";
-  let greenhouse = Option.get (Pipeline.find_model result "Greenhouse") in
+  let greenhouse = Option.get (Pipeline.find_model result.Pipeline.models "Greenhouse") in
   let precedence_claim =
     Patterns.precedence ~first:(Symbol.intern "z1.sense") ~before:(Symbol.intern "z1.water")
   in

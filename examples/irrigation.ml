@@ -201,7 +201,9 @@ let () =
     result.Pipeline.models;
 
   (* A complete mission: boot, irrigate, report. *)
-  let controller_model = Option.get (Pipeline.find_model result "Controller") in
+  let controller_model =
+    Option.get (Pipeline.find_model result.Pipeline.models "Controller")
+  in
   let expanded = Usage.expanded_nfa controller_model in
   print_endline "\n--- one complete mission trace ---";
   (match Nfa.shortest_accepted (Nfa.trim expanded) with

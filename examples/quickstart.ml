@@ -14,7 +14,7 @@ let () =
     (List.length result.Pipeline.reports);
 
   (* 2. Look at the extracted model: operations, exits, behaviors. *)
-  let valve = Option.get (Pipeline.find_model result "Valve") in
+  let valve = Option.get (Pipeline.find_model result.Pipeline.models "Valve") in
   Format.printf "--- extracted model ---@.%a@." Model.pp valve;
 
   (* 3. The class usage language (the §3.1 graph read as an automaton). *)

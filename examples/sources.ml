@@ -1,6 +1,7 @@
-(* MicroPython sources shared by the examples — the paper's listings plus a
-   corrected sector. Kept in one module so every example runs on exactly the
-   same substrate code. *)
+(* MicroPython sources shared by the examples and the benchmarks (library
+   [paper_listings]) — the paper's listings plus a corrected sector. Kept in
+   one module so every example and benchmark runs on exactly the same
+   substrate code. *)
 
 (* Listing 2.1. *)
 let valve =

@@ -1,3 +1,10 @@
+type front = {
+  source : string;
+  syntax : Report.t list;
+  classes : (Mpy_ast.class_def * (Extract.result, Report.t) Stdlib.result) list;
+  models : Model.t list;
+}
+
 type result = {
   models : Model.t list;
   reports : Report.t list;
@@ -17,70 +24,76 @@ type result = {
    must not replay. *)
 let semantics_version = "10"
 
-let env_of result name =
-  List.find_opt (fun (m : Model.t) -> String.equal m.Model.name name) result.models
+let find_model models name =
+  List.find_opt (fun (m : Model.t) -> String.equal m.Model.name name) models
 
-let find_model = env_of
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Exception barrier around one check of one class: a blown budget or an
-   unexpected exception becomes a report, and every other check still runs. *)
-let guard ~class_name ~check f =
+(* The exception barrier around one step of one class: a blown budget or an
+   unexpected exception becomes a report instead of escaping. *)
+let barrier ~class_name ~check f =
   match f () with
-  | reports -> reports
+  | v -> Ok v
   | exception Limits.Budget_exceeded { resource; limit } ->
-    [ Report.Resource_limit { class_name; check; resource; limit } ]
+    Error (Report.Resource_limit { class_name; check; resource; limit })
   | exception exn ->
-    [ Report.Internal_error { class_name; check; message = Printexc.to_string exn } ]
+    Error (Report.Internal_error { class_name; check; message = Printexc.to_string exn })
 
-(* [guard] plus a span per (check, class) and per-phase fuel attribution:
-   diffing the budget ledger around the check turns cumulative fuel
-   accounting into fuel-consumed-by-this-check counters. *)
+(* One check behind the barrier, with a span per (check, class) and
+   per-phase fuel attribution: diffing the budget ledger around the check
+   turns cumulative fuel accounting into fuel-consumed-by-this-check
+   counters. *)
 let spanned ~limits ~class_name ~check f =
   Obs.with_span ~args:[ ("class", class_name) ] check @@ fun () ->
   let before = if Obs.enabled () then Limits.snapshot limits else [] in
-  let reports = guard ~class_name ~check f in
+  let reports =
+    Result.fold ~ok:Fun.id ~error:(fun r -> [ r ]) (barrier ~class_name ~check f)
+  in
   if Obs.enabled () then
     List.iter
       (fun (resource, d) -> Obs.count (Printf.sprintf "fuel.%s.%s" check resource) d)
       (Limits.consumed limits ~before);
   reports
 
-let verify_program ?(extra_env = fun _ -> None) ?(limits = Limits.default)
-    (program : Mpy_ast.program) =
-  let extractions =
+(* The one extraction loop, in file order, so substrates precede the
+   composites that use them. *)
+let extract_program ~source ~syntax (program : Mpy_ast.program) =
+  let classes =
     List.map
       (fun (cls : Mpy_ast.class_def) ->
-        Obs.with_span ~args:[ ("class", cls.Mpy_ast.cls_name) ] "extract" @@ fun () ->
-        match Extract.extract_class cls with
-        | extraction -> (cls, Ok extraction)
-        | exception Limits.Budget_exceeded { resource; limit } ->
-          ( cls,
-            Error
-              (Report.Resource_limit
-                 { class_name = cls.Mpy_ast.cls_name; check = "extract"; resource; limit })
-          )
-        | exception exn ->
-          ( cls,
-            Error
-              (Report.Internal_error
-                 {
-                   class_name = cls.Mpy_ast.cls_name;
-                   check = "extract";
-                   message = Printexc.to_string exn;
-                 }) ))
+        let class_name = cls.Mpy_ast.cls_name in
+        Obs.with_span ~args:[ ("class", class_name) ] "extract" @@ fun () ->
+        (cls, barrier ~class_name ~check:"extract" (fun () -> Extract.extract_class cls)))
       program.Mpy_ast.prog_classes
   in
   let models =
     List.filter_map
-      (fun (_, ext) ->
-        match ext with
-        | Ok (e : Extract.result) -> Some e.Extract.model
-        | Error _ -> None)
-      extractions
+      (function
+        | _, Ok (e : Extract.result) -> Some e.Extract.model
+        | _, Error _ -> None)
+      classes
   in
   Obs.count "models.extracted" (List.length models);
+  { source; syntax; classes; models }
+
+let front_end source =
+  let program, diagnostics = Mpy_parser.parse_program_tolerant source in
+  let syntax =
+    List.map
+      (fun (d : Mpy_parser.diagnostic) ->
+        Report.syntax_error ~line:d.Mpy_parser.diag_line ~col:d.Mpy_parser.diag_col
+          d.Mpy_parser.diag_message)
+      diagnostics
+  in
+  extract_program ~source ~syntax program
+
+let verify ?(extra_env = fun _ -> None) ?(limits = Limits.default) (front : front) =
   let env name =
-    match List.find_opt (fun (m : Model.t) -> String.equal m.Model.name name) models with
+    match find_model front.models name with
     | Some _ as found -> found
     | None -> extra_env name
   in
@@ -102,23 +115,14 @@ let verify_program ?(extra_env = fun _ -> None) ?(limits = Limits.default)
           @ run "claims" (fun () -> Claims.check ~limits ~impl model)
           @ run "invocation" (fun () -> Invocation.check ~env ~model cls)
           @ run "refine" (fun () -> Refine.check_inheritance ~limits ~env cls model))
-      extractions
+      front.classes
   in
-  { models; reports }
+  { models = front.models; reports = front.syntax @ reports }
 
-let verify_source ?extra_env ?limits source =
-  let program, diagnostics = Mpy_parser.parse_program_tolerant source in
-  let result = verify_program ?extra_env ?limits program in
-  let syntax_reports =
-    List.map
-      (fun (d : Mpy_parser.diagnostic) ->
-        Report.syntax_error ~line:d.Mpy_parser.diag_line ~col:d.Mpy_parser.diag_col
-          d.Mpy_parser.diag_message)
-      diagnostics
-  in
-  { result with reports = syntax_reports @ result.reports }
+let verify_source ?extra_env ?limits source = verify ?extra_env ?limits (front_end source)
 
 let verify_source_exn ?extra_env ?limits source =
-  verify_program ?extra_env ?limits (Mpy_parser.parse_program source)
+  verify ?extra_env ?limits
+    (extract_program ~source ~syntax:[] (Mpy_parser.parse_program source))
 
 let verified result = Report.errors result.reports = []

@@ -1,16 +1,30 @@
-(** The end-to-end Shelley verification pipeline.
+(** The end-to-end Shelley verification pipeline, and the one front end
+    every command reads sources through.
 
-    Parse → extract each class (in file order, so substrates can precede the
-    composites that use them) → validate structure → check subsystem usage →
-    check temporal claims → run invocation analysis. All findings are
-    returned as {!Report.t} values; {!verified} is the paper's notion of a
-    program passing verification (no [Error]-severity reports).
+    {!front_end}: parse → extract each class (in file order, so substrates
+    can precede the composites that use them). [check], [lint],
+    [check --lint] and the inspection commands consume its {!front}, so a
+    file is parsed and extracted once per run. {!verify}: validate
+    structure → check subsystem usage → check temporal claims → run
+    invocation analysis → check refinement. All findings are returned as
+    {!Report.t} values; {!verified} is the paper's notion of a program
+    passing verification (no [Error]-severity reports).
 
-    {b Fault isolation}: every per-class check runs behind an exception
-    barrier. A check that exhausts its {!Limits.t} budget yields a
-    {!Report.Resource_limit} report; one that raises anything else yields a
-    {!Report.Internal_error} report. In both cases the remaining checks and
-    classes still run — no exception escapes {!verify_program}. *)
+    {b Fault isolation}: each class's extraction and each per-class check
+    run behind an exception barrier. A step that exhausts its {!Limits.t}
+    budget yields a {!Report.Resource_limit} report; one that raises
+    anything else yields a {!Report.Internal_error} report. In both cases
+    the remaining checks and classes still run — no exception escapes
+    {!front_end} or {!verify}. *)
+
+type front = {
+  source : string;
+  syntax : Report.t list;  (** {!Report.Syntax_error}s, in source order *)
+  classes : (Mpy_ast.class_def * (Extract.result, Report.t) Stdlib.result) list;
+      (** each parsed class with its extraction, or the report (check
+          ["extract"]) of the barrier that stopped it *)
+  models : Model.t list;  (** the extracted models, in source order *)
+}
 
 type result = {
   models : Model.t list;  (** extraction results, in source order *)
@@ -24,20 +38,26 @@ val semantics_version : string
     that alters any report text, adds a check, or changes the exit-code
     mapping — stale cached verdicts then miss instead of replaying. *)
 
-val verify_program : ?extra_env:Usage.env -> ?limits:Limits.t -> Mpy_ast.program -> result
-(** [extra_env] resolves class names not defined in the program itself —
-    typically models loaded from [.shelley] files ({!Model_io.env_of_files})
-    for separate verification. Local definitions shadow it.
+val read_file : string -> string
+(** @raise Sys_error when the file cannot be read. *)
 
-    [limits] bounds the automata-theoretic checks (defaults to
-    {!Limits.default}); a blown budget surfaces as a
-    {!Report.Resource_limit} report, never as an exception. *)
+val front_end : string -> front
+(** Parse with {!Mpy_parser.parse_program_tolerant} and extract every class
+    that parsed. Never raises. *)
+
+val find_model : Model.t list -> Usage.env
+(** Lookup by class name; [find_model front.models] is a file's own
+    environment. *)
+
+val verify : ?extra_env:Usage.env -> ?limits:Limits.t -> front -> result
+(** The syntax reports, then per class its extraction failure, or its
+    extraction diagnostics and check reports. Class names resolve in the
+    file's own models first, then in [extra_env] — typically models loaded
+    from [.shelley] files ({!Model_io.env_of_files}). [limits] (default
+    {!Limits.default}) bounds the automata-theoretic checks. *)
 
 val verify_source : ?extra_env:Usage.env -> ?limits:Limits.t -> string -> result
-(** Parse with {!Mpy_parser.parse_program_tolerant} and verify whatever
-    parsed. Lexical/syntax errors become {!Report.Syntax_error} reports
-    (prepended, in source order); the well-formed classes are still fully
-    verified. Never raises. *)
+(** [verify (front_end source)]. Never raises. *)
 
 val verify_source_exn : ?extra_env:Usage.env -> ?limits:Limits.t -> string -> result
 (** Strict variant: parse with {!Mpy_parser.parse_program}.
@@ -45,8 +65,3 @@ val verify_source_exn : ?extra_env:Usage.env -> ?limits:Limits.t -> string -> re
 
 val verified : result -> bool
 (** No error-severity report. *)
-
-val env_of : result -> Usage.env
-(** Lookup over the extracted models (by class name). *)
-
-val find_model : result -> string -> Model.t option

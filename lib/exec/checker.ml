@@ -42,12 +42,6 @@ let fault_hook path =
       | _ -> ())
     (Supervisor.faults_for path)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* --- Result caching ---------------------------------------------------------
 
    One cache entry = one fully rendered per-file result, wrapped in a variant
@@ -135,27 +129,23 @@ let lint_only (d : Lint.diagnostic) =
 let check_file_raw ?(limits = Limits.default) ?(warnings = false) ?(explain = false)
     ?(lint = false) ?(extra_env = fun _ -> None) path =
   fault_hook path;
-  match read_file path with
+  match Pipeline.read_file path with
   | exception Sys_error msg ->
     ( Format.asprintf "== %s ==@.Error: cannot read file: %s@.@." path msg,
       2 )
   | source ->
-    let result = Pipeline.verify_source ~extra_env ~limits source in
+    let front = Pipeline.front_end source in
+    let result = Pipeline.verify ~extra_env ~limits front in
     let reports =
       if warnings then result.Pipeline.reports else Report.errors result.Pipeline.reports
     in
     let lint_result =
-      if not lint then None
-      else begin
-        let r = Lint.lint_source ~limits ~file:path source in
-        Some { r with Lint.findings = List.filter lint_only r.Lint.findings }
-      end
+      if not lint then { Lint.lint_file = path; findings = []; suppressed = [] }
+      else
+        let r = Lint.lint_front ~limits ~file:path front in
+        { r with Lint.findings = List.filter lint_only r.Lint.findings }
     in
-    let lint_findings =
-      match lint_result with
-      | None -> []
-      | Some r -> r.Lint.findings
-    in
+    let lint_findings = lint_result.Lint.findings in
     let buf = Buffer.create 256 in
     let fmt = Format.formatter_of_buffer buf in
     if reports <> [] || lint_findings <> [] then begin
@@ -187,11 +177,7 @@ let check_file_raw ?(limits = Limits.default) ?(warnings = false) ?(explain = fa
       else if not (Pipeline.verified result) then 1
       else 0
     in
-    let code =
-      match lint_result with
-      | None -> code
-      | Some r -> max code (Lint.file_exit_code r)
-    in
+    let code = max code (Lint.file_exit_code lint_result) in
     (Buffer.contents buf, code)
 
 let fault_block path report =
@@ -207,7 +193,7 @@ let annotate ~cache ~key_of ~hit_of paths =
       match cache with
       | None -> (path, None, None)
       | Some c -> (
-        match read_file path with
+        match Pipeline.read_file path with
         | exception Sys_error _ -> (path, None, None)
         | source -> (
           let key = key_of ~path source in

@@ -2,8 +2,9 @@
     files — the engine behind [shelley check -j N --timeout S] and the
     [shelley serve] daemon.
 
-    Each file is one verification unit: a {!Supervisor} pool worker parses,
-    extracts and checks it ({!Pipeline.verify_source}) and sends back the
+    Each file is one verification unit: a {!Supervisor} pool worker parses
+    and extracts it once ({!Pipeline.front_end}), checks it
+    ({!Pipeline.verify}) and sends back the
     fully rendered report block plus the per-file exit code. Because workers
     return {e rendered text} (not interned symbols or models, which are not
     stable across process boundaries), the parent only concatenates blocks
@@ -88,9 +89,9 @@ val check_files :
 
     Each file is read, verified tolerantly and rendered. Unreadable or
     broken input never raises: it is a rendered error block with code 2.
-    With [~lint:true], the lint pass ({!Lint.lint_source}) also runs and
-    its {e semantic} findings (SY012, SY090/SY091, SY101–SY108 — the codes
-    plain [check] has no counterpart for) are appended to the file's block
+    With [~lint:true], the lint pass ({!Lint.lint_front}, over the same
+    parse and extraction) also runs and its {!lint_only} findings are
+    appended to the file's block
     as [file:line: severity CODE \[Class\]: message] lines; an
     error-severity lint finding raises the per-file code to at least 1.
     With linting off the output is byte-identical to what [check] has
@@ -158,6 +159,10 @@ val lint_cache_key :
   string
 (** The key of one lint-mode unit: path and source bytes, budgets,
     thresholds, {!Rules.fingerprint}, tool and semantics versions. *)
+
+val lint_only : Lint.diagnostic -> bool
+(** The findings [check --lint] appends: all but the codes plain [check]
+    reports in its own words (SY001–SY007, SY010/SY011, SY020). *)
 
 val exit_code : verdict list -> int
 (** The process exit code: the maximum per-file code. 0 = every file

@@ -23,7 +23,7 @@
      others. [status], [metrics], [health] and [shutdown] bypass the
      queue, so they are answered ahead of any backlog; but a request runs
      to completion inside the loop, so they still wait for the one that
-     is running (ROADMAP.md item 4);
+     is running (see the ROADMAP.md item "A daemon that never blocks");
    - worker memory is capped via setrlimit(RLIMIT_AS) (see
      {!Supervisor.config} [max_as_mb]), so a ballooning check fails as a
      classified resource limit instead of summoning the OOM killer.
@@ -270,7 +270,8 @@ let do_status st id =
 (* --- metrics and health -------------------------------------------------------
    Both bypass the admission queue, exactly like [status]: the whole point
    of a health probe is that it works while the work queue is full. Like
-   [status], they wait for a running request (ROADMAP.md item 4). *)
+   [status], they wait for a running request (see
+   the ROADMAP.md item "A daemon that never blocks"). *)
 
 let hist_json h =
   let q p =
@@ -677,7 +678,7 @@ let listen_on socket =
    [reap_idle]. On SIGTERM, SIGINT or a [shutdown] request the loop stops
    and [drain] answers what was received. A dispatched request still runs
    to completion inside the loop: while it runs, no socket is read (making
-   the loop non-blocking is ROADMAP.md item 4). *)
+   the loop non-blocking is the ROADMAP.md item "A daemon that never blocks"). *)
 
 type daemon = {
   st : state;

@@ -16,7 +16,8 @@
       on success) and [code] is the one-shot exit code.
     - [lint] — params [files] (required), [format] ([text]/[json]/[sarif]),
       [timeout], [max_states] / [fuel], [max_behavior_size] /
-      [max_star_height]. Same one-shot-equivalence contract against
+      [max_star_height] / [entail_fuel] / [race_fuel] (ints, the
+      one-shot flags of the same names). Same one-shot-equivalence contract against
       [shelley lint].
     - [status] — daemon pid, request counters, the [load] overload counters
       (queue depth/cap, [oldest_queued_ms], shed, expired,
@@ -44,7 +45,7 @@
     answered as soon as their line is read, ahead of any queued work, so
     a full backlog does not delay them. The daemon still runs one request
     at a time inside its loop, so they wait for a request that is already
-    running (a non-blocking daemon is ROADMAP.md item 4).
+    running (a non-blocking daemon is the ROADMAP.md item "A daemon that never blocks").
 
     [check] and [lint] may additionally carry [priority] (int, higher is
     dispatched sooner; default 0; clamped to

@@ -17,7 +17,7 @@
     runaway native code, an unbounded loop outside any budgeted
     construction).
 
-    The pipeline ({!Pipeline.verify_program}) runs every check behind an
+    The pipeline ({!Pipeline.verify}) runs every check behind an
     exception barrier that converts [Budget_exceeded] into a structured
     [Resource_limit] report, so one pathological check degrades gracefully
     while the others still run. *)

@@ -53,12 +53,25 @@ let guarded_rule ~file ~class_name (rule : Rules.t) f =
            (Printexc.to_string exn));
     ]
 
-(* Extraction diagnostics are Report.Structural values; give them the SY020
-   umbrella code but keep their own severity and wording. *)
-let of_extraction_report ~file report =
+(* The front end's reports in lint's terms: extraction diagnostics
+   (Report.Structural) get the SY020 umbrella code but keep their own
+   severity and wording; syntax errors are SY010; a class the barrier kept
+   from being extracted is SY090 or SY091. *)
+let of_front_report ~file report =
   match (report : Report.t) with
   | Report.Structural { class_name; line; severity; message } ->
     Some (diag ?line ~class_name ~severity Rules.annotation_error ~file message)
+  | Report.Syntax_error { line; col; message } ->
+    Some
+      (diag ~line Rules.syntax_error ~file
+         (Printf.sprintf "syntax error (col %d): %s" col message))
+  | Report.Resource_limit { class_name; resource; limit; _ } ->
+    Some
+      (diag ~class_name Rules.rule_resource_limit ~file
+         (Printf.sprintf "extraction exceeded its budget: %s (limit %d)" resource limit))
+  | Report.Internal_error { class_name; message; _ } ->
+    Some
+      (diag ~class_name Rules.rule_internal_error ~file ("extraction failed: " ^ message))
   | _ -> None
 
 let structural_diagnostics ~file (model : Model.t) =
@@ -123,62 +136,25 @@ let sort_diagnostics ds =
         if c <> 0 then c else compare a.message b.message)
     ds
 
-let lint_source ?(limits = Limits.default)
-    ?(thresholds = Lint_semantic.default_thresholds) ~file source =
+let lint_front ?(limits = Limits.default)
+    ?(thresholds = Lint_semantic.default_thresholds) ~file (front : Pipeline.front) =
   Obs.with_span ~args:[ ("file", file) ] "lint" @@ fun () ->
-  let program, parse_diags = Mpy_parser.parse_program_tolerant source in
-  let syntax =
-    List.map
-      (fun (d : Mpy_parser.diagnostic) ->
-        diag ~line:d.Mpy_parser.diag_line Rules.syntax_error ~file
-          (Printf.sprintf "syntax error (col %d): %s" d.Mpy_parser.diag_col
-             d.Mpy_parser.diag_message))
-      parse_diags
-  in
-  (* Extract every class first: the semantic rules need the program-local
-     environment (undeclared-subsystem-call resolves field classes in it). *)
-  let extractions =
-    List.map
-      (fun (cls : Mpy_ast.class_def) ->
-        match Extract.extract_class cls with
-        | extraction -> (cls, Ok extraction)
-        | exception Limits.Budget_exceeded { resource; limit } ->
-          ( cls,
-            Error
-              (diag ~class_name:cls.Mpy_ast.cls_name Rules.rule_resource_limit ~file
-                 (Printf.sprintf "extraction exceeded its budget: %s (limit %d)" resource
-                    limit)) )
-        | exception exn ->
-          ( cls,
-            Error
-              (diag ~class_name:cls.Mpy_ast.cls_name Rules.rule_internal_error ~file
-                 (Printf.sprintf "extraction failed: %s" (Printexc.to_string exn))) ))
-      program.Mpy_ast.prog_classes
-  in
-  let models =
-    List.filter_map
-      (fun (_, ext) ->
-        match ext with
-        | Ok (e : Extract.result) -> Some e.Extract.model
-        | Error _ -> None)
-      extractions
-  in
-  let env name =
-    List.find_opt (fun (m : Model.t) -> String.equal m.Model.name name) models
-  in
+  (* The semantic rules read the program-local environment only:
+     undeclared-subsystem-call resolves field classes in it. *)
+  let env = Pipeline.find_model front.Pipeline.models in
   let per_class =
     List.concat_map
       (fun (cls, ext) ->
         match ext with
-        | Error d -> [ d ]
+        | Error report -> Option.to_list (of_front_report ~file report)
         | Ok (extraction : Extract.result) ->
           let model = extraction.Extract.model in
-          List.filter_map (of_extraction_report ~file) extraction.Extract.diagnostics
+          List.filter_map (of_front_report ~file) extraction.Extract.diagnostics
           @ structural_diagnostics ~file model
           @ semantic_diagnostics ~limits ~thresholds ~env ~file (cls, model))
-      extractions
+      front.Pipeline.classes
   in
-  let governed, unknown = suppression_plan source in
+  let governed, unknown = suppression_plan front.Pipeline.source in
   let unknown_diags =
     List.map
       (fun (line, code) ->
@@ -186,6 +162,7 @@ let lint_source ?(limits = Limits.default)
           (Printf.sprintf "suppression comment names unknown rule code '%s'" code))
       unknown
   in
+  let syntax = List.filter_map (of_front_report ~file) front.Pipeline.syntax in
   let all = syntax @ per_class @ unknown_diags in
   let suppressed, findings = List.partition (suppressed_by governed) all in
   Obs.count "lint.findings" (List.length findings);
@@ -196,14 +173,11 @@ let lint_source ?(limits = Limits.default)
     suppressed = sort_diagnostics suppressed;
   }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let lint_source ?limits ?thresholds ~file source =
+  lint_front ?limits ?thresholds ~file (Pipeline.front_end source)
 
 let lint_path ?limits ?thresholds path =
-  match read_file path with
+  match Pipeline.read_file path with
   | source -> lint_source ?limits ?thresholds ~file:path source
   | exception Sys_error msg ->
     {

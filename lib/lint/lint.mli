@@ -1,13 +1,15 @@
 (** The lint engine: run every registered rule over one source file.
 
     [shelley lint] (and [shelley check --lint]) sit on top of this module:
-    it parses tolerantly, extracts every class, routes the {!Validate}
-    structural checks and the {!Lint_semantic} rules through the
-    {!Rules} registry, honors inline suppression comments
-    ([# shelley: disable=SY001,SY104] — end-of-line for that line, a
-    standalone comment line for the next line), and returns plain
-    marshal-safe diagnostics the renderers ({!Lint_render}) and the
-    parallel driver ({!Checker.lint_files}) consume.
+    it reads the file through the verification pipeline's one front end
+    ({!Pipeline.front_end}: tolerant parse, every class extracted behind an
+    exception barrier), routes the {!Validate} structural checks and the
+    {!Lint_semantic} rules through the {!Rules} registry, honors inline
+    suppression comments ([# shelley: disable=SY001,SY104] — end-of-line
+    for that line, a standalone comment line for the next line), and
+    returns plain marshal-safe diagnostics the renderers ({!Lint_render})
+    and the parallel driver ({!Checker.lint_files}) consume. The semantic
+    rules resolve class names in the file's own models only.
 
     Discipline inherited from the verification pipeline: every rule runs
     behind an exception barrier under the caller's {!Limits.t} budget — a
@@ -37,10 +39,16 @@ type file_result = {
           JSON/SARIF renderers, which mark rather than drop them) *)
 }
 
+val lint_front :
+  ?limits:Limits.t -> ?thresholds:Lint_semantic.thresholds -> file:string ->
+  Pipeline.front -> file_result
+(** Lint one parsed and extracted file ([check --lint] passes the front it
+    verified). Never raises. *)
+
 val lint_source :
   ?limits:Limits.t -> ?thresholds:Lint_semantic.thresholds -> file:string -> string ->
   file_result
-(** Lint one source text. Never raises. *)
+(** [lint_front] of [Pipeline.front_end source]. Never raises. *)
 
 val lint_path :
   ?limits:Limits.t -> ?thresholds:Lint_semantic.thresholds -> string -> file_result

@@ -627,8 +627,9 @@ let test_pipeline_models_in_order () =
 
 let test_pipeline_env_lookup () =
   let result = bad_result () in
-  Alcotest.(check bool) "finds Valve" true (Pipeline.find_model result "Valve" <> None);
-  Alcotest.(check bool) "misses unknown" true (Pipeline.find_model result "Nope" = None)
+  let find = Pipeline.find_model result.Pipeline.models in
+  Alcotest.(check bool) "finds Valve" true (find "Valve" <> None);
+  Alcotest.(check bool) "misses unknown" true (find "Nope" = None)
 
 let test_valve_alone_verifies () =
   let result = Pipeline.verify_source_exn valve_source in

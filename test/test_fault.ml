@@ -100,7 +100,7 @@ let test_partial_file_keeps_good_class () =
   Alcotest.(check bool) "syntax diagnostic present" true
     (List.exists Report.is_syntax_error result.Pipeline.reports);
   Alcotest.(check bool) "Valve model survives" true
-    (Option.is_some (Pipeline.find_model result "Valve"))
+    (Option.is_some (Pipeline.find_model result.Pipeline.models "Valve"))
 
 (* A broken *member* costs only that member: the class and its other
    operations survive. *)
@@ -118,7 +118,7 @@ let test_broken_member_keeps_other_methods () =
   let result = Pipeline.verify_source source in
   Alcotest.(check bool) "diagnostic recorded" true
     (List.exists Report.is_syntax_error result.Pipeline.reports);
-  match Pipeline.find_model result "Dev" with
+  match Pipeline.find_model result.Pipeline.models "Dev" with
   | None -> Alcotest.fail "class Dev lost entirely"
   | Some model ->
     Alcotest.(check bool) "ok operation survives" true
@@ -208,7 +208,7 @@ let test_starved_pipeline_degrades () =
     Alcotest.failf "starved pipeline raised %s" (Printexc.to_string exn)
   | result ->
     Alcotest.(check bool) "models still extracted" true
-      (Option.is_some (Pipeline.find_model result "Sector"));
+      (Option.is_some (Pipeline.find_model result.Pipeline.models "Sector"));
     Alcotest.(check bool) "budget blowouts reported as Resource_limit" true
       (List.exists Report.is_resource_limit result.Pipeline.reports)
 

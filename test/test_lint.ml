@@ -386,7 +386,8 @@ let test_expansion_charges_each_budget () =
      product it drew runs out, naming its own limit, exactly as its own
      build would; a looser one after a build that ran out builds again. *)
   let model =
-    Option.get (Pipeline.find_model (Pipeline.verify_source_exn (hub_source 3)) "Hub")
+    Option.get
+      (Pipeline.find_model (Pipeline.verify_source_exn (hub_source 3)).Pipeline.models "Hub")
   in
   let runs_out ~limit expansion =
     match expansion (Limits.make ~max_configs:limit ()) with
@@ -477,7 +478,8 @@ class Gate:
         return ["open"]
 |}
 
-let protocol_env = lazy (Pipeline.env_of (Pipeline.verify_source_exn protocol_source))
+let protocol_env =
+  lazy (Pipeline.find_model (Pipeline.verify_source_exn protocol_source).Pipeline.models)
 let protocol_calls = [ ("Log", [ "begin"; "end" ]); ("Gate", [ "open"; "close" ]) ]
 
 (* The k-th [return] of [body], in source order, gets the k-th exit marker,
@@ -894,6 +896,104 @@ let test_check_lint_additive () =
   Alcotest.(check bool) "unsat.py gains SY103" true
     (Testutil.contains (find "unsat.py" on).Checker.output "SY103")
 
+(* Source text of a random async composite over 2–3 Log/Gate fields: each
+   operation calls, spawns ([create_task]) and gathers the fields' calls,
+   and the class carries 0–4 claims from {!claim_gen}. *)
+let async_source_gen =
+  let open QCheck2.Gen in
+  let* classes = list_size (int_range 2 3) (oneofl [ "Log"; "Gate" ]) in
+  let fields = List.mapi (fun i c -> (Printf.sprintf "f%d" (i + 1), c)) classes in
+  let calls =
+    List.concat_map
+      (fun (f, c) -> List.map (fun m -> f ^ "." ^ m) (List.assoc c protocol_calls))
+      fields
+  in
+  let call = map (Printf.sprintf "self.%s()") (oneofl calls) in
+  let stmt =
+    oneof
+      [
+        call;
+        map (Printf.sprintf "asyncio.create_task(%s)") call;
+        map2 (Printf.sprintf "await asyncio.gather(%s, %s)") call call;
+      ]
+  in
+  let* nops = int_range 1 3 in
+  let names = List.init nops (Printf.sprintf "op%d") in
+  let op i name =
+    let* body = list_size (int_range 1 3) stmt in
+    let* final = bool in
+    let+ next = list_size (int_range 0 2) (oneofl names) in
+    let kind = if i = 0 then "op_initial_final" else if final then "op_final" else "op" in
+    Printf.sprintf "    @%s\n    async def %s(self):\n%s        return [%s]\n" kind name
+      (String.concat "" (List.map (Printf.sprintf "        %s\n") body))
+      (String.concat ", " (List.map (Printf.sprintf "%S") next))
+  in
+  let* ops = flatten_l (List.mapi op names) in
+  let+ claims = list_size (int_range 0 4) (claim_gen (List.map Symbol.intern calls)) in
+  Printf.sprintf "import asyncio\n\n%s\n%s@sys([%s])\nclass Hub:\n    def __init__(self):\n%s\n%s"
+    protocol_source
+    (String.concat ""
+       (List.map (fun f -> Printf.sprintf "@claim(\"%s\")\n" (Ltlf.to_string f)) claims))
+    (String.concat ", " (List.map (fun (f, _) -> Printf.sprintf "%S" f) fields))
+    (String.concat ""
+       (List.map (fun (f, c) -> Printf.sprintf "        self.%s = %s()\n" f c) fields))
+    (String.concat "\n" ops)
+
+(* [check --lint] is plain [check] plus the lint pass over the same parse:
+   its block is the classic block followed by exactly the {!Checker.lint_only}
+   lines a standalone lint prints, and its code is the larger of the two. *)
+let test_check_lint_composes =
+  let path = lazy (Filename.temp_file "shelley_check_lint" ".py") in
+  Testutil.qtest ~count:150 "check --lint = check + lint_only lines"
+    QCheck2.Gen.(oneof [ gen_source; async_source_gen ])
+    ~print:Fun.id (fun source ->
+      let path = Lazy.force path in
+      let oc = open_out_bin path in
+      output_string oc source;
+      close_out oc;
+      let one = function
+        | [ v ] -> v
+        | _ -> assert false
+      in
+      let classic = one (Checker.check_files [ path ]) in
+      let both = one (Checker.check_files ~lint:true [ path ]) in
+      let lint = one (Checker.lint_files [ path ]) in
+      let lint =
+        { lint with Lint.findings = List.filter Checker.lint_only lint.Lint.findings }
+      in
+      let expected =
+        if lint.Lint.findings = [] then classic.Checker.output
+        else
+          (if classic.Checker.output = "" then Printf.sprintf "== %s ==\n" path
+           else classic.Checker.output)
+          ^ String.concat ""
+              (List.map (fun d -> Lint_render.text_line d ^ "\n") lint.Lint.findings)
+          ^ "\n"
+      in
+      let code = max classic.Checker.code (Lint.file_exit_code lint) in
+      if both.Checker.output <> expected then
+        QCheck2.Test.fail_reportf "check --lint printed\n%s\nexpected\n%s" both.Checker.output
+          expected
+      else if both.Checker.code <> code then
+        QCheck2.Test.fail_reportf "check --lint exits %d, expected %d" both.Checker.code code
+      else true)
+
+(* One parse and one extraction per file, whichever passes read it. *)
+let test_check_lint_parses_once () =
+  let paths = Lazy.force corpus_dir in
+  let path = List.find (fun p -> Filename.basename p = "race.py") paths in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let v = List.hd (Checker.check_files ~lint:true [ path ]) in
+  let counters = (Option.get v.Checker.profile).Obs.counters in
+  let classes =
+    List.length (Mpy_parser.parse_program racy_async_source).Mpy_ast.prog_classes
+  in
+  Alcotest.(check (option int)) "parse.classes" (Some classes)
+    (List.assoc_opt "parse.classes" counters);
+  Alcotest.(check (option int)) "models.extracted" (Some classes)
+    (List.assoc_opt "models.extracted" counters)
+
 (* --- Renderers ------------------------------------------------------------- *)
 
 let test_text_line () =
@@ -1072,7 +1172,12 @@ let () =
           QCheck_alcotest.to_alcotest test_lint_source_deterministic;
           QCheck_alcotest.to_alcotest test_lint_files_deterministic;
         ] );
-      ("check-lint", [ Alcotest.test_case "strictly additive" `Quick test_check_lint_additive ]);
+      ( "check-lint",
+        [
+          Alcotest.test_case "strictly additive" `Quick test_check_lint_additive;
+          test_check_lint_composes;
+          Alcotest.test_case "one parse per file" `Quick test_check_lint_parses_once;
+        ] );
       ( "render",
         [
           Alcotest.test_case "text line forms" `Quick test_text_line;

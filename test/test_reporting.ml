@@ -108,7 +108,7 @@ let usage_error () =
         | _ -> false)
       result.Pipeline.reports
   in
-  (Option.get (Pipeline.find_model result "BadSector"), report)
+  (Option.get (Pipeline.find_model result.Pipeline.models "BadSector"), report)
 
 let test_explain_segments () =
   let model, report = usage_error () in

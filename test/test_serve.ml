@@ -330,6 +330,7 @@ let budget_request meth files params =
 let test_budget_params () =
   let check = ("../samples", "cli.t/run.t", "check") in
   let lint = ("lint.t", "lint.t/run.t", "lint") in
+  let race = ("concurrency.t", "concurrency.t/run.t", "lint") in
   let n v = Jsonl.Num (float_of_int v) in
   let cases =
     [
@@ -347,6 +348,7 @@ let test_budget_params () =
         [ "clean.py"; "dead_op.py" ],
         [ ("max_states", n 2) ],
         "shelley lint --max-states 2 clean.py dead_op.py" );
+      (race, [ "datalog.py" ], [ ("race_fuel", n 1) ], "shelley lint --race-fuel 1 datalog.py");
     ]
   in
   List.iter

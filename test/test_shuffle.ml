@@ -250,8 +250,7 @@ let test_usage_limits_threaded () =
      \        self.a.z()\n\
      \        return []\n"
   in
-  let program = Mpy_parser.parse_program model_src in
-  let result = Pipeline.verify_program program in
+  let result = Pipeline.verify_source_exn model_src in
   match result.Pipeline.models with
   | [ model ] -> (
     let tiny = Limits.make ~max_configs:2 () in
@@ -443,8 +442,8 @@ let prop_projected_usage_differential =
   qtest "projected usage = unprojected = interleave oracle" ~count:150 composite_gen
     ~print:Fun.id (fun source ->
       let result = Pipeline.verify_source_exn source in
-      let env = Pipeline.env_of result in
-      let model = Option.get (Pipeline.find_model result "Hub") in
+      let env = Pipeline.find_model result.Pipeline.models in
+      let model = Option.get (Pipeline.find_model result.Pipeline.models "Hub") in
       List.for_all
         (fun field ->
           let subsystem_class = Option.get (Model.subsystem_class model field) in
@@ -500,8 +499,8 @@ let shift_source =
 
 let test_projection_budget_fallback () =
   let result = Pipeline.verify_source_exn shift_source in
-  let env = Pipeline.env_of result in
-  let model = Option.get (Pipeline.find_model result "Shift") in
+  let env = Pipeline.find_model result.Pipeline.models in
+  let model = Option.get (Pipeline.find_model result.Pipeline.models "Shift") in
   let limits = Limits.make ~max_configs:100 () in
   (match Usage.holds ~limits ~env model ~field:"f" ~subsystem_class:"Any" with
   | _ -> Alcotest.fail "expected the projected search to run out"
