@@ -34,7 +34,10 @@
    and full mode alike. The analysis settles a claim the usage language
    alone entails with one query; the search-only sweep it replaced
    ([Lint_oracle.analyze_claims], every question searched) must give the
-   same analysis too. The rows record the three times.
+   same analysis too. The rows record the three times. The analysis's
+   [states] do not depend on the mode either, so --smoke fails when one
+   differs from the tracked BENCH_entail.json: the gate on how much the
+   sweep searches.
 
    The claim-set table rows ask the same family's model questions two
    ways: each as its own query, and all from one [Entail.table] of the
@@ -412,27 +415,29 @@ let table_rows () =
       })
     sizes
 
-(* The smoke gate: each row's state counts must equal the tracked file's. *)
-let check_tracked_table_rows rows =
+(* The smoke gate: each row's state counts must equal the tracked file's.
+   [rows] pairs a row's claim count with the counts to compare; [section]
+   names the tracked array that holds them. *)
+let check_tracked_rows ~section ~family rows =
   let tracked =
     match Jsonl.parse (In_channel.with_open_bin "BENCH_entail.json" In_channel.input_all) with
-    | Ok j -> Option.value ~default:[] (Option.bind (Jsonl.member "claim_set_table" j) Jsonl.to_list)
+    | Ok j -> Option.value ~default:[] (Option.bind (Jsonl.member section j) Jsonl.to_list)
     | Error msg -> die "FAIL: BENCH_entail.json does not parse: %s" msg
     | exception Sys_error msg -> die "FAIL: no tracked BENCH_entail.json: %s" msg
   in
   List.iter
-    (fun r ->
-      match List.find_opt (fun t -> Jsonl.mem_int "claims" t = Some r.k) tracked with
-      | None -> die "FAIL: claim-set table k=%d has no row in the tracked BENCH_entail.json" r.k
+    (fun (k, counts) ->
+      match List.find_opt (fun t -> Jsonl.mem_int "claims" t = Some k) tracked with
+      | None -> die "FAIL: %s k=%d has no row in the tracked BENCH_entail.json" family k
       | Some t ->
         List.iter
           (fun (key, n) ->
             match Jsonl.mem_int key t with
             | Some m when m = n -> ()
             | m ->
-              die "FAIL: claim-set table k=%d: %s %d, the tracked file says %s" r.k key n
+              die "FAIL: %s k=%d: %s %d, the tracked file says %s" family k key n
                 (Option.fold ~none:"nothing" ~some:string_of_int m))
-          [ ("per_query_states", r.per_query_states); ("table_states", r.table_states) ])
+          counts)
     rows
 
 let () =
@@ -513,7 +518,15 @@ let () =
       Printf.printf "  %-16s %4d %9d  %10d %12.1f  %10d %12.1f\n" "claim-set table" r.k
         r.questions r.per_query_states r.per_query_us r.table_states r.table_us)
     table_rows;
-  if smoke then check_tracked_table_rows table_rows;
+  if smoke then begin
+    check_tracked_rows ~section:"claim_sets" ~family:"claim set"
+      (List.map (fun r -> (r.claims, [ ("states", r.set_states) ])) set_rows);
+    check_tracked_rows ~section:"claim_set_table" ~family:"claim-set table"
+      (List.map
+         (fun r ->
+           (r.k, [ ("per_query_states", r.per_query_states); ("table_states", r.table_states) ]))
+         table_rows)
+  end;
   let definitive = List.filter (fun r -> r.verdict <> "unknown") space_rows in
   if List.length definitive < List.length space_rows then
     die "FAIL: %d of %d obligation-space instances ended in unknown"

@@ -194,14 +194,8 @@ let save ~path model =
     (fun () -> output_string oc (to_string model))
 
 let load ~path =
-  match open_in_bin path with
-  | ic ->
-    let content =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    Result.map_error (fun msg -> Printf.sprintf "%s: %s" path msg) (of_string content)
+  match Inputs.read_file path with
+  | content -> Result.map_error (fun msg -> Printf.sprintf "%s: %s" path msg) (of_string content)
   | exception Sys_error msg -> Error msg
 
 let env_of_files paths =
@@ -213,6 +207,4 @@ let env_of_files paths =
         Ok (model :: acc))
       (Ok []) paths
   in
-  Ok
-    (fun name ->
-      List.find_opt (fun (m : Model.t) -> String.equal m.Model.name name) models)
+  Ok (Inputs.find_model models)

@@ -24,14 +24,8 @@ type result = {
    must not replay. *)
 let semantics_version = "10"
 
-let find_model models name =
-  List.find_opt (fun (m : Model.t) -> String.equal m.Model.name name) models
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let find_model = Inputs.find_model
+let read_file = Inputs.read_file
 
 (* The exception barrier around one step of one class: a blown budget or an
    unexpected exception becomes a report instead of escaping. *)

@@ -39,15 +39,16 @@ val semantics_version : string
     mapping — stale cached verdicts then miss instead of replaying. *)
 
 val read_file : string -> string
-(** @raise Sys_error when the file cannot be read. *)
+(** {!Inputs.read_file}, which {!Model_io.load} reads through too.
+    @raise Sys_error when the file cannot be read. *)
 
 val front_end : string -> front
 (** Parse with {!Mpy_parser.parse_program_tolerant} and extract every class
     that parsed. Never raises. *)
 
 val find_model : Model.t list -> Usage.env
-(** Lookup by class name; [find_model front.models] is a file's own
-    environment. *)
+(** Lookup by class name ({!Inputs.find_model}); [find_model front.models]
+    is a file's own environment. *)
 
 val verify : ?extra_env:Usage.env -> ?limits:Limits.t -> front -> result
 (** The syntax reports, then per class its extraction failure, or its

@@ -236,6 +236,19 @@ let unsatisfiable_claim ctx =
    then is asked as it would have been, unless there are no kept claims,
    when the probe was that question.
 
+   A set of hypotheses that no trace satisfies entails every goal on every
+   trace, so a subsumption question whose hypotheses hold such a pair is
+   [Entailed] with no search of its own (counted as
+   [lint.claims.unsat_hypotheses]): the answer its search would have given,
+   had that search stayed in budget. A pair is decided once per class, on
+   first need. If some model trace satisfies both claims (a lookup in the
+   table) they are satisfiable; only a pair no model trace satisfies is
+   searched over every trace, as a two-formula witness question. A pair
+   search that runs out settles nothing and is not counted as undecided,
+   and the rule is off when the table ran out of budget. So the rule spares
+   searches and changes no answer, except that a question whose own search
+   would run out gets the pair's answer.
+
    Sweeping in reverse order makes the *first-declared* claim of a mutually
    equivalent group the one that survives (lowest line wins) and the later
    duplicates the ones reported, deterministically and exactly once. Each
@@ -267,11 +280,36 @@ let analyze_claims ?fuel ?sessions:given ~limits (model : Model.t) =
   in
   (* Every question over the model goes to one table of the claims, built
      by the first; the subsumption questions, over every trace, stay per
-     query. *)
+     query unless two of their hypotheses exclude each other. *)
   let table = lazy (Entail.table (calls ()) ?fuel (Array.to_list (Array.map snd claims))) in
+  (* Can no trace satisfy claims [a] and [b] together? A model trace that
+     satisfies both is a trace, so the table rules most pairs out; only a
+     pair the model never satisfies is searched over every trace. A search
+     that runs out, or a table that did, says no. *)
+  let exclusive = Hashtbl.create 16 in
+  let excludes a b =
+    match Hashtbl.find_opt exclusive (a, b) with
+    | Some e -> e
+    | None ->
+      let t = Lazy.force table in
+      let e =
+        Entail.tabled t
+        && Entail.table_witness t [ a; b ] = Ok None
+        && Entail.joint_witness (universal ()) ?fuel [ formula a; formula b ] = Ok None
+      in
+      Hashtbl.add exclusive (a, b) e;
+      e
+  in
+  let rec unsatisfiable = function
+    | [] -> false
+    | a :: rest -> List.exists (excludes a) rest || unsatisfiable rest
+  in
   let verdict base hyps goal =
     match base with
     | `Model -> Entail.table_implies (Lazy.force table) ~hyps goal
+    | `Every_trace when unsatisfiable hyps ->
+      Obs.count "lint.claims.unsat_hypotheses" 1;
+      Entail.Entailed
     | `Every_trace ->
       Entail.implies (universal ()) ?fuel ~hyps:(List.map formula hyps) (formula goal)
   in

@@ -22,9 +22,11 @@
 
     Questions whose answer follows from one already held are settled
     without a search: a claim the usage language alone entails is
-    redundant whatever else is kept (SY104), and a field whose projected
+    redundant whatever else is kept (SY104), two claims no trace satisfies
+    together imply every other claim (SY109), and a field whose projected
     behaviors keep no shuffle cannot race (SY112). [--stats] counts them as
-    [lint.claims.redundant_alone] and [lint.race.shuffle_free_fields].
+    [lint.claims.redundant_alone], [lint.claims.unsat_hypotheses] and
+    [lint.race.shuffle_free_fields].
 
     Every rule runs under the caller's {!Limits.t} fuel budget; a blown
     budget surfaces as {!Limits.Budget_exceeded}, which the engine
@@ -121,7 +123,16 @@ val analyze_claims :
     its hypotheses, so a claim the usage language alone entails is
     [Redundant []] after one query with no hypotheses (counted as
     [lint.claims.redundant_alone]); only the others run the query with the
-    kept claims and its minimization. [fuel] bounds each
+    kept claims and its minimization. Hypotheses that hold two claims no
+    trace satisfies together imply every claim on every trace, so such a
+    subsumption question is answered without its search (counted as
+    [lint.claims.unsat_hypotheses]). Each pair is decided once: satisfiable
+    if the class's model table has a trace for both, otherwise by one
+    two-claim search over every trace. The rule is off when the table ran
+    out of budget, and a pair search that runs out decides nothing. Where
+    the question's own search would run out of [fuel] but the pair's does
+    not, the claim is [Subsumed]; searching that question instead would
+    give it up and find the claim [Redundant] from the model. [fuel] bounds each
     entailment query's product exploration (default
     the session's [limits.max_configs]). [sessions] are the class's
     sessions when the caller already opened them; otherwise

@@ -588,11 +588,27 @@ let rec expand_sessions fields (p : Prog.t) =
   | Prog.Loop a -> Prog.loop (expand_sessions fields a)
   | Prog.Par (a, b) -> Prog.par (expand_sessions fields a) (expand_sessions fields b)
 
+(* Two claim pairs to plant ahead of a class's claims: one no trace
+   satisfies ([G !x] with [F x]), and one that only the model rules out,
+   since no operation performs [f9.never]. Every later claim has both
+   pairs among its hypotheses, and the minimization of its subsumption
+   drops hypotheses one at a time, so it also asks questions where the
+   second pair is left without the first. *)
+let planted_pairs x y =
+  let never = Ltlf.atom (Symbol.intern "f9.never") in
+  [
+    Ltlf.globally (Ltlf.neg (Ltlf.atom x));
+    Ltlf.finally (Ltlf.atom x);
+    Ltlf.finally never;
+    Ltlf.finally (Ltlf.atom y);
+  ]
+
 (* A composite over 2–3 Log/Gate fields with 1–3 async operations, and 0–5
-   claims. Bodies are {!Prog_gen} programs with [Par] nodes over sessions
-   and single calls, and two operations in three first spawn a task on one
-   field, as [create_task] does, and then favor that field: sessions keep
-   many sequential schedules valid, so such a fork is often a race. *)
+   claims, after the {!planted_pairs} in one case of three. Bodies are
+   {!Prog_gen} programs with [Par] nodes over sessions and single calls,
+   and two operations in three first spawn a task on one field, as
+   [create_task] does, and then favor that field: sessions keep many
+   sequential schedules valid, so such a fork is often a race. *)
 let async_composite_gen =
   let open QCheck2.Gen in
   let* classes = list_size (int_range 2 3) (oneofl [ "Log"; "Gate" ]) in
@@ -607,6 +623,9 @@ let async_composite_gen =
   let* seed = int in
   let* sizes = list_repeat nops (int_range 2 10) in
   let* claims = list_size (int_range 0 5) (claim_gen (Symbol.intern "f9.never" :: calls)) in
+  let* planted = map (( = ) 0) (int_bound 2) in
+  let* x = oneofl calls and* y = oneofl calls in
+  let claims = if planted then planted_pairs x y @ claims else claims in
   let state = Random.State.make [| seed |] in
   let pick_next () = List.filter (fun _ -> Random.State.bool state) names in
   let random alphabet size =
@@ -651,15 +670,15 @@ let ctx_of model =
   Lint_semantic.make_ctx ~limits:Limits.default ~thresholds:Lint_semantic.default_thresholds
     ~env:(Lazy.force protocol_env) ~cls:(Lazy.force hub_class) ~model
 
+let show_verdict = function
+  | Lint_semantic.Kept -> "kept"
+  | Redundant by -> "redundant [" ^ String.concat "; " by ^ "]"
+  | Subsumed by -> "subsumed [" ^ String.concat "; " by ^ "]"
+  | Undecided -> "undecided"
+
 let show_analysis (a : Lint_semantic.claim_analysis) =
-  let verdict = function
-    | Lint_semantic.Kept -> "kept"
-    | Redundant by -> "redundant [" ^ String.concat "; " by ^ "]"
-    | Subsumed by -> "subsumed [" ^ String.concat "; " by ^ "]"
-    | Undecided -> "undecided"
-  in
   Printf.sprintf "{%s} contradictions {%s} core {%s} undecided %d"
-    (String.concat "; " (List.map (fun (c, v) -> c ^ ": " ^ verdict v) a.verdicts))
+    (String.concat "; " (List.map (fun (c, v) -> c ^ ": " ^ show_verdict v) a.verdicts))
     (String.concat "; "
        (List.map
           (fun (c : Lint_semantic.contradiction) ->
@@ -667,19 +686,98 @@ let show_analysis (a : Lint_semantic.claim_analysis) =
           a.contradictions))
     (String.concat "; " a.core) a.undecided
 
+(* The sweep answers a subsumption question whose hypotheses hold a pair
+   no trace satisfies with no search ([lint.claims.unsat_hypotheses]). The
+   property counts the cases where it did, and fails if there were none:
+   then the planted pairs no longer reach it. *)
 let test_claims_match_oracle =
-  Testutil.qtest ~count:300 "claim sweep = search-only oracle" async_composite_gen
-    ~print:print_model (fun model ->
-      let fuel = Lint_semantic.default_thresholds.Lint_semantic.entail_fuel in
-      let limits = Limits.default in
-      let oracle =
-        Lint_oracle.analyze_claims ~fuel ~sessions:(Lint_semantic.sessions ~limits model) model
-      in
-      QCheck2.assume (oracle.Lint_semantic.undecided = 0);
-      let got = Lint_semantic.analyze_claims ~fuel ~limits model in
-      if got <> oracle then
-        QCheck2.Test.fail_reportf "got %s\noracle %s" (show_analysis got) (show_analysis oracle);
-      true)
+  let settled = ref 0 and cases = ref 0 in
+  let name, speed, run =
+    Testutil.qtest ~count:300 "claim sweep = search-only oracle" async_composite_gen
+      ~print:print_model (fun model ->
+        let fuel = Lint_semantic.default_thresholds.Lint_semantic.entail_fuel in
+        let limits = Limits.default in
+        let oracle =
+          Lint_oracle.analyze_claims ~fuel ~sessions:(Lint_semantic.sessions ~limits model) model
+        in
+        QCheck2.assume (oracle.Lint_semantic.undecided = 0);
+        Obs.enable ();
+        let got =
+          Fun.protect ~finally:Obs.disable (fun () ->
+              let got = Lint_semantic.analyze_claims ~fuel ~limits model in
+              incr cases;
+              if List.mem_assoc "lint.claims.unsat_hypotheses" (Obs.counters ()) then
+                incr settled;
+              got)
+        in
+        if got <> oracle then
+          QCheck2.Test.fail_reportf "got %s\noracle %s" (show_analysis got) (show_analysis oracle);
+        true)
+  in
+  ( name,
+    speed,
+    fun () ->
+      settled := 0;
+      cases := 0;
+      run ();
+      Printf.printf "unsatisfiable hypotheses settled questions in %d of %d cases\n" !settled
+        !cases;
+      if !settled = 0 then Alcotest.failf "no case of %d was settled by an unsatisfiable pair" !cases )
+
+(* Ex falso under a tight budget: the full subsumption query of the third
+   claim runs out of fuel, but the table and the search for the pair
+   ['G !a.open', 'F a.open'] do not, so the claim is subsumed. The
+   search-only sweep gives the question up and finds the claim redundant
+   instead, from the model table. *)
+let ex_falso_source =
+  {|
+@sys
+class Valve:
+    def __init__(self):
+        self.control = Pin(27, OUT)
+
+    @op_initial_final
+    def open(self):
+        self.control.on()
+        return ["close"]
+
+    @op_final
+    def close(self):
+        self.control.off()
+        return ["open"]
+
+@claim("G !a.open")
+@claim("F a.open")
+@claim("F (a.close && X X X X X a.close)")
+@sys(["a"])
+class Rig:
+    def __init__(self):
+        self.a = Valve()
+
+    @op_initial_final
+    def fire(self):
+        self.a.open()
+        return []
+|}
+
+let test_unsat_pair_under_tight_fuel () =
+  let model =
+    Option.get
+      (Pipeline.find_model (Pipeline.verify_source_exn ex_falso_source).Pipeline.models "Rig")
+  in
+  let fuel = 8 and limits = Limits.default in
+  let third (a : Lint_semantic.claim_analysis) =
+    show_verdict (List.assoc "F (a.close && X X X X X a.close)" a.Lint_semantic.verdicts)
+  in
+  let pair = [ "G !a.open"; "F a.open" ] in
+  let oracle =
+    Lint_oracle.analyze_claims ~fuel ~sessions:(Lint_semantic.sessions ~limits model) model
+  in
+  Alcotest.(check bool) "the search-only sweep runs out" true (oracle.Lint_semantic.undecided > 0);
+  Alcotest.(check string) "the search-only sweep"
+    (show_verdict (Lint_semantic.Redundant pair)) (third oracle);
+  Alcotest.(check string) "the sweep" (show_verdict (Lint_semantic.Subsumed pair))
+    (third (Lint_semantic.analyze_claims ~fuel ~limits model))
 
 let test_race_matches_oracle =
   Testutil.qtest ~count:400 "SY112 = search-only oracle" async_composite_gen ~print:print_model
@@ -1162,6 +1260,8 @@ let () =
       ( "shortcuts-vs-oracle",
         [
           test_claims_match_oracle;
+          Alcotest.test_case "unsatisfiable pair under a tight budget" `Quick
+            test_unsat_pair_under_tight_fuel;
           test_race_matches_oracle;
           test_shuffle_free_lemma;
         ] );
