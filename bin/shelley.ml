@@ -15,9 +15,9 @@
      0  every file verified
      1  a verification failure (usage / claim / invocation / structural)
      2  a file could not be read or parsed cleanly
-     3  a resource budget was exceeded — deterministic fuel
-        (--max-states / --fuel), the per-file wall-clock deadline
-        (--timeout), or a worker process that died checking the file *)
+     3  a resource budget was exceeded — deterministic fuel (--fuel),
+        the per-file wall-clock deadline (--timeout), or a worker process
+        that died checking the file *)
 
 open Cmdliner
 
@@ -107,18 +107,6 @@ let limits_term =
      (RESOURCE LIMIT EXCEEDED in $(b,check), SY090 in $(b,lint)) and exits \
      3 while every other check still runs."
   in
-  let max_states =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-states" ] ~docv:"N"
-          ~doc:
-            "Budget for automaton states built by subset construction, which \
-             only the lint rule SY101 (dead-operation) performs: it applies \
-             to $(b,lint) and to $(b,check --lint); plain $(b,check) builds \
-             no such automaton and ignores it. Exceeding it reports SY090 \
-             for that rule and exits 3 while every other check still runs.")
-  in
   let fuel =
     Arg.(
       value
@@ -141,10 +129,8 @@ let limits_term =
              SY090 finding ($(b,lint)), exit 3, while every other file still \
              completes.")
   in
-  let make max_states max_configs deadline =
-    Limits.make ?max_states ?max_configs ?deadline ()
-  in
-  Term.(const make $ max_states $ fuel $ timeout)
+  let make max_configs deadline = Limits.make ?max_configs ?deadline () in
+  Term.(const make $ fuel $ timeout)
 
 let jobs_arg =
   Arg.(

@@ -87,35 +87,3 @@ let reachable_states dfa =
   in
   go dfa.start;
   states_where seen
-
-(* One trim: forward reachability from the start, backward from the
-   accepting states; a symbol is live when it labels an edge between the
-   two. *)
-let live_symbols dfa =
-  let reachable = Array.make dfa.num_states false in
-  let rec forward q =
-    if not reachable.(q) then begin
-      reachable.(q) <- true;
-      Array.iter forward dfa.table.(q)
-    end
-  in
-  forward dfa.start;
-  let preds = Array.make dfa.num_states [] in
-  Array.iteri (fun q row -> Array.iter (fun q' -> preds.(q') <- q :: preds.(q')) row) dfa.table;
-  let productive = Array.make dfa.num_states false in
-  let rec backward q =
-    if not productive.(q) then begin
-      productive.(q) <- true;
-      List.iter backward preds.(q)
-    end
-  in
-  Array.iteri (fun q accepting -> if accepting then backward q) dfa.accept;
-  let live = ref Symbol.Set.empty in
-  Array.iteri
-    (fun q row ->
-      if reachable.(q) then
-        Array.iteri
-          (fun i q' -> if productive.(q') then live := Symbol.Set.add dfa.alphabet.(i) !live)
-          row)
-    dfa.table;
-  !live

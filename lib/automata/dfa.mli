@@ -43,8 +43,3 @@ val next : t -> int -> Symbol.t -> int
 (** {1 Queries} *)
 
 val reachable_states : t -> States.Set.t
-
-val live_symbols : t -> Symbol.Set.t
-(** The symbols that occur in some accepted word: each labels an edge from
-    a state reachable from the start to a state that can reach acceptance.
-    Empty when the language is. *)

@@ -17,7 +17,8 @@ type result = {
 (* 7: the concurrency extension — shuffled behaviors from async/create_task,
    interleaving-aware usage automata, SY112. *)
 (* 8: claims are decided by the entailment product, so they spend --fuel
-   (entailment configurations) instead of --max-states. *)
+   (entailment configurations) instead of the subset-construction budget,
+   which check no longer reads. *)
 (* 9: obligations lost their size caps; cached exit-3 verdicts from them must not replay. *)
 (* 10: usage is decided on each field's projection, so a check that ran out
    of fuel on the full expansion can now answer; cached exit-3 verdicts

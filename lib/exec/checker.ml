@@ -56,17 +56,16 @@ type cache_payload =
     }
   | Cached_lint of Lint.file_result
 
-let limits_key_parts ~states (l : Limits.t) =
+let limits_key_parts (l : Limits.t) =
   (* The wall-clock deadline is deliberately absent: it can prevent a
      verdict (and timed-out units are never stored), but it cannot change
      one, so results computed with and without --timeout share entries.
-     [max_states] is read only by the lint pass (SY101's determinization),
-     so a plain check does not key on it. *)
-  (if states then [ Printf.sprintf "max_states=%d" l.Limits.max_states ] else [])
-  @ [
-      Printf.sprintf "max_configs=%d" l.Limits.max_configs;
-      Printf.sprintf "max_regex_size=%d" l.Limits.max_regex_size;
-    ]
+     [max_states] is absent too: it budgets only subset construction,
+     which neither check nor lint performs. *)
+  [
+    Printf.sprintf "max_configs=%d" l.Limits.max_configs;
+    Printf.sprintf "max_regex_size=%d" l.Limits.max_regex_size;
+  ]
 
 (* The path is key material, not just the content: rendered blocks and lint
    findings embed it ("== path ==", "path:line:"), so two files with equal
@@ -83,7 +82,7 @@ let check_cache_key ?(limits = Limits.default) ?(warnings = false) ?(explain = f
        "path=" ^ path;
        "src=" ^ Digest.to_hex (Digest.string source);
      ]
-    @ limits_key_parts ~states:lint limits
+    @ limits_key_parts limits
     @ [
         Printf.sprintf "warnings=%b" warnings;
         Printf.sprintf "explain=%b" explain;
@@ -103,7 +102,7 @@ let lint_cache_key ?(limits = Limits.default)
        "path=" ^ path;
        "src=" ^ Digest.to_hex (Digest.string source);
      ]
-    @ limits_key_parts ~states:true limits
+    @ limits_key_parts limits
     @ [
         Printf.sprintf "max_behavior_size=%d" thresholds.Lint_semantic.max_behavior_size;
         Printf.sprintf "max_star_height=%d" thresholds.Lint_semantic.max_star_height;
@@ -228,7 +227,6 @@ type job_mode =
 type job_spec = {
   job_path : string;
   job_mode : job_mode;
-  job_max_states : int;
   job_max_configs : int;
   job_max_regex_size : int;
   job_reduced : bool;  (* second attempt: rebuild under Limits.reduced *)
@@ -274,8 +272,7 @@ let env_of_using = function
 
 let job_limits (j : job_spec) =
   let l =
-    Limits.make ~max_states:j.job_max_states ~max_configs:j.job_max_configs
-      ~max_regex_size:j.job_max_regex_size ()
+    Limits.make ~max_configs:j.job_max_configs ~max_regex_size:j.job_max_regex_size ()
   in
   if j.job_reduced then Limits.reduced l else l
 
@@ -402,7 +399,6 @@ let run_files ?pool ~jobs ~limits ~cache ~key_of ~job_mode ~using ~verdict ~fail
     {
       job_path = path;
       job_mode;
-      job_max_states = limits.Limits.max_states;
       job_max_configs = limits.Limits.max_configs;
       job_max_regex_size = limits.Limits.max_regex_size;
       job_reduced = false;

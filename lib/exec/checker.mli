@@ -141,9 +141,10 @@ val check_cache_key :
   string ->
   string
 (** The content-addressed cache key of one check-mode verification unit:
-    a digest over the [path] and source bytes, the deterministic budget
-    fields of [limits] (the wall-clock deadline is excluded — it can prevent
-    a verdict but never change one), the output-shaping flags,
+    a digest over the [path] and source bytes, the budget fields of
+    [limits] that check and lint read ([max_configs], [max_regex_size]; the
+    wall-clock deadline is excluded — it can prevent a verdict but never
+    change one), the output-shaping flags,
     {!Cache.tool_version}, {!Pipeline.semantics_version},
     {!Rules.fingerprint} (when [lint]) and any [extra] caller material.
     [path] is key material because rendered blocks embed it ("== path =="):

@@ -140,10 +140,7 @@ let limits_of_params st params =
     | None -> st.default_timeout
     | timeout -> timeout
   in
-  Limits.make
-    ?max_states:(Jsonl.mem_int "max_states" params)
-    ?max_configs:(Jsonl.mem_int "fuel" params)
-    ?deadline ()
+  Limits.make ?max_configs:(Jsonl.mem_int "fuel" params) ?deadline ()
 
 let digests paths =
   List.filter_map

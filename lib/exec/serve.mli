@@ -9,13 +9,12 @@
 
     - [check] — params [files] (required), [warnings] / [explain] / [lint]
       (bools), [using] (array of model files), [timeout] (seconds),
-      [max_states] / [fuel] (ints; [max_states] reaches only the [lint]
-      pass, as for the CLI). The result's [output] is byte-identical
+      [fuel] (int). The result's [output] is byte-identical
       to what one-shot [shelley check] prints on stdout for the same
       arguments (including the trailing ["OK: specification verified"] line
       on success) and [code] is the one-shot exit code.
     - [lint] — params [files] (required), [format] ([text]/[json]/[sarif]),
-      [timeout], [max_states] / [fuel], [max_behavior_size] /
+      [timeout], [fuel], [max_behavior_size] /
       [max_star_height] / [entail_fuel] / [race_fuel] (ints, the
       one-shot flags of the same names). Same one-shot-equivalence contract against
       [shelley lint].

@@ -30,9 +30,11 @@ type ledger
 type t = {
   max_states : int;
       (** Cap on discovered automaton states: subset-construction
-          configurations in {!Determinize.determinize} (on the CLI paths:
-          lint rule SY101) and progression obligations in
-          {!Progression.to_dfa}. *)
+          configurations in {!Determinize.determinize} and progression
+          obligations in {!Progression.to_dfa}. Only the inspection
+          commands ([model --stats], [sample], [nusmv], [monitor]) build
+          either, under {!default}; [check], [lint] and [serve] read no
+          [max_states] and take no flag or param for it. *)
   max_configs : int;
       (** Cap on explored product configurations in language comparisons
           ({!Language.inclusion_counterexample}, {!Language.intersect}) and

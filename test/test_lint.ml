@@ -57,6 +57,24 @@ class Rig:
         return []
 |}
 
+(* A satisfiable claim: SY103 must search for a trace that meets it. *)
+let claim_source =
+  valve_source
+  ^ {|
+@claim("F a.open")
+@sys(["a"])
+class Rig:
+    def __init__(self):
+        self.a = Valve()
+
+    @op_initial_final
+    def cycle(self):
+        self.a.test()
+        self.a.open()
+        self.a.close()
+        return []
+|}
+
 let broken_source = "class Broken:\n    def m(self:\n        return []\n"
 
 (* A spawned task races the method body: the sequential schedule
@@ -814,9 +832,18 @@ let test_exit_codes () =
   Alcotest.(check int) "syntax error" 2 (code broken_source);
   Alcotest.(check int) "unreadable file" 2
     (Lint.file_exit_code (Lint.lint_path "definitely/not/a/file.py"));
-  let tiny = Limits.make ~max_states:2 ~max_configs:2 () in
-  Alcotest.(check int) "blown rule budget" 3
-    (Lint.file_exit_code (Lint.lint_source ~limits:tiny ~file:"t.py" unsat_source));
+  let tiny = Limits.make ~max_configs:1 () in
+  let blown = Lint.lint_source ~limits:tiny ~file:"t.py" claim_source in
+  Alcotest.(check int) "blown rule budget" 3 (Lint.file_exit_code blown);
+  Alcotest.(check (list string))
+    "the claim search is what ran out"
+    [
+      "lint rule SY103 (unsatisfiable-claim) exceeded its budget: entailment \
+       configurations (limit 1)";
+    ]
+    (List.filter_map
+       (fun (d : Lint.diagnostic) -> if d.Lint.rule = "SY090" then Some d.Lint.message else None)
+       blown.Lint.findings);
   Alcotest.(check int) "aggregate = max" 2
     (Lint.exit_code
        [
@@ -828,40 +855,62 @@ let test_exit_codes () =
 
 (* Random annotated classes: operation graphs with possibly-dangling
    returns, duplicate names, claims from a pool, and suppression comments —
-   enough variety to drive every rule family through the engine. *)
+   enough variety to drive every rule family through the engine. About a
+   third of the operations [match] on a call and return a different
+   next-list per arm; their 2–3 exits make the usage NFA nondeterministic. *)
 let gen_source =
   let open QCheck2.Gen in
   let op_pool = [| "go"; "stop"; "ping"; "reset" |] in
   let claim_pool =
     [| "F a.open"; "a.open || !a.open"; "F (a.open && a.close)"; "(!a.open) W a.close" |]
   in
+  let nexts = list_size (int_range 0 2) (oneofa [| "go"; "stop"; "missing" |]) in
   let* n_ops = int_range 1 4 in
   let* ops =
     list_repeat n_ops
       (let* name = oneofa op_pool in
        let* deco = oneofa [| "@op"; "@op_initial"; "@op_final"; "@op_initial_final" |] in
        let* call = bool in
-       let* nexts = list_size (int_range 0 2) (oneofa [| "go"; "stop"; "missing" |]) in
+       let* exits =
+         frequency [ (2, map (fun n -> [ n ]) nexts); (1, list_size (int_range 2 3) nexts) ]
+       in
        let* suppress = bool in
-       return (name, deco, call, nexts, suppress))
+       return (name, deco, call, exits, suppress))
   in
   let* with_claim = bool in
   let* claim = oneofa claim_pool in
   let header = if with_claim then [ Printf.sprintf {|@claim("%s")|} claim ] else [] in
+  let return_ indent nexts =
+    Printf.sprintf "%sreturn [%s]" indent
+      (String.concat ", " (List.map (Printf.sprintf "\"%s\"") nexts))
+  in
   let body =
     List.concat_map
-      (fun (name, deco, call, nexts, suppress) ->
-        let ret =
-          Printf.sprintf "        return [%s]"
-            (String.concat ", " (List.map (Printf.sprintf "\"%s\"") nexts))
-        in
+      (fun (name, deco, call, exits, suppress) ->
         let sup = if suppress then "  # shelley: disable=SY101,SY006,SY007" else "" in
-        [
-          Printf.sprintf "    %s" deco;
-          Printf.sprintf "    def %s(self):%s" name sup;
-          (if call then "        self.a.open()" else "        self.idle = 1");
-          ret;
-        ])
+        Printf.sprintf "    %s" deco
+        :: Printf.sprintf "    def %s(self):%s" name sup
+        ::
+        (match exits with
+        | [ nexts ] ->
+          [
+            (if call then "        self.a.open()" else "        self.idle = 1");
+            return_ "        " nexts;
+          ]
+        | arms ->
+          let last = List.length arms - 1 in
+          "        match self.a.test():"
+          :: List.concat
+               (List.mapi
+                  (fun i nexts ->
+                    [
+                      Printf.sprintf "            case %s:"
+                        (if i = last then "_" else if i = 0 then {|["open"]|} else {|["close"]|});
+                      (if i = 0 && call then "                self.a.open()"
+                       else Printf.sprintf "                self.idle = %d" i);
+                      return_ "                " nexts;
+                    ])
+                  arms)))
       ops
   in
   return
@@ -883,8 +932,8 @@ let test_lint_source_deterministic =
 
 (* --- SY101 against the per-operation product ------------------------------- *)
 
-(* The construction SY101 ran before one trim decided every operation: the
-   usage DFA intersected with Σ*·op·Σ*, once per operation. *)
+(* The reference: the usage DFA (subset construction) intersected with
+   Σ*·op·Σ*, once per operation. *)
 let dead_by_product (model : Model.t) =
   let dfa = Determinize.determinize (Depgraph.usage_nfa model) in
   let alphabet = Dfa.alphabet dfa in
@@ -906,27 +955,66 @@ let dead_by_product (model : Model.t) =
 let sy101 =
   List.assq Rules.dead_operation Lint_semantic.rules
 
+(* SY101 determinizes nothing, so the subset-construction budget cannot
+   change a finding: even one state leaves every answer as it was. *)
+let test_sy101_needs_no_state_budget () =
+  let one_state = Limits.make ~max_states:1 () in
+  List.iter
+    (fun (label, src) ->
+      let findings limits =
+        Lint_render.json [ Lint.lint_source ?limits ~file:"t.py" src ]
+      in
+      Alcotest.(check string) label (findings None) (findings (Some one_state)))
+    [ ("dead operation", dead_op_source); ("composite", claim_source) ]
+
+(* Does some state step on one symbol to two states? ([Nfa.create] drops
+   duplicate transitions.) *)
+let nondeterministic nfa =
+  let transitions = Nfa.transitions nfa in
+  let steps = List.sort_uniq compare (List.map (fun (src, sym, _) -> (src, sym)) transitions) in
+  List.length steps < List.length transitions
+
+(* SY101 reads the trimmed usage NFA; the reference determinizes. The
+   property counts the classes whose usage NFA is nondeterministic and
+   fails if there were none: then the comparison would only ever be made
+   on automata that are already DFAs. *)
 let test_sy101_matches_product =
-  QCheck2.Test.make ~count:200 ~name:"SY101 agrees with the per-operation product"
-    ~print:Fun.id gen_source (fun src ->
-      let program, _ = Mpy_parser.parse_program_tolerant src in
-      List.for_all
-        (fun cls ->
-          match Extract.extract_class cls with
-          | exception _ -> true
-          | e ->
-            let model = e.Extract.model in
-            let ctx =
-              Lint_semantic.make_ctx ~limits:Limits.default
-                ~thresholds:Lint_semantic.default_thresholds ~env:(fun _ -> None) ~cls ~model
-            in
-            let usable =
-              model.Model.operations <> [] && Model.initial_ops model <> []
-              && Model.final_ops model <> []
-            in
-            List.map fst (sy101 ctx)
-            = List.map Option.some (if usable then dead_by_product model else []))
-        program.Mpy_ast.prog_classes)
+  let branching = ref 0 and cases = ref 0 in
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:200 ~name:"SY101 agrees with the per-operation product"
+         ~print:Fun.id gen_source (fun src ->
+           let program, _ = Mpy_parser.parse_program_tolerant src in
+           List.for_all
+             (fun cls ->
+               match Extract.extract_class cls with
+               | exception _ -> true
+               | e ->
+                 let model = e.Extract.model in
+                 let ctx =
+                   Lint_semantic.make_ctx ~limits:Limits.default
+                     ~thresholds:Lint_semantic.default_thresholds ~env:(fun _ -> None) ~cls
+                     ~model
+                 in
+                 let usable =
+                   model.Model.operations <> [] && Model.initial_ops model <> []
+                   && Model.final_ops model <> []
+                 in
+                 incr cases;
+                 if usable && nondeterministic (Depgraph.usage_nfa model) then incr branching;
+                 List.map fst (sy101 ctx)
+                 = List.map Option.some (if usable then dead_by_product model else []))
+             program.Mpy_ast.prog_classes))
+  in
+  ( name,
+    speed,
+    fun () ->
+      branching := 0;
+      cases := 0;
+      run ();
+      Printf.printf "nondeterministic usage NFA in %d of %d classes\n" !branching !cases;
+      if !branching = 0 then
+        Alcotest.failf "no class of %d had a nondeterministic usage NFA" !cases )
 
 let shuffle seed l =
   let st = Random.State.make [| seed |] in
@@ -1266,7 +1354,11 @@ let () =
           test_shuffle_free_lemma;
         ] );
       ("exit-codes", [ Alcotest.test_case "contract" `Quick test_exit_codes ]);
-      ("sy101-dead-operation", [ QCheck_alcotest.to_alcotest test_sy101_matches_product ]);
+      ( "sy101-dead-operation",
+        [
+          test_sy101_matches_product;
+          Alcotest.test_case "no state budget" `Quick test_sy101_needs_no_state_budget;
+        ] );
       ( "determinism",
         [
           QCheck_alcotest.to_alcotest test_lint_source_deterministic;

@@ -329,6 +329,7 @@ let budget_request meth files params =
    render as they do there; the pool's workers fork inside it. *)
 let test_budget_params () =
   let check = ("../samples", "cli.t/run.t", "check") in
+  let check_lint = ("cli.t", "cli.t/run.t", "check") in
   let lint = ("lint.t", "lint.t/run.t", "lint") in
   let race = ("concurrency.t", "concurrency.t/run.t", "lint") in
   let n v = Jsonl.Num (float_of_int v) in
@@ -336,18 +337,18 @@ let test_budget_params () =
     [
       (check, [ "bad_sector.py" ], [ ("fuel", n 4) ], "shelley check --fuel 4 bad_sector.py");
       (check, [ "bad_sector.py" ], [ ("fuel", n 2) ], "shelley check --fuel 2 bad_sector.py");
-      ( check,
-        [ "bad_sector.py" ],
-        [ ("lint", Jsonl.Bool true); ("max_states", n 2) ],
-        "shelley check --lint --max-states 2 bad_sector.py" );
+      ( check_lint,
+        [ "four_goals.py" ],
+        [ ("lint", Jsonl.Bool true); ("fuel", n 8) ],
+        "shelley check --lint --fuel 8 four_goals.py" );
       ( lint,
         [ "redundant.py"; "contradict.py" ],
         [ ("entail_fuel", n 1) ],
         "shelley lint --entail-fuel 1 redundant.py contradict.py" );
       ( lint,
         [ "clean.py"; "dead_op.py" ],
-        [ ("max_states", n 2) ],
-        "shelley lint --max-states 2 clean.py dead_op.py" );
+        [ ("fuel", n 1) ],
+        "shelley lint --fuel 1 clean.py dead_op.py" );
       (race, [ "datalog.py" ], [ ("race_fuel", n 1) ], "shelley lint --race-fuel 1 datalog.py");
     ]
   in
