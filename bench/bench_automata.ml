@@ -15,6 +15,16 @@
                        counterexample, so the product is explored in full)
      derivative closure  Brzozowski derivatives of a shuffle of stars
 
+   and one row per construction of an automaton the check and lint paths
+   build, each recording its states and edges (ε-edges included) and its
+   median µs:
+
+     class expansion      Usage.expanded_nfa of the chain composite
+     gather expansion     the same of a composite whose one operation
+                          gathers 7 valve calls twice (two 7-task shuffles)
+     projected expansion  Usage.projected_nfa of the chain composite on
+                          its valve field
+
    Each row records the median wall time over repeated runs and the number
    of states/configurations the construction interned. Every run gets its
    automata built afresh, untimed, so it starts from empty configuration
@@ -24,8 +34,8 @@
    its result instead. The
    inputs do not depend on the mode, so the counts are the same in smoke
    and full runs; --smoke takes fewer timing samples, and fails when a
-   row's count differs from the tracked BENCH_automata.json (counts do not
-   depend on the host).
+   row's count (and a construction row's edge count) differs from the
+   tracked BENCH_automata.json (counts do not depend on the host).
 
    Emits BENCH_automata.json and a human summary.
 
@@ -56,7 +66,7 @@ let interned resource f =
   ignore (f limits);
   Option.value ~default:0 (List.assoc_opt resource (Limits.consumed limits ~before))
 
-type row = { name : string; input : string; ms : float; count : int }
+type row = { name : string; input : string; ms : float; count : int; edges : int option }
 
 let row name input ~resource ~fresh f =
   {
@@ -64,7 +74,14 @@ let row name input ~resource ~fresh f =
     input;
     ms = median_ms ~fresh (fun x -> f (Limits.make ()) x);
     count = interned resource (fun limits -> f limits (fresh ()));
+    edges = None;
   }
+
+(* A construction row: the automaton [build] makes, its size, and the
+   median time to make it. *)
+let construction name input build =
+  let states, edges = Nfa.count_states_and_transitions (build ()) in
+  { name; input; ms = median_ms ~fresh:ignore build; count = states; edges = Some edges }
 
 (* --- Fixed inputs -------------------------------------------------------------- *)
 
@@ -75,6 +92,12 @@ let chain_model =
   Option.get (Pipeline.find_model result.Pipeline.models "Chain")
 
 let chain () = Usage.expanded_nfa chain_model
+
+let gather_tasks = 7
+
+let gather_model =
+  let result = Pipeline.verify_source_exn (Sources.valve ^ Synthetic.gather_composite gather_tasks) in
+  Option.get (Pipeline.find_model result.Pipeline.models "Bank")
 
 (* The chain and its DFA, each with an empty configuration table. *)
 let chain_pair () = (chain (), Dfa_oracle.to_nfa (Determinize.determinize (chain ())))
@@ -175,12 +198,23 @@ let () =
          input = Printf.sprintf "shuffle of %d starred pairs" deriv_width;
          ms = median_ms ~fresh:ignore closure;
          count = List.length (closure ());
+         edges = None;
        });
+      construction "class expansion" (Printf.sprintf "chain_composite %d" chain_ops) chain;
+      construction "gather expansion"
+        (Printf.sprintf "%d-task gather composite" gather_tasks)
+        (fun () -> Usage.expanded_nfa gather_model);
+      construction "projected expansion"
+        (Printf.sprintf "chain_composite %d on v" chain_ops)
+        (fun () -> Usage.projected_nfa chain_model ~field:"v");
     ]
   in
-  Printf.printf "  %-20s %-36s %10s %10s\n" "construction" "input" "states" "ms";
+  Printf.printf "  %-20s %-36s %10s %10s %10s\n" "construction" "input" "states" "edges" "ms";
   List.iter
-    (fun r -> Printf.printf "  %-20s %-36s %10d %10.3f\n" r.name r.input r.count r.ms)
+    (fun r ->
+      Printf.printf "  %-20s %-36s %10d %10s %10.3f\n" r.name r.input r.count
+        (match r.edges with Some e -> string_of_int e | None -> "")
+        r.ms)
     rows;
   (* The smoke gate: every row's count must equal the tracked file's,
      read before this run overwrites it. *)
@@ -191,22 +225,35 @@ let () =
       | Error msg -> die "FAIL: BENCH_automata.json does not parse: %s" msg
       | exception Sys_error msg -> die "FAIL: no tracked BENCH_automata.json: %s" msg
     in
-    let tracked_count name =
-      List.find_map
-        (fun r -> if Jsonl.mem_str "construction" r = Some name then Jsonl.mem_int "states" r else None)
-        tracked
+    let tracked_row name =
+      List.find_opt (fun r -> Jsonl.mem_str "construction" r = Some name) tracked
     in
     List.iter
       (fun r ->
-        match tracked_count r.name with
-        | Some n when n = r.count -> ()
-        | Some n -> die "FAIL: %s interned %d states, the tracked file says %d" r.name r.count n
-        | None -> die "FAIL: %s has no row in the tracked BENCH_automata.json" r.name)
+        match tracked_row r.name with
+        | None -> die "FAIL: %s has no row in the tracked BENCH_automata.json" r.name
+        | Some t -> (
+          (match Jsonl.mem_int "states" t with
+          | Some n when n = r.count -> ()
+          | n ->
+            die "FAIL: %s interned %d states, the tracked file says %s" r.name r.count
+              (Option.fold ~none:"none" ~some:string_of_int n));
+          match r.edges with
+          | None -> ()
+          | Some e -> (
+            match Jsonl.mem_int "edges" t with
+            | Some n when n = e -> ()
+            | n ->
+              die "FAIL: %s built %d edges, the tracked file says %s" r.name e
+                (Option.fold ~none:"none" ~some:string_of_int n))))
       rows
   end;
   let row r =
-    Jsonl.(Obj [ ("construction", Str r.name); ("input", Str r.input); ("states", int r.count);
-                 ("ms", Bench_json.fixed 3 r.ms) ])
+    let size = [ ("construction", Jsonl.Str r.name); ("input", Jsonl.Str r.input); ("states", Jsonl.int r.count) ] in
+    Jsonl.Obj
+      (match r.edges with
+      | None -> size @ [ ("ms", Bench_json.fixed 3 r.ms) ]
+      | Some e -> size @ [ ("edges", Jsonl.int e); ("us", Bench_json.fixed 1 (r.ms *. 1000.)) ])
   in
   Bench_json.write "BENCH_automata.json"
     Jsonl.(Obj [ ("benchmark", Str "automata"); ("reps", int reps);

@@ -48,3 +48,18 @@ let chain_with_leak n =
            decorator (op_name i) next next)
   done;
   Buffer.contents buf
+
+(* A composite over [k] valves whose one operation tests them all in one
+   [gather] and then cleans them all in another: two [k]-task shuffles in
+   one behavior. *)
+let gather_composite k =
+  let fields = List.init k (Printf.sprintf "v%d") in
+  let gather op =
+    Printf.sprintf "        await uasyncio.gather(%s)\n"
+      (String.concat ", " (List.map (fun f -> Printf.sprintf "self.%s.%s()" f op) fields))
+  in
+  Printf.sprintf
+    "import uasyncio\n\n@sys([%s])\nclass Bank:\n    def __init__(self):\n%s\n    @op_initial_final\n    async def cycle(self):\n%s%s        return [\"cycle\"]\n"
+    (String.concat ", " (List.map (Printf.sprintf "\"%s\"") fields))
+    (String.concat "" (List.map (Printf.sprintf "        self.%s = Valve()\n") fields))
+    (gather "test") (gather "clean")

@@ -1,39 +1,45 @@
 module ISet = States.Set
 
+type positions = {
+  symbols : Symbol.t array;  (** [symbols.(p - 1)] is position [p]'s symbol *)
+  nullable : bool;
+  first : ISet.t;
+  last : ISet.t;
+  follow : (int * int) list;  (** in no order, duplicates allowed *)
+}
+
 type info = {
   nullable : bool;
   first : ISet.t;
   last : ISet.t;
-  follow : (int * int) list; (* accumulated follow pairs *)
 }
 
-let of_regex_classic r =
+let positions r =
   (* Number the symbol positions 1..n in left-to-right order. *)
-  let positions = ref [] in
+  let syms = ref [] in
   let counter = ref 0 in
+  let follow = ref [] in
   let fresh sym =
     incr counter;
-    positions := (!counter, sym) :: !positions;
+    syms := sym :: !syms;
     !counter
   in
-  let cross a b =
-    ISet.fold (fun x acc -> ISet.fold (fun y acc -> (x, y) :: acc) b acc) a []
-  in
+  let cross a b = ISet.iter (fun x -> ISet.iter (fun y -> follow := (x, y) :: !follow) b) a in
   let rec analyze (r : Regex.t) : info =
     match r with
-    | Empty -> { nullable = false; first = ISet.empty; last = ISet.empty; follow = [] }
-    | Eps -> { nullable = true; first = ISet.empty; last = ISet.empty; follow = [] }
+    | Empty -> { nullable = false; first = ISet.empty; last = ISet.empty }
+    | Eps -> { nullable = true; first = ISet.empty; last = ISet.empty }
     | Sym s ->
       let p = fresh s in
-      { nullable = false; first = ISet.singleton p; last = ISet.singleton p; follow = [] }
+      { nullable = false; first = ISet.singleton p; last = ISet.singleton p }
     | Seq (a, b) ->
       let ia = analyze a in
       let ib = analyze b in
+      cross ia.last ib.first;
       {
         nullable = ia.nullable && ib.nullable;
         first = (if ia.nullable then ISet.union ia.first ib.first else ia.first);
         last = (if ib.nullable then ISet.union ia.last ib.last else ib.last);
-        follow = cross ia.last ib.first @ ia.follow @ ib.follow;
       }
     | Alt (a, b) ->
       let ia = analyze a in
@@ -42,16 +48,11 @@ let of_regex_classic r =
         nullable = ia.nullable || ib.nullable;
         first = ISet.union ia.first ib.first;
         last = ISet.union ia.last ib.last;
-        follow = ia.follow @ ib.follow;
       }
     | Star a ->
       let ia = analyze a in
-      {
-        nullable = true;
-        first = ia.first;
-        last = ia.last;
-        follow = cross ia.last ia.first @ ia.follow;
-      }
+      cross ia.last ia.first;
+      { nullable = true; first = ia.first; last = ia.last }
     | Shuffle _ ->
       (* Position automata cannot express interleaving; [of_regex]
          dispatches Shuffle nodes to the on-the-fly product before ever
@@ -59,23 +60,29 @@ let of_regex_classic r =
       invalid_arg "Glushkov.of_regex_classic: Shuffle"
   in
   let info = analyze r in
-  let n = !counter in
-  let sym_of = Array.make (n + 1) None in
-  List.iter (fun (p, sym) -> sym_of.(p) <- Some sym) !positions;
-  let sym_at p =
-    match sym_of.(p) with
-    | Some sym -> sym
-    | None -> assert false
-  in
-  let transitions =
-    List.map (fun p -> (0, sym_at p, p)) (ISet.elements info.first)
-    @ List.map (fun (p, q) -> (p, sym_at q, q)) info.follow
-  in
-  let accept =
-    (if info.nullable then [ 0 ] else []) @ ISet.elements info.last
-  in
-  let labels = List.map (fun (p, sym) -> (p, Symbol.name sym)) !positions in
-  Nfa.create ~labels ~num_states:(n + 1) ~start:[ 0 ] ~accept ~transitions ()
+  {
+    symbols = Array.of_list (List.rev !syms);
+    nullable = info.nullable;
+    first = info.first;
+    last = info.last;
+    follow = !follow;
+  }
+
+let num_states p = Array.length p.symbols + 1
+
+let iter_edges p f =
+  ISet.iter (fun q -> f 0 p.symbols.(q - 1) q) p.first;
+  List.iter (fun (src, q) -> f src p.symbols.(q - 1) q) p.follow
+
+let create p =
+  let b = Nfa.Builder.create () in
+  ignore (Nfa.Builder.add_states b (num_states p));
+  iter_edges p (Nfa.Builder.edge b);
+  Array.iteri (fun i sym -> Nfa.Builder.label b (i + 1) (Symbol.name sym)) p.symbols;
+  Nfa.Builder.finish b ~start:[ 0 ]
+    ~accept:((if p.nullable then [ 0 ] else []) @ ISet.elements p.last)
+
+let of_regex_classic r = create (positions r)
 
 (* Shuffle-aware entry point: the classic position construction for
    shuffle-free (sub)expressions, the on-the-fly product for Shuffle nodes,

@@ -18,4 +18,30 @@ val of_regex : ?limits:Limits.t -> Regex.t -> Nfa.t
     ({!Limits.Budget_exceeded} under ["shuffle-product configurations"]). *)
 
 val of_regex_classic : Regex.t -> Nfa.t
-(** The raw position construction. Raises [Invalid_argument] on [Shuffle]. *)
+(** The raw position construction, [create (positions r)]. Raises
+    [Invalid_argument] on [Shuffle]. *)
+
+(** {1 Positions}
+
+    The construction in two steps, so that a caller assembling a larger
+    automaton (the class expansion, {!Usage}) can copy a body's edges
+    straight in, without building the body's own automaton first. *)
+
+type positions
+(** The first/last/follow analysis of a shuffle-free expression. *)
+
+val positions : Regex.t -> positions
+(** Raises [Invalid_argument] on [Shuffle]. *)
+
+val num_states : positions -> int
+(** One state per symbol position, plus the initial state [0]. *)
+
+val iter_edges : positions -> (int -> Symbol.t -> int -> unit) -> unit
+(** The position automaton's edges [(src, sym, dst)], in no order and
+    possibly repeated: [0] to each first position, and each follow pair,
+    on the target position's symbol. *)
+
+val create : positions -> Nfa.t
+(** The position automaton: start [0], accepting the last positions (and
+    [0] when the expression is nullable), each position labeled with its
+    symbol's name. *)

@@ -11,19 +11,21 @@ let indices nfa syms = Array.map (Nfa.symbol_index nfa) syms
    nothing, so no pair after it is bad for an inclusion. *)
 let find_witness ?(limits = Limits.default) ?alphabet ~prune ~bad n1 n2 =
   Obs.with_span "language.product" @@ fun () ->
-  let alphabet =
-    match alphabet with
-    | Some set -> set
-    | None -> Symbol.Set.union (Nfa.alphabet n1) (Nfa.alphabet n2)
-  in
-  let syms = Array.of_list (Symbol.Set.elements alphabet) in
-  let i1 = indices n1 syms and i2 = indices n2 syms in
   (* [n1]'s symbols ascend as [syms] do, so walking only [n1]'s live
-     symbols that [alphabet] has emits the unpruned successors in the same
-     order. *)
+     symbols that the alphabet has emits the unpruned successors in the
+     same order. Without an explicit alphabet it is the union of both
+     automata's, which holds every one of [n1]'s symbols. *)
   let symbols1 = Nfa.symbols n1 in
+  let syms, in_alphabet =
+    match alphabet with
+    | Some set ->
+      (Array.of_list (Symbol.Set.elements set), Array.map (fun sym -> Symbol.Set.mem sym set) symbols1)
+    | None ->
+      ( Nfa.sort_symbols (Array.append symbols1 (Nfa.symbols n2)),
+        Array.make (Array.length symbols1) true )
+  in
+  let i1 = indices n1 syms and i2 = indices n2 syms in
   let i2_of_1 = indices n2 symbols1 in
-  let in_alphabet = Array.map (fun sym -> Symbol.Set.mem sym alphabet) symbols1 in
   let fuel =
     Limits.fuel ~within:limits ~resource:"language-product configurations"
       limits.Limits.max_configs
@@ -83,8 +85,8 @@ let intersect ?(limits = Limits.default) n1 n2 =
       Array.iter
         (fun i ->
           let d2 = Config.next n2 c2 i2_of_1.(i) in
-          if d2 <> Config.empty then emit symbols1.(i) (Explore.pack row1.(i) d2))
+          if d2 <> Config.empty then emit i (Explore.pack row1.(i) d2))
         (Config.live n1 c1))
     ()
-  |> Nfa.of_graph ~accepting:(fun k ->
+  |> Nfa.of_graph ~symbols:symbols1 ~accepting:(fun k ->
          Config.accepting n1 (Explore.high k) && Config.accepting n2 (Explore.low k))

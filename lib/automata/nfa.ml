@@ -24,7 +24,10 @@ type row = {
 (* Transitions are one sorted int array: state [q]'s edges are
    [edges.(offsets.(q)) .. edges.(offsets.(q + 1) - 1)], each edge the
    symbol's index in [symbols] in the high bits and the target state in the
-   low 31 (see [edge]), so a state's edges ascend by symbol, then target. *)
+   low 31 (see [edge]), so a state's edges ascend by symbol, then target,
+   with no duplicate. Every symbol of [symbols] occurs on some edge. No
+   array is written after construction, so automata built from one another
+   may share them. *)
 type t = {
   num_states : int;
   start : States.Set.t;
@@ -33,8 +36,8 @@ type t = {
   edges : int array;
   eps : States.Set.t array;  (** [[||]] when the automaton is ε-free *)
   labels : string option array;
-  alphabet : Symbol.Set.t;
-  symbols : Symbol.t array;  (** [alphabet] ascending: symbol index [i] is [symbols.(i)] *)
+  symbols : Symbol.t array;  (** the alphabet ascending: symbol index [i] is [symbols.(i)] *)
+  mutable alphabet : Symbol.Set.t option;  (** [symbols] as a set, made on first use *)
   mutable closures : States.Set.t array;
       (** each state's ε-closure, or the empty set until first needed; the
           array itself is [[||]] until the first closure *)
@@ -48,9 +51,30 @@ let edge i dst = (i lsl 31) lor dst
 let edge_sym e = e lsr 31
 let edge_dst e = e land 0x7FFF_FFFF
 
+(* --- Alphabets ---------------------------------------------------------------
+
+   Every alphabet is kept ascending by [Symbol.compare]: [sort_symbols]
+   makes one, [find_symbol] searches one and [merge_symbols] joins two, and
+   nothing else compares symbols. *)
+
+let sort_symbols syms =
+  Array.sort Symbol.compare syms;
+  let n = Array.length syms in
+  if n <= 1 then syms
+  else begin
+    let k = ref 1 in
+    for i = 1 to n - 1 do
+      if Symbol.compare syms.(i) syms.(!k - 1) <> 0 then begin
+        syms.(!k) <- syms.(i);
+        incr k
+      end
+    done;
+    if !k = n then syms else Array.sub syms 0 !k
+  end
+
 (* Binary search, as a loop: a local recursive function would be a
    closure allocated per call. *)
-let index_in symbols sym =
+let find_symbol symbols sym =
   let lo = ref 0 and hi = ref (Array.length symbols) and found = ref (-1) in
   while !found < 0 && !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
@@ -59,10 +83,60 @@ let index_in symbols sym =
   done;
   !found
 
+(* The union of two alphabets, and each one's index map into it. Both maps
+   ascend, so a state's edges renumbered through one keep their order. *)
+let merge_symbols sa sb =
+  let na = Array.length sa and nb = Array.length sb in
+  if nb = 0 then (sa, Array.init na Fun.id, [||])
+  else if na = 0 then (sb, [||], Array.init nb Fun.id)
+  else begin
+    let out = Array.make (na + nb) sa.(0) in
+    let ma = Array.make na 0 and mb = Array.make nb 0 in
+    let i = ref 0 and j = ref 0 and k = ref 0 in
+    while !i < na || !j < nb do
+      let c =
+        if !i >= na then 1 else if !j >= nb then -1 else Symbol.compare sa.(!i) sb.(!j)
+      in
+      if c <= 0 then begin
+        out.(!k) <- sa.(!i);
+        ma.(!i) <- !k;
+        incr i
+      end;
+      if c >= 0 then begin
+        out.(!k) <- sb.(!j);
+        mb.(!j) <- !k;
+        incr j
+      end;
+      incr k
+    done;
+    ((if !k = na + nb then out else Array.sub out 0 !k), ma, mb)
+  end
+
+(* --- Construction -------------------------------------------------------------
+
+   Every automaton ends in [make], from arrays that already keep the
+   invariants of [t]. *)
+
+let make ~num_states ~start ~accept ~offsets ~edges ~eps ~labels ~symbols =
+  {
+    num_states;
+    start;
+    accept;
+    offsets;
+    edges;
+    eps;
+    labels;
+    symbols;
+    alphabet = None;
+    closures = [||];
+    rows = [||];
+    marks = Bytes.empty;
+    table = None;
+  }
+
 (* Sorts [a.(lo) .. a.(hi - 1)] in place. A segment that arrives
-   ascending, as the combinators' copies of sorted edges do, is only
-   checked; any other, such as Glushkov's descending follow edges, is
-   sorted. *)
+   ascending is only checked; any other, such as Glushkov's descending
+   follow edges, is sorted. *)
 let sort_segment a lo hi =
   let i = ref (lo + 1) in
   while !i < hi && a.(!i - 1) <= a.(!i) do
@@ -74,31 +148,9 @@ let sort_segment a lo hi =
     Array.blit seg 0 a lo (hi - lo)
   end
 
-let create ?(labels = []) ~num_states ~start ~accept ~transitions ?(epsilons = []) () =
-  List.iter (fun q -> check_state num_states q) start;
-  List.iter (fun q -> check_state num_states q) accept;
-  let offsets = Array.make (num_states + 1) 0 in
-  let alphabet =
-    List.fold_left
-      (fun acc (src, sym, dst) ->
-        check_state num_states src;
-        check_state num_states dst;
-        offsets.(src + 1) <- offsets.(src + 1) + 1;
-        Symbol.Set.add sym acc)
-      Symbol.Set.empty transitions
-  in
-  let symbols = Array.of_list (Symbol.Set.elements alphabet) in
-  for q = 1 to num_states do
-    offsets.(q) <- offsets.(q) + offsets.(q - 1)
-  done;
-  let edges = Array.make offsets.(num_states) 0 in
-  let cursor = Array.sub offsets 0 num_states in
-  List.iter
-    (fun (src, sym, dst) ->
-      edges.(cursor.(src)) <- edge (index_in symbols sym) dst;
-      cursor.(src) <- cursor.(src) + 1)
-    transitions;
-  (* Sort each state's edges and squeeze out duplicates, in place. *)
+(* Sorts each state's edges and squeezes out duplicates, moving [offsets]
+   with them; the edges that are left. *)
+let normalize num_states offsets edges =
   let kept = ref 0 in
   for q = 0 to num_states - 1 do
     let lo = offsets.(q) and hi = offsets.(q + 1) in
@@ -112,58 +164,216 @@ let create ?(labels = []) ~num_states ~start ~accept ~transitions ?(epsilons = [
     done
   done;
   offsets.(num_states) <- !kept;
-  let eps =
-    if epsilons = [] then [||]
-    else begin
-      let eps = Array.make num_states [] in
-      List.iter
-        (fun (src, dst) ->
-          check_state num_states src;
-          check_state num_states dst;
-          eps.(src) <- dst :: eps.(src))
-        epsilons;
-      Array.map States.of_list eps
+  if !kept = Array.length edges then edges else Array.sub edges 0 !kept
+
+(* Drops the symbols no edge uses, renumbering the edges in order. *)
+let drop_unused symbols edges =
+  let used = Array.make (Array.length symbols) false in
+  Array.iter (fun e -> used.(edge_sym e) <- true) edges;
+  if Array.for_all Fun.id used then (symbols, edges)
+  else begin
+    let rank = Array.make (Array.length symbols) (-1) and kept = ref [] and n = ref 0 in
+    Array.iteri
+      (fun i u ->
+        if u then begin
+          rank.(i) <- !n;
+          kept := symbols.(i) :: !kept;
+          incr n
+        end)
+      used;
+    ( Array.of_list (List.rev !kept),
+      Array.map (fun e -> edge rank.(edge_sym e) (edge_dst e)) edges )
+  end
+
+(* An ε-free automaton has no ε array at all. *)
+let squeeze_eps eps = if Array.for_all States.Set.is_empty eps then [||] else eps
+
+(* Scratch indexed by symbol id, shared by every construction:
+   [ids_seen.(id)] is [!generation] for a symbol the current
+   [index_symbols] met, and [ids_index.(id)] then its index in the
+   alphabet. *)
+let ids_seen = ref [||]
+let ids_index = ref [||]
+let generation = ref 0
+
+(* The alphabet of [syms.(0 .. m - 1)], and the array that maps each of its
+   symbols' ids to its index, valid until the next call. One pass marks the
+   distinct symbols; only those are sorted. *)
+let index_symbols syms m =
+  let ids = Symbol.count () in
+  if Array.length !ids_seen < ids then begin
+    ids_seen := Array.make (2 * ids) 0;
+    ids_index := Array.make (2 * ids) 0
+  end;
+  incr generation;
+  let g = !generation and seen = !ids_seen and index = !ids_index in
+  let distinct = ref [] in
+  for j = 0 to m - 1 do
+    let id = Symbol.to_int syms.(j) in
+    if seen.(id) <> g then begin
+      seen.(id) <- g;
+      distinct := syms.(j) :: !distinct
     end
-  in
-  let labels_arr = Array.make num_states None in
-  List.iter
-    (fun (q, label) ->
-      check_state num_states q;
-      labels_arr.(q) <- Some label)
-    labels;
-  {
-    num_states;
-    start = States.of_list start;
-    accept = States.of_list accept;
-    offsets;
-    edges = (if !kept = Array.length edges then edges else Array.sub edges 0 !kept);
-    eps;
-    labels = labels_arr;
-    alphabet;
-    symbols;
-    closures = [||];
-    rows = [||];
-    marks = Bytes.empty;
-    table = None;
+  done;
+  let symbols = sort_symbols (Array.of_list !distinct) in
+  Array.iteri (fun i sym -> index.(Symbol.to_int sym) <- i) symbols;
+  (symbols, index)
+
+(* The first [m] gathered edges, encoded over the alphabet of their
+   symbols. *)
+let encode_edges syms dsts m =
+  let symbols, index = index_symbols syms m in
+  (symbols, Array.init m (fun j -> edge index.(Symbol.to_int syms.(j)) dsts.(j)))
+
+(* The array entry point: edges and ε-edges gathered in any order,
+   duplicates allowed, grouped by source once at [finish]. *)
+module Builder = struct
+  type t = {
+    mutable states : int;
+    mutable m : int;
+    mutable srcs : int array;
+    mutable syms : Symbol.t array;
+    mutable dsts : int array;
+    mutable k : int;
+    mutable eps_srcs : int array;
+    mutable eps_dsts : int array;
+    mutable labels : (int * string) list;
   }
 
-let of_graph ~accepting (g : (_, Symbol.t) Explore.graph) =
-  let ids = List.init (Array.length g.keys) Fun.id in
-  create ~num_states:(Array.length g.keys) ~start:[ 0 ]
-    ~accept:(List.filter (fun q -> accepting g.keys.(q)) ids)
-    ~transitions:
-      (List.concat_map
-         (fun src -> List.map (fun (sym, dst) -> (src, sym, dst)) g.succs.(src))
-         ids)
-    ()
+  let create () =
+    {
+      states = 0;
+      m = 0;
+      srcs = [||];
+      syms = [||];
+      dsts = [||];
+      k = 0;
+      eps_srcs = [||];
+      eps_dsts = [||];
+      labels = [];
+    }
+
+  let add_states b n =
+    let first = b.states in
+    b.states <- first + n;
+    first
+
+  let num_states b = b.states
+
+  let grown a n x =
+    let a' = Array.make (max 16 (2 * n)) x in
+    Array.blit a 0 a' 0 n;
+    a'
+
+  let edge b src sym dst =
+    if b.m = Array.length b.srcs then begin
+      b.srcs <- grown b.srcs b.m 0;
+      b.syms <- grown b.syms b.m sym;
+      b.dsts <- grown b.dsts b.m 0
+    end;
+    b.srcs.(b.m) <- src;
+    b.syms.(b.m) <- sym;
+    b.dsts.(b.m) <- dst;
+    b.m <- b.m + 1
+
+  let epsilon b src dst =
+    if b.k = Array.length b.eps_srcs then begin
+      b.eps_srcs <- grown b.eps_srcs b.k 0;
+      b.eps_dsts <- grown b.eps_dsts b.k 0
+    end;
+    b.eps_srcs.(b.k) <- src;
+    b.eps_dsts.(b.k) <- dst;
+    b.k <- b.k + 1
+
+  let label b q text = b.labels <- (q, text) :: b.labels
+
+  (* A counting sort by source: [offsets], and [values] grouped by their
+     [srcs] in that order. *)
+  let group n count srcs values =
+    let offsets = Array.make (n + 1) 0 in
+    for j = 0 to count - 1 do
+      offsets.(srcs.(j) + 1) <- offsets.(srcs.(j) + 1) + 1
+    done;
+    for q = 1 to n do
+      offsets.(q) <- offsets.(q) + offsets.(q - 1)
+    done;
+    let cursor = Array.sub offsets 0 n and grouped = Array.make count 0 in
+    for j = 0 to count - 1 do
+      let q = srcs.(j) in
+      grouped.(cursor.(q)) <- values.(j);
+      cursor.(q) <- cursor.(q) + 1
+    done;
+    (offsets, grouped)
+
+  let finish b ~start ~accept =
+    let n = b.states in
+    List.iter (check_state n) start;
+    List.iter (check_state n) accept;
+    for j = 0 to b.m - 1 do
+      check_state n b.srcs.(j);
+      check_state n b.dsts.(j)
+    done;
+    for j = 0 to b.k - 1 do
+      check_state n b.eps_srcs.(j);
+      check_state n b.eps_dsts.(j)
+    done;
+    let symbols, codes = encode_edges b.syms b.dsts b.m in
+    let offsets, edges = group n b.m b.srcs codes in
+    let edges = normalize n offsets edges in
+    let eps =
+      if b.k = 0 then [||]
+      else begin
+        let eps_offsets, flat = group n b.k b.eps_srcs b.eps_dsts in
+        Array.init n (fun q ->
+            States.Set.of_array
+              (Array.sub flat eps_offsets.(q) (eps_offsets.(q + 1) - eps_offsets.(q))))
+      end
+    in
+    let labels = Array.make n None in
+    List.iter
+      (fun (q, text) ->
+        check_state n q;
+        labels.(q) <- Some text)
+      (List.rev b.labels);
+    make ~num_states:n ~start:(States.of_list start) ~accept:(States.of_list accept) ~offsets
+      ~edges ~eps ~labels ~symbols
+end
+
+let create ?(labels = []) ~num_states ~start ~accept ~transitions ?(epsilons = []) () =
+  let b = Builder.create () in
+  ignore (Builder.add_states b num_states);
+  List.iter (fun (src, sym, dst) -> Builder.edge b src sym dst) transitions;
+  List.iter (fun (src, dst) -> Builder.epsilon b src dst) epsilons;
+  List.iter (fun (q, text) -> Builder.label b q text) labels;
+  Builder.finish b ~start ~accept
+
+let of_graph ~symbols ~accepting (g : (_, int) Explore.graph) =
+  let n = Array.length g.keys in
+  let offsets = Array.make (n + 1) 0 in
+  Array.iteri (fun q succs -> offsets.(q + 1) <- offsets.(q) + List.length succs) g.succs;
+  let edges = Array.make offsets.(n) 0 in
+  Array.iteri
+    (fun q succs -> List.iteri (fun j (i, dst) -> edges.(offsets.(q) + j) <- edge i dst) succs)
+    g.succs;
+  let edges = normalize n offsets edges in
+  let symbols, edges = drop_unused symbols edges in
+  let accept = ref [] in
+  Array.iteri (fun q key -> if accepting key then accept := q :: !accept) g.keys;
+  make ~num_states:n ~start:(States.Set.singleton 0) ~accept:(States.of_list (List.rev !accept))
+    ~offsets ~edges ~eps:[||] ~labels:(Array.make n None) ~symbols
 
 let empty_language = create ~num_states:1 ~start:[ 0 ] ~accept:[] ~transitions:[] ()
 let eps_language = create ~num_states:1 ~start:[ 0 ] ~accept:[ 0 ] ~transitions:[] ()
 
 let universal alphabet =
-  create ~num_states:1 ~start:[ 0 ] ~accept:[ 0 ]
-    ~transitions:(List.map (fun sym -> (0, sym, 0)) (Symbol.Set.elements alphabet))
-    ()
+  let symbols = sort_symbols (Array.of_list (Symbol.Set.elements alphabet)) in
+  let loops = Array.init (Array.length symbols) (fun i -> edge i 0) in
+  let nfa =
+    make ~num_states:1 ~start:(States.Set.singleton 0) ~accept:(States.Set.singleton 0)
+      ~offsets:[| 0; Array.length loops |] ~edges:loops ~eps:[||] ~labels:[| None |] ~symbols
+  in
+  nfa.alphabet <- Some alphabet;
+  nfa
 
 let symbol sym =
   create ~num_states:2 ~start:[ 0 ] ~accept:[ 1 ] ~transitions:[ (0, sym, 1) ] ()
@@ -192,9 +402,26 @@ let epsilons nfa =
   done;
   !acc
 
-let alphabet nfa = nfa.alphabet
+let alphabet nfa =
+  match nfa.alphabet with
+  | Some set -> set
+  | None ->
+    let set = Symbol.Set.of_list (Array.to_list nfa.symbols) in
+    nfa.alphabet <- Some set;
+    set
+
 let symbols nfa = Array.copy nfa.symbols
-let symbol_index nfa sym = index_in nfa.symbols sym
+let symbol_index nfa sym = find_symbol nfa.symbols sym
+
+let iter_edges nfa f =
+  for src = 0 to nfa.num_states - 1 do
+    for j = nfa.offsets.(src) to nfa.offsets.(src + 1) - 1 do
+      let e = nfa.edges.(j) in
+      f src nfa.symbols.(edge_sym e) (edge_dst e)
+    done
+  done
+
+let iter_epsilons nfa f = Array.iteri (fun src set -> States.Set.iter (f src) set) nfa.eps
 
 (* The targets of [q]'s edges [lo .. hi - 1]. *)
 let targets nfa lo hi = States.Set.of_array (Array.init (hi - lo) (fun t -> edge_dst nfa.edges.(lo + t)))
@@ -367,144 +594,286 @@ module Config = struct
   let next nfa c i = if i < 0 then empty else (row nfa c).(i)
 end
 
-(* --- Combinators --------------------------------------------------------- *)
+(* --- Combinators ---------------------------------------------------------------
 
-let shift_list off l = List.map (fun (a, s, b) -> (a + off, s, b + off)) l
-let shift_eps off l = List.map (fun (a, b) -> (a + off, b + off)) l
-let shift_labels off l = List.map (fun (q, lab) -> (q + off, lab)) l
+   Each copies its operands' edge arrays over the union of their alphabets:
+   the index maps ascend, so each state's edges stay sorted and distinct.
+   The result equals what {!create} builds from the operands' transition
+   lists, labels included. *)
 
-let all_labels nfa =
-  Array.to_list nfa.labels
-  |> List.mapi (fun q lab -> Option.map (fun l -> (q, l)) lab)
-  |> List.filter_map Fun.id
+let full_eps nfa = if Array.length nfa.eps = 0 then Array.make nfa.num_states States.Set.empty else nfa.eps
+let shift_set off (set : States.Set.t) = States.Set.of_array (Array.map (( + ) off) (set :> int array))
+
+(* [b]'s states after [a]'s: the states, edges, ε-edges and labels of both,
+   side by side. *)
+let juxtapose a b =
+  let symbols, ma, mb = merge_symbols a.symbols b.symbols in
+  let na = a.num_states and nb = b.num_states in
+  let ea = Array.length a.edges in
+  let offsets = Array.make (na + nb + 1) 0 in
+  Array.blit a.offsets 0 offsets 0 na;
+  for q = 0 to nb do
+    offsets.(na + q) <- ea + b.offsets.(q)
+  done;
+  let edges = Array.make (ea + Array.length b.edges) 0 in
+  Array.iteri (fun j e -> edges.(j) <- edge ma.(edge_sym e) (edge_dst e)) a.edges;
+  Array.iteri (fun j e -> edges.(ea + j) <- edge mb.(edge_sym e) (edge_dst e + na)) b.edges;
+  let eps =
+    if Array.length a.eps = 0 && Array.length b.eps = 0 then [||]
+    else Array.append (full_eps a) (Array.map (shift_set na) (full_eps b))
+  in
+  (symbols, offsets, edges, eps, Array.append a.labels b.labels)
 
 let union a b =
+  let symbols, offsets, edges, eps, labels = juxtapose a b in
   let off = a.num_states in
-  create
-    ~labels:(all_labels a @ shift_labels off (all_labels b))
-    ~num_states:(a.num_states + b.num_states)
-    ~start:(States.Set.elements a.start @ List.map (( + ) off) (States.Set.elements b.start))
-    ~accept:(States.Set.elements a.accept @ List.map (( + ) off) (States.Set.elements b.accept))
-    ~transitions:(transitions a @ shift_list off (transitions b))
-    ~epsilons:(epsilons a @ shift_eps off (epsilons b))
-    ()
+  make ~num_states:(a.num_states + b.num_states)
+    ~start:(States.Set.union a.start (shift_set off b.start))
+    ~accept:(States.Set.union a.accept (shift_set off b.accept))
+    ~offsets ~edges ~eps ~labels ~symbols
 
 let concat a b =
+  let symbols, offsets, edges, eps, labels = juxtapose a b in
   let off = a.num_states in
-  let bridge =
-    List.concat_map
-      (fun qa -> List.map (fun qb -> (qa, qb + off)) (States.Set.elements b.start))
-      (States.Set.elements a.accept)
+  let bridge = shift_set off b.start in
+  let eps =
+    if States.Set.is_empty a.accept || States.Set.is_empty bridge then eps
+    else begin
+      let eps = if Array.length eps = 0 then Array.make (off + b.num_states) States.Set.empty else eps in
+      States.Set.iter (fun q -> eps.(q) <- States.Set.union eps.(q) bridge) a.accept;
+      eps
+    end
   in
-  create
-    ~labels:(all_labels a @ shift_labels off (all_labels b))
-    ~num_states:(a.num_states + b.num_states)
-    ~start:(States.Set.elements a.start)
-    ~accept:(List.map (( + ) off) (States.Set.elements b.accept))
-    ~transitions:(transitions a @ shift_list off (transitions b))
-    ~epsilons:(epsilons a @ shift_eps off (epsilons b) @ bridge)
-    ()
+  make ~num_states:(off + b.num_states) ~start:a.start ~accept:(shift_set off b.accept) ~offsets
+    ~edges ~eps ~labels ~symbols
 
+(* A fresh hub state: start and accept, ε to the old starts, ε back from
+   the old accepts. The hub accepts the empty trace without disturbing
+   cycles. *)
 let star a =
-  (* Fresh hub state: start and accept, ε to old starts, ε back from old
-     accepts. The hub guarantees ε-acceptance without disturbing cycles. *)
   let hub = a.num_states in
-  let to_starts = List.map (fun q -> (hub, q)) (States.Set.elements a.start) in
-  let from_accepts = List.map (fun q -> (q, hub)) (States.Set.elements a.accept) in
-  create ~labels:(all_labels a)
-    ~num_states:(a.num_states + 1)
-    ~start:[ hub ] ~accept:[ hub ] ~transitions:(transitions a)
-    ~epsilons:(epsilons a @ to_starts @ from_accepts)
-    ()
+  let offsets = Array.append a.offsets [| Array.length a.edges |] in
+  let eps = Array.append (full_eps a) [| a.start |] in
+  let back = States.Set.singleton hub in
+  States.Set.iter (fun q -> eps.(q) <- States.Set.union eps.(q) back) a.accept;
+  make ~num_states:(hub + 1) ~start:back ~accept:back ~offsets ~edges:a.edges
+    ~eps:(squeeze_eps eps) ~labels:(Array.append a.labels [| None |]) ~symbols:a.symbols
 
-(* --- Transformations ------------------------------------------------------ *)
+(* --- Transformations ----------------------------------------------------------- *)
 
+(* [f] is asked once per alphabet symbol. The edges are re-encoded over
+   the image alphabet; an erased edge joins its source's ε-set. Only when
+   [f] does not keep the alphabet's order (or merges symbols) are the
+   states' edges sorted again. *)
 let map_symbols f nfa =
-  let kept = ref [] in
-  let new_eps = ref (epsilons nfa) in
-  List.iter
-    (fun (src, sym, dst) ->
-      match f sym with
-      | Some sym' -> kept := (src, sym', dst) :: !kept
-      | None -> new_eps := (src, dst) :: !new_eps)
-    (transitions nfa);
-  create ~labels:(all_labels nfa) ~num_states:nfa.num_states
-    ~start:(States.Set.elements nfa.start)
-    ~accept:(States.Set.elements nfa.accept)
-    ~transitions:!kept ~epsilons:!new_eps ()
+  let image = Array.map f nfa.symbols in
+  let symbols = sort_symbols (Array.of_list (List.filter_map Fun.id (Array.to_list image))) in
+  let index = Array.map (function Some sym -> find_symbol symbols sym | None -> -1) image in
+  let ordered = ref true and last = ref (-1) in
+  Array.iter
+    (fun i ->
+      if i >= 0 then begin
+        if i <= !last then ordered := false;
+        last := i
+      end)
+    index;
+  let n = nfa.num_states in
+  let offsets = Array.make (n + 1) 0 in
+  let edges = Array.make (Array.length nfa.edges) 0 in
+  let eps = ref (if Array.length nfa.eps = 0 then [||] else Array.copy nfa.eps) in
+  let kept = ref 0 in
+  for q = 0 to n - 1 do
+    offsets.(q) <- !kept;
+    let erased = ref [] in
+    for j = nfa.offsets.(q) to nfa.offsets.(q + 1) - 1 do
+      let e = nfa.edges.(j) in
+      let i = index.(edge_sym e) in
+      if i >= 0 then begin
+        edges.(!kept) <- edge i (edge_dst e);
+        incr kept
+      end
+      else erased := edge_dst e :: !erased
+    done;
+    if !erased <> [] then begin
+      if Array.length !eps = 0 then eps := Array.make n States.Set.empty;
+      !eps.(q) <- States.Set.union !eps.(q) (States.of_list !erased)
+    end
+  done;
+  offsets.(n) <- !kept;
+  let edges = if !kept = Array.length edges then edges else Array.sub edges 0 !kept in
+  let edges = if !ordered then edges else normalize n offsets edges in
+  make ~num_states:n ~start:nfa.start ~accept:nfa.accept ~offsets ~edges ~eps:!eps
+    ~labels:nfa.labels ~symbols
 
+(* Each state's edges, renumbered into the union alphabet, merged with its
+   loops: one ascending merge per state. *)
 let add_self_loops syms nfa =
-  let loops =
-    List.init nfa.num_states (fun q ->
-        List.map (fun sym -> (q, sym, q)) (Symbol.Set.elements syms))
-    |> List.concat
-  in
-  create ~labels:(all_labels nfa) ~num_states:nfa.num_states
-    ~start:(States.Set.elements nfa.start)
-    ~accept:(States.Set.elements nfa.accept)
-    ~transitions:(loops @ transitions nfa)
-    ~epsilons:(epsilons nfa) ()
+  let n = nfa.num_states in
+  let loops = if n = 0 then [||] else sort_symbols (Array.of_list (Symbol.Set.elements syms)) in
+  let symbols, mold, mloop = merge_symbols nfa.symbols loops in
+  let offsets = Array.make (n + 1) 0 in
+  let edges = Array.make (Array.length nfa.edges + (n * Array.length loops)) 0 in
+  let k = ref 0 in
+  for q = 0 to n - 1 do
+    offsets.(q) <- !k;
+    let push e =
+      if !k = offsets.(q) || edges.(!k - 1) <> e then begin
+        edges.(!k) <- e;
+        incr k
+      end
+    in
+    let j = ref nfa.offsets.(q) and hi = nfa.offsets.(q + 1) and l = ref 0 in
+    while !j < hi || !l < Array.length mloop do
+      let old =
+        if !j < hi then edge mold.(edge_sym nfa.edges.(!j)) (edge_dst nfa.edges.(!j)) else max_int
+      in
+      let loop = if !l < Array.length mloop then edge mloop.(!l) q else max_int in
+      if old <= loop then begin
+        push old;
+        incr j
+      end
+      else begin
+        push loop;
+        incr l
+      end
+    done
+  done;
+  offsets.(n) <- !k;
+  make ~num_states:n ~start:nfa.start ~accept:nfa.accept ~offsets
+    ~edges:(if !k = Array.length edges then edges else Array.sub edges 0 !k)
+    ~eps:nfa.eps ~labels:nfa.labels ~symbols
 
 let reverse nfa =
-  create ~labels:(all_labels nfa) ~num_states:nfa.num_states
-    ~start:(States.Set.elements nfa.accept)
-    ~accept:(States.Set.elements nfa.start)
-    ~transitions:(List.map (fun (a, s, b) -> (b, s, a)) (transitions nfa))
-    ~epsilons:(List.map (fun (a, b) -> (b, a)) (epsilons nfa))
-    ()
+  let b = Builder.create () in
+  ignore (Builder.add_states b nfa.num_states);
+  iter_edges nfa (fun src sym dst -> Builder.edge b dst sym src);
+  iter_epsilons nfa (fun src dst -> Builder.epsilon b dst src);
+  Array.iteri (fun q -> Option.iter (Builder.label b q)) nfa.labels;
+  Builder.finish b ~start:(States.Set.elements nfa.accept) ~accept:(States.Set.elements nfa.start)
 
-let reachable_from seeds ~next =
-  let rec go frontier seen =
-    if States.Set.is_empty frontier then seen
-    else
-      let advance =
-        States.Set.fold (fun q acc -> States.Set.union acc (next q)) frontier States.Set.empty
-      in
-      let fresh = States.Set.diff advance seen in
-      go fresh (States.Set.union seen fresh)
+(* --- Liveness -------------------------------------------------------------------
+
+   One forward pass from the start states over edges and ε-edges, and one
+   backward pass from the accepting states over the same arrows flipped
+   (grouped by target once, as a counting sort). A state is live when both
+   marked it. *)
+
+(* Depth-first from [seeds] along [next q visit], which visits each
+   state one step from [q]. *)
+let marks n seeds next =
+  let seen = Bytes.make n '\000' in
+  let stack = ref [] in
+  let visit q =
+    if Bytes.get seen q = '\000' then begin
+      Bytes.set seen q '\001';
+      stack := q :: !stack
+    end
   in
-  go seeds seeds
+  States.Set.iter visit seeds;
+  while !stack <> [] do
+    match !stack with
+    | [] -> ()
+    | q :: rest ->
+      stack := rest;
+      next q visit
+  done;
+  fun q -> Bytes.get seen q <> '\000'
 
+let forward nfa =
+  marks nfa.num_states nfa.start (fun q visit ->
+      for j = nfa.offsets.(q) to nfa.offsets.(q + 1) - 1 do
+        visit (edge_dst nfa.edges.(j))
+      done;
+      States.Set.iter visit (eps_of nfa q))
+
+let backward nfa =
+  let n = nfa.num_states in
+  let into = Array.make (n + 1) 0 in
+  let each f =
+    for src = 0 to n - 1 do
+      for j = nfa.offsets.(src) to nfa.offsets.(src + 1) - 1 do
+        f src (edge_dst nfa.edges.(j))
+      done;
+      States.Set.iter (f src) (eps_of nfa src)
+    done
+  in
+  each (fun _ dst -> into.(dst + 1) <- into.(dst + 1) + 1);
+  for q = 1 to n do
+    into.(q) <- into.(q) + into.(q - 1)
+  done;
+  let preds = Array.make into.(n) 0 and cursor = Array.sub into 0 n in
+  each (fun src dst ->
+      preds.(cursor.(dst)) <- src;
+      cursor.(dst) <- cursor.(dst) + 1);
+  marks n nfa.accept (fun q visit ->
+      for j = into.(q) to into.(q + 1) - 1 do
+        visit preds.(j)
+      done)
+
+(* An edge survives {!trim} iff its source is reachable and its target can
+   reach acceptance: the source can then reach acceptance through it, and
+   the target is reachable through it. *)
+let live_symbols nfa =
+  let reached = forward nfa and useful = backward nfa in
+  let used = Array.make (Array.length nfa.symbols) false in
+  for q = 0 to nfa.num_states - 1 do
+    if reached q then
+      for j = nfa.offsets.(q) to nfa.offsets.(q + 1) - 1 do
+        let e = nfa.edges.(j) in
+        if useful (edge_dst e) then used.(edge_sym e) <- true
+      done
+  done;
+  let live = ref Symbol.Set.empty in
+  Array.iteri (fun i u -> if u then live := Symbol.Set.add nfa.symbols.(i) !live) used;
+  !live
+
+(* The live states keep their order, so the renumbering ascends and every
+   kept state's edges and ε-set stay sorted. *)
 let trim nfa =
-  let next nfa q =
-    States.Set.union (targets nfa nfa.offsets.(q) nfa.offsets.(q + 1)) (eps_of nfa q)
-  in
-  let forward = reachable_from nfa.start ~next:(next nfa) in
-  let rev = reverse nfa in
-
-  let backward = reachable_from rev.start ~next:(next rev) in
-  let live = States.Set.inter forward backward in
-  if States.Set.is_empty live then empty_language
+  let reached = forward nfa and useful = backward nfa in
+  let n = nfa.num_states in
+  let rename = Array.make n (-1) and count = ref 0 in
+  for q = 0 to n - 1 do
+    if reached q && useful q then begin
+      rename.(q) <- !count;
+      incr count
+    end
+  done;
+  if !count = 0 then empty_language
   else begin
-    let order = States.Set.elements live in
-    let rename = Hashtbl.create 16 in
-    List.iteri (fun i q -> Hashtbl.add rename q i) order;
-    let keep q = Hashtbl.find_opt rename q in
-    let map_pairs l =
-      List.filter_map
-        (fun (a, b) ->
-          match keep a, keep b with
-          | Some a', Some b' -> Some (a', b')
-          | _ -> None)
-        l
+    let m = !count in
+    let offsets = Array.make (m + 1) 0 in
+    let edges = Array.make (Array.length nfa.edges) 0 in
+    let eps = Array.make (if Array.length nfa.eps = 0 then 0 else m) States.Set.empty in
+    let labels = Array.make m None in
+    let keep (set : States.Set.t) =
+      States.Set.of_array
+        (Array.of_list
+           (List.filter_map
+              (fun q -> if rename.(q) >= 0 then Some rename.(q) else None)
+              (States.Set.elements set)))
     in
-    create
-      ~labels:
-        (List.filter_map
-           (fun (q, lab) -> Option.map (fun q' -> (q', lab)) (keep q))
-           (all_labels nfa))
-      ~num_states:(List.length order)
-      ~start:(List.filter_map keep (States.Set.elements nfa.start))
-      ~accept:(List.filter_map keep (States.Set.elements nfa.accept))
-      ~transitions:
-        (List.filter_map
-           (fun (a, s, b) ->
-             match keep a, keep b with
-             | Some a', Some b' -> Some (a', s, b')
-             | _ -> None)
-           (transitions nfa))
-      ~epsilons:(map_pairs (epsilons nfa))
-      ()
+    let k = ref 0 in
+    for q = 0 to n - 1 do
+      let q' = rename.(q) in
+      if q' >= 0 then begin
+        offsets.(q') <- !k;
+        for j = nfa.offsets.(q) to nfa.offsets.(q + 1) - 1 do
+          let e = nfa.edges.(j) in
+          let d = rename.(edge_dst e) in
+          if d >= 0 then begin
+            edges.(!k) <- edge (edge_sym e) d;
+            incr k
+          end
+        done;
+        if Array.length eps > 0 then eps.(q') <- keep nfa.eps.(q);
+        labels.(q') <- nfa.labels.(q)
+      end
+    done;
+    offsets.(m) <- !k;
+    let symbols, edges = drop_unused nfa.symbols (Array.sub edges 0 !k) in
+    make ~num_states:m ~start:(keep nfa.start) ~accept:(keep nfa.accept) ~offsets ~edges
+      ~eps:(squeeze_eps eps) ~labels ~symbols
   end
 
 (* --- Queries -------------------------------------------------------------- *)

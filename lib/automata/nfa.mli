@@ -19,11 +19,46 @@ val create :
   ?epsilons:(int * int) list ->
   unit ->
   t
-(** Build an NFA. Raises [Invalid_argument] on out-of-range states. *)
+(** Build an NFA from lists, through {!Builder}: duplicate transitions
+    are dropped, and the alphabet is the set of symbols on the
+    transitions. Raises [Invalid_argument] on out-of-range states. *)
 
-val of_graph : accepting:('k -> bool) -> ('k, Symbol.t) Explore.graph -> t
-(** The ε-free NFA of an explored graph: state [i] is [g.keys.(i)], the
-    start is state [0], and [i] accepts iff [accepting g.keys.(i)]. *)
+(** The array entry point: states are added in blocks, edges and ε-edges
+    in any order (duplicates allowed), and {!finish} groups them by source
+    once. The result equals what {!create} builds from the same states,
+    edges, ε-edges and labels. *)
+module Builder : sig
+  type nfa := t
+  type t
+
+  val create : unit -> t
+
+  val add_states : t -> int -> int
+  (** [add_states b n] adds [n] states and returns the first one's number. *)
+
+  val num_states : t -> int
+  val edge : t -> int -> Symbol.t -> int -> unit
+  val epsilon : t -> int -> int -> unit
+  val label : t -> int -> string -> unit
+
+  val finish : t -> start:int list -> accept:int list -> nfa
+  (** Raises [Invalid_argument] on out-of-range states. *)
+end
+
+val of_graph :
+  symbols:Symbol.t array -> accepting:('k -> bool) -> ('k, int) Explore.graph -> t
+(** The ε-free NFA of an explored graph whose labels are indices into
+    [symbols], an alphabet {!sort_symbols} made: state [i] is
+    [g.keys.(i)], the start is state [0], [i] accepts iff
+    [accepting g.keys.(i)], and the alphabet is the symbols the edges
+    use. No symbol is looked up. *)
+
+val sort_symbols : Symbol.t array -> Symbol.t array
+(** The array sorted in place, duplicates dropped: an alphabet in the one
+    order every automaton keeps its alphabet in ({!symbols}). *)
+
+val find_symbol : Symbol.t array -> Symbol.t -> int
+(** The symbol's index in an alphabet {!sort_symbols} made, or [-1]. *)
 
 val empty_language : t
 (** Accepts nothing. *)
@@ -52,13 +87,19 @@ val transitions : t -> (int * Symbol.t * int) list
 val epsilons : t -> (int * int) list
 
 val alphabet : t -> Symbol.Set.t
-(** Symbols occurring on transitions; computed once by {!create}. *)
+(** Symbols occurring on transitions; made once, on first use. *)
 
 val symbols : t -> Symbol.t array
 (** The alphabet in ascending order: symbol index [i] is [(symbols t).(i)]. *)
 
 val symbol_index : t -> Symbol.t -> int
 (** The symbol's index in {!symbols}, or [-1] outside the alphabet. *)
+
+val iter_edges : t -> (int -> Symbol.t -> int -> unit) -> unit
+(** Every non-ε transition, by source, then symbol, then target. *)
+
+val iter_epsilons : t -> (int -> int -> unit) -> unit
+(** Every ε-transition, by source, then target. *)
 
 val successors : t -> States.t -> Symbol.t -> States.Set.t
 (** Direct (non-ε-closed) successors. *)
@@ -115,17 +156,34 @@ module Config : sig
       {!empty}. The table's own array: read it, never write it. *)
 end
 
-(** {1 Language combinators (Thompson-style)} *)
+(** {1 Language combinators (Thompson-style)}
+
+    Each combinator copies its operands' edge arrays over the union of
+    their alphabets, and its result equals, field by field (states, start,
+    accept, transitions, ε-transitions, alphabet and labels), what
+    {!create} builds from the operands' transition lists with the second
+    operand's states numbered after the first's. The list constructions
+    are kept as the reference in the test oracles. *)
 
 val union : t -> t -> t
-val concat : t -> t -> t
-val star : t -> t
 
-(** {1 Transformations} *)
+val concat : t -> t -> t
+(** [union]'s states, with an ε-edge from each of [a]'s accepting states to
+    each of [b]'s start states. *)
+
+val star : t -> t
+(** A fresh, unlabeled hub state [num_states a]: start and accept, with an
+    ε-edge to each old start and one back from each old accept. *)
+
+(** {1 Transformations}
+
+    The same promise: each result equals the list construction of the same
+    automaton, labels included. *)
 
 val map_symbols : (Symbol.t -> Symbol.t option) -> t -> t
 (** Relabel transitions; [None] turns the transition into an ε-transition
-    (erasure / projection onto a sub-alphabet). *)
+    (erasure / projection onto a sub-alphabet). [f] is called once per
+    alphabet symbol. *)
 
 val add_self_loops : Symbol.Set.t -> t -> t
 (** Add, on every state, a self-loop for each given symbol — lifts a
@@ -134,8 +192,13 @@ val add_self_loops : Symbol.Set.t -> t -> t
 
 val trim : t -> t
 (** Remove states that are unreachable from the start or cannot reach an
-    accepting state; renumbers states (labels follow). The empty-language
-    automaton comes out as {!empty_language}. *)
+    accepting state; renumbers states in order (labels follow). The
+    empty-language automaton comes out as {!empty_language}. *)
+
+val live_symbols : t -> Symbol.Set.t
+(** [alphabet (trim t)], without building the trimmed automaton: the
+    symbols of the edges from a reachable state to a state that can reach
+    acceptance, found in one forward and one backward marking pass. *)
 
 val reverse : t -> t
 (** Language reversal (start/accept swapped, arrows flipped). *)

@@ -4,7 +4,7 @@ type node =
 
 let node_label = function
   | Entry name -> name
-  | Exit (name, k) -> Printf.sprintf "%s/%d" name k
+  | Exit (name, k) -> name ^ "/" ^ string_of_int k
 
 type t = {
   nodes : node list;
@@ -55,29 +55,30 @@ let exit_states (model : Model.t) =
 let usage_nfa (model : Model.t) =
   let table, num_states = exit_states model in
   let state_of op_name exit_id = Hashtbl.find table (op_name, exit_id) in
-  let edges_for_invocation src (op : Model.operation) =
-    List.map
-      (fun (e : Model.exit_point) -> (src, Model.entry_symbol op, state_of op.op_name e.exit_id))
+  let b = Nfa.Builder.create () in
+  ignore (Nfa.Builder.add_states b num_states);
+  let invoke src (op : Model.operation) =
+    List.iter
+      (fun (e : Model.exit_point) ->
+        Nfa.Builder.edge b src (Model.entry_symbol op) (state_of op.op_name e.exit_id))
       op.exits
   in
-  let from_start =
-    List.concat_map (fun op -> edges_for_invocation 0 op) (Model.initial_ops model)
-  in
-  let from_exits =
-    List.concat_map
-      (fun (op : Model.operation) ->
-        List.concat_map
-          (fun (e : Model.exit_point) ->
-            let src = state_of op.op_name e.exit_id in
-            List.concat_map
-              (fun next ->
-                match Model.find_op model next with
-                | Some next_op -> edges_for_invocation src next_op
-                | None -> [])
-              e.next_ops)
-          op.exits)
-      model.operations
-  in
+  List.iter (invoke 0) (Model.initial_ops model);
+  Nfa.Builder.label b 0 "start";
+  List.iter
+    (fun (op : Model.operation) ->
+      List.iter
+        (fun (e : Model.exit_point) ->
+          let src = state_of op.op_name e.exit_id in
+          Nfa.Builder.label b src (node_label (Exit (op.op_name, e.exit_id)));
+          List.iter
+            (fun next ->
+              match Model.find_op model next with
+              | Some next_op -> invoke src next_op
+              | None -> ())
+            e.next_ops)
+        op.exits)
+    model.operations;
   let accept =
     0
     :: List.concat_map
@@ -85,18 +86,7 @@ let usage_nfa (model : Model.t) =
            List.map (fun (e : Model.exit_point) -> state_of op.op_name e.exit_id) op.exits)
          (Model.final_ops model)
   in
-  let labels =
-    (0, "start")
-    :: List.concat_map
-         (fun (op : Model.operation) ->
-           List.map
-             (fun (e : Model.exit_point) ->
-               (state_of op.op_name e.exit_id, node_label (Exit (op.op_name, e.exit_id))))
-             op.exits)
-         model.operations
-  in
-  Nfa.create ~labels ~num_states ~start:[ 0 ] ~accept
-    ~transitions:(from_start @ from_exits) ()
+  Nfa.Builder.finish b ~start:[ 0 ] ~accept
 
 let reachable_ops (model : Model.t) =
   let rec grow seen frontier =

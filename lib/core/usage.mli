@@ -27,6 +27,13 @@ val expanded_nfa : ?limits:Limits.t -> Model.t -> Nfa.t
     Subsystems whose class is unknown to [env] still contribute their call
     events (they are checked by {!Invocation} instead). *)
 
+val projected_nfa : ?limits:Limits.t -> Model.t -> field:string -> Nfa.t
+(** The field's projection of {!expanded_nfa}, the automaton {!holds}
+    searches: the same assembly from each operation's behavior with every
+    symbol but the field's calls erased (first from the behaviors, before
+    any automaton is built, then from the operation entries as they are
+    copied in). Its boundary states carry no labels. *)
+
 val project_subsystem : field:string -> Trace.t -> string list
 (** Keep only the calls of one subsystem field, unqualified:
     [open_a, a.test, a.open] projected on [a] is [test; open]. *)

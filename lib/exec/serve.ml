@@ -152,13 +152,30 @@ let digests paths =
 
 let files_of_params params = Jsonl.mem_str_list "files" params
 
+(* The params each work method reads. [priority] and [deadline_ms] are
+   read at admission ([classify]). *)
+let admission_params = [ "timeout"; "fuel"; "priority"; "deadline_ms" ]
+let check_params = [ "files"; "using"; "warnings"; "explain"; "lint" ] @ admission_params
+
+let lint_params =
+  [ "files"; "format"; "max_behavior_size"; "max_star_height"; "entail_fuel"; "race_fuel" ]
+  @ admission_params
+
+(* A key the method does not read is refused, by name: a misspelt or
+   removed budget ([fule], [max_states]) must not be answered under the
+   default one. *)
+let unknown_param ~known params =
+  Option.bind (Jsonl.to_obj params) (fun fields ->
+      List.find_map (fun (key, _) -> if List.mem key known then None else Some key) fields)
+
 (* --- methods ---------------------------------------------------------------- *)
 
 let do_check st id params =
-  match files_of_params params with
-  | None | Some [] ->
+  match (unknown_param ~known:check_params params, files_of_params params) with
+  | Some key, _ -> error_response id (Printf.sprintf "check: unknown param '%s'" key)
+  | None, (None | Some []) ->
     error_response id "check: params.files must be a non-empty array of strings"
-  | Some files -> (
+  | None, Some files -> (
     let using = Option.value (Jsonl.mem_str_list "using" params) ~default:[] in
     (* Same up-front validation as the one-shot CLI: a broken --using model
        is one request-level error, not N per-file failures. *)
@@ -183,10 +200,11 @@ let do_check st id params =
       ok_response id [ ("output", Jsonl.Str (Buffer.contents buf)); ("code", Jsonl.int code) ])
 
 let do_lint st id params =
-  match files_of_params params with
-  | None | Some [] ->
+  match (unknown_param ~known:lint_params params, files_of_params params) with
+  | Some key, _ -> error_response id (Printf.sprintf "lint: unknown param '%s'" key)
+  | None, (None | Some []) ->
     error_response id "lint: params.files must be a non-empty array of strings"
-  | Some files -> (
+  | None, Some files -> (
     let format_name = Option.value (Jsonl.mem_str "format" params) ~default:"text" in
     match Lint_render.format_of_string format_name with
     | Error msg -> error_response id msg

@@ -9,15 +9,18 @@
 
     - [check] — params [files] (required), [warnings] / [explain] / [lint]
       (bools), [using] (array of model files), [timeout] (seconds),
-      [fuel] (int). The result's [output] is byte-identical
+      [fuel] (int), and the admission params [priority] and [deadline_ms]
+      (see below). Any other key is refused with a request-level error
+      (code 2) that names it. The result's [output] is byte-identical
       to what one-shot [shelley check] prints on stdout for the same
       arguments (including the trailing ["OK: specification verified"] line
       on success) and [code] is the one-shot exit code.
     - [lint] — params [files] (required), [format] ([text]/[json]/[sarif]),
       [timeout], [fuel], [max_behavior_size] /
       [max_star_height] / [entail_fuel] / [race_fuel] (ints, the
-      one-shot flags of the same names). Same one-shot-equivalence contract against
-      [shelley lint].
+      one-shot flags of the same names), [priority], [deadline_ms]; any
+      other key is refused as for [check]. Same one-shot-equivalence
+      contract against [shelley lint].
     - [status] — daemon pid, request counters, the [load] overload counters
       (queue depth/cap, [oldest_queued_ms], shed, expired,
       frames_oversized, conns_reaped), pool lifecycle stats and live

@@ -135,9 +135,10 @@ let make_ctx ~limits ~thresholds ~env ~cls ~model =
    the witness language  L(usage) ∩ Σ*·op·Σ*  is nonempty iff some state
    reachable from the start steps on the operation to a state that can
    reach acceptance, so one trim of the usage NFA decides every operation:
-   its surviving alphabet is the set of live operations. That takes one
-   forward and one backward pass, no subset construction, and so no budget
-   that could run out. *)
+   its surviving alphabet is the set of live operations ({!Nfa.live_symbols},
+   which reads it off without building the trimmed automaton). That takes
+   one forward and one backward pass, no subset construction, and so no
+   budget that could run out. *)
 
 let dead_operation ctx =
   let model = ctx.model in
@@ -145,7 +146,7 @@ let dead_operation ctx =
      || Model.final_ops model = []
   then [] (* SY002/SY003 already explain why nothing is usable *)
   else begin
-    let live = Nfa.alphabet (Nfa.trim (Depgraph.usage_nfa model)) in
+    let live = Nfa.live_symbols (Depgraph.usage_nfa model) in
     List.filter_map
       (fun (op : Model.operation) ->
         if Symbol.Set.mem (Model.entry_symbol op) live then None

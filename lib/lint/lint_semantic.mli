@@ -15,8 +15,9 @@
     opened with a class that has claims and dropped with it: one over the
     class's subsystem-call automaton (SY104 and SY110), one over the
     universal automaton of the claim alphabet (SY102, SY103 and SY109).
-    SY101 decides every operation's liveness from one trim of the usage
-    NFA, with no subset construction and no budget. The class's
+    SY101 decides every operation's liveness from one forward and one
+    backward pass over the usage NFA ({!Nfa.live_symbols}, the alphabet of
+    its trim), with no subset construction and no budget. The class's
     full expansion is built at most once, for the claim sessions and
     SY112's race witnesses alike ({!expansion}).
 

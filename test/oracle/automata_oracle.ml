@@ -53,3 +53,306 @@ let determinize ?alphabet nfa =
     ~step:(fun config emit -> List.iter (fun sym -> emit sym (Nfa.step nfa config sym)) alphabet)
     ()
   |> Dfa.of_graph ~alphabet ~accepting:(Nfa.accepting_config nfa)
+
+(* --- List constructions ---------------------------------------------------------
+
+   The constructions as the automata library built them before it copied
+   edge arrays: every result goes through {!Nfa.create} from transition,
+   ε-transition and label lists, read back from its operands with
+   {!Nfa.transitions} and {!Nfa.epsilons}. The array constructions must
+   build the same automaton, field by field. *)
+
+let all_labels nfa =
+  List.filter_map
+    (fun q -> Option.map (fun l -> (q, l)) (Nfa.label nfa q))
+    (List.init (Nfa.num_states nfa) Fun.id)
+
+let shift_list off l = List.map (fun (a, s, b) -> (a + off, s, b + off)) l
+let shift_eps off l = List.map (fun (a, b) -> (a + off, b + off)) l
+let shift_labels off l = List.map (fun (q, lab) -> (q + off, lab)) l
+let elements = States.Set.elements
+
+let union a b =
+  let off = Nfa.num_states a in
+  Nfa.create
+    ~labels:(all_labels a @ shift_labels off (all_labels b))
+    ~num_states:(off + Nfa.num_states b)
+    ~start:(elements (Nfa.start a) @ List.map (( + ) off) (elements (Nfa.start b)))
+    ~accept:(elements (Nfa.accept a) @ List.map (( + ) off) (elements (Nfa.accept b)))
+    ~transitions:(Nfa.transitions a @ shift_list off (Nfa.transitions b))
+    ~epsilons:(Nfa.epsilons a @ shift_eps off (Nfa.epsilons b))
+    ()
+
+let concat a b =
+  let off = Nfa.num_states a in
+  let bridge =
+    List.concat_map
+      (fun qa -> List.map (fun qb -> (qa, qb + off)) (elements (Nfa.start b)))
+      (elements (Nfa.accept a))
+  in
+  Nfa.create
+    ~labels:(all_labels a @ shift_labels off (all_labels b))
+    ~num_states:(off + Nfa.num_states b)
+    ~start:(elements (Nfa.start a))
+    ~accept:(List.map (( + ) off) (elements (Nfa.accept b)))
+    ~transitions:(Nfa.transitions a @ shift_list off (Nfa.transitions b))
+    ~epsilons:(Nfa.epsilons a @ shift_eps off (Nfa.epsilons b) @ bridge)
+    ()
+
+let star a =
+  let hub = Nfa.num_states a in
+  Nfa.create ~labels:(all_labels a) ~num_states:(hub + 1) ~start:[ hub ] ~accept:[ hub ]
+    ~transitions:(Nfa.transitions a)
+    ~epsilons:
+      (Nfa.epsilons a
+      @ List.map (fun q -> (hub, q)) (elements (Nfa.start a))
+      @ List.map (fun q -> (q, hub)) (elements (Nfa.accept a)))
+    ()
+
+let map_symbols f nfa =
+  let kept = ref [] and erased = ref (Nfa.epsilons nfa) in
+  List.iter
+    (fun (src, sym, dst) ->
+      match f sym with
+      | Some sym' -> kept := (src, sym', dst) :: !kept
+      | None -> erased := (src, dst) :: !erased)
+    (Nfa.transitions nfa);
+  Nfa.create ~labels:(all_labels nfa) ~num_states:(Nfa.num_states nfa)
+    ~start:(elements (Nfa.start nfa)) ~accept:(elements (Nfa.accept nfa)) ~transitions:!kept
+    ~epsilons:!erased ()
+
+let add_self_loops syms nfa =
+  let loops =
+    List.concat
+      (List.init (Nfa.num_states nfa) (fun q ->
+           List.map (fun sym -> (q, sym, q)) (Symbol.Set.elements syms)))
+  in
+  Nfa.create ~labels:(all_labels nfa) ~num_states:(Nfa.num_states nfa)
+    ~start:(elements (Nfa.start nfa)) ~accept:(elements (Nfa.accept nfa))
+    ~transitions:(loops @ Nfa.transitions nfa) ~epsilons:(Nfa.epsilons nfa) ()
+
+let reverse nfa =
+  Nfa.create ~labels:(all_labels nfa) ~num_states:(Nfa.num_states nfa)
+    ~start:(elements (Nfa.accept nfa)) ~accept:(elements (Nfa.start nfa))
+    ~transitions:(List.map (fun (a, s, b) -> (b, s, a)) (Nfa.transitions nfa))
+    ~epsilons:(List.map (fun (a, b) -> (b, a)) (Nfa.epsilons nfa))
+    ()
+
+(* Set-valued fixpoints over the transition and ε lists, then a renumbered
+   [create]. *)
+let trim nfa =
+  let arrows nfa =
+    List.map (fun (a, _, b) -> (a, b)) (Nfa.transitions nfa) @ Nfa.epsilons nfa
+  in
+  let reach seeds arrows =
+    let rec go seen =
+      let more =
+        List.filter_map
+          (fun (a, b) -> if List.mem a seen && not (List.mem b seen) then Some b else None)
+          arrows
+      in
+      if more = [] then seen else go (List.sort_uniq Int.compare (more @ seen))
+    in
+    go seeds
+  in
+  let forward = reach (elements (Nfa.start nfa)) (arrows nfa) in
+  let backward = reach (elements (Nfa.accept nfa)) (List.map (fun (a, b) -> (b, a)) (arrows nfa)) in
+  let live = List.sort_uniq Int.compare (List.filter (fun q -> List.mem q backward) forward) in
+  if live = [] then Nfa.empty_language
+  else begin
+    let rename q =
+      let rec find i = function
+        | [] -> None
+        | x :: rest -> if x = q then Some i else find (i + 1) rest
+      in
+      find 0 live
+    in
+    let both a b k = match (rename a, rename b) with Some a, Some b -> Some (k a b) | _ -> None in
+    Nfa.create
+      ~labels:(List.filter_map (fun (q, l) -> Option.map (fun q -> (q, l)) (rename q)) (all_labels nfa))
+      ~num_states:(List.length live)
+      ~start:(List.filter_map rename (elements (Nfa.start nfa)))
+      ~accept:(List.filter_map rename (elements (Nfa.accept nfa)))
+      ~transitions:
+        (List.filter_map (fun (a, s, b) -> both a b (fun a b -> (a, s, b))) (Nfa.transitions nfa))
+      ~epsilons:(List.filter_map (fun (a, b) -> both a b (fun a b -> (a, b))) (Nfa.epsilons nfa))
+      ()
+  end
+
+let universal alphabet =
+  Nfa.create ~num_states:1 ~start:[ 0 ] ~accept:[ 0 ]
+    ~transitions:(List.map (fun sym -> (0, sym, 0)) (Symbol.Set.elements alphabet))
+    ()
+
+let of_graph ~symbols ~accepting (g : (_, int) Explore.graph) =
+  let ids = List.init (Array.length g.keys) Fun.id in
+  Nfa.create ~num_states:(Array.length g.keys) ~start:[ 0 ]
+    ~accept:(List.filter (fun q -> accepting g.keys.(q)) ids)
+    ~transitions:
+      (List.concat_map
+         (fun src -> List.map (fun (i, dst) -> (src, symbols.(i), dst)) g.succs.(src))
+         ids)
+    ()
+
+(* Glushkov's construction with the follow pairs gathered by list append,
+   and its automaton made by one [create]. *)
+let glushkov_classic r =
+  let module ISet = States.Set in
+  let positions = ref [] and counter = ref 0 in
+  let fresh sym =
+    incr counter;
+    positions := (!counter, sym) :: !positions;
+    !counter
+  in
+  let cross a b = ISet.fold (fun x acc -> ISet.fold (fun y acc -> (x, y) :: acc) b acc) a [] in
+  let rec analyze (r : Regex.t) =
+    match r with
+    | Empty -> (false, ISet.empty, ISet.empty, [])
+    | Eps -> (true, ISet.empty, ISet.empty, [])
+    | Sym s ->
+      let p = fresh s in
+      (false, ISet.singleton p, ISet.singleton p, [])
+    | Seq (a, b) ->
+      let na, fa, la, wa = analyze a in
+      let nb, fb, lb, wb = analyze b in
+      ( na && nb,
+        (if na then ISet.union fa fb else fa),
+        (if nb then ISet.union la lb else lb),
+        cross la fb @ wa @ wb )
+    | Alt (a, b) ->
+      let na, fa, la, wa = analyze a in
+      let nb, fb, lb, wb = analyze b in
+      (na || nb, ISet.union fa fb, ISet.union la lb, wa @ wb)
+    | Star a ->
+      let _, fa, la, wa = analyze a in
+      (true, fa, la, cross la fa @ wa)
+    | Shuffle _ -> invalid_arg "Automata_oracle.glushkov_classic: Shuffle"
+  in
+  let nullable, first, last, follow = analyze r in
+  let sym_at p = List.assoc p !positions in
+  Nfa.create
+    ~labels:(List.map (fun (p, sym) -> (p, Symbol.name sym)) !positions)
+    ~num_states:(!counter + 1) ~start:[ 0 ]
+    ~accept:((if nullable then [ 0 ] else []) @ ISet.elements last)
+    ~transitions:
+      (List.map (fun p -> (0, sym_at p, p)) (ISet.elements first)
+      @ List.map (fun (p, q) -> (p, sym_at q, q)) follow)
+    ()
+
+(* The k-ary shuffle product over the branches' configuration tables, its
+   edges labeled with symbols. *)
+let shuffle_product branches =
+  let branches = Array.of_list branches in
+  let symbols = Array.map Nfa.symbols branches in
+  let graph =
+    Explore.graph Explore.ints ~start:(Array.map Nfa.Config.initial branches)
+      ~step:(fun config emit ->
+        Array.iteri
+          (fun b nfa ->
+            let row = Nfa.Config.row nfa config.(b) in
+            Array.iter
+              (fun i ->
+                let config' = Array.copy config in
+                config'.(b) <- row.(i);
+                emit symbols.(b).(i) config')
+              (Nfa.Config.live nfa config.(b)))
+          branches)
+      ()
+  in
+  let ids = List.init (Array.length graph.keys) Fun.id in
+  Nfa.create ~num_states:(Array.length graph.keys) ~start:[ 0 ]
+    ~accept:
+      (List.filter
+         (fun q ->
+           Array.for_all Fun.id
+             (Array.mapi (fun b nfa -> Nfa.Config.accepting nfa graph.keys.(q).(b)) branches))
+         ids)
+    ~transitions:
+      (List.concat_map
+         (fun src -> List.map (fun (sym, dst) -> (src, sym, dst)) graph.succs.(src))
+         ids)
+    ()
+
+let rec glushkov r =
+  if Regex.shuffle_free r then glushkov_classic r
+  else
+    match (r : Regex.t) with
+    | Shuffle (a, b) -> shuffle_product [ glushkov a; glushkov b ]
+    | Seq (a, b) -> concat (glushkov a) (glushkov b)
+    | Alt (a, b) -> union (glushkov a) (glushkov b)
+    | Star a -> star (glushkov a)
+    | Empty | Eps | Sym _ -> glushkov_classic r
+
+(* The class expansion as [Usage] assembled it from each operation's own
+   automaton: boundary states first (labeled), then each body's states,
+   its own exit markers redirected to the boundary states as ε-edges. *)
+let expanded model behaviors =
+  let boundary = Hashtbl.create 16 and next_state = ref 1 in
+  let labels = ref [ (0, "start") ] in
+  List.iter
+    (fun (op : Model.operation) ->
+      List.iter
+        (fun (e : Model.exit_point) ->
+          Hashtbl.add boundary (op.op_name, e.exit_id) !next_state;
+          labels := (!next_state, Printf.sprintf "%s/%d" op.op_name e.exit_id) :: !labels;
+          incr next_state)
+        op.exits)
+    model.Model.operations;
+  let transitions = ref [] and epsilons = ref [] and entry_points = Hashtbl.create 16 in
+  List.iter
+    (fun ((op : Model.operation), behavior) ->
+      let body = glushkov behavior in
+      let offset = !next_state in
+      next_state := !next_state + Nfa.num_states body;
+      Hashtbl.add entry_points op.op_name (List.map (( + ) offset) (elements (Nfa.start body)));
+      List.iter
+        (fun (src, sym, dst) ->
+          match Symbol.exit_marker sym with
+          | Some (meth, k) when String.equal meth op.op_name ->
+            epsilons := (src + offset, Hashtbl.find boundary (op.op_name, k)) :: !epsilons
+          | Some _ | None -> transitions := (src + offset, sym, dst + offset) :: !transitions)
+        (Nfa.transitions body);
+      epsilons := shift_eps offset (Nfa.epsilons body) @ !epsilons)
+    behaviors;
+  let allow src (op : Model.operation) =
+    List.iter
+      (fun start -> transitions := (src, Model.entry_symbol op, start) :: !transitions)
+      (Hashtbl.find entry_points op.op_name)
+  in
+  List.iter (allow 0) (Model.initial_ops model);
+  List.iter
+    (fun (op : Model.operation) ->
+      List.iter
+        (fun (e : Model.exit_point) ->
+          List.iter
+            (fun next ->
+              Option.iter
+                (allow (Hashtbl.find boundary (op.op_name, e.exit_id)))
+                (Model.find_op model next))
+            e.next_ops)
+        op.exits)
+    model.Model.operations;
+  let accept =
+    0
+    :: List.concat_map
+         (fun (op : Model.operation) ->
+           List.map (fun (e : Model.exit_point) -> Hashtbl.find boundary (op.op_name, e.exit_id)) op.exits)
+         (Model.final_ops model)
+  in
+  Nfa.create ~labels:!labels ~num_states:!next_state ~start:[ 0 ] ~accept
+    ~transitions:!transitions ~epsilons:!epsilons ()
+
+let marked model = List.map (fun (op : Model.operation) -> (op, op.marked_behavior)) model.Model.operations
+
+let expanded_nfa model = expanded model (marked model)
+
+(* The field's projection as [Usage] built it: the expansion of the
+   projected behaviors, then a second automaton that erases the operation
+   entries. *)
+let projected_nfa model ~field =
+  let field_call sym =
+    match Symbol.split_scope sym with Some (scope, _) -> String.equal scope field | None -> false
+  in
+  let keep sym = field_call sym || Symbol.split_scope sym = None in
+  let behaviors = List.map (fun (op, r) -> (op, Regex.project ~keep r)) (marked model) in
+  map_symbols (fun sym -> if field_call sym then Some sym else None) (expanded model behaviors)

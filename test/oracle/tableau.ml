@@ -113,13 +113,13 @@ end
 let to_nfa ?(limits = Limits.default) ~alphabet f =
   Obs.with_span "tableau" @@ fun () ->
   let fuel = Limits.fuel ~within:limits ~resource:"tableau states" limits.Limits.max_states in
-  let alphabet = List.sort_uniq Symbol.compare alphabet in
+  let symbols = Nfa.sort_symbols (Array.of_list alphabet) in
   let graph =
     Explore.graph (module Obligations) ~fuel ~start:[ Nnf.nnf f ]
       ~step:(fun obligations emit ->
         let on = successors obligations in
-        List.iter (fun event -> List.iter (emit event) (on event)) alphabet)
+        Array.iteri (fun i event -> List.iter (emit i) (on event)) symbols)
       ()
   in
   Obs.count "tableau.states" (Array.length graph.keys);
-  Nfa.of_graph ~accepting graph
+  Nfa.of_graph ~symbols ~accepting graph

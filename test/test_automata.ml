@@ -600,6 +600,147 @@ let test_explore_memo_hits () =
   Alcotest.(check (list int)) "both edges land on one id" [ 3; 3 ]
     (List.map snd (g.succs.(1) @ g.succs.(2)))
 
+(* --- Array constructions = list constructions ----------------------------------
+
+   Every automaton the library builds comes straight out of edge arrays.
+   {!Automata_oracle} keeps the constructions as they were, each result one
+   {!Nfa.create} from transition, ε-transition and label lists; the two
+   must build the same automaton, field by field. Operands are random
+   ε-NFAs over random sub-alphabets of five symbols (so alphabets overlap,
+   are disjoint or are empty), with duplicate transitions, labels on some
+   states, and results fed back in as operands. *)
+
+let pool = List.map sym [ "a"; "b"; "c"; "d"; "e" ]
+
+let same_nfa ?(labels = true) got want =
+  Nfa.num_states got = Nfa.num_states want
+  && States.Set.equal (Nfa.start got) (Nfa.start want)
+  && States.Set.equal (Nfa.accept got) (Nfa.accept want)
+  && Nfa.transitions got = Nfa.transitions want
+  && Nfa.epsilons got = Nfa.epsilons want
+  && Symbol.Set.equal (Nfa.alphabet got) (Nfa.alphabet want)
+  && ((not labels)
+     || List.for_all (fun q -> Nfa.label got q = Nfa.label want q) (List.init (Nfa.num_states got) Fun.id))
+
+let show_nfa nfa =
+  Format.asprintf "%a labels=[%s]" Nfa.pp nfa
+    (String.concat "; "
+       (List.map (fun (q, l) -> Printf.sprintf "%d:%s" q l) (Automata_oracle.all_labels nfa)))
+
+let sub_alphabet_gen =
+  QCheck2.Gen.(map (List.sort_uniq Symbol.compare) (list_size (int_range 0 5) (oneofl pool)))
+
+let labelled_nfa_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 1 6 in
+  let* alphabet = sub_alphabet_gen in
+  let state = int_range 0 (n - 1) in
+  let* transitions =
+    if alphabet = [] then return [] else list_size (int_range 0 14) (triple state (oneofl alphabet) state)
+  in
+  let* epsilons = frequency [ (1, return []); (2, list_size (int_range 1 4) (pair state state)) ] in
+  let* start = list_size (int_range 0 2) state in
+  let* accept = list_size (int_range 0 3) state in
+  let* labels = list_size (int_range 0 3) (pair state (oneofl [ "x"; "y"; "z" ])) in
+  return (Nfa.create ~labels ~num_states:n ~start ~accept ~transitions ~epsilons ())
+
+(* A symbol map that renames, merges and erases. *)
+let symbol_map_gen =
+  let open QCheck2.Gen in
+  map
+    (fun choices sym -> List.assoc sym choices)
+    (flatten_l
+       (List.map
+          (fun x ->
+            map
+              (fun choice -> (x, choice))
+              (frequency [ (2, return (Some x)); (2, map Option.some (oneofl pool)); (1, return None) ]))
+          pool))
+
+(* An explored graph whose labels index a sorted alphabet, duplicate and
+   unsorted edges included. *)
+let indexed_graph_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 1 6 in
+  let* alphabet = sub_alphabet_gen in
+  let symbols = Nfa.sort_symbols (Array.of_list alphabet) in
+  let* succs =
+    if alphabet = [] then return (Array.make n [])
+    else
+      map Array.of_list
+        (list_repeat n
+           (list_size (int_range 0 4) (pair (int_range 0 (Array.length symbols - 1)) (int_range 0 (n - 1)))))
+  in
+  let* accepting = list_repeat n bool in
+  return (symbols, { Explore.keys = Array.of_list accepting; succs })
+
+let constructions_gen =
+  QCheck2.Gen.(
+    map
+      (fun ((a, b), (rename, loops, graph)) -> (a, b, rename, loops, graph))
+      (pair (pair labelled_nfa_gen labelled_nfa_gen) (triple symbol_map_gen sub_alphabet_gen indexed_graph_gen)))
+
+let prop_constructions_match_oracle =
+  qtest "array constructions = list oracle" ~count:500 constructions_gen
+    ~print:(fun (x, y, _, loops, _) ->
+      Printf.sprintf "A = %s\nB = %s\nloops = %s" (show_nfa x) (show_nfa y)
+        (String.concat "," (List.map Symbol.name loops)))
+    (fun (x, y, rename, loops, (symbols, graph)) ->
+      let module O = Automata_oracle in
+      let loops = Symbol.Set.of_list loops in
+      let erase_odd nfa = Nfa.map_symbols (fun s -> if Symbol.to_int s mod 2 = 0 then Some s else None) nfa in
+      let both f g = same_nfa f g in
+      let u = Nfa.union x y and k = Nfa.concat x y and s = Nfa.star x in
+      both u (O.union x y)
+      && both k (O.concat x y)
+      && both s (O.star x)
+      && both (Nfa.map_symbols rename x) (O.map_symbols rename x)
+      && both (erase_odd k) (O.map_symbols (fun s -> if Symbol.to_int s mod 2 = 0 then Some s else None) k)
+      && both (Nfa.universal loops) (O.universal loops)
+      && both (Nfa.add_self_loops loops x) (O.add_self_loops loops x)
+      && both (Nfa.add_self_loops loops s) (O.add_self_loops loops s)
+      && both (Nfa.reverse k) (O.reverse k)
+      && both (Nfa.trim x) (O.trim x)
+      && both (Nfa.trim k) (O.trim k)
+      && both (Nfa.star (Nfa.union s k)) (O.star (O.union s k))
+      && both (Nfa.concat (Nfa.map_symbols rename s) u) (O.concat (O.map_symbols rename s) u)
+      && both (Nfa.of_graph ~symbols ~accepting:Fun.id graph) (O.of_graph ~symbols ~accepting:Fun.id graph))
+
+let prop_live_symbols =
+  qtest "live_symbols = alphabet of trim" ~count:500
+    QCheck2.Gen.(pair labelled_nfa_gen labelled_nfa_gen)
+    ~print:(fun (x, y) -> show_nfa x ^ "\n" ^ show_nfa y)
+    (fun (x, y) ->
+      List.for_all
+        (fun nfa ->
+          Symbol.Set.equal (Nfa.live_symbols nfa) (Nfa.alphabet (Nfa.trim nfa))
+          && Symbol.Set.equal (Nfa.live_symbols nfa) (Nfa.alphabet (Automata_oracle.trim nfa)))
+        [ x; y; Nfa.concat x y; Nfa.star x; Nfa.union x y ])
+
+let prop_glushkov_matches_oracle =
+  qtest "glushkov positions = list oracle" ~count:300 default_regex_shuffle_gen ~print:regex_print
+    (fun r ->
+      same_nfa (Glushkov.of_regex r) (Automata_oracle.glushkov r)
+      && ((not (Regex.shuffle_free r))
+         || same_nfa (Glushkov.of_regex_classic r) (Automata_oracle.glushkov_classic r)))
+
+(* The class expansion, full and per field, over random async composites:
+   shuffle-free bodies are copied from their Glushkov positions, shuffle
+   bodies from their automata, and a projection erases as it copies. Its
+   boundary states carry no labels, so a projection is compared without
+   them and must have none. *)
+let prop_expansion_matches_oracle =
+  qtest "class expansion = list oracle" ~count:200 async_composite_gen
+    ~print:(fun m -> Format.asprintf "%a" Model.pp m)
+    (fun model ->
+      same_nfa (Usage.expanded_nfa model) (Automata_oracle.expanded_nfa model)
+      && List.for_all
+           (fun field ->
+             let got = Usage.projected_nfa model ~field in
+             same_nfa ~labels:false got (Automata_oracle.projected_nfa model ~field)
+             && List.for_all (fun q -> Nfa.label got q = None) (List.init (Nfa.num_states got) Fun.id))
+           model.Model.declared_subsystems)
+
 let () =
   Alcotest.run "automata"
     [
@@ -659,6 +800,13 @@ let () =
         [ prop_step_is_closure_of_successors; prop_tableau_matches_per_event_expansion ] );
       ("intersect", [ prop_intersect_interns_each_pair_once ]);
       ("products", [ prop_products_match_oracle ]);
+      ( "arrays",
+        [
+          prop_constructions_match_oracle;
+          prop_live_symbols;
+          prop_glushkov_matches_oracle;
+          prop_expansion_matches_oracle;
+        ] );
       ( "explore",
         [
           Alcotest.test_case "fuel charged once per key" `Quick test_explore_fuel_per_key;

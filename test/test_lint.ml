@@ -463,230 +463,12 @@ let test_shared_expansion_budget_per_rule () =
    {!Prog_gen} with [Par] nodes over the fields' calls) and random claim
    sets, the two must agree wherever the oracle's queries stay in budget. *)
 
-let protocol_source =
-  {|@sys
-class Log:
-    def __init__(self):
-        self.pin = Pin(1, OUT)
-
-    @op_initial
-    def begin(self):
-        self.pin.on()
-        return ["begin", "end"]
-
-    @op_final
-    def end(self):
-        self.pin.off()
-        return ["begin"]
-
-
-@sys
-class Gate:
-    def __init__(self):
-        self.pin = Pin(1, OUT)
-
-    @op_initial
-    def open(self):
-        self.pin.on()
-        return ["close"]
-
-    @op_final
-    def close(self):
-        self.pin.off()
-        return ["open"]
-|}
-
-let protocol_env =
-  lazy (Pipeline.find_model (Pipeline.verify_source_exn protocol_source).Pipeline.models)
-let protocol_calls = [ ("Log", [ "begin"; "end" ]); ("Gate", [ "open"; "close" ]) ]
-
-(* The k-th [return] of [body], in source order, gets the k-th exit marker,
-   as lowering gives it (hence each left subterm is marked first). *)
-let mark_returns ~method_name body =
-  let k = ref 0 in
-  let rec mark (p : Prog.t) =
-    match p with
-    | Prog.Return ->
-      let m = Symbol.method_exit ~method_name !k in
-      incr k;
-      Prog.seq (Prog.call m) Prog.return
-    | Prog.Call _ | Prog.Skip -> p
-    | Prog.Seq (a, b) ->
-      let a = mark a in
-      Prog.seq a (mark b)
-    | Prog.If (a, b) ->
-      let a = mark a in
-      Prog.if_ a (mark b)
-    | Prog.Par (a, b) ->
-      let a = mark a in
-      Prog.par a (mark b)
-    | Prog.Loop a -> Prog.loop (mark a)
-  in
-  let marked = mark body in
-  (marked, !k)
-
-(* Lowering forks a spawned task or a gathered call as the left branch of
-   a [Par] and the rest of the method as the right one, so a left branch
-   never returns. *)
-let rec as_lowered ~task (p : Prog.t) =
-  match p with
-  | Prog.Return when task -> Prog.skip
-  | Prog.Call _ | Prog.Skip | Prog.Return -> p
-  | Prog.Seq (a, b) -> Prog.seq (as_lowered ~task a) (as_lowered ~task b)
-  | Prog.If (a, b) -> Prog.if_ (as_lowered ~task a) (as_lowered ~task b)
-  | Prog.Loop a -> Prog.loop (as_lowered ~task a)
-  | Prog.Par (a, b) -> Prog.par (as_lowered ~task:true a) (as_lowered ~task b)
-
-(* An operation as extraction builds it from a plain body: explicit exits
-   with the given next-operation lists, and an implicit terminal exit when
-   control can fall off the end. *)
-let operation ~name ~kind ~nexts body =
-  let marked, returns = mark_returns ~method_name:name body in
-  let behaviors, ongoing = Extract.exit_behaviors_of_marked ~method_name:name marked in
-  let exit k next_ops implicit behavior =
-    { Model.exit_id = k; exit_line = 0; next_ops; has_user_value = false; implicit; behavior }
-  in
-  let explicit =
-    List.init returns (fun k ->
-        exit k (nexts k) false
-          (Option.value (List.assoc_opt k behaviors) ~default:Regex.empty))
-  in
-  let exits =
-    explicit
-    @ if Regex.is_empty_syntactic ongoing then [] else [ exit returns [] true ongoing ]
-  in
-  {
-    Model.op_name = name;
-    op_kind = kind;
-    op_line = 0;
-    exits;
-    marked_body = marked;
-    marked_behavior = Extract.marked_behavior ~method_name:name marked exits;
-    plain_body = Mpy_lower.strip_markers marked;
-    lowering_warnings = [];
-  }
-
-(* Claims over the fields' calls and one event no operation performs: the
-   usual claim shapes, so that some are entailed by the usage language
-   alone, some subsume others and some contradict, and small random
-   formulas. *)
-let claim_gen atoms =
-  let open QCheck2.Gen in
-  let atom = map Ltlf.atom (oneofl atoms) in
-  frequency
-    [
-      (2, map (fun a -> Ltlf.globally (Ltlf.neg a)) atom);
-      (2, map Ltlf.finally atom);
-      (2, map2 (fun a b -> Ltlf.globally (Ltlf.disj (Ltlf.neg a) (Ltlf.finally b))) atom atom);
-      (2, map2 (fun a b -> Ltlf.wuntil (Ltlf.neg a) b) atom atom);
-      (3, Testutil.ltl_gen_over atoms);
-    ]
-
-(* A field's events for the generator: each call alone, and a whole
-   session ([begin·end], [open·close]), the unit a well-behaved body
-   repeats. A session stands for its two calls until [expand_sessions]. *)
-let session_symbol field = Symbol.intern ("%session:" ^ field)
-
-let field_events (field, cls) =
-  session_symbol field
-  :: session_symbol field
-  :: List.map (fun m -> Symbol.intern (field ^ "." ^ m)) (List.assoc cls protocol_calls)
-
-let rec expand_sessions fields (p : Prog.t) =
-  match p with
-  | Prog.Call s -> (
-    match List.find_opt (fun (f, _) -> Symbol.equal s (session_symbol f)) fields with
-    | Some (f, cls) ->
-      Prog.seq_list
-        (List.map (fun m -> Prog.call (Symbol.intern (f ^ "." ^ m))) (List.assoc cls protocol_calls))
-    | None -> p)
-  | Prog.Skip | Prog.Return -> p
-  | Prog.Seq (a, b) -> Prog.seq (expand_sessions fields a) (expand_sessions fields b)
-  | Prog.If (a, b) -> Prog.if_ (expand_sessions fields a) (expand_sessions fields b)
-  | Prog.Loop a -> Prog.loop (expand_sessions fields a)
-  | Prog.Par (a, b) -> Prog.par (expand_sessions fields a) (expand_sessions fields b)
-
-(* Two claim pairs to plant ahead of a class's claims: one no trace
-   satisfies ([G !x] with [F x]), and one that only the model rules out,
-   since no operation performs [f9.never]. Every later claim has both
-   pairs among its hypotheses, and the minimization of its subsumption
-   drops hypotheses one at a time, so it also asks questions where the
-   second pair is left without the first. *)
-let planted_pairs x y =
-  let never = Ltlf.atom (Symbol.intern "f9.never") in
-  [
-    Ltlf.globally (Ltlf.neg (Ltlf.atom x));
-    Ltlf.finally (Ltlf.atom x);
-    Ltlf.finally never;
-    Ltlf.finally (Ltlf.atom y);
-  ]
-
-(* A composite over 2–3 Log/Gate fields with 1–3 async operations, and 0–5
-   claims, after the {!planted_pairs} in one case of three. Bodies are
-   {!Prog_gen} programs with [Par] nodes over sessions and single calls,
-   and two operations in three first spawn a task on one field, as
-   [create_task] does, and then favor that field: sessions keep many
-   sequential schedules valid, so such a fork is often a race. *)
-let async_composite_gen =
-  let open QCheck2.Gen in
-  let* classes = list_size (int_range 2 3) (oneofl [ "Log"; "Gate" ]) in
-  let fields = List.mapi (fun i c -> (Printf.sprintf "f%d" (i + 1), c)) classes in
-  let calls =
-    List.concat_map
-      (fun (f, c) -> List.map (fun m -> Symbol.intern (f ^ "." ^ m)) (List.assoc c protocol_calls))
-      fields
-  in
-  let* nops = int_range 1 3 in
-  let names = List.init nops (Printf.sprintf "op%d") in
-  let* seed = int in
-  let* sizes = list_repeat nops (int_range 2 10) in
-  let* claims = list_size (int_range 0 5) (claim_gen (Symbol.intern "f9.never" :: calls)) in
-  let* planted = map (( = ) 0) (int_bound 2) in
-  let* x = oneofl calls and* y = oneofl calls in
-  let claims = if planted then planted_pairs x y @ claims else claims in
-  let state = Random.State.make [| seed |] in
-  let pick_next () = List.filter (fun _ -> Random.State.bool state) names in
-  let random alphabet size =
-    expand_sessions fields (Prog_gen.random ~state ~with_par:true ~size ~alphabet ())
-  in
-  let operations =
-    List.mapi
-      (fun i size ->
-        let events = List.concat_map field_events fields in
-        let body =
-          if Random.State.int state 3 > 0 then
-            let field = List.nth fields (Random.State.int state (List.length fields)) in
-            Prog.par (random (field_events field) 3) (random (field_events field @ events) size)
-          else random events size
-        in
-        let kind =
-          if i = 0 then Annotations.Initial_final
-          else if Random.State.bool state then Annotations.Final
-          else Annotations.Middle
-        in
-        let nexts = Array.init 4 (fun _ -> pick_next ()) in
-        operation ~name:(List.nth names i) ~kind
-          ~nexts:(fun k -> nexts.(k mod 4))
-          (as_lowered ~task:false body))
-      sizes
-  in
-  return
-    {
-      Model.name = "Hub";
-      line = 1;
-      kind = `Composite;
-      declared_subsystems = List.map fst fields;
-      subsystem_fields = fields;
-      claims = List.mapi (fun i f -> (Printf.sprintf "c%d %s" i (Ltlf.to_string f), f)) claims;
-      operations;
-    }
-
 let print_model m = Format.asprintf "%a" Model.pp m
 let hub_class = lazy (Mpy_parser.parse_class "class Hub:\n    def m(self):\n        return []\n")
 
 let ctx_of model =
   Lint_semantic.make_ctx ~limits:Limits.default ~thresholds:Lint_semantic.default_thresholds
-    ~env:(Lazy.force protocol_env) ~cls:(Lazy.force hub_class) ~model
+    ~env:(Lazy.force Testutil.protocol_env) ~cls:(Lazy.force hub_class) ~model
 
 let show_verdict = function
   | Lint_semantic.Kept -> "kept"
@@ -711,7 +493,7 @@ let show_analysis (a : Lint_semantic.claim_analysis) =
 let test_claims_match_oracle =
   let settled = ref 0 and cases = ref 0 in
   let name, speed, run =
-    Testutil.qtest ~count:300 "claim sweep = search-only oracle" async_composite_gen
+    Testutil.qtest ~count:300 "claim sweep = search-only oracle" Testutil.async_composite_gen
       ~print:print_model (fun model ->
         let fuel = Lint_semantic.default_thresholds.Lint_semantic.entail_fuel in
         let limits = Limits.default in
@@ -798,7 +580,7 @@ let test_unsat_pair_under_tight_fuel () =
     (third (Lint_semantic.analyze_claims ~fuel ~limits model))
 
 let test_race_matches_oracle =
-  Testutil.qtest ~count:400 "SY112 = search-only oracle" async_composite_gen ~print:print_model
+  Testutil.qtest ~count:400 "SY112 = search-only oracle" Testutil.async_composite_gen ~print:print_model
     (fun model ->
       match Lint_oracle.race (ctx_of model) with
       | exception Limits.Budget_exceeded _ -> QCheck2.assume_fail ()
@@ -812,8 +594,8 @@ let test_race_matches_oracle =
 
 let test_shuffle_free_lemma =
   Testutil.qtest ~count:400 "no shuffle in a projection: same verdict sequentialized"
-    async_composite_gen ~print:print_model (fun model ->
-      let env = Lazy.force protocol_env in
+    Testutil.async_composite_gen ~print:print_model (fun model ->
+      let env = Lazy.force Testutil.protocol_env in
       let sequential = Lint_semantic.sequentialize_model model in
       List.for_all
         (fun (field, subsystem_class) ->
@@ -1084,14 +866,14 @@ let test_check_lint_additive () =
 
 (* Source text of a random async composite over 2–3 Log/Gate fields: each
    operation calls, spawns ([create_task]) and gathers the fields' calls,
-   and the class carries 0–4 claims from {!claim_gen}. *)
+   and the class carries 0–4 claims from {!Testutil.claim_gen}. *)
 let async_source_gen =
   let open QCheck2.Gen in
   let* classes = list_size (int_range 2 3) (oneofl [ "Log"; "Gate" ]) in
   let fields = List.mapi (fun i c -> (Printf.sprintf "f%d" (i + 1), c)) classes in
   let calls =
     List.concat_map
-      (fun (f, c) -> List.map (fun m -> f ^ "." ^ m) (List.assoc c protocol_calls))
+      (fun (f, c) -> List.map (fun m -> f ^ "." ^ m) (List.assoc c Testutil.protocol_calls))
       fields
   in
   let call = map (Printf.sprintf "self.%s()") (oneofl calls) in
@@ -1115,9 +897,9 @@ let async_source_gen =
       (String.concat ", " (List.map (Printf.sprintf "%S") next))
   in
   let* ops = flatten_l (List.mapi op names) in
-  let+ claims = list_size (int_range 0 4) (claim_gen (List.map Symbol.intern calls)) in
+  let+ claims = list_size (int_range 0 4) (Testutil.claim_gen (List.map Symbol.intern calls)) in
   Printf.sprintf "import asyncio\n\n%s\n%s@sys([%s])\nclass Hub:\n    def __init__(self):\n%s\n%s"
-    protocol_source
+    Testutil.protocol_source
     (String.concat ""
        (List.map (fun f -> Printf.sprintf "@claim(\"%s\")\n" (Ltlf.to_string f)) claims))
     (String.concat ", " (List.map (fun (f, _) -> Printf.sprintf "%S" f) fields))

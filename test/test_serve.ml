@@ -369,6 +369,37 @@ let test_budget_params () =
       Alcotest.(check int) (command ^ ": code") exp_code code)
     cases
 
+(* A key a method does not read is a request-level error naming it, not a
+   run under the default budget: a misspelt budget, the removed
+   [max_states], and a lint-only threshold sent to [check]. *)
+let test_unknown_params () =
+  let n v = Jsonl.Num (float_of_int v) in
+  let cases =
+    [
+      ("check", [ ("fule", n 2) ], "fule");
+      ("check", [ ("lint", Jsonl.Bool true); ("max_states", n 2) ], "max_states");
+      ("check", [ ("entail_fuel", n 1) ], "entail_fuel");
+      ("lint", [ ("fuel", n 1); ("warnings", Jsonl.Bool true) ], "warnings");
+    ]
+  in
+  let cwd = Sys.getcwd () in
+  Sys.chdir (fixture "../samples");
+  Fun.protect ~finally:(fun () -> Sys.chdir cwd) @@ fun () ->
+  with_state @@ fun st ->
+  List.iter
+    (fun (meth, params, key) ->
+      let resp = fst (Serve.handle_line st (budget_request meth [ "bad_sector.py" ] params)) in
+      let label = meth ^ " " ^ key in
+      match Jsonl.parse resp with
+      | Error msg -> Alcotest.failf "%s: unparsable response: %s" label msg
+      | Ok j ->
+        Alcotest.(check (option string))
+          (label ^ ": error") (Some (Printf.sprintf "%s: unknown param '%s'" meth key))
+          (Jsonl.mem_str "error" j);
+        Alcotest.(check (option (float 0.))) (label ^ ": code") (Some 2.) (Jsonl.mem_num "code" j);
+        Alcotest.(check bool) (label ^ ": no result") true (Jsonl.member "result" j = None))
+    cases
+
 (* --- SIGTERM drain, end to end -------------------------------------------------- *)
 
 let wait_for ?(timeout = 10.) pred =
@@ -1223,6 +1254,7 @@ let () =
           Alcotest.test_case "handle_line robustness" `Quick test_handle_line_robustness;
           Alcotest.test_case "status reports the pool" `Quick test_status_reports_pool;
           Alcotest.test_case "budget params = one-shot flags" `Quick test_budget_params;
+          Alcotest.test_case "unknown params are refused" `Quick test_unknown_params;
         ] );
       ( "admission",
         [
