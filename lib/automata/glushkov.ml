@@ -1,5 +1,6 @@
 module ISet = States.Set
 
+(* The first/last/follow analysis of a shuffle-free expression. *)
 type positions = {
   symbols : Symbol.t array;  (** [symbols.(p - 1)] is position [p]'s symbol *)
   nullable : bool;
@@ -68,21 +69,24 @@ let positions r =
     follow = !follow;
   }
 
+(* One state per position, plus the initial state [0]. *)
 let num_states p = Array.length p.symbols + 1
 
+(* The position automaton's edges, in no order and possibly repeated: [0]
+   to each first position, and each follow pair, on the target position's
+   symbol. *)
 let iter_edges p f =
   ISet.iter (fun q -> f 0 p.symbols.(q - 1) q) p.first;
   List.iter (fun (src, q) -> f src p.symbols.(q - 1) q) p.follow
 
-let create p =
+let of_regex_classic r =
+  let p = positions r in
   let b = Nfa.Builder.create () in
   ignore (Nfa.Builder.add_states b (num_states p));
   iter_edges p (Nfa.Builder.edge b);
   Array.iteri (fun i sym -> Nfa.Builder.label b (i + 1) (Symbol.name sym)) p.symbols;
   Nfa.Builder.finish b ~start:[ 0 ]
     ~accept:((if p.nullable then [ 0 ] else []) @ ISet.elements p.last)
-
-let of_regex_classic r = create (positions r)
 
 (* Shuffle-aware entry point: the classic position construction for
    shuffle-free (sub)expressions, the on-the-fly product for Shuffle nodes,
@@ -100,3 +104,20 @@ let of_regex ?limits r =
       | Empty | Eps | Sym _ -> of_regex_classic r
   in
   build r
+
+(* A shuffle-free body's edges come straight from its positions: building
+   its automaton first would only copy them twice. *)
+let embed ?limits b ~edge r =
+  if Regex.shuffle_free r then begin
+    let p = positions r in
+    let offset = Nfa.Builder.add_states b (num_states p) in
+    iter_edges p (fun src sym dst -> edge (src + offset) sym (dst + offset));
+    [ offset ]
+  end
+  else begin
+    let body = of_regex ?limits r in
+    let offset = Nfa.Builder.add_states b (Nfa.num_states body) in
+    Nfa.iter_edges body (fun src sym dst -> edge (src + offset) sym (dst + offset));
+    Nfa.iter_epsilons body (fun src dst -> Nfa.Builder.epsilon b (src + offset) (dst + offset));
+    List.map (( + ) offset) (States.Set.elements (Nfa.start body))
+  end

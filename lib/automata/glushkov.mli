@@ -18,30 +18,14 @@ val of_regex : ?limits:Limits.t -> Regex.t -> Nfa.t
     ({!Limits.Budget_exceeded} under ["shuffle-product configurations"]). *)
 
 val of_regex_classic : Regex.t -> Nfa.t
-(** The raw position construction, [create (positions r)]. Raises
-    [Invalid_argument] on [Shuffle]. *)
+(** The raw position construction. Raises [Invalid_argument] on [Shuffle]. *)
 
-(** {1 Positions}
-
-    The construction in two steps, so that a caller assembling a larger
-    automaton (the class expansion, {!Usage}) can copy a body's edges
-    straight in, without building the body's own automaton first. *)
-
-type positions
-(** The first/last/follow analysis of a shuffle-free expression. *)
-
-val positions : Regex.t -> positions
-(** Raises [Invalid_argument] on [Shuffle]. *)
-
-val num_states : positions -> int
-(** One state per symbol position, plus the initial state [0]. *)
-
-val iter_edges : positions -> (int -> Symbol.t -> int -> unit) -> unit
-(** The position automaton's edges [(src, sym, dst)], in no order and
-    possibly repeated: [0] to each first position, and each follow pair,
-    on the target position's symbol. *)
-
-val create : positions -> Nfa.t
-(** The position automaton: start [0], accepting the last positions (and
-    [0] when the expression is nullable), each position labeled with its
-    symbol's name. *)
+val embed :
+  ?limits:Limits.t -> Nfa.Builder.t -> edge:(int -> Symbol.t -> int -> unit) -> Regex.t -> int list
+(** [embed b ~edge r] copies [of_regex r] into [b], for a caller that
+    assembles a larger automaton (the class expansion, {!Usage}): its
+    states become one fresh block of [b], each of its edges [(src, sym,
+    dst)] is handed to [edge] in [b]'s numbering (in no order, possibly
+    repeated), and its ε-edges go into [b] as they are. Returns its start
+    states. Its labels are not copied. A shuffle-free [r] is copied from
+    its positions, without building its automaton. *)

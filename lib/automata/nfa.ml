@@ -827,53 +827,25 @@ let live_symbols nfa =
   Array.iteri (fun i u -> if u then live := Symbol.Set.add nfa.symbols.(i) !live) used;
   !live
 
-(* The live states keep their order, so the renumbering ascends and every
-   kept state's edges and ε-set stay sorted. *)
+(* The live states, renumbered in order, and the arrows between them. *)
 let trim nfa =
   let reached = forward nfa and useful = backward nfa in
-  let n = nfa.num_states in
-  let rename = Array.make n (-1) and count = ref 0 in
-  for q = 0 to n - 1 do
-    if reached q && useful q then begin
-      rename.(q) <- !count;
-      incr count
-    end
-  done;
-  if !count = 0 then empty_language
+  let b = Builder.create () in
+  let rename =
+    Array.init nfa.num_states (fun q -> if reached q && useful q then Builder.add_states b 1 else -1)
+  in
+  if Builder.num_states b = 0 then empty_language
   else begin
-    let m = !count in
-    let offsets = Array.make (m + 1) 0 in
-    let edges = Array.make (Array.length nfa.edges) 0 in
-    let eps = Array.make (if Array.length nfa.eps = 0 then 0 else m) States.Set.empty in
-    let labels = Array.make m None in
-    let keep (set : States.Set.t) =
-      States.Set.of_array
-        (Array.of_list
-           (List.filter_map
-              (fun q -> if rename.(q) >= 0 then Some rename.(q) else None)
-              (States.Set.elements set)))
+    let live q = rename.(q) >= 0 in
+    iter_edges nfa (fun src sym dst ->
+        if live src && live dst then Builder.edge b rename.(src) sym rename.(dst));
+    iter_epsilons nfa (fun src dst ->
+        if live src && live dst then Builder.epsilon b rename.(src) rename.(dst));
+    Array.iteri (fun q l -> if live q then Option.iter (Builder.label b rename.(q)) l) nfa.labels;
+    let kept set =
+      List.filter_map (fun q -> if live q then Some rename.(q) else None) (States.Set.elements set)
     in
-    let k = ref 0 in
-    for q = 0 to n - 1 do
-      let q' = rename.(q) in
-      if q' >= 0 then begin
-        offsets.(q') <- !k;
-        for j = nfa.offsets.(q) to nfa.offsets.(q + 1) - 1 do
-          let e = nfa.edges.(j) in
-          let d = rename.(edge_dst e) in
-          if d >= 0 then begin
-            edges.(!k) <- edge (edge_sym e) d;
-            incr k
-          end
-        done;
-        if Array.length eps > 0 then eps.(q') <- keep nfa.eps.(q);
-        labels.(q') <- nfa.labels.(q)
-      end
-    done;
-    offsets.(m) <- !k;
-    let symbols, edges = drop_unused nfa.symbols (Array.sub edges 0 !k) in
-    make ~num_states:m ~start:(keep nfa.start) ~accept:(keep nfa.accept) ~offsets ~edges
-      ~eps:(squeeze_eps eps) ~labels ~symbols
+    Builder.finish b ~start:(kept nfa.start) ~accept:(kept nfa.accept)
   end
 
 (* --- Queries -------------------------------------------------------------- *)

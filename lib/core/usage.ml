@@ -8,28 +8,6 @@ type env = string -> Model.t option
 let marked_behaviors (model : Model.t) =
   List.map (fun (op : Model.operation) -> (op, op.marked_behavior)) model.Model.operations
 
-(* A copy of one operation's body in [b]: fresh states, and each of the
-   body's edges handed to [edge offset] in the body's own state numbers.
-   Returns the copy's start states. A shuffle-free body is copied straight
-   from its Glushkov positions; only a body with a shuffle builds its
-   automaton first. *)
-let embed ~limits b ~edge behavior =
-  if Regex.shuffle_free behavior then begin
-    let positions = Glushkov.positions behavior in
-    let offset = Nfa.Builder.add_states b (Glushkov.num_states positions) in
-    Glushkov.iter_edges positions (edge offset);
-    [ offset ]
-  end
-  else begin
-    (* [~limits] bounds the shuffle-product construction for behaviors
-       with interleaved (async) components. *)
-    let body = Glushkov.of_regex ~limits behavior in
-    let offset = Nfa.Builder.add_states b (Nfa.num_states body) in
-    Nfa.iter_edges body (edge offset);
-    Nfa.iter_epsilons body (fun src dst -> Nfa.Builder.epsilon b (src + offset) (dst + offset));
-    List.map (( + ) offset) (States.Set.elements (Nfa.start body))
-  end
-
 let field_call ~field sym =
   match Symbol.split_scope sym with
   | Some (scope, _) -> String.equal scope field
@@ -88,13 +66,15 @@ let expand ~limits ?field (model : Model.t) =
       Limits.check ~within:limits ~resource:"behavior regex size"
         ~limit:limits.Limits.max_regex_size size;
       Obs.count "usage.regex_size" size;
-      let body_edge offset src sym dst =
+      let body_edge src sym dst =
         match Symbol.exit_marker sym with
         | Some (meth, k) when String.equal meth op.op_name ->
-          Nfa.Builder.epsilon b (src + offset) (Hashtbl.find boundary (op.op_name, k))
-        | Some _ | None -> edge (src + offset) sym (dst + offset)
+          Nfa.Builder.epsilon b src (Hashtbl.find boundary (op.op_name, k))
+        | Some _ | None -> edge src sym dst
       in
-      Hashtbl.add entry_points op.op_name (embed ~limits b ~edge:body_edge behavior))
+      (* [~limits] bounds the shuffle-product construction for behaviors
+         with interleaved (async) components. *)
+      Hashtbl.add entry_points op.op_name (Glushkov.embed ~limits b ~edge:body_edge behavior))
     behaviors;
   (* Invocation edges: from a boundary state where [op] is allowed, consume
      the operation-entry event and jump into its body. *)

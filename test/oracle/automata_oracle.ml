@@ -57,108 +57,162 @@ let determinize ?alphabet nfa =
 (* --- List constructions ---------------------------------------------------------
 
    The constructions as the automata library built them before it copied
-   edge arrays: every result goes through {!Nfa.create} from transition,
-   ε-transition and label lists, read back from its operands with
-   {!Nfa.transitions} and {!Nfa.epsilons}. The array constructions must
-   build the same automaton, field by field. *)
+   edge arrays, over automata held as lists. Every result is one
+   [create_ref], the list construction [Nfa.create] once was: the alphabet
+   is a [Symbol.Set] of the transitions' symbols, and each state's
+   transitions are sorted and made distinct. No automaton here is built by
+   [Nfa]; [to_nfa] only hands a shuffle branch to the configuration tables
+   the product is explored over. The array constructions must build the
+   same automaton, field by field: states, start, accept, transitions,
+   ε-transitions, alphabet and labels. *)
 
-let all_labels nfa =
-  List.filter_map
-    (fun q -> Option.map (fun l -> (q, l)) (Nfa.label nfa q))
-    (List.init (Nfa.num_states nfa) Fun.id)
+type nfa = {
+  num_states : int;
+  start : States.Set.t;
+  accept : States.Set.t;
+  transitions : (int * Symbol.t * int) list;  (** by source, then symbol, then target; distinct *)
+  epsilons : (int * int) list;  (** by source, then target; distinct *)
+  alphabet : Symbol.Set.t;
+  labels : string option array;
+}
+
+let compare_transition (a, s, b) (a', s', b') =
+  match Int.compare a a' with
+  | 0 -> ( match Symbol.compare s s' with 0 -> Int.compare b b' | c -> c)
+  | c -> c
+
+let create_ref ?(labels = []) ~num_states ~start ~accept ~transitions ?(epsilons = []) () =
+  let check q =
+    if q < 0 || q >= num_states then invalid_arg "Automata_oracle.create_ref: state out of range"
+  in
+  List.iter check start;
+  List.iter check accept;
+  List.iter (fun (a, _, b) -> check a; check b) transitions;
+  List.iter (fun (a, b) -> check a; check b) epsilons;
+  let labels_arr = Array.make num_states None in
+  List.iter (fun (q, l) -> check q; labels_arr.(q) <- Some l) labels;
+  {
+    num_states;
+    start = States.of_list start;
+    accept = States.of_list accept;
+    transitions = List.sort_uniq compare_transition transitions;
+    epsilons = List.sort_uniq compare epsilons;
+    alphabet = List.fold_left (fun acc (_, s, _) -> Symbol.Set.add s acc) Symbol.Set.empty transitions;
+    labels = labels_arr;
+  }
+
+let all_labels a =
+  List.filter_map Fun.id (List.mapi (fun q l -> Option.map (fun l -> (q, l)) l) (Array.to_list a.labels))
+
+let elements = States.Set.elements
+
+let to_nfa a =
+  Nfa.create ~labels:(all_labels a) ~num_states:a.num_states ~start:(elements a.start)
+    ~accept:(elements a.accept) ~transitions:a.transitions ~epsilons:a.epsilons ()
+
+(* Does the array-built automaton equal the list-built one, field by field? *)
+let matches ?(labels = true) nfa a =
+  Nfa.num_states nfa = a.num_states
+  && States.Set.equal (Nfa.start nfa) a.start
+  && States.Set.equal (Nfa.accept nfa) a.accept
+  && Nfa.transitions nfa = a.transitions
+  && Nfa.epsilons nfa = a.epsilons
+  && Symbol.Set.equal (Nfa.alphabet nfa) a.alphabet
+  && ((not labels) || List.for_all (fun q -> Nfa.label nfa q = a.labels.(q)) (List.init a.num_states Fun.id))
+
+let pp fmt a =
+  Format.fprintf fmt "@[<v>states: %d, start: %a, accept: %a@," a.num_states States.pp_set a.start
+    States.pp_set a.accept;
+  List.iter (fun (p, s, q) -> Format.fprintf fmt "%d --%a--> %d@," p Symbol.pp s q) a.transitions;
+  List.iter (fun (p, q) -> Format.fprintf fmt "%d --eps--> %d@," p q) a.epsilons;
+  Format.fprintf fmt "labels: [%s]@]"
+    (String.concat "; " (List.map (fun (q, l) -> Printf.sprintf "%d:%s" q l) (all_labels a)))
 
 let shift_list off l = List.map (fun (a, s, b) -> (a + off, s, b + off)) l
 let shift_eps off l = List.map (fun (a, b) -> (a + off, b + off)) l
 let shift_labels off l = List.map (fun (q, lab) -> (q + off, lab)) l
-let elements = States.Set.elements
 
 let union a b =
-  let off = Nfa.num_states a in
-  Nfa.create
+  let off = a.num_states in
+  create_ref
     ~labels:(all_labels a @ shift_labels off (all_labels b))
-    ~num_states:(off + Nfa.num_states b)
-    ~start:(elements (Nfa.start a) @ List.map (( + ) off) (elements (Nfa.start b)))
-    ~accept:(elements (Nfa.accept a) @ List.map (( + ) off) (elements (Nfa.accept b)))
-    ~transitions:(Nfa.transitions a @ shift_list off (Nfa.transitions b))
-    ~epsilons:(Nfa.epsilons a @ shift_eps off (Nfa.epsilons b))
+    ~num_states:(off + b.num_states)
+    ~start:(elements a.start @ List.map (( + ) off) (elements b.start))
+    ~accept:(elements a.accept @ List.map (( + ) off) (elements b.accept))
+    ~transitions:(a.transitions @ shift_list off b.transitions)
+    ~epsilons:(a.epsilons @ shift_eps off b.epsilons)
     ()
 
 let concat a b =
-  let off = Nfa.num_states a in
+  let off = a.num_states in
   let bridge =
-    List.concat_map
-      (fun qa -> List.map (fun qb -> (qa, qb + off)) (elements (Nfa.start b)))
-      (elements (Nfa.accept a))
+    List.concat_map (fun qa -> List.map (fun qb -> (qa, qb + off)) (elements b.start)) (elements a.accept)
   in
-  Nfa.create
+  create_ref
     ~labels:(all_labels a @ shift_labels off (all_labels b))
-    ~num_states:(off + Nfa.num_states b)
-    ~start:(elements (Nfa.start a))
-    ~accept:(List.map (( + ) off) (elements (Nfa.accept b)))
-    ~transitions:(Nfa.transitions a @ shift_list off (Nfa.transitions b))
-    ~epsilons:(Nfa.epsilons a @ shift_eps off (Nfa.epsilons b) @ bridge)
+    ~num_states:(off + b.num_states) ~start:(elements a.start)
+    ~accept:(List.map (( + ) off) (elements b.accept))
+    ~transitions:(a.transitions @ shift_list off b.transitions)
+    ~epsilons:(a.epsilons @ shift_eps off b.epsilons @ bridge)
     ()
 
 let star a =
-  let hub = Nfa.num_states a in
-  Nfa.create ~labels:(all_labels a) ~num_states:(hub + 1) ~start:[ hub ] ~accept:[ hub ]
-    ~transitions:(Nfa.transitions a)
+  let hub = a.num_states in
+  create_ref ~labels:(all_labels a) ~num_states:(hub + 1) ~start:[ hub ] ~accept:[ hub ]
+    ~transitions:a.transitions
     ~epsilons:
-      (Nfa.epsilons a
-      @ List.map (fun q -> (hub, q)) (elements (Nfa.start a))
-      @ List.map (fun q -> (q, hub)) (elements (Nfa.accept a)))
+      (a.epsilons
+      @ List.map (fun q -> (hub, q)) (elements a.start)
+      @ List.map (fun q -> (q, hub)) (elements a.accept))
     ()
 
-let map_symbols f nfa =
-  let kept = ref [] and erased = ref (Nfa.epsilons nfa) in
+let map_symbols f a =
+  let kept = ref [] and erased = ref a.epsilons in
   List.iter
     (fun (src, sym, dst) ->
       match f sym with
       | Some sym' -> kept := (src, sym', dst) :: !kept
       | None -> erased := (src, dst) :: !erased)
-    (Nfa.transitions nfa);
-  Nfa.create ~labels:(all_labels nfa) ~num_states:(Nfa.num_states nfa)
-    ~start:(elements (Nfa.start nfa)) ~accept:(elements (Nfa.accept nfa)) ~transitions:!kept
-    ~epsilons:!erased ()
+    a.transitions;
+  create_ref ~labels:(all_labels a) ~num_states:a.num_states ~start:(elements a.start)
+    ~accept:(elements a.accept) ~transitions:!kept ~epsilons:!erased ()
 
-let add_self_loops syms nfa =
+let add_self_loops syms a =
   let loops =
     List.concat
-      (List.init (Nfa.num_states nfa) (fun q ->
-           List.map (fun sym -> (q, sym, q)) (Symbol.Set.elements syms)))
+      (List.init a.num_states (fun q -> List.map (fun sym -> (q, sym, q)) (Symbol.Set.elements syms)))
   in
-  Nfa.create ~labels:(all_labels nfa) ~num_states:(Nfa.num_states nfa)
-    ~start:(elements (Nfa.start nfa)) ~accept:(elements (Nfa.accept nfa))
-    ~transitions:(loops @ Nfa.transitions nfa) ~epsilons:(Nfa.epsilons nfa) ()
+  create_ref ~labels:(all_labels a) ~num_states:a.num_states ~start:(elements a.start)
+    ~accept:(elements a.accept) ~transitions:(loops @ a.transitions) ~epsilons:a.epsilons ()
 
-let reverse nfa =
-  Nfa.create ~labels:(all_labels nfa) ~num_states:(Nfa.num_states nfa)
-    ~start:(elements (Nfa.accept nfa)) ~accept:(elements (Nfa.start nfa))
-    ~transitions:(List.map (fun (a, s, b) -> (b, s, a)) (Nfa.transitions nfa))
-    ~epsilons:(List.map (fun (a, b) -> (b, a)) (Nfa.epsilons nfa))
+let reverse a =
+  create_ref ~labels:(all_labels a) ~num_states:a.num_states ~start:(elements a.accept)
+    ~accept:(elements a.start)
+    ~transitions:(List.map (fun (p, s, q) -> (q, s, p)) a.transitions)
+    ~epsilons:(List.map (fun (p, q) -> (q, p)) a.epsilons)
     ()
 
+let empty_language = create_ref ~num_states:1 ~start:[ 0 ] ~accept:[] ~transitions:[] ()
+
 (* Set-valued fixpoints over the transition and ε lists, then a renumbered
-   [create]. *)
-let trim nfa =
-  let arrows nfa =
-    List.map (fun (a, _, b) -> (a, b)) (Nfa.transitions nfa) @ Nfa.epsilons nfa
-  in
+   [create_ref]. *)
+let trim a =
+  let arrows = List.map (fun (p, _, q) -> (p, q)) a.transitions @ a.epsilons in
   let reach seeds arrows =
     let rec go seen =
       let more =
         List.filter_map
-          (fun (a, b) -> if List.mem a seen && not (List.mem b seen) then Some b else None)
+          (fun (p, q) -> if List.mem p seen && not (List.mem q seen) then Some q else None)
           arrows
       in
       if more = [] then seen else go (List.sort_uniq Int.compare (more @ seen))
     in
     go seeds
   in
-  let forward = reach (elements (Nfa.start nfa)) (arrows nfa) in
-  let backward = reach (elements (Nfa.accept nfa)) (List.map (fun (a, b) -> (b, a)) (arrows nfa)) in
+  let forward = reach (elements a.start) arrows in
+  let backward = reach (elements a.accept) (List.map (fun (p, q) -> (q, p)) arrows) in
   let live = List.sort_uniq Int.compare (List.filter (fun q -> List.mem q backward) forward) in
-  if live = [] then Nfa.empty_language
+  if live = [] then empty_language
   else begin
     let rename q =
       let rec find i = function
@@ -167,35 +221,32 @@ let trim nfa =
       in
       find 0 live
     in
-    let both a b k = match (rename a, rename b) with Some a, Some b -> Some (k a b) | _ -> None in
-    Nfa.create
-      ~labels:(List.filter_map (fun (q, l) -> Option.map (fun q -> (q, l)) (rename q)) (all_labels nfa))
+    let both p q k = match (rename p, rename q) with Some p, Some q -> Some (k p q) | _ -> None in
+    create_ref
+      ~labels:(List.filter_map (fun (q, l) -> Option.map (fun q -> (q, l)) (rename q)) (all_labels a))
       ~num_states:(List.length live)
-      ~start:(List.filter_map rename (elements (Nfa.start nfa)))
-      ~accept:(List.filter_map rename (elements (Nfa.accept nfa)))
-      ~transitions:
-        (List.filter_map (fun (a, s, b) -> both a b (fun a b -> (a, s, b))) (Nfa.transitions nfa))
-      ~epsilons:(List.filter_map (fun (a, b) -> both a b (fun a b -> (a, b))) (Nfa.epsilons nfa))
+      ~start:(List.filter_map rename (elements a.start))
+      ~accept:(List.filter_map rename (elements a.accept))
+      ~transitions:(List.filter_map (fun (p, s, q) -> both p q (fun p q -> (p, s, q))) a.transitions)
+      ~epsilons:(List.filter_map (fun (p, q) -> both p q (fun p q -> (p, q))) a.epsilons)
       ()
   end
 
 let universal alphabet =
-  Nfa.create ~num_states:1 ~start:[ 0 ] ~accept:[ 0 ]
+  create_ref ~num_states:1 ~start:[ 0 ] ~accept:[ 0 ]
     ~transitions:(List.map (fun sym -> (0, sym, 0)) (Symbol.Set.elements alphabet))
     ()
 
 let of_graph ~symbols ~accepting (g : (_, int) Explore.graph) =
   let ids = List.init (Array.length g.keys) Fun.id in
-  Nfa.create ~num_states:(Array.length g.keys) ~start:[ 0 ]
+  create_ref ~num_states:(Array.length g.keys) ~start:[ 0 ]
     ~accept:(List.filter (fun q -> accepting g.keys.(q)) ids)
     ~transitions:
-      (List.concat_map
-         (fun src -> List.map (fun (i, dst) -> (src, symbols.(i), dst)) g.succs.(src))
-         ids)
+      (List.concat_map (fun src -> List.map (fun (i, dst) -> (src, symbols.(i), dst)) g.succs.(src)) ids)
     ()
 
 (* Glushkov's construction with the follow pairs gathered by list append,
-   and its automaton made by one [create]. *)
+   and its automaton made by one [create_ref]. *)
 let glushkov_classic r =
   let module ISet = States.Set in
   let positions = ref [] and counter = ref 0 in
@@ -230,7 +281,7 @@ let glushkov_classic r =
   in
   let nullable, first, last, follow = analyze r in
   let sym_at p = List.assoc p !positions in
-  Nfa.create
+  create_ref
     ~labels:(List.map (fun (p, sym) -> (p, Symbol.name sym)) !positions)
     ~num_states:(!counter + 1) ~start:[ 0 ]
     ~accept:((if nullable then [ 0 ] else []) @ ISet.elements last)
@@ -242,7 +293,7 @@ let glushkov_classic r =
 (* The k-ary shuffle product over the branches' configuration tables, its
    edges labeled with symbols. *)
 let shuffle_product branches =
-  let branches = Array.of_list branches in
+  let branches = Array.of_list (List.map to_nfa branches) in
   let symbols = Array.map Nfa.symbols branches in
   let graph =
     Explore.graph Explore.ints ~start:(Array.map Nfa.Config.initial branches)
@@ -260,7 +311,7 @@ let shuffle_product branches =
       ()
   in
   let ids = List.init (Array.length graph.keys) Fun.id in
-  Nfa.create ~num_states:(Array.length graph.keys) ~start:[ 0 ]
+  create_ref ~num_states:(Array.length graph.keys) ~start:[ 0 ]
     ~accept:
       (List.filter
          (fun q ->
@@ -268,9 +319,7 @@ let shuffle_product branches =
              (Array.mapi (fun b nfa -> Nfa.Config.accepting nfa graph.keys.(q).(b)) branches))
          ids)
     ~transitions:
-      (List.concat_map
-         (fun src -> List.map (fun (sym, dst) -> (src, sym, dst)) graph.succs.(src))
-         ids)
+      (List.concat_map (fun src -> List.map (fun (sym, dst) -> (src, sym, dst)) graph.succs.(src)) ids)
     ()
 
 let rec glushkov r =
@@ -303,16 +352,16 @@ let expanded model behaviors =
     (fun ((op : Model.operation), behavior) ->
       let body = glushkov behavior in
       let offset = !next_state in
-      next_state := !next_state + Nfa.num_states body;
-      Hashtbl.add entry_points op.op_name (List.map (( + ) offset) (elements (Nfa.start body)));
+      next_state := !next_state + body.num_states;
+      Hashtbl.add entry_points op.op_name (List.map (( + ) offset) (elements body.start));
       List.iter
         (fun (src, sym, dst) ->
           match Symbol.exit_marker sym with
           | Some (meth, k) when String.equal meth op.op_name ->
             epsilons := (src + offset, Hashtbl.find boundary (op.op_name, k)) :: !epsilons
           | Some _ | None -> transitions := (src + offset, sym, dst + offset) :: !transitions)
-        (Nfa.transitions body);
-      epsilons := shift_eps offset (Nfa.epsilons body) @ !epsilons)
+        body.transitions;
+      epsilons := shift_eps offset body.epsilons @ !epsilons)
     behaviors;
   let allow src (op : Model.operation) =
     List.iter
@@ -339,8 +388,8 @@ let expanded model behaviors =
            List.map (fun (e : Model.exit_point) -> Hashtbl.find boundary (op.op_name, e.exit_id)) op.exits)
          (Model.final_ops model)
   in
-  Nfa.create ~labels:!labels ~num_states:!next_state ~start:[ 0 ] ~accept
-    ~transitions:!transitions ~epsilons:!epsilons ()
+  create_ref ~labels:!labels ~num_states:!next_state ~start:[ 0 ] ~accept ~transitions:!transitions
+    ~epsilons:!epsilons ()
 
 let marked model = List.map (fun (op : Model.operation) -> (op, op.marked_behavior)) model.Model.operations
 

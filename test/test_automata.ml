@@ -603,46 +603,98 @@ let test_explore_memo_hits () =
 (* --- Array constructions = list constructions ----------------------------------
 
    Every automaton the library builds comes straight out of edge arrays.
-   {!Automata_oracle} keeps the constructions as they were, each result one
-   {!Nfa.create} from transition, ε-transition and label lists; the two
-   must build the same automaton, field by field. Operands are random
-   ε-NFAs over random sub-alphabets of five symbols (so alphabets overlap,
-   are disjoint or are empty), with duplicate transitions, labels on some
-   states, and results fed back in as operands. *)
+   {!Automata_oracle} keeps the constructions as they were, over automata
+   held as lists, each result one [create_ref] from transition,
+   ε-transition and label lists; the two must build the same automaton,
+   field by field. Operands are random ε-NFAs over random sub-alphabets of
+   five symbols (so alphabets overlap, are disjoint or are empty), with
+   shuffled and duplicated transitions, labels on some states, and results
+   fed back in as operands. Each operand is built twice from the same
+   lists: by {!Nfa.create} for the array side and by [create_ref] for the
+   oracle. *)
 
 let pool = List.map sym [ "a"; "b"; "c"; "d"; "e" ]
 
-let same_nfa ?(labels = true) got want =
-  Nfa.num_states got = Nfa.num_states want
-  && States.Set.equal (Nfa.start got) (Nfa.start want)
-  && States.Set.equal (Nfa.accept got) (Nfa.accept want)
-  && Nfa.transitions got = Nfa.transitions want
-  && Nfa.epsilons got = Nfa.epsilons want
-  && Symbol.Set.equal (Nfa.alphabet got) (Nfa.alphabet want)
-  && ((not labels)
-     || List.for_all (fun q -> Nfa.label got q = Nfa.label want q) (List.init (Nfa.num_states got) Fun.id))
+type raw = {
+  n : int;
+  start : int list;
+  accept : int list;
+  transitions : (int * Symbol.t * int) list;
+  epsilons : (int * int) list;
+  labels : (int * string) list;
+}
 
-let show_nfa nfa =
-  Format.asprintf "%a labels=[%s]" Nfa.pp nfa
-    (String.concat "; "
-       (List.map (fun (q, l) -> Printf.sprintf "%d:%s" q l) (Automata_oracle.all_labels nfa)))
+let show_raw r =
+  Printf.sprintf "n=%d start=[%s] accept=[%s] transitions=[%s] epsilons=[%s] labels=[%s]" r.n
+    (String.concat ";" (List.map string_of_int r.start))
+    (String.concat ";" (List.map string_of_int r.accept))
+    (String.concat ";" (List.map (fun (p, s, q) -> Printf.sprintf "%d-%s-%d" p (Symbol.name s) q) r.transitions))
+    (String.concat ";" (List.map (fun (p, q) -> Printf.sprintf "%d-%d" p q) r.epsilons))
+    (String.concat ";" (List.map (fun (q, l) -> Printf.sprintf "%d:%s" q l) r.labels))
 
 let sub_alphabet_gen =
   QCheck2.Gen.(map (List.sort_uniq Symbol.compare) (list_size (int_range 0 5) (oneofl pool)))
 
-let labelled_nfa_gen =
+(* Transitions and ε-edges in random order, some of them repeated. *)
+let raw_gen =
   let open QCheck2.Gen in
+  let with_repeats l =
+    if l = [] then return l
+    else
+      let* again = list_size (int_range 0 4) (oneofl l) in
+      shuffle_l (l @ again)
+  in
   let* n = int_range 1 6 in
   let* alphabet = sub_alphabet_gen in
   let state = int_range 0 (n - 1) in
   let* transitions =
-    if alphabet = [] then return [] else list_size (int_range 0 14) (triple state (oneofl alphabet) state)
+    if alphabet = [] then return []
+    else list_size (int_range 0 14) (triple state (oneofl alphabet) state) >>= with_repeats
   in
-  let* epsilons = frequency [ (1, return []); (2, list_size (int_range 1 4) (pair state state)) ] in
+  let* epsilons =
+    frequency [ (1, return []); (2, list_size (int_range 1 4) (pair state state) >>= with_repeats) ]
+  in
   let* start = list_size (int_range 0 2) state in
   let* accept = list_size (int_range 0 3) state in
   let* labels = list_size (int_range 0 3) (pair state (oneofl [ "x"; "y"; "z" ])) in
-  return (Nfa.create ~labels ~num_states:n ~start ~accept ~transitions ~epsilons ())
+  return { n; start; accept; transitions; epsilons; labels }
+
+let nfa_of r =
+  Nfa.create ~labels:r.labels ~num_states:r.n ~start:r.start ~accept:r.accept ~transitions:r.transitions
+    ~epsilons:r.epsilons ()
+
+let ref_of r =
+  Automata_oracle.create_ref ~labels:r.labels ~num_states:r.n ~start:r.start ~accept:r.accept
+    ~transitions:r.transitions ~epsilons:r.epsilons ()
+
+(* The builder fed directly: states in two blocks, ε-edges and labels
+   interleaved with the edges. *)
+let built_of r =
+  let b = Nfa.Builder.create () in
+  let first = Nfa.Builder.add_states b (r.n / 2) in
+  let second = Nfa.Builder.add_states b (r.n - (r.n / 2)) in
+  assert (first = 0 && second = r.n / 2 && Nfa.Builder.num_states b = r.n);
+  List.iter (fun (q, l) -> Nfa.Builder.label b q l) r.labels;
+  let rec feed ts es =
+    match (ts, es) with
+    | [], [] -> ()
+    | (p, s, q) :: ts, _ ->
+      Nfa.Builder.edge b p s q;
+      (match es with (p, q) :: es -> Nfa.Builder.epsilon b p q; feed ts es | [] -> feed ts [])
+    | [], (p, q) :: es ->
+      Nfa.Builder.epsilon b p q;
+      feed [] es
+  in
+  feed r.transitions r.epsilons;
+  Nfa.Builder.finish b ~start:r.start ~accept:r.accept
+
+let prop_builder_matches_create_ref =
+  qtest "Builder.finish = create_ref" ~count:1000 raw_gen ~print:show_raw (fun r ->
+      let want = ref_of r in
+      Automata_oracle.matches (built_of r) want && Automata_oracle.matches (nfa_of r) want)
+
+let labelled_gen = QCheck2.Gen.map (fun r -> (nfa_of r, ref_of r)) raw_gen
+let show_pair (_, o) = Format.asprintf "%a" Automata_oracle.pp o
 
 (* A symbol map that renames, merges and erases. *)
 let symbol_map_gen =
@@ -678,66 +730,64 @@ let constructions_gen =
   QCheck2.Gen.(
     map
       (fun ((a, b), (rename, loops, graph)) -> (a, b, rename, loops, graph))
-      (pair (pair labelled_nfa_gen labelled_nfa_gen) (triple symbol_map_gen sub_alphabet_gen indexed_graph_gen)))
+      (pair (pair labelled_gen labelled_gen) (triple symbol_map_gen sub_alphabet_gen indexed_graph_gen)))
 
 let prop_constructions_match_oracle =
   qtest "array constructions = list oracle" ~count:500 constructions_gen
     ~print:(fun (x, y, _, loops, _) ->
-      Printf.sprintf "A = %s\nB = %s\nloops = %s" (show_nfa x) (show_nfa y)
+      Printf.sprintf "A = %s\nB = %s\nloops = %s" (show_pair x) (show_pair y)
         (String.concat "," (List.map Symbol.name loops)))
-    (fun (x, y, rename, loops, (symbols, graph)) ->
+    (fun ((x, ox), (y, oy), rename, loops, (symbols, graph)) ->
       let module O = Automata_oracle in
       let loops = Symbol.Set.of_list loops in
-      let erase_odd nfa = Nfa.map_symbols (fun s -> if Symbol.to_int s mod 2 = 0 then Some s else None) nfa in
-      let both f g = same_nfa f g in
+      let even s = if Symbol.to_int s mod 2 = 0 then Some s else None in
+      let both = O.matches in
       let u = Nfa.union x y and k = Nfa.concat x y and s = Nfa.star x in
-      both u (O.union x y)
-      && both k (O.concat x y)
-      && both s (O.star x)
-      && both (Nfa.map_symbols rename x) (O.map_symbols rename x)
-      && both (erase_odd k) (O.map_symbols (fun s -> if Symbol.to_int s mod 2 = 0 then Some s else None) k)
+      let ou = O.union ox oy and ok = O.concat ox oy and os = O.star ox in
+      both u ou && both k ok && both s os
+      && both (Nfa.map_symbols rename x) (O.map_symbols rename ox)
+      && both (Nfa.map_symbols even k) (O.map_symbols even ok)
       && both (Nfa.universal loops) (O.universal loops)
-      && both (Nfa.add_self_loops loops x) (O.add_self_loops loops x)
-      && both (Nfa.add_self_loops loops s) (O.add_self_loops loops s)
-      && both (Nfa.reverse k) (O.reverse k)
-      && both (Nfa.trim x) (O.trim x)
-      && both (Nfa.trim k) (O.trim k)
-      && both (Nfa.star (Nfa.union s k)) (O.star (O.union s k))
-      && both (Nfa.concat (Nfa.map_symbols rename s) u) (O.concat (O.map_symbols rename s) u)
+      && both (Nfa.add_self_loops loops x) (O.add_self_loops loops ox)
+      && both (Nfa.add_self_loops loops s) (O.add_self_loops loops os)
+      && both (Nfa.reverse k) (O.reverse ok)
+      && both (Nfa.trim x) (O.trim ox)
+      && both (Nfa.trim k) (O.trim ok)
+      && both (Nfa.star (Nfa.union s k)) (O.star (O.union os ok))
+      && both (Nfa.concat (Nfa.map_symbols rename s) u) (O.concat (O.map_symbols rename os) ou)
       && both (Nfa.of_graph ~symbols ~accepting:Fun.id graph) (O.of_graph ~symbols ~accepting:Fun.id graph))
 
 let prop_live_symbols =
   qtest "live_symbols = alphabet of trim" ~count:500
-    QCheck2.Gen.(pair labelled_nfa_gen labelled_nfa_gen)
-    ~print:(fun (x, y) -> show_nfa x ^ "\n" ^ show_nfa y)
-    (fun (x, y) ->
+    QCheck2.Gen.(pair labelled_gen labelled_gen)
+    ~print:(fun (x, y) -> show_pair x ^ "\n" ^ show_pair y)
+    (fun ((x, ox), (y, oy)) ->
+      let module O = Automata_oracle in
       List.for_all
-        (fun nfa ->
+        (fun (nfa, o) ->
           Symbol.Set.equal (Nfa.live_symbols nfa) (Nfa.alphabet (Nfa.trim nfa))
-          && Symbol.Set.equal (Nfa.live_symbols nfa) (Nfa.alphabet (Automata_oracle.trim nfa)))
-        [ x; y; Nfa.concat x y; Nfa.star x; Nfa.union x y ])
+          && Symbol.Set.equal (Nfa.live_symbols nfa) (O.trim o).alphabet)
+        [ (x, ox); (y, oy); (Nfa.concat x y, O.concat ox oy); (Nfa.star x, O.star ox); (Nfa.union x y, O.union ox oy) ])
 
 let prop_glushkov_matches_oracle =
-  qtest "glushkov positions = list oracle" ~count:300 default_regex_shuffle_gen ~print:regex_print
-    (fun r ->
-      same_nfa (Glushkov.of_regex r) (Automata_oracle.glushkov r)
+  qtest "glushkov = list oracle" ~count:300 default_regex_shuffle_gen ~print:regex_print (fun r ->
+      Automata_oracle.matches (Glushkov.of_regex r) (Automata_oracle.glushkov r)
       && ((not (Regex.shuffle_free r))
-         || same_nfa (Glushkov.of_regex_classic r) (Automata_oracle.glushkov_classic r)))
+         || Automata_oracle.matches (Glushkov.of_regex_classic r) (Automata_oracle.glushkov_classic r)))
 
 (* The class expansion, full and per field, over random async composites:
-   shuffle-free bodies are copied from their Glushkov positions, shuffle
-   bodies from their automata, and a projection erases as it copies. Its
-   boundary states carry no labels, so a projection is compared without
-   them and must have none. *)
+   each body's automaton is copied in, and a projection erases as it
+   copies. Its boundary states carry no labels, so a projection is
+   compared without them and must have none. *)
 let prop_expansion_matches_oracle =
   qtest "class expansion = list oracle" ~count:200 async_composite_gen
     ~print:(fun m -> Format.asprintf "%a" Model.pp m)
     (fun model ->
-      same_nfa (Usage.expanded_nfa model) (Automata_oracle.expanded_nfa model)
+      Automata_oracle.matches (Usage.expanded_nfa model) (Automata_oracle.expanded_nfa model)
       && List.for_all
            (fun field ->
              let got = Usage.projected_nfa model ~field in
-             same_nfa ~labels:false got (Automata_oracle.projected_nfa model ~field)
+             Automata_oracle.matches ~labels:false got (Automata_oracle.projected_nfa model ~field)
              && List.for_all (fun q -> Nfa.label got q = None) (List.init (Nfa.num_states got) Fun.id))
            model.Model.declared_subsystems)
 
@@ -802,6 +852,7 @@ let () =
       ("products", [ prop_products_match_oracle ]);
       ( "arrays",
         [
+          prop_builder_matches_create_ref;
           prop_constructions_match_oracle;
           prop_live_symbols;
           prop_glushkov_matches_oracle;
